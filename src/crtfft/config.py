@@ -39,7 +39,6 @@ class Config:
     max_extra_verify_views: int = 2
     max_depth: int | None = None        # recursion depth cap; default ceil(log2 log2 N)
     view_mode: str = "recursive"        # "recursive" or "dense" view construction
-    oracle_cap: int = 8192              # dft_direct size cap
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     gate_trail: bool = False            # record the explicit gate table in certificates
     force_fallback: bool = False        # skip the fast path entirely

@@ -1,21 +1,14 @@
-"""Complex DFT engines for arbitrary lengths.
+"""Complex DFT for arbitrary lengths.
 
 Conventions, fixed globally: the forward transform is the plain unnormalized
 sum X[r] = sum_n x[n] e^{-2pi i rn/N}; the inverse carries the 1/N factor.
-Power-of-two lengths go through an iterative radix-2 kernel; everything else
-goes through a chirp-z (Bluestein) reduction onto the radix-2 kernel with
-convolution length the next power of two >= 2n-1.  `dft_direct` is the
-quadratic-time literal evaluation of the definition, kept as the independent
-test oracle and never used by fast paths.
-
-Chirp exponents are reduced mod 2n in exact integer arithmetic before any
-trigonometric call, so phase error stays at roundoff level for all supported
-sizes.
+`numpy.fft` is the only engine: `dft_forward` checks its input and hands it
+to `np.fft.fft`, one transform per row of a 1-D buffer or a 2-D stack.
+`dft_direct` is the quadratic-time literal evaluation of the definition,
+kept as the independent test oracle and never used by fast paths.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -23,159 +16,62 @@ from .errors import NonFiniteError, OracleCapExceededError
 
 DEFAULT_ORACLE_CAP = 8192
 
-# int64 squares inside the chirp tables stay exact below this length.
+# Longest accepted transform; longer rows are refused with a typed error.
 _MAX_LENGTH = 1 << 31
 
 
 def _as_buffer(x) -> np.ndarray:
+    """A finite complex 1-D buffer, or a 2-D stack of equal-length buffers."""
     arr = np.ascontiguousarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D buffer, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D buffer or a 2-D stack, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("empty buffer")
-    if arr.size >= _MAX_LENGTH:
-        raise OracleCapExceededError(f"length {arr.size} above supported maximum")
+    if arr.shape[-1] >= _MAX_LENGTH:
+        raise OracleCapExceededError(f"length {arr.shape[-1]} above supported maximum")
     if not np.isfinite(arr).all():
         raise NonFiniteError("buffer contains NaN or Inf samples")
     return arr
 
 
-@functools.lru_cache(maxsize=64)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
-@functools.lru_cache(maxsize=256)
-def _stage_twiddles_cached(size: int, sign: int) -> np.ndarray:
-    half = size // 2
-    tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-    tw.setflags(write=False)
-    return tw
-
-
-def _stage_twiddles(size: int, sign: int) -> np.ndarray:
-    # Large stages are one-off (dense fallback); keep the cache small.
-    if size <= 1 << 16:
-        return _stage_twiddles_cached(size, sign)
-    return np.exp(sign * 2j * np.pi * np.arange(size // 2) / size)
-
-
-def _fft_pow2(x: np.ndarray, sign: int) -> np.ndarray:
-    """In-order iterative radix-2 transform; sign=-1 forward, +1 inverse kernel."""
-    n = x.size
-    if n == 1:
-        return x.copy()
-    a = x[_bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _stage_twiddles(size, sign)
-        blocks = a.reshape(-1, size)
-        odd = blocks[:, half:] * tw
-        even = blocks[:, :half]
-        blocks[:, half:] = even - odd
-        blocks[:, :half] = even + odd
-        size *= 2
-    return a
-
-
-@functools.lru_cache(maxsize=64)
-def _chirp_cached(n: int, sign: int) -> np.ndarray:
-    j = np.arange(n, dtype=np.int64)
-    expo = (j * j) % (2 * n)
-    w = np.exp(sign * 1j * np.pi * expo / n)
-    w.setflags(write=False)
-    return w
-
-
-def _chirp(n: int, sign: int) -> np.ndarray:
-    # w[j] = exp(sign * i*pi*j^2/n) with j^2 reduced mod 2n exactly.
-    if n <= 1 << 16:
-        return _chirp_cached(n, sign)
-    j = np.arange(n, dtype=np.int64)
-    expo = (j * j) % (2 * n)
-    return np.exp(sign * 1j * np.pi * expo / n)
-
-
-@functools.lru_cache(maxsize=32)
-def _bluestein_filter_cached(n: int, sign: int) -> np.ndarray:
-    w = _chirp(n, sign)
-    conv_len = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(conv_len, dtype=np.complex128)
-    b[:n] = np.conj(w)
-    b[conv_len - n + 1 :] = np.conj(w[1:][::-1])
-    fb = _fft_pow2(b, -1)
-    fb.setflags(write=False)
-    return fb
-
-
-def _fft_bluestein(x: np.ndarray, sign: int) -> np.ndarray:
-    n = x.size
-    w = _chirp(n, sign)
-    conv_len = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(conv_len, dtype=np.complex128)
-    a[:n] = x * w
-    if n <= 1 << 16:
-        fb = _bluestein_filter_cached(n, sign)
-    else:
-        b = np.zeros(conv_len, dtype=np.complex128)
-        b[:n] = np.conj(w)
-        b[conv_len - n + 1 :] = np.conj(w[1:][::-1])
-        fb = _fft_pow2(b, -1)
-    fa = _fft_pow2(a, -1)
-    conv = _fft_pow2(fa * fb, +1) / conv_len
-    return conv[:n] * w
-
-
 def dft_forward(x) -> np.ndarray:
-    """Unnormalized forward DFT of a finite complex buffer."""
-    arr = _as_buffer(x)
-    n = arr.size
-    if n == 1:
-        return arr.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(arr, -1)
-    return _fft_bluestein(arr, -1)
+    """Unnormalized forward DFT of a finite buffer, or of each row of a stack."""
+    return np.fft.fft(_as_buffer(x), axis=-1)
 
 
 def dft_inverse(x) -> np.ndarray:
     """Inverse DFT with 1/N normalization; dft_inverse(dft_forward(x)) == x."""
-    arr = _as_buffer(x)
-    return np.conj(dft_forward(np.conj(arr))) / arr.size
+    return np.fft.ifft(_as_buffer(x), axis=-1)
 
 
 def dft_direct(x, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Literal O(n^2) evaluation of the forward-transform definition.
 
-    Independent oracle for the fast engines; refuses lengths above `cap`.
+    Independent oracle for the fast engine, row by row on a stack; refuses
+    lengths above `cap`.
     """
     arr = _as_buffer(x)
-    n = arr.size
+    n = arr.shape[-1]
     if n > cap:
         raise OracleCapExceededError(f"direct oracle capped at {cap}, got {n}")
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(arr.shape, dtype=np.complex128)
     j = np.arange(n, dtype=np.int64)
     block = max(1, (1 << 21) // n)
     for start in range(0, n, block):
         rows = np.arange(start, min(start + block, n), dtype=np.int64)
         expo = (rows[:, None] * j[None, :]) % n
-        out[start : start + rows.size] = np.exp(-2j * np.pi * expo / n) @ arr
+        out[..., start : start + rows.size] = arr @ np.exp(-2j * np.pi * expo / n).T
     return out
 
 
 def fft_op_count(n: int) -> int:
-    """Model complex-op cost of dft_forward at length n.
+    """Fixed model complex-op cost of one length-n forward transform.
 
-    Radix-2 counts 2*n*log2(n) (one multiply and one add pair per butterfly);
-    the chirp path counts its three power-of-two transforms plus the chirp
-    and pointwise multiplies.
+    The model is that of a radix-2 kernel at power-of-two lengths, 2*n*log2(n)
+    (one multiply and one add pair per butterfly), and of a chirp-z reduction
+    elsewhere (three power-of-two transforms plus the chirp and pointwise
+    multiplies).  It does not describe the work `numpy.fft` does; it stays
+    fixed so that op counts remain comparable across commits.
     """
     if n <= 1:
         return 1

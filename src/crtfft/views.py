@@ -33,7 +33,6 @@ class ViewSpectrum:
     params: ViewParams
     M: int
     bins: np.ndarray
-    representation: str = "dense"
 
     @property
     def m(self) -> int:
@@ -49,7 +48,7 @@ class ViewSpectrum:
         return float(np.sum(self.magnitudes(shift) ** 2))
 
     def copy(self) -> "ViewSpectrum":
-        return ViewSpectrum(self.params, self.M, self.bins.copy(), self.representation)
+        return ViewSpectrum(self.params, self.M, self.bins.copy())
 
 
 @dataclass(frozen=True)
@@ -85,23 +84,23 @@ def build_view(
     op: OpCounter | None = None,
     phase: str = "views",
 ) -> ViewSpectrum:
-    """FFT-path construction of one view from time samples."""
+    """FFT-path construction of one view from time samples.
+
+    Samples are read one shift at a time, so a synthesized source's
+    (k, block) phase temporaries stay one shift wide; the modulation and the
+    transform then run once over the (shift_count, m) stack.
+    """
     m = params.m
-    bins = np.empty((params.shift_count, m), dtype=np.complex128)
-    j = np.arange(m, dtype=np.int64)
-    modulation = None
-    if params.b:
-        modulation = np.exp(2j * np.pi * params.b * j / m)
+    samples = np.empty((params.shift_count, m), dtype=np.complex128)
     for s in range(params.shift_count):
-        y = source.sample_block(_shift_indices(params, M, s))
-        if modulation is not None:
-            y = y * modulation
-        bins[s] = dft.dft_forward(y) / m
-        if op is not None:
-            op.add(phase, m)                      # sample accesses
-            op.add(phase, m if params.b else 0)   # modulation multiplies
-            op.add(phase, dft.fft_op_count(m))
-            op.add(phase, m)                      # normalization
+        samples[s] = source.sample_block(_shift_indices(params, M, s))
+    if params.b:
+        samples *= np.exp(2j * np.pi * params.b * np.arange(m) / m)
+    bins = dft.dft_forward(samples) / m
+    if op is not None:
+        # per shift: sample accesses, modulation multiplies, transform, normalization
+        per_shift = m + (m if params.b else 0) + dft.fft_op_count(m) + m
+        op.add(phase, params.shift_count * per_shift)
     return ViewSpectrum(params=params, M=M, bins=bins)
 
 

@@ -10,7 +10,7 @@ from crtfft.dft import (
 )
 from crtfft.errors import NonFiniteError, OracleCapExceededError
 
-# powers of two, primes through the chirp path, and mixed composites
+# powers of two, primes, and mixed composites
 SIZES = [1, 2, 4, 8, 64, 256, 7, 11, 13, 97, 101, 997, 12, 60, 1001, 1024]
 
 
@@ -91,6 +91,26 @@ def test_nonfinite_rejected():
         dft_forward([1.0, np.nan, 0.0])
     with pytest.raises(NonFiniteError):
         dft_inverse([np.inf + 0j, 0j])
+
+
+@pytest.mark.parametrize("m", [1, 8, 13, 60])
+def test_stack_is_transformed_row_by_row(rng, m):
+    stack = np.stack([random_buffer(rng, m) for _ in range(3)])
+    want = np.stack([dft_direct(row) for row in stack])
+    tol = 1e-9 * max(np.abs(want).max(), 1.0)
+    fast = dft_forward(stack)
+    assert fast.shape == (3, m)
+    assert np.abs(fast - want).max() <= tol
+    assert np.abs(dft_direct(stack) - want).max() <= tol
+
+
+def test_stack_contract_rejects_bad_input(rng):
+    with pytest.raises(ValueError):
+        dft_forward(np.zeros((2, 3, 4), dtype=complex))
+    stack = np.stack([random_buffer(rng, 5) for _ in range(3)])
+    stack[2, 4] = np.nan
+    with pytest.raises(NonFiniteError):
+        dft_forward(stack)
 
 
 def test_oracle_cap():

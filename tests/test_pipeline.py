@@ -51,6 +51,22 @@ class TestSparseFft:
         assert spectra_close(dense, spec)
         assert result.op_counts["total"] < dense_ops.total()
 
+    def test_op_counts_pinned(self, rng):
+        # The op model is a fixed cost model: any drift in these figures makes
+        # op counts incomparable across commits.
+        cfg = Config(nominal_length=2**14)
+        plan = make_plan(2**14, 12, seed=5, config=cfg)
+        spec = random_spectrum(rng, 12, plan.M, fmax=2**14)
+        result = sparse_fft(synthesize(spec), 12, cfg, seed=5)
+        assert result.path is RecoveryPath.FAST
+        assert spectra_close(result.spectrum, spec)
+        assert result.op_counts == {
+            "peel": 1401,
+            "verify": 215821,
+            "views": 213702,
+            "total": 430924,
+        }
+
     def test_declared_sparsity_violation_falls_back(self, rng):
         # 2k true tones under a declared budget of k: top-k selection drops
         # half the energy, verification must catch it, fallback returns the

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from crtfft.config import Config
 from crtfft.errors import StrideMismatchError
 from crtfft.planner import ViewParams, make_plan
-from crtfft.signal import SparseSpectrum, synthesize
+from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.views import (
     build_view,
     build_view_from_spectrum,
@@ -45,12 +46,17 @@ class TestBuildView:
         occupied = sorted(np.flatnonzero(np.abs(view.bins[0]) > 1e-9).tolist())
         assert occupied == [0, 6]
 
-    def test_fft_path_matches_alias_oracle(self, rng):
-        plan = make_plan(2**14, 8, 0, seed=3)
+    @pytest.mark.parametrize("shift_count", [2, 3])
+    @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
+    def test_fft_path_matches_alias_oracle(self, rng, kind, shift_count):
+        plan = make_plan(2**14, 8, 0, seed=3, config=Config(shift_count=shift_count))
         M = plan.M
         spec = random_spectrum(rng, 8, M)
         src = synthesize(spec)
+        if kind == "from_dense":
+            src = from_dense(src.materialize())
         for vp in plan.id_views:
+            assert vp.shift_count == shift_count
             got = build_view(src, vp, M).bins
             want = alias_oracle(spec, vp, M)
             assert np.abs(got - want).max() < 1e-9
