@@ -67,7 +67,6 @@ from .peeling import (
     SingletonReading,
     detect_singletons,
     peel,
-    recursive_spectrum,
     rehash,
     run_peeling,
 )

@@ -109,10 +109,6 @@ def _config_from_args(args) -> Config:
         updates["nominal_length"] = args.n
     if getattr(args, "force_fallback", False):
         updates["force_fallback"] = True
-    if getattr(args, "view_mode", None):
-        updates["view_mode"] = args.view_mode
-    if getattr(args, "threads", None):
-        updates["threads"] = args.threads
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -494,11 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moduli", help="explicit comma-separated view moduli")
     p.add_argument("--identity-hash", action="store_true", dest="identity_hash")
     p.add_argument("--t", type=int, help="verification view count")
-    p.add_argument("--view-mode", choices=["recursive", "dense"], dest="view_mode")
     p.add_argument("--force-fallback", action="store_true", dest="force_fallback")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--threads", type=int)
     p.add_argument("--output", help="write result JSON here instead of stdout")
     p.set_defaults(func=cmd_transform)
 
@@ -539,10 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, dest="k_list")
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--view-mode", choices=["recursive", "dense"], dest="view_mode")
     p.add_argument("--config")
     p.add_argument("--wall", action="store_true", help="include wall-clock columns")
-    p.add_argument("--threads", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_bench)
 

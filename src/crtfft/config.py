@@ -18,7 +18,7 @@ from .errors import ParseError
 class Config:
     # planning
     alpha: float = 15.0                 # residue-set capacity multiplier (alpha*k per view)
-    lambda_threshold: float = 0.1       # max load factor k/m for peeling / recursion
+    lambda_threshold: float = 0.1       # max load factor k/m for peeling
     t: int = 3                          # verification view count
     shift_count: int = 3                # time shifts per view (2 or 3)
     rho_sparse: float = 0.3             # sparsity-ratio boundary sparse/moderate
@@ -37,18 +37,13 @@ class Config:
     round_cap_c: float = 4.0            # peeling round cap = ceil(c * log2(k+2))
     max_rehash: int = 2
     max_extra_verify_views: int = 2
-    max_depth: int | None = None        # recursion depth cap; default ceil(log2 log2 N)
-    view_mode: str = "recursive"        # "recursive" or "dense" view construction
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     gate_trail: bool = False            # record the explicit gate table in certificates
     force_fallback: bool = False        # skip the fast path entirely
-    threads: int = 1                    # view-construction parallelism
 
     def __post_init__(self):
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
-        if self.view_mode not in ("recursive", "dense"):
-            raise ValueError(f"unknown view_mode {self.view_mode!r}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if not (0 < self.rho_sparse <= self.rho_dense):

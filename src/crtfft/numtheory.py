@@ -247,8 +247,7 @@ def coprime_divisor_capacity(n: int) -> int:
     """Number of distinct prime factors of n.
 
     This is the maximum count of pairwise coprime nontrivial moduli that a
-    grid of length n can be decimated into exactly, which is what decides
-    whether a recursive sub-problem is viable.
+    grid of length n can be decimated into exactly.
     """
     if n < 2:
         raise ValueError(f"capacity undefined for {n}")

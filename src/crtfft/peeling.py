@@ -1,4 +1,4 @@
-"""Peeling recovery: singleton detection, subtraction, and recursion.
+"""Peeling recovery: singleton detection and subtraction.
 
 A bin is a singleton when it holds exactly one tone.  For a tone (f, A) the
 shifted bin values form the geometric sequence A, A e^{2pi i f/M},
@@ -12,12 +12,6 @@ closed.
 Peeling subtracts an accepted reading from every view at O(1) per bin and
 repeats until the views are empty (Complete), no view offers a singleton
 (TwoCore), or the round cap is hit (Stagnated).
-
-Recursive view construction replaces the per-view dense FFT with sparse
-recovery of the view signal itself.  That sub-problem is exact only when
-the view length m splits into three pairwise coprime divisor moduli
-(capacity >= 3) and the child load factor is inside the peeling threshold;
-otherwise the node computes a dense length-m FFT, which is always correct.
 """
 
 from __future__ import annotations
@@ -28,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dft
 from .config import Config
 from .errors import DuplicateConflictError
-from .numtheory import coprime_divisor_capacity, factorize
 from .opcount import OpCounter
-from .planner import ModuliPlan, ViewParams, rng_stream
+from .planner import ModuliPlan
 from .planner import rehash as rehash  # re-exported: fresh hash params, same moduli
 from .signal import SparseSpectrum
 from .views import ViewSpectrum, build_view
@@ -203,193 +195,5 @@ def run_peeling(state: PeelState, plan: ModuliPlan, config: Config | None = None
     return PeelOutcome(recovered=spectrum, status=status, rounds=state.round)
 
 
-# ---------------------------------------------------------------------------
-# Recursive view construction
-
-
-def default_max_depth(n: int) -> int:
-    """Depth budget ceil(log2 log2 n), at least 1."""
-    if n < 4:
-        return 1
-    return max(1, math.ceil(math.log2(max(2.0, math.log2(n)))))
-
-
-def divisor_moduli(m: int) -> tuple[int, int, int] | None:
-    """Split m into three pairwise coprime moduli with product exactly m.
-
-    Prime-power factors are distributed greedily onto the smallest bucket,
-    which keeps the moduli near m^(1/3) when the factorization allows.
-    Returns None when m has fewer than three distinct prime factors, in
-    which case no exact three-view sub-decimation of a length-m grid exists.
-    """
-    if m < 8 or coprime_divisor_capacity(m) < 3:
-        return None
-    powers = sorted((p**e for p, e in factorize(m).items()), reverse=True)
-    buckets = [1, 1, 1]
-    for q in powers:
-        buckets[int(np.argmin(buckets))] *= q
-    if min(buckets) < 2:
-        return None
-    return tuple(sorted(buckets))  # type: ignore[return-value]
-
-
-class _ShiftSliceSource:
-    """Length-m child signal: one shift of a parent view, periodically extended."""
-
-    def __init__(self, sampler, m: int):
-        self._sampler = sampler
-        self.grid_length = m
-        self.original_length = m
-
-    def sample_block(self, indices):
-        return self._sampler(np.asarray(indices, dtype=np.int64) % self.grid_length)
-
-    def sample(self, n):
-        return complex(self.sample_block(np.array([n], dtype=np.int64))[0])
-
-
-def recursive_spectrum(
-    view_sampler,
-    m: int,
-    k: int,
-    depth: int,
-    config: Config | None = None,
-    op: OpCounter | None = None,
-    seed: int = 0,
-    shift_count: int | None = None,
-    phase: str = "views",
-):
-    """Per-shift spectra of a length-m view signal, sparsely when possible.
-
-    `view_sampler(shift, indices)` must return the view samples at the given
-    indices (any integers; the view signal is m-periodic).  Each shift is
-    recovered independently.  A node recurses only when the length splits
-    into three coprime divisor moduli and the child load factor stays under
-    the peeling threshold; otherwise it computes the dense length-m
-    transform, the universal escape that keeps every branch exact.
-
-    Returns (spectra, info): spectra is a list of length-m coefficient
-    arrays (synthesis convention, DFT/m), info records how many shifts
-    recursed versus terminated dense.
-    """
-    cfg = config or Config()
-    shifts = cfg.shift_count if shift_count is None else shift_count
-    max_depth = cfg.max_depth if cfg.max_depth is not None else default_max_depth(m)
-    moduli = divisor_moduli(m)
-    can_recurse = (
-        depth < max_depth
-        and moduli is not None
-        and k > 0
-        and k / math.sqrt(m) <= cfg.lambda_threshold
-        and k / min(moduli) <= cfg.lambda_threshold
-        and int(round(cfg.alpha * k)) <= min(moduli)
-    )
-    info = {"recursed": 0, "dense_terminals": 0, "length": m, "depth": depth}
-    spectra = []
-    for s in range(shifts):
-        result = None
-        if can_recurse:
-            result = _recurse_one_shift(view_sampler, s, m, k, depth, cfg, op, seed)
-        if result is None:
-            info["dense_terminals"] += 1
-            y = view_sampler(s, np.arange(m, dtype=np.int64))
-            if op is not None:
-                op.add(phase, m + dft.fft_op_count(m) + m)
-            result = dft.dft_forward(y) / m
-        else:
-            info["recursed"] += 1
-        spectra.append(result)
-    return spectra, info
-
-
-def _recurse_one_shift(view_sampler, s, m, k, depth, cfg, op, seed):
-    """Sparse recovery of one shifted view signal; None means fall back dense."""
-    from . import pipeline  # deferred: pipeline drives recursion on children
-
-    child_cfg = Config(
-        alpha=cfg.alpha,
-        lambda_threshold=cfg.lambda_threshold,
-        t=min(cfg.t, 3),
-        shift_count=cfg.shift_count,
-        moduli_override=divisor_moduli(m),
-        singleton_tol=cfg.singleton_tol,
-        noise_floor_rel=cfg.noise_floor_rel,
-        verify_eps_rel=cfg.verify_eps_rel,
-        round_cap_c=cfg.round_cap_c,
-        max_rehash=cfg.max_rehash,
-        max_depth=(cfg.max_depth if cfg.max_depth is not None else default_max_depth(m)),
-        view_mode="recursive",
-        dense_budget=cfg.dense_budget,
-    )
-    source = _ShiftSliceSource(lambda idx, _s=s: view_sampler(_s, idx), m)
-    child_seed = int(rng_stream(seed, f"recursion-{depth}-{s}-{m}").integers(0, 2**63 - 1))
-    try:
-        result = pipeline.sparse_fft(
-            source, k, config=child_cfg, seed=child_seed, op=op, depth=depth + 1
-        )
-    except Exception:
-        return None
-    spectrum = result.spectrum
-    # Resynthesis spot check: a wrong child spectrum disagrees with the view
-    # samples somewhere; checking a few random indices catches it and the
-    # dense terminal takes over.
-    rng = rng_stream(child_seed, "recursion-spot-check")
-    probes = np.unique(rng.integers(0, m, size=min(m, 8 * k + 8)))
-    actual = view_sampler(s, probes)
-    freqs = spectrum.frequencies()
-    coeffs = spectrum.coefficients()
-    if freqs.size:
-        rem = (freqs[:, None] * probes[None, :]) % m
-        predicted = coeffs @ np.exp(2j * np.pi * rem / m)
-    else:
-        predicted = np.zeros(probes.shape, dtype=np.complex128)
-    scale = max(1.0, float(np.abs(actual).max(initial=0.0)))
-    if np.abs(predicted - actual).max(initial=0.0) > 1e-7 * scale:
-        return None
-    dense = np.zeros(m, dtype=np.complex128)
-    if freqs.size:
-        dense[freqs] = coeffs
-    return dense
-
-
-def build_view_recursive(
-    source,
-    params: ViewParams,
-    M: int,
-    k: int,
-    config: Config | None = None,
-    op: OpCounter | None = None,
-    depth: int = 0,
-    seed: int = 0,
-    phase: str = "views",
-) -> ViewSpectrum:
-    """Recursive-mode replacement for views.build_view with identical output.
-
-    The sampler hands each shift of the view signal to recursive_spectrum;
-    bin offsets (the +b modulation of the dense path) are applied as a
-    cyclic shift of the recovered spectrum, since modulation in time is
-    rotation in frequency.
-    """
-    cfg = config or Config()
-    m = params.m
-    if M % m != 0:
-        from .errors import StrideMismatchError
-
-        raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-    d = M // m
-
-    def sampler(s, j):
-        j = np.asarray(j, dtype=np.int64)
-        idx = (params.sigma * ((j % m) * d) + s) % M
-        if op is not None:
-            op.add(phase, int(j.size))
-        return source.sample_block(idx)
-
-    spectra, _ = recursive_spectrum(
-        sampler, m, k, depth, cfg, op, seed=seed, shift_count=params.shift_count,
-        phase=phase,
-    )
-    bins = np.empty((params.shift_count, m), dtype=np.complex128)
-    for s, c in enumerate(spectra):
-        bins[s] = np.roll(c, params.b) if params.b else c
-    return ViewSpectrum(params=params, M=M, bins=bins)
+# The benchmark tracer (perfbench/tracer.py) looks this name up; nothing calls it.
+build_view_recursive = build_view

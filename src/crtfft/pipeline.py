@@ -24,18 +24,15 @@ from .config import Config
 from .errors import (
     DenseRegimeError,
     GridMismatchError,
+    NotCoprimeError,
     OracleCapExceededError,
     ParseError,
 )
 from .gating import gate_pairs
 from .numtheory import ModTriple, garner3_parts
 from .opcount import OpCounter
-from .peeling import (
-    PeelState,
-    PeelStatus,
-    build_view_recursive,
-    run_peeling,
-)
+from .peeling import PeelState, PeelStatus, run_peeling
+from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
 from .planner import (
     ModuliPlan,
     Regime,
@@ -55,6 +52,69 @@ class RecoveryPath(enum.Enum):
     FALLBACK = "fallback"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _check_fields(record, where: str, **checks) -> None:
+    """Raise ParseError naming the first field of `record` that fails its check."""
+    if not isinstance(record, dict):
+        raise ParseError(f"certificate field {where.rstrip('.') or 'payload'} is not an object")
+    for key, check in checks.items():
+        if not check(record.get(key)):  # an absent key reads as None
+            raise ParseError(f"certificate field {where}{key} is missing or malformed")
+
+
+def _check_view(view, where: str) -> None:
+    _check_fields(view, where, m=lambda v: _is_int(v) and v >= 1, sigma=_is_int, b=_is_int,
+                  shifts=lambda v: _is_int(v) and v in (2, 3))
+
+
+def _check_replay_fields(p: dict) -> None:
+    """Raise ParseError unless every field verify_certificate reads is present and typed."""
+    _check_fields(p, "", recovered=_is_list, grid_length=_is_int, amplitude_threshold=_is_number,
+                  declared_n=_optional(_is_int), plan=_optional(lambda v: isinstance(v, dict)),
+                  gated_pairs=_optional(_is_list), residue_sets=_optional(_is_list))
+    for i, entry in enumerate(p["recovered"]):
+        where = f"recovered[{i}]."
+        _check_fields(entry, where, f=_is_int, re=_is_number, im=_is_number)
+        if entry.get("crt") is not None:
+            _check_fields(entry["crt"], where + "crt.", r1=_is_int, r2=_is_int, r3=_is_int,
+                          u2=_is_int, u3=_is_int)
+    plan = p.get("plan")
+    if plan is None:
+        return
+    _check_fields(plan, "plan.", m=_is_int, gamma12=_is_int, gamma23=_is_int,
+                  moduli=lambda v: _is_list(v) and len(v) == 3 and all(map(_is_int, v)),
+                  verify_views=_optional(_is_list))
+    for i, view in enumerate(plan.get("verify_views") or []):
+        _check_view(view, f"plan.verify_views[{i}].")
+    if p.get("gated_pairs") is None or not p.get("residue_sets"):
+        return
+    for i, row in enumerate(p["gated_pairs"]):
+        if not (_is_list(row) and len(row) == 5 and all(map(_is_int, row[:4]))
+                and isinstance(row[4], bool)):
+            raise ParseError(f"certificate field gated_pairs[{i}] is malformed")
+    sets, views = p["residue_sets"], plan.get("id_views")
+    if len(sets) < 3 or not _is_list(views) or len(views) < 3:
+        raise ParseError("certificate gate trail needs 3 residue sets and 3 id views")
+    _check_fields(sets[2], "residue_sets[2].", bins=lambda v: _is_list(v) and all(map(_is_int, v)))
+    for i, view in enumerate(views):
+        _check_view(view, f"plan.id_views[{i}].")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Replayable audit record of one recovery run."""
@@ -72,6 +132,7 @@ class Certificate:
             raise ParseError(f"malformed certificate: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != "crtfft-certificate/1":
             raise ParseError("not a crtfft certificate")
+        _check_replay_fields(payload)
         return cls(payload=payload)
 
 
@@ -131,32 +192,6 @@ def dense_fallback(
     return SparseSpectrum.from_pairs([(f, complex(spectrum[f])) for f in top], M)
 
 
-def _build_id_views(source, plan, cfg, op, seed, depth):
-    if cfg.view_mode == "recursive":
-        return [
-            build_view_recursive(source, vp, plan.M, plan.k, cfg, op, depth=depth, seed=seed)
-            for vp in plan.id_views
-        ]
-    if cfg.threads > 1:
-        # Views are independent and the source is read-only; merge the
-        # per-thread counters afterwards so totals stay deterministic.
-        from concurrent.futures import ThreadPoolExecutor
-
-        counters = [OpCounter() for _ in plan.id_views]
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(plan.id_views))) as pool:
-            futures = [
-                pool.submit(build_view, source, vp, plan.M, counters[i], "views")
-                for i, vp in enumerate(plan.id_views)
-            ]
-            views = [f.result() for f in futures]
-        if op is not None:
-            for c in counters:
-                for phase, count in c.phases.items():
-                    op.add(phase, count)
-        return views
-    return [build_view(source, vp, plan.M, op, phase="views") for vp in plan.id_views]
-
-
 def _subtract_spectrum(views, spectrum):
     for view in views:
         predicted = build_view_from_spectrum(spectrum, view.params, view.M)
@@ -174,7 +209,6 @@ def sparse_fft(
     config: Config | None = None,
     seed: int = 0,
     op: OpCounter | None = None,
-    depth: int = 0,
     corrupt_candidate=None,
 ) -> RecoveryResult:
     """Recover the k-sparse spectrum of `source` with a certificate.
@@ -220,7 +254,7 @@ def sparse_fft(
             )
 
     if plan is not None and fallback_reason is None:
-        views = _build_id_views(source, plan, cfg, op, seed, depth)
+        views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
         alpha_k = max(1, int(round(cfg.alpha * max(k, 1))))
         residue_sets = [extract_residues(v, alpha_k) for v in views]
         state = PeelState.create(views, plan.M, cfg.noise_floor_rel, op)
@@ -233,7 +267,7 @@ def sparse_fft(
                 [(f, c) for f, c in state.recovered.items() if abs(c) > state.noise_floor],
                 plan.M,
             )
-            views = _build_id_views(source, plan, cfg, op, seed + rehashes, depth)
+            views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
             _subtract_spectrum(views, partial)
             if op is not None:
                 op.add("rehash", 3 * len(partial))
@@ -254,7 +288,7 @@ def sparse_fft(
             candidate = _top_k(recovered, k, plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
-            report = verify(source, plan, candidate, cfg, op, seed=seed, depth=depth)
+            report = verify(source, plan, candidate, cfg, op)
             if not report.overall and cfg.max_extra_verify_views > 0:
                 extra = tuple(
                     _draw_view_params(
@@ -267,8 +301,7 @@ def sparse_fft(
                 )
                 extra_views_used = len(extra)
                 report = verify(
-                    source, plan, candidate, cfg, op,
-                    view_params=plan.verify_views + extra, seed=seed, depth=depth,
+                    source, plan, candidate, cfg, op, view_params=plan.verify_views + extra
                 )
             if not report.overall:
                 fallback_reason = "verification-failed"
@@ -446,7 +479,7 @@ def verify_certificate(
     if plan_info is not None:
         try:
             triple = ModTriple.create(*plan_info["moduli"])
-        except Exception as exc:
+        except (ValueError, NotCoprimeError) as exc:
             violations.append(f"bad-moduli: {exc}")
             return violations
         if triple.M != plan_info["m"]:

@@ -25,7 +25,13 @@ import numpy as np
 
 from .config import Config
 from .errors import DenseRegimeError, NotCoprimeError
-from .numtheory import ModTriple, find_coprime_moduli, mod_inverse
+from .numtheory import (
+    ModTriple,
+    coprime_divisor_capacity,
+    factorize,
+    find_coprime_moduli,
+    mod_inverse,
+)
 
 
 class Regime(enum.Enum):
@@ -81,9 +87,6 @@ class ModuliPlan:
     regime: RegimeParams
     rng_seed: int
 
-    def stride(self, view: ViewParams) -> int:
-        return self.M // view.m
-
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Independent counter-based generator for one labeled domain."""
@@ -134,8 +137,7 @@ def make_plan(
     exceeds the peeling threshold the target is raised to 10*k*log2(k) so
     the per-bin load drops back to about 1/(10*log2 k).  Explicit moduli can
     be pinned through config.moduli_override (they are validated for
-    pairwise coprimality, not primality, so divisor-based moduli from
-    recursive sub-problems are accepted).
+    pairwise coprimality, not primality, so composite moduli are accepted).
     """
     cfg = config or Config()
     t = cfg.t if t is None else t
@@ -188,6 +190,25 @@ def make_plan(
         regime=regime,
         rng_seed=int(seed),
     )
+
+
+def divisor_moduli(m: int) -> tuple[int, int, int] | None:
+    """Split m into three pairwise coprime moduli with product exactly m.
+
+    Prime-power factors are distributed greedily onto the smallest bucket,
+    which keeps the moduli near m^(1/3) when the factorization allows.
+    Returns None when m has fewer than three distinct prime factors, in
+    which case no exact three-view decimation of a length-m grid exists.
+    """
+    if m < 8 or coprime_divisor_capacity(m) < 3:
+        return None
+    powers = sorted((p**e for p, e in factorize(m).items()), reverse=True)
+    buckets = [1, 1, 1]
+    for q in powers:
+        buckets[int(np.argmin(buckets))] *= q
+    if min(buckets) < 2:
+        return None
+    return tuple(sorted(buckets))  # type: ignore[return-value]
 
 
 def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:

@@ -111,15 +111,11 @@ def verify(
     config: Config | None = None,
     op: OpCounter | None = None,
     view_params: tuple[ViewParams, ...] | None = None,
-    seed: int | None = None,
-    depth: int = 0,
 ) -> VerificationReport:
     """Run both checks on every verification view and aggregate.
 
     With no verification views the report passes vacuously and is flagged
-    unverified.  View construction honors config.view_mode: recursive mode
-    delegates to the recursion driver (whose dense terminal makes it exact),
-    dense mode transforms directly.
+    unverified.
     """
     cfg = config or Config()
     params_list = plan.verify_views if view_params is None else view_params
@@ -130,15 +126,7 @@ def verify(
     checks = []
     overall = True
     for vp in params_list:
-        if cfg.view_mode == "recursive":
-            from .peeling import build_view_recursive
-
-            built = build_view_recursive(
-                source, vp, plan.M, plan.k, cfg, op, depth=depth,
-                seed=plan.rng_seed if seed is None else seed, phase="verify",
-            )
-        else:
-            built = build_view(source, vp, plan.M, op, phase="verify")
+        built = build_view(source, vp, plan.M, op, phase="verify")
         gap, p_ok, e_time = parseval_check(
             source, vp, plan.M, candidate, cfg.verify_eps_rel, op
         )

@@ -47,9 +47,6 @@ class ViewSpectrum:
     def energy(self, shift: int = 0) -> float:
         return float(np.sum(self.magnitudes(shift) ** 2))
 
-    def copy(self) -> "ViewSpectrum":
-        return ViewSpectrum(self.params, self.M, self.bins.copy())
-
 
 @dataclass(frozen=True)
 class ResidueSet:

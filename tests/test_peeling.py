@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from crtfft.config import Config, replace
-from crtfft.dft import dft_forward
 from crtfft.numtheory import ModTriple
 from crtfft.peeling import (
     PeelState,
     PeelStatus,
-    default_max_depth,
     detect_singletons,
-    divisor_moduli,
     peel,
-    recursive_spectrum,
     rehash,
     run_peeling,
 )
@@ -202,82 +198,6 @@ class TestRoundBound:
         cap = math.ceil(4 * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE
-
-
-class TestRecursiveSpectrum:
-    def test_divisor_moduli(self):
-        assert divisor_moduli(1001) == (7, 11, 13)
-        assert divisor_moduli(1021) is None  # prime
-        assert divisor_moduli(2**10) is None  # single prime factor
-        assert divisor_moduli(7429) == (17, 19, 23)
-        m = 16 * 27 * 25
-        assert divisor_moduli(m) == (16, 25, 27)
-
-    def test_depth_budget_default(self):
-        assert default_max_depth(2**20) == math.ceil(math.log2(math.log2(2**20)))
-        assert default_max_depth(2**16) == 4
-
-    def test_prime_length_dense_terminal(self, rng):
-        # a prime view length cannot split into coprime sub-views: the node
-        # must compute the dense transform, and match it exactly
-        m = 1021
-        y = rng.normal(size=m) + 1j * rng.normal(size=m)
-
-        def sampler(s, idx):
-            return y[np.asarray(idx) % m]
-
-        spectra, info = recursive_spectrum(sampler, m, 5, depth=0)
-        assert info["recursed"] == 0 and info["dense_terminals"] == 3
-        want = dft_forward(y) / m
-        for c in spectra:
-            assert np.abs(c - want).max() < 1e-9
-
-    def test_high_load_dense_terminal(self, rng):
-        # capacity is fine at m=1001 but k/min(divisor moduli) = 5/7 blows
-        # the load threshold
-        spec = random_spectrum(rng, 5, 1001)
-        src = synthesize(spec)
-
-        def sampler(s, idx):
-            return src.sample_block(np.asarray(idx) % 1001)
-
-        spectra, info = recursive_spectrum(sampler, 1001, 5, depth=0)
-        assert info["recursed"] == 0
-
-    def test_composite_length_recursion_agrees_with_dense(self, rng):
-        # m = 17*19*23 with k=1: the child fast path engages and must agree
-        # with the dense oracle at every shift
-        m = 7429
-        f0, coeff = 2029, 1.5 - 0.75j
-        spec = SparseSpectrum.from_pairs([(f0, coeff)], m)
-        src = synthesize(spec)
-
-        def sampler(s, idx):
-            return src.sample_block((np.asarray(idx, dtype=np.int64) + s) % m)
-
-        spectra, info = recursive_spectrum(sampler, m, 1, depth=0, seed=5)
-        assert info["recursed"] == 3
-        for s, c in enumerate(spectra):
-            y = sampler(s, np.arange(m, dtype=np.int64))
-            want = dft_forward(y) / m
-            assert np.abs(c - want).max() < 1e-9
-
-    def test_recursion_to_max_depth_k1(self, rng):
-        # depth cap 1 forces dense terminals one level down; results agree
-        # with the unlimited-depth run and the dense oracle
-        m = 7429
-        spec = SparseSpectrum.from_pairs([(100, 1.0)], m)
-        src = synthesize(spec)
-
-        def sampler(s, idx):
-            return src.sample_block((np.asarray(idx, dtype=np.int64) + s) % m)
-
-        cfg_deep = Config(max_depth=4)
-        spectra, info = recursive_spectrum(sampler, m, 1, depth=0, config=cfg_deep, seed=5)
-        assert info["recursed"] == 3
-        y = sampler(0, np.arange(m, dtype=np.int64))
-        want = dft_forward(y) / m
-        assert np.abs(spectra[0] - want).max() < 1e-9
 
 
 class TestRehashMonteCarlo:

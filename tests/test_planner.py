@@ -7,6 +7,7 @@ from crtfft.errors import DenseRegimeError
 from crtfft.planner import (
     Regime,
     classify_regime,
+    divisor_moduli,
     make_plan,
     rehash,
     rng_stream,
@@ -149,3 +150,12 @@ class TestRngStream:
         b = rng_stream(1, "id-view-1").integers(0, 1 << 30, 4).tolist()
         c = rng_stream(1, "id-view-0").integers(0, 1 << 30, 4).tolist()
         assert a == c and a != b
+
+
+def test_divisor_moduli():
+    assert divisor_moduli(1001) == (7, 11, 13)
+    assert divisor_moduli(1021) is None  # prime
+    assert divisor_moduli(2**10) is None  # single prime factor
+    assert divisor_moduli(7429) == (17, 19, 23)
+    m = 16 * 27 * 25
+    assert divisor_moduli(m) == (16, 25, 27)

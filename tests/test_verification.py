@@ -174,14 +174,3 @@ class TestVerify:
         ra = verify(src, plan_a, spec, cfg)
         rb = verify(src, plan_b, spec, cfg)
         assert ra == rb
-
-    def test_dense_and_recursive_modes_agree(self, rng):
-        plan = make_plan(2**14, 4, 3, seed=18)
-        spec = random_spectrum(rng, 4, plan.M, fmax=plan.N)
-        src = synthesize(spec)
-        ra = verify(src, plan, spec, Config(view_mode="dense"))
-        rb = verify(src, plan, spec, Config(view_mode="recursive"))
-        assert ra.overall == rb.overall == True  # noqa: E712
-        for a, b in zip(ra.views, rb.views):
-            assert a.modulus == b.modulus
-            assert abs(a.residual_energy - b.residual_energy) < 1e-12
