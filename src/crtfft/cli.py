@@ -43,7 +43,7 @@ from .signal import (
     synthesize,
 )
 from .verification import parseval_check, residual_check
-from .views import build_view_from_spectrum
+from .views import build_view
 
 # Previously circulated reference rows for the canonical gate-table inputs
 # (moduli 7/11/13, R1={0,3,6}, R2={1,7,8,10}, R3={2,5,7,11}).  The four
@@ -291,8 +291,8 @@ def _mc_verify_miss(args, writer):
                 vp = ViewParams(
                     m=m, sigma=int(rng.integers(1, plan.M)), b=vp.b, shift_count=3
                 )
-            gap, p_ok, _ = parseval_check(source, vp, plan.M, corrupted, cfg.verify_eps_rel)
-            built = build_view_from_spectrum(truth, vp, plan.M)
+            built = build_view(source, vp, plan.M)
+            gap, p_ok, _ = parseval_check(built, corrupted, cfg.verify_eps_rel)
             residual, r_ok = residual_check(built, corrupted, cfg.verify_eps_rel)
             view_slips.append(p_ok and r_ok)
         slips_one += bool(view_slips[0])

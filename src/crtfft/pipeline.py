@@ -56,6 +56,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_positive(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
@@ -68,6 +72,10 @@ def _optional(check):
     return lambda value: value is None or check(value)
 
 
+def _in_range(stop: int):
+    return lambda value: _is_int(value) and 0 <= value < stop
+
+
 def _check_fields(record, where: str, **checks) -> None:
     """Raise ParseError naming the first field of `record` that fails its check."""
     if not isinstance(record, dict):
@@ -77,34 +85,37 @@ def _check_fields(record, where: str, **checks) -> None:
             raise ParseError(f"certificate field {where}{key} is missing or malformed")
 
 
-def _check_view(view, where: str) -> None:
-    _check_fields(view, where, m=lambda v: _is_int(v) and v >= 1, sigma=_is_int, b=_is_int,
-                  shifts=lambda v: _is_int(v) and v in (2, 3))
+def _check_view(view, where: str, M: int) -> None:
+    _check_fields(view, where, m=lambda v: _is_positive(v) and M % v == 0, sigma=_is_int,
+                  b=_is_int, shifts=lambda v: _is_int(v) and v in (2, 3))
 
 
 def _check_replay_fields(p: dict) -> None:
-    """Raise ParseError unless every field verify_certificate reads is present and typed."""
-    _check_fields(p, "", recovered=_is_list, grid_length=_is_int, amplitude_threshold=_is_number,
-                  declared_n=_optional(_is_int), plan=_optional(lambda v: isinstance(v, dict)),
+    """Raise ParseError unless every field replay reads is present, typed and in range."""
+    _check_fields(p, "", recovered=_is_list, grid_length=_is_positive,
+                  amplitude_threshold=_is_number, declared_n=_optional(_is_int),
+                  plan=_optional(lambda v: isinstance(v, dict)),
                   gated_pairs=_optional(_is_list), residue_sets=_optional(_is_list))
     for i, entry in enumerate(p["recovered"]):
         where = f"recovered[{i}]."
-        _check_fields(entry, where, f=_is_int, re=_is_number, im=_is_number)
+        _check_fields(entry, where, f=_in_range(p["grid_length"]), re=_is_number, im=_is_number)
         if entry.get("crt") is not None:
             _check_fields(entry["crt"], where + "crt.", r1=_is_int, r2=_is_int, r3=_is_int,
                           u2=_is_int, u3=_is_int)
     plan = p.get("plan")
     if plan is None:
         return
-    _check_fields(plan, "plan.", m=_is_int, gamma12=_is_int, gamma23=_is_int,
+    _check_fields(plan, "plan.", m=_is_positive, gamma12=_is_int, gamma23=_is_int,
                   moduli=lambda v: _is_list(v) and len(v) == 3 and all(map(_is_int, v)),
                   verify_views=_optional(_is_list))
     for i, view in enumerate(plan.get("verify_views") or []):
-        _check_view(view, f"plan.verify_views[{i}].")
+        _check_view(view, f"plan.verify_views[{i}].", plan["m"])
     if p.get("gated_pairs") is None or not p.get("residue_sets"):
         return
+    m1, m2, _ = plan["moduli"]
     for i, row in enumerate(p["gated_pairs"]):
-        if not (_is_list(row) and len(row) == 5 and all(map(_is_int, row[:4]))
+        if not (_is_list(row) and len(row) == 5 and _in_range(m1)(row[0])
+                and _in_range(m2)(row[1]) and all(map(_is_int, row[2:4]))
                 and isinstance(row[4], bool)):
             raise ParseError(f"certificate field gated_pairs[{i}] is malformed")
     sets, views = p["residue_sets"], plan.get("id_views")
@@ -112,7 +123,7 @@ def _check_replay_fields(p: dict) -> None:
         raise ParseError("certificate gate trail needs 3 residue sets and 3 id views")
     _check_fields(sets[2], "residue_sets[2].", bins=lambda v: _is_list(v) and all(map(_is_int, v)))
     for i, view in enumerate(views):
-        _check_view(view, f"plan.id_views[{i}].")
+        _check_view(view, f"plan.id_views[{i}].", plan["m"])
 
 
 @dataclass(frozen=True)

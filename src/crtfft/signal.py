@@ -2,9 +2,11 @@
 
 A :class:`SparseSpectrum` lists (frequency, coefficient) pairs on a grid of
 length M; the matching time-domain signal is x[n] = sum_i A_i e^{+2pi i f_i
-n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid: each
-access costs O(k) arithmetic, and the fast path only ever touches O(sqrt(M))
-indices, so nothing is materialized unless the dense fallback runs.
+n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid, and
+the fast path only ever touches O(sqrt(M)) indices, so nothing is
+materialized unless the dense fallback runs.  A synthesized source reads a
+block of n arbitrary indices in O(k*n) arithmetic; a block that is a full
+cyclic progression mod M (every view read is one) costs O(k + n log n).
 
 File formats (stable, see README): spectra as JSON; dense signals either as
 little-endian float64 (re, im) pairs behind an 8-byte length header, or as
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dft
 from .errors import (
     DuplicateFrequencyError,
     NonFiniteError,
@@ -79,8 +82,9 @@ class SparseSpectrum:
 class SignalSource:
     """Read-only sample oracle over the padded grid.
 
-    Subclasses implement `sample_block`; repeated reads of the same index are
-    bit-identical and concurrent reads are safe (no mutable state).
+    Subclasses implement `sample_block`.  Rereading the same block gives
+    bit-identical values; the same index read inside different blocks agrees
+    to roundoff.  Concurrent reads are safe (no mutable state).
     """
 
     grid_length: int
@@ -114,6 +118,9 @@ class _SynthesizedSource(SignalSource):
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
         if self._freqs.size == 0:
             return np.zeros(idx.shape, dtype=np.complex128)
+        step = _progression_step(idx, self.grid_length)
+        if step is not None:
+            return self._aliased_read(int(idx[0]), step, idx.size)
         out = np.empty(idx.shape, dtype=np.complex128)
         # Chunk so the (k, block) phase matrix stays small; reduce f*n mod M
         # in exact int64 before the only float conversion.
@@ -124,6 +131,38 @@ class _SynthesizedSource(SignalSource):
             phases = np.exp(2j * np.pi * rem / self.grid_length)
             out[start : start + part.size] = self._coeffs @ phases
         return out
+
+    def _aliased_read(self, n0: int, step: int, n: int) -> np.ndarray:
+        """x[(n0 + j*step) mod M] for j < n, given n*step == 0 (mod M).
+
+        Tone f advances by (f*step mod M)/M = r_f/n turns per sample, with
+        r_f an integer because n*step is a multiple of M; so the block is the
+        n-point inverse DFT of the tones scattered into bins r_f, each twisted
+        by its phase at n0.  Products stay below M^2 < 2^63 under _MAX_GRID.
+        """
+        M = self.grid_length
+        bins = (self._freqs * step) % M * n // M
+        twists = np.exp(2j * np.pi * ((self._freqs * n0) % M) / M)
+        scattered = np.zeros(n, dtype=np.complex128)
+        np.add.at(scattered, bins, self._coeffs * twists)
+        return n * dft.dft_inverse(scattered)
+
+
+def _progression_step(idx: np.ndarray, M: int) -> int | None:
+    """The step of a block that wraps the grid a whole number of times.
+
+    Returns step when idx[j] == (idx[0] + j*step) mod M for every j of an
+    n-index block (n >= 2) and n*step == 0 (mod M); otherwise None.
+    """
+    n = idx.size
+    if idx.ndim != 1 or n < 2:
+        return None
+    step = int(idx[1] - idx[0]) % M
+    if (n * step) % M:
+        return None
+    if not np.array_equal(idx, (idx[0] + np.arange(n, dtype=np.int64) * step) % M):
+        return None
+    return step
 
 
 class _DenseSource(SignalSource):

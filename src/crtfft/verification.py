@@ -27,7 +27,7 @@ from .config import Config
 from .opcount import OpCounter
 from .planner import ModuliPlan, ViewParams
 from .signal import SignalSource, SparseSpectrum
-from .views import ViewSpectrum, build_view, build_view_from_spectrum, _shift_indices
+from .views import ViewSpectrum, build_view, build_view_from_spectrum
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,25 @@ class VerificationReport:
 
 
 def parseval_check(
-    source: SignalSource,
-    params: ViewParams,
-    M: int,
+    view: ViewSpectrum,
     candidate: SparseSpectrum,
     eps_rel: float = 1e-6,
     op: OpCounter | None = None,
 ) -> tuple[float, bool, float]:
-    """Energy gap between raw view samples and the candidate's prediction.
+    """Energy gap between a built view's raw samples and the candidate's prediction.
 
-    Returns (gap, passed, e_time).  E_time comes from stride-indexed raw
-    samples only; nothing recovered enters the left-hand side.
+    Returns (gap, passed, e_time).  E_time is the view's `time_energy`, summed
+    over its stride-indexed raw shift-0 samples; nothing recovered enters the
+    left-hand side.
     """
-    y = source.sample_block(_shift_indices(params, M, 0))
-    e_time = float(np.sum(np.abs(y) ** 2))
-    predicted = build_view_from_spectrum(candidate, params, M)
+    if view.time_energy is None:
+        raise ValueError("parseval_check needs a view built from samples")
+    e_time = view.time_energy
+    params = view.params
+    predicted = build_view_from_spectrum(candidate, params, view.M)
     e_pred = float(np.sum(np.abs(predicted.bins[0]) ** 2))
     if op is not None:
-        op.add("verify", 2 * params.m + len(candidate))
+        op.add("verify", params.m + len(candidate))
     gap = abs(e_time / params.m - e_pred)
     eps = eps_rel * max(e_time, 1.0)
     return gap, gap <= eps, e_time
@@ -127,9 +128,7 @@ def verify(
     overall = True
     for vp in params_list:
         built = build_view(source, vp, plan.M, op, phase="verify")
-        gap, p_ok, e_time = parseval_check(
-            source, vp, plan.M, candidate, cfg.verify_eps_rel, op
-        )
+        gap, p_ok, e_time = parseval_check(built, candidate, cfg.verify_eps_rel, op)
         residual, r_ok = residual_check(built, candidate, cfg.verify_eps_rel, op)
         eps = cfg.verify_eps_rel * max(e_time, 1.0)
         ok = p_ok and r_ok

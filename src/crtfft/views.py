@@ -28,11 +28,17 @@ from .signal import SignalSource, SparseSpectrum
 
 @dataclass
 class ViewSpectrum:
-    """Per-shift bin values of one view; bins has shape (shift_count, m)."""
+    """Per-shift bin values of one view; bins has shape (shift_count, m).
+
+    `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
+    built from, taken before modulation and transform; it is None for a view
+    predicted from a spectrum, which has no samples.
+    """
 
     params: ViewParams
     M: int
     bins: np.ndarray
+    time_energy: float | None = None
 
     @property
     def m(self) -> int:
@@ -83,14 +89,17 @@ def build_view(
 ) -> ViewSpectrum:
     """FFT-path construction of one view from time samples.
 
-    Samples are read one shift at a time, so a synthesized source's
-    (k, block) phase temporaries stay one shift wide; the modulation and the
-    transform then run once over the (shift_count, m) stack.
+    Samples are read one shift at a time: each shift's m indices wrap the
+    grid sigma times, so a synthesized source reads them as one aliased
+    inverse transform.  The shift-0 time energy is kept for the Parseval
+    check; the modulation and the transform then run once over the
+    (shift_count, m) stack.
     """
     m = params.m
-    samples = np.empty((params.shift_count, m), dtype=np.complex128)
-    for s in range(params.shift_count):
-        samples[s] = source.sample_block(_shift_indices(params, M, s))
+    samples = np.stack(
+        [source.sample_block(_shift_indices(params, M, s)) for s in range(params.shift_count)]
+    )
+    time_energy = float(np.sum(np.abs(samples[0]) ** 2))
     if params.b:
         samples *= np.exp(2j * np.pi * params.b * np.arange(m) / m)
     bins = dft.dft_forward(samples) / m
@@ -98,7 +107,7 @@ def build_view(
         # per shift: sample accesses, modulation multiplies, transform, normalization
         per_shift = m + (m if params.b else 0) + dft.fft_op_count(m) + m
         op.add(phase, params.shift_count * per_shift)
-    return ViewSpectrum(params=params, M=M, bins=bins)
+    return ViewSpectrum(params=params, M=M, bins=bins, time_energy=time_energy)
 
 
 def build_view_from_spectrum(

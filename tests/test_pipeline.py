@@ -84,11 +84,13 @@ class TestSparseFft:
         # The op model is a fixed cost model: any drift in these figures makes
         # op counts incomparable across commits.  With identity_hash every view
         # has b = 0, so no modulation pass runs or is charged: the views and
-        # verify phases each cost 3 * (127 + 131 + 137) ops less.
+        # verify phases each cost 3 * (127 + 131 + 137) ops less.  The Parseval
+        # check reuses the energy of the samples its view already read, so it
+        # charges m + |candidate| per verification view.
         spec = random_spectrum(rng, 12, 127 * 131 * 137, fmax=2**14)
         cases = (
-            (False, {"peel": 1401, "verify": 215821, "views": 213702, "total": 430924}),
-            (True, {"peel": 1401, "verify": 214636, "views": 212517, "total": 428554}),
+            (False, {"peel": 1401, "verify": 215426, "views": 213702, "total": 430529}),
+            (True, {"peel": 1401, "verify": 214241, "views": 212517, "total": 428159}),
         )
         for identity_hash, expected in cases:
             cfg = Config(nominal_length=2**14, identity_hash=identity_hash)
@@ -284,8 +286,13 @@ class TestCertificates:
             (("plan", "m"), DELETE),
             (("recovered", 0, "crt", "r1"), DELETE),
             (("recovered", 0, "f"), "x"),
+            (("grid_length",), 0),
+            (("recovered", 0, "f"), -1),
+            (("gated_pairs", 0, 0), -1),
+            (("plan", "verify_views", 0, "m"), 2**40),
         ],
-        ids=["missing-plan-m", "missing-crt-r1", "string-f"],
+        ids=["missing-plan-m", "missing-crt-r1", "string-f", "zero-grid", "negative-f",
+             "negative-gated-residue", "huge-verify-modulus"],
     )
     def test_malformed_replay_field_is_parse_error(self, path, value):
         payload = json.loads(gate_trail_certificate()[0])
@@ -300,14 +307,16 @@ class TestCertificates:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_mutated_certificate_replays_or_is_parse_error(self, data):
-        # Deleting or retyping any one value gives a violation list or a
-        # ParseError, never a raw KeyError/TypeError/ValueError.
+        # Deleting, retyping or (for an integer) moving out of range any one
+        # value gives a violation list or a ParseError, never a raw exception.
         text, src = gate_trail_certificate()
         payload = json.loads(text)
         path = data.draw(st.sampled_from(list(json_paths(payload))))
         owner = functools.reduce(operator.getitem, path[:-1], payload)
         old = owner[path[-1]]
         retyped = [v for v in ("x", None, 1.5, True, 7, [], {}) if type(v) is not type(old)]
+        if type(old) is int:
+            retyped += [v for v in (-1, 0, 7, 2**40) if v != old]
         value = data.draw(st.sampled_from([DELETE] + retyped))
         if value is DELETE:
             del owner[path[-1]]

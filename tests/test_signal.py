@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from crtfft.errors import (
     OutOfRangeError,
     ParseError,
 )
+from crtfft.planner import ViewParams
 from crtfft.signal import (
     SparseSpectrum,
+    _progression_step,
     from_dense,
     load_dense_binary,
     load_dense_csv,
@@ -19,6 +23,7 @@ from crtfft.signal import (
     save_spectrum,
     synthesize,
 )
+from crtfft.views import _shift_indices
 from conftest import random_spectrum
 
 
@@ -70,10 +75,11 @@ class TestSynthesize:
     def test_repeat_access_bit_identical(self, rng):
         spec = random_spectrum(rng, 3, 1001)
         src = synthesize(spec)
-        idx = np.arange(50, dtype=np.int64)
-        a = src.sample_block(idx)
-        b = src.sample_block(idx)
-        assert (a == b).all()
+        view_block = _shift_indices(ViewParams(11, 5, 0, 3), 1001, 2)
+        for idx in (np.arange(50, dtype=np.int64), view_block):
+            a = src.sample_block(idx)
+            b = src.sample_block(idx)
+            assert (a == b).all()
 
     def test_energy_identity(self, rng):
         # on-grid Parseval: sum |x[n]|^2 == M * sum |A_i|^2
@@ -81,6 +87,87 @@ class TestSynthesize:
         src = synthesize(spec)
         total = np.sum(np.abs(src.materialize()) ** 2)
         assert abs(total - 1001 * spec.energy()) <= 1e-9 * total
+
+
+def generic_read(src, idx, rng):
+    """The chunked per-index sum over idx, the reference for progression reads.
+
+    A permuted block that is no cyclic progression takes the generic path;
+    its values are put back in the original order.
+    """
+    while True:
+        perm = rng.permutation(idx.size)
+        if _progression_step(idx[perm], src.grid_length) is None:
+            break
+    out = np.empty(idx.size, dtype=np.complex128)
+    out[perm] = src.sample_block(idx[perm])
+    return out
+
+
+class TestProgressionRead:
+    """A block idx[j] = (n0 + j*step) mod M with n*step = 0 (mod M) is read as
+    one aliased inverse DFT; it must agree with the generic sum."""
+
+    TOL = 1e-12  # times sum |A_f|, fixed from float64 roundoff
+
+    def assert_matches_generic(self, src, spec, idx, rng):
+        assert _progression_step(idx, src.grid_length) is not None
+        got = src.sample_block(idx)
+        want = generic_read(src, idx, rng)
+        assert np.abs(got - want).max() <= self.TOL * np.abs(spec.coefficients()).sum()
+
+    @pytest.mark.parametrize(
+        "moduli, k", [((7, 11, 13), 5), ((127, 131, 137), 12), ((1423, 1427, 1429), 200)]
+    )
+    def test_view_blocks(self, rng, moduli, k):
+        M = moduli[0] * moduli[1] * moduli[2]
+        spec = random_spectrum(rng, k, M)
+        src = synthesize(spec)
+        dilation = int(rng.integers(2, M))
+        while math.gcd(dilation, M) != 1:
+            dilation = int(rng.integers(2, M))
+        for m in moduli:
+            for sigma in (1, dilation):
+                for shift in (0, 1, int(rng.integers(2, M))):
+                    idx = _shift_indices(ViewParams(m, sigma, 0, 3), M, shift)
+                    self.assert_matches_generic(src, spec, idx, rng)
+
+    def test_zero_step_repeats_one_sample(self, rng):
+        spec = random_spectrum(rng, 6, 1001)
+        src = synthesize(spec)
+        idx = np.full(9, 404, dtype=np.int64)
+        assert _progression_step(idx, 1001) == 0
+        got = src.sample_block(idx)
+        tol = self.TOL * np.abs(spec.coefficients()).sum()
+        assert np.abs(got - src.sample(404)).max() <= tol
+
+    def test_step_of_order_below_block_size(self, rng):
+        # step 143 has order 7 mod 1001, so a 21-index block wraps it 3 times
+        spec = random_spectrum(rng, 6, 1001)
+        src = synthesize(spec)
+        idx = (5 + 143 * np.arange(21, dtype=np.int64)) % 1001
+        self.assert_matches_generic(src, spec, idx, rng)
+
+    def test_full_grid(self, rng):
+        spec = random_spectrum(rng, 6, 1001)
+        src = synthesize(spec)
+        idx = np.arange(1001, dtype=np.int64)
+        self.assert_matches_generic(src, spec, idx, rng)
+        assert (src.materialize() == src.sample_block(idx)).all()
+
+    def test_near_misses_take_generic_path(self, rng):
+        M = 1001
+        spec = random_spectrum(rng, 6, M)
+        src = synthesize(spec)
+        view = _shift_indices(ViewParams(13, 3, 0, 3), M, 1)
+        one_off = view.copy()
+        one_off[4] = (one_off[4] + 1) % M
+        # one index changed; a progression that stops before it wraps the grid
+        for idx in (one_off, view[:12]):
+            assert _progression_step(idx, M) is None
+            want = generic_read(src, idx, rng)
+            tol = self.TOL * np.abs(spec.coefficients()).sum()
+            assert np.abs(src.sample_block(idx) - want).max() <= tol
 
 
 class TestFromDense:

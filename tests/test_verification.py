@@ -30,7 +30,7 @@ class TestParsevalCheck:
         spec = collision_free_instance(rng, 5, plan)
         src = synthesize(spec)
         for vp in plan.verify_views:
-            gap, ok, e_time = parseval_check(src, vp, plan.M, spec)
+            gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), spec)
             assert ok and gap <= 1e-9 * max(e_time, 1)
             # collision-free: predicted view energy equals plain energy
             assert abs(e_time / vp.m - spec.energy()) <= 1e-9 * max(e_time, 1)
@@ -46,7 +46,7 @@ class TestParsevalCheck:
         short = SparseSpectrum.from_pairs(entries[1:], plan.M)
         src = synthesize(spec)
         vp = plan.verify_views[0]
-        gap, ok, _ = parseval_check(src, vp, plan.M, short)
+        gap, ok, _ = parseval_check(build_view(src, vp, plan.M), short)
         assert not ok
         assert gap >= 1 - 1e-6
 
@@ -56,7 +56,7 @@ class TestParsevalCheck:
         src = synthesize(spec)
         vp = plan.verify_views[0]
         empty = SparseSpectrum.from_pairs([], plan.M)
-        gap, ok, e_time = parseval_check(src, vp, plan.M, empty)
+        gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), empty)
         assert not ok
         assert abs(gap - e_time / vp.m) < 1e-9 * max(e_time, 1)
 
@@ -70,7 +70,7 @@ class TestParsevalCheck:
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (f2, 1.0)], plan.M)
         assert int(vp.hash_frequency(f1)) == int(vp.hash_frequency(f2))
         src = synthesize(spec)
-        gap, ok, e_time = parseval_check(src, vp, plan.M, spec)
+        gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), spec)
         assert ok, f"gap {gap} vs eps {1e-6 * e_time}"
 
 

@@ -73,6 +73,9 @@ class TestBuildView:
         spec = SparseSpectrum.from_pairs([(1, 1.0)], 100)
         with pytest.raises(StrideMismatchError):
             build_view(synthesize(spec), ViewParams(7, 1, 0, 3), 100)
+        # refused before the (shifts, m) sample stack is allocated
+        with pytest.raises(StrideMismatchError):
+            build_view(synthesize(spec), ViewParams(2**40, 1, 0, 3), 100)
 
     def test_predictor_equals_fft_path(self, rng):
         plan = make_plan(2**12, 6, 0, seed=9)
@@ -165,3 +168,5 @@ class TestViewEnergy:
         view = build_view(src, vp, M)
         e_bins = 13 * np.sum(np.abs(view.bins[0]) ** 2)
         assert abs(e_time - e_bins) <= 1e-9 * max(e_time, 1.0)
+        # the view keeps the energy of the raw samples, before modulation by b
+        assert view.time_energy == e_time
