@@ -50,6 +50,28 @@ class Config:
             raise ValueError("regime thresholds must satisfy 0 < sparse <= dense")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _accepts(field: dataclasses.Field, value) -> bool:
+    """Whether a JSON value has the type of a Config field."""
+    if field.name == "moduli_override":
+        return value is None or (isinstance(value, list) and all(map(_is_int, value)))
+    if field.name == "nominal_length":
+        return value is None or _is_int(value)
+    if isinstance(field.default, bool):
+        return isinstance(value, bool)
+    if isinstance(field.default, int):
+        return _is_int(value)
+    return _is_number(value)
+
+
 def replace(config: Config, **changes) -> Config:
     return dataclasses.replace(config, **changes)
 
@@ -59,7 +81,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("config file must hold a JSON object")
@@ -67,8 +89,11 @@ def load_config(path) -> Config:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-    if "moduli_override" in payload and payload["moduli_override"] is not None:
-        payload["moduli_override"] = tuple(int(m) for m in payload["moduli_override"])
+    for field in dataclasses.fields(Config):
+        if field.name in payload and not _accepts(field, payload[field.name]):
+            raise ParseError(f"config key {field.name} has a malformed value")
+    if payload.get("moduli_override") is not None:
+        payload["moduli_override"] = tuple(payload["moduli_override"])
     try:
         return Config(**payload)
     except (TypeError, ValueError) as exc:

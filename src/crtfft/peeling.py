@@ -9,9 +9,11 @@ tests in exact arithmetic, and a reading whose decoded frequency does not
 hash back onto its own bin is discarded, so masquerading multi-bins fail
 closed.
 
-Peeling subtracts an accepted reading from every view at O(1) per bin and
-repeats until the views are empty (Complete), no view offers a singleton
-(TwoCore), or the round cap is hit (Stagnated).
+Each round peels every accepted reading together, as FFAST's decoder does:
+the readings enter the ledger in order, then each view takes one vectorized
+subtraction of all of them, O(1) per reading and bin.  Rounds repeat until
+the views are empty (Complete), no view offers a singleton (TwoCore), or the
+round cap is hit (Stagnated).
 """
 
 from __future__ import annotations
@@ -123,24 +125,43 @@ def detect_singletons(state: PeelState, tol: float = 1e-6) -> list[SingletonRead
     return readings
 
 
-def peel(state: PeelState, reading: SingletonReading) -> PeelState:
-    """Subtract one recovered tone from every view and record it."""
-    f, coeff = reading.f_hat, reading.coeff
-    if f in state.recovered:
-        if abs(coeff) <= state.noise_floor:
-            raise DuplicateConflictError(
-                f"frequency {f} re-detected with residual below the floor"
-            )
-        state.recovered[f] += coeff
-    else:
-        state.recovered[f] = coeff
-    for view in state.views:
-        target = int(view.params.hash_frequency(f))
-        shifts = view.bins.shape[0]
-        phase = np.exp(2j * np.pi * ((f * np.arange(shifts, dtype=np.int64)) % state.M) / state.M)
-        view.bins[:, target] -= coeff * phase
-        if state.op is not None:
-            state.op.add("peel", 2 * shifts)
+def peel(state: PeelState, readings: list[SingletonReading]) -> PeelState:
+    """Record one round's readings and subtract them from every view.
+
+    The ledger takes the readings in order.  A reading that re-detects a
+    recovered frequency with a residual below the floor raises
+    DuplicateConflictError; the readings before it stay recorded and
+    subtracted, as if they had been peeled one at a time.
+    """
+    conflict = None
+    accepted = 0
+    for reading in readings:
+        f, coeff = reading.f_hat, reading.coeff
+        if f in state.recovered:
+            if abs(coeff) <= state.noise_floor:
+                conflict = DuplicateConflictError(
+                    f"frequency {f} re-detected with residual below the floor"
+                )
+                break
+            state.recovered[f] += coeff
+        else:
+            state.recovered[f] = coeff
+        accepted += 1
+    if accepted:
+        fs = np.array([r.f_hat for r in readings[:accepted]], dtype=np.int64)
+        coeffs = np.array([r.coeff for r in readings[:accepted]], dtype=np.complex128)
+        for view in state.views:
+            shifts = view.bins.shape[0]
+            steps = (fs[:, None] * np.arange(shifts, dtype=np.int64)) % state.M
+            tones = coeffs[:, None] * np.exp(2j * np.pi * steps / state.M)
+            targets = view.params.hash_frequency(fs)
+            # subtract.at applies repeated targets in reading order
+            for s in range(shifts):
+                np.subtract.at(view.bins[s], targets, tones[:, s])
+            if state.op is not None:
+                state.op.add("peel", 2 * shifts * accepted)
+    if conflict is not None:
+        raise conflict
     return state
 
 
@@ -182,8 +203,7 @@ def run_peeling(state: PeelState, plan: ModuliPlan, config: Config | None = None
             status = PeelStatus.TWO_CORE
             break
         try:
-            for reading in readings:
-                peel(state, reading)
+            peel(state, readings)
         except DuplicateConflictError:
             status = PeelStatus.STAGNATED
             break

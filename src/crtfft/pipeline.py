@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dft
-from .config import Config
+from .config import Config, _is_int, _is_number
 from .errors import (
     DenseRegimeError,
     GridMismatchError,
@@ -52,16 +52,8 @@ class RecoveryPath(enum.Enum):
     FALLBACK = "fallback"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_positive(value) -> bool:
     return _is_int(value) and value >= 1
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 def _is_list(value) -> bool:

@@ -4,9 +4,12 @@ A :class:`SparseSpectrum` lists (frequency, coefficient) pairs on a grid of
 length M; the matching time-domain signal is x[n] = sum_i A_i e^{+2pi i f_i
 n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid, and
 the fast path only ever touches O(sqrt(M)) indices, so nothing is
-materialized unless the dense fallback runs.  A synthesized source reads a
-block of n arbitrary indices in O(k*n) arithmetic; a block that is a full
-cyclic progression mod M (every view read is one) costs O(k + n log n).
+materialized unless the dense fallback runs.  An index block may have any
+shape and its values come back in that shape.  A synthesized source reads n
+arbitrary indices in O(k*n) arithmetic; a stack of R rows that are full
+cyclic progressions mod M with one common step (a view's shifts are such a
+stack) costs O(R*k + R*n log n), one scatter and one stacked inverse
+transform for all rows.
 
 File formats (stable, see README): spectra as JSON; dense signals either as
 little-endian float64 (re, im) pairs behind an 8-byte length header, or as
@@ -17,12 +20,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dft
+from .config import _is_int, _is_number
 from .errors import (
     DuplicateFrequencyError,
     NonFiniteError,
@@ -53,7 +58,7 @@ class SparseSpectrum:
                 raise OutOfRangeError(f"frequency {f} outside [0, {grid_length})")
             if coeff == 0:
                 continue
-            if not (np.isfinite(coeff.real) and np.isfinite(coeff.imag)):
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise NonFiniteError(f"coefficient at frequency {f} is not finite")
             cleaned.append((f, coeff))
         cleaned.sort(key=lambda e: e[0])
@@ -82,9 +87,10 @@ class SparseSpectrum:
 class SignalSource:
     """Read-only sample oracle over the padded grid.
 
-    Subclasses implement `sample_block`.  Rereading the same block gives
-    bit-identical values; the same index read inside different blocks agrees
-    to roundoff.  Concurrent reads are safe (no mutable state).
+    Subclasses implement `sample_block`, which takes an index array of any
+    shape and returns the samples in the same shape.  Rereading the same
+    block gives bit-identical values; the same index read inside different
+    blocks agrees to roundoff.  Concurrent reads are safe (no mutable state).
     """
 
     grid_length: int
@@ -120,47 +126,56 @@ class _SynthesizedSource(SignalSource):
             return np.zeros(idx.shape, dtype=np.complex128)
         step = _progression_step(idx, self.grid_length)
         if step is not None:
-            return self._aliased_read(int(idx[0]), step, idx.size)
-        out = np.empty(idx.shape, dtype=np.complex128)
+            rows = idx.reshape(-1, idx.shape[-1])
+            return self._aliased_read(rows[:, 0], step, rows.shape[1]).reshape(idx.shape)
+        flat = idx.ravel()
+        out = np.empty(flat.shape, dtype=np.complex128)
         # Chunk so the (k, block) phase matrix stays small; reduce f*n mod M
         # in exact int64 before the only float conversion.
         step = max(1, (1 << 20) // max(1, self._freqs.size))
-        for start in range(0, idx.size, step):
-            part = idx[start : start + step]
+        for start in range(0, flat.size, step):
+            part = flat[start : start + step]
             rem = (self._freqs[:, None] * part[None, :]) % self.grid_length
             phases = np.exp(2j * np.pi * rem / self.grid_length)
             out[start : start + part.size] = self._coeffs @ phases
-        return out
+        return out.reshape(idx.shape)
 
-    def _aliased_read(self, n0: int, step: int, n: int) -> np.ndarray:
-        """x[(n0 + j*step) mod M] for j < n, given n*step == 0 (mod M).
+    def _aliased_read(self, starts: np.ndarray, step: int, n: int) -> np.ndarray:
+        """x[(starts[r] + j*step) mod M] for every row r and j < n, given
+        n*step == 0 (mod M).
 
         Tone f advances by (f*step mod M)/M = r_f/n turns per sample, with
-        r_f an integer because n*step is a multiple of M; so the block is the
-        n-point inverse DFT of the tones scattered into bins r_f, each twisted
-        by its phase at n0.  Products stay below M^2 < 2^63 under _MAX_GRID.
+        r_f an integer because n*step is a multiple of M; so each row is the
+        n-point inverse DFT of the tones scattered into the shared bins r_f,
+        each twisted by its phase at that row's start.  Products stay below
+        M^2 < 2^63 under _MAX_GRID.
         """
         M = self.grid_length
         bins = (self._freqs * step) % M * n // M
-        twists = np.exp(2j * np.pi * ((self._freqs * n0) % M) / M)
-        scattered = np.zeros(n, dtype=np.complex128)
-        np.add.at(scattered, bins, self._coeffs * twists)
+        twists = np.exp(2j * np.pi * ((starts[:, None] * self._freqs[None, :]) % M) / M)
+        scattered = np.zeros((starts.size, n), dtype=np.complex128)
+        np.add.at(scattered, (slice(None), bins), self._coeffs * twists)
         return n * dft.dft_inverse(scattered)
 
 
 def _progression_step(idx: np.ndarray, M: int) -> int | None:
-    """The step of a block that wraps the grid a whole number of times.
+    """The common step of a block whose rows each wrap the grid a whole
+    number of times.
 
-    Returns step when idx[j] == (idx[0] + j*step) mod M for every j of an
-    n-index block (n >= 2) and n*step == 0 (mod M); otherwise None.
+    `idx` is one row (1-D) or a stack of rows (2-D) of n >= 2 indices in
+    [0, M).  Returns step when every row satisfies row[j] == (row[0] +
+    j*step) mod M and n*step == 0 (mod M); otherwise None.
     """
-    n = idx.size
-    if idx.ndim != 1 or n < 2:
+    if idx.ndim not in (1, 2) or idx.size == 0:
         return None
-    step = int(idx[1] - idx[0]) % M
+    rows = idx.reshape(-1, idx.shape[-1])
+    n = rows.shape[1]
+    if n < 2:
+        return None
+    step = int(rows[0, 1] - rows[0, 0]) % M
     if (n * step) % M:
         return None
-    if not np.array_equal(idx, (idx[0] + np.arange(n, dtype=np.int64) * step) % M):
+    if not np.array_equal(rows, (rows[:, :1] + np.arange(n, dtype=np.int64) * step) % M):
         return None
     return step
 
@@ -225,15 +240,24 @@ def load_spectrum(path) -> SparseSpectrum:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ParseError(f"cannot read spectrum file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("spectrum file must hold a JSON object")
-    try:
-        grid_length = int(payload["grid_length"])
-        pairs = [(e["f"], complex(e["re"], e["im"])) for e in payload["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed spectrum file {path}: {exc}") from exc
+    grid_length, entries = payload.get("grid_length"), payload.get("entries")
+    if not (_is_int(grid_length) and grid_length >= 1):
+        raise ParseError(f"{path}: grid_length must be a positive integer")
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: entries must be a list")
+    pairs = []
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and _is_int(e.get("f"))
+                and _is_number(e.get("re")) and _is_number(e.get("im"))):
+            raise ParseError(f"{path}: entry {i} needs an integer f and numeric re, im")
+        try:
+            pairs.append((e["f"], complex(e["re"], e["im"])))
+        except OverflowError as exc:
+            raise ParseError(f"{path}: entry {i}: {exc}") from exc
     return SparseSpectrum.from_pairs(pairs, grid_length)
 
 

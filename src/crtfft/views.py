@@ -89,16 +89,17 @@ def build_view(
 ) -> ViewSpectrum:
     """FFT-path construction of one view from time samples.
 
-    Samples are read one shift at a time: each shift's m indices wrap the
-    grid sigma times, so a synthesized source reads them as one aliased
-    inverse transform.  The shift-0 time energy is kept for the Parseval
-    check; the modulation and the transform then run once over the
-    (shift_count, m) stack.
+    All shifts are read in one call: row s of the (shift_count, m) index
+    block is the shift-0 progression plus s, so every row wraps the grid
+    sigma times with the same step and a synthesized source reads the whole
+    block as one stacked aliased inverse transform.  The shift-0 time energy
+    is kept for the Parseval check; the modulation and the transform then
+    run once over the (shift_count, m) stack.
     """
     m = params.m
-    samples = np.stack(
-        [source.sample_block(_shift_indices(params, M, s)) for s in range(params.shift_count)]
-    )
+    base = _shift_indices(params, M, 0)
+    shifts = np.arange(params.shift_count, dtype=np.int64)
+    samples = source.sample_block((base[None, :] + shifts[:, None]) % M)
     time_energy = float(np.sum(np.abs(samples[0]) ** 2))
     if params.b:
         samples *= np.exp(2j * np.pi * params.b * np.arange(m) / m)

@@ -1,5 +1,9 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crtfft import SparseSpectrum
 
@@ -25,6 +29,42 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
         mags = rng.uniform(0.5, 2.0, size=k)
         coeffs = mags * np.exp(2j * np.pi * rng.random(k))
     return SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), grid)
+
+
+def json_paths(node, prefix=()):
+    """Key path of every value inside a decoded JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+def set_json_value(payload, path, value) -> None:
+    """Replace the value at key path `path`, or remove it when value is DELETE."""
+    owner = functools.reduce(operator.getitem, path[:-1], payload)
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+
+
+def mutate_one_value(payload, data) -> None:
+    """Delete or retype one value drawn by hypothesis `data`; an integer may
+    also become -1, 0, 7 or 2**40."""
+    path = data.draw(st.sampled_from(list(json_paths(payload))))
+    old = functools.reduce(operator.getitem, path, payload)
+    values = [v for v in ("x", None, 1.5, True, 7, [], {}) if type(v) is not type(old)]
+    if type(old) is int:
+        values += [v for v in (-1, 0, 7, 2**40) if v != old]
+    set_json_value(payload, path, data.draw(st.sampled_from([DELETE] + values)))
 
 
 @pytest.fixture

@@ -1,0 +1,68 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crtfft.config import Config, load_config
+from crtfft.errors import CrtFftError, ParseError
+from conftest import mutate_one_value
+
+VALID = {
+    "alpha": 15.0,
+    "t": 3,
+    "shift_count": 3,
+    "moduli_override": [7, 11, 13],
+    "identity_hash": True,
+    "nominal_length": 1001,
+    "singleton_tol": 1e-6,
+    "dense_budget": 1 << 20,
+    "gate_trail": False,
+}
+
+
+def write(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_valid_file_loads(tmp_path):
+    cfg = load_config(write(tmp_path, VALID))
+    assert cfg.moduli_override == (7, 11, 13)
+    assert cfg.identity_hash is True and cfg.nominal_length == 1001
+    assert cfg.round_cap_c == Config().round_cap_c
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"moduli_override": 5},
+        {"moduli_override": ["a", 2, 3]},
+        {"moduli_override": [7.5, 11, 13]},
+        {"t": "3"},
+        {"alpha": None},
+        {"identity_hash": 1},
+        {"nominal_length": 1001.0},
+        {"shift_count": 4},
+        {"oracle_cap": 10},
+    ],
+    ids=["scalar-moduli", "string-modulus", "fractional-modulus", "string-t", "null-alpha",
+         "integer-flag", "fractional-length", "bad-shift-count", "unknown-key"],
+)
+def test_malformed_value_is_parse_error(tmp_path, change):
+    with pytest.raises(ParseError):
+        load_config(write(tmp_path, {**VALID, **change}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_is_typed_error(tmp_path_factory, data):
+    payload = json.loads(json.dumps(VALID))
+    mutate_one_value(payload, data)
+    path = write(tmp_path_factory.mktemp("config"), payload)
+    try:
+        cfg = load_config(path)
+    except CrtFftError:
+        return
+    assert isinstance(cfg, Config)

@@ -5,9 +5,11 @@ import pytest
 
 from crtfft.config import Config, replace
 from crtfft.numtheory import ModTriple
+from crtfft.errors import DuplicateConflictError
 from crtfft.peeling import (
     PeelState,
     PeelStatus,
+    SingletonReading,
     detect_singletons,
     peel,
     rehash,
@@ -82,7 +84,7 @@ class TestPeel:
         spec = SparseSpectrum.from_pairs([(5, 2 + 1j)], 1001)
         plan, state = toy_state(spec)
         reading = detect_singletons(state)[0]
-        peel(state, reading)
+        peel(state, [reading])
         assert state.max_bin_magnitude() < 1e-12
 
     def test_peel_clears_other_views(self):
@@ -91,10 +93,42 @@ class TestPeel:
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], 1001)
         plan, state = toy_state(spec)
         reading = next(r for r in detect_singletons(state) if r.f_hat == 7)
-        peel(state, reading)
+        peel(state, [reading])
         assert abs(state.views[1].bins[0, 7]) < 1e-12
         assert abs(state.views[2].bins[0, 7]) < 1e-12
         assert abs(state.views[0].bins[0, 6] - 1.0) < 1e-12  # 41 still present
+
+
+    def test_round_subtracts_colliding_readings(self):
+        # 3 and 10 are singletons in views 2 and 3 but share bin 3 of view 1;
+        # peeling both in one round must take both out of that bin, leaving
+        # the alias sums of the unrecovered tone 41 in every view
+        spec = SparseSpectrum.from_pairs([(3, 1.0), (10, 0.5 - 1j), (41, 2j)], 1001)
+        plan, state = toy_state(spec)
+        readings = {r.f_hat: r for r in detect_singletons(state) if r.f_hat in (3, 10)}
+        peel(state, [readings[3], readings[10]])
+        assert set(state.recovered) == {3, 10}
+        residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
+        for view in state.views:
+            want = build_view_from_spectrum(residual, view.params, 1001).bins
+            assert np.abs(view.bins - want).max() < 1e-9
+
+    def test_conflict_mid_round_keeps_earlier_readings(self):
+        spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
+        plan, state = toy_state(spec)
+        state.recovered = {100: 1.0}
+        readings = [
+            SingletonReading(0, 0, 7, 1.0 + 0j, 0.0),
+            SingletonReading(0, 2, 100, 0j, 0.0),  # re-detected below the floor
+            SingletonReading(0, 6, 41, 0.5 - 1j, 0.0),
+        ]
+        with pytest.raises(DuplicateConflictError):
+            peel(state, readings)
+        assert state.recovered == {100: 1.0, 7: 1.0}
+        residual = SparseSpectrum.from_pairs([(41, 0.5 - 1j)], 1001)
+        for view in state.views:
+            want = build_view_from_spectrum(residual, view.params, 1001).bins
+            assert np.abs(view.bins - want).max() < 1e-9
 
 
 class TestRunPeeling:
@@ -176,7 +210,7 @@ class TestRunPeeling:
             readings = detect_singletons(state, cfg.singleton_tol)
             if not readings:
                 break
-            peel(state, readings[0])
+            peel(state, [readings[0]])
             residual_entries = dict(spec.entries)
             for f, c in state.recovered.items():
                 residual_entries[f] = residual_entries.get(f, 0) - c

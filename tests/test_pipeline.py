@@ -1,6 +1,5 @@
 import functools
 import json
-import operator
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
-from conftest import random_spectrum, spectra_close
+from conftest import DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
 
@@ -38,22 +37,6 @@ def gate_trail_certificate():
     src = synthesize(spec)
     cfg = replace(TOY_CFG, gate_trail=True, nominal_length=1001)
     return sparse_fft(src, 3, cfg, seed=9).certificate.to_json(), src
-
-
-def json_paths(node, prefix=()):
-    """Key path of every value inside a decoded JSON tree."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield prefix + (key,)
-        yield from json_paths(child, prefix + (key,))
-
-
-DELETE = object()
 
 
 class TestSparseFft:
@@ -296,11 +279,7 @@ class TestCertificates:
     )
     def test_malformed_replay_field_is_parse_error(self, path, value):
         payload = json.loads(gate_trail_certificate()[0])
-        owner = functools.reduce(operator.getitem, path[:-1], payload)
-        if value is DELETE:
-            del owner[path[-1]]
-        else:
-            owner[path[-1]] = value
+        set_json_value(payload, path, value)
         with pytest.raises(ParseError):
             Certificate.from_json(json.dumps(payload))
 
@@ -311,17 +290,7 @@ class TestCertificates:
         # value gives a violation list or a ParseError, never a raw exception.
         text, src = gate_trail_certificate()
         payload = json.loads(text)
-        path = data.draw(st.sampled_from(list(json_paths(payload))))
-        owner = functools.reduce(operator.getitem, path[:-1], payload)
-        old = owner[path[-1]]
-        retyped = [v for v in ("x", None, 1.5, True, 7, [], {}) if type(v) is not type(old)]
-        if type(old) is int:
-            retyped += [v for v in (-1, 0, 7, 2**40) if v != old]
-        value = data.draw(st.sampled_from([DELETE] + retyped))
-        if value is DELETE:
-            del owner[path[-1]]
-        else:
-            owner[path[-1]] = value
+        mutate_one_value(payload, data)
         try:
             cert = Certificate.from_json(json.dumps(payload))
         except ParseError:

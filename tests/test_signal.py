@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtfft.dft import dft_direct
 from crtfft.errors import (
+    CrtFftError,
     DuplicateFrequencyError,
     NonFiniteError,
     OutOfRangeError,
@@ -24,7 +28,7 @@ from crtfft.signal import (
     synthesize,
 )
 from crtfft.views import _shift_indices
-from conftest import random_spectrum
+from conftest import mutate_one_value, random_spectrum
 
 
 class TestSparseSpectrum:
@@ -45,8 +49,11 @@ class TestSparseSpectrum:
             SparseSpectrum.from_pairs([(8, 1.0)], 8)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            SparseSpectrum.from_pairs([(1, complex("nan"))], 8)
+        # in the real part and in the imaginary part alone
+        for coeff in (complex("nan"), complex(1, float("nan")), complex("inf"),
+                      complex(1, float("-inf"))):
+            with pytest.raises(NonFiniteError):
+                SparseSpectrum.from_pairs([(1, coeff)], 8)
 
 
 class TestSynthesize:
@@ -170,6 +177,43 @@ class TestProgressionRead:
             assert np.abs(src.sample_block(idx) - want).max() <= tol
 
 
+def index_block(case, rng):
+    """(grid length, index block) for each block-shape case."""
+    if case == "16-point":
+        return 16, np.arange(6, dtype=np.int64).reshape(2, 3)
+    if case == "view-stack":
+        M = 1423 * 1427 * 1429
+        vp = ViewParams(1427, int(rng.integers(1, M)), 0, 3)
+        return M, np.stack([_shift_indices(vp, M, s) for s in range(3)])
+    if case == "mixed-steps":
+        # each row wraps 1001 exactly, but with steps 77 and 154
+        j = np.arange(13, dtype=np.int64)
+        return 1001, np.stack([(3 + 77 * j) % 1001, (5 + 154 * j) % 1001])
+    return 1001, np.arange(24, dtype=np.int64).reshape(2, 3, 4)
+
+
+class TestBlockShapes:
+    """sample_block takes an index array of any shape and answers in that
+    shape, agreeing with sample() index by index."""
+
+    @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
+    @pytest.mark.parametrize("case", ["16-point", "view-stack", "mixed-steps", "3-d"])
+    def test_matches_per_index_sample(self, rng, case, kind):
+        M, idx = index_block(case, rng)
+        assert (_progression_step(idx, M) is not None) == (case == "view-stack")
+        if kind == "synthesize":
+            spec = random_spectrum(rng, 4 if M == 16 else 50, M)
+            src, tol = synthesize(spec), TestProgressionRead.TOL * np.abs(spec.coefficients()).sum()
+        else:
+            # dense reads are exact; most of the view stack falls in the zero padding
+            head = min(M, 1 << 12)
+            src, tol = from_dense(rng.normal(size=head) + 1j * rng.normal(size=head), M), 0.0
+        got = src.sample_block(idx)
+        assert got.shape == idx.shape
+        want = np.vectorize(src.sample, otypes=[np.complex128])(idx)
+        assert np.abs(got - want).max() <= tol
+
+
 class TestFromDense:
     def test_zero_padding(self):
         src = from_dense(np.array([1, 2, 3, 4], dtype=complex), 6)
@@ -227,6 +271,48 @@ class TestSpectrumFiles:
         path.write_text("not json")
         with pytest.raises(ParseError):
             load_spectrum(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"grid_length": 0, "entries": []}',
+            '{"grid_length": "16", "entries": []}',
+            '{"grid_length": 16, "entries": {}}',
+            '{"grid_length": 16, "entries": [{"f": "x", "re": 1.0, "im": 0.0}]}',
+            '{"grid_length": 16, "entries": [{"f": 1.7, "re": 1.0, "im": 0.0}]}',
+            '{"grid_length": 16, "entries": [{"f": 1, "re": true, "im": 0.0}]}',
+            '{"grid_length": 16, "entries": [{"f": 1, "re": 1%s, "im": 0.0}]}' % ("0" * 400),
+        ],
+        ids=["zero-grid", "string-grid", "entries-object", "string-f",
+             "fractional-f", "boolean-re", "huge-re"],
+    )
+    def test_malformed_value_rejected(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_spectrum(path)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError):
+            load_spectrum(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_is_typed_error(self, tmp_path_factory, data):
+        payload = {
+            "grid_length": 16,
+            "entries": [{"f": 1, "re": 1.0, "im": 0.5}, {"f": 5, "re": -2.0, "im": 0.0}],
+        }
+        mutate_one_value(payload, data)
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps(payload))
+        try:
+            spec = load_spectrum(path)
+        except CrtFftError:
+            return
+        assert isinstance(spec, SparseSpectrum)
 
 
 class TestDenseFiles:

@@ -55,11 +55,18 @@ class TestBuildView:
         src = synthesize(spec)
         if kind == "from_dense":
             src = from_dense(src.materialize())
+        blocks = []
+        read = src.sample_block
+        src.sample_block = lambda idx: blocks.append(np.shape(idx)) or read(idx)
         for vp in plan.id_views:
             assert vp.shift_count == shift_count
-            got = build_view(src, vp, M).bins
+            blocks.clear()
+            view = build_view(src, vp, M)
             want = alias_oracle(spec, vp, M)
-            assert np.abs(got - want).max() < 1e-9
+            assert np.abs(view.bins - want).max() < 1e-9
+            # every shift comes from one stacked read; row 0 gives the energy
+            assert blocks == [(shift_count, vp.m)]
+            assert view.time_energy == pytest.approx(view_energy(src, vp, M), rel=1e-12)
 
     def test_offset_only_rotates_bins(self, rng):
         M = 1001
