@@ -12,7 +12,6 @@ from .errors import (
     DenseRegimeError,
     DuplicateConflictError,
     DuplicateFrequencyError,
-    GridMismatchError,
     NonFiniteError,
     NotCoprimeError,
     OracleCapExceededError,

@@ -2,11 +2,9 @@
 
 Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
-bench (op-count and timing cells as CSV), verify-cert (replay a
-certificate).  Exit codes: 0 success / fast path, 2 correct-but-fallback
-recovery, 1 usage or validation error.  Given a fixed seed every subcommand
-writes byte-identical output; wall-clock columns in bench are opt-in for
-that reason.
+verify-cert (replay a certificate).  Exit codes: 0 success / fast path, 2
+correct-but-fallback recovery, 1 usage or validation error.  Given a fixed
+seed every subcommand writes byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,22 +15,14 @@ import io
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
 from .config import Config, load_config, replace
-from .errors import CrtFftError, DenseRegimeError, ParseError
+from .errors import CrtFftError, ParseError
 from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
-from .opcount import OpCounter
-from .pipeline import (
-    Certificate,
-    RecoveryPath,
-    dense_fallback,
-    sparse_fft,
-    verify_certificate,
-)
+from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
 from .planner import ViewParams, make_plan, rng_stream
 from .signal import (
     SparseSpectrum,
@@ -136,10 +126,7 @@ def cmd_transform(args) -> int:
             samples = load_dense_csv(args.dense)
         else:
             samples = load_dense_binary(args.dense)
-        nominal = cfg.nominal_length or samples.size
-        cfg = replace(cfg, nominal_length=nominal)
-        plan = make_plan(nominal, args.k, cfg.t, args.seed, cfg)
-        source = from_dense(samples, plan.M)
+        source = from_dense(samples)
 
     result = sparse_fft(source, args.k, cfg, args.seed)
     _write_output(json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", args.output)
@@ -400,61 +387,6 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = [
-        "n", "k", "t", "M", "status",
-        "fast_views_ops", "fast_peel_ops", "fast_verify_ops", "fast_total_ops",
-        "dense_ops", "op_ratio",
-    ]
-    if args.wall:
-        header += ["fast_wall_s", "dense_wall_s"]
-    writer.writerow(header)
-    for n in _parse_int_list(args.n_list):
-        for k in _parse_int_list(args.k_list):
-            row = [n, k, args.t]
-            try:
-                plan = make_plan(n, k, args.t, args.seed, replace(cfg, nominal_length=n))
-            except DenseRegimeError:
-                row += ["", "dense-only", "", "", "", "", "", ""]
-                if args.wall:
-                    row += ["", ""]
-                writer.writerow(row)
-                continue
-            rng = rng_stream(args.seed, f"bench-{n}-{k}")
-            support = set()
-            while len(support) < k:
-                support.add(int(rng.integers(0, n)))
-            coeffs = np.exp(2j * np.pi * rng.random(k))
-            truth = SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), plan.M)
-            source = synthesize(truth)
-            run_cfg = replace(cfg, nominal_length=n, t=args.t)
-            t0 = time.perf_counter()
-            result = sparse_fft(source, k, run_cfg, args.seed)
-            fast_wall = time.perf_counter() - t0
-            ops = result.op_counts
-            dense_op = OpCounter()
-            t0 = time.perf_counter()
-            dense_fallback(source, k, run_cfg, dense_op)
-            dense_wall = time.perf_counter() - t0
-            dense_ops = dense_op.total()
-            fast_total = ops["total"]
-            row += [
-                plan.M,
-                result.path.value,
-                ops.get("views", 0), ops.get("peel", 0), ops.get("verify", 0),
-                fast_total, dense_ops,
-                repr(dense_ops / fast_total if fast_total else float("inf")),
-            ]
-            if args.wall:
-                row += [repr(fast_wall), repr(dense_wall)]
-            writer.writerow(row)
-    _write_output(buf.getvalue(), args.output)
-    return 0
-
-
 def cmd_verify_cert(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         cert = Certificate.from_json(fh.read())
@@ -477,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtfft",
         description="Keyed three-view CRT sparse FFT: recovery, gate tables, "
-        "Monte Carlo experiments, benchmarks, certificate checks.",
+        "Monte Carlo experiments, certificate checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -527,16 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("bench", help="fast vs dense op counts per (N, k) cell")
-    p.add_argument("--n-list", required=True, dest="n_list")
-    p.add_argument("--k-list", required=True, dest="k_list")
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
-    p.add_argument("--wall", action="store_true", help="include wall-clock columns")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-cert", help="replay a recovery certificate")
     p.add_argument("--certificate", required=True)

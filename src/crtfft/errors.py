@@ -18,7 +18,7 @@ class NonFiniteError(CrtFftError):
 
 
 class OracleCapExceededError(CrtFftError):
-    """A dense computation was requested above the configured size budget."""
+    """A computation was requested above a size budget or supported maximum."""
 
 
 class ParseError(CrtFftError):
@@ -43,7 +43,3 @@ class StrideMismatchError(CrtFftError):
 
 class DuplicateConflictError(CrtFftError):
     """A frequency was re-detected with an inconsistent coefficient."""
-
-
-class GridMismatchError(CrtFftError):
-    """A signal's grid length does not match the plan it is paired with."""

@@ -1,7 +1,9 @@
 """End-to-end orchestration: plan, views, peel, verify, accept or fall back.
 
-The fast path is accepted only when peeling completes and every verification
-view confirms the candidate.  Any failure (dense regime, a stuck residual
+A run always answers on the source's own grid; nothing is padded behind the
+caller's back.  The fast path is accepted only when the plan's grid is the
+source's grid, peeling completes and every verification view confirms the
+candidate.  Any failure (grid mismatch, dense regime, a stuck residual
 after the rehash budget, too many candidates, or a failed verification even
 after extra views are appended) routes to the dense fallback, which
 materializes the grid, transforms it, and returns the top-k bins exactly.
@@ -23,7 +25,6 @@ from . import dft
 from .config import Config, _is_int, _is_number
 from .errors import (
     DenseRegimeError,
-    GridMismatchError,
     NotCoprimeError,
     OracleCapExceededError,
     ParseError,
@@ -42,7 +43,7 @@ from .planner import (
     rng_stream,
     _draw_view_params,
 )
-from .signal import SignalSource, SparseSpectrum, from_dense, synthesize
+from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, residual_check, verify
 from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues
 
@@ -216,11 +217,14 @@ def sparse_fft(
 ) -> RecoveryResult:
     """Recover the k-sparse spectrum of `source` with a certificate.
 
-    The source's grid length must equal the plan's modulus product; build
-    the plan first (make_plan) and synthesize or pad onto plan.M, or use
-    sparse_fft_dense for raw buffers.  `corrupt_candidate` is test
-    instrumentation: it maps the candidate spectrum to a corrupted one just
-    before verification, to exercise the fallback guarantee.
+    The answer is on source.grid_length.  The fast path runs only when the
+    plan's modulus product equals that grid (synthesize on make_plan(...).M
+    to get it); any other grid takes the dense fallback on the source's own
+    grid, with reason "grid-mismatch" and no plan in the certificate.
+
+    `corrupt_candidate` is test instrumentation: it maps the candidate
+    spectrum to a corrupted one just before verification, to exercise the
+    fallback guarantee.
     """
     cfg = config or Config()
     op = op if op is not None else OpCounter()
@@ -247,14 +251,8 @@ def sparse_fft(
             fallback_reason = f"dense-regime: {exc}"
 
     if plan is not None and plan.M != source.grid_length:
-        repad = getattr(source, "repad", None)
-        if repad is not None:
-            source = repad(plan.M)
-        else:
-            raise GridMismatchError(
-                f"source grid {source.grid_length} != plan grid {plan.M}; "
-                "plan first and synthesize on plan.M"
-            )
+        fallback_reason = f"grid-mismatch: source grid {source.grid_length} != plan grid {plan.M}"
+        plan = None
 
     if plan is not None and fallback_reason is None:
         views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
@@ -341,11 +339,8 @@ def sparse_fft(
 
 
 def sparse_fft_dense(samples, k: int, config: Config | None = None, seed: int = 0, **kw):
-    """Convenience wrapper: plan from a raw buffer's length, pad, recover."""
-    cfg = config or Config()
-    arr = np.ascontiguousarray(samples, dtype=np.complex128)
-    plan = make_plan(cfg.nominal_length or arr.size, k, cfg.t, seed, cfg)
-    return sparse_fft(from_dense(arr, plan.M), k, cfg, seed, **kw)
+    """Recover the spectrum of a raw buffer on its own length-N grid."""
+    return sparse_fft(from_dense(samples), k, config, seed, **kw)
 
 
 # ---------------------------------------------------------------------------

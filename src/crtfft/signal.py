@@ -31,6 +31,7 @@ from .config import _is_int, _is_number
 from .errors import (
     DuplicateFrequencyError,
     NonFiniteError,
+    OracleCapExceededError,
     OutOfRangeError,
     ParseError,
 )
@@ -85,7 +86,7 @@ class SparseSpectrum:
 
 
 class SignalSource:
-    """Read-only sample oracle over the padded grid.
+    """Read-only sample oracle over a grid of `grid_length` points.
 
     Subclasses implement `sample_block`, which takes an index array of any
     shape and returns the samples in the same shape.  Rereading the same
@@ -193,23 +194,22 @@ class _DenseSource(SignalSource):
         out[inside] = self._samples[idx[inside]]
         return out
 
-    def repad(self, padded_length: int) -> "_DenseSource":
-        return _DenseSource(self._samples, padded_length)
-
 
 def synthesize(spectrum: SparseSpectrum) -> SignalSource:
     """Lazy time-domain oracle for a sparse spectrum: O(k) per sample."""
     if spectrum.grid_length > _MAX_GRID:
-        raise ValueError(f"grid length {spectrum.grid_length} above supported maximum")
+        raise OracleCapExceededError(
+            f"grid length {spectrum.grid_length} above supported maximum {_MAX_GRID}"
+        )
     return _SynthesizedSource(spectrum)
 
 
 def from_dense(samples, padded_length: int | None = None) -> SignalSource:
-    """Wrap a dense buffer, zero-extended to `padded_length` when larger.
+    """Wrap a dense buffer on its own length-N grid, or zero-extended to
+    `padded_length` when the caller asks for a longer grid.
 
-    Tones that are exact on the original length-N grid are generally not
-    exact on a longer padded grid, so padded dense inputs exercise the
-    verification-and-fallback route rather than the exact fast path.
+    Recovery answers on the source's grid, so only a caller-padded source is
+    ever read on a grid longer than N.
     """
     arr = np.ascontiguousarray(samples, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
@@ -297,7 +297,7 @@ def load_dense_csv(path) -> np.ndarray:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read dense signal {path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["index", "re", "im"]:
         raise ParseError(f"{path}: expected header 'index,re,im'")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dft
-from .errors import StrideMismatchError
+from .errors import OracleCapExceededError, StrideMismatchError
 from .opcount import OpCounter
 from .planner import ViewParams
 from .signal import SignalSource, SparseSpectrum
@@ -73,7 +73,7 @@ def _shift_indices(params: ViewParams, M: int, shift: int) -> np.ndarray:
     if M % m != 0:
         raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
     if M > 3_000_000_000:
-        raise ValueError(f"grid length {M} exceeds exact int64 index arithmetic")
+        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     d = M // m
     j = np.arange(m, dtype=np.int64)
     # sigma < M and j*d < M, so the product stays below 2^63 under the guard.

@@ -67,6 +67,24 @@ def mutate_one_value(payload, data) -> None:
     set_json_value(payload, path, data.draw(st.sampled_from([DELETE] + values)))
 
 
+def mutate_bytes(raw: bytes, data) -> bytes:
+    """Apply one to three edits drawn by hypothesis `data`: overwrite, insert
+    or delete one byte, or truncate."""
+    buf = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["overwrite", "insert", "delete", "truncate"]))
+        at = data.draw(st.integers(0, len(buf)))
+        if edit == "overwrite" and at < len(buf):
+            buf[at] = data.draw(st.integers(0, 255))
+        elif edit == "insert":
+            buf.insert(at, data.draw(st.integers(0, 255)))
+        elif edit == "delete":
+            del buf[at : at + 1]
+        elif edit == "truncate":
+            del buf[at:]
+    return bytes(buf)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240911)

@@ -1,0 +1,94 @@
+import csv
+import io
+import json
+
+import numpy as np
+
+from crtfft.cli import main
+from crtfft.signal import SparseSpectrum, save_dense_binary, save_spectrum, synthesize
+from conftest import random_spectrum, spectra_close
+
+
+def run(capsys, *argv):
+    """(exit code, stdout, stderr) of one `crtfft` invocation."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_transform_synthesize_fast_path(capsys):
+    code, out, _ = run(capsys, "transform", "--synthesize", "{7:1,41:1-2j}", "-k", "2")
+    assert code == 0
+    result = json.loads(out)
+    assert result["path"] == "fast"
+    grid = result["spectrum"]["grid_length"]
+    got = SparseSpectrum.from_pairs(
+        [(e["f"], complex(e["re"], e["im"])) for e in result["spectrum"]["entries"]], grid
+    )
+    assert spectra_close(got, SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], grid))
+
+
+def test_transform_dense_regime_buffer_answers_on_its_own_grid(capsys, rng, tmp_path):
+    # k / sqrt(N) = 0.6 is past the dense boundary: exit 2, answered on N
+    n, k = 400, 12
+    spec = random_spectrum(rng, k, n)
+    signal = tmp_path / "sig.bin"
+    save_dense_binary(synthesize(spec).materialize(), signal)
+    code, out, _ = run(capsys, "transform", "--dense", str(signal), "-k", str(k))
+    assert code == 2
+    result = json.loads(out)
+    assert result["spectrum"]["grid_length"] == n
+    assert [e["f"] for e in result["spectrum"]["entries"]] == [f for f, _ in spec.entries]
+
+
+def test_gate_table_diff_published(capsys):
+    code, out, _ = run(
+        capsys, "gate-table", "--moduli", "7,11,13", "--r1", "0,3,6",
+        "--r2", "1,7,8,10", "--r3", "2,5,7,11", "--diff-published", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 12
+    corrected = {(r["r1"], r["r2"]) for r in rows if r["note"].startswith("corrected")}
+    assert corrected == {("3", "1"), ("3", "7"), ("3", "8"), ("3", "10")}
+
+
+def test_montecarlo_is_deterministic(capsys):
+    argv = ("montecarlo", "--experiment", "singleton-fraction", "--trials", "3", "--seed", "5")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(first)))
+    assert rows[0][0] == "experiment" and rows[1][0] == "singleton-fraction"
+    assert run(capsys, *argv)[1] == first
+
+
+def test_verify_cert_replays_transform_certificate(capsys, tmp_path):
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(
+        capsys, "transform", "--synthesize", "{7:1,41:1-2j}", "-k", "2",
+        "--output", str(result_path),
+    )
+    assert code == 0
+    certificate = json.loads(result_path.read_text())["certificate"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(certificate))
+    signal = tmp_path / "signal.json"
+    save_spectrum(
+        SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], certificate["grid_length"]), signal
+    )
+    code, out, _ = run(
+        capsys, "verify-cert", "--certificate", str(cert_path), "--signal", str(signal)
+    )
+    assert code == 0 and out == "certificate valid\n"
+
+
+def test_typed_error_exits_one_with_message(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text("not a certificate")
+    signal = tmp_path / "sig.bin"
+    save_dense_binary(np.ones(4), signal)
+    code, out, err = run(
+        capsys, "verify-cert", "--certificate", str(cert_path), "--signal", str(signal)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "certificate" in err

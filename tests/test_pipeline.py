@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
-from crtfft.dft import dft_forward
-from crtfft.errors import GridMismatchError, OracleCapExceededError, ParseError
+from crtfft.errors import OracleCapExceededError, ParseError
 from crtfft.peeling import PeelStatus
 from crtfft.pipeline import (
     Certificate,
@@ -19,7 +18,7 @@ from crtfft.pipeline import (
     verify_certificate,
 )
 from crtfft.planner import make_plan
-from crtfft.signal import SparseSpectrum, from_dense, synthesize
+from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
 from conftest import DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
@@ -148,10 +147,26 @@ class TestSparseFft:
         assert a.op_counts == b.op_counts
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    def test_grid_mismatch_raises(self, rng):
+    def test_grid_mismatch_falls_back_exactly(self, rng):
         spec = random_spectrum(rng, 2, 999)  # 999 is not a plan grid
-        with pytest.raises(GridMismatchError):
-            sparse_fft(synthesize(spec), 2, Config(nominal_length=900), seed=0)
+        src = synthesize(spec)
+        result = sparse_fft(src, 2, Config(nominal_length=900), seed=0)
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.certificate.payload["fallback_reason"].startswith("grid-mismatch")
+        assert result.certificate.payload["plan"] is None
+        assert spectra_close(result.spectrum, spec)
+        assert verify_certificate(result.certificate, src) == []
+
+    def test_grid_mismatch_above_budget_reads_no_sample(self):
+        class Unreadable(SignalSource):
+            grid_length = Config().dense_budget + 1
+            original_length = 4096
+
+            def sample_block(self, indices):
+                pytest.fail("sample_block called on a grid above the dense budget")
+
+        with pytest.raises(OracleCapExceededError):
+            sparse_fft(Unreadable(), 4, Config(), seed=0)
 
     def test_dense_regime_falls_back(self, rng):
         spec = random_spectrum(rng, 6, 100)
@@ -160,20 +175,31 @@ class TestSparseFft:
         assert result.path is RecoveryPath.FALLBACK
         assert "dense-regime" in result.certificate.payload["fallback_reason"]
 
-    def test_dense_input_exercises_fallback_route(self, rng):
-        # off-grid-on-the-padded-grid dense input: fast path cannot verify,
-        # fallback result equals the padded dense transform exactly
-        n = 64
+    @pytest.mark.parametrize("n", [64, 2002, 2048])
+    def test_dense_buffer_answers_on_its_own_grid(self, rng, n):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cfg = Config(t=2)
-        result = sparse_fft_dense(x, 3, cfg, seed=1)
+        result = sparse_fft_dense(x, 3, Config(t=2), seed=1)
         assert result.path is RecoveryPath.FALLBACK
-        plan = make_plan(n, 3, 2, 1, cfg)
-        padded = np.zeros(plan.M, dtype=complex)
-        padded[:n] = x
-        dense = dft_forward(padded) / plan.M
-        for f, c in result.spectrum.entries:
-            assert abs(dense[f] - c) < 1e-9
+        assert result.certificate.payload["fallback_reason"].startswith("grid-mismatch")
+        dense = np.fft.fft(x) / n
+        top = sorted(np.lexsort((np.arange(n), -np.abs(dense)))[:3])
+        want = SparseSpectrum.from_pairs([(f, dense[f]) for f in top], n)
+        assert result.spectrum.grid_length == n
+        assert spectra_close(result.spectrum, want)
+        assert verify_certificate(result.certificate, from_dense(x)) == []
+
+    def test_unpadded_sparse_regime_buffer_answers_on_its_own_grid(self, rng):
+        n = 2048
+        spec = random_spectrum(rng, 4, n)
+        result = sparse_fft(from_dense(synthesize(spec).materialize()), 4, Config(), seed=2)
+        assert result.spectrum.grid_length == n
+        assert spectra_close(result.spectrum, spec)
+
+    def test_index_guard_is_typed(self):
+        # the plan grid of N = 2^22 (M ~ 8.6e9) is past exact int64 view indices
+        M = make_plan(2**22, 64).M
+        with pytest.raises(OracleCapExceededError):
+            sparse_fft(from_dense(np.ones(16), M), 64, Config(nominal_length=2**22), seed=0)
 
 
 class TestDenseFallback:

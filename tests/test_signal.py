@@ -11,10 +11,11 @@ from crtfft.errors import (
     CrtFftError,
     DuplicateFrequencyError,
     NonFiniteError,
+    OracleCapExceededError,
     OutOfRangeError,
     ParseError,
 )
-from crtfft.planner import ViewParams
+from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import (
     SparseSpectrum,
     _progression_step,
@@ -28,7 +29,7 @@ from crtfft.signal import (
     synthesize,
 )
 from crtfft.views import _shift_indices
-from conftest import mutate_one_value, random_spectrum
+from conftest import mutate_bytes, mutate_one_value, random_spectrum
 
 
 class TestSparseSpectrum:
@@ -94,6 +95,11 @@ class TestSynthesize:
         src = synthesize(spec)
         total = np.sum(np.abs(src.materialize()) ** 2)
         assert abs(total - 1001 * spec.energy()) <= 1e-9 * total
+
+    def test_grid_above_supported_maximum_is_typed(self):
+        M = make_plan(2**22, 64).M  # about 8.6e9, past exact int64 index products
+        with pytest.raises(OracleCapExceededError):
+            synthesize(SparseSpectrum.from_pairs([(1, 1.0)], M))
 
 
 def generic_read(src, idx, rng):
@@ -335,3 +341,31 @@ class TestDenseFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(ParseError):
             load_dense_binary(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"index,re,im\n0,1.0,\xff\n", b"index,re,im\n0,1.0," + b"0" * 200_000 + b"\n"],
+        ids=["undecodable-byte", "field-above-csv-limit"],
+    )
+    def test_unreadable_csv_rejected(self, tmp_path, raw):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_dense_csv(path)
+
+    @pytest.mark.parametrize(
+        "save, load",
+        [(save_dense_csv, load_dense_csv), (save_dense_binary, load_dense_binary)],
+        ids=["csv", "binary"],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_is_parse_error(self, tmp_path_factory, save, load, data):
+        path = tmp_path_factory.mktemp("sig") / "sig.dat"
+        save(np.array([1.0, -2.5 + 0.5j, 3e-7j]), path)
+        path.write_bytes(mutate_bytes(path.read_bytes(), data))
+        try:
+            samples = load(path)
+        except ParseError:
+            return
+        assert samples.dtype == np.complex128 and samples.ndim == 1
