@@ -17,14 +17,12 @@ from .errors import (
     OracleCapExceededError,
     OutOfRangeError,
     ParseError,
-    SearchExhaustedError,
     StrideMismatchError,
 )
 from .numtheory import (
     ModTriple,
     coprime_divisor_capacity,
     egcd,
-    find_coprime_moduli,
     garner2,
     garner3,
     garner3_parts,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import Config, load_config, replace
-from .errors import CrtFftError, ParseError
+from .errors import CrtFftError, DenseRegimeError, ParseError
 from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
 from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
@@ -117,10 +117,12 @@ def cmd_transform(args) -> int:
             pairs = list(probe_spec.entries)
             grid_probe = probe_spec.grid_length
         nominal = cfg.nominal_length or grid_probe
-        plan = make_plan(nominal, args.k, cfg.t, args.seed, replace(cfg, nominal_length=nominal))
-        spectrum = SparseSpectrum.from_pairs(pairs, plan.M)
-        source = synthesize(spectrum)
         cfg = replace(cfg, nominal_length=nominal)
+        try:
+            grid = make_plan(nominal, args.k, cfg.t, args.seed, cfg).M
+        except DenseRegimeError:
+            grid = nominal  # sparse_fft answers with the certified fallback on this grid
+        source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
     else:
         if args.dense.endswith(".csv"):
             samples = load_dense_csv(args.dense)

@@ -44,6 +44,8 @@ class Config:
     def __post_init__(self):
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
+        if not self.lambda_threshold > 0:
+            raise ValueError(f"lambda_threshold must be > 0, got {self.lambda_threshold}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if not (0 < self.rho_sparse <= self.rho_dense):

@@ -64,22 +64,32 @@ def dft_direct(x, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     return out
 
 
+# Radices of the mixed-radix branch of the op model.
+SMOOTH_PRIMES = (2, 3, 5, 7, 11)
+
+
 def fft_op_count(n: int) -> int:
     """Fixed model complex-op cost of one length-n forward transform.
 
-    The model is that of a radix-2 kernel at power-of-two lengths, 2*n*log2(n)
-    (one multiply and one add pair per butterfly), and of a chirp-z reduction
-    elsewhere (three power-of-two transforms plus the chirp and pointwise
-    multiplies).  It does not describe the work `numpy.fft` does; it stays
-    fixed so that op counts remain comparable across commits.
+    The model is that of a mixed-radix kernel at 11-smooth lengths, n times
+    the sum of the prime factors of n counted with multiplicity (2*n*log2(n),
+    one multiply and one add pair per butterfly, at powers of two), and of a
+    chirp-z reduction at every other length (three power-of-two transforms
+    plus the chirp and pointwise multiplies).  It does not describe the work
+    `numpy.fft` does; it stays fixed so that op counts remain comparable
+    across commits, and the planner picks moduli by it.
     """
     if n <= 1:
         return 1
-    if n & (n - 1) == 0:
-        return 2 * n * (n.bit_length() - 1)
+    rest, radix_sum = n, 0
+    for p in SMOOTH_PRIMES:
+        while rest % p == 0:
+            rest //= p
+            radix_sum += p
+    if rest == 1:
+        return n * radix_sum
     conv_len = 1 << (2 * n - 1).bit_length()
-    pow2 = 2 * conv_len * (conv_len.bit_length() - 1)
-    return 3 * pow2 + conv_len + 3 * n
+    return 3 * fft_op_count(conv_len) + conv_len + 3 * n
 
 
 def direct_op_count(n: int) -> int:

@@ -9,10 +9,6 @@ class NotCoprimeError(CrtFftError):
     """Two moduli (or a value and its modulus) share a common factor."""
 
 
-class SearchExhaustedError(CrtFftError):
-    """No qualifying moduli set exists within the bounded search radius."""
-
-
 class NonFiniteError(CrtFftError):
     """A buffer contains NaN or infinite samples."""
 

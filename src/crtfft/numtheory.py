@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotCoprimeError, SearchExhaustedError
+from .errors import NotCoprimeError
 
 # Product moduli are kept within a 128-bit budget; larger plans would defeat
 # float64 phase resolution long before arithmetic became an issue.
@@ -146,80 +146,6 @@ def garner3_parts(r1: int, r2: int, r3: int, triple: ModTriple) -> tuple[int, in
 def garner3(r1: int, r2: int, r3: int, triple: ModTriple) -> int:
     """The unique f in [0, triple.M) with f = ri (mod mi) for i = 1, 2, 3."""
     return garner3_parts(r1, r2, r3, triple)[0]
-
-
-def find_coprime_moduli(
-    target: int,
-    count: int,
-    min_product: int,
-    exclusions: tuple[int, ...] | frozenset | set = (),
-) -> list[int]:
-    """Select `count` distinct primes near `target`, product >= min_product.
-
-    The search alternates outward from the target, starting at-or-above,
-    then below, and so on; excluded values are skipped.  If the nearest
-    primes multiply out too small, the smallest pick is replaced by the
-    next prime above the largest until the product qualifies.  The scan is
-    capped at radius 10*target.  Returned sorted ascending.
-    """
-    if target < 2:
-        raise ValueError(f"target must be >= 2, got {target}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    excluded = set(exclusions)
-    limit_hi = 11 * target
-    limit_lo = max(2, target - 10 * target)
-
-    def admissible(n):
-        return n not in excluded and is_prime(n)
-
-    chosen: list[int] = []
-    up, down = target, target - 1
-    take_above = True
-    while len(chosen) < count:
-        found = None
-        if take_above or down < limit_lo:
-            while up <= limit_hi:
-                if admissible(up):
-                    found = up
-                    up += 1
-                    break
-                up += 1
-        if found is None and down >= limit_lo:
-            while down >= limit_lo:
-                if admissible(down):
-                    found = down
-                    down -= 1
-                    break
-                down -= 1
-        if found is None:
-            raise SearchExhaustedError(
-                f"fewer than {count} usable primes within radius 10*{target}"
-            )
-        chosen.append(found)
-        take_above = not take_above
-
-    def product(values):
-        out = 1
-        for v in values:
-            out *= v
-        return out
-
-    while product(chosen) < min_product:
-        # Grow deterministically: swap the smallest pick for the next prime
-        # above everything chosen so far.
-        cursor = max(max(chosen), up - 1) + 1
-        while cursor <= limit_hi and not admissible(cursor):
-            cursor += 1
-        if cursor > limit_hi:
-            raise SearchExhaustedError(
-                f"no prime set near {target} reaches product {min_product} "
-                f"within radius 10*{target}"
-            )
-        chosen.remove(min(chosen))
-        chosen.append(cursor)
-        up = cursor + 1
-    return sorted(chosen)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -445,11 +445,12 @@ def verify_certificate(
 ) -> list[str]:
     """Re-derive every certificate claim from scratch; empty list means valid.
 
-    Checks: moduli consistency, Garner replay of every recovered frequency
-    (digits and reconstruction), range against the declared nominal length,
-    amplitudes against the recorded threshold, gate-table membership when a
-    gate trail is present, and one fresh residual test of the recovered
-    spectrum against the signal.
+    Checks: the signal's grid against the certificate's, moduli
+    consistency, Garner replay of every recovered frequency (digits and
+    reconstruction), range against the declared nominal length, amplitudes
+    against the recorded threshold, gate-table membership when a gate trail
+    is present, and one fresh residual test of the recovered spectrum
+    against the signal.
     """
     cfg = config or Config()
     violations: list[str] = []
@@ -462,6 +463,11 @@ def verify_certificate(
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"certificate recovered list malformed: {exc}") from exc
+    if source.grid_length != spectrum.grid_length:
+        violations.append(
+            f"signal-grid-mismatch: signal grid {source.grid_length} "
+            f"!= certificate grid {spectrum.grid_length}"
+        )
 
     tau = float(p.get("amplitude_threshold", 0.0))
     for f, c in spectrum.entries:
@@ -482,6 +488,8 @@ def verify_certificate(
             return violations
         if triple.M != plan_info["m"]:
             violations.append("plan-product-mismatch")
+        if plan_info["m"] != spectrum.grid_length:
+            violations.append("plan-grid-mismatch")
         if triple.gamma12 != plan_info["gamma12"] or triple.gamma23 != plan_info["gamma23"]:
             violations.append("plan-inverse-mismatch")
         for entry in p["recovered"]:
@@ -522,9 +530,7 @@ def verify_certificate(
                 b=verify_views[0]["b"],
                 shift_count=verify_views[0]["shifts"],
             )
-            if source.grid_length != plan_info["m"]:
-                violations.append("signal-grid-mismatch")
-            else:
+            if source.grid_length == plan_info["m"]:
                 built = build_view(source, vp, plan_info["m"])
                 residual, ok = residual_check(built, spectrum, cfg.verify_eps_rel)
                 if not ok:

@@ -7,31 +7,35 @@ parameters.  All randomness comes from a counter-based generator keyed by
 (seed, label) so that identification and verification draws are provably
 disjoint streams and every plan is replayable from its seed.
 
+The moduli are the pairwise coprime triple whose views are cheapest under
+the op model (`dft.fft_op_count`), so they are 11-smooth wherever the
+constraints allow and no view transform needs a chirp-z reduction.
+
 Verification views reuse the identification moduli with freshly drawn hash
 parameters.  Exact decimation requires the view modulus to divide the grid
-length, and M = m1*m2*m3 has exactly three prime divisors, so there are no
-further exact moduli available; independence rests on the fresh (sigma, b)
-draws and on the multi-shift phase structure of the residual test.
+length, and a view modulus must be coprime to the other views' moduli for
+the CRT, so the triple offers no further exact moduli; independence rests on
+the fresh (sigma, b) draws and on the multi-shift phase structure of the
+residual test.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import dft
 from .config import Config
-from .errors import DenseRegimeError, NotCoprimeError
-from .numtheory import (
-    ModTriple,
-    coprime_divisor_capacity,
-    factorize,
-    find_coprime_moduli,
-    mod_inverse,
-)
+from .errors import DenseRegimeError
+from .numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
+from .signal import _MAX_GRID
 
 
 class Regime(enum.Enum):
@@ -124,6 +128,132 @@ def _draw_view_params(m: int, M: int, rng: np.random.Generator, shifts: int) -> 
     return ViewParams(m=m, sigma=sigma, b=b, shift_count=shifts)
 
 
+def _view_cost(m: int) -> int:
+    """Op-model cost of one view of modulus m: its O(m) passes and its FFT."""
+    return 3 * m + dft.fft_op_count(m)
+
+
+def _min_cost_per_point(lo: int) -> float:
+    """Lower bound of _view_cost(m)/m for every m >= lo >= 2.
+
+    p/log2(p) >= 3/log2(3) for every prime p, so an 11-smooth length costs
+    at least (3/log2 3)*log2(m) per point in its FFT; a chirp-z length costs
+    more than that.
+    """
+    return 3 + 3 / math.log2(3) * math.log2(lo)
+
+
+def _smooth_numbers(lo: int, hi: int) -> list[int]:
+    """The 11-smooth integers in [lo, hi], ascending."""
+    values = [1]
+    for p in dft.SMOOTH_PRIMES:
+        grown = []
+        for v in values:
+            while v <= hi:
+                grown.append(v)
+                v *= p
+        values = grown
+    return sorted(v for v in values if v >= lo)
+
+
+def _cheapest_triple(
+    N: int, costs: dict[int, int], cap: int | None
+) -> tuple[int, int, tuple[int, int, int]] | None:
+    """Cheapest pairwise coprime a < b < c from `costs` with a*b >= N.
+
+    Exact branch and bound over the candidates in ascending order; products
+    above `cap` are excluded.  Returns (cost, M, (a, b, c)), ties going to
+    the smaller M, or None when no triple qualifies.
+    """
+    values = sorted(costs)
+    cost = [costs[v] for v in values]
+    n = len(values)
+    # cheapest[i] = min(cost[i:]): a lower bound for any member chosen at or after i
+    cheapest = list(itertools.accumulate(reversed(cost), min))[::-1] + [math.inf]
+    best = (math.inf, 0, (0, 0, 0))
+    for i, a in enumerate(values):
+        first_b = bisect.bisect_left(values, -(-N // a), i + 1)
+        for j in range(first_b, n - 1):
+            b = values[j]
+            if cost[i] + cheapest[j] + cheapest[j + 1] > best[0]:
+                break
+            if cap is not None and a * b * values[j + 1] > cap:
+                break
+            pair = cost[i] + cost[j]
+            if math.gcd(a, b) != 1:
+                continue
+            for c_index in range(j + 1, n):
+                c = values[c_index]
+                if pair + cheapest[c_index] > best[0] or (cap is not None and a * b * c > cap):
+                    break
+                key = (pair + cost[c_index], a * b * c, (a, b, c))
+                if key < best and math.gcd(a * b, c) == 1:
+                    best = key
+    return None if best[0] == math.inf else best
+
+
+@functools.lru_cache(maxsize=256)
+def choose_moduli(N: int, k: int, lambda_threshold: float) -> tuple[int, int, int]:
+    """Pairwise coprime moduli m1 < m2 < m3 whose views cost least.
+
+    Minimizes sum(3*m + dft.fft_op_count(m)) subject to
+      - m1*m2 >= N, the gate's no-wrap condition (it also gives M >= N);
+      - m1 >= k/lambda_threshold, the peeling load floor, or >= 10*k*log2(k)
+        when k/lambda_threshold exceeds sqrt(N), so that the per-bin load
+        drops to about 1/(10*log2 k);
+      - M = m1*m2*m3 <= signal._MAX_GRID whenever some triple fits under it.
+    The op model makes 11-smooth moduli several times cheaper than chirp-z
+    ones, so other moduli enter only where the ceiling forces them.  A pure
+    function of its arguments, cached.
+    """
+    root = max(2, round(math.sqrt(N)))
+    if k >= 2 and k / root > lambda_threshold:
+        floor = math.ceil(10 * k * math.log2(k))
+    else:
+        floor = math.ceil(k / lambda_threshold)
+    floor = max(2, floor)
+    # Smallest powers of 2, 3 and 5 at or above max(floor, sqrt(N)) always
+    # qualify, which bounds the cost of the answer and hence its members.
+    start = max(floor, math.isqrt(N - 1) + 1)
+    witness = []
+    for p in (2, 3, 5):
+        power = 1
+        while power < start:
+            power *= p
+        witness.append(power)
+    for cap in (_MAX_GRID, None):
+        lo, hi = floor, math.inf
+        if cap is not None:
+            # a > N^2/cap, and c <= cap/(a*b) with a*b >= max(N, lo*(lo+1))
+            lo = max(floor, -(-N * N // cap))
+            hi = cap // max(N, lo * (lo + 1))
+        # Every view costs at least lo*rate, so a member of a triple that
+        # costs at most C costs at most C - 2*lo*rate.
+        rate = _min_cost_per_point(lo)
+        if cap is None or math.prod(witness) <= cap:
+            hi = min(hi, int(sum(map(_view_cost, witness)) / rate) - 2 * lo)
+        if lo > hi:
+            continue
+        costs = {m: _view_cost(m) for m in _smooth_numbers(lo, hi)}
+        best = _cheapest_triple(N, costs, cap)
+        # Chirp-z costs rise with m: add every other length that could still
+        # be a member of a triple as cheap as the best, then search again.
+        limit = best[0] - 2 * lo * rate if best else math.inf
+        others = {}
+        for m in range(lo, hi + 1):
+            if m in costs:
+                continue
+            cost = _view_cost(m)
+            if cost > limit:
+                break
+            others[m] = cost
+        if others:
+            best = _cheapest_triple(N, costs | others, cap)
+        if best is not None:
+            return best[2]
+    raise AssertionError("unreachable: the witness triple qualifies without the ceiling")
+
+
 def make_plan(
     N: int,
     k: int,
@@ -133,11 +263,12 @@ def make_plan(
 ) -> ModuliPlan:
     """Build a reproducible plan for an N-point, k-sparse problem.
 
-    Prime moduli are chosen near sqrt(N); when the load factor k/sqrt(N)
-    exceeds the peeling threshold the target is raised to 10*k*log2(k) so
-    the per-bin load drops back to about 1/(10*log2 k).  Explicit moduli can
-    be pinned through config.moduli_override (they are validated for
-    pairwise coprimality, not primality, so composite moduli are accepted).
+    The moduli come from `choose_moduli`: the pairwise coprime triple whose
+    views cost least under the op model, which keeps the two smallest
+    moduli's product at or above N, the per-bin load within the peeling
+    threshold and M within the int64 grid ceiling where possible.  Explicit
+    moduli can be pinned through config.moduli_override (they are validated
+    for pairwise coprimality only).
     """
     cfg = config or Config()
     t = cfg.t if t is None else t
@@ -152,11 +283,7 @@ def make_plan(
         if len(moduli) != 3:
             raise ValueError("moduli_override must supply exactly 3 moduli")
     else:
-        root = max(2, round(math.sqrt(N)))
-        target = root
-        if k >= 2 and k / root > cfg.lambda_threshold:
-            target = max(root, math.ceil(10 * k * math.log2(k)))
-        moduli = find_coprime_moduli(target, 3, min_product=N)
+        moduli = list(choose_moduli(N, k, cfg.lambda_threshold))
 
     triple = ModTriple.create(*moduli)
     if triple.M < N:
@@ -236,6 +363,9 @@ def validate_plan(plan: ModuliPlan) -> list[str]:
         violations.append("ProductMismatch: M != m1*m2*m3")
     if plan.M < plan.N:
         violations.append(f"ProductTooSmall: M={plan.M} < N={plan.N}")
+    low, mid, _ = sorted((m1, m2, m3))
+    if low * mid < plan.N:
+        violations.append(f"GateWrap: {low}*{mid} < N={plan.N}")
     if (plan.triple.m1 * plan.triple.gamma12) % plan.triple.m2 != 1:
         violations.append("BadInverse: gamma12")
     if (plan.triple.m1 * plan.triple.m2 * plan.triple.gamma23) % plan.triple.m3 != 1:

@@ -23,7 +23,7 @@ from . import dft
 from .errors import OracleCapExceededError, StrideMismatchError
 from .opcount import OpCounter
 from .planner import ViewParams
-from .signal import SignalSource, SparseSpectrum
+from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
 
 @dataclass
@@ -72,7 +72,7 @@ def _shift_indices(params: ViewParams, M: int, shift: int) -> np.ndarray:
     m = params.m
     if M % m != 0:
         raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-    if M > 3_000_000_000:
+    if M > _MAX_GRID:
         raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     d = M // m
     j = np.arange(m, dtype=np.int64)

@@ -41,6 +41,23 @@ def test_transform_dense_regime_buffer_answers_on_its_own_grid(capsys, rng, tmp_
     assert [e["f"] for e in result["spectrum"]["entries"]] == [f for f, _ in spec.entries]
 
 
+def test_transform_synthesize_dense_regime_falls_back_on_nominal_grid(capsys):
+    # 12 tones with --n 400: k / sqrt(N) = 0.6 is past the dense boundary
+    tones = [(f, complex(1, f % 3)) for f in range(5, 400, 33)]
+    tone_map = "{" + ",".join(f"{f}:{c.real:g}+{c.imag:g}j" for f, c in tones) + "}"
+    code, out, _ = run(
+        capsys, "transform", "--synthesize", tone_map, "-k", "12", "--n", "400"
+    )
+    assert code == 2
+    result = json.loads(out)
+    assert result["spectrum"]["grid_length"] == 400
+    assert result["certificate"]["fallback_reason"].startswith("dense-regime")
+    got = SparseSpectrum.from_pairs(
+        [(e["f"], complex(e["re"], e["im"])) for e in result["spectrum"]["entries"]], 400
+    )
+    assert spectra_close(got, SparseSpectrum.from_pairs(tones, 400))
+
+
 def test_gate_table_diff_published(capsys):
     code, out, _ = run(
         capsys, "gate-table", "--moduli", "7,11,13", "--r1", "0,3,6",

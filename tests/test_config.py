@@ -45,10 +45,12 @@ def test_valid_file_loads(tmp_path):
         {"identity_hash": 1},
         {"nominal_length": 1001.0},
         {"shift_count": 4},
+        {"lambda_threshold": 0},
         {"oracle_cap": 10},
     ],
     ids=["scalar-moduli", "string-modulus", "fractional-modulus", "string-t", "null-alpha",
-         "integer-flag", "fractional-length", "bad-shift-count", "unknown-key"],
+         "integer-flag", "fractional-length", "bad-shift-count", "zero-load-threshold",
+         "unknown-key"],
 )
 def test_malformed_value_is_parse_error(tmp_path, change):
     with pytest.raises(ParseError):

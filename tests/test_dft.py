@@ -119,7 +119,13 @@ def test_oracle_cap():
 
 
 def test_op_count_models():
-    assert fft_op_count(1024) == 2 * 1024 * 10
+    for a in range(1, 21):
+        assert fft_op_count(2**a) == 2 * 2**a * a
     assert direct_op_count(100) == 20000
-    # chirp model dominated by three convolution-length transforms
-    assert fft_op_count(1021) > 3 * 2 * 2048 * 11
+    # chirp-z at a prime: three 2048-point transforms, the chirp and 3n multiplies
+    assert fft_op_count(1021) == 3 * 2 * 2048 * 11 + 2048 + 3 * 1021 == 140279
+    # mixed radix at 11-smooth lengths: n times the sum of the prime factors
+    assert fft_op_count(1089) == 1089 * (3 + 3 + 11 + 11) == 30492
+    assert fft_op_count(160) == 160 * (2 * 5 + 5) == 2400
+    # a 13-smooth composite stays on chirp-z
+    assert fft_op_count(1001) == 3 * 2 * 2048 * 11 + 2048 + 3 * 1001

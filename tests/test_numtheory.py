@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.errors import NotCoprimeError, SearchExhaustedError
+from crtfft.errors import NotCoprimeError
 from crtfft.numtheory import (
     ModTriple,
     coprime_divisor_capacity,
     egcd,
     factorize,
-    find_coprime_moduli,
     garner2,
     garner3,
     garner3_parts,
@@ -181,40 +180,6 @@ class TestModTriple:
         p = (1 << 43) - 1  # not prime, but coprimality is what matters here
         with pytest.raises((ValueError, NotCoprimeError)):
             ModTriple.create(p, p - 2, p - 4)
-
-
-class TestFindCoprimeModuli:
-    def test_toy_triple(self):
-        assert find_coprime_moduli(8, 3, 64) == [7, 11, 13]
-
-    def test_near_1000(self):
-        moduli = find_coprime_moduli(1000, 3, 10**6)
-        assert len(moduli) == 3
-        product = math.prod(moduli)
-        assert product >= 10**6
-        for m in moduli:
-            assert is_prime(m) and abs(m - 1000) < 100
-        assert moduli == find_coprime_moduli(1000, 3, 10**6)  # deterministic
-
-    def test_near_1024(self):
-        assert find_coprime_moduli(1024, 3, 2**20) == [1021, 1031, 1033]
-
-    def test_single(self):
-        assert find_coprime_moduli(2, 1, 2) == [2]
-
-    def test_min_product_forces_growth(self):
-        moduli = find_coprime_moduli(10, 2, 10**4)
-        assert math.prod(moduli) >= 10**4
-        assert all(is_prime(m) for m in moduli)
-
-    def test_exclusions_skipped(self):
-        base = find_coprime_moduli(1000, 3, 10**6)
-        more = find_coprime_moduli(1000, 3, 10**6, exclusions=tuple(base))
-        assert not set(base) & set(more)
-
-    def test_exhaustion(self):
-        with pytest.raises(SearchExhaustedError):
-            find_coprime_moduli(2, 3, 10**30)
 
 
 class TestCapacity:

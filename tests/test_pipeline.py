@@ -66,13 +66,13 @@ class TestSparseFft:
         # The op model is a fixed cost model: any drift in these figures makes
         # op counts incomparable across commits.  With identity_hash every view
         # has b = 0, so no modulation pass runs or is charged: the views and
-        # verify phases each cost 3 * (127 + 131 + 137) ops less.  The Parseval
+        # verify phases each cost 3 * (121 + 147 + 160) ops less.  The Parseval
         # check reuses the energy of the samples its view already read, so it
         # charges m + |candidate| per verification view.
-        spec = random_spectrum(rng, 12, 127 * 131 * 137, fmax=2**14)
+        spec = random_spectrum(rng, 12, 121 * 147 * 160, fmax=2**14)
         cases = (
-            (False, {"peel": 1401, "verify": 215426, "views": 213702, "total": 430529}),
-            (True, {"peel": 1401, "verify": 214241, "views": 212517, "total": 428159}),
+            (False, {"peel": 1500, "verify": 28391, "views": 26535, "total": 56426}),
+            (True, {"peel": 1500, "verify": 27107, "views": 25251, "total": 53858}),
         )
         for identity_hash, expected in cases:
             cfg = Config(nominal_length=2**14, identity_hash=identity_hash)
@@ -81,6 +81,22 @@ class TestSparseFft:
             assert result.path is RecoveryPath.FAST
             assert spectra_close(result.spectrum, spec)
             assert result.op_counts == expected, f"identity_hash={identity_hash}"
+
+    @pytest.mark.parametrize("spacing", [121, 147, 160, 32])
+    def test_comb_on_a_modulus_is_exact(self, rng, spacing):
+        # 12 tones spaced by a modulus of the N = 2^14 plan, or by the power
+        # of two inside its even modulus, share one bin of that view
+        cfg = Config(nominal_length=2**14)
+        plan = make_plan(2**14, 12, seed=3, config=cfg)
+        assert plan.triple.moduli == (121, 147, 160)
+        coeffs = np.exp(2j * np.pi * rng.random(12))
+        spec = SparseSpectrum.from_pairs(
+            [(17 + j * spacing, c) for j, c in enumerate(coeffs)], plan.M
+        )
+        src = synthesize(spec)
+        result = sparse_fft(src, 12, cfg, seed=3)
+        assert spectra_close(result.spectrum, spec)
+        assert verify_certificate(result.certificate, src) == []
 
     def test_declared_sparsity_violation_falls_back(self, rng):
         # 2k true tones under a declared budget of k: top-k selection drops
@@ -196,7 +212,7 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
 
     def test_index_guard_is_typed(self):
-        # the plan grid of N = 2^22 (M ~ 8.6e9) is past exact int64 view indices
+        # the plan grid of N = 2^22 (M ~ 1.1e10) is past exact int64 view indices
         M = make_plan(2**22, 64).M
         with pytest.raises(OracleCapExceededError):
             sparse_fft(from_dense(np.ones(16), M), 64, Config(nominal_length=2**22), seed=0)
@@ -240,6 +256,16 @@ class TestCertificates:
         result, src = self.make_fast_result(rng)
         cert = Certificate.from_json(result.certificate.to_json())
         assert verify_certificate(cert, src) == []
+
+    def test_signal_on_another_grid_flagged(self, rng):
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        fallback = sparse_fft(from_dense(x), 3, seed=0).certificate
+        fast, src = self.make_fast_result(rng)
+        assert fallback.payload["plan"] is None
+        assert verify_certificate(fallback, from_dense(x)) == []
+        for cert, grid in ((fallback, 64), (fast.certificate, 1001)):
+            violations = verify_certificate(cert, from_dense(np.zeros(1000)))
+            assert violations == [f"signal-grid-mismatch: signal grid 1000 != certificate grid {grid}"]
 
     def test_gate_trail_included_and_valid(self, rng):
         result, src = self.make_fast_result(rng, gate_trail=True)

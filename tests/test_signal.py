@@ -97,7 +97,7 @@ class TestSynthesize:
         assert abs(total - 1001 * spec.energy()) <= 1e-9 * total
 
     def test_grid_above_supported_maximum_is_typed(self):
-        M = make_plan(2**22, 64).M  # about 8.6e9, past exact int64 index products
+        M = make_plan(2**22, 64).M  # about 1.1e10, past exact int64 index products
         with pytest.raises(OracleCapExceededError):
             synthesize(SparseSpectrum.from_pairs([(1, 1.0)], M))
 
