@@ -26,7 +26,6 @@ from .numtheory import (
     garner2,
     garner3,
     garner3_parts,
-    is_prime,
     mod_inverse,
 )
 from .dft import dft_direct, dft_forward, dft_inverse
@@ -54,7 +53,6 @@ from .views import (
     build_view,
     build_view_from_spectrum,
     extract_residues,
-    view_energy,
 )
 from .gating import GatedCandidate, GateStats, gate_pairs, gate_survivor_stats
 from .peeling import (
@@ -70,8 +68,7 @@ from .peeling import (
 from .verification import (
     VerificationReport,
     ViewCheck,
-    parseval_check,
-    residual_check,
+    check_view,
     verify,
 )
 from .pipeline import (

@@ -2,9 +2,12 @@
 
 Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
-verify-cert (replay a certificate).  Exit codes: 0 success / fast path, 2
-correct-but-fallback recovery, 1 usage or validation error.  Given a fixed
-seed every subcommand writes byte-identical output.
+verify-cert (replay a certificate).  The montecarlo experiments verify-miss
+and rehash measure the shipped pipeline: verify-miss reads each view's
+verdict from `verify`, and rehash runs `sparse_fft` with one rehash allowed.
+Exit codes: 0 success / fast path, 2 correct-but-fallback recovery, 1 usage
+or validation error.  Given a fixed seed every subcommand writes
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from .config import Config, load_config, replace
 from .errors import CrtFftError, DenseRegimeError, ParseError
 from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
+from .peeling import PeelStatus
 from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
-from .planner import ViewParams, make_plan, rng_stream
+from .planner import _draw_view_params, make_plan, rng_stream
 from .signal import (
     SparseSpectrum,
     from_dense,
@@ -32,8 +36,7 @@ from .signal import (
     load_spectrum,
     synthesize,
 )
-from .verification import parseval_check, residual_check
-from .views import build_view
+from .verification import verify
 
 # Previously circulated reference rows for the canonical gate-table inputs
 # (moduli 7/11/13, R1={0,3,6}, R2={1,7,8,10}, R3={2,5,7,11}).  The four
@@ -86,6 +89,11 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _load_dense(path: str):
+    """A dense signal file (.csv, else binary) as a source on its own length."""
+    return from_dense(load_dense_csv(path) if path.endswith(".csv") else load_dense_binary(path))
+
+
 def _config_from_args(args) -> Config:
     cfg = load_config(args.config) if getattr(args, "config", None) else Config()
     updates = {}
@@ -124,11 +132,7 @@ def cmd_transform(args) -> int:
             grid = nominal  # sparse_fft answers with the certified fallback on this grid
         source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
     else:
-        if args.dense.endswith(".csv"):
-            samples = load_dense_csv(args.dense)
-        else:
-            samples = load_dense_binary(args.dense)
-        source = from_dense(samples)
+        source = _load_dense(args.dense)
 
     result = sparse_fft(source, args.k, cfg, args.seed)
     _write_output(json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", args.output)
@@ -186,6 +190,20 @@ def cmd_gate_table(args) -> int:
     return 0
 
 
+def _trials(args, experiment: str):
+    """(seed, generator) for each trial, drawn from the experiment's own stream."""
+    seeds = rng_stream(args.seed, experiment).integers(0, 2**63 - 1, size=args.trials)
+    return [(int(s), np.random.Generator(np.random.Philox(int(s)))) for s in seeds]
+
+
+def _draw_support(rng, k: int, n: int) -> list[int]:
+    """k distinct frequencies below n, ascending."""
+    support = set()
+    while len(support) < k:
+        support.add(int(rng.integers(0, n)))
+    return sorted(support)
+
+
 def _mc_gate_survivors(args, writer):
     triple = ModTriple.create(*_parse_int_list(args.moduli or "997,1009,1013"))
     stats = gate_survivor_stats(
@@ -210,16 +228,10 @@ def _mc_singleton_fraction(args, writer):
     m_min = min(triple.moduli)
     k = args.k or max(1, round(args.load * m_min))
     lam = k / m_min
-    master = rng_stream(args.seed, "singleton-fraction")
-    seeds = master.integers(0, 2**63 - 1, size=max(args.trials, 1))
     per_view = []
     across = []
-    for t in range(args.trials):
-        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
-        support = set()
-        while len(support) < k:
-            support.add(int(rng.integers(0, triple.M)))
-        freqs = np.array(sorted(support), dtype=np.int64)
+    for _, rng in _trials(args, "singleton-fraction"):
+        freqs = np.array(_draw_support(rng, k, triple.M), dtype=np.int64)
         isolated_any = np.zeros(k, dtype=bool)
         for m in triple.moduli:
             a = int(rng.integers(1, m))
@@ -233,8 +245,8 @@ def _mc_singleton_fraction(args, writer):
     writer.writerow(
         [
             "singleton-fraction", k, min(triple.moduli), repr(lam), args.trials,
-            repr(float(np.mean(per_view)) if per_view else 0.0),
-            repr(float(np.mean(across)) if across else 0.0),
+            repr(float(np.mean(per_view))),
+            repr(float(np.mean(across))),
             repr(math.exp(-lam)),
             repr(1 - (1 - math.exp(-lam)) ** 3),
         ]
@@ -245,106 +257,60 @@ def _mc_verify_miss(args, writer):
     cfg = Config(nominal_length=args.n or 10**6, t=1)
     plan = make_plan(cfg.nominal_length, args.k, 1, args.seed, cfg)
     m_v = plan.verify_views[0].m
-    master = rng_stream(args.seed, "verify-miss")
-    seeds = master.integers(0, 2**63 - 1, size=max(args.trials, 1))
     slips_one = 0
     slips_all = 0
-    for t in range(args.trials):
-        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
-        support = set()
-        while len(support) < args.k:
-            support.add(int(rng.integers(0, plan.N)))
-        freqs = sorted(support)
+    for _, rng in _trials(args, "verify-miss"):
+        freqs = _draw_support(rng, args.k, plan.N)
         coeffs = np.exp(2j * np.pi * rng.random(args.k))
         truth = SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), plan.M)
         # Parseval-neutral corruption: swap one frequency, keep its coefficient
         victim = int(rng.integers(0, args.k))
         while True:
             wrong = int(rng.integers(0, plan.N))
-            if wrong not in support:
+            if wrong not in freqs:
                 break
         corrupted_pairs = [
             ((wrong if i == victim else f), c) for i, (f, c) in enumerate(zip(freqs, coeffs))
         ]
         corrupted = SparseSpectrum.from_pairs(corrupted_pairs, plan.M)
-        source = synthesize(truth)
-        view_slips = []
-        for j, m in enumerate(plan.triple.moduli):
-            vp = ViewParams(
-                m=m,
-                sigma=int(rng.integers(1, plan.M)),
-                b=int(rng.integers(0, m)),
-                shift_count=3,
-            )
-            while math.gcd(vp.sigma, plan.M) != 1:
-                vp = ViewParams(
-                    m=m, sigma=int(rng.integers(1, plan.M)), b=vp.b, shift_count=3
-                )
-            built = build_view(source, vp, plan.M)
-            gap, p_ok, _ = parseval_check(built, corrupted, cfg.verify_eps_rel)
-            residual, r_ok = residual_check(built, corrupted, cfg.verify_eps_rel)
-            view_slips.append(p_ok and r_ok)
-        slips_one += bool(view_slips[0])
-        slips_all += all(view_slips)
-    trials = max(args.trials, 1)
+        views = tuple(
+            _draw_view_params(m, plan.M, rng, cfg.shift_count) for m in plan.triple.moduli
+        )
+        report = verify(synthesize(truth), plan, corrupted, cfg, view_params=views)
+        slips_one += report.views[0].passed
+        slips_all += report.overall
     writer.writerow(
         [
             "verify-miss", args.k, m_v, args.trials,
-            repr(slips_one / trials), repr(slips_all / trials),
+            repr(slips_one / args.trials), repr(slips_all / args.trials),
             repr(2 * args.k / m_v), repr((2 * args.k / m_v) ** 3),
         ]
     )
 
 
 def _mc_rehash(args, writer):
-    from .peeling import PeelState, PeelStatus, run_peeling
-    from .planner import rehash as rehash_plan
-    from .views import build_view_from_spectrum as predict
-
     triple = ModTriple.create(*_parse_int_list(args.moduli or "97,101,103"))
     m_min = min(triple.moduli)
     k = args.k or max(1, round(args.load * m_min))
-    cfg = Config(nominal_length=triple.M)
-    master = rng_stream(args.seed, "rehash")
-    seeds = master.integers(0, 2**63 - 1, size=max(args.trials, 1))
+    cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli, t=0, max_rehash=1)
     completed = 0
     needed_rehash = 0
-    for t in range(args.trials):
-        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
-        support = set()
-        while len(support) < k:
-            support.add(int(rng.integers(0, triple.M)))
+    for seed, rng in _trials(args, "rehash"):
+        freqs = _draw_support(rng, k, triple.M)
         coeffs = np.exp(2j * np.pi * rng.random(k))
-        truth = SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), triple.M)
-        plan = make_plan(
-            triple.M, k, 0, int(seeds[t]),
-            replace(cfg, moduli_override=triple.moduli),
+        truth = SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), triple.M)
+        result = sparse_fft(synthesize(truth), k, cfg, seed)
+        needed_rehash += result.certificate.payload["escalation"]["rehashes"] > 0
+        got = result.spectrum
+        completed += bool(
+            result.peel_status is PeelStatus.COMPLETE
+            and np.array_equal(got.frequencies(), truth.frequencies())
+            and np.allclose(got.coefficients(), truth.coefficients(), rtol=0, atol=1e-6)
         )
-        views = [predict(truth, vp, plan.M) for vp in plan.id_views]
-        state = PeelState.create(views, plan.M, cfg.noise_floor_rel)
-        outcome = run_peeling(state, plan, cfg)
-        if outcome.status is not PeelStatus.COMPLETE:
-            needed_rehash += 1
-            plan2 = rehash_plan(plan, int(seeds[t]), 1)
-            residual = SparseSpectrum.from_pairs(
-                [
-                    (f, c)
-                    for f, c in truth.as_dict().items()
-                    if f not in outcome.recovered.as_dict()
-                ],
-                triple.M,
-            )
-            views2 = [predict(residual, vp, plan2.M) for vp in plan2.id_views]
-            state2 = PeelState.create(views2, plan2.M, cfg.noise_floor_rel)
-            state2.recovered = dict(outcome.recovered.entries)
-            outcome = run_peeling(state2, plan2, cfg)
-        if outcome.status is PeelStatus.COMPLETE and outcome.recovered.entries == truth.entries:
-            completed += 1
-    trials = max(args.trials, 1)
     writer.writerow(
         [
             "rehash", k, m_min, args.trials,
-            repr(completed / trials), repr(needed_rehash / trials), repr(0.99),
+            repr(completed / args.trials), repr(needed_rehash / args.trials), repr(0.99),
         ]
     )
 
@@ -392,12 +358,10 @@ def cmd_montecarlo(args) -> int:
 def cmd_verify_cert(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         cert = Certificate.from_json(fh.read())
-    if args.signal.endswith(".csv"):
-        source = from_dense(load_dense_csv(args.signal), cert.payload["grid_length"])
-    elif args.signal.endswith(".json"):
+    if args.signal.endswith(".json"):
         source = synthesize(load_spectrum(args.signal))
     else:
-        source = from_dense(load_dense_binary(args.signal), cert.payload["grid_length"])
+        source = _load_dense(args.signal)
     violations = verify_certificate(cert, source)
     if violations:
         for v in violations:

@@ -16,9 +16,6 @@ from .errors import NotCoprimeError
 # float64 phase resolution long before arithmetic became an issue.
 _MAX_PRODUCT = 1 << 127
 
-# Witnesses proving primality for every n < 3.3e24 (covers 64-bit inputs).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
@@ -45,33 +42,6 @@ def mod_inverse(a: int, m: int) -> int:
     if g != 1:
         raise NotCoprimeError(f"{a} has no inverse mod {m} (gcd={g})")
     return x % m
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def garner2(r1: int, r2: int, m1: int, m2: int) -> int:

@@ -10,10 +10,10 @@ hash back onto its own bin is discarded, so masquerading multi-bins fail
 closed.
 
 Each round peels every accepted reading together, as FFAST's decoder does:
-the readings enter the ledger in order, then each view takes one vectorized
-subtraction of all of them, O(1) per reading and bin.  Rounds repeat until
-the views are empty (Complete), no view offers a singleton (TwoCore), or the
-round cap is hit (Stagnated).
+the readings enter the ledger in order, then each view subtracts their
+`alias_sum`, the alias model that verification predicts with, O(1) per
+reading and bin.  Rounds repeat until the views are empty (Complete), no
+view offers a singleton (TwoCore), or the round cap is hit (Stagnated).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .opcount import OpCounter
 from .planner import ModuliPlan
 from .planner import rehash as rehash  # re-exported: fresh hash params, same moduli
 from .signal import SparseSpectrum
-from .views import ViewSpectrum, build_view
+from .views import ViewSpectrum, alias_sum, build_view
 
 
 class PeelStatus(enum.Enum):
@@ -69,9 +69,6 @@ class PeelState:
     ) -> "PeelState":
         peak = max((float(v.magnitudes(0).max(initial=0.0)) for v in views), default=0.0)
         return cls(views=list(views), M=M, noise_floor=noise_floor_rel * peak, op=op)
-
-    def remaining_energy(self) -> float:
-        return sum(float(np.sum(np.abs(v.bins) ** 2)) for v in self.views)
 
     def max_bin_magnitude(self) -> float:
         return max(
@@ -151,15 +148,10 @@ def peel(state: PeelState, readings: list[SingletonReading]) -> PeelState:
         fs = np.array([r.f_hat for r in readings[:accepted]], dtype=np.int64)
         coeffs = np.array([r.coeff for r in readings[:accepted]], dtype=np.complex128)
         for view in state.views:
-            shifts = view.bins.shape[0]
-            steps = (fs[:, None] * np.arange(shifts, dtype=np.int64)) % state.M
-            tones = coeffs[:, None] * np.exp(2j * np.pi * steps / state.M)
-            targets = view.params.hash_frequency(fs)
-            # subtract.at applies repeated targets in reading order
-            for s in range(shifts):
-                np.subtract.at(view.bins[s], targets, tones[:, s])
+            # alias_sum adds readings that share a bin, so both are subtracted
+            view.bins -= alias_sum(fs, coeffs, view.params, state.M)
             if state.op is not None:
-                state.op.add("peel", 2 * shifts * accepted)
+                state.op.add("peel", 2 * view.bins.shape[0] * accepted)
     if conflict is not None:
         raise conflict
     return state

@@ -44,7 +44,7 @@ from .planner import (
     _draw_view_params,
 )
 from .signal import SignalSource, SparseSpectrum, from_dense
-from .verification import VerificationReport, residual_check, verify
+from .verification import VerificationReport, check_view, verify
 from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues
 
 
@@ -449,8 +449,8 @@ def verify_certificate(
     consistency, Garner replay of every recovered frequency (digits and
     reconstruction), range against the declared nominal length, amplitudes
     against the recorded threshold, gate-table membership when a gate trail
-    is present, and one fresh residual test of the recovered spectrum
-    against the signal.
+    is present, and one fresh two-part test (`check_view`) of the recovered
+    spectrum against the signal.
     """
     cfg = config or Config()
     violations: list[str] = []
@@ -531,8 +531,11 @@ def verify_certificate(
                 shift_count=verify_views[0]["shifts"],
             )
             if source.grid_length == plan_info["m"]:
-                built = build_view(source, vp, plan_info["m"])
-                residual, ok = residual_check(built, spectrum, cfg.verify_eps_rel)
-                if not ok:
-                    violations.append(f"fresh-residual-failed: {residual:.3e}")
+                check = check_view(
+                    build_view(source, vp, plan_info["m"]), spectrum, cfg.verify_eps_rel
+                )
+                if check.parseval_gap > check.epsilon:
+                    violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
+                if check.residual_energy > check.epsilon:
+                    violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
     return violations

@@ -9,7 +9,9 @@ shape and its values come back in that shape.  A synthesized source reads n
 arbitrary indices in O(k*n) arithmetic; a stack of R rows that are full
 cyclic progressions mod M with one common step (a view's shifts are such a
 stack) costs O(R*k + R*n log n), one scatter and one stacked inverse
-transform for all rows.
+transform for all rows.  Materializing the whole grid is the one-row,
+step-1 case of that read, O(k + M log M) for a synthesized source; a dense
+source copies its samples in bounded chunks.
 
 File formats (stable, see README): spectra as JSON; dense signals either as
 little-endian float64 (re, im) pairs behind an 8-byte length header, or as
@@ -140,6 +142,10 @@ class _SynthesizedSource(SignalSource):
             phases = np.exp(2j * np.pi * rem / self.grid_length)
             out[start : start + part.size] = self._coeffs @ phases
         return out.reshape(idx.shape)
+
+    def materialize(self) -> np.ndarray:
+        """All grid samples as one length-M inverse transform of the tones."""
+        return self._aliased_read(np.zeros(1, dtype=np.int64), 1, self.grid_length)[0]
 
     def _aliased_read(self, starts: np.ndarray, step: int, n: int) -> np.ndarray:
         """x[(starts[r] + j*step) mod M] for every row r and j < n, given

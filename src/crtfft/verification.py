@@ -1,20 +1,23 @@
 """Two-part verification of a candidate spectrum on independent views.
 
-Check 1 (energy): the raw time-domain energy of the view, divided by the
-view length, must match the energy the candidate predicts for that view's
-bins.  The prediction runs the candidate through the same alias-sum model
-the views use, so bins where several candidate tones collide are compared
-with their interference included; a candidate that misses signal energy
-fails regardless of hashing.
+Each verification view is built once from samples, the candidate's bins are
+predicted once through the same alias-sum model the views use
+(`build_view_from_spectrum`), and `check_view` runs both parts on them:
 
-Check 2 (residual): the freshly built view bins minus the candidate's
-predicted bins must be near zero over all bins and all shifts.  A missing
-tone leaves its full magnitude in one bin deterministically.  A swapped
-frequency of equal magnitude can hide in shift 0 only by landing in the
-colliding bin, and the shifted bins still expose it unless the phases agree,
-which pins the frequency modulo the grid itself.
+Part 1 (energy): the raw time-domain energy of the view, divided by the
+view length, must match the energy of the predicted shift-0 bins.  Bins
+where several candidate tones collide are compared with their interference
+included; a candidate that misses signal energy fails regardless of hashing.
 
-Both checks compare against epsilon = verify_eps_rel * max(E_time, 1).
+Part 2 (residual): the built bins minus the predicted bins must be near
+zero over all bins and all shifts.  A missing tone leaves its full
+magnitude in one bin deterministically.  A swapped frequency of equal
+magnitude can hide in shift 0 only by landing in the colliding bin, and the
+shifted bins still expose it unless the phases agree, which pins the
+frequency modulo the grid itself.
+
+Both parts compare against epsilon = verify_eps_rel * max(E_time, 1), with
+E_time the view's raw shift-0 energy.
 """
 
 from __future__ import annotations
@@ -64,45 +67,34 @@ class VerificationReport:
         }
 
 
-def parseval_check(
+def check_view(
     view: ViewSpectrum,
     candidate: SparseSpectrum,
     eps_rel: float = 1e-6,
     op: OpCounter | None = None,
-) -> tuple[float, bool, float]:
-    """Energy gap between a built view's raw samples and the candidate's prediction.
+) -> ViewCheck:
+    """Both parts of the test on one view built from samples.
 
-    Returns (gap, passed, e_time).  E_time is the view's `time_energy`, summed
-    over its stride-indexed raw shift-0 samples; nothing recovered enters the
-    left-hand side.
+    E_time is the view's `time_energy`, summed over its stride-indexed raw
+    shift-0 samples; nothing recovered enters it.
     """
     if view.time_energy is None:
-        raise ValueError("parseval_check needs a view built from samples")
-    e_time = view.time_energy
-    params = view.params
-    predicted = build_view_from_spectrum(candidate, params, view.M)
-    e_pred = float(np.sum(np.abs(predicted.bins[0]) ** 2))
+        raise ValueError("check_view needs a view built from samples")
+    m, k = view.params.m, len(candidate)
+    predicted = build_view_from_spectrum(candidate, view.params, view.M).bins
+    gap = abs(view.time_energy / m - float(np.sum(np.abs(predicted[0]) ** 2)))
+    residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
     if op is not None:
-        op.add("verify", params.m + len(candidate))
-    gap = abs(e_time / params.m - e_pred)
-    eps = eps_rel * max(e_time, 1.0)
-    return gap, gap <= eps, e_time
-
-
-def residual_check(
-    view: ViewSpectrum,
-    candidate: SparseSpectrum,
-    eps_rel: float = 1e-6,
-    op: OpCounter | None = None,
-) -> tuple[float, bool]:
-    """Bin-wise residual energy between a built view and the candidate."""
-    predicted = build_view_from_spectrum(candidate, view.params, view.M)
-    residual = float(np.sum(np.abs(view.bins - predicted.bins) ** 2))
-    e_time = view.params.m * float(np.sum(np.abs(view.bins[0]) ** 2))
-    if op is not None:
-        op.add("verify", view.bins.size + view.bins.shape[0] * len(candidate))
-    eps = eps_rel * max(e_time, 1.0)
-    return residual, residual <= eps
+        # energy part, then residual part
+        op.add("verify", m + k + view.bins.size + view.bins.shape[0] * k)
+    eps = eps_rel * max(view.time_energy, 1.0)
+    return ViewCheck(
+        modulus=m,
+        parseval_gap=gap,
+        residual_energy=residual,
+        epsilon=eps,
+        passed=gap <= eps and residual <= eps,
+    )
 
 
 def verify(
@@ -113,7 +105,7 @@ def verify(
     op: OpCounter | None = None,
     view_params: tuple[ViewParams, ...] | None = None,
 ) -> VerificationReport:
-    """Run both checks on every verification view and aggregate.
+    """Run `check_view` on every verification view and aggregate.
 
     With no verification views the report passes vacuously and is flagged
     unverified.
@@ -124,27 +116,18 @@ def verify(
         return VerificationReport(
             views=(), overall=True, epsilon_rel=cfg.verify_eps_rel, unverified=True
         )
-    checks = []
-    overall = True
-    for vp in params_list:
-        built = build_view(source, vp, plan.M, op, phase="verify")
-        gap, p_ok, e_time = parseval_check(built, candidate, cfg.verify_eps_rel, op)
-        residual, r_ok = residual_check(built, candidate, cfg.verify_eps_rel, op)
-        eps = cfg.verify_eps_rel * max(e_time, 1.0)
-        ok = p_ok and r_ok
-        overall = overall and ok
-        checks.append(
-            ViewCheck(
-                modulus=vp.m,
-                parseval_gap=gap,
-                residual_energy=residual,
-                epsilon=eps,
-                passed=ok,
-            )
+    checks = tuple(
+        check_view(
+            build_view(source, vp, plan.M, op, phase="verify"),
+            candidate,
+            cfg.verify_eps_rel,
+            op,
         )
+        for vp in params_list
+    )
     return VerificationReport(
-        views=tuple(checks),
-        overall=overall,
+        views=checks,
+        overall=all(c.passed for c in checks),
         epsilon_rel=cfg.verify_eps_rel,
         unverified=False,
     )

@@ -8,9 +8,10 @@ The resulting bin values are plain coefficient sums,
     value(r, s) = sum over f with (sigma*f + b) mod m == r of A_f e^{2pi i f s/M},
 
 which is the contract every consumer (peeling, gating, verification) is
-written against.  `build_view_from_spectrum` evaluates that sum directly
-from a known spectrum; it serves both as the independent oracle for the FFT
-path and as the bin predictor inside verification.
+written against.  `alias_sum` is the one evaluation of that sum from known
+tones: `build_view_from_spectrum` wraps it as the independent oracle for the
+FFT path and the bin predictor inside verification, and peeling subtracts
+it for every round's readings.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class ViewSpectrum:
 
     def magnitudes(self, shift: int = 0) -> np.ndarray:
         return np.abs(self.bins[shift])
-
-    def occupied_count(self, floor: float, shift: int = 0) -> int:
-        return int(np.count_nonzero(self.magnitudes(shift) > floor))
-
-    def energy(self, shift: int = 0) -> float:
-        return float(np.sum(self.magnitudes(shift) ** 2))
 
 
 @dataclass(frozen=True)
@@ -111,25 +106,28 @@ def build_view(
     return ViewSpectrum(params=params, M=M, bins=bins, time_energy=time_energy)
 
 
-def build_view_from_spectrum(
-    spectrum: SparseSpectrum, params: ViewParams, M: int
-) -> ViewSpectrum:
-    """Direct alias-sum evaluation of the view of a known spectrum.
+def alias_sum(
+    freqs: np.ndarray, coeffs: np.ndarray, params: ViewParams, M: int
+) -> np.ndarray:
+    """The (shift_count, m) bins that the tones (freqs, coeffs) put in a view.
 
-    Costs O(k) per shift.  Used as the oracle for the FFT path and as the
-    bin predictor for candidate spectra during verification and peeling.
+    One phase table for all tones and shifts and one scatter; tones that
+    hash to the same bin are summed.  Costs O(k) per shift.
     """
     if M % params.m != 0:
         raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
-    m = params.m
-    bins = np.zeros((params.shift_count, m), dtype=np.complex128)
-    if len(spectrum):
-        freqs = spectrum.frequencies()
-        coeffs = spectrum.coefficients()
-        target = params.hash_frequency(freqs)
-        for s in range(params.shift_count):
-            phases = np.exp(2j * np.pi * ((freqs * s) % M) / M)
-            np.add.at(bins[s], target, coeffs * phases)
+    shifts = np.arange(params.shift_count, dtype=np.int64)
+    phases = np.exp(2j * np.pi * ((shifts[:, None] * freqs[None, :]) % M) / M)
+    bins = np.zeros((params.shift_count, params.m), dtype=np.complex128)
+    np.add.at(bins, (slice(None), params.hash_frequency(freqs)), coeffs * phases)
+    return bins
+
+
+def build_view_from_spectrum(
+    spectrum: SparseSpectrum, params: ViewParams, M: int
+) -> ViewSpectrum:
+    """The view of a known spectrum, evaluated by `alias_sum` without samples."""
+    bins = alias_sum(spectrum.frequencies(), spectrum.coefficients(), params, M)
     return ViewSpectrum(params=params, M=M, bins=bins)
 
 
@@ -152,9 +150,3 @@ def extract_residues(
         residues=tuple((int(r), float(mag[r])) for r in top),
         capacity=alpha_k,
     )
-
-
-def view_energy(source: SignalSource, params: ViewParams, M: int) -> float:
-    """Shift-0 time-domain energy of the view, straight from raw samples."""
-    y = source.sample_block(_shift_indices(params, M, 0))
-    return float(np.sum(np.abs(y) ** 2))

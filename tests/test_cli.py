@@ -3,9 +3,16 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from crtfft.cli import main
-from crtfft.signal import SparseSpectrum, save_dense_binary, save_spectrum, synthesize
+from crtfft.signal import (
+    SparseSpectrum,
+    save_dense_binary,
+    save_dense_csv,
+    save_spectrum,
+    synthesize,
+)
 from conftest import random_spectrum, spectra_close
 
 
@@ -70,12 +77,23 @@ def test_gate_table_diff_published(capsys):
     assert corrected == {("3", "1"), ("3", "7"), ("3", "8"), ("3", "10")}
 
 
-def test_montecarlo_is_deterministic(capsys):
-    argv = ("montecarlo", "--experiment", "singleton-fraction", "--trials", "3", "--seed", "5")
+@pytest.mark.parametrize(
+    "experiment", ["gate-survivors", "singleton-fraction", "verify-miss", "rehash"]
+)
+def test_montecarlo_is_deterministic(capsys, experiment):
+    argv = ("montecarlo", "--experiment", experiment, "--trials", "3", "--seed", "5")
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    rows = list(csv.reader(io.StringIO(first)))
-    assert rows[0][0] == "experiment" and rows[1][0] == "singleton-fraction"
+    rows = list(csv.DictReader(io.StringIO(first)))
+    assert len(rows) == 1 and rows[0]["experiment"] == experiment
+    row = rows[0]
+    for name, value in row.items():
+        if name.endswith("_rate"):
+            assert 0.0 <= float(value) <= 1.0, name
+    if experiment == "verify-miss":
+        assert float(row["three_view_slip_rate"]) <= float(row["one_view_slip_rate"])
+    if experiment == "rehash":
+        assert float(row["completion_rate"]) == 1.0
     assert run(capsys, *argv)[1] == first
 
 
@@ -97,6 +115,29 @@ def test_verify_cert_replays_transform_certificate(capsys, tmp_path):
         capsys, "verify-cert", "--certificate", str(cert_path), "--signal", str(signal)
     )
     assert code == 0 and out == "certificate valid\n"
+
+
+@pytest.mark.parametrize("n, save", [(50, save_dense_csv), (80, save_dense_binary)])
+def test_verify_cert_dense_file_of_another_length(capsys, tmp_path, n, save):
+    # the certificate is for a 64-sample buffer; a shorter or longer file is
+    # read on its own length and flagged, never padded to the certificate's grid
+    x = np.exp(2j * np.pi * 5 * np.arange(64) / 64)
+    dense = tmp_path / "dense.bin"
+    save_dense_binary(x, dense)
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(
+        capsys, "transform", "--dense", str(dense), "-k", "1", "--output", str(result_path)
+    )
+    assert code == 2
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(result_path.read_text())["certificate"]))
+    signal = tmp_path / ("other.csv" if save is save_dense_csv else "other.bin")
+    save(np.ones(n), signal)
+    code, out, _ = run(
+        capsys, "verify-cert", "--certificate", str(cert_path), "--signal", str(signal)
+    )
+    assert code == 1
+    assert out == f"signal-grid-mismatch: signal grid {n} != certificate grid 64\n"
 
 
 def test_typed_error_exits_one_with_message(capsys, tmp_path):

@@ -13,7 +13,6 @@ from crtfft.numtheory import (
     garner2,
     garner3,
     garner3_parts,
-    is_prime,
     mod_inverse,
 )
 
@@ -70,31 +69,6 @@ class TestModInverse:
             for a in range(1, m):
                 if math.gcd(a, m) == 1:
                     assert (a * mod_inverse(a, m)) % m == 1
-
-
-class TestIsPrime:
-    def test_example_values(self):
-        assert is_prime(1009)
-        assert not is_prime(1003)  # 17 * 59
-        assert is_prime(2)
-
-    def test_against_trial_division_to_1e6(self):
-        # sieve as the independent oracle
-        n = 10**6
-        sieve = bytearray([1]) * (n + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, int(n**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        for v in range(0, n + 1, 997):
-            assert is_prime(v) == bool(sieve[v])
-        for v in list(range(2, 2000)) + [999983, 999979, 999961]:
-            assert is_prime(v) == bool(sieve[v])
-
-    def test_64bit_carmichael_style_composites(self):
-        # strong-pseudoprime traps for small witness sets
-        for n in (3215031751, 3474749660383, 341550071728321):
-            assert not is_prime(n)
 
 
 class TestGarner2:

@@ -290,6 +290,20 @@ class TestCertificates:
         violations = verify_certificate(cert, src)
         assert violations  # residue replay and fresh residual both break
 
+    def test_fresh_replay_runs_both_parts(self, rng):
+        result, src = self.make_fast_result(rng)
+        cert = result.certificate
+        (f0, c0), *rest = src.spectrum.entries
+        # a missing tone costs energy and leaves a residual: both parts fail
+        short = synthesize(SparseSpectrum.from_pairs(rest, 1001))
+        kinds = [v.split(":")[0] for v in verify_certificate(cert, short)]
+        assert kinds == ["fresh-parseval-failed", "fresh-residual-failed"]
+        # the same tone with a rotated phase keeps every bin's energy: only
+        # the residual part fails
+        turned = synthesize(SparseSpectrum.from_pairs([(f0, -c0)] + rest, 1001))
+        kinds = [v.split(":")[0] for v in verify_certificate(cert, turned)]
+        assert kinds == ["fresh-residual-failed"]
+
     def test_amplitude_below_threshold_detected(self, rng):
         result, src = self.make_fast_result(rng)
         payload = json.loads(result.certificate.to_json())

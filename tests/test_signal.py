@@ -96,6 +96,18 @@ class TestSynthesize:
         total = np.sum(np.abs(src.materialize()) ** 2)
         assert abs(total - 1001 * spec.energy()) <= 1e-9 * total
 
+    def test_materialize_matches_index_reads(self, rng):
+        # one length-M inverse transform equals reading every index
+        M = 1001
+        spec = random_spectrum(rng, 6, M)
+        src = synthesize(spec)
+        order = rng.permutation(M)  # not a progression: the O(k) per-sample read
+        want = np.empty(M, dtype=np.complex128)
+        want[order] = src.sample_block(order)
+        tol = 1e-12 * np.abs(spec.coefficients()).sum()
+        assert np.abs(src.materialize() - want).max() <= tol
+        assert (synthesize(SparseSpectrum.from_pairs([], M)).materialize() == 0).all()
+
     def test_grid_above_supported_maximum_is_typed(self):
         M = make_plan(2**22, 64).M  # about 1.1e10, past exact int64 index products
         with pytest.raises(OracleCapExceededError):

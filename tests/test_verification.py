@@ -4,7 +4,7 @@ import pytest
 from crtfft.config import Config, replace
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import SparseSpectrum, synthesize
-from crtfft.verification import parseval_check, residual_check, verify
+from crtfft.verification import check_view, verify
 from crtfft.views import build_view, build_view_from_spectrum
 from conftest import random_spectrum
 
@@ -25,13 +25,18 @@ def collision_free_instance(rng, k, plan):
 
 
 class TestParsevalCheck:
+    """The energy part of check_view: parseval_gap against epsilon."""
+
     def test_true_candidate_collision_free(self, rng):
         plan = make_plan(2**14, 5, 3, seed=8)
         spec = collision_free_instance(rng, 5, plan)
         src = synthesize(spec)
         for vp in plan.verify_views:
-            gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), spec)
-            assert ok and gap <= 1e-9 * max(e_time, 1)
+            view = build_view(src, vp, plan.M)
+            e_time = view.time_energy
+            check = check_view(view, spec)
+            assert check.passed and check.parseval_gap <= 1e-9 * max(e_time, 1)
+            assert check.epsilon == 1e-6 * max(e_time, 1)
             # collision-free: predicted view energy equals plain energy
             assert abs(e_time / vp.m - spec.energy()) <= 1e-9 * max(e_time, 1)
 
@@ -46,9 +51,9 @@ class TestParsevalCheck:
         short = SparseSpectrum.from_pairs(entries[1:], plan.M)
         src = synthesize(spec)
         vp = plan.verify_views[0]
-        gap, ok, _ = parseval_check(build_view(src, vp, plan.M), short)
-        assert not ok
-        assert gap >= 1 - 1e-6
+        check = check_view(build_view(src, vp, plan.M), short)
+        assert check.parseval_gap > check.epsilon and not check.passed
+        assert check.parseval_gap >= 1 - 1e-6
 
     def test_empty_candidate_gap_is_signal_energy(self, rng):
         plan = make_plan(2**14, 3, 1, seed=9)
@@ -56,9 +61,11 @@ class TestParsevalCheck:
         src = synthesize(spec)
         vp = plan.verify_views[0]
         empty = SparseSpectrum.from_pairs([], plan.M)
-        gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), empty)
-        assert not ok
-        assert abs(gap - e_time / vp.m) < 1e-9 * max(e_time, 1)
+        view = build_view(src, vp, plan.M)
+        check = check_view(view, empty)
+        assert check.parseval_gap > check.epsilon
+        e_time = view.time_energy
+        assert abs(check.parseval_gap - e_time / vp.m) < 1e-9 * max(e_time, 1)
 
     def test_true_candidate_with_collisions_still_passes(self):
         # two tones forced into the same verification bin: the prediction
@@ -70,19 +77,28 @@ class TestParsevalCheck:
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (f2, 1.0)], plan.M)
         assert int(vp.hash_frequency(f1)) == int(vp.hash_frequency(f2))
         src = synthesize(spec)
-        gap, ok, e_time = parseval_check(build_view(src, vp, plan.M), spec)
-        assert ok, f"gap {gap} vs eps {1e-6 * e_time}"
+        check = check_view(build_view(src, vp, plan.M), spec)
+        assert check.parseval_gap <= check.epsilon, check
+
+    def test_predicted_view_is_refused(self):
+        plan = make_plan(2**14, 2, 1, seed=11)
+        spec = SparseSpectrum.from_pairs([(5, 1.0)], plan.M)
+        predicted = build_view_from_spectrum(spec, plan.verify_views[0], plan.M)
+        with pytest.raises(ValueError):
+            check_view(predicted, spec)
 
 
 class TestResidualCheck:
+    """The residual part of check_view: residual_energy against epsilon."""
+
     def test_correct_candidate(self, rng):
         plan = make_plan(2**14, 4, 2, seed=10)
         spec = random_spectrum(rng, 4, plan.M, fmax=plan.N)
         src = synthesize(spec)
         for vp in plan.verify_views:
-            view = build_view(src, vp, plan.M)
-            residual, ok = residual_check(view, spec)
-            assert ok and residual < 1e-12 * max(spec.energy(), 1)
+            check = check_view(build_view(src, vp, plan.M), spec)
+            assert check.residual_energy <= check.epsilon
+            assert check.residual_energy < 1e-12 * max(spec.energy(), 1)
 
     def test_swapped_frequency_detected_without_bin_collision(self, rng):
         plan = make_plan(2**14, 4, 1, seed=10)
@@ -95,11 +111,10 @@ class TestResidualCheck:
         if wrong in dict(entries):
             wrong = (f0 + 2) % plan.N
         corrupted = SparseSpectrum.from_pairs([(wrong, c0)] + entries[1:], plan.M)
-        view = build_view(src, vp, plan.M)
-        residual, ok = residual_check(view, corrupted)
+        check = check_view(build_view(src, vp, plan.M), corrupted)
         if int(vp.hash_frequency(f0)) != int(vp.hash_frequency(wrong)):
-            assert not ok
-            assert residual >= (1 - 1e-6) * abs(c0) ** 2
+            assert check.residual_energy > check.epsilon and not check.passed
+            assert check.residual_energy >= (1 - 1e-6) * abs(c0) ** 2
 
     def test_same_bin_swap_caught_by_shifted_phases(self):
         # equal-magnitude swap inside one bin: shift 0 cancels exactly, the
@@ -111,16 +126,17 @@ class TestResidualCheck:
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (1, 0.5)], plan.M)
         corrupted = SparseSpectrum.from_pairs([(f2, 1.0), (1, 0.5)], plan.M)
         src = synthesize(spec)
-        view = build_view(src, vp, plan.M)
-        residual, ok = residual_check(view, corrupted)
-        assert not ok
+        check = check_view(build_view(src, vp, plan.M), corrupted)
+        # the energy part cannot see the swap; the residual part alone fails it
+        assert check.parseval_gap <= check.epsilon
+        assert check.residual_energy > check.epsilon and not check.passed
         # exact value: the difference tones share a bin, so the residual is
         # the squared phase mismatch summed over the nonzero shifts
         want = sum(
             abs(np.exp(2j * np.pi * f1 * s / plan.M) - np.exp(2j * np.pi * f2 * s / plan.M)) ** 2
             for s in (1, 2)
         )
-        assert residual == pytest.approx(want, rel=1e-9)
+        assert check.residual_energy == pytest.approx(want, rel=1e-9)
 
 
 class TestVerify:
