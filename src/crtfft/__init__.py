@@ -40,10 +40,7 @@ from .signal import (
 )
 from .planner import (
     ModuliPlan,
-    Regime,
-    RegimeParams,
     ViewParams,
-    classify_regime,
     make_plan,
     validate_plan,
 )

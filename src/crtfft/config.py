@@ -1,14 +1,17 @@
 """Runtime configuration.
 
-All tunables live in one frozen dataclass so that a (source, k, config, seed)
-quadruple pins the entire run.  `load_config` reads a JSON object with the
-same key names; unknown keys are rejected rather than ignored.
+Every setting a caller can change lives in one frozen dataclass, so that a
+(source, k, config, seed) quadruple pins the entire run; the fixed numerical
+tolerances are constants of the modules that use them.  Every float field
+must be finite.  `load_config` reads a JSON object with the same key names;
+unknown keys are rejected rather than ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -21,35 +24,33 @@ class Config:
     lambda_threshold: float = 0.1       # max load factor k/m for peeling
     t: int = 3                          # verification view count
     shift_count: int = 3                # time shifts per view (2 or 3)
-    rho_sparse: float = 0.3             # sparsity-ratio boundary sparse/moderate
-    rho_dense: float = 0.5              # sparsity-ratio boundary moderate/dense
+    rho_dense: float = 0.5              # k/sqrt(N) at or above this: no fast-path plan
     moduli_override: tuple[int, ...] | None = None
     identity_hash: bool = False         # force sigma=1, b=0 in every view
     nominal_length: int | None = None   # planning length when it differs from the grid
 
-    # numerical tolerances
-    singleton_tol: float = 1e-6         # relative magnitude/ratio agreement for singletons
-    noise_floor_rel: float = 1e-9       # occupied-bin floor, relative to max bin magnitude
+    # verification
     verify_eps_rel: float = 1e-6        # verification tolerance, relative to view energy
-    amplitude_threshold_rel: float = 1e-6  # certificate amplitude floor, relative to max
 
     # control
-    round_cap_c: float = 4.0            # peeling round cap = ceil(c * log2(k+2))
-    max_rehash: int = 2
-    max_extra_verify_views: int = 2
+    max_rehash: int = 2                 # fresh identification hashes before falling back
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     gate_trail: bool = False            # record the explicit gate table in certificates
     force_fallback: bool = False        # skip the fast path entirely
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
         if not self.lambda_threshold > 0:
             raise ValueError(f"lambda_threshold must be > 0, got {self.lambda_threshold}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if not (0 < self.rho_sparse <= self.rho_dense):
-            raise ValueError("regime thresholds must satisfy 0 < sparse <= dense")
+        if not self.rho_dense > 0:
+            raise ValueError(f"rho_dense must be > 0, got {self.rho_dense}")
 
 
 def _is_int(value) -> bool:

@@ -24,13 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
 from .errors import DuplicateConflictError
 from .opcount import OpCounter
 from .planner import ModuliPlan
 from .planner import rehash as rehash  # re-exported: fresh hash params, same moduli
 from .signal import SparseSpectrum
-from .views import ViewSpectrum, alias_sum, build_view
+from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_sum, build_view
+
+# Relative agreement a singleton's shift magnitudes and phase ratios must meet.
+SINGLETON_TOL = 1e-6
+# Peeling stops as stagnated after ceil(ROUND_CAP_C * log2(k + 2)) rounds.
+ROUND_CAP_C = 4.0
 
 
 class PeelStatus(enum.Enum):
@@ -61,14 +65,10 @@ class PeelState:
 
     @classmethod
     def create(
-        cls,
-        views: list[ViewSpectrum],
-        M: int,
-        noise_floor_rel: float = 1e-9,
-        op: OpCounter | None = None,
+        cls, views: list[ViewSpectrum], M: int, op: OpCounter | None = None
     ) -> "PeelState":
         peak = max((float(v.magnitudes(0).max(initial=0.0)) for v in views), default=0.0)
-        return cls(views=list(views), M=M, noise_floor=noise_floor_rel * peak, op=op)
+        return cls(views=list(views), M=M, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
     def max_bin_magnitude(self) -> float:
         return max(
@@ -76,7 +76,7 @@ class PeelState:
         )
 
 
-def detect_singletons(state: PeelState, tol: float = 1e-6) -> list[SingletonReading]:
+def detect_singletons(state: PeelState) -> list[SingletonReading]:
     """All bins currently passing the singleton tests, in (view, bin) order."""
     readings: list[SingletonReading] = []
     M = state.M
@@ -96,7 +96,7 @@ def detect_singletons(state: PeelState, tol: float = 1e-6) -> list[SingletonRead
         for s in range(1, shifts):
             dev = np.abs(np.abs(bins[s][cand]) - mag0[cand]) / mag0[cand]
             err = np.maximum(err, dev)
-        ok &= err <= tol
+        ok &= err <= SINGLETON_TOL
         # (b) frequency from the adjacent-shift phase ratio
         ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
         f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
@@ -108,7 +108,7 @@ def detect_singletons(state: PeelState, tol: float = 1e-6) -> list[SingletonRead
             ratio2 = y2 / np.where(y1 == 0, 1, y1)
             dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
             err = np.maximum(err, dev2)
-            ok &= dev2 <= tol
+            ok &= dev2 <= SINGLETON_TOL
         for idx in np.flatnonzero(ok):
             readings.append(
                 SingletonReading(
@@ -178,10 +178,9 @@ def _dedupe(readings: list[SingletonReading]) -> list[SingletonReading]:
     return [best[f] for f in sorted(best)]
 
 
-def run_peeling(state: PeelState, plan: ModuliPlan, config: Config | None = None) -> PeelOutcome:
+def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
     """Detect-and-peel rounds until done, stuck, or over the round cap."""
-    cfg = config or Config()
-    cap = max(1, math.ceil(cfg.round_cap_c * math.log2(plan.k + 2)))
+    cap = max(1, math.ceil(ROUND_CAP_C * math.log2(plan.k + 2)))
     status = None
     while True:
         if state.max_bin_magnitude() <= state.noise_floor:
@@ -190,7 +189,7 @@ def run_peeling(state: PeelState, plan: ModuliPlan, config: Config | None = None
         if state.round >= cap:
             status = PeelStatus.STAGNATED
             break
-        readings = _dedupe(detect_singletons(state, cfg.singleton_tol))
+        readings = _dedupe(detect_singletons(state))
         if not readings:
             status = PeelStatus.TWO_CORE
             break

@@ -4,9 +4,11 @@ A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
 candidate.  Any failure (grid mismatch, dense regime, a stuck residual
-after the rehash budget, too many candidates, or a failed verification even
-after extra views are appended) routes to the dense fallback, which
-materializes the grid, transforms it, and returns the top-k bins exactly.
+after the rehash budget, too many candidates, or a failed verification)
+routes to the dense fallback, which materializes the grid, transforms it,
+and returns the top-k bins exactly.  A failed verification is final: a
+verdict is a pure function of the source, the view parameters and the
+candidate, so checking the same views again cannot change it.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, the residue sets, each reconstruction, and the
 verification outcomes against nothing but the certificate and the signal.
@@ -30,22 +32,18 @@ from .errors import (
     ParseError,
 )
 from .gating import gate_pairs
-from .numtheory import ModTriple, garner3_parts
+from .numtheory import ModTriple, garner2, garner3_parts
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
-from .planner import (
-    ModuliPlan,
-    Regime,
-    ViewParams,
-    make_plan,
-    rehash,
-    rng_stream,
-    _draw_view_params,
-)
+from .planner import ModuliPlan, ViewParams, make_plan, rehash
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
 from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues
+
+
+# The certificate's amplitude floor, relative to the largest recovered amplitude.
+AMPLITUDE_THRESHOLD_REL = 1e-6
 
 
 class RecoveryPath(enum.Enum):
@@ -239,7 +237,6 @@ def sparse_fft(
     residue_sets: list[ResidueSet] = []
     recovered: dict[int, complex] = {}
     rehashes = 0
-    extra_views_used = 0
     candidate = None
 
     if cfg.force_fallback:
@@ -258,9 +255,9 @@ def sparse_fft(
         views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
         alpha_k = max(1, int(round(cfg.alpha * max(k, 1))))
         residue_sets = [extract_residues(v, alpha_k) for v in views]
-        state = PeelState.create(views, plan.M, cfg.noise_floor_rel, op)
+        state = PeelState.create(views, plan.M, op)
         base_floor = state.noise_floor
-        outcome = run_peeling(state, plan, cfg)
+        outcome = run_peeling(state, plan)
         while outcome.status is not PeelStatus.COMPLETE and rehashes < cfg.max_rehash:
             rehashes += 1
             plan = rehash(plan, seed, rehashes)
@@ -270,14 +267,13 @@ def sparse_fft(
             )
             views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
             _subtract_spectrum(views, partial)
-            if op is not None:
-                op.add("rehash", 3 * len(partial))
-            state = PeelState.create(views, plan.M, cfg.noise_floor_rel, op)
+            op.add("rehash", 3 * len(partial))
+            state = PeelState.create(views, plan.M, op)
             # keep the original signal scale: a residual that is pure roundoff
             # must read as empty, not as new occupied bins
             state.noise_floor = max(state.noise_floor, base_floor)
             state.recovered = dict(partial.entries)
-            outcome = run_peeling(state, plan, cfg)
+            outcome = run_peeling(state, plan)
         peel_status = outcome.status
         recovered = dict(outcome.recovered.entries)
 
@@ -290,20 +286,6 @@ def sparse_fft(
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
             report = verify(source, plan, candidate, cfg, op)
-            if not report.overall and cfg.max_extra_verify_views > 0:
-                extra = tuple(
-                    _draw_view_params(
-                        plan.triple.moduli[j % 3],
-                        plan.M,
-                        rng_stream(seed, f"verify-extra-{j}"),
-                        cfg.shift_count,
-                    )
-                    for j in range(cfg.max_extra_verify_views)
-                )
-                extra_views_used = len(extra)
-                report = verify(
-                    source, plan, candidate, cfg, op, view_params=plan.verify_views + extra
-                )
             if not report.overall:
                 fallback_reason = "verification-failed"
 
@@ -324,7 +306,6 @@ def sparse_fft(
         path=path,
         fallback_reason=fallback_reason,
         rehashes=rehashes,
-        extra_views=extra_views_used,
         declared_n=cfg.nominal_length,
         k=k,
     )
@@ -361,7 +342,6 @@ def build_certificate(
     path: RecoveryPath,
     fallback_reason: str | None,
     rehashes: int,
-    extra_views: int,
     declared_n: int | None,
     k: int,
 ) -> Certificate:
@@ -369,17 +349,19 @@ def build_certificate(
 
     Every recovered frequency carries its residues and Garner digits so the
     reconstruction can be replayed; the gate table is included only when
-    configured, since the fast path does not enumerate pairs.
+    configured, since the fast path does not enumerate pairs.  The escalation
+    record keeps `extra_verify_views` for readers of the format; no run
+    draws extra verification views, so it is always 0.
     """
     amplitudes = [abs(c) for _, c in spectrum.entries]
-    tau = config.amplitude_threshold_rel * max(amplitudes, default=0.0)
+    tau = AMPLITUDE_THRESHOLD_REL * max(amplitudes, default=0.0)
     payload: dict = {
         "format": "crtfft-certificate/1",
         "k": k,
         "seed": seed,
         "path": path.value,
         "fallback_reason": fallback_reason,
-        "escalation": {"rehashes": rehashes, "extra_verify_views": extra_views},
+        "escalation": {"rehashes": rehashes, "extra_verify_views": 0},
         "amplitude_threshold": tau,
         "declared_n": declared_n,
         "grid_length": spectrum.grid_length,
@@ -397,8 +379,7 @@ def build_certificate(
             "moduli": list(plan.triple.moduli),
             "gamma12": plan.triple.gamma12,
             "gamma23": plan.triple.gamma23,
-            "regime": plan.regime.regime.value,
-            "alpha": plan.regime.alpha,
+            "alpha": config.alpha,
             "id_views": [_view_dict(v) for v in plan.id_views],
             "verify_views": [_view_dict(v) for v in plan.verify_views],
         }
@@ -511,8 +492,6 @@ def verify_certificate(
                 ViewParams(m=v["m"], sigma=v["sigma"], b=v["b"], shift_count=v["shifts"])
                 for v in plan_info["id_views"]
             )
-            from .numtheory import garner2
-
             for r1, r2, f12, r3_hat, passed in p["gated_pairs"]:
                 if garner2(r1, r2, triple.m1, triple.m2) != f12:
                     violations.append(f"gate-crt-mismatch: pair ({r1}, {r2})")

@@ -22,7 +22,6 @@ residual test.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import hashlib
 import itertools
@@ -36,20 +35,6 @@ from .config import Config
 from .errors import DenseRegimeError
 from .numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
 from .signal import _MAX_GRID
-
-
-class Regime(enum.Enum):
-    SPARSE = "sparse"
-    MODERATE = "moderate"
-    DENSE = "dense"
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    rho: float
-    regime: Regime
-    alpha: float
-    lambda_threshold: float
 
 
 @dataclass(frozen=True)
@@ -88,8 +73,6 @@ class ModuliPlan:
     M: int
     N: int
     k: int
-    regime: RegimeParams
-    rng_seed: int
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -98,25 +81,6 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def classify_regime(N: int, k: int, config: Config | None = None) -> RegimeParams:
-    """Regime from the sparsity ratio rho = k/sqrt(N)."""
-    if N < 4:
-        raise ValueError(f"N must be >= 4, got {N}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    cfg = config or Config()
-    rho = k / math.sqrt(N)
-    if rho < cfg.rho_sparse:
-        regime = Regime.SPARSE
-    elif rho < cfg.rho_dense:
-        regime = Regime.MODERATE
-    else:
-        regime = Regime.DENSE
-    return RegimeParams(
-        rho=rho, regime=regime, alpha=cfg.alpha, lambda_threshold=cfg.lambda_threshold
-    )
 
 
 def _draw_view_params(m: int, M: int, rng: np.random.Generator, shifts: int) -> ViewParams:
@@ -268,14 +232,19 @@ def make_plan(
     moduli's product at or above N, the per-bin load within the peeling
     threshold and M within the int64 grid ceiling where possible.  Explicit
     moduli can be pinned through config.moduli_override (they are validated
-    for pairwise coprimality only).
+    for pairwise coprimality only).  A sparsity ratio k/sqrt(N) at or above
+    config.rho_dense has no fast-path plan and raises DenseRegimeError.
     """
+    if N < 4:
+        raise ValueError(f"N must be >= 4, got {N}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     cfg = config or Config()
     t = cfg.t if t is None else t
-    regime = classify_regime(N, k, cfg)
-    if regime.regime is Regime.DENSE:
+    rho = k / math.sqrt(N)
+    if rho >= cfg.rho_dense:
         raise DenseRegimeError(
-            f"rho = {regime.rho:.3f} >= {cfg.rho_dense}: no fast-path plan; use the dense transform"
+            f"rho = {rho:.3f} >= {cfg.rho_dense}: no fast-path plan; use the dense transform"
         )
 
     if cfg.moduli_override is not None:
@@ -314,8 +283,6 @@ def make_plan(
         M=triple.M,
         N=N,
         k=k,
-        regime=regime,
-        rng_seed=int(seed),
     )
 
 

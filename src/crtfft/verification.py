@@ -107,7 +107,11 @@ def verify(
 ) -> VerificationReport:
     """Run `check_view` on every verification view and aggregate.
 
-    With no verification views the report passes vacuously and is flagged
+    The verdict is a pure function of the source, the view parameters and
+    the candidate: every view is rebuilt from the same samples, so a second
+    call on the same inputs returns an equal report.  That is why a failed
+    verification is final and why certificate replay can recheck it.  With
+    no verification views the report passes vacuously and is flagged
     unverified.
     """
     cfg = config or Config()

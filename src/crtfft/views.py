@@ -26,6 +26,10 @@ from .opcount import OpCounter
 from .planner import ViewParams
 from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
+# A bin is occupied when its shift-0 magnitude exceeds this fraction of the
+# largest one: within its view for residue sets, across all views for peeling.
+NOISE_FLOOR_REL = 1e-9
+
 
 @dataclass
 class ViewSpectrum:
@@ -131,17 +135,12 @@ def build_view_from_spectrum(
     return ViewSpectrum(params=params, M=M, bins=bins)
 
 
-def extract_residues(
-    view: ViewSpectrum, alpha_k: int, noise_floor: float | None = None
-) -> ResidueSet:
-    """Top-alpha_k occupied bins by shift-0 magnitude; ties break upward."""
+def extract_residues(view: ViewSpectrum, alpha_k: int) -> ResidueSet:
+    """Top-alpha_k bins above the noise floor by shift-0 magnitude; ties break upward."""
     if alpha_k < 1:
         raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
     mag = view.magnitudes(0)
-    if noise_floor is None:
-        peak = float(mag.max()) if mag.size else 0.0
-        noise_floor = 1e-9 * peak
-    occupied = np.flatnonzero(mag > noise_floor)
+    occupied = np.flatnonzero(mag > NOISE_FLOOR_REL * float(mag.max(initial=0.0)))
     if occupied.size == 0:
         return ResidueSet(residues=(), capacity=alpha_k)
     order = occupied[np.lexsort((occupied, -mag[occupied]))]

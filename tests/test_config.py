@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ VALID = {
     "moduli_override": [7, 11, 13],
     "identity_hash": True,
     "nominal_length": 1001,
-    "singleton_tol": 1e-6,
+    "verify_eps_rel": 1e-6,
     "dense_budget": 1 << 20,
     "gate_trail": False,
 }
@@ -31,7 +34,7 @@ def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
     assert cfg.identity_hash is True and cfg.nominal_length == 1001
-    assert cfg.round_cap_c == Config().round_cap_c
+    assert cfg.lambda_threshold == Config().lambda_threshold
 
 
 @pytest.mark.parametrize(
@@ -47,10 +50,23 @@ def test_valid_file_loads(tmp_path):
         {"shift_count": 4},
         {"lambda_threshold": 0},
         {"oracle_cap": 10},
+        {"rho_sparse": 0.3},
+        {"singleton_tol": 1e-6},
+        {"noise_floor_rel": 1e-9},
+        {"round_cap_c": 4.0},
+        {"amplitude_threshold_rel": 1e-6},
+        {"max_extra_verify_views": 2},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"verify_eps_rel": float("nan")},
+        {"rho_dense": float("inf")},
     ],
     ids=["scalar-moduli", "string-modulus", "fractional-modulus", "string-t", "null-alpha",
          "integer-flag", "fractional-length", "bad-shift-count", "zero-load-threshold",
-         "unknown-key"],
+         "unknown-key", "unknown-key-rho_sparse", "unknown-key-singleton_tol",
+         "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
+         "unknown-key-amplitude_threshold_rel", "unknown-key-max_extra_verify_views",
+         "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense"],
 )
 def test_malformed_value_is_parse_error(tmp_path, change):
     with pytest.raises(ParseError):
@@ -68,3 +84,19 @@ def test_mutated_file_loads_or_is_typed_error(tmp_path_factory, data):
     except CrtFftError:
         return
     assert isinstance(cfg, Config)
+
+
+def test_every_field_is_read():
+    """Each Config field is read as cfg.<name> or config.<name> outside config.py."""
+    package = Path(__file__).resolve().parent.parent / "src" / "crtfft"
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name != "config.py"
+    )
+    unread = [
+        f.name
+        for f in dataclasses.fields(Config)
+        if not re.search(rf"\b(cfg|config)\.{f.name}\b", text)
+    ]
+    assert unread == []

@@ -7,6 +7,7 @@ from crtfft.config import Config, replace
 from crtfft.numtheory import ModTriple
 from crtfft.errors import DuplicateConflictError
 from crtfft.peeling import (
+    ROUND_CAP_C,
     PeelState,
     PeelStatus,
     SingletonReading,
@@ -205,9 +206,8 @@ class TestRunPeeling:
         # still-unrecovered residual, against direct evaluation
         spec = random_spectrum(rng, 5, 1001)
         plan, state = toy_state(spec, t=0)
-        cfg = Config()
         for _ in range(6):
-            readings = detect_singletons(state, cfg.singleton_tol)
+            readings = detect_singletons(state)
             if not readings:
                 break
             peel(state, [readings[0]])
@@ -229,7 +229,7 @@ class TestRoundBound:
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         out = run_peeling(PeelState.create(views, plan.M), plan)
-        cap = math.ceil(4 * math.log2(8 + 2))
+        cap = math.ceil(ROUND_CAP_C * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
 from crtfft.errors import OracleCapExceededError, ParseError
+from crtfft.opcount import OpCounter
 from crtfft.peeling import PeelStatus
 from crtfft.pipeline import (
     Certificate,
@@ -19,6 +20,7 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import make_plan
 from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
+from crtfft.verification import verify
 from conftest import DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
@@ -117,17 +119,25 @@ class TestSparseFft:
         spec = random_spectrum(rng, 5, plan.M, fmax=2**12)
         src = synthesize(spec)
 
+        corrupted = []
+
         def corrupt(candidate):
             entries = list(candidate.entries)
             f, c = entries[0]
             entries[0] = ((f + 17) % candidate.grid_length, c)
-            return SparseSpectrum.from_pairs(entries, candidate.grid_length)
+            corrupted.append(SparseSpectrum.from_pairs(entries, candidate.grid_length))
+            return corrupted[-1]
 
         result = sparse_fft(src, 5, cfg, seed=5, corrupt_candidate=corrupt)
         assert result.path is RecoveryPath.FALLBACK
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["fallback_reason"] == "verification-failed"
-        assert result.certificate.payload["escalation"]["extra_verify_views"] == 2
+        assert result.certificate.payload["escalation"]["extra_verify_views"] == 0
+        # one verification pass over the plan's t views, nothing redrawn after it fails
+        one_pass = OpCounter()
+        verify(src, plan, corrupted[0], cfg, one_pass)
+        assert len(result.verification.views) == len(plan.verify_views)
+        assert result.op_counts["verify"] == one_pass.snapshot()["verify"]
 
     def test_force_fallback_config(self):
         spec, src = toy_instance()

@@ -7,9 +7,7 @@ from crtfft.config import Config, replace
 from crtfft.dft import fft_op_count
 from crtfft.errors import DenseRegimeError
 from crtfft.planner import (
-    Regime,
     choose_moduli,
-    classify_regime,
     divisor_moduli,
     make_plan,
     rehash,
@@ -18,23 +16,20 @@ from crtfft.planner import (
 )
 
 
-class TestClassifyRegime:
-    def test_sparse_large(self):
-        r = classify_regime(10**6, 50)
-        assert r.regime is Regime.SPARSE and abs(r.rho - 0.05) < 1e-12
-
-    def test_sparse_toy(self):
-        r = classify_regime(64, 2)
-        assert r.regime is Regime.SPARSE and abs(r.rho - 0.25) < 1e-12
-
-    def test_dense(self):
-        r = classify_regime(100, 6)
-        assert r.regime is Regime.DENSE
-        with pytest.raises(DenseRegimeError):
-            make_plan(100, 6)
-
-    def test_moderate_band(self):
-        assert classify_regime(10**4, 40).regime is Regime.MODERATE
+@pytest.mark.parametrize(
+    "N, k, dense",
+    [(10**6, 50, False), (64, 2, False), (10**4, 40, False), (100, 4, False),
+     (100, 5, True), (100, 6, True)],
+    ids=["sparse-large", "sparse-toy", "moderate-band", "below-boundary", "at-boundary",
+         "above-boundary"],
+)
+def test_dense_boundary(N, k, dense):
+    """k/sqrt(N) >= rho_dense (0.5) has no fast-path plan; anything below plans."""
+    if dense:
+        with pytest.raises(DenseRegimeError, match=r"rho = 0\.[56]00 >= 0\.5"):
+            make_plan(N, k)
+    else:
+        assert validate_plan(make_plan(N, k)) == []
 
 
 class TestMakePlan:
@@ -120,8 +115,6 @@ class TestValidatePlan:
             M=plan.M,
             N=plan.N,
             k=plan.k,
-            regime=plan.regime,
-            rng_seed=plan.rng_seed,
         )
         assert any(v.startswith("NotCoprime") for v in validate_plan(broken))
 

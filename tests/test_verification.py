@@ -3,7 +3,7 @@ import pytest
 
 from crtfft.config import Config, replace
 from crtfft.planner import ViewParams, make_plan
-from crtfft.signal import SparseSpectrum, synthesize
+from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.verification import check_view, verify
 from crtfft.views import build_view, build_view_from_spectrum
 from conftest import random_spectrum
@@ -190,3 +190,19 @@ class TestVerify:
         ra = verify(src, plan_a, spec, cfg)
         rb = verify(src, plan_b, spec, cfg)
         assert ra == rb
+
+    @pytest.mark.parametrize("kind", ["synthesized", "dense"])
+    def test_repeat_call_gives_equal_report(self, rng, kind):
+        # a verdict is a pure function of (source, view parameters, candidate):
+        # rechecking the same views cannot turn a failed verification around
+        cfg = Config(moduli_override=(7, 11, 13), nominal_length=1001)
+        plan = make_plan(1001, 4, 3, seed=21, config=cfg)
+        spec = random_spectrum(rng, 4, plan.M)
+        src = synthesize(spec)
+        if kind == "dense":
+            src = from_dense(src.materialize())
+        short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
+        for candidate, verdict in ((spec, True), (short, False)):
+            first = verify(src, plan, candidate, cfg)
+            assert first.overall is verdict
+            assert verify(src, plan, candidate, cfg) == first
