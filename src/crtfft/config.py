@@ -45,12 +45,11 @@ class Config:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
-        if not self.lambda_threshold > 0:
-            raise ValueError(f"lambda_threshold must be > 0, got {self.lambda_threshold}")
+        for name in ("alpha", "lambda_threshold", "rho_dense", "verify_eps_rel"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if not self.rho_dense > 0:
-            raise ValueError(f"rho_dense must be > 0, got {self.rho_dense}")
 
 
 def _is_int(value) -> bool:

@@ -34,9 +34,14 @@ def _as_buffer(x) -> np.ndarray:
     return arr
 
 
-def dft_forward(x) -> np.ndarray:
-    """Unnormalized forward DFT of a finite buffer, or of each row of a stack."""
-    return np.fft.fft(_as_buffer(x), axis=-1)
+def dft_forward(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized forward DFT of a finite buffer, or of each row of a stack.
+
+    `out`, when given, is a complex128 array of the input's shape that
+    receives the transform and is returned; passing the input buffer itself
+    transforms it in place, with the same bits as a fresh output.
+    """
+    return np.fft.fft(_as_buffer(x), axis=-1, out=out)
 
 
 def dft_inverse(x) -> np.ndarray:

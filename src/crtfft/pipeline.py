@@ -170,7 +170,10 @@ def dense_fallback(
 ) -> SparseSpectrum:
     """Exact dense transform of the grid, reduced to its top-k bins.
 
-    Deterministic tie-break: magnitude descending, then frequency ascending.
+    The grid is read once into a buffer this call owns (`materialize`), and
+    that buffer is transformed and normalized in place, so no second
+    length-M spectrum is allocated.  Deterministic tie-break: magnitude
+    descending, then frequency ascending.
     Bins at roundoff level (1e-12 of the peak) are not reported, so asking
     for more tones than the signal holds returns only the occupied bins.
     """
@@ -180,8 +183,9 @@ def dense_fallback(
         raise OracleCapExceededError(
             f"grid length {M} exceeds the dense budget {cfg.dense_budget}"
         )
-    samples = source.materialize()
-    spectrum = dft.dft_forward(samples) / M
+    spectrum = source.materialize()
+    dft.dft_forward(spectrum, out=spectrum)
+    spectrum /= M
     if op is not None:
         op.add("fallback", M + dft.fft_op_count(M) + 2 * M)
     mags = np.abs(spectrum)
@@ -253,7 +257,9 @@ def sparse_fft(
 
     if plan is not None and fallback_reason is None:
         views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
-        alpha_k = max(1, int(round(cfg.alpha * max(k, 1))))
+        # a residue set never holds more than m <= M bins; clamping before
+        # the int conversion keeps a huge alpha from overflowing
+        alpha_k = max(1, int(round(min(cfg.alpha * max(k, 1), plan.M))))
         residue_sets = [extract_residues(v, alpha_k) for v in views]
         state = PeelState.create(views, plan.M, op)
         base_floor = state.noise_floor

@@ -9,9 +9,11 @@ shape and its values come back in that shape.  A synthesized source reads n
 arbitrary indices in O(k*n) arithmetic; a stack of R rows that are full
 cyclic progressions mod M with one common step (a view's shifts are such a
 stack) costs O(R*k + R*n log n), one scatter and one stacked inverse
-transform for all rows.  Materializing the whole grid is the one-row,
-step-1 case of that read, O(k + M log M) for a synthesized source; a dense
-source copies its samples in bounded chunks.
+transform for all rows.  `materialize` returns the whole grid in a fresh
+buffer that the caller owns and may overwrite (the dense fallback transforms
+it in place): for a synthesized source it is the one-row, step-1 case of that
+read, O(k + M log M); a dense source fills it with one copy of its samples,
+zero-extended when the caller padded the source.
 
 File formats (stable, see README): spectra as JSON; dense signals either as
 little-endian float64 (re, im) pairs behind an 8-byte length header, or as
@@ -91,9 +93,10 @@ class SignalSource:
     """Read-only sample oracle over a grid of `grid_length` points.
 
     Subclasses implement `sample_block`, which takes an index array of any
-    shape and returns the samples in the same shape.  Rereading the same
-    block gives bit-identical values; the same index read inside different
-    blocks agrees to roundoff.  Concurrent reads are safe (no mutable state).
+    shape and returns the samples in the same shape, and `_read_grid`, which
+    backs `materialize`.  Rereading the same block gives bit-identical
+    values; the same index read inside different blocks agrees to roundoff.
+    Concurrent reads are safe (no mutable state).
     """
 
     grid_length: int
@@ -106,13 +109,18 @@ class SignalSource:
         raise NotImplementedError
 
     def materialize(self) -> np.ndarray:
-        """All grid samples, computed in bounded-memory chunks."""
-        out = np.empty(self.grid_length, dtype=np.complex128)
-        step = 1 << 18
-        for start in range(0, self.grid_length, step):
-            stop = min(start + step, self.grid_length)
-            out[start:stop] = self.sample_block(np.arange(start, stop, dtype=np.int64))
-        return out
+        """All grid_length samples in a fresh complex128 buffer.
+
+        The buffer shares no memory with the source: the caller owns it and
+        may overwrite it, and later reads of the source are unchanged.
+        Subclasses override `_read_grid`, not this method, so that every
+        source's grid read passes through this one entry point (the
+        benchmark tracer times it here).
+        """
+        return self._read_grid()
+
+    def _read_grid(self) -> np.ndarray:
+        raise NotImplementedError
 
 
 class _SynthesizedSource(SignalSource):
@@ -143,7 +151,7 @@ class _SynthesizedSource(SignalSource):
             out[start : start + part.size] = self._coeffs @ phases
         return out.reshape(idx.shape)
 
-    def materialize(self) -> np.ndarray:
+    def _read_grid(self) -> np.ndarray:
         """All grid samples as one length-M inverse transform of the tones."""
         return self._aliased_read(np.zeros(1, dtype=np.int64), 1, self.grid_length)[0]
 
@@ -198,6 +206,14 @@ class _DenseSource(SignalSource):
         out = np.zeros(idx.shape, dtype=np.complex128)
         inside = idx < self._samples.size
         out[inside] = self._samples[idx[inside]]
+        return out
+
+    def _read_grid(self) -> np.ndarray:
+        """One slice copy of the samples, then zeros up to the grid."""
+        n = self._samples.size
+        out = np.empty(self.grid_length, dtype=np.complex128)
+        out[:n] = self._samples
+        out[n:] = 0
         return out
 
 

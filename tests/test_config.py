@@ -60,13 +60,16 @@ def test_valid_file_loads(tmp_path):
         {"alpha": float("inf")},
         {"verify_eps_rel": float("nan")},
         {"rho_dense": float("inf")},
+        {"verify_eps_rel": -1.0},
+        {"alpha": -5.0},
     ],
     ids=["scalar-moduli", "string-modulus", "fractional-modulus", "string-t", "null-alpha",
          "integer-flag", "fractional-length", "bad-shift-count", "zero-load-threshold",
          "unknown-key", "unknown-key-rho_sparse", "unknown-key-singleton_tol",
          "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
          "unknown-key-amplitude_threshold_rel", "unknown-key-max_extra_verify_views",
-         "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense"],
+         "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense",
+         "negative-verify-eps", "negative-alpha"],
 )
 def test_malformed_value_is_parse_error(tmp_path, change):
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,14 @@ class TestSparseFft:
         assert result.spectrum.grid_length == n
         assert spectra_close(result.spectrum, spec)
 
+    def test_huge_alpha_is_clamped_to_the_grid(self, rng):
+        cfg = Config(nominal_length=2**12, alpha=1e308)
+        spec = random_spectrum(rng, 4, make_plan(2**12, 4, 3, seed=0, config=cfg).M, fmax=2**12)
+        src = synthesize(spec)
+        result = sparse_fft(src, 4, cfg, seed=0)
+        assert spectra_close(result.spectrum, spec)
+        assert verify_certificate(result.certificate, src) == []
+
     def test_index_guard_is_typed(self):
         # the plan grid of N = 2^22 (M ~ 1.1e10) is past exact int64 view indices
         M = make_plan(2**22, 64).M
@@ -253,6 +262,39 @@ class TestDenseFallback:
         spec = SparseSpectrum.from_pairs([(3, 1.0), (900, 1.0), (41, 2.0)], 1001)
         dense = dense_fallback(synthesize(spec), 2)
         assert [f for f, _ in dense.entries] == [3, 41]
+
+    def test_caller_buffer_unchanged(self, rng):
+        # the fallback transforms its grid buffer in place; that buffer must
+        # never be the caller's samples
+        x = rng.normal(size=2002) + 1j * rng.normal(size=2002)
+        kept = x.copy()
+        for run in (lambda: sparse_fft_dense(x, 3), lambda: sparse_fft(from_dense(x), 3)):
+            assert run().path is RecoveryPath.FALLBACK
+            assert (x == kept).all()
+
+    def test_back_to_back_fallbacks_identical(self, rng):
+        src = from_dense(rng.normal(size=2002) + 1j * rng.normal(size=2002))
+        first, second = (sparse_fft(src, 3, seed=1).certificate.to_json() for _ in range(2))
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "kind, bound", [("dense", 3.5), ("synthesize", 2.25)], ids=["dense", "synthesize"]
+    )
+    def test_peak_memory_in_grid_buffers(self, rng, kind, bound):
+        # one owned grid buffer, transformed and normalized in place
+        if kind == "dense":
+            n = 1 << 16
+            src = from_dense(rng.normal(size=n) + 1j * rng.normal(size=n))
+        else:
+            src = synthesize(random_spectrum(rng, 8, 3 * 5 * 7 * 11 * 13 * 17))
+        dense_fallback(src, 8)  # warm: first-call allocations are not the fallback's
+        tracemalloc.start()
+        try:
+            dense_fallback(src, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * src.grid_length
 
 
 class TestCertificates:

@@ -255,6 +255,31 @@ class TestFromDense:
         assert padded.sample(999) == 0
 
 
+class TestMaterialize:
+    """materialize() hands out a fresh grid buffer the caller may overwrite;
+    the dense fallback transforms it in place."""
+
+    @pytest.mark.parametrize("kind", ["dense", "padded-dense", "synthesize"])
+    def test_overwriting_the_buffer_leaves_the_source(self, rng, kind):
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        if kind == "synthesize":
+            src = synthesize(random_spectrum(rng, 4, 100))
+        else:
+            src = from_dense(x, 100 if kind == "padded-dense" else None)
+        idx = np.arange(src.grid_length, dtype=np.int64)
+        before = src.sample_block(idx)
+        src.materialize()[:] = 7
+        assert (src.sample_block(idx) == before).all()
+
+    @pytest.mark.parametrize("padded", [None, 100])
+    def test_dense_grid_equals_index_reads(self, rng, padded):
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        src = from_dense(x, padded)
+        grid = src.materialize()
+        assert grid.shape == (src.grid_length,)
+        assert (grid == src.sample_block(np.arange(src.grid_length, dtype=np.int64))).all()
+
+
 class TestSpectrumFiles:
     def test_roundtrip(self, rng, tmp_path):
         spec = random_spectrum(rng, 6, 2048)
