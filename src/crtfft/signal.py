@@ -93,10 +93,13 @@ class SignalSource:
     """Read-only sample oracle over a grid of `grid_length` points.
 
     Subclasses implement `sample_block`, which takes an index array of any
-    shape and returns the samples in the same shape, and `_read_grid`, which
-    backs `materialize`.  Rereading the same block gives bit-identical
-    values; the same index read inside different blocks agrees to roundoff.
-    Concurrent reads are safe (no mutable state).
+    shape and returns the samples in the same shape, and may override
+    `_read_grid`, which backs `materialize`, with a cheaper whole-grid read.
+    Rereading the same block gives bit-identical values; the same index read
+    inside different blocks agrees to roundoff.  Concurrent reads are safe
+    (no mutable state).  A subclass that overrides `materialize` itself must
+    still return a buffer the caller owns: the dense fallback transforms it
+    in place.
     """
 
     grid_length: int
@@ -120,7 +123,9 @@ class SignalSource:
         return self._read_grid()
 
     def _read_grid(self) -> np.ndarray:
-        raise NotImplementedError
+        """The grid through `sample_block`, copied into a fresh buffer."""
+        idx = np.arange(self.grid_length, dtype=np.int64)
+        return np.array(self.sample_block(idx), dtype=np.complex128, copy=True)
 
 
 class _SynthesizedSource(SignalSource):

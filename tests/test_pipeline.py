@@ -272,6 +272,24 @@ class TestDenseFallback:
             assert run().path is RecoveryPath.FALLBACK
             assert (x == kept).all()
 
+    def test_source_with_only_sample_block(self, rng):
+        # a user source that implements only sample_block still falls back
+        # exactly, through the base class's grid read, and keeps its samples
+        spec = random_spectrum(rng, 5, 1001)
+        grid = synthesize(spec).materialize()
+        kept = grid.copy()
+
+        class Indexed(SignalSource):
+            grid_length = original_length = grid.size
+
+            def sample_block(self, indices):
+                return grid[np.asarray(indices, dtype=np.int64) % grid.size]
+
+        src = Indexed()
+        assert (src.materialize() == kept).all()
+        assert spectra_close(dense_fallback(src, 5), spec)
+        assert (grid == kept).all()
+
     def test_back_to_back_fallbacks_identical(self, rng):
         src = from_dense(rng.normal(size=2002) + 1j * rng.normal(size=2002))
         first, second = (sparse_fft(src, 3, seed=1).certificate.to_json() for _ in range(2))
