@@ -4,6 +4,10 @@ Recovers exactly k-sparse spectra from lazy time-domain access using three
 coprime decimated views, 2-of-3 CRT gating (as the analyzable reference
 form), peeling-only recovery, two-part verification on independently hashed
 views, and a certified dense-FFT fallback.
+
+Peeling works on the three views' bins stacked in one buffer
+(`PeelState.stack`); each round's singletons come out of
+`detect_singletons` as one `SingletonReading` batch of parallel arrays.
 """
 
 from .config import Config, load_config, replace

@@ -34,7 +34,7 @@ def _identity_params(triple: ModTriple, shifts: int = 3):
 
 def _as_bins(residues) -> list[int]:
     if isinstance(residues, ResidueSet):
-        return list(residues.bins())
+        return residues.indices.tolist()
     return [int(r) for r in residues]
 
 

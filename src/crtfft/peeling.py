@@ -9,18 +9,24 @@ tests in exact arithmetic, and a reading whose decoded frequency does not
 hash back onto its own bin is discarded, so masquerading multi-bins fail
 closed.
 
-Each round peels every accepted reading together, as FFAST's decoder does:
-the readings enter the ledger in order, then each view subtracts their
-`alias_sum`, the alias model that verification predicts with, O(1) per
-reading and bin.  Rounds repeat until the views are empty (Complete), no
-view offers a singleton (TwoCore), or the round cap is hit (Stagnated).
+The views live side by side in one stacked (shifts, m1+m2+m3) buffer; each
+view's `bins` is its column slice.  A round is a fixed number of array
+operations whatever k is: detection tests every column of the stack at once
+and returns its readings as one `SingletonReading` batch, duplicates across
+views are dropped by one sort, and `peel` subtracts the whole batch, as
+FFAST's decoder does.  The readings enter the ledger in order; their
+subtraction is one tone table (the alias model `views.alias_sum` and
+verification use, O(1) per reading and bin) scattered into the stack at
+each view's hashed columns.  Rounds repeat until the views are empty
+(Complete), no view offers a singleton (TwoCore), or the round cap is hit
+(Stagnated).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .opcount import OpCounter
 from .planner import ModuliPlan
 from .planner import rehash as rehash  # re-exported: fresh hash params, same moduli
 from .signal import SparseSpectrum
-from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_sum, build_view
+from .views import NOISE_FLOOR_REL, ViewSpectrum, build_view, tone_table
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
 SINGLETON_TOL = 1e-6
@@ -43,21 +49,49 @@ class PeelStatus(enum.Enum):
     STAGNATED = "stagnated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingletonReading:
-    view_index: int
-    bin_index: int
-    f_hat: int
-    coeff: complex
-    shift_ratio_error: float
+    """A batch of singleton readings as parallel arrays, one row per reading.
+
+    Row i reads tone (f_hat[i], coeff[i]) from bin bin_index[i] of view
+    view_index[i]; shift_ratio_error[i] is the larger of its magnitude and
+    phase-ratio deviations across shifts.
+    """
+
+    view_index: np.ndarray
+    bin_index: np.ndarray
+    f_hat: np.ndarray
+    coeff: np.ndarray
+    shift_ratio_error: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.f_hat)
+
+    def take(self, rows) -> "SingletonReading":
+        """The readings at `rows` (an index array or a slice), in that order."""
+        return SingletonReading(
+            self.view_index[rows],
+            self.bin_index[rows],
+            self.f_hat[rows],
+            self.coeff[rows],
+            self.shift_ratio_error[rows],
+        )
 
 
 @dataclass
 class PeelState:
-    """Mutable peeling workspace: three views plus the recovery ledger."""
+    """Mutable peeling workspace: the views' stacked bins plus the recovery ledger.
+
+    `stack` holds the views' bins side by side and each of `views` holds a
+    column slice of it, starting at its entry of `offsets`.  The rows of
+    `hashes` are each view's hash parameters a, b and m.
+    """
 
     views: list[ViewSpectrum]
     M: int
+    stack: np.ndarray
+    offsets: np.ndarray
+    hashes: np.ndarray
     recovered: dict[int, complex] = field(default_factory=dict)
     round: int = 0
     noise_floor: float = 0.0
@@ -67,62 +101,59 @@ class PeelState:
     def create(
         cls, views: list[ViewSpectrum], M: int, op: OpCounter | None = None
     ) -> "PeelState":
-        peak = max((float(v.magnitudes(0).max(initial=0.0)) for v in views), default=0.0)
-        return cls(views=list(views), M=M, noise_floor=NOISE_FLOOR_REL * peak, op=op)
-
-    def max_bin_magnitude(self) -> float:
-        return max(
-            (float(np.abs(v.bins).max(initial=0.0)) for v in self.views), default=0.0
+        """Copy the views' bins into one stack; the given views are not modified."""
+        stack = np.concatenate([v.bins for v in views], axis=1)
+        offsets = [0]
+        for v in views[:-1]:
+            offsets.append(offsets[-1] + v.m)
+        sliced = [dc_replace(v, bins=stack[:, o : o + v.m]) for v, o in zip(views, offsets)]
+        peak = float(np.abs(stack[0]).max(initial=0.0))
+        return cls(
+            views=sliced,
+            M=M,
+            stack=stack,
+            offsets=np.array(offsets),
+            hashes=np.array([(v.params.a, v.params.b, v.m) for v in views]).T,
+            noise_floor=NOISE_FLOOR_REL * peak,
+            op=op,
         )
 
+    def max_bin_magnitude(self) -> float:
+        return float(np.abs(self.stack).max(initial=0.0))
 
-def detect_singletons(state: PeelState) -> list[SingletonReading]:
+
+def detect_singletons(state: PeelState) -> SingletonReading:
     """All bins currently passing the singleton tests, in (view, bin) order."""
-    readings: list[SingletonReading] = []
-    M = state.M
-    for vi, view in enumerate(state.views):
-        bins = view.bins
-        shifts = bins.shape[0]
-        mag0 = np.abs(bins[0])
-        cand = np.flatnonzero(mag0 > state.noise_floor)
-        if state.op is not None:
-            state.op.add("peel", 3 * bins.shape[1])
-        if cand.size == 0:
-            continue
-        y0, y1 = bins[0][cand], bins[1][cand]
-        ok = np.abs(y1) > 0
-        err = np.zeros(cand.size)
-        # (a) magnitudes agree across shifts
-        for s in range(1, shifts):
-            dev = np.abs(np.abs(bins[s][cand]) - mag0[cand]) / mag0[cand]
-            err = np.maximum(err, dev)
-        ok &= err <= SINGLETON_TOL
-        # (b) frequency from the adjacent-shift phase ratio
-        ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
-        f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
-        # (c) decoded frequency must hash back onto this bin
-        ok &= view.params.hash_frequency(f_hat) == cand
-        # (d) with a third shift, the second ratio must repeat the first
-        if shifts >= 3:
-            y2 = bins[2][cand]
-            ratio2 = y2 / np.where(y1 == 0, 1, y1)
-            dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
-            err = np.maximum(err, dev2)
-            ok &= dev2 <= SINGLETON_TOL
-        for idx in np.flatnonzero(ok):
-            readings.append(
-                SingletonReading(
-                    view_index=vi,
-                    bin_index=int(cand[idx]),
-                    f_hat=int(f_hat[idx]),
-                    coeff=complex(y0[idx]),
-                    shift_ratio_error=float(err[idx]),
-                )
-            )
-    return readings
+    stack, M = state.stack, state.M
+    mag0 = np.abs(stack[0])
+    cand = np.flatnonzero(mag0 > state.noise_floor)
+    if state.op is not None:
+        state.op.add("peel", 3 * stack.shape[1])
+    view = np.searchsorted(state.offsets, cand, side="right") - 1
+    bin_index = cand - state.offsets[view]
+    a, b, m = state.hashes[:, view]
+    y = stack[:, cand]
+    y0, y1, mag = y[0], y[1], mag0[cand]
+    ok = np.abs(y1) > 0
+    # (a) magnitudes agree across shifts
+    err = np.max(np.abs(np.abs(y[1:]) - mag) / mag, axis=0, initial=0.0)
+    ok &= err <= SINGLETON_TOL
+    # (b) frequency from the adjacent-shift phase ratio
+    ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
+    f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
+    # (c) decoded frequency must hash back onto this bin
+    ok &= (a * f_hat + b) % m == bin_index
+    # (d) with a third shift, the second ratio must repeat the first
+    if stack.shape[0] >= 3:
+        ratio2 = y[2] / np.where(y1 == 0, 1, y1)
+        dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
+        err = np.maximum(err, dev2)
+        ok &= dev2 <= SINGLETON_TOL
+    rows = np.flatnonzero(ok)
+    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y0[rows], err[rows])
 
 
-def peel(state: PeelState, readings: list[SingletonReading]) -> PeelState:
+def peel(state: PeelState, readings: SingletonReading) -> PeelState:
     """Record one round's readings and subtract them from every view.
 
     The ledger takes the readings in order.  A reading that re-detects a
@@ -130,28 +161,35 @@ def peel(state: PeelState, readings: list[SingletonReading]) -> PeelState:
     DuplicateConflictError; the readings before it stay recorded and
     subtracted, as if they had been peeled one at a time.
     """
+    fs, coeffs = readings.f_hat, readings.coeff
     conflict = None
-    accepted = 0
-    for reading in readings:
-        f, coeff = reading.f_hat, reading.coeff
+    accepted = len(fs)
+    for i in np.flatnonzero(np.abs(coeffs) <= state.noise_floor).tolist():
+        f = int(fs[i])
+        if f in state.recovered or f in fs[:i]:
+            conflict = DuplicateConflictError(
+                f"frequency {f} re-detected with residual below the floor"
+            )
+            accepted = i
+            break
+    fs, coeffs = fs[:accepted], coeffs[:accepted]
+    for f, coeff in zip(fs.tolist(), coeffs.tolist()):
         if f in state.recovered:
-            if abs(coeff) <= state.noise_floor:
-                conflict = DuplicateConflictError(
-                    f"frequency {f} re-detected with residual below the floor"
-                )
-                break
             state.recovered[f] += coeff
         else:
             state.recovered[f] = coeff
-        accepted += 1
     if accepted:
-        fs = np.array([r.f_hat for r in readings[:accepted]], dtype=np.int64)
-        coeffs = np.array([r.coeff for r in readings[:accepted]], dtype=np.complex128)
-        for view in state.views:
-            # alias_sum adds readings that share a bin, so both are subtracted
-            view.bins -= alias_sum(fs, coeffs, view.params, state.M)
-            if state.op is not None:
-                state.op.add("peel", 2 * view.bins.shape[0] * accepted)
+        shifts, views = state.stack.shape[0], len(state.offsets)
+        a, b, m = state.hashes[:, :, None]
+        cols = (a * fs + b) % m + state.offsets[:, None]
+        # add.at sums readings that share a column, in reading order, into
+        # zeros; subtracting that sum keeps the bins equal to alias_sum's
+        delta = np.zeros_like(state.stack)
+        table = tone_table(fs, coeffs, shifts, state.M)
+        np.add.at(delta, (slice(None), cols.ravel()), np.tile(table, views))
+        state.stack -= delta
+        if state.op is not None:
+            state.op.add("peel", 2 * shifts * accepted * views)
     if conflict is not None:
         raise conflict
     return state
@@ -164,18 +202,15 @@ class PeelOutcome:
     rounds: int
 
 
-def _dedupe(readings: list[SingletonReading]) -> list[SingletonReading]:
+def _dedupe(readings: SingletonReading) -> SingletonReading:
     # The same tone may be isolated in several views at once; keep the
-    # cleanest reading per frequency.
-    best: dict[int, SingletonReading] = {}
-    for r in readings:
-        cur = best.get(r.f_hat)
-        if cur is None or (r.shift_ratio_error, r.view_index) < (
-            cur.shift_ratio_error,
-            cur.view_index,
-        ):
-            best[r.f_hat] = r
-    return [best[f] for f in sorted(best)]
+    # cleanest reading per frequency (least error, then lowest view),
+    # frequencies ascending.
+    order = np.lexsort((readings.view_index, readings.shift_ratio_error, readings.f_hat))
+    f = readings.f_hat[order]
+    first = np.ones(f.size, dtype=bool)
+    first[1:] = f[1:] != f[:-1]
+    return readings.take(order[first])
 
 
 def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
@@ -190,7 +225,7 @@ def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
             status = PeelStatus.STAGNATED
             break
         readings = _dedupe(detect_singletons(state))
-        if not readings:
+        if len(readings) == 0:
             status = PeelStatus.TWO_CORE
             break
         try:

@@ -3,12 +3,13 @@
 A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
-candidate.  Any failure (grid mismatch, dense regime, a stuck residual
-after the rehash budget, too many candidates, or a failed verification)
-routes to the dense fallback, which materializes the grid, transforms it,
-and returns the top-k bins exactly.  A failed verification is final: a
-verdict is a pure function of the source, the view parameters and the
-candidate, so checking the same views again cannot change it.
+candidate.  Any failure (a length too short for a plan, grid mismatch,
+dense regime, a stuck residual after the rehash budget, too many
+candidates, or a failed verification) routes to the dense fallback, which
+materializes the grid, transforms it, and returns the top-k bins exactly.
+A failed verification is final: a verdict is a pure function of the
+source, the view parameters and the candidate, so checking the same views
+again cannot change it.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, the residue sets, each reconstruction, and the
 verification outcomes against nothing but the certificate and the signal.
@@ -36,10 +37,10 @@ from .numtheory import ModTriple, garner2, garner3_parts
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
-from .planner import ModuliPlan, ViewParams, make_plan, rehash
+from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan, rehash
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
-from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues
+from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues, top_k_order
 
 
 # The certificate's amplitude floor, relative to the largest recovered amplitude.
@@ -191,11 +192,8 @@ def dense_fallback(
     mags = np.abs(spectrum)
     peak = float(mags.max(initial=0.0))
     occupied = np.flatnonzero(mags > 1e-12 * max(peak, 1e-300))
-    if occupied.size == 0:
-        return SparseSpectrum.from_pairs([], M)
-    order = occupied[np.lexsort((occupied, -mags[occupied]))]
-    top = sorted(int(f) for f in order[: max(k, 0)])
-    return SparseSpectrum.from_pairs([(f, complex(spectrum[f])) for f in top], M)
+    top = np.sort(occupied[top_k_order(mags[occupied], occupied, k)])
+    return SparseSpectrum.from_pairs(zip(top.tolist(), spectrum[top].tolist()), M)
 
 
 def _subtract_spectrum(views, spectrum):
@@ -205,8 +203,10 @@ def _subtract_spectrum(views, spectrum):
 
 
 def _top_k(entries: dict[int, complex], k: int, grid: int) -> SparseSpectrum:
-    ranked = sorted(entries.items(), key=lambda fc: (-abs(fc[1]), fc[0]))
-    return SparseSpectrum.from_pairs(ranked[: max(k, 0)], grid)
+    freqs = np.fromiter(entries, dtype=np.int64, count=len(entries))
+    coeffs = np.fromiter(entries.values(), dtype=np.complex128, count=len(entries))
+    keep = top_k_order(np.abs(coeffs), freqs, k)
+    return SparseSpectrum.from_pairs(zip(freqs[keep].tolist(), coeffs[keep].tolist()), grid)
 
 
 def sparse_fft(
@@ -222,7 +222,9 @@ def sparse_fft(
     The answer is on source.grid_length.  The fast path runs only when the
     plan's modulus product equals that grid (synthesize on make_plan(...).M
     to get it); any other grid takes the dense fallback on the source's own
-    grid, with reason "grid-mismatch" and no plan in the certificate.
+    grid, with reason "grid-mismatch" and no plan in the certificate.  A
+    nominal length below MIN_PLAN_LENGTH has no plan and falls back with
+    reason "too-short".
 
     `corrupt_candidate` is test instrumentation: it maps the candidate
     spectrum to a corrupted one just before verification, to exercise the
@@ -245,6 +247,8 @@ def sparse_fft(
 
     if cfg.force_fallback:
         fallback_reason = "forced"
+    elif N < MIN_PLAN_LENGTH:
+        fallback_reason = f"too-short: N = {N} < {MIN_PLAN_LENGTH} has no three-view plan"
     else:
         try:
             plan = make_plan(N, k, cfg.t, seed, cfg)
@@ -392,8 +396,8 @@ def build_certificate(
         payload["residue_sets"] = [
             {
                 "view": i,
-                "bins": [int(b) for b, _ in rs.residues],
-                "magnitudes": [float(mag) for _, mag in rs.residues],
+                "bins": rs.indices.tolist(),
+                "magnitudes": rs.magnitudes.tolist(),
                 "capacity": rs.capacity,
             }
             for i, rs in enumerate(residue_sets)

@@ -37,6 +37,10 @@ from .numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inver
 from .signal import _MAX_GRID
 
 
+# The shortest nominal length that has a three-view plan.
+MIN_PLAN_LENGTH = 4
+
+
 @dataclass(frozen=True)
 class ViewParams:
     """One decimated view: modulus m, dilation sigma, bin offset b, shifts S.
@@ -235,8 +239,8 @@ def make_plan(
     for pairwise coprimality only).  A sparsity ratio k/sqrt(N) at or above
     config.rho_dense has no fast-path plan and raises DenseRegimeError.
     """
-    if N < 4:
-        raise ValueError(f"N must be >= 4, got {N}")
+    if N < MIN_PLAN_LENGTH:
+        raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     cfg = config or Config()

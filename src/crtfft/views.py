@@ -53,18 +53,23 @@ class ViewSpectrum:
         return np.abs(self.bins[shift])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
-    """Occupied bins of one view, strongest first, at most capacity entries."""
+    """Occupied bins of one view, strongest first, at most capacity entries.
 
-    residues: tuple[tuple[int, float], ...]
+    `indices` and `magnitudes` are parallel arrays: bin index and its
+    shift-0 magnitude.
+    """
+
+    indices: np.ndarray
+    magnitudes: np.ndarray
     capacity: int
 
     def bins(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.residues)
+        return tuple(self.indices.tolist())
 
     def __len__(self) -> int:
-        return len(self.residues)
+        return len(self.indices)
 
 
 def _shift_indices(params: ViewParams, M: int, shift: int) -> np.ndarray:
@@ -120,11 +125,22 @@ def alias_sum(
     """
     if M % params.m != 0:
         raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
-    shifts = np.arange(params.shift_count, dtype=np.int64)
-    phases = np.exp(2j * np.pi * ((shifts[:, None] * freqs[None, :]) % M) / M)
     bins = np.zeros((params.shift_count, params.m), dtype=np.complex128)
-    np.add.at(bins, (slice(None), params.hash_frequency(freqs)), coeffs * phases)
+    np.add.at(
+        bins,
+        (slice(None), params.hash_frequency(freqs)),
+        tone_table(freqs, coeffs, params.shift_count, M),
+    )
     return bins
+
+
+def tone_table(freqs: np.ndarray, coeffs: np.ndarray, shift_count: int, M: int) -> np.ndarray:
+    """The (shift_count, len(freqs)) values A_f e^{2pi i f s/M} of each tone.
+
+    The same in every view: a view only decides which bin each column lands in.
+    """
+    shifts = np.arange(shift_count, dtype=np.int64)
+    return coeffs * np.exp(2j * np.pi * ((shifts[:, None] * freqs[None, :]) % M) / M)
 
 
 def build_view_from_spectrum(
@@ -141,11 +157,22 @@ def extract_residues(view: ViewSpectrum, alpha_k: int) -> ResidueSet:
         raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
     mag = view.magnitudes(0)
     occupied = np.flatnonzero(mag > NOISE_FLOOR_REL * float(mag.max(initial=0.0)))
-    if occupied.size == 0:
-        return ResidueSet(residues=(), capacity=alpha_k)
-    order = occupied[np.lexsort((occupied, -mag[occupied]))]
-    top = order[:alpha_k]
-    return ResidueSet(
-        residues=tuple((int(r), float(mag[r])) for r in top),
-        capacity=alpha_k,
-    )
+    top = occupied[top_k_order(mag[occupied], occupied, alpha_k)]
+    return ResidueSet(indices=top, magnitudes=mag[top], capacity=alpha_k)
+
+
+def top_k_order(mags: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest `mags`: magnitude descending, then `keys` ascending.
+
+    The first k rows of a full lexsort.  With more than k entries, a
+    partition finds the k-th largest magnitude and only the entries at or
+    above it, ties at the boundary included, are sorted.
+    """
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if mags.size > k:
+        kth = np.partition(mags, mags.size - k)[mags.size - k]
+        cand = np.flatnonzero(mags >= kth)
+    else:
+        cand = np.arange(mags.size)
+    return cand[np.lexsort((keys[cand], -mags[cand]))][:k]

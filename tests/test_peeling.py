@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
 from crtfft.numtheory import ModTriple
 from crtfft.errors import DuplicateConflictError
 from crtfft.peeling import (
     ROUND_CAP_C,
+    SINGLETON_TOL,
     PeelState,
     PeelStatus,
     SingletonReading,
+    _dedupe,
     detect_singletons,
     peel,
     rehash,
@@ -32,6 +36,18 @@ TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True)
 STUCK_SUPPORT = (0, 7, 33, 117)
 
 
+def batch(*rows):
+    """A SingletonReading batch from (view, bin, f_hat, coeff, error) rows."""
+    view, bin_index, f_hat, coeff, err = zip(*rows)
+    return SingletonReading(
+        np.array(view, dtype=np.int64),
+        np.array(bin_index, dtype=np.int64),
+        np.array(f_hat, dtype=np.int64),
+        np.array(coeff, dtype=np.complex128),
+        np.array(err, dtype=np.float64),
+    )
+
+
 def toy_state(spectrum, seed=0, t=0, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
     plan = make_plan(n, len(spectrum), t, seed, TOY_CFG)
@@ -46,9 +62,8 @@ class TestDetectSingletons:
         plan, state = toy_state(spec)
         readings = detect_singletons(state)
         assert len(readings) == 3  # isolated in every view
-        for r in readings:
-            assert r.f_hat == 5
-            assert abs(r.coeff - (2 + 1j)) < 1e-9
+        assert (readings.f_hat == 5).all()
+        assert np.abs(readings.coeff - (2 + 1j)).max() < 1e-9
 
     def test_collision_rejected_in_colliding_view_only(self):
         # 3 and 10 collide mod 7 but separate mod 11 and mod 13
@@ -56,8 +71,8 @@ class TestDetectSingletons:
         plan, state = toy_state(spec)
         readings = detect_singletons(state)
         by_view = {}
-        for r in readings:
-            by_view.setdefault(r.view_index, []).append(r.f_hat)
+        for view, f in zip(readings.view_index.tolist(), readings.f_hat.tolist()):
+            by_view.setdefault(view, []).append(f)
         assert 0 not in by_view  # the view-1 bin holds both tones
         assert sorted(by_view[1]) == [3, 10]
         assert sorted(by_view[2]) == [3, 10]
@@ -65,7 +80,7 @@ class TestDetectSingletons:
     def test_worked_example_first_round(self):
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
         plan, state = toy_state(spec)
-        found = {r.f_hat for r in detect_singletons(state)}
+        found = set(detect_singletons(state).f_hat.tolist())
         assert found == {7, 41}
 
     def test_nonidentity_hash_consistency(self, rng):
@@ -74,18 +89,106 @@ class TestDetectSingletons:
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         state = PeelState.create(views, plan.M)
-        for r in detect_singletons(state):
-            assert r.f_hat in dict(spec.entries)
-            vp = plan.id_views[r.view_index]
-            assert int(vp.hash_frequency(r.f_hat)) == r.bin_index
+        readings = detect_singletons(state)
+        rows = zip(
+            readings.view_index.tolist(), readings.bin_index.tolist(), readings.f_hat.tolist()
+        )
+        for view, b, f in rows:
+            assert f in dict(spec.entries)
+            vp = plan.id_views[view]
+            assert int(vp.hash_frequency(f)) == b
+
+
+def per_view_reference(state):
+    """Singleton detection one view at a time, then the cleanest reading per
+    frequency (least error, then lowest view): {(view, bin, f_hat, coeff)}."""
+    best = {}
+    for vi, view in enumerate(state.views):
+        bins = view.bins
+        mag0 = np.abs(bins[0])
+        cand = np.flatnonzero(mag0 > state.noise_floor)
+        y0, y1 = bins[0][cand], bins[1][cand]
+        ok = np.abs(y1) > 0
+        err = np.zeros(cand.size)
+        for s in range(1, bins.shape[0]):
+            err = np.maximum(err, np.abs(np.abs(bins[s][cand]) - mag0[cand]) / mag0[cand])
+        ok &= err <= SINGLETON_TOL
+        ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
+        f_hat = np.round(np.angle(ratio1) * state.M / (2 * np.pi)).astype(np.int64) % state.M
+        ok &= view.params.hash_frequency(f_hat) == cand
+        if bins.shape[0] >= 3:
+            ratio2 = bins[2][cand] / np.where(y1 == 0, 1, y1)
+            dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
+            err = np.maximum(err, dev2)
+            ok &= dev2 <= SINGLETON_TOL
+        for i in np.flatnonzero(ok):
+            f, key = int(f_hat[i]), (float(err[i]), vi)
+            if f not in best or key < best[f][0]:
+                best[f] = (key, (vi, int(cand[i]), f, complex(y0[i])))
+    return {row for _, row in best.values()}
+
+
+@st.composite
+def toy_spectra(draw):
+    """1 to 6 tones on the (7, 11, 13) grid; a later tone often shares a
+    residue with an earlier one, so it collides with it in that view."""
+    freqs = [draw(st.integers(0, 1000))]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            m = draw(st.sampled_from((7, 11, 13)))
+            freqs.append((draw(st.sampled_from(freqs)) + m * draw(st.integers(1, 142))) % 1001)
+        else:
+            freqs.append(draw(st.integers(0, 1000)))
+    pairs = [(f, draw(st.sampled_from((1.0, -1.0, 1j, 2.0, 0.5 - 1j)))) for f in set(freqs)]
+    return SparseSpectrum.from_pairs(pairs, 1001)
+
+
+class TestBatchDetection:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=toy_spectra(),
+        identity=st.booleans(),
+        shifts=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**16),
+        misplaced=st.booleans(),
+    )
+    def test_matches_per_view_reference(self, spec, identity, shifts, seed, misplaced):
+        # the same (view, bin, f_hat, coeff) set as testing each view on its
+        # own, on the first rounds of peeling as well as on the fresh views
+        cfg = replace(TOY_CFG, identity_hash=identity, shift_count=shifts)
+        plan = make_plan(1001, len(spec), 0, seed, cfg)
+        src = synthesize(spec)
+        views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+        if misplaced:
+            # every singleton of view 0 one bin off: each must fail the hash-back test
+            views[0].bins = np.roll(views[0].bins, 1, axis=1)
+        state = PeelState.create(views, plan.M)
+        for _ in range(3):
+            readings = _dedupe(detect_singletons(state))
+            got = set(
+                zip(
+                    readings.view_index.tolist(),
+                    readings.bin_index.tolist(),
+                    readings.f_hat.tolist(),
+                    readings.coeff.tolist(),
+                )
+            )
+            assert got == per_view_reference(state)
+            assert readings.f_hat.tolist() == sorted(set(readings.f_hat.tolist()))
+            if not len(readings):
+                break
+            try:
+                peel(state, readings)
+            except DuplicateConflictError:
+                break
 
 
 class TestPeel:
     def test_complete_cancellation(self):
         spec = SparseSpectrum.from_pairs([(5, 2 + 1j)], 1001)
         plan, state = toy_state(spec)
-        reading = detect_singletons(state)[0]
-        peel(state, [reading])
+        reading = detect_singletons(state).take([0])
+        peel(state, reading)
         assert state.max_bin_magnitude() < 1e-12
 
     def test_peel_clears_other_views(self):
@@ -93,8 +196,9 @@ class TestPeel:
         # view-3 bin 7
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], 1001)
         plan, state = toy_state(spec)
-        reading = next(r for r in detect_singletons(state) if r.f_hat == 7)
-        peel(state, [reading])
+        readings = detect_singletons(state)
+        reading = readings.take(np.flatnonzero(readings.f_hat == 7)[:1])
+        peel(state, reading)
         assert abs(state.views[1].bins[0, 7]) < 1e-12
         assert abs(state.views[2].bins[0, 7]) < 1e-12
         assert abs(state.views[0].bins[0, 6] - 1.0) < 1e-12  # 41 still present
@@ -106,8 +210,8 @@ class TestPeel:
         # the alias sums of the unrecovered tone 41 in every view
         spec = SparseSpectrum.from_pairs([(3, 1.0), (10, 0.5 - 1j), (41, 2j)], 1001)
         plan, state = toy_state(spec)
-        readings = {r.f_hat: r for r in detect_singletons(state) if r.f_hat in (3, 10)}
-        peel(state, [readings[3], readings[10]])
+        readings = detect_singletons(state)
+        peel(state, readings.take([np.flatnonzero(readings.f_hat == f)[-1] for f in (3, 10)]))
         assert set(state.recovered) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
         for view in state.views:
@@ -118,11 +222,11 @@ class TestPeel:
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
         plan, state = toy_state(spec)
         state.recovered = {100: 1.0}
-        readings = [
-            SingletonReading(0, 0, 7, 1.0 + 0j, 0.0),
-            SingletonReading(0, 2, 100, 0j, 0.0),  # re-detected below the floor
-            SingletonReading(0, 6, 41, 0.5 - 1j, 0.0),
-        ]
+        readings = batch(
+            (0, 0, 7, 1.0 + 0j, 0.0),
+            (0, 2, 100, 0j, 0.0),  # re-detected below the floor
+            (0, 6, 41, 0.5 - 1j, 0.0),
+        )
         with pytest.raises(DuplicateConflictError):
             peel(state, readings)
         assert state.recovered == {100: 1.0, 7: 1.0}
@@ -130,6 +234,16 @@ class TestPeel:
         for view in state.views:
             want = build_view_from_spectrum(residual, view.params, 1001).bins
             assert np.abs(view.bins - want).max() < 1e-9
+
+
+    def test_conflict_within_one_batch(self):
+        # a frequency read twice in one batch, the second time below the
+        # floor, conflicts exactly as it would in two separate rounds
+        spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
+        plan, state = toy_state(spec)
+        with pytest.raises(DuplicateConflictError):
+            peel(state, batch((0, 0, 7, 1.0 + 0j, 0.0), (1, 7, 7, 0j, 0.0)))
+        assert state.recovered == {7: 1.0}
 
 
 class TestRunPeeling:
@@ -210,7 +324,7 @@ class TestRunPeeling:
             readings = detect_singletons(state)
             if not readings:
                 break
-            peel(state, [readings[0]])
+            peel(state, readings.take([0]))
             residual_entries = dict(spec.entries)
             for f, c in state.recovered.items():
                 residual_entries[f] = residual_entries.get(f, 0) - c

@@ -174,6 +174,39 @@ class TestSparseFft:
         assert a.op_counts == b.op_counts
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
+    def test_determinism_bytes_over_peeling_rounds(self, rng):
+        # several peel rounds and the residue sets in the certificate
+        cfg = Config(nominal_length=2**14, gate_trail=True)
+        plan = make_plan(2**14, 12, cfg.t, seed=4, config=cfg)
+        src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
+        a, b = (sparse_fft(src, 12, cfg, seed=4) for _ in range(2))
+        assert a.path is RecoveryPath.FAST
+        assert a.certificate.to_json() == b.certificate.to_json()
+        assert a.op_counts == b.op_counts
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_buffer_takes_the_fallback(self, rng, n, k):
+        # no three-view plan exists below N = 4; the dense fallback answers
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        result = sparse_fft_dense(x, k)
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.certificate.payload["fallback_reason"].startswith("too-short")
+        dense = np.fft.fft(x) / n
+        top = sorted(np.lexsort((np.arange(n), -np.abs(dense)))[:k])
+        want = SparseSpectrum.from_pairs([(f, dense[f]) for f in top], n)
+        assert spectra_close(result.spectrum, want)
+        assert verify_certificate(result.certificate, from_dense(x)) == []
+
+    def test_short_nominal_length_takes_the_fallback(self):
+        spec = SparseSpectrum.from_pairs([(1, 2.0 - 1j)], 3)
+        src = synthesize(spec)
+        cfg = Config(nominal_length=3)
+        result = sparse_fft(src, 1, cfg)
+        assert result.certificate.payload["fallback_reason"].startswith("too-short")
+        assert spectra_close(result.spectrum, spec)
+        assert verify_certificate(result.certificate, src, cfg) == []
+
     def test_grid_mismatch_falls_back_exactly(self, rng):
         spec = random_spectrum(rng, 2, 999)  # 999 is not a plan grid
         src = synthesize(spec)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtfft.config import Config
 from crtfft.errors import StrideMismatchError
@@ -12,6 +14,7 @@ from crtfft.views import (
     build_view,
     build_view_from_spectrum,
     extract_residues,
+    top_k_order,
 )
 from conftest import random_spectrum
 
@@ -156,6 +159,37 @@ class TestExtractResidues:
         mags = np.abs(bins[0])
         want = sorted(np.flatnonzero(mags > 0), key=lambda r: (-mags[r], r))[:4]
         assert list(rs.bins()) == want
+
+
+@st.composite
+def spectra(draw):
+    """Random, tie-heavy or partly sub-floor spectra, as shift-0 bin values."""
+    n = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(("random", "ties", "floor")))
+    if kind == "random":
+        values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    elif kind == "ties":
+        values = st.sampled_from((0j, 1.0, -1.0, 1j, 2.0, 0.5 - 0.5j))
+    else:  # a few bins at full scale, the rest at or below the 1e-12 occupancy floor
+        values = st.sampled_from((1.0, 0.5j, 1e-13, 1e-15j, 0j))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.complex128)
+
+
+class TestTopKOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra(), k=st.integers(-1, 70), shuffle=st.randoms(use_true_random=False))
+    def test_equals_full_lexsort(self, spectrum, k, shuffle):
+        # magnitude descending, then key ascending: the first k rows of a
+        # lexsort over every occupied bin, whatever the keys' order
+        mags = np.abs(spectrum)
+        keys = np.arange(mags.size)
+        shuffle.shuffle(keys)
+        occupied = np.flatnonzero(mags > 1e-12 * max(float(mags.max(initial=0.0)), 1e-300))
+        want = occupied[np.lexsort((keys[occupied], -mags[occupied]))][: max(k, 0)]
+        got = occupied[top_k_order(mags[occupied], keys[occupied], k)]
+        assert got.tolist() == want.tolist()
+        full = np.lexsort((keys, -mags))[: max(k, 0)]
+        assert top_k_order(mags, keys, k).tolist() == full.tolist()
 
 
 class TestViewEnergy:
