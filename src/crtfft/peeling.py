@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 
 import numpy as np
 
@@ -69,13 +69,7 @@ class SingletonReading:
 
     def take(self, rows) -> "SingletonReading":
         """The readings at `rows` (an index array or a slice), in that order."""
-        return SingletonReading(
-            self.view_index[rows],
-            self.bin_index[rows],
-            self.f_hat[rows],
-            self.coeff[rows],
-            self.shift_ratio_error[rows],
-        )
+        return SingletonReading(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass

@@ -10,8 +10,9 @@ The resulting bin values are plain coefficient sums,
 which is the contract every consumer (peeling, gating, verification) is
 written against.  `alias_sum` is the one evaluation of that sum from known
 tones: `build_view_from_spectrum` wraps it as the independent oracle for the
-FFT path and the bin predictor inside verification, and peeling subtracts
-it for every round's readings.
+FFT path and the bin predictor inside verification.  Its per-tone values
+come from `tone_table`, which peeling scatters into all three views at once
+for every round's readings.
 """
 
 from __future__ import annotations
@@ -126,11 +127,8 @@ def alias_sum(
     if M % params.m != 0:
         raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
     bins = np.zeros((params.shift_count, params.m), dtype=np.complex128)
-    np.add.at(
-        bins,
-        (slice(None), params.hash_frequency(freqs)),
-        tone_table(freqs, coeffs, params.shift_count, M),
-    )
+    table = tone_table(freqs, coeffs, params.shift_count, M)
+    np.add.at(bins, (slice(None), params.hash_frequency(freqs)), table)
     return bins
 
 
