@@ -25,6 +25,7 @@ each view's hashed columns.  Rounds repeat until the views are empty
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace as dc_replace
 
@@ -97,9 +98,7 @@ class PeelState:
     ) -> "PeelState":
         """Copy the views' bins into one stack; the given views are not modified."""
         stack = np.concatenate([v.bins for v in views], axis=1)
-        offsets = [0]
-        for v in views[:-1]:
-            offsets.append(offsets[-1] + v.m)
+        offsets = [0, *itertools.accumulate(v.m for v in views[:-1])]
         sliced = [dc_replace(v, bins=stack[:, o : o + v.m]) for v, o in zip(views, offsets)]
         peak = float(np.abs(stack[0]).max(initial=0.0))
         return cls(
