@@ -63,7 +63,6 @@ from .peeling import (
     SingletonReading,
     detect_singletons,
     peel,
-    rehash,
     run_peeling,
 )
 from .verification import (

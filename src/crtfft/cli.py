@@ -3,8 +3,9 @@
 Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
 verify-cert (replay a certificate).  The montecarlo experiments verify-miss
-and rehash measure the shipped pipeline: verify-miss reads each view's
-verdict from `verify`, and rehash runs `sparse_fft` with one rehash allowed.
+and peel-completion measure the shipped pipeline: verify-miss reads each
+view's verdict from `verify`, and peel-completion runs `sparse_fft` and
+counts the trials whose peeling completes with the exact answer.
 Exit codes: 0 success / fast path, 2 correct-but-fallback recovery, 1 usage
 or validation error.  Given a fixed seed every subcommand writes
 byte-identical output.
@@ -226,7 +227,7 @@ def _mc_gate_survivors(args, writer):
 def _mc_singleton_fraction(args, writer):
     triple = ModTriple.create(*_parse_int_list(args.moduli or "997,1009,1013"))
     m_min = min(triple.moduli)
-    k = args.k or max(1, round(args.load * m_min))
+    k = args.k if args.k is not None else max(1, round(args.load * m_min))
     lam = k / m_min
     per_view = []
     across = []
@@ -288,19 +289,17 @@ def _mc_verify_miss(args, writer):
     )
 
 
-def _mc_rehash(args, writer):
+def _mc_peel_completion(args, writer):
     triple = ModTriple.create(*_parse_int_list(args.moduli or "97,101,103"))
     m_min = min(triple.moduli)
-    k = args.k or max(1, round(args.load * m_min))
-    cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli, t=0, max_rehash=1)
+    k = args.k if args.k is not None else max(1, round(args.load * m_min))
+    cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli, t=0)
     completed = 0
-    needed_rehash = 0
-    for seed, rng in _trials(args, "rehash"):
+    for seed, rng in _trials(args, "peel-completion"):
         freqs = _draw_support(rng, k, triple.M)
         coeffs = np.exp(2j * np.pi * rng.random(k))
         truth = SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), triple.M)
         result = sparse_fft(synthesize(truth), k, cfg, seed)
-        needed_rehash += result.certificate.payload["escalation"]["rehashes"] > 0
         got = result.spectrum
         completed += bool(
             result.peel_status is PeelStatus.COMPLETE
@@ -309,8 +308,8 @@ def _mc_rehash(args, writer):
         )
     writer.writerow(
         [
-            "rehash", k, m_min, args.trials,
-            repr(completed / args.trials), repr(needed_rehash / args.trials), repr(0.99),
+            "peel-completion", k, m_min, args.trials,
+            repr(completed / args.trials), repr(0.99),
         ]
     )
 
@@ -331,14 +330,15 @@ _MC_HEADERS = {
         "one_view_slip_rate", "three_view_slip_rate", "bound_one_view",
         "bound_three_views",
     ],
-    "rehash": [
-        "experiment", "k", "m", "trials",
-        "completion_rate", "rehash_rate", "target",
-    ],
+    "peel-completion": ["experiment", "k", "m", "trials", "completion_rate", "target"],
 }
 
 
 def cmd_montecarlo(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.k is None and args.experiment in ("gate-survivors", "verify-miss"):
+        args.k = 10
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_MC_HEADERS[args.experiment])
@@ -350,7 +350,7 @@ def cmd_montecarlo(args) -> int:
         elif args.experiment == "verify-miss":
             _mc_verify_miss(args, writer)
         else:
-            _mc_rehash(args, writer)
+            _mc_peel_completion(args, writer)
     _write_output(buf.getvalue(), args.output)
     return 0
 
@@ -414,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment",
         required=True,
-        choices=["gate-survivors", "singleton-fraction", "verify-miss", "rehash"],
+        choices=["gate-survivors", "singleton-fraction", "verify-miss", "peel-completion"],
     )
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, help="sparsity (default: from --load, or 10)")
     p.add_argument("--alpha", type=float, default=15.0)
     p.add_argument("--load", type=float, default=0.1, help="target load factor k/m")
     p.add_argument("--n", type=int, help="nominal length (verify-miss, gate-survivors)")

@@ -33,7 +33,6 @@ class Config:
     verify_eps_rel: float = 1e-6        # verification tolerance, relative to view energy
 
     # control
-    max_rehash: int = 2                 # fresh identification hashes before falling back
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     gate_trail: bool = False            # record the explicit gate table in certificates
     force_fallback: bool = False        # skip the fast path entirely
@@ -50,6 +49,10 @@ class Config:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+        if self.nominal_length is not None and self.nominal_length < 1:
+            raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
+        if self.dense_budget < 1:
+            raise ValueError(f"dense_budget must be >= 1, got {self.dense_budget}")
 
 
 def _is_int(value) -> bool:

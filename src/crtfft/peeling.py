@@ -34,14 +34,14 @@ import numpy as np
 from .errors import DuplicateConflictError
 from .opcount import OpCounter
 from .planner import ModuliPlan
-from .planner import rehash as rehash  # re-exported: fresh hash params, same moduli
 from .signal import SparseSpectrum
 from .views import NOISE_FLOOR_REL, ViewSpectrum, build_view, tone_table
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
 SINGLETON_TOL = 1e-6
-# Peeling stops as stagnated after ceil(ROUND_CAP_C * log2(k + 2)) rounds.
-ROUND_CAP_C = 4.0
+# Peeling stops as stagnated after ceil(ROUND_CAP_C * log2(k + 2)) rounds:
+# three attempts' worth of 4 each, without rebuilding any view.
+ROUND_CAP_C = 12.0
 
 
 class PeelStatus(enum.Enum):

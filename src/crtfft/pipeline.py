@@ -4,12 +4,12 @@ A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
 candidate.  Any failure (a length too short for a plan, grid mismatch,
-dense regime, a stuck residual after the rehash budget, too many
-candidates, or a failed verification) routes to the dense fallback, which
+dense regime, a residual that peeling leaves stuck, too many candidates,
+or a failed verification) routes to the dense fallback, which
 materializes the grid, transforms it, and returns the top-k bins exactly.
-A failed verification is final: a verdict is a pure function of the
-source, the view parameters and the candidate, so checking the same views
-again cannot change it.
+A stuck peel and a failed verification are final: a fresh hash over the
+same moduli only relabels each view's bins, and a verdict is a pure function
+of the source, the view parameters and the candidate.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, the residue sets, each reconstruction, and the
 verification outcomes against nothing but the certificate and the signal.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +37,12 @@ from .numtheory import ModTriple, garner2, garner3_parts
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
-from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan, rehash
+from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan
+from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
-from .views import ResidueSet, build_view, build_view_from_spectrum, extract_residues, top_k_order
+from .views import ResidueSet, build_view, extract_residues, top_k_order
+from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 
 # The certificate's amplitude floor, relative to the largest recovered amplitude.
@@ -196,12 +198,6 @@ def dense_fallback(
     return SparseSpectrum.from_pairs(zip(top.tolist(), spectrum[top].tolist()), M)
 
 
-def _subtract_spectrum(views, spectrum):
-    for view in views:
-        predicted = build_view_from_spectrum(spectrum, view.params, view.M)
-        view.bins -= predicted.bins
-
-
 def _top_k(entries: dict[int, complex], k: int, grid: int) -> SparseSpectrum:
     freqs = np.fromiter(entries, dtype=np.int64, count=len(entries))
     coeffs = np.fromiter(entries.values(), dtype=np.complex128, count=len(entries))
@@ -230,10 +226,11 @@ def sparse_fft(
     spectrum to a corrupted one just before verification, to exercise the
     fallback guarantee.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    k = int(k)
     cfg = config or Config()
     op = op if op is not None else OpCounter()
-    if k < 0:
-        raise ValueError("k must be >= 0")
     N = cfg.nominal_length or source.original_length
 
     fallback_reason = None
@@ -242,7 +239,6 @@ def sparse_fft(
     report = None
     residue_sets: list[ResidueSet] = []
     recovered: dict[int, complex] = {}
-    rehashes = 0
     candidate = None
 
     if cfg.force_fallback:
@@ -265,25 +261,7 @@ def sparse_fft(
         # the int conversion keeps a huge alpha from overflowing
         alpha_k = max(1, int(round(min(cfg.alpha * max(k, 1), plan.M))))
         residue_sets = [extract_residues(v, alpha_k) for v in views]
-        state = PeelState.create(views, plan.M, op)
-        base_floor = state.noise_floor
-        outcome = run_peeling(state, plan)
-        while outcome.status is not PeelStatus.COMPLETE and rehashes < cfg.max_rehash:
-            rehashes += 1
-            plan = rehash(plan, seed, rehashes)
-            partial = SparseSpectrum.from_pairs(
-                [(f, c) for f, c in state.recovered.items() if abs(c) > state.noise_floor],
-                plan.M,
-            )
-            views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
-            _subtract_spectrum(views, partial)
-            op.add("rehash", 3 * len(partial))
-            state = PeelState.create(views, plan.M, op)
-            # keep the original signal scale: a residual that is pure roundoff
-            # must read as empty, not as new occupied bins
-            state.noise_floor = max(state.noise_floor, base_floor)
-            state.recovered = dict(partial.entries)
-            outcome = run_peeling(state, plan)
+        outcome = run_peeling(PeelState.create(views, plan.M, op), plan)
         peel_status = outcome.status
         recovered = dict(outcome.recovered.entries)
 
@@ -315,7 +293,6 @@ def sparse_fft(
         report=report,
         path=path,
         fallback_reason=fallback_reason,
-        rehashes=rehashes,
         declared_n=cfg.nominal_length,
         k=k,
     )
@@ -351,7 +328,6 @@ def build_certificate(
     report: VerificationReport | None,
     path: RecoveryPath,
     fallback_reason: str | None,
-    rehashes: int,
     declared_n: int | None,
     k: int,
 ) -> Certificate:
@@ -360,8 +336,9 @@ def build_certificate(
     Every recovered frequency carries its residues and Garner digits so the
     reconstruction can be replayed; the gate table is included only when
     configured, since the fast path does not enumerate pairs.  The escalation
-    record keeps `extra_verify_views` for readers of the format; no run
-    draws extra verification views, so it is always 0.
+    record keeps `rehashes` and `extra_verify_views` for readers of the
+    format; no run rehashes or draws extra verification views, so both are
+    always 0.
     """
     amplitudes = [abs(c) for _, c in spectrum.entries]
     tau = AMPLITUDE_THRESHOLD_REL * max(amplitudes, default=0.0)
@@ -371,7 +348,7 @@ def build_certificate(
         "seed": seed,
         "path": path.value,
         "fallback_reason": fallback_reason,
-        "escalation": {"rehashes": rehashes, "extra_verify_views": 0},
+        "escalation": {"rehashes": 0, "extra_verify_views": 0},
         "amplitude_threshold": tau,
         "declared_n": declared_n,
         "grid_length": spectrum.grid_length,

@@ -310,7 +310,11 @@ def divisor_moduli(m: int) -> tuple[int, int, int] | None:
 
 
 def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
-    """Fresh identification hash parameters over the same moduli."""
+    """Fresh identification hash parameters over the same moduli.
+
+    The pipeline never calls this: with `a` invertible mod m, the new hash
+    only relabels the residue classes mod m, so it cannot split a collision.
+    """
     new_views = tuple(
         _draw_view_params(
             view.m,

@@ -78,7 +78,7 @@ def test_gate_table_diff_published(capsys):
 
 
 @pytest.mark.parametrize(
-    "experiment", ["gate-survivors", "singleton-fraction", "verify-miss", "rehash"]
+    "experiment", ["gate-survivors", "singleton-fraction", "verify-miss", "peel-completion"]
 )
 def test_montecarlo_is_deterministic(capsys, experiment):
     argv = ("montecarlo", "--experiment", experiment, "--trials", "3", "--seed", "5")
@@ -92,9 +92,32 @@ def test_montecarlo_is_deterministic(capsys, experiment):
             assert 0.0 <= float(value) <= 1.0, name
     if experiment == "verify-miss":
         assert float(row["three_view_slip_rate"]) <= float(row["one_view_slip_rate"])
-    if experiment == "rehash":
+    if experiment == "peel-completion":
         assert float(row["completion_rate"]) == 1.0
     assert run(capsys, *argv)[1] == first
+
+
+@pytest.mark.parametrize(
+    "experiment, extra, k",
+    [
+        ("peel-completion", ("--load", "0.5"), 48),  # round(0.5 * 97) on 97*101*103
+        ("peel-completion", ("--load", "0.5", "--k", "7"), 7),
+        ("verify-miss", ("--load", "0.5"), 10),
+    ],
+)
+def test_montecarlo_k_from_load_unless_given(capsys, experiment, extra, k):
+    code, out, _ = run(
+        capsys, "montecarlo", "--experiment", experiment, "--trials", "1", "--seed", "2", *extra
+    )
+    assert code == 0
+    assert int(next(csv.DictReader(io.StringIO(out)))["k"]) == k
+
+
+@pytest.mark.parametrize("experiment", ["singleton-fraction", "verify-miss"])
+def test_montecarlo_rejects_k_below_one(capsys, experiment):
+    code, out, err = run(capsys, "montecarlo", "--experiment", experiment, "--trials", "1",
+                         "--k", "0")
+    assert code == 1 and out == "" and err.startswith("error: --k must be >= 1")
 
 
 def test_verify_cert_replays_transform_certificate(capsys, tmp_path):

@@ -56,6 +56,11 @@ def test_valid_file_loads(tmp_path):
         {"round_cap_c": 4.0},
         {"amplitude_threshold_rel": 1e-6},
         {"max_extra_verify_views": 2},
+        {"max_rehash": 2},
+        {"nominal_length": 0},
+        {"nominal_length": -5},
+        {"dense_budget": 0},
+        {"dense_budget": -1},
         {"alpha": float("nan")},
         {"alpha": float("inf")},
         {"verify_eps_rel": float("nan")},
@@ -68,12 +73,22 @@ def test_valid_file_loads(tmp_path):
          "unknown-key", "unknown-key-rho_sparse", "unknown-key-singleton_tol",
          "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
          "unknown-key-amplitude_threshold_rel", "unknown-key-max_extra_verify_views",
+         "unknown-key-max_rehash", "zero-nominal-length", "negative-nominal-length",
+         "zero-dense-budget", "negative-dense-budget",
          "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense",
          "negative-verify-eps", "negative-alpha"],
 )
 def test_malformed_value_is_parse_error(tmp_path, change):
     with pytest.raises(ParseError):
         load_config(write(tmp_path, {**VALID, **change}))
+
+
+@pytest.mark.parametrize(
+    "change", [{"nominal_length": 0}, {"nominal_length": -5}, {"dense_budget": 0}]
+)
+def test_nonsensical_length_is_rejected(change):
+    with pytest.raises(ValueError):
+        Config(**change)
 
 
 @settings(max_examples=200, deadline=None)

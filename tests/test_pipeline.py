@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from crtfft.config import Config, replace
 from crtfft.errors import OracleCapExceededError, ParseError
 from crtfft.opcount import OpCounter
-from crtfft.peeling import PeelStatus
+from crtfft.peeling import PeelState, PeelStatus, run_peeling
+from crtfft import pipeline
 from crtfft.pipeline import (
     Certificate,
     RecoveryPath,
@@ -22,6 +24,7 @@ from crtfft.pipeline import (
 from crtfft.planner import make_plan
 from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.verification import verify
+from crtfft.views import build_view
 from conftest import DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
@@ -154,8 +157,53 @@ class TestSparseFft:
         result = sparse_fft(src, 4, cfg, seed=2)
         assert result.path is RecoveryPath.FALLBACK
         assert result.peel_status is PeelStatus.TWO_CORE
-        assert result.certificate.payload["escalation"]["rehashes"] == 2
+        assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert spectra_close(result.spectrum, spec)
+
+    @pytest.mark.parametrize("k, seed", [(235, 32), (245, 17), (245, 40)])
+    def test_peeling_past_four_rounds_per_log_k_completes(self, k, seed):
+        # at load ~2.4 per view these peel for more rounds than a cap of
+        # 4*log2(k+2) allows; one set of views with the whole round budget
+        # completes them on the fast path, exactly, with no rehash
+        moduli = (97, 101, 103)
+        M = math.prod(moduli)
+        rng = np.random.default_rng(1000 + seed)
+        support = np.sort(rng.choice(M, size=k, replace=False))
+        spec = SparseSpectrum.from_pairs(zip(support, np.exp(2j * np.pi * rng.random(k))), M)
+        src = synthesize(spec)
+        cfg = Config(moduli_override=moduli, nominal_length=M)
+        result = sparse_fft(src, k, cfg, seed)
+        assert result.path is RecoveryPath.FAST
+        assert result.peel_status is PeelStatus.COMPLETE
+        assert spectra_close(result.spectrum, spec)
+        assert result.certificate.payload["escalation"]["rehashes"] == 0
+        assert verify_certificate(result.certificate, src, cfg) == []
+        plan = make_plan(M, k, 0, seed, cfg)
+        views = [build_view(src, vp, M) for vp in plan.id_views]
+        rounds = run_peeling(PeelState.create(views, M), plan).rounds
+        assert rounds > math.ceil(4 * math.log2(k + 2))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True, -1])
+    def test_k_that_is_not_a_count_is_rejected_before_any_read(self, monkeypatch, k):
+        class Unread(SignalSource):
+            grid_length = original_length = 1001
+
+            def sample_block(self, indices):
+                raise AssertionError("read a sample")
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("made a plan")
+
+        monkeypatch.setattr(pipeline, "make_plan", no_plan)
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            sparse_fft(Unread(), k, TOY_CFG, seed=1)
+
+    def test_numpy_integer_k(self, rng):
+        spec, src = toy_instance()
+        result = sparse_fft(src, np.int64(2), replace(TOY_CFG, nominal_length=1001), seed=1)
+        assert result.path is RecoveryPath.FAST
+        assert spectra_close(result.spectrum, spec)
+        assert json.loads(result.certificate.to_json())["k"] == 2
 
     def test_empty_spectrum(self):
         spec = SparseSpectrum.from_pairs([], 1001)
