@@ -53,6 +53,7 @@ from .views import (
     ViewSpectrum,
     build_view,
     build_view_from_spectrum,
+    build_views,
     extract_residues,
 )
 from .gating import GatedCandidate, GateStats, gate_pairs, gate_survivor_stats

@@ -38,6 +38,7 @@ from .signal import (
     synthesize,
 )
 from .verification import verify
+from .views import build_views
 
 # Previously circulated reference rows for the canonical gate-table inputs
 # (moduli 7/11/13, R1={0,3,6}, R2={1,7,8,10}, R3={2,5,7,11}).  The four
@@ -277,7 +278,7 @@ def _mc_verify_miss(args, writer):
         views = tuple(
             _draw_view_params(m, plan.M, rng, cfg.shift_count) for m in plan.triple.moduli
         )
-        report = verify(synthesize(truth), plan, corrupted, cfg, view_params=views)
+        report = verify(build_views(synthesize(truth), views, plan.M), corrupted, cfg)
         slips_one += report.views[0].passed
         slips_all += report.overall
     writer.writerow(

@@ -3,10 +3,14 @@
 A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
-candidate.  Any failure (a length too short for a plan, grid mismatch,
-dense regime, a residual that peeling leaves stuck, too many candidates,
-or a failed verification) routes to the dense fallback, which
-materializes the grid, transforms it, and returns the top-k bins exactly.
+candidate.  The verification views are read with the identification views,
+before peeling (`build_views`: one sample read and one transform per
+modulus); they do not depend on the candidate, and a run that falls back
+after peeling has still read them and is charged for them under "verify".
+Any failure (a length too short for a plan, grid mismatch, dense regime, a
+residual that peeling leaves stuck, too many candidates, or a failed
+verification) routes to the dense fallback, which materializes the grid,
+transforms it, and returns the top-k bins exactly.
 A stuck peel and a failed verification are final: a fresh hash over the
 same moduli only relabels each view's bins, and a verdict is a pure function
 of the source, the view parameters and the candidate.
@@ -41,7 +45,7 @@ from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan
 from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
-from .views import ResidueSet, build_view, extract_residues, top_k_order
+from .views import ResidueSet, build_view, build_views, extract_residues, top_k_order
 from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 
@@ -256,7 +260,9 @@ def sparse_fft(
         plan = None
 
     if plan is not None and fallback_reason is None:
-        views = [build_view(source, vp, plan.M, op) for vp in plan.id_views]
+        phases = ("views",) * len(plan.id_views) + ("verify",) * len(plan.verify_views)
+        built = build_views(source, plan.id_views + plan.verify_views, plan.M, op, phases)
+        views, verify_views = built[: len(plan.id_views)], built[len(plan.id_views) :]
         # a residue set never holds more than m <= M bins; clamping before
         # the int conversion keeps a huge alpha from overflowing
         alpha_k = max(1, int(round(min(cfg.alpha * max(k, 1), plan.M))))
@@ -273,7 +279,7 @@ def sparse_fft(
             candidate = _top_k(recovered, k, plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
-            report = verify(source, plan, candidate, cfg, op)
+            report = verify(verify_views, candidate, cfg, op)
             if not report.overall:
                 fallback_reason = "verification-failed"
 

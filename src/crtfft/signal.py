@@ -6,10 +6,11 @@ n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid, and
 the fast path only ever touches O(sqrt(M)) indices, so nothing is
 materialized unless the dense fallback runs.  An index block may have any
 shape and its values come back in that shape.  A synthesized source reads n
-arbitrary indices in O(k*n) arithmetic; a stack of R rows that are full
-cyclic progressions mod M with one common step (a view's shifts are such a
-stack) costs O(R*k + R*n log n), one scatter and one stacked inverse
-transform for all rows.  `materialize` returns the whole grid in a fresh
+arbitrary indices in O(k*n) arithmetic; a stack of R rows that are each a
+full cyclic progression mod M, every row with its own step (the shifts of
+all views that share a modulus are such a stack), costs
+O(R*k + R*n log n), one scatter and one stacked inverse transform for all
+rows.  `materialize` returns the whole grid in a fresh
 buffer that the caller owns and may overwrite (the dense fallback transforms
 it in place): for a synthesized source it is the one-row, step-1 case of that
 read, O(k + M log M); a dense source fills it with one copy of its samples,
@@ -140,10 +141,10 @@ class _SynthesizedSource(SignalSource):
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
         if self._freqs.size == 0:
             return np.zeros(idx.shape, dtype=np.complex128)
-        step = _progression_step(idx, self.grid_length)
-        if step is not None:
+        steps = _progression_step(idx, self.grid_length)
+        if steps is not None:
             rows = idx.reshape(-1, idx.shape[-1])
-            return self._aliased_read(rows[:, 0], step, rows.shape[1]).reshape(idx.shape)
+            return self._aliased_read(rows[:, 0], steps, rows.shape[1]).reshape(idx.shape)
         flat = idx.ravel()
         out = np.empty(flat.shape, dtype=np.complex128)
         # Chunk so the (k, block) phase matrix stays small; reduce f*n mod M
@@ -158,33 +159,37 @@ class _SynthesizedSource(SignalSource):
 
     def _read_grid(self) -> np.ndarray:
         """All grid samples as one length-M inverse transform of the tones."""
-        return self._aliased_read(np.zeros(1, dtype=np.int64), 1, self.grid_length)[0]
+        starts, steps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        return self._aliased_read(starts, steps, self.grid_length)[0]
 
-    def _aliased_read(self, starts: np.ndarray, step: int, n: int) -> np.ndarray:
-        """x[(starts[r] + j*step) mod M] for every row r and j < n, given
-        n*step == 0 (mod M).
+    def _aliased_read(self, starts: np.ndarray, steps: np.ndarray, n: int) -> np.ndarray:
+        """x[(starts[r] + j*steps[r]) mod M] for every row r and j < n, given
+        n*steps[r] == 0 (mod M).
 
-        Tone f advances by (f*step mod M)/M = r_f/n turns per sample, with
-        r_f an integer because n*step is a multiple of M; so each row is the
-        n-point inverse DFT of the tones scattered into the shared bins r_f,
-        each twisted by its phase at that row's start.  Products stay below
+        In row r, q = n*steps[r]/M is an integer, and tone f advances by
+        (f*steps[r] mod M)/M = (f*q mod n)/n turns per sample; so each row is
+        the n-point inverse DFT of the tones scattered into bins f*q mod n,
+        each twisted by its phase at that row's start.  All rows are
+        scattered into one flat buffer at once.  Products stay below
         M^2 < 2^63 under _MAX_GRID.
         """
         M = self.grid_length
-        bins = (self._freqs * step) % M * n // M
-        twists = np.exp(2j * np.pi * ((starts[:, None] * self._freqs[None, :]) % M) / M)
-        scattered = np.zeros((starts.size, n), dtype=np.complex128)
-        np.add.at(scattered, (slice(None), bins), self._coeffs * twists)
-        return n * dft.dft_inverse(scattered)
+        offsets = np.arange(0, starts.size * n, n, dtype=np.int64)
+        bins = (steps * n // M)[:, None] * self._freqs % n + offsets[:, None]
+        twists = np.exp(2j * np.pi * ((starts[:, None] * self._freqs) % M) / M)
+        scattered = np.zeros(starts.size * n, dtype=np.complex128)
+        np.add.at(scattered, bins.ravel(), (self._coeffs * twists).ravel())
+        return n * dft.dft_inverse(scattered.reshape(starts.size, n))
 
 
-def _progression_step(idx: np.ndarray, M: int) -> int | None:
-    """The common step of a block whose rows each wrap the grid a whole
+def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
+    """The per-row steps of a block whose rows each wrap the grid a whole
     number of times.
 
     `idx` is one row (1-D) or a stack of rows (2-D) of n >= 2 indices in
-    [0, M).  Returns step when every row satisfies row[j] == (row[0] +
-    j*step) mod M and n*step == 0 (mod M); otherwise None.
+    [0, M).  Returns the steps, one per row, when every row satisfies
+    row[j] == (row[0] + j*step) mod M and n*step == 0 (mod M) with its own
+    step; otherwise None.
     """
     if idx.ndim not in (1, 2) or idx.size == 0:
         return None
@@ -192,12 +197,15 @@ def _progression_step(idx: np.ndarray, M: int) -> int | None:
     n = rows.shape[1]
     if n < 2:
         return None
-    step = int(rows[0, 1] - rows[0, 0]) % M
-    if (n * step) % M:
+    gaps = rows[:, 1:] - rows[:, :-1]
+    steps = gaps[:, 0] % M
+    if ((n * steps) % M).any():
         return None
-    if not np.array_equal(rows, (rows[:, :1] + np.arange(n, dtype=np.int64) * step) % M):
+    # two indices in [0, M) are step apart mod M iff they differ by step or step - M
+    col = steps[:, None]
+    if not ((gaps == col) | (gaps == col - M)).all():
         return None
-    return step
+    return steps
 
 
 class _DenseSource(SignalSource):

@@ -1,8 +1,10 @@
 """Two-part verification of a candidate spectrum on independent views.
 
-Each verification view is built once from samples, the candidate's bins are
-predicted once through the same alias-sum model the views use
-(`build_view_from_spectrum`), and `check_view` runs both parts on them:
+The verification views arrive already built from samples (the pipeline
+reads them with the identification views, see `views.build_views`); the
+candidate's bins are predicted once per view through the same alias-sum
+model the views use (`build_view_from_spectrum`), and `check_view` runs both
+parts on them:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins
@@ -22,15 +24,16 @@ E_time the view's raw shift-0 energy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config
 from .opcount import OpCounter
-from .planner import ModuliPlan, ViewParams
-from .signal import SignalSource, SparseSpectrum
-from .views import ViewSpectrum, build_view, build_view_from_spectrum
+from .signal import SparseSpectrum
+from .views import ViewSpectrum, build_view_from_spectrum
+from .views import build_view  # noqa: F401  looked up by the benchmark tracer
 
 
 @dataclass(frozen=True)
@@ -98,37 +101,26 @@ def check_view(
 
 
 def verify(
-    source: SignalSource,
-    plan: ModuliPlan,
+    views: Sequence[ViewSpectrum],
     candidate: SparseSpectrum,
     config: Config | None = None,
     op: OpCounter | None = None,
-    view_params: tuple[ViewParams, ...] | None = None,
 ) -> VerificationReport:
-    """Run `check_view` on every verification view and aggregate.
+    """Run `check_view` on every built verification view and aggregate.
 
-    The verdict is a pure function of the source, the view parameters and
-    the candidate: every view is rebuilt from the same samples, so a second
-    call on the same inputs returns an equal report.  That is why a failed
+    The verdict is a pure function of the views and the candidate, and each
+    view is a pure function of the source and its parameters, so checking
+    the same candidate again returns an equal report.  That is why a failed
     verification is final and why certificate replay can recheck it.  With
     no verification views the report passes vacuously and is flagged
     unverified.
     """
     cfg = config or Config()
-    params_list = plan.verify_views if view_params is None else view_params
-    if not params_list:
+    if not views:
         return VerificationReport(
             views=(), overall=True, epsilon_rel=cfg.verify_eps_rel, unverified=True
         )
-    checks = tuple(
-        check_view(
-            build_view(source, vp, plan.M, op, phase="verify"),
-            candidate,
-            cfg.verify_eps_rel,
-            op,
-        )
-        for vp in params_list
-    )
+    checks = tuple(check_view(view, candidate, cfg.verify_eps_rel, op) for view in views)
     return VerificationReport(
         views=checks,
         overall=all(c.passed for c in checks),

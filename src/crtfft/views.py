@@ -17,6 +17,7 @@ for every round's readings.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,54 @@ def _shift_indices(params: ViewParams, M: int, shift: int) -> np.ndarray:
     return (params.sigma * (j * d) + shift) % M
 
 
+def build_views(
+    source: SignalSource,
+    params: Sequence[ViewParams],
+    M: int,
+    op: OpCounter | None = None,
+    phases: Sequence[str] | None = None,
+) -> list[ViewSpectrum]:
+    """FFT-path construction of views from time samples, in the order given.
+
+    Views that share a modulus m are built together: row s of a view's
+    (shift_count, m) index block is its shift-0 progression plus s, so every
+    row wraps the grid a whole number of times with its view's step, and the
+    blocks of all views of one modulus are read with one `sample_block` call
+    (a synthesized source reads such a stack as one aliased inverse
+    transform).  Each view's shift-0 time energy is kept for the Parseval
+    check and its rows are modulated by its own b; the stack is then
+    transformed and normalized once and split back into views.  Ops are
+    charged per view under `phases[i]` ("views" when not given).
+    """
+    phases = phases or ("views",) * len(params)
+    views: list[ViewSpectrum | None] = [None] * len(params)
+    groups: dict[int, list[int]] = {}
+    for i, vp in enumerate(params):
+        groups.setdefault(vp.m, []).append(i)
+    for m, members in groups.items():
+        blocks = []
+        for i in members:
+            shifts = np.arange(params[i].shift_count, dtype=np.int64)[:, None]
+            blocks.append((_shift_indices(params[i], M, 0) + shifts) % M)
+        samples = source.sample_block(np.concatenate(blocks))
+        lo, rows = 0, []
+        for i in members:
+            vp = params[i]
+            hi = lo + vp.shift_count
+            rows.append((vp, i, lo, hi, float(np.sum(np.abs(samples[lo]) ** 2))))
+            if vp.b:
+                samples[lo:hi] *= np.exp(2j * np.pi * vp.b * np.arange(m) / m)
+            lo = hi
+        bins = dft.dft_forward(samples) / m
+        for vp, i, lo, hi, energy in rows:
+            views[i] = ViewSpectrum(params=vp, M=M, bins=bins[lo:hi], time_energy=energy)
+            if op is not None:
+                # per shift: sample accesses, modulation multiplies, transform, normalization
+                per_shift = m + (m if vp.b else 0) + dft.fft_op_count(m) + m
+                op.add(phases[i], vp.shift_count * per_shift)
+    return views  # type: ignore[return-value]
+
+
 def build_view(
     source: SignalSource,
     params: ViewParams,
@@ -92,28 +141,8 @@ def build_view(
     op: OpCounter | None = None,
     phase: str = "views",
 ) -> ViewSpectrum:
-    """FFT-path construction of one view from time samples.
-
-    All shifts are read in one call: row s of the (shift_count, m) index
-    block is the shift-0 progression plus s, so every row wraps the grid
-    sigma times with the same step and a synthesized source reads the whole
-    block as one stacked aliased inverse transform.  The shift-0 time energy
-    is kept for the Parseval check; the modulation and the transform then
-    run once over the (shift_count, m) stack.
-    """
-    m = params.m
-    base = _shift_indices(params, M, 0)
-    shifts = np.arange(params.shift_count, dtype=np.int64)
-    samples = source.sample_block((base[None, :] + shifts[:, None]) % M)
-    time_energy = float(np.sum(np.abs(samples[0]) ** 2))
-    if params.b:
-        samples *= np.exp(2j * np.pi * params.b * np.arange(m) / m)
-    bins = dft.dft_forward(samples) / m
-    if op is not None:
-        # per shift: sample accesses, modulation multiplies, transform, normalization
-        per_shift = m + (m if params.b else 0) + dft.fft_op_count(m) + m
-        op.add(phase, params.shift_count * per_shift)
-    return ViewSpectrum(params=params, M=M, bins=bins, time_energy=time_energy)
+    """One view built from time samples: `build_views` of a single view."""
+    return build_views(source, [params], M, op, [phase])[0]
 
 
 def alias_sum(

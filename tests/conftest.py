@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from crtfft import SparseSpectrum
+from crtfft import SparseSpectrum, build_views, verify
 
 
 def spectra_close(got, want, tol=1e-9):
@@ -29,6 +29,14 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
         mags = rng.uniform(0.5, 2.0, size=k)
         coeffs = mags * np.exp(2j * np.pi * rng.random(k))
     return SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), grid)
+
+
+def verify_plan(source, plan, candidate, config=None, op=None):
+    """`verify` on the plan's verification views, built from `source` and
+    charged to the verify phase as the pipeline charges them."""
+    phases = ("verify",) * len(plan.verify_views)
+    views = build_views(source, plan.verify_views, plan.M, op, phases)
+    return verify(views, candidate, config, op)
 
 
 def json_paths(node, prefix=()):

@@ -23,9 +23,10 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import make_plan
 from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
-from crtfft.verification import verify
 from crtfft.views import build_view
-from conftest import DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close
+from conftest import (
+    DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close, verify_plan,
+)
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
 
@@ -139,7 +140,7 @@ class TestSparseFft:
         assert result.certificate.payload["escalation"]["extra_verify_views"] == 0
         # one verification pass over the plan's t views, nothing redrawn after it fails
         one_pass = OpCounter()
-        verify(src, plan, corrupted[0], cfg, one_pass)
+        verify_plan(src, plan, corrupted[0], cfg, one_pass)
         assert len(result.verification.views) == len(plan.verify_views)
         assert result.op_counts["verify"] == one_pass.snapshot()["verify"]
 

@@ -195,6 +195,56 @@ class TestProgressionRead:
             assert np.abs(src.sample_block(idx) - want).max() <= tol
 
 
+def per_index(src, idx):
+    """sample() at every index of a block, one call each."""
+    return np.vectorize(src.sample, otypes=[np.complex128])(idx)
+
+
+class TestRowsWithTheirOwnSteps:
+    """A stack whose rows each wrap the grid with their own step (the shifts
+    of all views of one modulus) is read as one aliased inverse DFT; near
+    misses take the generic path.  Both must agree with sample()."""
+
+    M = 1001
+
+    def stack(self):
+        """Rows of three views of modulus 13: sigma 1, 3 and 4, shifts 0-2."""
+        rows = [_shift_indices(ViewParams(13, sigma, 0, 3), self.M, s)
+                for sigma in (1, 3, 4) for s in range(3)]
+        return np.stack(rows)
+
+    def check(self, rng, idx, progression):
+        spec = random_spectrum(rng, 50, self.M)
+        src = synthesize(spec)
+        assert (_progression_step(idx, self.M) is not None) == progression
+        got = src.sample_block(idx)
+        tol = TestProgressionRead.TOL * np.abs(spec.coefficients()).sum()
+        assert np.abs(got - per_index(src, idx)).max() <= tol
+
+    def test_per_row_steps(self, rng):
+        idx = self.stack()
+        steps = _progression_step(idx, self.M)
+        assert steps.tolist() == [77] * 3 + [231] * 3 + [308] * 3
+        self.check(rng, idx, progression=True)
+
+    def test_one_index_off(self, rng):
+        idx = self.stack()
+        idx[4, 6] = (idx[4, 6] + 1) % self.M
+        self.check(rng, idx, progression=False)
+
+    def test_step_changes_midway_through_a_row(self, rng):
+        idx = self.stack()
+        # row 4 keeps step 231 up to j = 6, then moves on by 77
+        idx[4, 7:] = (idx[4, 6] + 77 * np.arange(1, 7)) % self.M
+        self.check(rng, idx, progression=False)
+
+    def test_row_that_does_not_wrap_the_grid(self, rng):
+        idx = self.stack()
+        # 13 steps of 7 do not return to the start: 13 * 7 != 0 (mod 1001)
+        idx[5] = (idx[5, 0] + 7 * np.arange(13)) % self.M
+        self.check(rng, idx, progression=False)
+
+
 def index_block(case, rng):
     """(grid length, index block) for each block-shape case."""
     if case == "16-point":
@@ -218,7 +268,7 @@ class TestBlockShapes:
     @pytest.mark.parametrize("case", ["16-point", "view-stack", "mixed-steps", "3-d"])
     def test_matches_per_index_sample(self, rng, case, kind):
         M, idx = index_block(case, rng)
-        assert (_progression_step(idx, M) is not None) == (case == "view-stack")
+        assert (_progression_step(idx, M) is not None) == (case in ("view-stack", "mixed-steps"))
         if kind == "synthesize":
             spec = random_spectrum(rng, 4 if M == 16 else 50, M)
             src, tol = synthesize(spec), TestProgressionRead.TOL * np.abs(spec.coefficients()).sum()
@@ -228,8 +278,7 @@ class TestBlockShapes:
             src, tol = from_dense(rng.normal(size=head) + 1j * rng.normal(size=head), M), 0.0
         got = src.sample_block(idx)
         assert got.shape == idx.shape
-        want = np.vectorize(src.sample, otypes=[np.complex128])(idx)
-        assert np.abs(got - want).max() <= tol
+        assert np.abs(got - per_index(src, idx)).max() <= tol
 
 
 class TestFromDense:

@@ -4,9 +4,9 @@ import pytest
 from crtfft.config import Config, replace
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
-from crtfft.verification import check_view, verify
+from crtfft.verification import check_view
 from crtfft.views import build_view, build_view_from_spectrum
-from conftest import random_spectrum
+from conftest import random_spectrum, verify_plan
 
 
 def collision_free_instance(rng, k, plan):
@@ -144,7 +144,7 @@ class TestVerify:
         plan = make_plan(2**14, 5, 3, seed=14)
         spec = random_spectrum(rng, 5, plan.M, fmax=plan.N)
         src = synthesize(spec)
-        report = verify(src, plan, spec, Config(nominal_length=2**14))
+        report = verify_plan(src, plan, spec, Config(nominal_length=2**14))
         assert report.overall and not report.unverified
         assert len(report.views) == 3
 
@@ -155,7 +155,7 @@ class TestVerify:
             k = int(rng.integers(1, 9))
             plan = make_plan(2**14, k, 3, seed=trial)
             spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
-            report = verify(synthesize(spec), plan, spec, cfg)
+            report = verify_plan(synthesize(spec), plan, spec, cfg)
             assert report.overall
 
     def test_missing_tone_rejected_always(self, rng):
@@ -165,13 +165,13 @@ class TestVerify:
             plan = make_plan(2**14, k, 3, seed=100 + trial)
             spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
             short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
-            report = verify(synthesize(spec), plan, short, cfg)
+            report = verify_plan(synthesize(spec), plan, short, cfg)
             assert not report.overall
 
     def test_t0_vacuous_pass_flagged(self, rng):
         plan = make_plan(2**14, 3, 0, seed=15)
         spec = random_spectrum(rng, 3, plan.M, fmax=plan.N)
-        report = verify(synthesize(spec), plan, spec, Config())
+        report = verify_plan(synthesize(spec), plan, spec, Config())
         assert report.overall and report.unverified
         assert report.views == ()
 
@@ -187,8 +187,8 @@ class TestVerify:
         )
         spec = random_spectrum(rng, 4, plan_a.M, fmax=plan_a.N)
         src = synthesize(spec)
-        ra = verify(src, plan_a, spec, cfg)
-        rb = verify(src, plan_b, spec, cfg)
+        ra = verify_plan(src, plan_a, spec, cfg)
+        rb = verify_plan(src, plan_b, spec, cfg)
         assert ra == rb
 
     @pytest.mark.parametrize("kind", ["synthesized", "dense"])
@@ -203,6 +203,6 @@ class TestVerify:
             src = from_dense(src.materialize())
         short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
         for candidate, verdict in ((spec, True), (short, False)):
-            first = verify(src, plan, candidate, cfg)
+            first = verify_plan(src, plan, candidate, cfg)
             assert first.overall is verdict
-            assert verify(src, plan, candidate, cfg) == first
+            assert verify_plan(src, plan, candidate, cfg) == first
