@@ -2,9 +2,10 @@
 
 Every setting a caller can change lives in one frozen dataclass, so that a
 (source, k, config, seed) quadruple pins the entire run; the fixed numerical
-tolerances are constants of the modules that use them.  Every float field
-must be finite.  `load_config` reads a JSON object with the same key names;
-unknown keys are rejected rather than ignored.
+tolerances are constants of the modules that use them.  Every field's type
+is checked at construction, the same way for a Config built in Python and
+one read by `load_config`, which takes a JSON object with the same key names
+and rejects unknown keys rather than ignoring them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -39,9 +41,7 @@ class Config:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
         for name in ("alpha", "lambda_threshold", "rho_dense", "verify_eps_rel"):
@@ -53,6 +53,12 @@ class Config:
             raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
         if self.dense_budget < 1:
             raise ValueError(f"dense_budget must be >= 1, got {self.dense_budget}")
+        if (self.moduli_override is not None and self.nominal_length is not None
+                and math.prod(self.moduli_override) < self.nominal_length):
+            raise ValueError(
+                f"moduli_override product {math.prod(self.moduli_override)} "
+                f"is below nominal_length {self.nominal_length}"
+            )
 
 
 def _is_int(value) -> bool:
@@ -64,17 +70,44 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def _accepts(field: dataclasses.Field, value) -> bool:
-    """Whether a JSON value has the type of a Config field."""
-    if field.name == "moduli_override":
-        return value is None or (isinstance(value, list) and all(map(_is_int, value)))
-    if field.name == "nominal_length":
-        return value is None or _is_int(value)
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; booleans are not integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _checked(field: dataclasses.Field, value):
+    """`value` as the type of Config field `field`, or ValueError.
+
+    Integer fields take integers (numpy integers too, not bools), flags take
+    bools, float fields take finite real numbers, and moduli_override takes
+    three integers >= 2 as a list or a tuple.  The same rule serves Config(...)
+    and load_config, and the value comes back as a plain int, float or tuple.
+    """
+    name = field.name
+    if value is None and name in ("moduli_override", "nominal_length"):
+        return None
+    if name == "moduli_override":
+        if not (isinstance(value, (list, tuple)) and len(value) == 3
+                and all(_is_integer(m) and m >= 2 for m in value)):
+            raise ValueError(f"moduli_override must be three integers >= 2, got {value!r}")
+        return tuple(int(m) for m in value)
     if isinstance(field.default, bool):
-        return isinstance(value, bool)
-    if isinstance(field.default, int):
-        return _is_int(value)
-    return _is_number(value)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        return value
+    if name == "nominal_length" or isinstance(field.default, int):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def replace(config: Config, **changes) -> Config:
@@ -94,12 +127,7 @@ def load_config(path) -> Config:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-    for field in dataclasses.fields(Config):
-        if field.name in payload and not _accepts(field, payload[field.name]):
-            raise ParseError(f"config key {field.name} has a malformed value")
-    if payload.get("moduli_override") is not None:
-        payload["moduli_override"] = tuple(payload["moduli_override"])
     try:
         return Config(**payload)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid config values: {exc}") from exc

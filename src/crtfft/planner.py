@@ -252,9 +252,7 @@ def make_plan(
         )
 
     if cfg.moduli_override is not None:
-        moduli = sorted(int(m) for m in cfg.moduli_override)
-        if len(moduli) != 3:
-            raise ValueError("moduli_override must supply exactly 3 moduli")
+        moduli = sorted(cfg.moduli_override)
     else:
         moduli = list(choose_moduli(N, k, cfg.lambda_threshold))
 

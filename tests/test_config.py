@@ -3,13 +3,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtfft import sparse_fft, synthesize
 from crtfft.config import Config, load_config
 from crtfft.errors import CrtFftError, ParseError
-from conftest import mutate_one_value
+from conftest import mutate_one_value, random_spectrum
 
 VALID = {
     "alpha": 15.0,
@@ -89,6 +91,45 @@ def test_malformed_value_is_parse_error(tmp_path, change):
 def test_nonsensical_length_is_rejected(change):
     with pytest.raises(ValueError):
         Config(**change)
+
+
+# One rule for Config(...) and load_config: each of these fails at construction.
+REJECTED = {
+    "fractional-t": {"t": 2.5},
+    "float-shift-count": {"shift_count": 3.0},
+    "fractional-nominal-length": {"nominal_length": 1000.5},
+    "bool-t": {"t": True},
+    "integer-flag": {"gate_trail": 1},
+    "string-alpha": {"alpha": "15"},
+    "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
+    "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},
+    "product-below-length": {"moduli_override": [2, 3, 5], "nominal_length": 1001},
+}
+
+
+@pytest.mark.parametrize("change", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_by_config_and_load_config(tmp_path, change):
+    with pytest.raises(ValueError):
+        Config(**change)
+    with pytest.raises(ParseError):
+        load_config(write(tmp_path, {**VALID, **change}))
+
+
+def test_numpy_and_builtin_numbers_become_plain_values():
+    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001), alpha=15,
+                 verify_eps_rel=np.float32(0.5), moduli_override=[np.int64(13), 7, 11])
+    assert (cfg.t, cfg.nominal_length, cfg.alpha) == (2, 1001, 15.0)
+    assert type(cfg.t) is int and type(cfg.nominal_length) is int
+    assert type(cfg.alpha) is float and type(cfg.verify_eps_rel) is float
+    assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
+    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, alpha=15.0, verify_eps_rel=0.5,
+                                    moduli_override=(13, 7, 11)))
+
+
+def test_numpy_nominal_length_gives_a_json_certificate(rng):
+    cfg = Config(nominal_length=np.int64(1001), moduli_override=(7, 11, 13))
+    result = sparse_fft(synthesize(random_spectrum(rng, 2, 1001)), 2, cfg, seed=1)
+    assert json.loads(result.certificate.to_json())["declared_n"] == 1001
 
 
 @settings(max_examples=200, deadline=None)
