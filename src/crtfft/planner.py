@@ -3,9 +3,11 @@
 A plan fixes everything the identification pipeline needs: three pairwise
 coprime view moduli whose product M >= N defines the working grid, per-view
 affine hash parameters (dilation sigma, offset b), and the verification view
-parameters.  All randomness comes from a counter-based generator keyed by
-(seed, label) so that identification and verification draws are provably
-disjoint streams and every plan is replayable from its seed.
+parameters.  All randomness comes from counter-based generators keyed by
+(seed, label), two per plan: the identification views are drawn in order
+from the "id-views" stream and the verification views from the
+"verify-views" stream, so the two sets of draws are provably disjoint and
+every plan is replayable from its seed.
 
 The moduli are the pairwise coprime triple whose views are cheapest under
 the op model (`dft.fft_op_count`), so they are 11-smooth wherever the
@@ -267,15 +269,11 @@ def make_plan(
             ViewParams(m=moduli[v % 3], sigma=1, b=0, shift_count=shifts) for v in range(t)
         )
     else:
-        id_views = tuple(
-            _draw_view_params(m, triple.M, rng_stream(seed, f"id-view-{i}"), shifts)
-            for i, m in enumerate(moduli)
-        )
+        id_rng = rng_stream(seed, "id-views")
+        id_views = tuple(_draw_view_params(m, triple.M, id_rng, shifts) for m in moduli)
+        verify_rng = rng_stream(seed, "verify-views")
         verify_views = tuple(
-            _draw_view_params(
-                moduli[v % 3], triple.M, rng_stream(seed, f"verify-view-{v}"), shifts
-            )
-            for v in range(t)
+            _draw_view_params(moduli[v % 3], triple.M, verify_rng, shifts) for v in range(t)
         )
 
     return ModuliPlan(

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +419,31 @@ class TestCertificates:
         for cert, grid in ((fallback, 64), (fast.certificate, 1001)):
             violations = verify_certificate(cert, from_dense(np.zeros(1000)))
             assert violations == [f"signal-grid-mismatch: signal grid 1000 != certificate grid {grid}"]
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((Path(__file__).parent / "fixtures" / "parent_certificates.json").read_text()),
+        ids=["n16384-k12", "toy-gate-trail"],
+    )
+    def test_certificate_from_one_stream_per_view_planner_replays(self, case):
+        # Made when make_plan drew each view from its own labeled stream.  A
+        # certificate records its views, so it replays although the same seed
+        # now draws other hash parameters; the answer is the same to roundoff.
+        cfg = Config(**case["config"])
+        entries = case["spectrum"]["entries"]
+        spec = SparseSpectrum.from_pairs(
+            [(e["f"], complex(e["re"], e["im"])) for e in entries], case["spectrum"]["grid_length"]
+        )
+        cert = Certificate.from_json(case["certificate"])
+        assert cert.payload["path"] == "fast"
+        assert verify_certificate(cert, synthesize(spec), cfg) == []
+        plan = make_plan(cfg.nominal_length, case["k"], seed=case["seed"], config=cfg)
+        recorded = [(v["m"], v["sigma"], v["b"]) for v in cert.payload["plan"]["verify_views"]]
+        assert recorded != [(v.m, v.sigma, v.b) for v in plan.verify_views]
+        result = sparse_fft(synthesize(spec), case["k"], cfg, seed=case["seed"])
+        assert result.path is RecoveryPath.FAST
+        assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
+        assert spectra_close(result.spectrum, spec)
 
     def test_gate_trail_included_and_valid(self, rng):
         result, src = self.make_fast_result(rng, gate_trail=True)
