@@ -103,7 +103,7 @@ def _checked(field: dataclasses.Field, value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
-    except OverflowError:
+    except OverflowError:  # an integer past the float range
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")

@@ -237,9 +237,10 @@ def make_plan(
     views cost least under the op model, which keeps the two smallest
     moduli's product at or above N, the per-bin load within the peeling
     threshold and M within the int64 grid ceiling where possible.  Explicit
-    moduli can be pinned through config.moduli_override (they are validated
-    for pairwise coprimality only).  A sparsity ratio k/sqrt(N) at or above
-    config.rho_dense has no fast-path plan and raises DenseRegimeError.
+    moduli can be pinned through config.moduli_override (Config takes three
+    integers >= 2; here they must be pairwise coprime with a product of at
+    least N).  A sparsity ratio k/sqrt(N) at or above config.rho_dense has
+    no fast-path plan and raises DenseRegimeError.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
