@@ -28,7 +28,7 @@ from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
 from .peeling import PeelStatus
 from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
-from .planner import _draw_view_params, make_plan, rng_stream
+from .planner import MIN_PLAN_LENGTH, _draw_view_params, make_plan, rng_stream
 from .signal import (
     SparseSpectrum,
     from_dense,
@@ -128,10 +128,14 @@ def cmd_transform(args) -> int:
             grid_probe = probe_spec.grid_length
         nominal = cfg.nominal_length or grid_probe
         cfg = replace(cfg, nominal_length=nominal)
-        try:
-            grid = make_plan(nominal, args.k, cfg.t, args.seed, cfg).M
-        except DenseRegimeError:
-            grid = nominal  # sparse_fft answers with the certified fallback on this grid
+        # with no plan (too short, or dense regime) sparse_fft answers with
+        # the certified fallback on the nominal grid
+        grid = nominal
+        if nominal >= MIN_PLAN_LENGTH:
+            try:
+                grid = make_plan(nominal, args.k, cfg.t, args.seed, cfg).M
+            except DenseRegimeError:
+                pass
         source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
     else:
         source = _load_dense(args.dense)

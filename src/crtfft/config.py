@@ -22,7 +22,6 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Config:
     # planning
-    alpha: float = 15.0                 # residue-set capacity multiplier (alpha*k per view)
     lambda_threshold: float = 0.1       # max load factor k/m for peeling
     t: int = 3                          # verification view count
     shift_count: int = 3                # time shifts per view (2 or 3)
@@ -36,7 +35,6 @@ class Config:
 
     # control
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
-    gate_trail: bool = False            # record the explicit gate table in certificates
     force_fallback: bool = False        # skip the fast path entirely
 
     def __post_init__(self):
@@ -44,7 +42,7 @@ class Config:
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
-        for name in ("alpha", "lambda_threshold", "rho_dense", "verify_eps_rel"):
+        for name in ("lambda_threshold", "rho_dense", "verify_eps_rel"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.t < 0:

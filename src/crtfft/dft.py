@@ -95,8 +95,3 @@ def fft_op_count(n: int) -> int:
         return n * radix_sum
     conv_len = 1 << (2 * n - 1).bit_length()
     return 3 * fft_op_count(conv_len) + conv_len + 3 * n
-
-
-def direct_op_count(n: int) -> int:
-    """Model complex-op cost of dft_direct at length n."""
-    return 2 * n * n

@@ -15,8 +15,11 @@ A stuck peel and a failed verification are final: a fresh hash over the
 same moduli only relabels each view's bins, and a verdict is a pure function
 of the source, the view parameters and the candidate.
 Every run emits a self-contained certificate from which a third party can
-replay the moduli, the residue sets, each reconstruction, and the
-verification outcomes against nothing but the certificate and the signal.
+replay the moduli, each reconstruction, and one fresh verification view
+against nothing but the certificate and the signal.  It records no residue
+sets and no gate table: the fast path never enumerates pairs, and no replay
+reads either.  Older certificates that carry `residue_sets`, `gated_pairs`
+or `plan.alpha` still parse and replay; replay ignores those keys.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from .errors import (
     OracleCapExceededError,
     ParseError,
 )
-from .gating import gate_pairs
-from .numtheory import ModTriple, garner2, garner3_parts
+from .numtheory import ModTriple, garner3_parts
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
@@ -45,7 +47,8 @@ from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan
 from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
-from .views import ResidueSet, build_view, build_views, extract_residues, top_k_order
+from .views import build_view, build_views, top_k_order
+from .views import extract_residues  # noqa: F401  looked up by the benchmark tracer
 from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 
@@ -92,8 +95,7 @@ def _check_replay_fields(p: dict) -> None:
     """Raise ParseError unless every field replay reads is present, typed and in range."""
     _check_fields(p, "", recovered=_is_list, grid_length=_is_positive,
                   amplitude_threshold=_is_number, declared_n=_optional(_is_int),
-                  plan=_optional(lambda v: isinstance(v, dict)),
-                  gated_pairs=_optional(_is_list), residue_sets=_optional(_is_list))
+                  plan=_optional(lambda v: isinstance(v, dict)))
     for i, entry in enumerate(p["recovered"]):
         where = f"recovered[{i}]."
         _check_fields(entry, where, f=_in_range(p["grid_length"]), re=_is_number, im=_is_number)
@@ -108,20 +110,6 @@ def _check_replay_fields(p: dict) -> None:
                   verify_views=_optional(_is_list))
     for i, view in enumerate(plan.get("verify_views") or []):
         _check_view(view, f"plan.verify_views[{i}].", plan["m"])
-    if p.get("gated_pairs") is None or not p.get("residue_sets"):
-        return
-    m1, m2, _ = plan["moduli"]
-    for i, row in enumerate(p["gated_pairs"]):
-        if not (_is_list(row) and len(row) == 5 and _in_range(m1)(row[0])
-                and _in_range(m2)(row[1]) and all(map(_is_int, row[2:4]))
-                and isinstance(row[4], bool)):
-            raise ParseError(f"certificate field gated_pairs[{i}] is malformed")
-    sets, views = p["residue_sets"], plan.get("id_views")
-    if len(sets) < 3 or not _is_list(views) or len(views) < 3:
-        raise ParseError("certificate gate trail needs 3 residue sets and 3 id views")
-    _check_fields(sets[2], "residue_sets[2].", bins=lambda v: _is_list(v) and all(map(_is_int, v)))
-    for i, view in enumerate(views):
-        _check_view(view, f"plan.id_views[{i}].", plan["m"])
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,6 @@ def sparse_fft(
     plan = None
     peel_status = None
     report = None
-    residue_sets: list[ResidueSet] = []
     recovered: dict[int, complex] = {}
     candidate = None
 
@@ -263,10 +250,6 @@ def sparse_fft(
         phases = ("views",) * len(plan.id_views) + ("verify",) * len(plan.verify_views)
         built = build_views(source, plan.id_views + plan.verify_views, plan.M, op, phases)
         views, verify_views = built[: len(plan.id_views)], built[len(plan.id_views) :]
-        # a residue set never holds more than m <= M bins; clamping before
-        # the int conversion keeps a huge alpha from overflowing
-        alpha_k = max(1, int(round(min(cfg.alpha * max(k, 1), plan.M))))
-        residue_sets = [extract_residues(v, alpha_k) for v in views]
         outcome = run_peeling(PeelState.create(views, plan.M, op), plan)
         peel_status = outcome.status
         recovered = dict(outcome.recovered.entries)
@@ -292,10 +275,8 @@ def sparse_fft(
 
     cert = build_certificate(
         plan=plan,
-        config=cfg,
         seed=seed,
         spectrum=result_spectrum,
-        residue_sets=residue_sets,
         report=report,
         path=path,
         fallback_reason=fallback_reason,
@@ -327,10 +308,8 @@ def _view_dict(vp: ViewParams) -> dict:
 
 def build_certificate(
     plan: ModuliPlan | None,
-    config: Config,
     seed: int,
     spectrum: SparseSpectrum,
-    residue_sets,
     report: VerificationReport | None,
     path: RecoveryPath,
     fallback_reason: str | None,
@@ -340,8 +319,10 @@ def build_certificate(
     """Assemble the audit record for one run.
 
     Every recovered frequency carries its residues and Garner digits so the
-    reconstruction can be replayed; the gate table is included only when
-    configured, since the fast path does not enumerate pairs.  The escalation
+    reconstruction can be replayed, and a fast-path plan records its views so
+    a verification view can be rebuilt from the signal.  Residue sets and
+    gate tables are not recorded: both are pure functions of the plan and
+    the signal, and no replay reads them.  The escalation
     record keeps `rehashes` and `extra_verify_views` for readers of the
     format; no run rehashes or draws extra verification views, so both are
     always 0.
@@ -360,8 +341,6 @@ def build_certificate(
         "grid_length": spectrum.grid_length,
         "recovered": [],
         "plan": None,
-        "residue_sets": None,
-        "gated_pairs": None,
         "verification": report.to_dict() if report is not None else None,
     }
     if plan is not None:
@@ -372,19 +351,9 @@ def build_certificate(
             "moduli": list(plan.triple.moduli),
             "gamma12": plan.triple.gamma12,
             "gamma23": plan.triple.gamma23,
-            "alpha": config.alpha,
             "id_views": [_view_dict(v) for v in plan.id_views],
             "verify_views": [_view_dict(v) for v in plan.verify_views],
         }
-        payload["residue_sets"] = [
-            {
-                "view": i,
-                "bins": rs.indices.tolist(),
-                "magnitudes": rs.magnitudes.tolist(),
-                "capacity": rs.capacity,
-            }
-            for i, rs in enumerate(residue_sets)
-        ]
         triple = plan.triple
         for f, c in spectrum.entries:
             r1, r2, r3 = f % triple.m1, f % triple.m2, f % triple.m3
@@ -397,13 +366,6 @@ def build_certificate(
                     "crt": {"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3},
                 }
             )
-        if config.gate_trail and len(residue_sets) == 3:
-            table = gate_pairs(
-                residue_sets[0], residue_sets[1], residue_sets[2], triple, plan.id_views
-            )
-            payload["gated_pairs"] = [
-                [g.r1, g.r2, g.f12, g.r3_hat, g.passed] for g in table
-            ]
     else:
         for f, c in spectrum.entries:
             payload["recovered"].append(
@@ -422,9 +384,10 @@ def verify_certificate(
     Checks: the signal's grid against the certificate's, moduli
     consistency, Garner replay of every recovered frequency (digits and
     reconstruction), range against the declared nominal length, amplitudes
-    against the recorded threshold, gate-table membership when a gate trail
-    is present, and one fresh two-part test (`check_view`) of the recovered
-    spectrum against the signal.
+    against the recorded threshold, and one fresh two-part test (`check_view`)
+    of the recovered spectrum against the signal.  Keys that older
+    certificates carry and replay does not read (`residue_sets`,
+    `gated_pairs`, `plan.alpha`) are ignored.
     """
     cfg = config or Config()
     violations: list[str] = []
@@ -479,21 +442,6 @@ def verify_certificate(
             g, u2, u3 = garner3_parts(crt["r1"], crt["r2"], crt["r3"], triple)
             if g != f or u2 != crt["u2"] or u3 != crt["u3"]:
                 violations.append(f"garner-replay-failed: f={f}")
-        if p.get("gated_pairs") is not None and p.get("residue_sets"):
-            bins3 = set(p["residue_sets"][2]["bins"])
-            id_views = tuple(
-                ViewParams(m=v["m"], sigma=v["sigma"], b=v["b"], shift_count=v["shifts"])
-                for v in plan_info["id_views"]
-            )
-            for r1, r2, f12, r3_hat, passed in p["gated_pairs"]:
-                if garner2(r1, r2, triple.m1, triple.m2) != f12:
-                    violations.append(f"gate-crt-mismatch: pair ({r1}, {r2})")
-                    continue
-                predicted = int((id_views[2].a * (f12 % triple.m3) + id_views[2].b) % triple.m3)
-                if predicted != r3_hat:
-                    violations.append(f"gate-prediction-mismatch: pair ({r1}, {r2})")
-                elif passed != (r3_hat in bins3):
-                    violations.append(f"gate-verdict-mismatch: pair ({r1}, {r2})")
         verify_views = plan_info.get("verify_views") or []
         if verify_views:
             vp = ViewParams(

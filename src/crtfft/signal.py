@@ -16,9 +16,11 @@ it in place): for a synthesized source it is the one-row, step-1 case of that
 read, O(k + M log M); a dense source fills it with one copy of its samples,
 zero-extended when the caller padded the source.
 
-File formats (stable, see README): spectra as JSON; dense signals either as
-little-endian float64 (re, im) pairs behind an 8-byte length header, or as
-CSV with columns index,re,im.
+File formats (stable; `save_spectrum`/`load_spectrum`,
+`save_dense_binary`/`load_dense_binary` and `save_dense_csv`/`load_dense_csv`
+define them): spectra as JSON; dense signals either as little-endian float64
+(re, im) pairs behind an 8-byte length header, or as CSV with columns
+index,re,im.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class SparseSpectrum:
     def energy(self) -> float:
         """Sum of squared coefficient magnitudes."""
         return float(np.sum(np.abs(self.coefficients()) ** 2)) if self.entries else 0.0
-
-    def as_dict(self) -> dict[int, complex]:
-        return dict(self.entries)
 
 
 class SignalSource:

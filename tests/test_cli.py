@@ -65,6 +65,19 @@ def test_transform_synthesize_dense_regime_falls_back_on_nominal_grid(capsys):
     assert spectra_close(got, SparseSpectrum.from_pairs(tones, 400))
 
 
+def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):
+    # N = 3 has no three-view plan: exit 2, answered on the 3-point grid
+    code, out, _ = run(capsys, "transform", "--synthesize", "{2:1}", "-k", "1")
+    assert code == 2
+    result = json.loads(out)
+    assert result["certificate"]["fallback_reason"].startswith("too-short")
+    got = SparseSpectrum.from_pairs(
+        [(e["f"], complex(e["re"], e["im"])) for e in result["spectrum"]["entries"]], 3
+    )
+    assert result["spectrum"]["grid_length"] == 3
+    assert spectra_close(got, SparseSpectrum.from_pairs([(2, 1)], 3))
+
+
 def test_gate_table_diff_published(capsys):
     code, out, _ = run(
         capsys, "gate-table", "--moduli", "7,11,13", "--r1", "0,3,6",

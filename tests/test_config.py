@@ -14,7 +14,6 @@ from crtfft.errors import CrtFftError, ParseError
 from conftest import mutate_one_value, random_spectrum
 
 VALID = {
-    "alpha": 15.0,
     "t": 3,
     "shift_count": 3,
     "moduli_override": [7, 11, 13],
@@ -22,7 +21,6 @@ VALID = {
     "nominal_length": 1001,
     "verify_eps_rel": 1e-6,
     "dense_budget": 1 << 20,
-    "gate_trail": False,
 }
 
 
@@ -59,6 +57,11 @@ def test_valid_file_loads(tmp_path):
         {"amplitude_threshold_rel": 1e-6},
         {"max_extra_verify_views": 2},
         {"max_rehash": 2},
+        # alpha and gate_trail are no longer fields: a file that sets either
+        # is refused whatever the value (the null, nan, infinite and negative
+        # alpha cases too)
+        {"alpha": 15},
+        {"gate_trail": True},
         {"nominal_length": 0},
         {"nominal_length": -5},
         {"dense_budget": 0},
@@ -75,7 +78,8 @@ def test_valid_file_loads(tmp_path):
          "unknown-key", "unknown-key-rho_sparse", "unknown-key-singleton_tol",
          "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
          "unknown-key-amplitude_threshold_rel", "unknown-key-max_extra_verify_views",
-         "unknown-key-max_rehash", "zero-nominal-length", "negative-nominal-length",
+         "unknown-key-max_rehash", "unknown-key-alpha", "unknown-key-gate_trail",
+         "zero-nominal-length", "negative-nominal-length",
          "zero-dense-budget", "negative-dense-budget",
          "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense",
          "negative-verify-eps", "negative-alpha"],
@@ -99,8 +103,8 @@ REJECTED = {
     "float-shift-count": {"shift_count": 3.0},
     "fractional-nominal-length": {"nominal_length": 1000.5},
     "bool-t": {"t": True},
-    "integer-flag": {"gate_trail": 1},
-    "string-alpha": {"alpha": "15"},
+    "integer-flag": {"force_fallback": 1},
+    "string-rho-dense": {"rho_dense": "0.5"},
     "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
     "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},
     "product-below-length": {"moduli_override": [2, 3, 5], "nominal_length": 1001},
@@ -116,13 +120,13 @@ def test_rejected_by_config_and_load_config(tmp_path, change):
 
 
 def test_numpy_and_builtin_numbers_become_plain_values():
-    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001), alpha=15,
+    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001), rho_dense=1,
                  verify_eps_rel=np.float32(0.5), moduli_override=[np.int64(13), 7, 11])
-    assert (cfg.t, cfg.nominal_length, cfg.alpha) == (2, 1001, 15.0)
+    assert (cfg.t, cfg.nominal_length, cfg.rho_dense) == (2, 1001, 1.0)
     assert type(cfg.t) is int and type(cfg.nominal_length) is int
-    assert type(cfg.alpha) is float and type(cfg.verify_eps_rel) is float
+    assert type(cfg.rho_dense) is float and type(cfg.verify_eps_rel) is float
     assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
-    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, alpha=15.0, verify_eps_rel=0.5,
+    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, rho_dense=1.0, verify_eps_rel=0.5,
                                     moduli_override=(13, 7, 11)))
 
 

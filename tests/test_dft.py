@@ -5,7 +5,6 @@ from crtfft.dft import (
     dft_direct,
     dft_forward,
     dft_inverse,
-    direct_op_count,
     fft_op_count,
 )
 from crtfft.errors import NonFiniteError, OracleCapExceededError
@@ -121,7 +120,6 @@ def test_oracle_cap():
 def test_op_count_models():
     for a in range(1, 21):
         assert fft_op_count(2**a) == 2 * 2**a * a
-    assert direct_op_count(100) == 20000
     # chirp-z at a prime: three 2048-point transforms, the chirp and 3n multiplies
     assert fft_op_count(1021) == 3 * 2 * 2048 * 11 + 2048 + 3 * 1021 == 140279
     # mixed radix at 11-smooth lengths: n times the sum of the prime factors

@@ -3,7 +3,10 @@ import pytest
 
 from crtfft.gating import gate_pairs, gate_survivor_stats
 from crtfft.numtheory import ModTriple, garner2
-from crtfft.planner import ViewParams
+from crtfft.planner import ViewParams, make_plan
+from crtfft.signal import synthesize
+from crtfft.views import build_views, extract_residues
+from conftest import random_spectrum
 
 TOY = ModTriple.create(7, 11, 13)
 R1, R2, R3 = [0, 3, 6], [1, 7, 8, 10], [2, 5, 7, 11]
@@ -103,6 +106,22 @@ class TestCompleteness:
                 passing = {(g.r1, g.r2) for g in gate_pairs(r1, r2, r3, triple) if g.passed}
                 for f in freqs:
                     assert (int(f % m1), int(f % m2)) in passing
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_true_pairs_pass_on_pipeline_views(self, seed):
+        # residue sets read off the hashed identification views that the
+        # pipeline builds, at the default capacity of 15k bins per view
+        N, k = 2**14, 12
+        plan = make_plan(N, k, seed=seed)
+        spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
+        views = build_views(synthesize(spec), plan.id_views, plan.M)
+        r1, r2, r3 = (extract_residues(v, 15 * k) for v in views)
+        table = gate_pairs(r1, r2, r3, plan.triple, plan.id_views)
+        passing = {(g.r1, g.r2) for g in table if g.passed}
+        m1, m2, _ = plan.triple.moduli
+        assert N <= m1 * m2
+        for f, _ in spec.entries:
+            assert (f % m1, f % m2) in passing
 
 
 class TestSurvivorStats:

@@ -38,12 +38,13 @@ def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
 
 
 @functools.cache
-def gate_trail_certificate():
-    """(certificate JSON, source) of one fast-path run that records its gate table."""
+def fast_certificate():
+    """(certificate JSON, source) of one fast-path run."""
     spec = random_spectrum(np.random.default_rng(7), 3, 1001)
     src = synthesize(spec)
-    cfg = replace(TOY_CFG, gate_trail=True, nominal_length=1001)
-    return sparse_fft(src, 3, cfg, seed=9).certificate.to_json(), src
+    result = sparse_fft(src, 3, replace(TOY_CFG, nominal_length=1001), seed=9)
+    assert result.path is RecoveryPath.FAST
+    return result.certificate.to_json(), src
 
 
 class TestSparseFft:
@@ -225,8 +226,8 @@ class TestSparseFft:
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_determinism_bytes_over_peeling_rounds(self, rng):
-        # several peel rounds and the residue sets in the certificate
-        cfg = Config(nominal_length=2**14, gate_trail=True)
+        # several peel rounds, each recovered entry with its CRT record
+        cfg = Config(nominal_length=2**14)
         plan = make_plan(2**14, 12, cfg.t, seed=4, config=cfg)
         src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
         a, b = (sparse_fft(src, 12, cfg, seed=4) for _ in range(2))
@@ -304,14 +305,6 @@ class TestSparseFft:
         result = sparse_fft(from_dense(synthesize(spec).materialize()), 4, Config(), seed=2)
         assert result.spectrum.grid_length == n
         assert spectra_close(result.spectrum, spec)
-
-    def test_huge_alpha_is_clamped_to_the_grid(self, rng):
-        cfg = Config(nominal_length=2**12, alpha=1e308)
-        spec = random_spectrum(rng, 4, make_plan(2**12, 4, 3, seed=0, config=cfg).M, fmax=2**12)
-        src = synthesize(spec)
-        result = sparse_fft(src, 4, cfg, seed=0)
-        assert spectra_close(result.spectrum, spec)
-        assert verify_certificate(result.certificate, src) == []
 
     def test_index_guard_is_typed(self):
         # the plan grid of N = 2^22 (M ~ 1.1e10) is past exact int64 view indices
@@ -399,8 +392,8 @@ class TestDenseFallback:
 
 
 class TestCertificates:
-    def make_fast_result(self, rng, gate_trail=False):
-        cfg = replace(TOY_CFG, gate_trail=gate_trail, nominal_length=1001)
+    def make_fast_result(self, rng):
+        cfg = replace(TOY_CFG, nominal_length=1001)
         spec = random_spectrum(rng, 3, 1001)
         src = synthesize(spec)
         return sparse_fft(src, 3, cfg, seed=9), src
@@ -445,20 +438,24 @@ class TestCertificates:
         assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
         assert spectra_close(result.spectrum, spec)
 
-    def test_gate_trail_included_and_valid(self, rng):
-        result, src = self.make_fast_result(rng, gate_trail=True)
-        pairs = result.certificate.payload["gated_pairs"]
-        assert pairs and all(len(row) == 5 for row in pairs)
-        assert verify_certificate(result.certificate, src) == []
+    def test_records_no_residue_sets_or_gate_table(self, rng):
+        fast, _ = self.make_fast_result(rng)
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        fallback = sparse_fft(from_dense(x), 3, seed=0)
+        for result in (fast, fallback):
+            payload = json.loads(result.certificate.to_json())
+            assert "residue_sets" not in payload and "gated_pairs" not in payload
+        assert "alpha" not in fast.certificate.payload["plan"]
 
-    def test_tampered_gate_pair_detected(self, rng):
-        result, src = self.make_fast_result(rng, gate_trail=True)
-        payload = json.loads(result.certificate.to_json())
-        payload["gated_pairs"][0][3] = (payload["gated_pairs"][0][3] + 1) % 13
-        cert = Certificate(payload=payload)
-        violations = verify_certificate(cert, src)
-        assert len(violations) == 1
-        assert "gate" in violations[0]
+    def test_old_derived_keys_are_ignored(self):
+        # certificates of the old format carried residue sets, a gate table
+        # and plan.alpha; replay reads none of them, whatever they hold
+        text, src = fast_certificate()
+        payload = json.loads(text)
+        payload["residue_sets"] = [{"bins": [-1]}]
+        payload["gated_pairs"] = "x"
+        payload["plan"]["alpha"] = None
+        assert verify_certificate(Certificate.from_json(json.dumps(payload)), src) == []
 
     def test_tampered_frequency_detected(self, rng):
         result, src = self.make_fast_result(rng)
@@ -515,14 +512,13 @@ class TestCertificates:
             (("recovered", 0, "f"), "x"),
             (("grid_length",), 0),
             (("recovered", 0, "f"), -1),
-            (("gated_pairs", 0, 0), -1),
             (("plan", "verify_views", 0, "m"), 2**40),
         ],
         ids=["missing-plan-m", "missing-crt-r1", "string-f", "zero-grid", "negative-f",
-             "negative-gated-residue", "huge-verify-modulus"],
+             "huge-verify-modulus"],
     )
     def test_malformed_replay_field_is_parse_error(self, path, value):
-        payload = json.loads(gate_trail_certificate()[0])
+        payload = json.loads(fast_certificate()[0])
         set_json_value(payload, path, value)
         with pytest.raises(ParseError):
             Certificate.from_json(json.dumps(payload))
@@ -532,7 +528,7 @@ class TestCertificates:
     def test_mutated_certificate_replays_or_is_parse_error(self, data):
         # Deleting, retyping or (for an integer) moving out of range any one
         # value gives a violation list or a ParseError, never a raw exception.
-        text, src = gate_trail_certificate()
+        text, src = fast_certificate()
         payload = json.loads(text)
         mutate_one_value(payload, data)
         try:
