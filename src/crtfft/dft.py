@@ -29,7 +29,7 @@ def _as_buffer(x) -> np.ndarray:
         raise ValueError("empty buffer")
     if arr.shape[-1] >= _MAX_LENGTH:
         raise OracleCapExceededError(f"length {arr.shape[-1]} above supported maximum")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr.view(np.float64)).all():
         raise NonFiniteError("buffer contains NaN or Inf samples")
     return arr
 

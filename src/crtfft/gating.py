@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import ModTriple, mod_inverse
+from .numtheory import ModTriple
 from .planner import ViewParams, rng_stream
 from .views import ResidueSet
 

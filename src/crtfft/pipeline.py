@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from . import dft
 from .config import Config, _is_int, _is_number
 from .errors import (
     DenseRegimeError,
+    NonFiniteError,
     NotCoprimeError,
     OracleCapExceededError,
     ParseError,
@@ -165,12 +167,14 @@ def dense_fallback(
 ) -> SparseSpectrum:
     """Exact dense transform of the grid, reduced to its top-k bins.
 
-    The grid is read once into a buffer this call owns (`materialize`), and
-    that buffer is transformed and normalized in place, so no second
-    length-M spectrum is allocated.  Deterministic tie-break: magnitude
-    descending, then frequency ascending.
+    The grid is read once into a buffer this call owns (`materialize`) and
+    transformed in place.  Selection runs on the raw transform's magnitudes:
+    magnitude descending, then frequency ascending.  Only the reported bins
+    are divided by M; the grid itself is never normalized.
     Bins at roundoff level (1e-12 of the peak) are not reported, so asking
     for more tones than the signal holds returns only the occupied bins.
+    A transform that overflows float64 (an infinite or NaN bin) raises
+    NonFiniteError instead of answering with nothing.
     """
     cfg = config or Config()
     M = source.grid_length
@@ -179,15 +183,31 @@ def dense_fallback(
             f"grid length {M} exceeds the dense budget {cfg.dense_budget}"
         )
     spectrum = source.materialize()
-    dft.dft_forward(spectrum, out=spectrum)
-    spectrum /= M
-    if op is not None:
-        op.add("fallback", M + dft.fft_op_count(M) + 2 * M)
-    mags = np.abs(spectrum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dft.dft_forward(spectrum, out=spectrum)
+        mags = np.abs(spectrum)
     peak = float(mags.max(initial=0.0))
-    occupied = np.flatnonzero(mags > 1e-12 * max(peak, 1e-300))
-    top = np.sort(occupied[top_k_order(mags[occupied], occupied, k)])
-    return SparseSpectrum.from_pairs(zip(top.tolist(), spectrum[top].tolist()), M)
+    if peak == math.inf and np.isfinite(spectrum.view(np.float64)).all():
+        # a finite bin's magnitude overflows only within sqrt(2) of the float64
+        # limit; halving is exact for every bin above the floor, so it keeps
+        # the order and the floor test
+        mags = np.abs(spectrum * 0.5)
+        peak = float(mags.max())
+    if not math.isfinite(peak):
+        raise NonFiniteError(f"the length-{M} transform of the grid overflows float64")
+    occupied = mags > 1e-12 * peak
+    if np.count_nonzero(occupied) <= k:
+        top = np.flatnonzero(occupied)
+    else:
+        # every one of the k largest bins clears the floor
+        top = np.sort(top_k_order(mags, None, k))
+    coeffs = spectrum[top] / M
+    if op is not None:
+        op.add("fallback", M + dft.fft_op_count(M) + M + top.size)
+    # The selection already gives distinct, sorted, in-range frequencies and
+    # finite coefficients; only a bin that underflows to 0 on division is dropped.
+    nonzero = coeffs != 0
+    return SparseSpectrum(tuple(zip(top[nonzero].tolist(), coeffs[nonzero].tolist())), M)
 
 
 def _top_k(entries: dict[int, complex], k: int, grid: int) -> SparseSpectrum:
@@ -367,10 +387,10 @@ def build_certificate(
                 }
             )
     else:
-        for f, c in spectrum.entries:
-            payload["recovered"].append(
-                {"f": int(f), "re": float(c.real), "im": float(c.imag), "crt": None}
-            )
+        # entries hold Python ints and complexes, which serialize as they are
+        payload["recovered"] = [
+            {"f": f, "re": c.real, "im": c.imag, "crt": None} for f, c in spectrum.entries
+        ]
     return Certificate(payload=payload)
 
 

@@ -248,7 +248,7 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
     arr = np.ascontiguousarray(samples, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D sample buffer")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr.view(np.float64)).all():
         raise NonFiniteError("dense input contains NaN or Inf samples")
     if padded_length is None:
         padded_length = arr.size

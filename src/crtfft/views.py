@@ -188,12 +188,13 @@ def extract_residues(view: ViewSpectrum, alpha_k: int) -> ResidueSet:
     return ResidueSet(indices=top, magnitudes=mag[top], capacity=alpha_k)
 
 
-def top_k_order(mags: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray:
     """Positions of the k largest `mags`: magnitude descending, then `keys` ascending.
 
-    The first k rows of a full lexsort.  With more than k entries, a
-    partition finds the k-th largest magnitude and only the entries at or
-    above it, ties at the boundary included, are sorted.
+    The first k rows of a full lexsort.  `keys` None breaks ties by position,
+    with no key array built.  With more than k entries, a partition finds the
+    k-th largest magnitude and only the entries at or above it, ties at the
+    boundary included, are sorted.
     """
     if k <= 0:
         return np.zeros(0, dtype=np.intp)
@@ -202,4 +203,5 @@ def top_k_order(mags: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
         cand = np.flatnonzero(mags >= kth)
     else:
         cand = np.arange(mags.size)
-    return cand[np.lexsort((keys[cand], -mags[cand]))][:k]
+    tie = cand if keys is None else keys[cand]
+    return cand[np.lexsort((tie, -mags[cand]))][:k]

@@ -19,7 +19,7 @@ from crtfft.peeling import (
     peel,
     run_peeling,
 )
-from crtfft.planner import ViewParams, _draw_view_params, make_plan, rehash, rng_stream
+from crtfft.planner import _draw_view_params, make_plan, rehash, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
 from crtfft.views import build_view, build_view_from_spectrum
 from crtfft.gating import gate_pairs

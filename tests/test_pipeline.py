@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
-from crtfft.errors import OracleCapExceededError, ParseError
+from crtfft.errors import NonFiniteError, OracleCapExceededError, ParseError
 from crtfft.opcount import OpCounter
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
@@ -35,6 +35,28 @@ TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length
 def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
     spec = SparseSpectrum.from_pairs(list(entries), 1001)
     return spec, synthesize(spec)
+
+
+@st.composite
+def fallback_buffers(draw):
+    """Dense buffers whose spectra are exact, noisy, tied, or real-valued."""
+    n = draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("exact", "noisy", "ties")))
+    if kind == "ties":  # few distinct sample values: tied bin magnitudes
+        values = st.sampled_from((0j, 1.0, -1.0, 1j, 0.5 - 0.5j))
+        x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.complex128)
+    else:
+        tones = draw(st.integers(0, min(n, 12)))
+        spectrum = np.zeros(n, dtype=np.complex128)
+        bins = rng.choice(n, tones, replace=False)
+        spectrum[bins] = rng.normal(size=tones) + 1j * rng.normal(size=tones)
+        x = np.fft.ifft(spectrum) * n
+        if kind == "noisy":
+            x += 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    if draw(st.booleans()):  # real samples: conjugate bins tie in magnitude
+        x = x.real.astype(np.complex128)
+    return x
 
 
 @functools.cache
@@ -372,10 +394,11 @@ class TestDenseFallback:
         assert first == second
 
     @pytest.mark.parametrize(
-        "kind, bound", [("dense", 3.5), ("synthesize", 2.25)], ids=["dense", "synthesize"]
+        "kind, bound", [("dense", 2.75), ("synthesize", 2.25)], ids=["dense", "synthesize"]
     )
     def test_peak_memory_in_grid_buffers(self, rng, kind, bound):
-        # one owned grid buffer, transformed and normalized in place
+        # one owned grid buffer, transformed in place; only the reported bins
+        # are normalized, and the noisy buffer's selection gathers no copies
         if kind == "dense":
             n = 1 << 16
             src = from_dense(rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -389,6 +412,37 @@ class TestDenseFallback:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 16 * src.grid_length
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=fallback_buffers(), k=st.integers(0, 40))
+    def test_matches_the_fft_reference(self, x, k):
+        # every bin of np.fft.fft above 1e-12 of the peak, magnitude
+        # descending then frequency ascending, first k kept, divided by N
+        spectrum = np.fft.fft(x)
+        mags = np.abs(spectrum)
+        occupied = np.flatnonzero(mags > 1e-12 * mags.max())
+        top = np.sort(occupied[np.lexsort((occupied, -mags[occupied]))][:k])
+        got = dense_fallback(from_dense(x), k)
+        assert got.grid_length == x.size
+        assert got.frequencies().tolist() == top.tolist()
+        assert got.coefficients().tobytes() == (spectrum[top] / x.size).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_transform_is_non_finite_error(self):
+        # every sample is finite, but X[0] = 64e308 overflows; the true answer
+        # X[0]/64 = 1e308 is representable, so an empty answer would be wrong
+        x = np.full(64, 1e308 + 0j)
+        with pytest.raises(NonFiniteError):
+            dense_fallback(from_dense(x), 3)
+        with pytest.raises(NonFiniteError):
+            sparse_fft(from_dense(x), 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_magnitude_past_float64_still_answers(self):
+        # X = (1.7e308 + 1.7e308j) * [1, 1] is finite though |X| is not
+        x = np.array([1.7e308 * (1 + 1j), 0])
+        got = dense_fallback(from_dense(x), 3)
+        assert got.entries == ((0, 8.5e307 * (1 + 1j)), (1, 8.5e307 * (1 + 1j)))
 
 
 class TestCertificates:

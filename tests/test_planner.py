@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crtfft.config import Config, replace
+from crtfft.config import Config
 from crtfft.dft import fft_op_count
 from crtfft.errors import DenseRegimeError
 from crtfft.planner import (

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crtfft.config import Config, replace
-from crtfft.planner import ViewParams, make_plan
+from crtfft.config import Config
+from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.verification import check_view
 from crtfft.views import build_view, build_view_from_spectrum

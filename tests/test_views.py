@@ -192,6 +192,8 @@ class TestTopKOrder:
         assert got.tolist() == want.tolist()
         full = np.lexsort((keys, -mags))[: max(k, 0)]
         assert top_k_order(mags, keys, k).tolist() == full.tolist()
+        by_position = np.lexsort((np.arange(mags.size), -mags))[: max(k, 0)]
+        assert top_k_order(mags, None, k).tolist() == by_position.tolist()
 
 
 class TestBuildViews:
