@@ -22,7 +22,9 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Config:
     # planning
-    lambda_threshold: float = 0.1       # max load factor k/m for peeling
+    # max per-bin load k/m1, 3x below load 1.0, where peel-completion (--seed
+    # 5) finished 199/200 on (25, 27, 28) and 200/200 on (97, 101, 103)
+    lambda_threshold: float = 0.33
     t: int = 3                          # verification view count
     shift_count: int = 3                # time shifts per view (2 or 3)
     rho_dense: float = 0.5              # k/sqrt(N) at or above this: no fast-path plan

@@ -8,9 +8,10 @@ predicted third-view bin hash3(f12 mod m3) is occupied.
 True pairs pass deterministically provided the true frequencies lie in
 [0, m1*m2): the two-view reconstruction is f mod m1*m2, so its predicted
 third residue agrees with the actual one exactly when no wraparound
-occurred.  This is why plans require the two smallest moduli to multiply
-past the nominal length.  A spurious pair passes only when its
-reconstruction happens to land on an occupied third-view bin.
+occurred.  `gate_survivor_stats` therefore requires the two smallest
+moduli to multiply past N; pipeline plans need only M >= N and need not
+meet it.  A spurious pair passes only when its reconstruction happens to
+land on an occupied third-view bin.
 
 The peeling fast path never enumerates pairs; this module is the analyzable
 reference form, the worked-example reproduction, the cross-check oracle for

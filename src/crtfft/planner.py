@@ -11,7 +11,10 @@ every plan is replayable from its seed.
 
 The moduli are the pairwise coprime triple whose views are cheapest under
 the op model (`dft.fft_op_count`), so they are 11-smooth wherever the
-constraints allow and no view transform needs a chirp-z reduction.
+constraints allow and no view transform needs a chirp-z reduction.  The
+constraints are peeling's, M >= N and a per-bin load k/m1 <= lambda_threshold,
+not the 2-of-3 gate's m1*m2 >= N (the pipeline never runs the gate), so a
+view has about max(N^(1/3), k/lambda_threshold) bins, not sqrt(N).
 
 Verification views reuse the identification moduli with freshly drawn hash
 parameters.  Exact decimation requires the view modulus to divide the grid
@@ -103,16 +106,6 @@ def _view_cost(m: int) -> int:
     return 3 * m + dft.fft_op_count(m)
 
 
-def _min_cost_per_point(lo: int) -> float:
-    """Lower bound of _view_cost(m)/m for every m >= lo >= 2.
-
-    p/log2(p) >= 3/log2(3) for every prime p, so an 11-smooth length costs
-    at least (3/log2 3)*log2(m) per point in its FFT; a chirp-z length costs
-    more than that.
-    """
-    return 3 + 3 / math.log2(3) * math.log2(lo)
-
-
 def _smooth_numbers(lo: int, hi: int) -> list[int]:
     """The 11-smooth integers in [lo, hi], ascending."""
     values = [1]
@@ -127,39 +120,42 @@ def _smooth_numbers(lo: int, hi: int) -> list[int]:
 
 
 def _cheapest_triple(
-    N: int, costs: dict[int, int], cap: int | None
+    N: int, costs: dict[int, int], cap: float, bound: int
 ) -> tuple[int, int, tuple[int, int, int]] | None:
-    """Cheapest pairwise coprime a < b < c from `costs` with a*b >= N.
+    """Cheapest pairwise coprime a < b < c from `costs` with a*b*c >= N.
 
     Exact branch and bound over the candidates in ascending order; products
-    above `cap` are excluded.  Returns (cost, M, (a, b, c)), ties going to
-    the smaller M, or None when no triple qualifies.
+    above `cap` and triples costing more than `bound` are excluded.  Returns
+    (cost, M, (a, b, c)), ties going to the smaller M, or None when no
+    triple qualifies.
     """
     values = sorted(costs)
     cost = [costs[v] for v in values]
     n = len(values)
     # cheapest[i] = min(cost[i:]): a lower bound for any member chosen at or after i
     cheapest = list(itertools.accumulate(reversed(cost), min))[::-1] + [math.inf]
-    best = (math.inf, 0, (0, 0, 0))
-    for i, a in enumerate(values):
-        first_b = bisect.bisect_left(values, -(-N // a), i + 1)
-        for j in range(first_b, n - 1):
+    best = (bound, math.inf, ())
+    for i, a in enumerate(values[:-2]):
+        # c costs at most what a and the cheapest b leave, so b >= N/(a*c_max)
+        budget = best[0] - cost[i] - cheapest[i + 1]
+        c_max = values[max(i + 2, bisect.bisect_right(cheapest, budget, 0, n) - 1)]
+        for j in range(bisect.bisect_left(values, -(-N // (a * c_max)), i + 1), n - 1):
             b = values[j]
             if cost[i] + cheapest[j] + cheapest[j + 1] > best[0]:
                 break
-            if cap is not None and a * b * values[j + 1] > cap:
+            if a * b * values[j + 1] > cap:
                 break
             pair = cost[i] + cost[j]
             if math.gcd(a, b) != 1:
                 continue
-            for c_index in range(j + 1, n):
+            for c_index in range(bisect.bisect_left(values, -(-N // (a * b)), j + 1), n):
                 c = values[c_index]
-                if pair + cheapest[c_index] > best[0] or (cap is not None and a * b * c > cap):
+                if pair + cheapest[c_index] > best[0] or a * b * c > cap:
                     break
                 key = (pair + cost[c_index], a * b * c, (a, b, c))
                 if key < best and math.gcd(a * b, c) == 1:
                     best = key
-    return None if best[0] == math.inf else best
+    return best if best[2] else None
 
 
 @functools.lru_cache(maxsize=256)
@@ -167,50 +163,36 @@ def choose_moduli(N: int, k: int, lambda_threshold: float) -> tuple[int, int, in
     """Pairwise coprime moduli m1 < m2 < m3 whose views cost least.
 
     Minimizes sum(3*m + dft.fft_op_count(m)) subject to
-      - m1*m2 >= N, the gate's no-wrap condition (it also gives M >= N);
-      - m1 >= k/lambda_threshold, the peeling load floor, or >= 10*k*log2(k)
-        when k/lambda_threshold exceeds sqrt(N), so that the per-bin load
-        drops to about 1/(10*log2 k);
-      - M = m1*m2*m3 <= signal._MAX_GRID whenever some triple fits under it.
+      - M = m1*m2*m3 >= N, all that peeling, verification and replay need;
+      - m1 >= k/lambda_threshold, so that no view's per-bin load exceeds
+        the peeling threshold;
+      - M <= signal._MAX_GRID whenever a triple that costs no more than the
+        witness below fits under it, which holds up to N of about 2.99e9.
     The op model makes 11-smooth moduli several times cheaper than chirp-z
     ones, so other moduli enter only where the ceiling forces them.  A pure
     function of its arguments, cached.
     """
-    root = max(2, round(math.sqrt(N)))
-    if k >= 2 and k / root > lambda_threshold:
-        floor = math.ceil(10 * k * math.log2(k))
-    else:
-        floor = math.ceil(k / lambda_threshold)
-    floor = max(2, floor)
-    # Smallest powers of 2, 3 and 5 at or above max(floor, sqrt(N)) always
-    # qualify, which bounds the cost of the answer and hence its members.
-    start = max(floor, math.isqrt(N - 1) + 1)
-    witness = []
-    for p in (2, 3, 5):
-        power = 1
-        while power < start:
-            power *= p
-        witness.append(power)
-    for cap in (_MAX_GRID, None):
-        lo, hi = floor, math.inf
-        if cap is not None:
-            # a > N^2/cap, and c <= cap/(a*b) with a*b >= max(N, lo*(lo+1))
-            lo = max(floor, -(-N * N // cap))
-            hi = cap // max(N, lo * (lo + 1))
-        # Every view costs at least lo*rate, so a member of a triple that
-        # costs at most C costs at most C - 2*lo*rate.
-        rate = _min_cost_per_point(lo)
-        if cap is None or math.prod(witness) <= cap:
-            hi = min(hi, int(sum(map(_view_cost, witness)) / rate) - 2 * lo)
-        if lo > hi:
+    floor = max(2, math.ceil(k / lambda_threshold))
+    # The smallest powers of 2, 3 and 5 at or above max(floor, N^(1/3))
+    # always qualify, which bounds the cost of the answer and hence its
+    # members: every view costs at least floor*rate, because p/log2(p) >=
+    # 3/log2(3) for every prime p, so an 11-smooth length costs at least
+    # (3/log2 3)*log2(m) per point in its FFT and a chirp-z length more.
+    start = max(floor, round(N ** (1 / 3)) + 1)
+    witness = [next(p**e for e in itertools.count() if p**e >= start) for p in (2, 3, 5)]
+    witness_cost = sum(map(_view_cost, witness))
+    rate = 3 + 3 / math.log2(3) * math.log2(floor)
+    hi = int(witness_cost / rate) - 2 * floor
+    costs = {m: _view_cost(m) for m in _smooth_numbers(floor, hi)}
+    for cap in (_MAX_GRID, math.inf):
+        if N > cap:
             continue
-        costs = {m: _view_cost(m) for m in _smooth_numbers(lo, hi)}
-        best = _cheapest_triple(N, costs, cap)
+        best = _cheapest_triple(N, costs, cap, witness_cost)
         # Chirp-z costs rise with m: add every other length that could still
         # be a member of a triple as cheap as the best, then search again.
-        limit = best[0] - 2 * lo * rate if best else math.inf
+        limit = (best[0] if best else witness_cost) - 2 * floor * rate
         others = {}
-        for m in range(lo, hi + 1):
+        for m in range(floor, hi + 1):
             if m in costs:
                 continue
             cost = _view_cost(m)
@@ -218,7 +200,7 @@ def choose_moduli(N: int, k: int, lambda_threshold: float) -> tuple[int, int, in
                 break
             others[m] = cost
         if others:
-            best = _cheapest_triple(N, costs | others, cap)
+            best = _cheapest_triple(N, costs | others, cap, witness_cost)
         if best is not None:
             return best[2]
     raise AssertionError("unreachable: the witness triple qualifies without the ceiling")
@@ -234,9 +216,9 @@ def make_plan(
     """Build a reproducible plan for an N-point, k-sparse problem.
 
     The moduli come from `choose_moduli`: the pairwise coprime triple whose
-    views cost least under the op model, which keeps the two smallest
-    moduli's product at or above N, the per-bin load within the peeling
-    threshold and M within the int64 grid ceiling where possible.  Explicit
+    views cost least under the op model, which keeps M at or above N, the
+    per-bin load within the peeling threshold and M within the int64 grid
+    ceiling where possible.  Explicit
     moduli can be pinned through config.moduli_override (Config takes three
     integers >= 2; here they must be pairwise coprime with a product of at
     least N).  A sparsity ratio k/sqrt(N) at or above config.rho_dense has
@@ -335,9 +317,6 @@ def validate_plan(plan: ModuliPlan) -> list[str]:
         violations.append("ProductMismatch: M != m1*m2*m3")
     if plan.M < plan.N:
         violations.append(f"ProductTooSmall: M={plan.M} < N={plan.N}")
-    low, mid, _ = sorted((m1, m2, m3))
-    if low * mid < plan.N:
-        violations.append(f"GateWrap: {low}*{mid} < N={plan.N}")
     if (plan.triple.m1 * plan.triple.gamma12) % plan.triple.m2 != 1:
         violations.append("BadInverse: gamma12")
     if (plan.triple.m1 * plan.triple.m2 * plan.triple.gamma23) % plan.triple.m3 != 1:

@@ -3,7 +3,7 @@
 A :class:`SparseSpectrum` lists (frequency, coefficient) pairs on a grid of
 length M; the matching time-domain signal is x[n] = sum_i A_i e^{+2pi i f_i
 n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid, and
-the fast path only ever touches O(sqrt(M)) indices, so nothing is
+the fast path only ever touches O(m1 + m2 + m3) indices, so nothing is
 materialized unless the dense fallback runs.  An index block may have any
 shape and its values come back in that shape.  A synthesized source reads n
 arbitrary indices in O(k*n) arithmetic; a stack of R rows that are each a

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crtfft.config import Config
 from crtfft.gating import gate_pairs, gate_survivor_stats
 from crtfft.numtheory import ModTriple, garner2
 from crtfft.planner import ViewParams, make_plan
@@ -110,9 +111,11 @@ class TestCompleteness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_true_pairs_pass_on_pipeline_views(self, seed):
         # residue sets read off the hashed identification views that the
-        # pipeline builds, at the default capacity of 15k bins per view
+        # pipeline builds, at the default capacity of 15k bins per view.  The
+        # planner needs only M >= N, so the moduli are pinned to a triple that
+        # meets the gate's no-wrap condition.
         N, k = 2**14, 12
-        plan = make_plan(N, k, seed=seed)
+        plan = make_plan(N, k, seed=seed, config=Config(moduli_override=(997, 1009, 1013)))
         spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
         views = build_views(synthesize(spec), plan.id_views, plan.M)
         r1, r2, r3 = (extract_residues(v, 15 * k) for v in views)

@@ -23,7 +23,7 @@ from crtfft.pipeline import (
     verify_certificate,
 )
 from crtfft.planner import make_plan
-from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
+from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.views import build_view
 from conftest import (
     DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close, verify_plan,
@@ -97,13 +97,13 @@ class TestSparseFft:
         # The op model is a fixed cost model: any drift in these figures makes
         # op counts incomparable across commits.  With identity_hash every view
         # has b = 0, so no modulation pass runs or is charged: the views and
-        # verify phases each cost 3 * (121 + 147 + 160) ops less.  The Parseval
+        # verify phases each cost 3 * (44 + 45 + 49) ops less.  The Parseval
         # check reuses the energy of the samples its view already read, so it
         # charges m + |candidate| per verification view.
-        spec = random_spectrum(rng, 12, 121 * 147 * 160, fmax=2**14)
+        spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
         cases = (
-            (False, {"peel": 1500, "verify": 28391, "views": 26535, "total": 56426}),
-            (True, {"peel": 1500, "verify": 27107, "views": 25251, "total": 53858}),
+            (False, {"peel": 630, "verify": 7461, "views": 6765, "total": 14856}),
+            (True, {"peel": 630, "verify": 7047, "views": 6351, "total": 14028}),
         )
         for identity_hash, expected in cases:
             cfg = Config(nominal_length=2**14, identity_hash=identity_hash)
@@ -113,13 +113,31 @@ class TestSparseFft:
             assert spectra_close(result.spectrum, spec)
             assert result.op_counts == expected, f"identity_hash={identity_hash}"
 
-    @pytest.mark.parametrize("spacing", [121, 147, 160, 32])
+    def test_synthesized_scaling(self, rng):
+        # k = 16 from N = 2^15 to 2^24: every plan stays under the int64 grid
+        # ceiling, every run is fast, exact and replays, and the op count
+        # grows as about N^(1/3), not as the sqrt(N) of views sized to sqrt(N)
+        lengths, totals = [], []
+        for e in range(15, 25):
+            N = 2**e
+            cfg = Config(nominal_length=N)
+            spec = random_spectrum(rng, 16, make_plan(N, 16, config=cfg).M, fmax=N)
+            src = synthesize(spec)
+            result = sparse_fft(src, 16, cfg, seed=e)
+            assert result.path is RecoveryPath.FAST, N
+            assert spectra_close(result.spectrum, spec), N
+            assert verify_certificate(result.certificate, src) == [], N
+            lengths.append(N)
+            totals.append(result.op_counts["total"])
+        assert np.polyfit(np.log(lengths), np.log(totals), 1)[0] <= 0.4
+
+    @pytest.mark.parametrize("spacing", [44, 45, 49, 4])
     def test_comb_on_a_modulus_is_exact(self, rng, spacing):
         # 12 tones spaced by a modulus of the N = 2^14 plan, or by the power
         # of two inside its even modulus, share one bin of that view
         cfg = Config(nominal_length=2**14)
         plan = make_plan(2**14, 12, seed=3, config=cfg)
-        assert plan.triple.moduli == (121, 147, 160)
+        assert plan.triple.moduli == (44, 45, 49)
         coeffs = np.exp(2j * np.pi * rng.random(12))
         spec = SparseSpectrum.from_pairs(
             [(17 + j * spacing, c) for j, c in enumerate(coeffs)], plan.M
@@ -329,10 +347,13 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
 
     def test_index_guard_is_typed(self):
-        # the plan grid of N = 2^22 (M ~ 1.1e10) is past exact int64 view indices
-        M = make_plan(2**22, 64).M
-        with pytest.raises(OracleCapExceededError):
-            sparse_fft(from_dense(np.ones(16), M), 64, Config(nominal_length=2**22), seed=0)
+        # a plan grid of M ~ 1.4e10 is past exact int64 view indices
+        moduli = (2048, 2187, 3125)
+        M = math.prod(moduli)
+        cfg = Config(nominal_length=2**22, moduli_override=moduli)
+        assert make_plan(2**22, 64, config=cfg).M == M > _MAX_GRID
+        with pytest.raises(OracleCapExceededError, match="exact int64 index"):
+            sparse_fft(from_dense(np.ones(16), M), 64, cfg, seed=0)
 
 
 class TestDenseFallback:
@@ -484,6 +505,8 @@ class TestCertificates:
         cert = Certificate.from_json(case["certificate"])
         assert cert.payload["path"] == "fast"
         assert verify_certificate(cert, synthesize(spec), cfg) == []
+        # The planner has since picked smaller moduli; pin the recorded ones.
+        cfg = replace(cfg, moduli_override=tuple(cert.payload["plan"]["moduli"]))
         plan = make_plan(cfg.nominal_length, case["k"], seed=case["seed"], config=cfg)
         recorded = [(v["m"], v["sigma"], v["b"]) for v in cert.payload["plan"]["verify_views"]]
         assert recorded != [(v.m, v.sigma, v.b) for v in plan.verify_views]

@@ -6,6 +6,8 @@ import pytest
 from crtfft.config import Config
 from crtfft.dft import fft_op_count
 from crtfft.errors import DenseRegimeError
+from crtfft.gating import gate_survivor_stats
+from crtfft.numtheory import ModTriple
 from crtfft.planner import (
     choose_moduli,
     divisor_moduli,
@@ -42,23 +44,21 @@ class TestMakePlan:
 
     def test_mega_plan_moduli(self):
         plan = make_plan(2**20, 20, 3, seed=5)
-        assert plan.triple.moduli == (1024, 1089, 1225)  # 2^10, 3^2*11^2, 5^2*7^2
+        assert plan.triple.moduli == (81, 112, 125)  # 3^4, 2^4*7, 5^3
         assert plan.M >= 2**20
         assert len(plan.verify_views) == 3
 
     def test_adaptive_moduli_when_load_high(self):
-        # rho = 0.2 stays under the sparse threshold but the load factor
-        # 200/1000 exceeds the peeling threshold, so the floor moves to
-        # 10*k*log2(k) ~ 15288
+        # rho = 0.2 stays under the sparse threshold, and k/lambda = 607 is
+        # above N^(1/3) = 100, so the load floor, not M >= N, sizes the views
         plan = make_plan(10**6, 200, 0, seed=1)
-        assert plan.triple.moduli == (15309, 15625, 16384)  # 3^7*7, 5^6, 2^14
-        assert min(plan.triple.moduli) >= 10 * 200 * math.log2(200)
+        assert plan.triple.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
+        assert min(plan.triple.moduli) >= 200 / Config().lambda_threshold
 
     def test_moderate_load_bound(self):
         plan = make_plan(10**6, 200, 0, seed=1)
         k = 200
-        bound = (1 / (10 * math.log2(k))) * 1.05
-        assert k / min(plan.triple.moduli) <= bound
+        assert k / min(plan.triple.moduli) <= Config().lambda_threshold
 
     def test_determinism(self):
         a = make_plan(2**18, 10, 3, seed=99)
@@ -119,12 +119,14 @@ class TestValidatePlan:
         assert any(v.startswith("NotCoprime") for v in validate_plan(broken))
 
     def test_gate_wrap_flagged(self):
-        # 7*11 < 100: two-view reconstructions of frequencies in [77, 100) wrap
+        # 7*11 < 100: two-view reconstructions of frequencies in [77, 100)
+        # wrap.  Peeling needs only M >= N, so the plan is valid; the gate
+        # checks its own no-wrap precondition.
         plan = make_plan(100, 1, config=Config(moduli_override=(7, 11, 13)))
         assert plan.M >= plan.N
-        assert [v for v in validate_plan(plan) if v.startswith("GateWrap")] == [
-            "GateWrap: 7*11 < N=100"
-        ]
+        assert validate_plan(plan) == []
+        with pytest.raises(ValueError, match=r"N=100 exceeds m1\*m2=77"):
+            gate_survivor_stats(100, 1, 1.0, ModTriple.create(7, 11, 13), trials=1)
 
     @pytest.mark.parametrize("k", [1, 3, 12, 64])
     def test_planned_moduli_are_valid(self, k):
@@ -179,14 +181,13 @@ def _brute_force_moduli(N, k, bound):
 
     The int64 grid ceiling is left out: no triple this small reaches it.
     """
-    high_load = k >= 2 and k / round(math.sqrt(N)) > 0.1
-    floor = max(2, math.ceil(10 * k * math.log2(k) if high_load else k / 0.1))
+    floor = max(2, math.ceil(k / Config().lambda_threshold))
     values = np.arange(floor, bound, dtype=np.int64)
     cost = np.array([_view_cost(int(m)) for m in values])
     best = None
     for i, a in enumerate(values):
         b, c = values[i + 1 :, None], values[None, i + 1 :]
-        ok = (b < c) & (a * b >= N) & (np.gcd(a, b) == 1) & (np.gcd(a * b, c) == 1)
+        ok = (b < c) & (a * b * c >= N) & (np.gcd(a, b) == 1) & (np.gcd(a * b, c) == 1)
         if ok.any():
             total = np.where(ok, cost[i] + cost[i + 1 :, None] + cost[None, i + 1 :], np.inf)
             for r, q in np.argwhere(total == total.min()):
@@ -197,30 +198,35 @@ def _brute_force_moduli(N, k, bound):
 
 class TestChooseModuli:
     def test_benchmark_plans_are_smooth(self):
-        assert choose_moduli(2**20, 64, 0.1) == (1024, 1089, 1225)
-        assert choose_moduli(2**14, 12, 0.1) == (121, 147, 160)  # 11^2, 3*7^2, 2^5*5
+        lam = Config().lambda_threshold
+        assert choose_moduli(2**20, 64, lam) == (243, 245, 256)  # 3^5, 5*7^2, 2^8
+        assert choose_moduli(2**14, 12, lam) == (44, 45, 49)  # 2^2*11, 3^2*5, 7^2
 
-    @pytest.mark.parametrize("N, k", [(4, 0), (20, 1), (64, 1), (100, 2), (500, 2), (1000, 2)])
+    @pytest.mark.parametrize(
+        "N, k", [(4, 0), (20, 1), (64, 1), (100, 2), (500, 2), (1000, 2), (20_000, 4)]
+    )
     def test_matches_exhaustive_search(self, N, k):
-        moduli = choose_moduli(N, k, 0.1)
+        moduli = choose_moduli(N, k, Config().lambda_threshold)
         total = sum(map(_view_cost, moduli))
         # every view costs at least 5*m, so no cheaper triple has a member >= total/5
         assert _brute_force_moduli(N, k, total // 5 + 1)[2] == moduli
 
     def test_int64_grid_ceiling_kept(self):
-        for N in range(1_000_000, 2_070_001, 10_000):
+        for N in range(2_900_000_000, 2_990_000_001, 15_000_000):
             plan = make_plan(N, 64)
             assert plan.M <= 3_000_000_000
             assert validate_plan(plan) == []
 
     def test_int64_grid_ceiling_edges(self):
-        # N^1.5 > 3e9 for N = 2^22: no triple fits under the ceiling, so it is dropped
-        assert choose_moduli(2**22, 64, 0.1) == (2048, 2187, 2401)
-        # near the ceiling only non-smooth lengths fit: 1439 is prime, 1441 = 11*131
-        assert choose_moduli(2_070_000, 64, 0.1) == (1439, 1440, 1441)
+        lam = Config().lambda_threshold
+        # the last N that a triple no costlier than the witness covers under
+        # the ceiling: M = N exactly
+        assert choose_moduli(2_993_760_000, 64, lam) == (625, 1792, 2673)
+        # one past it no such triple fits, so the ceiling is dropped
+        assert choose_moduli(2_993_760_001, 64, lam) == (1024, 1375, 2187)
 
     def test_cached(self):
-        choose_moduli(2**20, 64, 0.1)
+        choose_moduli(2**20, 64, Config().lambda_threshold)
         before = choose_moduli.cache_info()
         make_plan(2**20, 64, seed=1)
         make_plan(2**20, 64, seed=2)

@@ -15,8 +15,9 @@ from crtfft.errors import (
     OutOfRangeError,
     ParseError,
 )
-from crtfft.planner import ViewParams, make_plan
+from crtfft.planner import ViewParams
 from crtfft.signal import (
+    _MAX_GRID,
     SparseSpectrum,
     _progression_step,
     from_dense,
@@ -109,8 +110,9 @@ class TestSynthesize:
         assert (synthesize(SparseSpectrum.from_pairs([], M)).materialize() == 0).all()
 
     def test_grid_above_supported_maximum_is_typed(self):
-        M = make_plan(2**22, 64).M  # about 1.1e10, past exact int64 index products
-        with pytest.raises(OracleCapExceededError):
+        M = 2048 * 2187 * 3125  # about 1.4e10, past exact int64 index products
+        assert M > _MAX_GRID
+        with pytest.raises(OracleCapExceededError, match="above supported maximum"):
             synthesize(SparseSpectrum.from_pairs([(1, 1.0)], M))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crtfft.config import Config
+from crtfft.pipeline import RecoveryPath, sparse_fft
 from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.verification import check_view
@@ -206,3 +207,48 @@ class TestVerify:
             first = verify_plan(src, plan, candidate, cfg)
             assert first.overall is verdict
             assert verify_plan(src, plan, candidate, cfg) == first
+
+
+def _corrupt(kind, rng, m1m2):
+    """A corrupt_candidate hook that applies one corruption of kind `kind`."""
+
+    def corrupt(candidate):
+        entries = list(candidate.entries)
+        M = candidate.grid_length
+        i = int(rng.integers(len(entries)))
+        f, c = entries[i]
+        if kind == "amplitude":
+            entries[i] = (f, 1.01 * c)
+        elif kind == "drop":
+            del entries[i]
+        else:
+            taken = {g for g, _ in entries}
+            while True:
+                if kind == "swap":
+                    g = int(rng.integers(M))
+                else:  # a bin shared with f in the views of m1 and m2
+                    g = (f + m1m2 * int(rng.integers(1, M // m1m2))) % M
+                if g not in taken:
+                    break
+            entries[i] = (g, c)
+        return SparseSpectrum.from_pairs(entries, M)
+
+    return corrupt
+
+
+class TestSmallModuli:
+    """Verification where the moduli are near k, so (2k/m)^t is a weak bound."""
+
+    @pytest.mark.parametrize("kind", ["swap", "swap-m1m2", "drop", "amplitude"])
+    def test_corruptions_never_pass(self, rng, kind):
+        N, k = 2**14, 12
+        cfg = Config(nominal_length=N)
+        plan = make_plan(N, k, seed=0, config=cfg)
+        # the paper's bound (2k/m1)^3 = 0.16 would allow one slip in six
+        assert plan.triple.moduli == (44, 45, 49)
+        for trial in range(25):
+            spec = random_spectrum(rng, k, plan.M, fmax=N)
+            corrupt = _corrupt(kind, rng, 44 * 45)
+            result = sparse_fft(synthesize(spec), k, cfg, seed=trial, corrupt_candidate=corrupt)
+            assert result.path is RecoveryPath.FALLBACK
+            assert result.certificate.payload["fallback_reason"] == "verification-failed"
