@@ -28,7 +28,7 @@ from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
 from .peeling import PeelStatus
 from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
-from .planner import MIN_PLAN_LENGTH, _draw_view_params, make_plan, rng_stream
+from .planner import MIN_PLAN_LENGTH, draw_view_params, make_plan, rng_stream
 from .signal import (
     SparseSpectrum,
     from_dense,
@@ -265,7 +265,7 @@ def _mc_verify_miss(args, writer):
     m_v = plan.verify_views[0].m
     slips_one = 0
     slips_all = 0
-    for _, rng in _trials(args, "verify-miss"):
+    for trial_seed, rng in _trials(args, "verify-miss"):
         freqs = _draw_support(rng, args.k, plan.N)
         coeffs = np.exp(2j * np.pi * rng.random(args.k))
         truth = SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), plan.M)
@@ -280,7 +280,8 @@ def _mc_verify_miss(args, writer):
         ]
         corrupted = SparseSpectrum.from_pairs(corrupted_pairs, plan.M)
         views = tuple(
-            _draw_view_params(m, plan.M, rng, cfg.shift_count) for m in plan.triple.moduli
+            draw_view_params(m, plan.M, trial_seed, "verify-miss", i, cfg.shift_count)
+            for i, m in enumerate(plan.triple.moduli)
         )
         report = verify(build_views(synthesize(truth), views, plan.M), corrupted, cfg)
         slips_one += report.views[0].passed

@@ -10,14 +10,15 @@ hash back onto its own bin is discarded, so masquerading multi-bins fail
 closed.
 
 The views live side by side in one stacked (shifts, m1+m2+m3) buffer; each
-view's `bins` is its column slice.  A round is a fixed number of array
-operations whatever k is: detection tests every column of the stack at once
-and returns its readings as one `SingletonReading` batch, duplicates across
-views are dropped by one sort, and `peel` subtracts the whole batch, as
-FFAST's decoder does.  The readings enter the ledger in order; their
-subtraction is one tone table (the alias model `views.alias_sum` and
-verification use, O(1) per reading and bin) scattered into the stack at
-each view's hashed columns.  Rounds repeat until the views are empty
+view's `bins` is its column slice, and `PeelState.create` adopts the stack
+`views.build_views` wrote them into instead of copying it.  A round is a
+fixed number of array operations whatever k is: detection tests every
+column of the stack at once and returns its readings as one
+`SingletonReading` batch, duplicates across views are dropped by one sort,
+and `peel` subtracts the whole batch, as FFAST's decoder does.  The readings
+are appended to the ledger's frequency and coefficient arrays in order;
+their subtraction is `views.alias_stack` (the alias model verification
+uses, O(1) per reading and bin).  Rounds repeat until the views are empty
 (Complete), no view offers a singleton (TwoCore), or the round cap is hit
 (Stagnated).
 """
@@ -25,7 +26,6 @@ each view's hashed columns.  Rounds repeat until the views are empty
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field, fields, replace as dc_replace
 
@@ -34,8 +34,7 @@ import numpy as np
 from .errors import DuplicateConflictError
 from .opcount import OpCounter
 from .planner import ModuliPlan
-from .signal import SparseSpectrum
-from .views import NOISE_FLOOR_REL, ViewSpectrum, build_view, tone_table
+from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_stack, build_view, stack_views
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
 SINGLETON_TOL = 1e-6
@@ -78,16 +77,16 @@ class PeelState:
     """Mutable peeling workspace: the views' stacked bins plus the recovery ledger.
 
     `stack` holds the views' bins side by side and each of `views` holds a
-    column slice of it, starting at its entry of `offsets`.  The rows of
-    `hashes` are each view's hash parameters a, b and m.
+    column slice of it; `layout` is the stack's `views.stack_views` layout.
+    The ledger `freqs`, `coeffs` holds every accepted reading in order.
     """
 
     views: list[ViewSpectrum]
     M: int
     stack: np.ndarray
-    offsets: np.ndarray
-    hashes: np.ndarray
-    recovered: dict[int, complex] = field(default_factory=dict)
+    layout: np.ndarray
+    freqs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
     round: int = 0
     noise_floor: float = 0.0
     op: OpCounter | None = None
@@ -96,20 +95,14 @@ class PeelState:
     def create(
         cls, views: list[ViewSpectrum], M: int, op: OpCounter | None = None
     ) -> "PeelState":
-        """Copy the views' bins into one stack; the given views are not modified."""
-        stack = np.concatenate([v.bins for v in views], axis=1)
-        offsets = [0, *itertools.accumulate(v.m for v in views[:-1])]
-        sliced = [dc_replace(v, bins=stack[:, o : o + v.m]) for v, o in zip(views, offsets)]
+        """Adopt the stack `build_views` wrote the views into, so peeling works on
+        their own bins; views on no one stack are copied and not modified."""
+        stack, layout = stack_views(views)
+        if views[0].bins.base is not stack:
+            views = [dc_replace(v, bins=stack[:, o : o + v.m], column=o)
+                     for v, o in zip(views, layout[3].tolist())]
         peak = float(np.abs(stack[0]).max(initial=0.0))
-        return cls(
-            views=sliced,
-            M=M,
-            stack=stack,
-            offsets=np.array(offsets),
-            hashes=np.array([(v.params.a, v.params.b, v.m) for v in views]).T,
-            noise_floor=NOISE_FLOOR_REL * peak,
-            op=op,
-        )
+        return cls(list(views), M, stack, layout, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
     def max_bin_magnitude(self) -> float:
         return float(np.abs(self.stack).max(initial=0.0))
@@ -122,9 +115,9 @@ def detect_singletons(state: PeelState) -> SingletonReading:
     cand = np.flatnonzero(mag0 > state.noise_floor)
     if state.op is not None:
         state.op.add("peel", 3 * stack.shape[1])
-    view = np.searchsorted(state.offsets, cand, side="right") - 1
-    bin_index = cand - state.offsets[view]
-    a, b, m = state.hashes[:, view]
+    view = np.searchsorted(state.layout[3], cand, side="right") - 1
+    a, b, m, offset = state.layout[:, view]
+    bin_index = cand - offset
     y = stack[:, cand]
     y0, y1, mag = y[0], y[1], mag0[cand]
     ok = np.abs(y1) > 0
@@ -159,38 +152,34 @@ def peel(state: PeelState, readings: SingletonReading) -> PeelState:
     accepted = len(fs)
     for i in np.flatnonzero(np.abs(coeffs) <= state.noise_floor).tolist():
         f = int(fs[i])
-        if f in state.recovered or f in fs[:i]:
+        if f in state.freqs or f in fs[:i]:
             conflict = DuplicateConflictError(
                 f"frequency {f} re-detected with residual below the floor"
             )
             accepted = i
             break
     fs, coeffs = fs[:accepted], coeffs[:accepted]
-    for f, coeff in zip(fs.tolist(), coeffs.tolist()):
-        if f in state.recovered:
-            state.recovered[f] += coeff
-        else:
-            state.recovered[f] = coeff
     if accepted:
-        shifts, views = state.stack.shape[0], len(state.offsets)
-        a, b, m = state.hashes[:, :, None]
-        cols = (a * fs + b) % m + state.offsets[:, None]
-        # add.at sums readings that share a column, in reading order, into
-        # zeros; subtracting that sum keeps the bins equal to alias_sum's
-        delta = np.zeros_like(state.stack)
-        table = tone_table(fs, coeffs, shifts, state.M)
-        np.add.at(delta, (slice(None), cols.ravel()), np.tile(table, views))
-        state.stack -= delta
+        state.freqs = np.concatenate((state.freqs, fs))
+        state.coeffs = np.concatenate((state.coeffs, coeffs))
+        # alias_stack sums readings that share a column, in reading order,
+        # into zeros; subtracting that sum keeps the bins equal to the alias sums
+        state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
         if state.op is not None:
+            shifts, views = state.stack.shape[0], state.layout.shape[1]
             state.op.add("peel", 2 * shifts * accepted * views)
     if conflict is not None:
         raise conflict
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeelOutcome:
-    recovered: SparseSpectrum
+    """The ledger's frequencies, ascending, whose summed coefficients clear the
+    noise floor, with those coefficients, and how peeling ended."""
+
+    freqs: np.ndarray
+    coeffs: np.ndarray
     status: PeelStatus
     rounds: int
 
@@ -227,11 +216,12 @@ def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
             status = PeelStatus.STAGNATED
             break
         state.round += 1
-    entries = [
-        (f, c) for f, c in state.recovered.items() if abs(c) > state.noise_floor
-    ]
-    spectrum = SparseSpectrum.from_pairs(entries, state.M)
-    return PeelOutcome(recovered=spectrum, status=status, rounds=state.round)
+    # a frequency read in several rounds sums its readings in ledger order
+    freqs, where = np.unique(state.freqs, return_inverse=True)
+    coeffs = np.zeros(freqs.size, dtype=np.complex128)
+    np.add.at(coeffs, where, state.coeffs)
+    keep = np.abs(coeffs) > state.noise_floor
+    return PeelOutcome(freqs[keep], coeffs[keep], status, state.round)
 
 
 # The benchmark tracer (perfbench/tracer.py) looks this name up; nothing calls it.

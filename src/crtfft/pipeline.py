@@ -89,8 +89,11 @@ def _check_fields(record, where: str, **checks) -> None:
 
 
 def _check_view(view, where: str, M: int) -> None:
-    _check_fields(view, where, m=lambda v: _is_positive(v) and M % v == 0, sigma=_is_int,
-                  b=_is_int, shifts=lambda v: _is_int(v) and v in (2, 3))
+    """A view replay can build: m divides M, sigma in [1, M) is a unit mod M, b in [0, m)."""
+    _check_fields(view, where, m=lambda v: _is_positive(v) and M % v == 0,
+                  sigma=lambda v: _is_int(v) and 1 <= v < M and math.gcd(v, M) == 1,
+                  shifts=lambda v: _is_int(v) and v in (2, 3))
+    _check_fields(view, where, b=_in_range(view["m"]))
 
 
 def _check_replay_fields(p: dict) -> None:
@@ -210,13 +213,6 @@ def dense_fallback(
     return SparseSpectrum(tuple(zip(top[nonzero].tolist(), coeffs[nonzero].tolist())), M)
 
 
-def _top_k(entries: dict[int, complex], k: int, grid: int) -> SparseSpectrum:
-    freqs = np.fromiter(entries, dtype=np.int64, count=len(entries))
-    coeffs = np.fromiter(entries.values(), dtype=np.complex128, count=len(entries))
-    keep = top_k_order(np.abs(coeffs), freqs, k)
-    return SparseSpectrum.from_pairs(zip(freqs[keep].tolist(), coeffs[keep].tolist()), grid)
-
-
 def sparse_fft(
     source: SignalSource,
     k: int,
@@ -249,7 +245,6 @@ def sparse_fft(
     plan = None
     peel_status = None
     report = None
-    recovered: dict[int, complex] = {}
     candidate = None
 
     if cfg.force_fallback:
@@ -272,14 +267,15 @@ def sparse_fft(
         views, verify_views = built[: len(plan.id_views)], built[len(plan.id_views) :]
         outcome = run_peeling(PeelState.create(views, plan.M, op), plan)
         peel_status = outcome.status
-        recovered = dict(outcome.recovered.entries)
 
         if outcome.status is not PeelStatus.COMPLETE:
             fallback_reason = f"peeling-{outcome.status.value}"
-        elif k and len(recovered) > 2 * k:
-            fallback_reason = f"candidate-overflow: {len(recovered)} > 2k"
+        elif k and len(outcome.freqs) > 2 * k:
+            fallback_reason = f"candidate-overflow: {len(outcome.freqs)} > 2k"
         else:
-            candidate = _top_k(recovered, k, plan.M)
+            keep = top_k_order(np.abs(outcome.coeffs), outcome.freqs, k)
+            pairs = zip(outcome.freqs[keep].tolist(), outcome.coeffs[keep].tolist())
+            candidate = SparseSpectrum.from_pairs(pairs, plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
             report = verify(verify_views, candidate, cfg, op)
@@ -464,12 +460,8 @@ def verify_certificate(
                 violations.append(f"garner-replay-failed: f={f}")
         verify_views = plan_info.get("verify_views") or []
         if verify_views:
-            vp = ViewParams(
-                m=verify_views[0]["m"],
-                sigma=verify_views[0]["sigma"],
-                b=verify_views[0]["b"],
-                shift_count=verify_views[0]["shifts"],
-            )
+            v = verify_views[0]
+            vp = ViewParams(m=v["m"], sigma=v["sigma"], b=v["b"], shift_count=v["shifts"])
             if source.grid_length == plan_info["m"]:
                 check = check_view(
                     build_view(source, vp, plan_info["m"]), spectrum, cfg.verify_eps_rel

@@ -3,11 +3,11 @@
 A plan fixes everything the identification pipeline needs: three pairwise
 coprime view moduli whose product M >= N defines the working grid, per-view
 affine hash parameters (dilation sigma, offset b), and the verification view
-parameters.  All randomness comes from counter-based generators keyed by
-(seed, label), two per plan: the identification views are drawn in order
-from the "id-views" stream and the verification views from the
-"verify-views" stream, so the two sets of draws are provably disjoint and
-every plan is replayable from its seed.
+parameters.  Each view's (sigma, b) is a keyed counter hash: BLAKE2b of
+(seed, label, view index, attempt), with label "id-views" for the
+identification views and "verify-views" for the verification views, so the
+two sets of draws are disjoint, no draw depends on another, and every plan
+is replayable from its seed (`draw_view_params`).
 
 The moduli are the pairwise coprime triple whose views are cheapest under
 the op model (`dft.fft_op_count`), so they are 11-smooth wherever the
@@ -31,6 +31,7 @@ import functools
 import hashlib
 import itertools
 import math
+import struct
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -92,13 +93,20 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_view_params(m: int, M: int, rng: np.random.Generator, shifts: int) -> ViewParams:
-    while True:
-        sigma = int(rng.integers(1, M))
-        if math.gcd(sigma, M) == 1:
-            break
-    b = int(rng.integers(0, m))
-    return ViewParams(m=m, sigma=sigma, b=b, shift_count=shifts)
+def draw_view_params(m: int, M: int, seed: int, label: str, index: int, shifts: int) -> ViewParams:
+    """View `index` of the (seed, label) domain: sigma in [1, M) coprime to M, b in [0, m).
+
+    Attempt 0, 1, ... hashes (seed, label, index, attempt) into eight 64-bit
+    words: b = w0 mod m, and sigma is the first 1 + w_i mod (M - 1), i >= 1,
+    coprime to M.  Below M = 2^32 the reductions are uniform to within 2^-32.
+    """
+    for attempt in itertools.count():
+        digest = hashlib.blake2b(f"{int(seed)}:{label}:{index}:{attempt}".encode()).digest()
+        b, *words = struct.unpack("<8Q", digest)
+        for w in words:
+            sigma = 1 + w % (M - 1)
+            if math.gcd(sigma, M) == 1:
+                return ViewParams(m=m, sigma=sigma, b=b % m, shift_count=shifts)
 
 
 def _view_cost(m: int) -> int:
@@ -252,11 +260,12 @@ def make_plan(
             ViewParams(m=moduli[v % 3], sigma=1, b=0, shift_count=shifts) for v in range(t)
         )
     else:
-        id_rng = rng_stream(seed, "id-views")
-        id_views = tuple(_draw_view_params(m, triple.M, id_rng, shifts) for m in moduli)
-        verify_rng = rng_stream(seed, "verify-views")
+        id_views = tuple(
+            draw_view_params(m, triple.M, seed, "id-views", i, shifts) for i, m in enumerate(moduli)
+        )
         verify_views = tuple(
-            _draw_view_params(moduli[v % 3], triple.M, verify_rng, shifts) for v in range(t)
+            draw_view_params(moduli[v % 3], triple.M, seed, "verify-views", v, shifts)
+            for v in range(t)
         )
 
     return ModuliPlan(
@@ -295,12 +304,7 @@ def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
     only relabels the residue classes mod m, so it cannot split a collision.
     """
     new_views = tuple(
-        _draw_view_params(
-            view.m,
-            plan.M,
-            rng_stream(seed, f"rehash-{round_index}-id-view-{i}"),
-            view.shift_count,
-        )
+        draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i, view.shift_count)
         for i, view in enumerate(plan.id_views)
     )
     return dc_replace(plan, id_views=new_views)

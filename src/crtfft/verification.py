@@ -1,10 +1,10 @@
 """Two-part verification of a candidate spectrum on independent views.
 
-The verification views arrive already built from samples (the pipeline
-reads them with the identification views, see `views.build_views`); the
-candidate's bins are predicted once per view through the same alias-sum
-model the views use (`build_view_from_spectrum`), and `check_view` runs both
-parts on them:
+The verification views arrive already built from samples, side by side in
+one stack (`views.build_views`).  `check_views` predicts the candidate's
+bins in all of them at once through the alias-sum model the views use
+(`views.alias_stack`) and runs both parts on each; `check_view`, which
+replay uses, is its one-view case:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins
@@ -48,8 +48,8 @@ import numpy as np
 from .config import Config
 from .opcount import OpCounter
 from .signal import SparseSpectrum
-from .views import ViewSpectrum, build_view_from_spectrum
-from .views import build_view  # noqa: F401  looked up by the benchmark tracer
+from .views import ViewSpectrum, alias_stack, stack_views
+from .views import build_view, build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 
 @dataclass(frozen=True)
@@ -86,34 +86,45 @@ class VerificationReport:
         }
 
 
+def check_views(
+    views: Sequence[ViewSpectrum],
+    candidate: SparseSpectrum,
+    eps_rel: float = 1e-6,
+    op: OpCounter | None = None,
+) -> tuple[ViewCheck, ...]:
+    """Both parts of the test on views built from samples with one shift count.
+
+    Each view's predicted shift-0 energy and residual energy are its segment
+    of one `np.add.reduceat` over the stack's columns.  E_time is the view's
+    `time_energy`, summed over its stride-indexed raw shift-0 samples;
+    nothing recovered enters it.
+    """
+    if any(v.time_energy is None for v in views):
+        raise ValueError("check_views needs views built from samples")
+    stack, layout = stack_views(views)
+    freqs, coeffs = candidate.frequencies(), candidate.coefficients()
+    predicted = alias_stack(freqs, coeffs, layout, stack.shape, views[0].M)
+    energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[3]).tolist()
+    residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[3])
+    if op is not None:
+        # per view: energy part, then residual part
+        op.add("verify", stack.shape[1] + stack.size + (1 + stack.shape[0]) * len(views) * len(freqs))
+    checks = []
+    for view, energy, residual in zip(views, energies, residuals.tolist()):
+        gap = abs(view.time_energy / view.m - energy)
+        eps = eps_rel * max(view.time_energy, 1.0)
+        checks.append(ViewCheck(view.m, gap, residual, eps, gap <= eps and residual <= eps))
+    return tuple(checks)
+
+
 def check_view(
     view: ViewSpectrum,
     candidate: SparseSpectrum,
     eps_rel: float = 1e-6,
     op: OpCounter | None = None,
 ) -> ViewCheck:
-    """Both parts of the test on one view built from samples.
-
-    E_time is the view's `time_energy`, summed over its stride-indexed raw
-    shift-0 samples; nothing recovered enters it.
-    """
-    if view.time_energy is None:
-        raise ValueError("check_view needs a view built from samples")
-    m, k = view.params.m, len(candidate)
-    predicted = build_view_from_spectrum(candidate, view.params, view.M).bins
-    gap = abs(view.time_energy / m - float(np.sum(np.abs(predicted[0]) ** 2)))
-    residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
-    if op is not None:
-        # energy part, then residual part
-        op.add("verify", m + k + view.bins.size + view.bins.shape[0] * k)
-    eps = eps_rel * max(view.time_energy, 1.0)
-    return ViewCheck(
-        modulus=m,
-        parseval_gap=gap,
-        residual_energy=residual,
-        epsilon=eps,
-        passed=gap <= eps and residual <= eps,
-    )
+    """Both parts of the test on one view built from samples."""
+    return check_views([view], candidate, eps_rel, op)[0]
 
 
 def verify(
@@ -122,7 +133,7 @@ def verify(
     config: Config | None = None,
     op: OpCounter | None = None,
 ) -> VerificationReport:
-    """Run `check_view` on every built verification view and aggregate.
+    """Run `check_views` on the built verification views and aggregate.
 
     The verdict is a pure function of the views and the candidate, and each
     view is a pure function of the source and its parameters, so checking
@@ -132,14 +143,5 @@ def verify(
     unverified.
     """
     cfg = config or Config()
-    if not views:
-        return VerificationReport(
-            views=(), overall=True, epsilon_rel=cfg.verify_eps_rel, unverified=True
-        )
-    checks = tuple(check_view(view, candidate, cfg.verify_eps_rel, op) for view in views)
-    return VerificationReport(
-        views=checks,
-        overall=all(c.passed for c in checks),
-        epsilon_rel=cfg.verify_eps_rel,
-        unverified=False,
-    )
+    checks = check_views(views, candidate, cfg.verify_eps_rel, op) if views else ()
+    return VerificationReport(checks, all(c.passed for c in checks), cfg.verify_eps_rel, not views)

@@ -3,16 +3,18 @@
 For a view (m, sigma, b) over grid length M with stride d = M/m, shift s
 collects the samples y[j] = x((sigma*j*d + s) mod M), modulates them by
 e^{+2pi i b j/m}, and takes the length-m forward transform scaled by 1/m.
-The resulting bin values are plain coefficient sums,
+The modulation only rotates the transform's bins by b (the DFT shift
+theorem).  The resulting bin values are plain coefficient sums,
 
     value(r, s) = sum over f with (sigma*f + b) mod m == r of A_f e^{2pi i f s/M},
 
 which is the contract every consumer (peeling, gating, verification) is
-written against.  `alias_sum` is the one evaluation of that sum from known
-tones: `build_view_from_spectrum` wraps it as the independent oracle for the
-FFT path and the bin predictor inside verification.  Its per-tone values
-come from `tone_table`, which peeling scatters into all three views at once
-for every round's readings.
+written against.  Views sit side by side as column slices of a
+(shift_count, sum of m) stack (`stack_views`).  `alias_stack` is the one
+evaluation of that sum from known tones, into every view of a stack at
+once: peeling subtracts its readings with it, verification predicts its
+views with it, and `build_view_from_spectrum` wraps it as the independent
+oracle for the FFT path.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ class ViewSpectrum:
 
     `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
     built from, taken before modulation and transform; it is None for a view
-    predicted from a spectrum, which has no samples.
+    predicted from a spectrum, which has no samples.  `column` is where
+    `bins` starts in the stack `build_views` wrote it into (`bins.base`).
     """
 
     params: ViewParams
     M: int
     bins: np.ndarray
     time_energy: float | None = None
+    column: int | None = None
 
     @property
     def m(self) -> int:
@@ -74,18 +78,6 @@ class ResidueSet:
         return len(self.indices)
 
 
-def _shift_indices(params: ViewParams, M: int, shift: int) -> np.ndarray:
-    m = params.m
-    if M % m != 0:
-        raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-    if M > _MAX_GRID:
-        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
-    d = M // m
-    j = np.arange(m, dtype=np.int64)
-    # sigma < M and j*d < M, so the product stays below 2^63 under the guard.
-    return (params.sigma * (j * d) + shift) % M
-
-
 def build_views(
     source: SignalSource,
     params: Sequence[ViewParams],
@@ -95,43 +87,48 @@ def build_views(
 ) -> list[ViewSpectrum]:
     """FFT-path construction of views from time samples, in the order given.
 
-    Views that share a modulus m are built together: row s of a view's
-    (shift_count, m) index block is its shift-0 progression plus s, so every
-    row wraps the grid a whole number of times with its view's step, and the
-    blocks of all views of one modulus are read with one `sample_block` call
-    (a synthesized source reads such a stack as one aliased inverse
-    transform).  Each view's shift-0 time energy is kept for the Parseval
-    check and its rows are modulated by its own b; the stack is then
-    transformed and normalized once and split back into views.  Ops are
-    charged per view under `phases[i]` ("views" when not given).
+    Views of one phase (`phases[i]`, "views" when not given) and shift count
+    are written, in order, into column slices of one stack: the pipeline's
+    identification views form the stack peeling adopts.  Views that share a
+    modulus m are read with one `sample_block` call (row s of a view's block
+    is its shift-0 progression plus s, so every row wraps the grid a whole
+    number of times with its view's step) and transformed and normalized
+    once.  Each view keeps its shift-0 time energy for the Parseval check;
+    its modulation is a rotation of its bins by b, charged as a modulation.
     """
+    if M > _MAX_GRID:
+        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     phases = phases or ("views",) * len(params)
-    views: list[ViewSpectrum | None] = [None] * len(params)
-    groups: dict[int, list[int]] = {}
+    widths, slots, groups = {}, [], {}
     for i, vp in enumerate(params):
+        if M % vp.m != 0:
+            raise StrideMismatchError(f"modulus {vp.m} does not divide grid length {M}")
+        key = (phases[i], vp.shift_count)
+        slots.append((key, widths.get(key, 0)))
+        widths[key] = slots[i][1] + vp.m
         groups.setdefault(vp.m, []).append(i)
+    stacks = {key: np.empty((key[1], width), dtype=np.complex128) for key, width in widths.items()}
+    views: list = [None] * len(params)
     for m, members in groups.items():
-        blocks = []
+        rows = [(params[i].sigma, s) for i in members for s in range(params[i].shift_count)]
+        sigma, shift = np.array(rows, dtype=np.int64).T[:, :, None]
+        # sigma < M and j*d < M, so the product stays below 2^63 under the guard.
+        samples = source.sample_block((sigma * np.arange(0, M, M // m) + shift) % M)
+        energies = (np.abs(samples) ** 2).sum(axis=1).tolist()
+        spectra = dft.dft_forward(samples) / m
+        lo = 0
         for i in members:
-            shifts = np.arange(params[i].shift_count, dtype=np.int64)[:, None]
-            blocks.append((_shift_indices(params[i], M, 0) + shifts) % M)
-        samples = source.sample_block(np.concatenate(blocks))
-        lo, rows = 0, []
-        for i in members:
-            vp = params[i]
-            hi = lo + vp.shift_count
-            rows.append((vp, i, lo, hi, float(np.sum(np.abs(samples[lo]) ** 2))))
-            if vp.b:
-                samples[lo:hi] *= np.exp(2j * np.pi * vp.b * np.arange(m) / m)
+            vp, (key, column), b = params[i], slots[i], params[i].b % m
+            bins, hi = stacks[key][:, column : column + m], lo + vp.shift_count
+            # the modulated bin r is the plain bin (r - b) mod m
+            np.concatenate((spectra[lo:hi, m - b :], spectra[lo:hi, : m - b]), axis=1, out=bins)
+            views[i] = ViewSpectrum(vp, M, bins, energies[lo], column)
             lo = hi
-        bins = dft.dft_forward(samples) / m
-        for vp, i, lo, hi, energy in rows:
-            views[i] = ViewSpectrum(params=vp, M=M, bins=bins[lo:hi], time_energy=energy)
             if op is not None:
-                # per shift: sample accesses, modulation multiplies, transform, normalization
-                per_shift = m + (m if vp.b else 0) + dft.fft_op_count(m) + m
+                # per shift: sample accesses, modulation, transform, normalization
+                per_shift = m + (m if b else 0) + dft.fft_op_count(m) + m
                 op.add(phases[i], vp.shift_count * per_shift)
-    return views  # type: ignore[return-value]
+    return views
 
 
 def build_view(
@@ -145,36 +142,49 @@ def build_view(
     return build_views(source, [params], M, op, [phase])[0]
 
 
-def alias_sum(
-    freqs: np.ndarray, coeffs: np.ndarray, params: ViewParams, M: int
+def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:
+    """The views side by side: a (shift_count, sum of m) stack and its layout,
+    whose rows are each view's a, b, m and first column.
+
+    Views that `build_views` wrote into one stack, all of it and in this
+    order, give that stack itself; any others are copied into a new one.
+    """
+    layout, stack, width = [], views[0].bins.base, 0
+    for v in views:
+        layout.append((v.params.a, v.params.b, v.m, width))
+        if v.bins.base is not stack or v.column != width:
+            stack = None
+        width += v.m
+    if stack is None or stack.shape[1] != width:
+        stack = np.concatenate([v.bins for v in views], axis=1)
+    return stack, np.array(layout, dtype=np.int64).T
+
+
+def alias_stack(
+    freqs: np.ndarray, coeffs: np.ndarray, layout: np.ndarray, shape: tuple[int, int], M: int
 ) -> np.ndarray:
-    """The (shift_count, m) bins that the tones (freqs, coeffs) put in a view.
-
-    One phase table for all tones and shifts and one scatter; tones that
-    hash to the same bin are summed.  Costs O(k) per shift.
+    """The `shape` stack of bins that the tones (freqs, coeffs) put in the
+    views of a `stack_views` layout: one table of A_f e^{2pi i f s/M} over
+    tones and shifts, scattered into every view at once, tones that share a
+    bin summed in the order given.  Costs O(k) per shift and view.
     """
-    if M % params.m != 0:
-        raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
-    bins = np.zeros((params.shift_count, params.m), dtype=np.complex128)
-    table = tone_table(freqs, coeffs, params.shift_count, M)
-    np.add.at(bins, (slice(None), params.hash_frequency(freqs)), table)
+    a, b, m, first = layout[:, :, None]
+    shifts = np.arange(shape[0], dtype=np.int64)[:, None, None]
+    table = coeffs * np.exp((2j * np.pi / M) * ((shifts * freqs) % M))
+    bins = np.zeros(shape, dtype=np.complex128)
+    np.add.at(bins, (slice(None), (a * freqs + b) % m + first), table)
     return bins
-
-
-def tone_table(freqs: np.ndarray, coeffs: np.ndarray, shift_count: int, M: int) -> np.ndarray:
-    """The (shift_count, len(freqs)) values A_f e^{2pi i f s/M} of each tone.
-
-    The same in every view: a view only decides which bin each column lands in.
-    """
-    shifts = np.arange(shift_count, dtype=np.int64)
-    return coeffs * np.exp(2j * np.pi * ((shifts[:, None] * freqs[None, :]) % M) / M)
 
 
 def build_view_from_spectrum(
     spectrum: SparseSpectrum, params: ViewParams, M: int
 ) -> ViewSpectrum:
-    """The view of a known spectrum, evaluated by `alias_sum` without samples."""
-    bins = alias_sum(spectrum.frequencies(), spectrum.coefficients(), params, M)
+    """The view of a known spectrum, evaluated by `alias_stack` without samples."""
+    if M % params.m != 0:
+        raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
+    layout = np.array([[params.a], [params.b], [params.m], [0]])
+    bins = alias_stack(spectrum.frequencies(), spectrum.coefficients(), layout,
+                       (params.shift_count, params.m), M)
     return ViewSpectrum(params=params, M=M, bins=bins)
 
 

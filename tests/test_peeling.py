@@ -19,9 +19,9 @@ from crtfft.peeling import (
     peel,
     run_peeling,
 )
-from crtfft.planner import _draw_view_params, make_plan, rehash, rng_stream
+from crtfft.planner import draw_view_params, make_plan, rehash, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
-from crtfft.views import build_view, build_view_from_spectrum
+from crtfft.views import build_view, build_view_from_spectrum, build_views
 from crtfft.gating import gate_pairs
 from conftest import random_spectrum, spectra_close
 
@@ -47,12 +47,54 @@ def batch(*rows):
     )
 
 
+def recovered(out, grid):
+    """The peeling outcome as a spectrum on `grid`."""
+    return SparseSpectrum.from_pairs(zip(out.freqs.tolist(), out.coeffs.tolist()), grid)
+
+
+def ledger(state):
+    """The peeling ledger as {frequency: its readings' coefficients summed}."""
+    summed = {}
+    for f, c in zip(state.freqs.tolist(), state.coeffs.tolist()):
+        summed[f] = summed.get(f, 0) + c
+    return summed
+
+
 def toy_state(spectrum, seed=0, t=0, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
     plan = make_plan(n, len(spectrum), t, seed, TOY_CFG)
     src = synthesize(spectrum)
     views = [build_view(src, vp, plan.M) for vp in plan.id_views]
     return plan, PeelState.create(views, plan.M)
+
+
+class TestCreate:
+    def test_adopts_the_identification_stack(self, rng):
+        # the pipeline's identification views are written into one stack,
+        # which peeling works on in place: no copy, and the views see it peel
+        N, k = 2**14, 12
+        plan = make_plan(N, k, 3, seed=2)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
+        phases = ("views",) * 3 + ("verify",) * 3
+        built = build_views(synthesize(spec), plan.id_views + plan.verify_views, plan.M, None,
+                            phases)
+        state = PeelState.create(built[:3], plan.M)
+        assert state.stack is built[0].bins.base
+        assert all(np.shares_memory(v.bins, state.stack) for v in built[:3])
+        assert not any(np.shares_memory(v.bins, state.stack) for v in built[3:])
+        out = run_peeling(state, plan)
+        assert out.status is PeelStatus.COMPLETE
+        assert max(np.abs(v.bins).max() for v in built[:3]) <= state.noise_floor
+
+    def test_copies_views_built_apart(self, rng):
+        spec = random_spectrum(rng, 3, 1001)
+        plan = make_plan(1001, 3, 0, seed=0, config=TOY_CFG)
+        views = [build_view(synthesize(spec), vp, plan.M) for vp in plan.id_views]
+        before = [v.bins.copy() for v in views]
+        state = PeelState.create(views, plan.M)
+        assert not any(np.shares_memory(v.bins, state.stack) for v in views)
+        run_peeling(state, plan)
+        assert all(np.array_equal(v.bins, b) for v, b in zip(views, before))
 
 
 class TestDetectSingletons:
@@ -211,7 +253,7 @@ class TestPeel:
         plan, state = toy_state(spec)
         readings = detect_singletons(state)
         peel(state, readings.take([np.flatnonzero(readings.f_hat == f)[-1] for f in (3, 10)]))
-        assert set(state.recovered) == {3, 10}
+        assert set(ledger(state)) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
         for view in state.views:
             want = build_view_from_spectrum(residual, view.params, 1001).bins
@@ -220,7 +262,7 @@ class TestPeel:
     def test_conflict_mid_round_keeps_earlier_readings(self):
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
         plan, state = toy_state(spec)
-        state.recovered = {100: 1.0}
+        state.freqs, state.coeffs = np.array([100]), np.array([1.0 + 0j])
         readings = batch(
             (0, 0, 7, 1.0 + 0j, 0.0),
             (0, 2, 100, 0j, 0.0),  # re-detected below the floor
@@ -228,7 +270,7 @@ class TestPeel:
         )
         with pytest.raises(DuplicateConflictError):
             peel(state, readings)
-        assert state.recovered == {100: 1.0, 7: 1.0}
+        assert ledger(state) == {100: 1.0, 7: 1.0}
         residual = SparseSpectrum.from_pairs([(41, 0.5 - 1j)], 1001)
         for view in state.views:
             want = build_view_from_spectrum(residual, view.params, 1001).bins
@@ -242,7 +284,7 @@ class TestPeel:
         plan, state = toy_state(spec)
         with pytest.raises(DuplicateConflictError):
             peel(state, batch((0, 0, 7, 1.0 + 0j, 0.0), (1, 7, 7, 0j, 0.0)))
-        assert state.recovered == {7: 1.0}
+        assert ledger(state) == {7: 1.0}
 
 
 class TestRunPeeling:
@@ -252,14 +294,14 @@ class TestRunPeeling:
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE
         assert out.rounds <= 2
-        assert spectra_close(out.recovered, spec)
+        assert spectra_close(recovered(out, spec.grid_length), spec)
 
     def test_empty_spectrum(self):
         spec = SparseSpectrum.from_pairs([], 1001)
         plan, state = toy_state(spec)
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE
-        assert len(out.recovered) == 0
+        assert len(out.freqs) == len(out.coeffs) == 0
 
     def test_all_views_colliding_instance_is_two_core(self, rng):
         coeffs = np.exp(2j * np.pi * rng.random(4))
@@ -271,7 +313,7 @@ class TestRunPeeling:
         plan, state = toy_state(spec)
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.TWO_CORE
-        assert len(out.recovered) == 0
+        assert len(out.freqs) == len(out.coeffs) == 0
 
     def test_two_core_survives_rehash(self, rng):
         # hashing permutes bins but cannot split collisions: the stuck
@@ -305,7 +347,7 @@ class TestRunPeeling:
             out = run_peeling(PeelState.create(views, plan.M), plan)
             if out.status is not PeelStatus.COMPLETE:
                 continue
-            assert spectra_close(out.recovered, spec)
+            assert spectra_close(recovered(out, spec.grid_length), spec)
             gate_hits = {
                 g.f12
                 for g in gate_pairs(sets[0], sets[1], sets[2], plan.triple)
@@ -325,7 +367,7 @@ class TestRunPeeling:
                 break
             peel(state, readings.take([0]))
             residual_entries = dict(spec.entries)
-            for f, c in state.recovered.items():
+            for f, c in ledger(state).items():
                 residual_entries[f] = residual_entries.get(f, 0) - c
             residual = SparseSpectrum.from_pairs(
                 [(f, c) for f, c in residual_entries.items() if abs(c) > 1e-12], 1001
@@ -361,7 +403,7 @@ class TestPeelMonteCarlo:
             plan = make_plan(triple.M, 10, 0, t, cfg)
             views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
             out = run_peeling(PeelState.create(views, plan.M), plan)
-            if out.status is PeelStatus.COMPLETE and spectra_close(out.recovered, spec):
+            if out.status is PeelStatus.COMPLETE and spectra_close(recovered(out, plan.M), spec):
                 completed += 1
         assert completed / trials >= 0.99
 
@@ -379,7 +421,7 @@ def test_fresh_hash_only_relabels_bins(m, k, seed):
     rng = np.random.default_rng(seed)
     M = 1001
     spec = random_spectrum(rng, k, M)
-    first, second = (_draw_view_params(m, M, rng, 3) for _ in range(2))
+    first, second = (draw_view_params(m, M, seed, "relabel", i, 3) for i in range(2))
     rho = np.arange(m)
     a = build_view_from_spectrum(spec, first, M).bins
     b = build_view_from_spectrum(spec, second, M).bins

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
-from crtfft.errors import NonFiniteError, OracleCapExceededError, ParseError
+from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, ParseError
 from crtfft.opcount import OpCounter
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
@@ -599,6 +599,38 @@ class TestCertificates:
         set_json_value(payload, path, value)
         with pytest.raises(ParseError):
             Certificate.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sigma", 2**70), ("b", 10**30), ("sigma", 0), ("b", -3), ("sigma", 7 * 13),
+         ("sigma", 1001), ("b", "m")],
+        ids=["huge-sigma", "huge-b", "zero-sigma", "negative-b", "sigma-not-a-unit",
+             "sigma-at-grid", "b-at-modulus"],
+    )
+    def test_verify_view_hash_out_of_range_is_parse_error(self, field, value):
+        # replay builds this view, so its sigma must be a unit in [1, M) and
+        # its b a bin offset in [0, m)
+        payload = json.loads(fast_certificate()[0])
+        view = payload["plan"]["verify_views"][0]
+        view[field] = view["m"] if value == "m" else value
+        with pytest.raises(ParseError, match=f"verify_views\\[0\\]\\.{field}"):
+            Certificate.from_json(json.dumps(payload))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sigma=st.one_of(st.integers(-3, 1004), st.integers(-2**80, 2**80)),
+        b=st.one_of(st.integers(-3, 16), st.integers(-2**80, 2**80)),
+    )
+    def test_any_verify_view_hash_replays_or_is_typed(self, sigma, b):
+        # a view with any valid hash still confirms the exact answer
+        text, src = fast_certificate()
+        payload = json.loads(text)
+        payload["plan"]["verify_views"][0].update(sigma=sigma, b=b)
+        try:
+            violations = verify_certificate(Certificate.from_json(json.dumps(payload)), src)
+        except CrtFftError:
+            return
+        assert violations == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -11,6 +11,7 @@ from crtfft.numtheory import ModTriple
 from crtfft.planner import (
     choose_moduli,
     divisor_moduli,
+    draw_view_params,
     make_plan,
     rehash,
     rng_stream,
@@ -72,8 +73,8 @@ class TestMakePlan:
         assert a.id_views != b.id_views
 
     def test_verification_independent_of_t(self):
-        # identification draws come from their own stream: changing t must
-        # not alter them
+        # identification draws are hashed under their own label: changing t
+        # must not alter them
         a = make_plan(2**18, 10, 0, seed=7)
         b = make_plan(2**18, 10, 3, seed=7)
         c = make_plan(2**18, 10, 5, seed=7)
@@ -153,6 +154,53 @@ class TestRehash:
         assert new.triple == plan.triple
         assert new.id_views != plan.id_views
         assert new.verify_views == plan.verify_views
+
+
+def chi_square_bound(df):
+    """Wilson-Hilferty upper quantile of chi-square with df degrees of freedom
+    at z = 4.75 (one-sided p about 1e-6)."""
+    h = 2 / (9 * df)
+    return df * (1 - h + 4.75 * math.sqrt(h)) ** 3
+
+
+def chi_square(values, cells):
+    counts = np.bincount(np.searchsorted(cells, values), minlength=len(cells))
+    expected = len(values) / len(cells)
+    return float(np.sum((counts - expected) ** 2) / expected)
+
+
+class TestDrawViewParams:
+    def test_golden_plan(self):
+        # one seed's draws at N = 2^14, k = 12, pinned so that any change to
+        # the keyed hash is deliberate (it changes every seed's certificate)
+        plan = make_plan(2**14, 12, None, seed=1)
+        assert plan.triple.moduli == (44, 45, 49)
+        assert [(v.m, v.sigma, v.b) for v in plan.id_views] == [
+            (44, 50951, 0), (45, 28367, 5), (49, 23543, 3)]
+        assert [(v.m, v.sigma, v.b) for v in plan.verify_views] == [
+            (44, 57889, 16), (45, 66727, 7), (49, 37087, 42)]
+
+    @pytest.mark.parametrize("m", [44, 45, 49])
+    def test_near_uniform_over_seeds(self, m):
+        # b is uniform on [0, m); sigma is uniform on the units mod M, so
+        # sigma mod m (the hash dilation a) is uniform on the units mod m
+        M = 44 * 45 * 49
+        draws = [draw_view_params(m, M, seed, "id-views", 0, 3) for seed in range(3000)]
+        units = np.array([u for u in range(m) if math.gcd(u, m) == 1])
+        assert all(math.gcd(v.sigma, M) == 1 and 1 <= v.sigma < M for v in draws)
+        b = np.array([v.b for v in draws])
+        assert chi_square(b, np.arange(m)) <= chi_square_bound(m - 1)
+        a = np.array([v.a for v in draws])
+        assert np.isin(a, units).all()
+        assert chi_square(a, units) <= chi_square_bound(len(units) - 1)
+
+    def test_labels_and_indices_are_separate_domains(self):
+        M = 1001
+        keys = [(seed, label, i) for seed in (0, 1) for label in ("id-views", "verify-views")
+                for i in range(3)]
+        draws = {key: draw_view_params(13, M, *key, 3) for key in keys}
+        assert len({(v.sigma, v.b) for v in draws.values()}) == len(keys)
+        assert draws[(0, "id-views", 0)] == draw_view_params(13, M, 0, "id-views", 0, 3)
 
 
 class TestRngStream:

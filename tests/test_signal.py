@@ -29,8 +29,7 @@ from crtfft.signal import (
     save_spectrum,
     synthesize,
 )
-from crtfft.views import _shift_indices
-from conftest import mutate_bytes, mutate_one_value, random_spectrum
+from conftest import mutate_bytes, mutate_one_value, random_spectrum, shift_indices
 
 
 class TestSparseSpectrum:
@@ -84,7 +83,7 @@ class TestSynthesize:
     def test_repeat_access_bit_identical(self, rng):
         spec = random_spectrum(rng, 3, 1001)
         src = synthesize(spec)
-        view_block = _shift_indices(ViewParams(11, 5, 0, 3), 1001, 2)
+        view_block = shift_indices(ViewParams(11, 5, 0, 3), 1001, 2)
         for idx in (np.arange(50, dtype=np.int64), view_block):
             a = src.sample_block(idx)
             b = src.sample_block(idx)
@@ -156,7 +155,7 @@ class TestProgressionRead:
         for m in moduli:
             for sigma in (1, dilation):
                 for shift in (0, 1, int(rng.integers(2, M))):
-                    idx = _shift_indices(ViewParams(m, sigma, 0, 3), M, shift)
+                    idx = shift_indices(ViewParams(m, sigma, 0, 3), M, shift)
                     self.assert_matches_generic(src, spec, idx, rng)
 
     def test_zero_step_repeats_one_sample(self, rng):
@@ -186,7 +185,7 @@ class TestProgressionRead:
         M = 1001
         spec = random_spectrum(rng, 6, M)
         src = synthesize(spec)
-        view = _shift_indices(ViewParams(13, 3, 0, 3), M, 1)
+        view = shift_indices(ViewParams(13, 3, 0, 3), M, 1)
         one_off = view.copy()
         one_off[4] = (one_off[4] + 1) % M
         # one index changed; a progression that stops before it wraps the grid
@@ -211,7 +210,7 @@ class TestRowsWithTheirOwnSteps:
 
     def stack(self):
         """Rows of three views of modulus 13: sigma 1, 3 and 4, shifts 0-2."""
-        rows = [_shift_indices(ViewParams(13, sigma, 0, 3), self.M, s)
+        rows = [shift_indices(ViewParams(13, sigma, 0, 3), self.M, s)
                 for sigma in (1, 3, 4) for s in range(3)]
         return np.stack(rows)
 
@@ -254,7 +253,7 @@ def index_block(case, rng):
     if case == "view-stack":
         M = 1423 * 1427 * 1429
         vp = ViewParams(1427, int(rng.integers(1, M)), 0, 3)
-        return M, np.stack([_shift_indices(vp, M, s) for s in range(3)])
+        return M, np.stack([shift_indices(vp, M, s) for s in range(3)])
     if case == "mixed-steps":
         # each row wraps 1001 exactly, but with steps 77 and 154
         j = np.arange(13, dtype=np.int64)

@@ -5,8 +5,8 @@ from crtfft.config import Config
 from crtfft.pipeline import RecoveryPath, sparse_fft
 from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
-from crtfft.verification import check_view
-from crtfft.views import build_view, build_view_from_spectrum
+from crtfft.verification import check_view, verify
+from crtfft.views import build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, verify_plan
 
 
@@ -252,3 +252,43 @@ class TestSmallModuli:
             result = sparse_fft(synthesize(spec), k, cfg, seed=trial, corrupt_candidate=corrupt)
             assert result.path is RecoveryPath.FALLBACK
             assert result.certificate.payload["fallback_reason"] == "verification-failed"
+
+
+def one_view_check(view, candidate, eps_rel):
+    """(gap, residual, epsilon, passed) of one view, each part computed on
+    its own from the alias-sum prediction of that view alone."""
+    predicted = build_view_from_spectrum(candidate, view.params, view.M).bins
+    gap = abs(view.time_energy / view.m - float(np.sum(np.abs(predicted[0]) ** 2)))
+    residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
+    eps = eps_rel * max(view.time_energy, 1.0)
+    return gap, residual, eps, gap <= eps and residual <= eps
+
+
+class TestStackedChecks:
+    """`verify` predicts all verification views from one scatter into their
+    stack; each view's check must be the one it gets on its own."""
+
+    @pytest.mark.parametrize("identity_hash", [False, True], ids=["drawn", "identity"])
+    @pytest.mark.parametrize("t", range(6))
+    def test_matches_per_view_checks(self, rng, t, identity_hash):
+        N, k = 2**14, 12
+        cfg = Config(nominal_length=N, t=t, identity_hash=identity_hash)
+        plan = make_plan(N, k, seed=t, config=cfg)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
+        views = build_views(synthesize(spec), plan.verify_views, plan.M, None, ("verify",) * t)
+        moved = dict(spec.entries)
+        moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
+        wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
+        for candidate, verdict in ((spec, True), (wrong, False)):
+            report = verify(views, candidate, cfg)
+            assert report.unverified is (t == 0)
+            assert report.overall is (verdict or t == 0)
+            assert len(report.views) == t
+            for view, check in zip(views, report.views):
+                gap, residual, eps, passed = one_view_check(view, candidate, cfg.verify_eps_rel)
+                # roundoff of sums over one view's bins, at the view's energy scale
+                scale = view.time_energy / view.m
+                assert abs(check.parseval_gap - gap) <= 1e-12 * max(gap, scale)
+                assert abs(check.residual_energy - residual) <= 1e-12 * max(residual, scale)
+                assert check.epsilon == eps and check.passed is passed
+                assert check == check_view(view, candidate, cfg.verify_eps_rel)

@@ -11,14 +11,13 @@ from crtfft.opcount import OpCounter
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.views import (
-    _shift_indices,
     build_view,
     build_view_from_spectrum,
     build_views,
     extract_residues,
     top_k_order,
 )
-from conftest import random_spectrum
+from conftest import random_spectrum, shift_indices
 
 
 def alias_oracle(spectrum, params, M):
@@ -33,7 +32,7 @@ def alias_oracle(spectrum, params, M):
 
 def raw_energy(source, params, M):
     """Energy of the raw shift-0 samples of a view, read directly."""
-    return float(np.sum(np.abs(source.sample_block(_shift_indices(params, M, 0))) ** 2))
+    return float(np.sum(np.abs(source.sample_block(shift_indices(params, M, 0))) ** 2))
 
 
 class TestBuildView:
