@@ -14,7 +14,6 @@ from .config import Config, load_config, replace
 from .errors import (
     CrtFftError,
     DenseRegimeError,
-    DuplicateConflictError,
     DuplicateFrequencyError,
     NonFiniteError,
     NotCoprimeError,

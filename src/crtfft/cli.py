@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .config import Config, load_config, replace
-from .errors import CrtFftError, DenseRegimeError, ParseError
+from .errors import CrtFftError, DenseRegimeError, OracleCapExceededError, ParseError
 from .gating import gate_pairs, gate_survivor_stats
 from .numtheory import ModTriple
 from .peeling import PeelStatus
@@ -128,13 +128,13 @@ def cmd_transform(args) -> int:
             grid_probe = probe_spec.grid_length
         nominal = cfg.nominal_length or grid_probe
         cfg = replace(cfg, nominal_length=nominal)
-        # with no plan (too short, or dense regime) sparse_fft answers with
-        # the certified fallback on the nominal grid
+        # with no plan (too short, dense regime or past the grid ceiling)
+        # sparse_fft answers with the certified fallback on the nominal grid
         grid = nominal
         if nominal >= MIN_PLAN_LENGTH:
             try:
                 grid = make_plan(nominal, args.k, cfg.t, args.seed, cfg).M
-            except DenseRegimeError:
+            except (DenseRegimeError, OracleCapExceededError):
                 pass
         source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
     else:

@@ -22,12 +22,8 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Config:
     # planning
-    # max per-bin load k/m1, 3x below load 1.0, where peel-completion (--seed
-    # 5) finished 199/200 on (25, 27, 28) and 200/200 on (97, 101, 103)
-    lambda_threshold: float = 0.33
     t: int = 3                          # verification view count
     shift_count: int = 3                # time shifts per view (2 or 3)
-    rho_dense: float = 0.5              # k/sqrt(N) at or above this: no fast-path plan
     moduli_override: tuple[int, ...] | None = None
     identity_hash: bool = False         # force sigma=1, b=0 in every view
     nominal_length: int | None = None   # planning length when it differs from the grid
@@ -44,9 +40,8 @@ class Config:
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if self.shift_count not in (2, 3):
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
-        for name in ("lambda_threshold", "rho_dense", "verify_eps_rel"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.verify_eps_rel > 0:
+            raise ValueError(f"verify_eps_rel must be > 0, got {self.verify_eps_rel}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if self.nominal_length is not None and self.nominal_length < 1:

@@ -35,7 +35,3 @@ class DenseRegimeError(CrtFftError):
 
 class StrideMismatchError(CrtFftError):
     """A view modulus does not divide the working grid length."""
-
-
-class DuplicateConflictError(CrtFftError):
-    """A frequency was re-detected with an inconsistent coefficient."""

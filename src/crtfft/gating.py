@@ -29,8 +29,8 @@ from .planner import ViewParams, rng_stream
 from .views import ResidueSet
 
 
-def _identity_params(triple: ModTriple, shifts: int = 3):
-    return tuple(ViewParams(m=m, sigma=1, b=0, shift_count=shifts) for m in triple.moduli)
+def _identity_params(triple: ModTriple):
+    return tuple(ViewParams(m=m, sigma=1, b=0, shift_count=3) for m in triple.moduli)
 
 
 def _as_bins(residues) -> list[int]:
@@ -131,11 +131,11 @@ def gate_survivor_stats(
     triple: ModTriple,
     trials: int,
     seed: int = 0,
-    identity_hash: bool = True,
 ) -> GateStats:
     """Monte Carlo survivor counts for random k-sparse supports.
 
-    Each trial plants k distinct frequencies in [0, N), fills every residue
+    Each trial plants k distinct frequencies in [0, N), hashes them with the
+    identity hash (sigma = 1, b = 0) into the three views, fills every residue
     set up to alpha*k bins with uniform fillers over the unoccupied bins,
     and gates the full pair grid.  True survivors count planted pairs that
     pass (always k, since true pairs gate deterministically); false
@@ -157,6 +157,7 @@ def gate_survivor_stats(
             "two-view reconstruction would wrap and true pairs could fail the gate"
         )
     prediction = (alpha**3) * (k**3) / m3 if k else 0.0
+    params = _identity_params(triple)
     master = rng_stream(seed, "gate-survivor-stats")
     child_seeds = master.integers(0, 2**63 - 1, size=max(trials, 1))
 
@@ -164,19 +165,6 @@ def gate_survivor_stats(
     false_counts = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(int(child_seeds[trial])))
-        params = (
-            _identity_params(triple)
-            if identity_hash
-            else tuple(
-                ViewParams(
-                    m=m,
-                    sigma=int(rng.integers(1, m)),
-                    b=int(rng.integers(0, m)),
-                    shift_count=3,
-                )
-                for m in triple.moduli
-            )
-        )
         support = set()
         while len(support) < k:
             support.add(int(rng.integers(0, N)))

@@ -18,9 +18,12 @@ column of the stack at once and returns its readings as one
 and `peel` subtracts the whole batch, as FFAST's decoder does.  The readings
 are appended to the ledger's frequency and coefficient arrays in order;
 their subtraction is `views.alias_stack` (the alias model verification
-uses, O(1) per reading and bin).  Rounds repeat until the views are empty
-(Complete), no view offers a singleton (TwoCore), or the round cap is hit
-(Stagnated).
+uses, O(1) per reading and bin).  Detection reads only bins above the noise
+floor, so every reading's coefficient clears it and the ledger needs no
+conflict rule: a frequency read in several rounds sums its readings, and
+one whose sum falls to the floor is dropped from the outcome.  Rounds
+repeat until the views are empty (Complete), no view offers a singleton
+(TwoCore), or the round cap is hit (Stagnated).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field, fields, replace as dc_replace
 
 import numpy as np
 
-from .errors import DuplicateConflictError
 from .opcount import OpCounter
 from .planner import ModuliPlan
 from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_stack, build_view, stack_views
@@ -140,36 +142,16 @@ def detect_singletons(state: PeelState) -> SingletonReading:
 
 
 def peel(state: PeelState, readings: SingletonReading) -> PeelState:
-    """Record one round's readings and subtract them from every view.
-
-    The ledger takes the readings in order.  A reading that re-detects a
-    recovered frequency with a residual below the floor raises
-    DuplicateConflictError; the readings before it stay recorded and
-    subtracted, as if they had been peeled one at a time.
-    """
+    """Record one round's readings in the ledger and subtract them from every view."""
     fs, coeffs = readings.f_hat, readings.coeff
-    conflict = None
-    accepted = len(fs)
-    for i in np.flatnonzero(np.abs(coeffs) <= state.noise_floor).tolist():
-        f = int(fs[i])
-        if f in state.freqs or f in fs[:i]:
-            conflict = DuplicateConflictError(
-                f"frequency {f} re-detected with residual below the floor"
-            )
-            accepted = i
-            break
-    fs, coeffs = fs[:accepted], coeffs[:accepted]
-    if accepted:
-        state.freqs = np.concatenate((state.freqs, fs))
-        state.coeffs = np.concatenate((state.coeffs, coeffs))
-        # alias_stack sums readings that share a column, in reading order,
-        # into zeros; subtracting that sum keeps the bins equal to the alias sums
-        state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
-        if state.op is not None:
-            shifts, views = state.stack.shape[0], state.layout.shape[1]
-            state.op.add("peel", 2 * shifts * accepted * views)
-    if conflict is not None:
-        raise conflict
+    state.freqs = np.concatenate((state.freqs, fs))
+    state.coeffs = np.concatenate((state.coeffs, coeffs))
+    # alias_stack sums readings that share a column, in reading order, into
+    # zeros; subtracting that sum keeps the bins equal to the alias sums
+    state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
+    if state.op is not None:
+        shifts, views = state.stack.shape[0], state.layout.shape[1]
+        state.op.add("peel", 2 * shifts * len(fs) * views)
     return state
 
 
@@ -210,11 +192,7 @@ def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
         if len(readings) == 0:
             status = PeelStatus.TWO_CORE
             break
-        try:
-            peel(state, readings)
-        except DuplicateConflictError:
-            status = PeelStatus.STAGNATED
-            break
+        peel(state, readings)
         state.round += 1
     # a frequency read in several rounds sums its readings in ledger order
     freqs, where = np.unique(state.freqs, return_inverse=True)

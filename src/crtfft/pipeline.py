@@ -7,10 +7,12 @@ candidate.  The verification views are read with the identification views,
 before peeling (`build_views`: one sample read and one transform per
 modulus); they do not depend on the candidate, and a run that falls back
 after peeling has still read them and is charged for them under "verify".
-Any failure (a length too short for a plan, grid mismatch, dense regime, a
-residual that peeling leaves stuck, too many candidates, or a failed
-verification) routes to the dense fallback, which materializes the grid,
-transforms it, and returns the top-k bins exactly.
+Any failure routes to the dense fallback, which materializes the grid,
+transforms it, and returns the top-k bins exactly.  The certificate names
+the failure in fallback_reason: "forced", "too-short", "dense-regime",
+"grid-ceiling" (no plan under the int64 grid ceiling), "grid-mismatch",
+"peeling-two-core", "peeling-stagnated", "candidate-overflow" or
+"verification-failed".
 A stuck peel and a failed verification are final: a fresh hash over the
 same moduli only relabels each view's bins, and a verdict is a pure function
 of the source, the view parameters and the candidate.
@@ -228,7 +230,8 @@ def sparse_fft(
     to get it); any other grid takes the dense fallback on the source's own
     grid, with reason "grid-mismatch" and no plan in the certificate.  A
     nominal length below MIN_PLAN_LENGTH has no plan and falls back with
-    reason "too-short".
+    reason "too-short", and one with no plan under the int64 grid ceiling
+    with reason "grid-ceiling".
 
     `corrupt_candidate` is test instrumentation: it maps the candidate
     spectrum to a corrupted one just before verification, to exercise the
@@ -256,6 +259,8 @@ def sparse_fft(
             plan = make_plan(N, k, cfg.t, seed, cfg)
         except DenseRegimeError as exc:
             fallback_reason = f"dense-regime: {exc}"
+        except OracleCapExceededError as exc:
+            fallback_reason = f"grid-ceiling: {exc}"
 
     if plan is not None and plan.M != source.grid_length:
         fallback_reason = f"grid-mismatch: source grid {source.grid_length} != plan grid {plan.M}"

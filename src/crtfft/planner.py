@@ -9,12 +9,14 @@ identification views and "verify-views" for the verification views, so the
 two sets of draws are disjoint, no draw depends on another, and every plan
 is replayable from its seed (`draw_view_params`).
 
-The moduli are the pairwise coprime triple whose views are cheapest under
-the op model (`dft.fft_op_count`), so they are 11-smooth wherever the
-constraints allow and no view transform needs a chirp-z reduction.  The
-constraints are peeling's, M >= N and a per-bin load k/m1 <= lambda_threshold,
-not the 2-of-3 gate's m1*m2 >= N (the pipeline never runs the gate), so a
-view has about max(N^(1/3), k/lambda_threshold) bins, not sqrt(N).
+The moduli are the pairwise coprime triple of 11-smooth lengths whose views
+are cheapest under the op model (`dft.fft_op_count`), found by one search,
+so no view transform needs a chirp-z reduction.  The constraints are
+peeling's, M >= N and a per-bin load k/m1 <= LAMBDA_THRESHOLD, not the
+2-of-3 gate's m1*m2 >= N (the pipeline never runs the gate), so a view has
+about max(N^(1/3), k/LAMBDA_THRESHOLD) bins, not sqrt(N).  No plan exceeds
+the int64 grid ceiling `signal._MAX_GRID`: where no triple fits under it
+the planner raises OracleCapExceededError instead.
 
 Verification views reuse the identification moduli with freshly drawn hash
 parameters.  Exact decimation requires the view modulus to divide the grid
@@ -38,13 +40,18 @@ import numpy as np
 
 from . import dft
 from .config import Config
-from .errors import DenseRegimeError
+from .errors import DenseRegimeError, OracleCapExceededError
 from .numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
 from .signal import _MAX_GRID
 
 
 # The shortest nominal length that has a three-view plan.
 MIN_PLAN_LENGTH = 4
+# Max per-bin load k/m1, 3x below load 1.0, where peel-completion (--seed 5)
+# finished 199/200 on (25, 27, 28) and 200/200 on (97, 101, 103).
+LAMBDA_THRESHOLD = 0.33
+# k/sqrt(N) at or above this has no fast-path plan.
+RHO_DENSE = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,51 +174,39 @@ def _cheapest_triple(
 
 
 @functools.lru_cache(maxsize=256)
-def choose_moduli(N: int, k: int, lambda_threshold: float) -> tuple[int, int, int]:
-    """Pairwise coprime moduli m1 < m2 < m3 whose views cost least.
+def choose_moduli(N: int, k: int) -> tuple[int, int, int]:
+    """Pairwise coprime 11-smooth moduli m1 < m2 < m3 whose views cost least.
 
     Minimizes sum(3*m + dft.fft_op_count(m)) subject to
       - M = m1*m2*m3 >= N, all that peeling, verification and replay need;
-      - m1 >= k/lambda_threshold, so that no view's per-bin load exceeds
+      - m1 >= k/LAMBDA_THRESHOLD, so that no view's per-bin load exceeds
         the peeling threshold;
-      - M <= signal._MAX_GRID whenever a triple that costs no more than the
-        witness below fits under it, which holds up to N of about 2.99e9.
-    The op model makes 11-smooth moduli several times cheaper than chirp-z
-    ones, so other moduli enter only where the ceiling forces them.  A pure
-    function of its arguments, cached.
+      - M <= signal._MAX_GRID.
+    One search over the 11-smooth lengths, bounded by the witness below.
+    Raises OracleCapExceededError when N is past the ceiling or no triple
+    that costs no more than the witness fits under it, which happens from N
+    of about 2.99e9.  A pure function of its arguments, cached.
     """
-    floor = max(2, math.ceil(k / lambda_threshold))
+    if N > _MAX_GRID:
+        raise OracleCapExceededError(f"N = {N} is above the grid ceiling {_MAX_GRID}")
+    floor = max(2, math.ceil(k / LAMBDA_THRESHOLD))
     # The smallest powers of 2, 3 and 5 at or above max(floor, N^(1/3))
-    # always qualify, which bounds the cost of the answer and hence its
-    # members: every view costs at least floor*rate, because p/log2(p) >=
-    # 3/log2(3) for every prime p, so an 11-smooth length costs at least
-    # (3/log2 3)*log2(m) per point in its FFT and a chirp-z length more.
+    # always qualify without the ceiling, which bounds the cost of the answer
+    # and hence its members: every view costs at least floor*rate, because
+    # p/log2(p) >= 3/log2(3) for every prime p, so an 11-smooth length costs
+    # at least (3/log2 3)*log2(m) per point in its FFT.
     start = max(floor, round(N ** (1 / 3)) + 1)
     witness = [next(p**e for e in itertools.count() if p**e >= start) for p in (2, 3, 5)]
     witness_cost = sum(map(_view_cost, witness))
     rate = 3 + 3 / math.log2(3) * math.log2(floor)
     hi = int(witness_cost / rate) - 2 * floor
     costs = {m: _view_cost(m) for m in _smooth_numbers(floor, hi)}
-    for cap in (_MAX_GRID, math.inf):
-        if N > cap:
-            continue
-        best = _cheapest_triple(N, costs, cap, witness_cost)
-        # Chirp-z costs rise with m: add every other length that could still
-        # be a member of a triple as cheap as the best, then search again.
-        limit = (best[0] if best else witness_cost) - 2 * floor * rate
-        others = {}
-        for m in range(floor, hi + 1):
-            if m in costs:
-                continue
-            cost = _view_cost(m)
-            if cost > limit:
-                break
-            others[m] = cost
-        if others:
-            best = _cheapest_triple(N, costs | others, cap, witness_cost)
-        if best is not None:
-            return best[2]
-    raise AssertionError("unreachable: the witness triple qualifies without the ceiling")
+    best = _cheapest_triple(N, costs, _MAX_GRID, witness_cost)
+    if best is None:
+        raise OracleCapExceededError(
+            f"no triple of views for N = {N}, k = {k} fits under the grid ceiling {_MAX_GRID}"
+        )
+    return best[2]
 
 
 def make_plan(
@@ -225,12 +220,12 @@ def make_plan(
 
     The moduli come from `choose_moduli`: the pairwise coprime triple whose
     views cost least under the op model, which keeps M at or above N, the
-    per-bin load within the peeling threshold and M within the int64 grid
-    ceiling where possible.  Explicit
-    moduli can be pinned through config.moduli_override (Config takes three
-    integers >= 2; here they must be pairwise coprime with a product of at
-    least N).  A sparsity ratio k/sqrt(N) at or above config.rho_dense has
-    no fast-path plan and raises DenseRegimeError.
+    per-bin load within LAMBDA_THRESHOLD and M within the int64 grid
+    ceiling, and raises OracleCapExceededError where no triple fits under it.
+    Explicit moduli can be pinned through config.moduli_override (Config
+    takes three integers >= 2; here they must be pairwise coprime with a
+    product of at least N).  A sparsity ratio k/sqrt(N) at or above
+    RHO_DENSE has no fast-path plan and raises DenseRegimeError.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -239,15 +234,15 @@ def make_plan(
     cfg = config or Config()
     t = cfg.t if t is None else t
     rho = k / math.sqrt(N)
-    if rho >= cfg.rho_dense:
+    if rho >= RHO_DENSE:
         raise DenseRegimeError(
-            f"rho = {rho:.3f} >= {cfg.rho_dense}: no fast-path plan; use the dense transform"
+            f"rho = {rho:.3f} >= {RHO_DENSE}: no fast-path plan; use the dense transform"
         )
 
     if cfg.moduli_override is not None:
         moduli = sorted(cfg.moduli_override)
     else:
-        moduli = list(choose_moduli(N, k, cfg.lambda_threshold))
+        moduli = list(choose_moduli(N, k))
 
     triple = ModTriple.create(*moduli)
     if triple.M < N:

@@ -65,6 +65,16 @@ def test_transform_synthesize_dense_regime_falls_back_on_nominal_grid(capsys):
     assert spectra_close(got, SparseSpectrum.from_pairs(tones, 400))
 
 
+def test_transform_synthesize_past_the_grid_ceiling_is_a_typed_error(capsys):
+    # --n 10^19 has no plan under the int64 grid ceiling, and the nominal grid
+    # itself is past what the synthesizer reads: exit 1 at once
+    code, out, err = run(
+        capsys, "transform", "--synthesize", "{7:1}", "-k", "1", "--n", str(10**19)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "above supported maximum" in err
+
+
 def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):
     # N = 3 has no three-view plan: exit 2, answered on the 3-point grid
     code, out, _ = run(capsys, "transform", "--synthesize", "{2:1}", "-k", "1")

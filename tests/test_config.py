@@ -34,7 +34,6 @@ def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
     assert cfg.identity_hash is True and cfg.nominal_length == 1001
-    assert cfg.lambda_threshold == Config().lambda_threshold
 
 
 @pytest.mark.parametrize(
@@ -48,7 +47,7 @@ def test_valid_file_loads(tmp_path):
         {"identity_hash": 1},
         {"nominal_length": 1001.0},
         {"shift_count": 4},
-        {"lambda_threshold": 0},
+        {"lambda_threshold": 0.33},
         {"oracle_cap": 10},
         {"rho_sparse": 0.3},
         {"singleton_tol": 1e-6},
@@ -57,6 +56,7 @@ def test_valid_file_loads(tmp_path):
         {"amplitude_threshold_rel": 1e-6},
         {"max_extra_verify_views": 2},
         {"max_rehash": 2},
+        {"rho_dense": 0.5},
         # alpha and gate_trail are no longer fields: a file that sets either
         # is refused whatever the value (the null, nan, infinite and negative
         # alpha cases too)
@@ -69,19 +69,18 @@ def test_valid_file_loads(tmp_path):
         {"alpha": float("nan")},
         {"alpha": float("inf")},
         {"verify_eps_rel": float("nan")},
-        {"rho_dense": float("inf")},
         {"verify_eps_rel": -1.0},
         {"alpha": -5.0},
     ],
     ids=["scalar-moduli", "string-modulus", "fractional-modulus", "string-t", "null-alpha",
-         "integer-flag", "fractional-length", "bad-shift-count", "zero-load-threshold",
-         "unknown-key", "unknown-key-rho_sparse", "unknown-key-singleton_tol",
-         "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
+         "integer-flag", "fractional-length", "bad-shift-count",
+         "unknown-key-lambda_threshold", "unknown-key", "unknown-key-rho_sparse",
+         "unknown-key-singleton_tol", "unknown-key-noise_floor_rel", "unknown-key-round_cap_c",
          "unknown-key-amplitude_threshold_rel", "unknown-key-max_extra_verify_views",
-         "unknown-key-max_rehash", "unknown-key-alpha", "unknown-key-gate_trail",
-         "zero-nominal-length", "negative-nominal-length",
+         "unknown-key-max_rehash", "unknown-key-rho_dense", "unknown-key-alpha",
+         "unknown-key-gate_trail", "zero-nominal-length", "negative-nominal-length",
          "zero-dense-budget", "negative-dense-budget",
-         "nan-alpha", "infinite-alpha", "nan-verify-eps", "infinite-rho-dense",
+         "nan-alpha", "infinite-alpha", "nan-verify-eps",
          "negative-verify-eps", "negative-alpha"],
 )
 def test_malformed_value_is_parse_error(tmp_path, change):
@@ -104,7 +103,6 @@ REJECTED = {
     "fractional-nominal-length": {"nominal_length": 1000.5},
     "bool-t": {"t": True},
     "integer-flag": {"force_fallback": 1},
-    "string-rho-dense": {"rho_dense": "0.5"},
     "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
     "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},
     "product-below-length": {"moduli_override": [2, 3, 5], "nominal_length": 1001},
@@ -120,13 +118,14 @@ def test_rejected_by_config_and_load_config(tmp_path, change):
 
 
 def test_numpy_and_builtin_numbers_become_plain_values():
-    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001), rho_dense=1,
+    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001),
                  verify_eps_rel=np.float32(0.5), moduli_override=[np.int64(13), 7, 11])
-    assert (cfg.t, cfg.nominal_length, cfg.rho_dense) == (2, 1001, 1.0)
+    assert (cfg.t, cfg.nominal_length, cfg.verify_eps_rel) == (2, 1001, 0.5)
     assert type(cfg.t) is int and type(cfg.nominal_length) is int
-    assert type(cfg.rho_dense) is float and type(cfg.verify_eps_rel) is float
+    assert type(cfg.verify_eps_rel) is float
+    assert type(Config(verify_eps_rel=1).verify_eps_rel) is float
     assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
-    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, rho_dense=1.0, verify_eps_rel=0.5,
+    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, verify_eps_rel=0.5,
                                     moduli_override=(13, 7, 11)))
 
 

@@ -1,19 +1,16 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
 from crtfft.numtheory import ModTriple
-from crtfft.errors import DuplicateConflictError
 from crtfft.peeling import (
     ROUND_CAP_C,
     SINGLETON_TOL,
     PeelState,
     PeelStatus,
-    SingletonReading,
     _dedupe,
     detect_singletons,
     peel,
@@ -33,18 +30,6 @@ TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True)
 # three tones such an instance cannot exist: pairwise collision in all
 # three views would force equality mod M.)
 STUCK_SUPPORT = (0, 7, 33, 117)
-
-
-def batch(*rows):
-    """A SingletonReading batch from (view, bin, f_hat, coeff, error) rows."""
-    view, bin_index, f_hat, coeff, err = zip(*rows)
-    return SingletonReading(
-        np.array(view, dtype=np.int64),
-        np.array(bin_index, dtype=np.int64),
-        np.array(f_hat, dtype=np.int64),
-        np.array(coeff, dtype=np.complex128),
-        np.array(err, dtype=np.float64),
-    )
 
 
 def recovered(out, grid):
@@ -216,12 +201,12 @@ class TestBatchDetection:
             )
             assert got == per_view_reference(state)
             assert readings.f_hat.tolist() == sorted(set(readings.f_hat.tolist()))
+            # every reading clears the noise floor, so no reading can re-detect
+            # a recovered tone at a vanishing residual
+            assert (np.abs(readings.coeff) > state.noise_floor).all()
             if not len(readings):
                 break
-            try:
-                peel(state, readings)
-            except DuplicateConflictError:
-                break
+            peel(state, readings)
 
 
 class TestPeel:
@@ -258,33 +243,6 @@ class TestPeel:
         for view in state.views:
             want = build_view_from_spectrum(residual, view.params, 1001).bins
             assert np.abs(view.bins - want).max() < 1e-9
-
-    def test_conflict_mid_round_keeps_earlier_readings(self):
-        spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
-        plan, state = toy_state(spec)
-        state.freqs, state.coeffs = np.array([100]), np.array([1.0 + 0j])
-        readings = batch(
-            (0, 0, 7, 1.0 + 0j, 0.0),
-            (0, 2, 100, 0j, 0.0),  # re-detected below the floor
-            (0, 6, 41, 0.5 - 1j, 0.0),
-        )
-        with pytest.raises(DuplicateConflictError):
-            peel(state, readings)
-        assert ledger(state) == {100: 1.0, 7: 1.0}
-        residual = SparseSpectrum.from_pairs([(41, 0.5 - 1j)], 1001)
-        for view in state.views:
-            want = build_view_from_spectrum(residual, view.params, 1001).bins
-            assert np.abs(view.bins - want).max() < 1e-9
-
-
-    def test_conflict_within_one_batch(self):
-        # a frequency read twice in one batch, the second time below the
-        # floor, conflicts exactly as it would in two separate rounds
-        spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
-        plan, state = toy_state(spec)
-        with pytest.raises(DuplicateConflictError):
-            peel(state, batch((0, 0, 7, 1.0 + 0j, 0.0), (1, 7, 7, 0j, 0.0)))
-        assert ledger(state) == {7: 1.0}
 
 
 class TestRunPeeling:

@@ -298,6 +298,19 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
         assert verify_certificate(result.certificate, src, cfg) == []
 
+    def test_past_the_grid_ceiling_takes_the_fallback(self, rng):
+        # no plan fits under the int64 grid ceiling: the planner refuses at
+        # once and the buffer is answered on its own grid
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        result = sparse_fft(from_dense(x), 2, Config(nominal_length=10**19))
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.certificate.payload["fallback_reason"].startswith("grid-ceiling")
+        assert result.spectrum.grid_length == 64
+        dense = np.fft.fft(x) / 64
+        top = sorted(np.lexsort((np.arange(64), -np.abs(dense)))[:2])
+        assert spectra_close(result.spectrum, SparseSpectrum.from_pairs([(f, dense[f]) for f in top], 64))
+        assert verify_certificate(result.certificate, from_dense(x)) == []
+
     def test_grid_mismatch_falls_back_exactly(self, rng):
         spec = random_spectrum(rng, 2, 999)  # 999 is not a plan grid
         src = synthesize(spec)

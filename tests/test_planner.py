@@ -5,10 +5,12 @@ import pytest
 
 from crtfft.config import Config
 from crtfft.dft import fft_op_count
-from crtfft.errors import DenseRegimeError
+from crtfft.errors import DenseRegimeError, OracleCapExceededError
 from crtfft.gating import gate_survivor_stats
 from crtfft.numtheory import ModTriple
 from crtfft.planner import (
+    LAMBDA_THRESHOLD,
+    RHO_DENSE,
     choose_moduli,
     divisor_moduli,
     draw_view_params,
@@ -27,7 +29,7 @@ from crtfft.planner import (
          "above-boundary"],
 )
 def test_dense_boundary(N, k, dense):
-    """k/sqrt(N) >= rho_dense (0.5) has no fast-path plan; anything below plans."""
+    """k/sqrt(N) >= RHO_DENSE (0.5) has no fast-path plan; anything below plans."""
     if dense:
         with pytest.raises(DenseRegimeError, match=r"rho = 0\.[56]00 >= 0\.5"):
             make_plan(N, k)
@@ -54,12 +56,12 @@ class TestMakePlan:
         # above N^(1/3) = 100, so the load floor, not M >= N, sizes the views
         plan = make_plan(10**6, 200, 0, seed=1)
         assert plan.triple.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
-        assert min(plan.triple.moduli) >= 200 / Config().lambda_threshold
+        assert min(plan.triple.moduli) >= 200 / LAMBDA_THRESHOLD
 
     def test_moderate_load_bound(self):
         plan = make_plan(10**6, 200, 0, seed=1)
         k = 200
-        assert k / min(plan.triple.moduli) <= Config().lambda_threshold
+        assert k / min(plan.triple.moduli) <= LAMBDA_THRESHOLD
 
     def test_determinism(self):
         a = make_plan(2**18, 10, 3, seed=99)
@@ -132,7 +134,7 @@ class TestValidatePlan:
     @pytest.mark.parametrize("k", [1, 3, 12, 64])
     def test_planned_moduli_are_valid(self, k):
         for a in range(6, 21):
-            if k / math.sqrt(2**a) < Config().rho_dense:
+            if k / math.sqrt(2**a) < RHO_DENSE:
                 assert validate_plan(make_plan(2**a, k, seed=a)) == []
 
     def test_product_too_small_flagged(self):
@@ -224,14 +226,19 @@ def _view_cost(m):
     return 3 * m + fft_op_count(m)
 
 
-def _brute_force_moduli(N, k, bound):
-    """Cheapest qualifying triple with every member below `bound`, by exhaustion.
+def _brute_force_moduli(N, k, budget):
+    """Cheapest qualifying triple costing at most `budget`, by exhaustion over
+    every length, smooth or not.
 
-    The int64 grid ceiling is left out: no triple this small reaches it.
+    Every view costs at least 5*m, so no member reaches budget/5, and a
+    member leaves room for two views of the cheapest length.  The int64 grid
+    ceiling is left out: no triple this small reaches it.
     """
-    floor = max(2, math.ceil(k / Config().lambda_threshold))
-    values = np.arange(floor, bound, dtype=np.int64)
+    floor = max(2, math.ceil(k / LAMBDA_THRESHOLD))
+    values = np.arange(floor, budget // 5 + 1, dtype=np.int64)
     cost = np.array([_view_cost(int(m)) for m in values])
+    keep = cost + 2 * cost.min() <= budget
+    values, cost = values[keep], cost[keep]
     best = None
     for i, a in enumerate(values):
         b, c = values[i + 1 :, None], values[None, i + 1 :]
@@ -246,18 +253,18 @@ def _brute_force_moduli(N, k, bound):
 
 class TestChooseModuli:
     def test_benchmark_plans_are_smooth(self):
-        lam = Config().lambda_threshold
-        assert choose_moduli(2**20, 64, lam) == (243, 245, 256)  # 3^5, 5*7^2, 2^8
-        assert choose_moduli(2**14, 12, lam) == (44, 45, 49)  # 2^2*11, 3^2*5, 7^2
+        assert choose_moduli(2**20, 64) == (243, 245, 256)  # 3^5, 5*7^2, 2^8
+        assert choose_moduli(2**14, 12) == (44, 45, 49)  # 2^2*11, 3^2*5, 7^2
 
     @pytest.mark.parametrize(
-        "N, k", [(4, 0), (20, 1), (64, 1), (100, 2), (500, 2), (1000, 2), (20_000, 4)]
+        "N, k", [(4, 0), (20, 1), (64, 1), (100, 2), (500, 2), (1000, 2), (20_000, 4),
+                 (100_003, 3), (2**17, 40), (40_000, 90), (10**6, 10), (10**6, 300),
+                 (2**24, 16)]
     )
     def test_matches_exhaustive_search(self, N, k):
-        moduli = choose_moduli(N, k, Config().lambda_threshold)
-        total = sum(map(_view_cost, moduli))
-        # every view costs at least 5*m, so no cheaper triple has a member >= total/5
-        assert _brute_force_moduli(N, k, total // 5 + 1)[2] == moduli
+        # the search covers 11-smooth lengths only, the exhaustive one every length
+        moduli = choose_moduli(N, k)
+        assert _brute_force_moduli(N, k, sum(map(_view_cost, moduli)))[2] == moduli
 
     def test_int64_grid_ceiling_kept(self):
         for N in range(2_900_000_000, 2_990_000_001, 15_000_000):
@@ -266,15 +273,17 @@ class TestChooseModuli:
             assert validate_plan(plan) == []
 
     def test_int64_grid_ceiling_edges(self):
-        lam = Config().lambda_threshold
         # the last N that a triple no costlier than the witness covers under
         # the ceiling: M = N exactly
-        assert choose_moduli(2_993_760_000, 64, lam) == (625, 1792, 2673)
-        # one past it no such triple fits, so the ceiling is dropped
-        assert choose_moduli(2_993_760_001, 64, lam) == (1024, 1375, 2187)
+        assert choose_moduli(2_993_760_000, 64) == (625, 1792, 2673)
+        # one past it no such triple fits, and no plan is made
+        with pytest.raises(OracleCapExceededError, match="grid ceiling"):
+            choose_moduli(2_993_760_001, 64)
+        with pytest.raises(OracleCapExceededError, match="grid ceiling"):
+            make_plan(2_993_760_001, 64)
 
     def test_cached(self):
-        choose_moduli(2**20, 64, Config().lambda_threshold)
+        choose_moduli(2**20, 64)
         before = choose_moduli.cache_info()
         make_plan(2**20, 64, seed=1)
         make_plan(2**20, 64, seed=2)
