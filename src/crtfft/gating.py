@@ -1,9 +1,9 @@
-"""The keyed 2-of-3 gate over residue sets.
+"""The keyed 2-of-3 gate over the views' occupied bins.
 
-Given occupied-bin sets R1, R2, R3 from the three views, every (r1, r2) bin
-pair is un-hashed to frequency residues, reconstructed to the unique
-f12 in [0, m1*m2) by two-residue Garner, and retained only when the
-predicted third-view bin hash3(f12 mod m3) is occupied.
+Given the occupied bins R1, R2, R3 of the three views (`extract_residues`),
+every (r1, r2) bin pair is un-hashed to frequency residues, reconstructed to
+the unique f12 in [0, m1*m2) by two-residue Garner, and retained only when
+the predicted third-view bin hash3(f12 mod m3) is occupied.
 
 True pairs pass deterministically provided the true frequencies lie in
 [0, m1*m2): the two-view reconstruction is f mod m1*m2, so its predicted
@@ -13,9 +13,10 @@ moduli to multiply past N; pipeline plans need only M >= N and need not
 meet it.  A spurious pair passes only when its reconstruction happens to
 land on an occupied third-view bin.
 
-The peeling fast path never enumerates pairs; this module is the analyzable
-reference form, the worked-example reproduction, the cross-check oracle for
-peeling, and the Monte Carlo harness for survivor statistics.
+The pipeline never runs anything here: it peels.  This module is the
+analyzable reference form, the worked-example reproduction, the cross-check
+oracle for peeling, and the Monte Carlo harness (`trial_streams`,
+`draw_support`) that every `crtfft montecarlo` experiment draws from.
 """
 
 from __future__ import annotations
@@ -24,19 +25,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import ModTriple
+from .numtheory import ModTriple, mod_inverse
 from .planner import ViewParams, rng_stream
-from .views import ResidueSet
+from .views import NOISE_FLOOR_REL, ViewSpectrum, top_k_order
 
 
 def _identity_params(triple: ModTriple):
     return tuple(ViewParams(m=m, sigma=1, b=0, shift_count=3) for m in triple.moduli)
 
 
-def _as_bins(residues) -> list[int]:
-    if isinstance(residues, ResidueSet):
-        return residues.indices.tolist()
-    return [int(r) for r in residues]
+def extract_residues(view: ViewSpectrum, alpha_k: int) -> np.ndarray:
+    """The view's top-alpha_k bins above the noise floor by shift-0 magnitude,
+    strongest first, ties broken upward."""
+    if alpha_k < 1:
+        raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
+    mag = np.abs(view.bins[0])
+    occupied = np.flatnonzero(mag > NOISE_FLOOR_REL * float(mag.max(initial=0.0)))
+    return occupied[top_k_order(mag[occupied], occupied, alpha_k)].astype(np.int64, copy=False)
+
+
+def _unhash(bins: np.ndarray, params: ViewParams) -> np.ndarray:
+    """Frequency residues mod m that occupy `bins`: the inverse of the view's hash."""
+    return (bins - params.b) * mod_inverse(params.a, params.m) % params.m
 
 
 @dataclass(frozen=True)
@@ -58,27 +68,24 @@ class GatedCandidate:
 def _gate_kernel(
     bins1: np.ndarray,
     bins2: np.ndarray,
-    bins3: set[int] | np.ndarray,
+    bins3: np.ndarray,
     triple: ModTriple,
     params: tuple[ViewParams, ViewParams, ViewParams],
 ):
     """Vectorized verdicts for the full bin-pair grid.
 
-    Returns (f12 grid, predicted view-3 bins, passed) with shape
+    Returns the residues r1 and r2 of the view-1 and view-2 bins, and the f12
+    grid, the predicted view-3 bins and the verdicts, each of shape
     (len(bins1), len(bins2)).
     """
-    p1, p2, p3 = params
-    m1, m2, m3 = triple.m1, triple.m2, triple.m3
-    r1 = np.asarray([p1.unhash_bin(b) for b in bins1], dtype=np.int64)
-    r2 = np.asarray([p2.unhash_bin(b) for b in bins2], dtype=np.int64)
+    m1, m2, m3 = triple.moduli
+    r1, r2 = _unhash(bins1, params[0]), _unhash(bins2, params[1])
     u = (r2[None, :] - r1[:, None]) % m2 * triple.gamma12 % m2
     f12 = r1[:, None] + u * m1
-    r3_hat = f12 % m3
-    bin3_hat = (p3.a * r3_hat + p3.b) % m3
+    bin3_hat = params[2].hash_frequency(f12 % m3)
     occupied = np.zeros(m3, dtype=bool)
-    if len(bins3):
-        occupied[np.asarray(sorted(bins3), dtype=np.int64)] = True
-    return f12, bin3_hat, occupied[bin3_hat]
+    occupied[bins3] = True
+    return r1, r2, f12, bin3_hat, occupied[bin3_hat]
 
 
 def gate_pairs(
@@ -88,29 +95,32 @@ def gate_pairs(
     triple: ModTriple,
     view_params: tuple[ViewParams, ViewParams, ViewParams] | None = None,
 ) -> list[GatedCandidate]:
-    """Gate every (r1, r2) pair; output order follows R1-major iteration."""
+    """Gate every (r1, r2) pair of bins, given as iterables of ints; output
+    order follows R1-major iteration."""
     params = view_params or _identity_params(triple)
-    bins1, bins2, bins3 = _as_bins(R1), _as_bins(R2), set(_as_bins(R3))
-    if not bins1 or not bins2:
-        return []
-    f12, bin3_hat, passed = _gate_kernel(
-        np.asarray(bins1), np.asarray(bins2), bins3, triple, params
-    )
-    p1, p2 = params[0], params[1]
-    out = []
-    for i, b1 in enumerate(bins1):
-        rho1 = int(p1.unhash_bin(b1))
-        for j, b2 in enumerate(bins2):
-            out.append(
-                GatedCandidate(
-                    r1=rho1,
-                    r2=int(p2.unhash_bin(b2)),
-                    f12=int(f12[i, j]),
-                    r3_hat=int(bin3_hat[i, j]),
-                    passed=bool(passed[i, j]),
-                )
-            )
-    return out
+    bins = (np.fromiter(R, dtype=np.int64) for R in (R1, R2, R3))
+    r1, r2, f12, bin3_hat, passed = (a.tolist() for a in _gate_kernel(*bins, triple, params))
+    return [
+        GatedCandidate(rho1, rho2, f12[i][j], bin3_hat[i][j], passed[i][j])
+        for i, rho1 in enumerate(r1)
+        for j, rho2 in enumerate(r2)
+    ]
+
+
+def trial_streams(
+    seed: int, experiment: str, trials: int
+) -> list[tuple[int, np.random.Generator]]:
+    """(seed, generator) for each Monte Carlo trial, from the experiment's own stream."""
+    seeds = rng_stream(seed, experiment).integers(0, 2**63 - 1, size=trials)
+    return [(int(s), np.random.Generator(np.random.Philox(int(s)))) for s in seeds]
+
+
+def draw_support(rng: np.random.Generator, k: int, n: int) -> list[int]:
+    """k distinct frequencies below n, ascending."""
+    support = set()
+    while len(support) < k:
+        support.add(int(rng.integers(0, n)))
+    return sorted(support)
 
 
 @dataclass(frozen=True)
@@ -135,10 +145,10 @@ def gate_survivor_stats(
     """Monte Carlo survivor counts for random k-sparse supports.
 
     Each trial plants k distinct frequencies in [0, N), hashes them with the
-    identity hash (sigma = 1, b = 0) into the three views, fills every residue
-    set up to alpha*k bins with uniform fillers over the unoccupied bins,
-    and gates the full pair grid.  True survivors count planted pairs that
-    pass (always k, since true pairs gate deterministically); false
+    identity hash (sigma = 1, b = 0) into the three views, fills every view's
+    occupied bins up to alpha*k with uniform fillers over the unoccupied
+    bins, and gates the full pair grid.  True survivors count planted pairs
+    that pass (always k, since true pairs gate deterministically); false
     survivors count everything else that passed.  The prediction column is
     (alpha*k)^2 * (alpha*k) / m3 in its usual approximate form
     alpha^3 k^3 / m3.
@@ -158,38 +168,25 @@ def gate_survivor_stats(
         )
     prediction = (alpha**3) * (k**3) / m3 if k else 0.0
     params = _identity_params(triple)
-    master = rng_stream(seed, "gate-survivor-stats")
-    child_seeds = master.integers(0, 2**63 - 1, size=max(trials, 1))
 
     true_counts = np.zeros(trials, dtype=np.int64)
     false_counts = np.zeros(trials, dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(int(child_seeds[trial])))
-        support = set()
-        while len(support) < k:
-            support.add(int(rng.integers(0, N)))
-        freqs = np.array(sorted(support), dtype=np.int64)
-
+    for trial, (_, rng) in enumerate(trial_streams(seed, "gate-survivor-stats", trials)):
+        freqs = np.array(draw_support(rng, k, N), dtype=np.int64)
         bin_lists = []
         for p in params:
-            true_bins = np.unique(p.hash_frequency(freqs)) if k else np.array([], dtype=np.int64)
-            occupied = set(int(b) for b in true_bins)
+            occupied = set(p.hash_frequency(freqs).tolist())
             while len(occupied) < cap:
                 occupied.add(int(rng.integers(0, p.m)))
             bin_lists.append(np.array(sorted(occupied), dtype=np.int64))
 
         if k == 0 or cap == 0:
             continue
-        f12, _, passed = _gate_kernel(
-            bin_lists[0], bin_lists[1], set(bin_lists[2].tolist()), triple, params
-        )
-        index1 = {int(b): i for i, b in enumerate(bin_lists[0])}
-        index2 = {int(b): i for i, b in enumerate(bin_lists[1])}
+        *_, passed = _gate_kernel(*bin_lists, triple, params)
         truth = np.zeros(passed.shape, dtype=bool)
-        for f in freqs:
-            i = index1[int(params[0].hash_frequency(int(f)))]
-            j = index2[int(params[1].hash_frequency(int(f)))]
-            truth[i, j] = True
+        # the bin lists are sorted, so each planted bin's row is its rank
+        truth[np.searchsorted(bin_lists[0], params[0].hash_frequency(freqs)),
+              np.searchsorted(bin_lists[1], params[1].hash_frequency(freqs))] = True
         true_counts[trial] = int(np.count_nonzero(passed & truth))
         false_counts[trial] = int(np.count_nonzero(passed & ~truth))
 

@@ -9,9 +9,9 @@ tests in exact arithmetic, and a reading whose decoded frequency does not
 hash back onto its own bin is discarded, so masquerading multi-bins fail
 closed.
 
-The views live side by side in one stacked (shifts, m1+m2+m3) buffer; each
-view's `bins` is its column slice, and `PeelState.create` adopts the stack
-`views.build_views` wrote them into instead of copying it.  A round is a
+`PeelState.create` copies the views side by side into one stacked
+(shifts, m1+m2+m3) buffer and peels that copy; each of its views is a
+column slice of it, and the caller's views are left as built.  A round is a
 fixed number of array operations whatever k is: detection tests every
 column of the stack at once and returns its readings as one
 `SingletonReading` batch, duplicates across views are dropped by one sort,
@@ -97,14 +97,12 @@ class PeelState:
     def create(
         cls, views: list[ViewSpectrum], M: int, op: OpCounter | None = None
     ) -> "PeelState":
-        """Adopt the stack `build_views` wrote the views into, so peeling works on
-        their own bins; views on no one stack are copied and not modified."""
+        """Peel a stacked copy of the views; the views passed in are not modified."""
         stack, layout = stack_views(views)
-        if views[0].bins.base is not stack:
-            views = [dc_replace(v, bins=stack[:, o : o + v.m], column=o)
-                     for v, o in zip(views, layout[3].tolist())]
+        views = [dc_replace(v, bins=stack[:, o : o + v.m])
+                 for v, o in zip(views, layout[3].tolist())]
         peak = float(np.abs(stack[0]).max(initial=0.0))
-        return cls(list(views), M, stack, layout, noise_floor=NOISE_FLOOR_REL * peak, op=op)
+        return cls(views, M, stack, layout, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
     def max_bin_magnitude(self) -> float:
         return float(np.abs(self.stack).max(initial=0.0))

@@ -52,7 +52,7 @@ from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
 from .views import build_view, build_views, top_k_order
-from .views import extract_residues  # noqa: F401  looked up by the benchmark tracer
+from .gating import extract_residues  # noqa: F401  looked up by the benchmark tracer
 from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import dft
 from .config import Config
 from .errors import DenseRegimeError, OracleCapExceededError
-from .numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
+from .numtheory import ModTriple, coprime_divisor_capacity, factorize
 from .signal import _MAX_GRID
 
 
@@ -75,11 +75,6 @@ class ViewParams:
     def hash_frequency(self, f):
         """Bin index that frequency f lands in (works on arrays too)."""
         return (self.a * f + self.b) % self.m
-
-    def unhash_bin(self, bin_index):
-        """Frequency residue mod m that occupies `bin_index`."""
-        a_inv = mod_inverse(self.a, self.m) if self.m > 1 else 0
-        return (bin_index - self.b) * a_inv % self.m
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,10 @@ def make_plan(
     ceiling, and raises OracleCapExceededError where no triple fits under it.
     Explicit moduli can be pinned through config.moduli_override (Config
     takes three integers >= 2; here they must be pairwise coprime with a
-    product of at least N).  A sparsity ratio k/sqrt(N) at or above
-    RHO_DENSE has no fast-path plan and raises DenseRegimeError.
+    product of at least N, and a product past the grid ceiling raises
+    OracleCapExceededError as an unpinned plan does).  A sparsity ratio
+    k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
+    DenseRegimeError.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -247,6 +244,10 @@ def make_plan(
     triple = ModTriple.create(*moduli)
     if triple.M < N:
         raise ValueError(f"modulus product {triple.M} below N={N}")
+    if triple.M > _MAX_GRID:
+        raise OracleCapExceededError(
+            f"modulus product {triple.M} is above the grid ceiling {_MAX_GRID}"
+        )
 
     shifts = cfg.shift_count
     if cfg.identity_hash:

@@ -1,10 +1,11 @@
 """Two-part verification of a candidate spectrum on independent views.
 
-The verification views arrive already built from samples, side by side in
-one stack (`views.build_views`).  `check_views` predicts the candidate's
-bins in all of them at once through the alias-sum model the views use
-(`views.alias_stack`) and runs both parts on each; `check_view`, which
-replay uses, is its one-view case:
+The verification views arrive already built from samples
+(`views.build_views`).  `check_views` copies them side by side into one
+stack, predicts the candidate's bins in all of them at once through the
+alias-sum model the views use (`views.alias_stack`) and runs both parts on
+each, over the rows each view holds; `check_view`, which replay uses, is its
+one-view case:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins

@@ -9,7 +9,8 @@ theorem).  The resulting bin values are plain coefficient sums,
     value(r, s) = sum over f with (sigma*f + b) mod m == r of A_f e^{2pi i f s/M},
 
 which is the contract every consumer (peeling, gating, verification) is
-written against.  Views sit side by side as column slices of a
+written against.  Each view owns its (shift_count, m) bins; a consumer
+that works on several views at once copies them side by side into one
 (shift_count, sum of m) stack (`stack_views`).  `alias_stack` is the one
 evaluation of that sum from known tones, into every view of a stack at
 once: peeling subtracts its readings with it, verification predicts its
@@ -31,7 +32,7 @@ from .planner import ViewParams
 from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
 # A bin is occupied when its shift-0 magnitude exceeds this fraction of the
-# largest one: within its view for residue sets, across all views for peeling.
+# largest one: across all views for peeling, within its view for the gate.
 NOISE_FLOOR_REL = 1e-9
 
 
@@ -41,41 +42,17 @@ class ViewSpectrum:
 
     `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
     built from, taken before modulation and transform; it is None for a view
-    predicted from a spectrum, which has no samples.  `column` is where
-    `bins` starts in the stack `build_views` wrote it into (`bins.base`).
+    predicted from a spectrum, which has no samples.
     """
 
     params: ViewParams
     M: int
     bins: np.ndarray
     time_energy: float | None = None
-    column: int | None = None
 
     @property
     def m(self) -> int:
         return self.params.m
-
-    def magnitudes(self, shift: int = 0) -> np.ndarray:
-        return np.abs(self.bins[shift])
-
-
-@dataclass(frozen=True, eq=False)
-class ResidueSet:
-    """Occupied bins of one view, strongest first, at most capacity entries.
-
-    `indices` and `magnitudes` are parallel arrays: bin index and its
-    shift-0 magnitude.
-    """
-
-    indices: np.ndarray
-    magnitudes: np.ndarray
-    capacity: int
-
-    def bins(self) -> tuple[int, ...]:
-        return tuple(self.indices.tolist())
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def build_views(
@@ -87,27 +64,22 @@ def build_views(
 ) -> list[ViewSpectrum]:
     """FFT-path construction of views from time samples, in the order given.
 
-    Views of one phase (`phases[i]`, "views" when not given) and shift count
-    are written, in order, into column slices of one stack: the pipeline's
-    identification views form the stack peeling adopts.  Views that share a
-    modulus m are read with one `sample_block` call (row s of a view's block
-    is its shift-0 progression plus s, so every row wraps the grid a whole
-    number of times with its view's step) and transformed and normalized
-    once.  Each view keeps its shift-0 time energy for the Parseval check;
-    its modulation is a rotation of its bins by b, charged as a modulation.
+    Views that share a modulus m are read with one `sample_block` call (row s
+    of a view's block is its shift-0 progression plus s, so every row wraps
+    the grid a whole number of times with its view's step) and transformed
+    and normalized once; each view then gets its own bins array.  Each view
+    keeps its shift-0 time energy for the Parseval check; its modulation is
+    a rotation of its bins by b, charged as a modulation under its phase
+    (`phases[i]`, "views" when not given).
     """
     if M > _MAX_GRID:
         raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     phases = phases or ("views",) * len(params)
-    widths, slots, groups = {}, [], {}
+    groups = {}
     for i, vp in enumerate(params):
         if M % vp.m != 0:
             raise StrideMismatchError(f"modulus {vp.m} does not divide grid length {M}")
-        key = (phases[i], vp.shift_count)
-        slots.append((key, widths.get(key, 0)))
-        widths[key] = slots[i][1] + vp.m
         groups.setdefault(vp.m, []).append(i)
-    stacks = {key: np.empty((key[1], width), dtype=np.complex128) for key, width in widths.items()}
     views: list = [None] * len(params)
     for m, members in groups.items():
         rows = [(params[i].sigma, s) for i in members for s in range(params[i].shift_count)]
@@ -118,11 +90,10 @@ def build_views(
         spectra = dft.dft_forward(samples) / m
         lo = 0
         for i in members:
-            vp, (key, column), b = params[i], slots[i], params[i].b % m
-            bins, hi = stacks[key][:, column : column + m], lo + vp.shift_count
+            vp, b, hi = params[i], params[i].b % m, lo + params[i].shift_count
             # the modulated bin r is the plain bin (r - b) mod m
-            np.concatenate((spectra[lo:hi, m - b :], spectra[lo:hi, : m - b]), axis=1, out=bins)
-            views[i] = ViewSpectrum(vp, M, bins, energies[lo], column)
+            bins = np.concatenate((spectra[lo:hi, m - b :], spectra[lo:hi, : m - b]), axis=1)
+            views[i] = ViewSpectrum(vp, M, bins, energies[lo])
             lo = hi
             if op is not None:
                 # per shift: sample accesses, modulation, transform, normalization
@@ -143,21 +114,13 @@ def build_view(
 
 
 def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:
-    """The views side by side: a (shift_count, sum of m) stack and its layout,
-    whose rows are each view's a, b, m and first column.
-
-    Views that `build_views` wrote into one stack, all of it and in this
-    order, give that stack itself; any others are copied into a new one.
-    """
-    layout, stack, width = [], views[0].bins.base, 0
+    """A copy of the views side by side, a (shift_count, sum of m) stack, and
+    its layout, whose rows are each view's a, b, m and first column."""
+    layout, width = [], 0
     for v in views:
         layout.append((v.params.a, v.params.b, v.m, width))
-        if v.bins.base is not stack or v.column != width:
-            stack = None
         width += v.m
-    if stack is None or stack.shape[1] != width:
-        stack = np.concatenate([v.bins for v in views], axis=1)
-    return stack, np.array(layout, dtype=np.int64).T
+    return np.concatenate([v.bins for v in views], axis=1), np.array(layout, dtype=np.int64).T
 
 
 def alias_stack(
@@ -186,16 +149,6 @@ def build_view_from_spectrum(
     bins = alias_stack(spectrum.frequencies(), spectrum.coefficients(), layout,
                        (params.shift_count, params.m), M)
     return ViewSpectrum(params=params, M=M, bins=bins)
-
-
-def extract_residues(view: ViewSpectrum, alpha_k: int) -> ResidueSet:
-    """Top-alpha_k bins above the noise floor by shift-0 magnitude; ties break upward."""
-    if alpha_k < 1:
-        raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
-    mag = view.magnitudes(0)
-    occupied = np.flatnonzero(mag > NOISE_FLOOR_REL * float(mag.max(initial=0.0)))
-    top = occupied[top_k_order(mag[occupied], occupied, alpha_k)]
-    return ResidueSet(indices=top, magnitudes=mag[top], capacity=alpha_k)
 
 
 def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from crtfft.config import Config
-from crtfft.gating import gate_pairs, gate_survivor_stats
+from crtfft.gating import extract_residues, gate_pairs, gate_survivor_stats
 from crtfft.numtheory import ModTriple, garner2
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import synthesize
-from crtfft.views import build_views, extract_residues
+from crtfft.views import ViewSpectrum, build_views
 from conftest import random_spectrum
 
 TOY = ModTriple.create(7, 11, 13)
@@ -40,6 +40,39 @@ def exhaustive_gate(r1_set, r2_set, r3_set, triple):
     return rows
 
 
+class TestExtractResidues:
+    def test_worked_example_sets_with_injected_noise(self):
+        # true bins {0, 6} plus an injected bin 3, strongest first
+        vp = ViewParams(m=7, sigma=1, b=0, shift_count=1)
+        bins = np.zeros((1, 7), dtype=np.complex128)
+        bins[0, [0, 6, 3]] = 1.0, 0.8, 0.05
+        got = extract_residues(ViewSpectrum(vp, 1001, bins), alpha_k=30)
+        assert got.dtype == np.int64 and got.tolist() == [0, 6, 3]
+
+    def test_all_zero_view(self):
+        vp = ViewParams(m=5, sigma=1, b=0, shift_count=1)
+        got = extract_residues(ViewSpectrum(vp, 35, np.zeros((1, 5), complex)), 3)
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_capacity_and_tie_break(self):
+        vp = ViewParams(m=8, sigma=1, b=0, shift_count=1)
+        bins = np.zeros((1, 8), dtype=np.complex128)
+        bins[0, [1, 4, 6]] = 2.0  # tied magnitudes
+        bins[0, [2, 7]] = 1.0
+        got = extract_residues(ViewSpectrum(vp, 8, bins), alpha_k=4)
+        # descending magnitude, ascending bin on ties; capacity 4
+        assert got.tolist() == [1, 4, 6, 2]
+        # independent oracle: python sort
+        mags = np.abs(bins[0])
+        want = sorted(np.flatnonzero(mags > 0), key=lambda r: (-mags[r], r))[:4]
+        assert got.tolist() == want
+
+    def test_rejects_empty_capacity(self):
+        vp = ViewParams(m=5, sigma=1, b=0, shift_count=1)
+        with pytest.raises(ValueError, match="alpha_k"):
+            extract_residues(ViewSpectrum(vp, 35, np.ones((1, 5), complex)), 0)
+
+
 class TestGatePairs:
     def test_worked_example_all_rows(self):
         oracle = exhaustive_gate(R1, R2, R3, TOY)
@@ -71,6 +104,11 @@ class TestGatePairs:
 
     def test_empty_r3_rejects_all(self):
         assert not any(g.passed for g in gate_pairs(R1, R2, [], TOY))
+
+    def test_accepts_any_iterable_of_ints(self):
+        want = gate_pairs(R1, R2, R3, TOY)
+        assert gate_pairs(np.array(R1), iter(R2), set(R3), TOY) == want
+        assert all(type(g.r1) is int and type(g.passed) is bool for g in want)
 
     def test_verdict_independent_of_r3_order(self):
         a = gate_pairs(R1, R2, R3, TOY)

@@ -54,22 +54,23 @@ def toy_state(spectrum, seed=0, t=0, nominal=None):
 
 
 class TestCreate:
-    def test_adopts_the_identification_stack(self, rng):
-        # the pipeline's identification views are written into one stack,
-        # which peeling works on in place: no copy, and the views see it peel
+    def test_leaves_the_built_views_unchanged(self, rng):
+        # the pipeline's views are built together; peeling empties its own
+        # stacked copy of the identification views and leaves every built view
+        # as it was read
         N, k = 2**14, 12
         plan = make_plan(N, k, 3, seed=2)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         phases = ("views",) * 3 + ("verify",) * 3
         built = build_views(synthesize(spec), plan.id_views + plan.verify_views, plan.M, None,
                             phases)
+        before = [v.bins.copy() for v in built]
         state = PeelState.create(built[:3], plan.M)
-        assert state.stack is built[0].bins.base
-        assert all(np.shares_memory(v.bins, state.stack) for v in built[:3])
-        assert not any(np.shares_memory(v.bins, state.stack) for v in built[3:])
+        assert not any(np.shares_memory(v.bins, state.stack) for v in built)
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE
-        assert max(np.abs(v.bins).max() for v in built[:3]) <= state.noise_floor
+        assert max(np.abs(v.bins).max() for v in state.views) <= state.noise_floor
+        assert all(v.bins.tobytes() == b.tobytes() for v, b in zip(built, before))
 
     def test_copies_views_built_apart(self, rng):
         spec = random_spectrum(rng, 3, 1001)

@@ -359,14 +359,31 @@ class TestSparseFft:
         assert result.spectrum.grid_length == n
         assert spectra_close(result.spectrum, spec)
 
-    def test_index_guard_is_typed(self):
-        # a plan grid of M ~ 1.4e10 is past exact int64 view indices
+    def test_index_guard_is_typed(self, monkeypatch):
+        # pinned moduli whose grid M ~ 1.4e10 is past exact int64 view indices
+        # have no plan; the fallback on that grid is past the dense budget and
+        # is refused before any sample is read
         moduli = (2048, 2187, 3125)
         M = math.prod(moduli)
         cfg = Config(nominal_length=2**22, moduli_override=moduli)
-        assert make_plan(2**22, 64, config=cfg).M == M > _MAX_GRID
-        with pytest.raises(OracleCapExceededError, match="exact int64 index"):
-            sparse_fft(from_dense(np.ones(16), M), 64, cfg, seed=0)
+        assert M > _MAX_GRID
+        with pytest.raises(OracleCapExceededError, match="grid ceiling"):
+            make_plan(2**22, 64, config=cfg)
+        src = from_dense(np.ones(16), M)
+        for name in ("sample_block", "materialize"):
+            monkeypatch.setattr(src, name, lambda *_: pytest.fail("a sample was read"))
+        with pytest.raises(OracleCapExceededError, match="dense budget"):
+            sparse_fft(src, 64, cfg, seed=0)
+
+    def test_pinned_moduli_past_the_grid_ceiling_fall_back(self, rng):
+        # the pinned plan is refused like an unpinned one past the ceiling:
+        # the buffer is answered on its own grid, and the answer replays
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        result = sparse_fft(from_dense(x), 3, Config(moduli_override=(2048, 2187, 3125)))
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.certificate.payload["fallback_reason"].startswith("grid-ceiling")
+        assert result.spectrum.grid_length == 64
+        assert verify_certificate(result.certificate, from_dense(x)) == []
 
 
 class TestDenseFallback:

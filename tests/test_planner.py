@@ -282,6 +282,13 @@ class TestChooseModuli:
         with pytest.raises(OracleCapExceededError, match="grid ceiling"):
             make_plan(2_993_760_001, 64)
 
+    def test_pinned_moduli_past_the_ceiling_are_refused(self):
+        cfg = Config(moduli_override=(2048, 2187, 3125))  # M ~ 1.4e10
+        with pytest.raises(OracleCapExceededError, match="grid ceiling"):
+            make_plan(2**22, 64, config=cfg)
+        cfg = Config(moduli_override=(625, 1792, 2673))  # M = 2,993,760,000
+        assert make_plan(2**22, 64, config=cfg).M == 2_993_760_000
+
     def test_cached(self):
         choose_moduli(2**20, 64)
         before = choose_moduli.cache_info()

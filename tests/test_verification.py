@@ -1,3 +1,5 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from crtfft.config import Config
 from crtfft.pipeline import RecoveryPath, sparse_fft
 from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
-from crtfft.verification import check_view, verify
+from crtfft.verification import check_view, check_views, verify
 from crtfft.views import build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, verify_plan
 
@@ -292,3 +294,18 @@ class TestStackedChecks:
                 assert abs(check.residual_energy - residual) <= 1e-12 * max(residual, scale)
                 assert check.epsilon == eps and check.passed is passed
                 assert check == check_view(view, candidate, cfg.verify_eps_rel)
+
+    def test_row_sliced_views_are_checked_on_their_rows(self, rng):
+        # views built together and cut to their shift-0 row are checked on that
+        # row alone, exactly as copies of the row are, never on the rows cut off
+        N, k = 2**14, 12
+        plan = make_plan(N, k, 3, seed=3)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
+        views = build_views(synthesize(spec), plan.verify_views, plan.M)
+        moved = dict(spec.entries)
+        moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
+        wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
+        sliced = check_views([dc_replace(v, bins=v.bins[:1]) for v in views], wrong)
+        copied = check_views([dc_replace(v, bins=v.bins[:1].copy()) for v in views], wrong)
+        assert sliced == copied
+        assert all(c.residual_energy > c.epsilon for c in sliced)

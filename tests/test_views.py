@@ -14,7 +14,6 @@ from crtfft.views import (
     build_view,
     build_view_from_spectrum,
     build_views,
-    extract_residues,
     top_k_order,
 )
 from conftest import random_spectrum, shift_indices
@@ -124,42 +123,6 @@ class TestBuildView:
             if len(tones) == 1:
                 mags = np.abs(view.bins[:, r])
                 assert np.ptp(mags) <= 1e-9 * mags[0]
-
-
-class TestExtractResidues:
-    def test_worked_example_sets_with_injected_noise(self):
-        # true bins {0, 6} plus an injected bin 3, magnitudes distinct
-        vp = ViewParams(m=7, sigma=1, b=0, shift_count=1)
-        bins = np.zeros((1, 7), dtype=np.complex128)
-        bins[0, 0] = 1.0
-        bins[0, 6] = 0.8
-        bins[0, 3] = 0.05
-        from crtfft.views import ViewSpectrum
-
-        rs = extract_residues(ViewSpectrum(vp, 1001, bins), alpha_k=30)
-        assert sorted(rs.bins()) == [0, 3, 6]
-
-    def test_all_zero_view(self):
-        from crtfft.views import ViewSpectrum
-
-        vp = ViewParams(m=5, sigma=1, b=0, shift_count=1)
-        rs = extract_residues(ViewSpectrum(vp, 35, np.zeros((1, 5), complex)), 3)
-        assert len(rs) == 0
-
-    def test_capacity_and_tie_break(self):
-        from crtfft.views import ViewSpectrum
-
-        vp = ViewParams(m=8, sigma=1, b=0, shift_count=1)
-        bins = np.zeros((1, 8), dtype=np.complex128)
-        bins[0, [1, 4, 6]] = 2.0  # tied magnitudes
-        bins[0, [2, 7]] = 1.0
-        rs = extract_residues(ViewSpectrum(vp, 8, bins), alpha_k=4)
-        # descending magnitude, ascending bin on ties; capacity 4
-        assert rs.bins() == (1, 4, 6, 2)
-        # independent oracle: python sort
-        mags = np.abs(bins[0])
-        want = sorted(np.flatnonzero(mags > 0), key=lambda r: (-mags[r], r))[:4]
-        assert list(rs.bins()) == want
 
 
 @st.composite
