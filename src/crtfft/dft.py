@@ -10,6 +10,8 @@ kept as the independent test oracle and never used by fast paths.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NonFiniteError, OracleCapExceededError
@@ -73,6 +75,7 @@ def dft_direct(x, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
 SMOOTH_PRIMES = (2, 3, 5, 7, 11)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def fft_op_count(n: int) -> int:
     """Fixed model complex-op cost of one length-n forward transform.
 
@@ -82,7 +85,8 @@ def fft_op_count(n: int) -> int:
     chirp-z reduction at every other length (three power-of-two transforms
     plus the chirp and pointwise multiplies).  It does not describe the work
     `numpy.fft` does; it stays fixed so that op counts remain comparable
-    across commits, and the planner picks moduli by it.
+    across commits, and the planner picks moduli by it.  A pure function of
+    n, cached.
     """
     if n <= 1:
         return 1

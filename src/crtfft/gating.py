@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRangeError
 from .numtheory import ModTriple, mod_inverse
 from .planner import ViewParams, rng_stream
 from .views import NOISE_FLOOR_REL, ViewSpectrum, top_k_order
@@ -96,9 +97,19 @@ def gate_pairs(
     view_params: tuple[ViewParams, ViewParams, ViewParams] | None = None,
 ) -> list[GatedCandidate]:
     """Gate every (r1, r2) pair of bins, given as iterables of ints; output
-    order follows R1-major iteration."""
+    order follows R1-major iteration.  A bin outside [0, m) of its view
+    raises OutOfRangeError."""
     params = view_params or _identity_params(triple)
-    bins = (np.fromiter(R, dtype=np.int64) for R in (R1, R2, R3))
+    bins = []
+    for view, (R, m) in enumerate(zip((R1, R2, R3), triple.moduli), start=1):
+        try:
+            b = np.fromiter(R, dtype=np.int64)
+        except OverflowError as exc:
+            raise OutOfRangeError(f"a view-{view} bin is outside [0, {m}): {exc}") from exc
+        bad = b[(b < 0) | (b >= m)]
+        if bad.size:
+            raise OutOfRangeError(f"view-{view} bin {bad[0]} is outside [0, {m})")
+        bins.append(b)
     r1, r2, f12, bin3_hat, passed = (a.tolist() for a in _gate_kernel(*bins, triple, params))
     return [
         GatedCandidate(rho1, rho2, f12[i][j], bin3_hat[i][j], passed[i][j])

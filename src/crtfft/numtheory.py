@@ -7,6 +7,7 @@ unusably large downstream.  All functions are pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,7 +76,9 @@ class ModTriple:
     M: int
 
     @classmethod
+    @functools.lru_cache(maxsize=256, typed=True)
     def create(cls, m1: int, m2: int, m3: int) -> "ModTriple":
+        """The triple of moduli m1, m2, m3; a pure function of them, cached."""
         for m in (m1, m2, m3):
             if m < 2:
                 raise ValueError(f"modulus must be >= 2, got {m}")

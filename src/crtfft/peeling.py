@@ -11,26 +11,31 @@ closed.
 
 `PeelState.create` copies the views side by side into one stacked
 (shifts, m1+m2+m3) buffer and peels that copy; each of its views is a
-column slice of it, and the caller's views are left as built.  A round is a
-fixed number of array operations whatever k is: detection tests every
-column of the stack at once and returns its readings as one
-`SingletonReading` batch, duplicates across views are dropped by one sort,
-and `peel` subtracts the whole batch, as FFAST's decoder does.  The readings
-are appended to the ledger's frequency and coefficient arrays in order;
-their subtraction is `views.alias_stack` (the alias model verification
-uses, O(1) per reading and bin).  Detection reads only bins above the noise
-floor, so every reading's coefficient clears it and the ledger needs no
-conflict rule: a frequency read in several rounds sums its readings, and
-one whose sum falls to the floor is dropped from the outcome.  Rounds
-repeat until the views are empty (Complete), no view offers a singleton
-(TwoCore), or the round cap is hit (Stagnated).
+column slice of it, and the caller's views are left as built.  It also
+builds the stack's column table once: view, a, b, m and bin for every
+column, so detection looks its candidates up with one fancy index.  A
+round is a fixed number of array operations whatever k is: detection tests
+every column of the stack at once, with both adjacent-shift ratios from one
+division, and returns its readings as one `SingletonReading` batch,
+duplicates across views are dropped by one sort, and `peel` subtracts the
+whole batch, as FFAST's decoder does.  The readings are appended to the
+ledger's frequency and coefficient arrays in order; their subtraction is
+`views.alias_stack` (the alias model verification uses, O(1) per reading
+and bin).  Detection reads only bins above the noise floor, so every
+reading's coefficient clears it and the ledger needs no conflict rule: a
+frequency read in several rounds sums its readings, and one whose sum
+falls to the floor is dropped from the outcome.  When at most one round
+peeled, the ledger is that round's readings, distinct and ascending
+already, and the sum is skipped.  Rounds repeat until the views are empty
+(Complete), no view offers a singleton (TwoCore), or the round cap is hit
+(Stagnated).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +76,8 @@ class SingletonReading:
 
     def take(self, rows) -> "SingletonReading":
         """The readings at `rows` (an index array or a slice), in that order."""
-        return SingletonReading(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return SingletonReading(self.view_index[rows], self.bin_index[rows], self.f_hat[rows],
+                                self.coeff[rows], self.shift_ratio_error[rows])
 
 
 @dataclass
@@ -79,14 +85,17 @@ class PeelState:
     """Mutable peeling workspace: the views' stacked bins plus the recovery ledger.
 
     `stack` holds the views' bins side by side and each of `views` holds a
-    column slice of it; `layout` is the stack's `views.stack_views` layout.
-    The ledger `freqs`, `coeffs` holds every accepted reading in order.
+    column slice of it; `layout` is the stack's `views.stack_views` layout,
+    and `columns` the same per column: rows view, a, b, m and bin.  The
+    ledger `freqs`, `coeffs` holds every accepted reading in order, and
+    `round` counts the rounds peeled into it.
     """
 
     views: list[ViewSpectrum]
     M: int
     stack: np.ndarray
     layout: np.ndarray
+    columns: np.ndarray
     freqs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
     round: int = 0
@@ -99,10 +108,14 @@ class PeelState:
     ) -> "PeelState":
         """Peel a stacked copy of the views; the views passed in are not modified."""
         stack, layout = stack_views(views)
-        views = [dc_replace(v, bins=stack[:, o : o + v.m])
+        views = [ViewSpectrum(v.params, v.M, stack[:, o : o + v.m], v.time_energy)
                  for v, o in zip(views, layout[3].tolist())]
+        # each view's (index, a, b, m, first column) repeated over its m columns,
+        # then each column's offset from its view's first: its bin
+        columns = np.repeat(np.vstack((np.arange(len(views)), layout)), layout[2], axis=1)
+        columns[4] = np.arange(stack.shape[1]) - columns[4]
         peak = float(np.abs(stack[0]).max(initial=0.0))
-        return cls(views, M, stack, layout, noise_floor=NOISE_FLOOR_REL * peak, op=op)
+        return cls(views, M, stack, layout, columns, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
     def max_bin_magnitude(self) -> float:
         return float(np.abs(self.stack).max(initial=0.0))
@@ -112,38 +125,42 @@ def detect_singletons(state: PeelState) -> SingletonReading:
     """All bins currently passing the singleton tests, in (view, bin) order."""
     stack, M = state.stack, state.M
     mag0 = np.abs(stack[0])
-    cand = np.flatnonzero(mag0 > state.noise_floor)
+    (cand,) = (mag0 > state.noise_floor).nonzero()
     if state.op is not None:
         state.op.add("peel", 3 * stack.shape[1])
-    view = np.searchsorted(state.layout[3], cand, side="right") - 1
-    a, b, m, offset = state.layout[:, view]
-    bin_index = cand - offset
+    view, a, b, m, bin_index = state.columns[:, cand]
     y = stack[:, cand]
-    y0, y1, mag = y[0], y[1], mag0[cand]
-    ok = np.abs(y1) > 0
-    # (a) magnitudes agree across shifts
-    err = np.max(np.abs(np.abs(y[1:]) - mag) / mag, axis=0, initial=0.0)
-    ok &= err <= SINGLETON_TOL
-    # (b) frequency from the adjacent-shift phase ratio
-    ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
-    f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
-    # (c) decoded frequency must hash back onto this bin
-    ok &= (a * f_hat + b) % m == bin_index
-    # (d) with a third shift, the second ratio must repeat the first
-    if stack.shape[0] >= 3:
-        ratio2 = y[2] / np.where(y1 == 0, 1, y1)
-        dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
-        err = np.maximum(err, dev2)
-        ok &= dev2 <= SINGLETON_TOL
-    rows = np.flatnonzero(ok)
-    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y0[rows], err[rows])
+    mag = mag0[cand]
+    # Every candidate's y0 clears the floor, so only a zero y1 can divide by
+    # zero, and such a column already fails (a) with error 1; a non-finite
+    # ratio or error fails every test below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = y[1:] / y[:-1]
+        # (a) magnitudes agree across shifts
+        err = (np.abs(np.abs(y[1:]) - mag) / mag).max(axis=0, initial=0.0)
+        # (b) frequency from the adjacent-shift phase ratio
+        angle = np.arctan2(ratio[0].imag, ratio[0].real)
+        f_hat = np.rint(angle * M / (2 * np.pi)).astype(np.int64) % M
+        # (c) with a third shift, the second ratio must repeat the first;
+        # (a) and (c) are one test of the larger deviation
+        if stack.shape[0] >= 3:
+            err = np.maximum(err, np.abs(ratio[1] - ratio[0]) / np.abs(ratio[0]))
+    # (d) decoded frequency must hash back onto this bin
+    ok = (err <= SINGLETON_TOL) & ((a * f_hat + b) % m == bin_index)
+    (rows,) = ok.nonzero()
+    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y[0, rows], err[rows])
 
 
 def peel(state: PeelState, readings: SingletonReading) -> PeelState:
-    """Record one round's readings in the ledger and subtract them from every view."""
+    """Record one round's readings in the ledger and subtract them from every view.
+
+    A round's readings have distinct frequencies, ascending, as `_dedupe`
+    leaves them.
+    """
     fs, coeffs = readings.f_hat, readings.coeff
     state.freqs = np.concatenate((state.freqs, fs))
     state.coeffs = np.concatenate((state.coeffs, coeffs))
+    state.round += 1
     # alias_stack sums readings that share a column, in reading order, into
     # zeros; subtracting that sum keeps the bins equal to the alias sums
     state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
@@ -191,7 +208,11 @@ def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
             status = PeelStatus.TWO_CORE
             break
         peel(state, readings)
-        state.round += 1
+    if state.round <= 1:
+        # one round's readings are distinct, ascending and above the floor
+        # already; adding them to zero, as the sum below does, turns a -0.0
+        # part into +0.0
+        return PeelOutcome(state.freqs, state.coeffs + 0.0, status, state.round)
     # a frequency read in several rounds sums its readings in ledger order
     freqs, where = np.unique(state.freqs, return_inverse=True)
     coeffs = np.zeros(freqs.size, dtype=np.complex128)

@@ -278,9 +278,13 @@ def sparse_fft(
         elif k and len(outcome.freqs) > 2 * k:
             fallback_reason = f"candidate-overflow: {len(outcome.freqs)} > 2k"
         else:
-            keep = top_k_order(np.abs(outcome.coeffs), outcome.freqs, k)
-            pairs = zip(outcome.freqs[keep].tolist(), outcome.coeffs[keep].tolist())
-            candidate = SparseSpectrum.from_pairs(pairs, plan.M)
+            # the outcome's frequencies are distinct, ascending and on the grid,
+            # and its coefficients clear the noise floor
+            freqs, coeffs = outcome.freqs, outcome.coeffs
+            if len(freqs) > k:
+                keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
+                freqs, coeffs = freqs[keep], coeffs[keep]
+            candidate = SparseSpectrum(tuple(zip(freqs.tolist(), coeffs.tolist())), plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
             report = verify(verify_views, candidate, cfg, op)
@@ -375,18 +379,17 @@ def build_certificate(
             "id_views": [_view_dict(v) for v in plan.id_views],
             "verify_views": [_view_dict(v) for v in plan.verify_views],
         }
-        triple = plan.triple
+        m1, m2, m3 = plan.triple.moduli
+        gamma12, gamma23 = plan.triple.gamma12, plan.triple.gamma23
+        recovered = payload["recovered"]
+        # entries hold Python ints and complexes; the digits are
+        # numtheory.garner3_parts's, written out for one pass per entry
         for f, c in spectrum.entries:
-            r1, r2, r3 = f % triple.m1, f % triple.m2, f % triple.m3
-            _, u2, u3 = garner3_parts(r1, r2, r3, triple)
-            payload["recovered"].append(
-                {
-                    "f": int(f),
-                    "re": float(c.real),
-                    "im": float(c.imag),
-                    "crt": {"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3},
-                }
-            )
+            r1, r2, r3 = f % m1, f % m2, f % m3
+            u2 = (r2 - r1) % m2 * gamma12 % m2
+            u3 = (r3 - r1 - u2 * m1) % m3 * gamma23 % m3
+            recovered.append({"f": f, "re": c.real, "im": c.imag,
+                              "crt": {"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3}})
     else:
         # entries hold Python ints and complexes, which serialize as they are
         payload["recovered"] = [
@@ -464,15 +467,16 @@ def verify_certificate(
             if g != f or u2 != crt["u2"] or u3 != crt["u3"]:
                 violations.append(f"garner-replay-failed: f={f}")
         verify_views = plan_info.get("verify_views") or []
-        if verify_views:
+        if verify_views and source.grid_length == plan_info["m"]:
+            # the one view replay rebuilds is checked here too, so a payload
+            # that did not come through from_json fails as a ParseError
             v = verify_views[0]
+            _check_view(v, "plan.verify_views[0].", source.grid_length)
             vp = ViewParams(m=v["m"], sigma=v["sigma"], b=v["b"], shift_count=v["shifts"])
-            if source.grid_length == plan_info["m"]:
-                check = check_view(
-                    build_view(source, vp, plan_info["m"]), spectrum, cfg.verify_eps_rel
-                )
-                if check.parseval_gap > check.epsilon:
-                    violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
-                if check.residual_energy > check.epsilon:
-                    violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
+            check = check_view(build_view(source, vp, source.grid_length), spectrum,
+                               cfg.verify_eps_rel)
+            if check.parseval_gap > check.epsilon:
+                violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
+            if check.residual_energy > check.epsilon:
+                violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
     return violations

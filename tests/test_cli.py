@@ -100,6 +100,16 @@ def test_gate_table_diff_published(capsys):
     assert corrected == {("3", "1"), ("3", "7"), ("3", "8"), ("3", "10")}
 
 
+@pytest.mark.parametrize("residues", [("0", "1", "20"), ("9", "1", "2"), ("0", " -1", "2")])
+def test_gate_table_residue_out_of_range_exits_1(capsys, residues):
+    r1, r2, r3 = residues
+    code, out, err = run(
+        capsys, "gate-table", "--moduli", "7,11,13", "--r1", r1, "--r2", r2, "--r3", r3
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "is outside" in err
+
+
 @pytest.mark.parametrize(
     "experiment", ["gate-survivors", "singleton-fraction", "verify-miss", "peel-completion"]
 )

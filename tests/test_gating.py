@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crtfft.config import Config
+from crtfft.errors import OutOfRangeError
 from crtfft.gating import extract_residues, gate_pairs, gate_survivor_stats
 from crtfft.numtheory import ModTriple, garner2
 from crtfft.planner import ViewParams, make_plan
@@ -114,6 +115,22 @@ class TestGatePairs:
         a = gate_pairs(R1, R2, R3, TOY)
         b = gate_pairs(R1, R2, list(reversed(R3)), TOY)
         assert [(g.r1, g.r2, g.passed) for g in a] == [(g.r1, g.r2, g.passed) for g in b]
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (([0], [1], [20]), "view-3 bin 20 is outside \\[0, 13\\)"),
+            (([9], [1], [2]), "view-1 bin 9 is outside \\[0, 7\\)"),
+            (([0], [1, -1], [2]), "view-2 bin -1 is outside \\[0, 11\\)"),
+            (([0], [1], [2**70]), "view-3 bin is outside"),
+        ],
+        ids=["r3-past-m3", "r1-past-m1", "negative-r2", "r3-past-int64"],
+    )
+    def test_bin_out_of_range_is_typed(self, sets, message):
+        # neither an IndexError from the occupancy table nor a silent
+        # reduction mod m
+        with pytest.raises(OutOfRangeError, match=message):
+            gate_pairs(*sets, TOY)
 
     def test_nonidentity_hashing_unhash_then_rehash(self, rng):
         triple = ModTriple.create(31, 37, 41)

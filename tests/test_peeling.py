@@ -11,6 +11,7 @@ from crtfft.peeling import (
     SINGLETON_TOL,
     PeelState,
     PeelStatus,
+    SingletonReading,
     _dedupe,
     detect_singletons,
     peel,
@@ -155,6 +156,32 @@ def per_view_reference(state):
     return {row for _, row in best.values()}
 
 
+def reference_detect(state):
+    """Singleton detection as written before the column table: the view of
+    each candidate by `searchsorted` on the layout, and guarded divisions."""
+    stack, M = state.stack, state.M
+    mag0 = np.abs(stack[0])
+    cand = np.flatnonzero(mag0 > state.noise_floor)
+    view = np.searchsorted(state.layout[3], cand, side="right") - 1
+    a, b, m, offset = state.layout[:, view]
+    bin_index = cand - offset
+    y = stack[:, cand]
+    y0, y1, mag = y[0], y[1], mag0[cand]
+    ok = np.abs(y1) > 0
+    err = np.max(np.abs(np.abs(y[1:]) - mag) / mag, axis=0, initial=0.0)
+    ok &= err <= SINGLETON_TOL
+    ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
+    f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
+    ok &= (a * f_hat + b) % m == bin_index
+    if stack.shape[0] >= 3:
+        ratio2 = y[2] / np.where(y1 == 0, 1, y1)
+        dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
+        err = np.maximum(err, dev2)
+        ok &= dev2 <= SINGLETON_TOL
+    rows = np.flatnonzero(ok)
+    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y0[rows], err[rows])
+
+
 @st.composite
 def toy_spectra(draw):
     """1 to 6 tones on the (7, 11, 13) grid; a later tone often shares a
@@ -205,6 +232,65 @@ class TestBatchDetection:
             # every reading clears the noise floor, so no reading can re-detect
             # a recovered tone at a vanishing residual
             assert (np.abs(readings.coeff) > state.noise_floor).all()
+            if not len(readings):
+                break
+            peel(state, readings)
+
+
+def same_bits(got, want):
+    return all(
+        g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in zip(
+            (got.view_index, got.bin_index, got.f_hat, got.coeff, got.shift_ratio_error),
+            (want.view_index, want.bin_index, want.f_hat, want.coeff, want.shift_ratio_error),
+        )
+    )
+
+
+class TestDetectorMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=toy_spectra(),
+        identity=st.booleans(),
+        shifts=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**16),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(("zero-shift-1", "at-floor", "above-floor", "tone", "noise")),
+                st.integers(0, 30),
+                st.floats(-4.0, 4.0),
+                st.floats(-4.0, 4.0),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_bit_for_bit(self, spec, identity, shifts, seed, edits):
+        # view, bin, f_hat, coeff and error equal the reference's bit for bit,
+        # on stacks with colliding tones, zeroed shift-1 bins, bins exactly at
+        # and just above the noise floor, tone-like and noise bins, over
+        # several rounds
+        cfg = replace(TOY_CFG, identity_hash=identity, shift_count=shifts)
+        plan = make_plan(1001, len(spec), 0, seed, cfg)
+        views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
+        state = PeelState.create(views, plan.M)
+        stack, floor = state.stack, state.noise_floor
+        for kind, column, re, im in edits:
+            column %= stack.shape[1]
+            if kind == "zero-shift-1":
+                stack[1, column] = 0
+            elif kind == "at-floor":
+                stack[0, column] = floor
+            elif kind == "above-floor":
+                stack[0, column] = np.nextafter(floor, np.inf)
+            elif kind == "tone":
+                # a geometric sequence: a singleton if its phase hashes back
+                stack[:, column] = complex(re, im) * np.exp(1j * np.arange(shifts) * re)
+            else:
+                stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))[:shifts]
+        for _ in range(3):
+            got = detect_singletons(state)
+            assert same_bits(got, reference_detect(state))
+            readings = _dedupe(got)
             if not len(readings):
                 break
             peel(state, readings)
@@ -261,6 +347,28 @@ class TestRunPeeling:
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE
         assert len(out.freqs) == len(out.coeffs) == 0
+
+    def test_one_round_outcome_is_the_ledger_sum(self):
+        # one tone whose shift-0 bins read exactly 1 - 0j peels in one round;
+        # the outcome skips the sum but is bit for bit what summing the
+        # ledger into zeros gives, -0.0 turned into +0.0 included
+        plan = make_plan(1001, 1, 0, 0, TOY_CFG)
+        views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), vp, 1001)
+                 for vp in plan.id_views]
+        f, coeff = 41, complex(1.0, -0.0)
+        for view in views:
+            view.bins[:, view.params.hash_frequency(f)] = (
+                coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001))
+            view.bins[0, view.params.hash_frequency(f)] = coeff
+        state = PeelState.create(views, 1001)
+        out = run_peeling(state, plan)
+        assert out.status is PeelStatus.COMPLETE and out.rounds == 1
+        freqs, where = np.unique(state.freqs, return_inverse=True)
+        summed = np.zeros(freqs.size, dtype=np.complex128)
+        np.add.at(summed, where, state.coeffs)
+        assert math.copysign(1.0, state.coeffs[0].imag) == -1.0
+        assert out.freqs.tobytes() == freqs.tobytes() == np.array([f]).tobytes()
+        assert out.coeffs.tobytes() == summed.tobytes()
 
     def test_all_views_colliding_instance_is_two_core(self, rng):
         coeffs = np.exp(2j * np.pi * rng.random(4))

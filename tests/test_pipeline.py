@@ -646,6 +646,17 @@ class TestCertificates:
         with pytest.raises(ParseError, match=f"verify_views\\[0\\]\\.{field}"):
             Certificate.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("field, value", [("sigma", 2**70), ("b", "x")],
+                             ids=["huge-sigma", "string-b"])
+    def test_payload_verify_view_is_checked_on_replay(self, field, value):
+        # a Certificate built from a payload skips from_json's checks; replay
+        # still checks the one view it rebuilds
+        text, src = fast_certificate()
+        payload = json.loads(text)
+        payload["plan"]["verify_views"][0][field] = value
+        with pytest.raises(ParseError, match=f"verify_views\\[0\\]\\.{field}"):
+            verify_certificate(Certificate(payload=payload), src)
+
     @settings(max_examples=150, deadline=None)
     @given(
         sigma=st.one_of(st.integers(-3, 1004), st.integers(-2**80, 2**80)),
