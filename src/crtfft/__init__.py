@@ -41,8 +41,6 @@ from .numtheory import (
     ModTriple,
     coprime_divisor_capacity,
     egcd,
-    garner2,
-    garner3,
     garner3_parts,
     mod_inverse,
 )

@@ -26,7 +26,7 @@ class DuplicateFrequencyError(CrtFftError):
 
 
 class OutOfRangeError(CrtFftError):
-    """A frequency lies outside the grid it was declared on."""
+    """A frequency or bin is not an integer in the range it was declared on."""
 
 
 class DenseRegimeError(CrtFftError):

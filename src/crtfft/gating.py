@@ -66,6 +66,22 @@ class GatedCandidate:
     passed: bool
 
 
+def garner2(r1: int, r2: int, m1: int, m2: int) -> int:
+    """Two-residue reconstruction: the unique f in [0, m1*m2) with
+    f = r1 (mod m1) and f = r2 (mod m2); the scalar form of `_gate_kernel`'s
+    f12, kept as its test oracle.
+
+    Computed as f = r1 + m1 * ((r2 - r1) * m1^-1 mod m2); the difference is
+    normalized into [0, m2) before the multiply so machine remainder
+    semantics on negatives never enter.
+    """
+    if not (0 <= r1 < m1 and 0 <= r2 < m2):
+        raise ValueError(f"residues ({r1}, {r2}) out of range for ({m1}, {m2})")
+    inv = mod_inverse(m1, m2)  # raises NotCoprimeError when gcd(m1, m2) != 1
+    u = ((r2 - r1) % m2) * inv % m2
+    return r1 + u * m1
+
+
 def _gate_kernel(
     bins1: np.ndarray,
     bins2: np.ndarray,

@@ -45,21 +45,6 @@ def mod_inverse(a: int, m: int) -> int:
     return x % m
 
 
-def garner2(r1: int, r2: int, m1: int, m2: int) -> int:
-    """Two-residue reconstruction: the unique f in [0, m1*m2) with
-    f = r1 (mod m1) and f = r2 (mod m2).
-
-    Computed as f = r1 + m1 * ((r2 - r1) * m1^-1 mod m2); the difference is
-    normalized into [0, m2) before the multiply so machine remainder
-    semantics on negatives never enter.
-    """
-    if not (0 <= r1 < m1 and 0 <= r2 < m2):
-        raise ValueError(f"residues ({r1}, {r2}) out of range for ({m1}, {m2})")
-    inv = mod_inverse(m1, m2)  # raises NotCoprimeError when gcd(m1, m2) != 1
-    u = ((r2 - r1) % m2) * inv % m2
-    return r1 + u * m1
-
-
 @dataclass(frozen=True)
 class ModTriple:
     """Three pairwise coprime moduli with precomputed Garner inverses.
@@ -103,22 +88,14 @@ class ModTriple:
 
 
 def garner3_parts(r1: int, r2: int, r3: int, triple: ModTriple) -> tuple[int, int, int]:
-    """Mixed-radix reconstruction, returning (f, u2, u3).
-
-    u2 and u3 are the mixed-radix digits: f = r1 + u2*m1 + u3*m1*m2.  They
-    are exposed so audit records can be replayed digit by digit.
-    """
+    """Mixed-radix reconstruction (f, u2, u3), f = r1 + u2*m1 + u3*m1*m2: the
+    certificate's Garner digits, which `pipeline` writes out inline."""
     m1, m2, m3 = triple.m1, triple.m2, triple.m3
     if not (0 <= r1 < m1 and 0 <= r2 < m2 and 0 <= r3 < m3):
         raise ValueError(f"residues ({r1}, {r2}, {r3}) out of range for {triple.moduli}")
     u2 = (r2 - r1) % m2 * triple.gamma12 % m2
     u3 = (r3 - r1 - u2 * m1) % m3 * triple.gamma23 % m3
     return r1 + u2 * m1 + u3 * m1 * m2, u2, u3
-
-
-def garner3(r1: int, r2: int, r3: int, triple: ModTriple) -> int:
-    """The unique f in [0, triple.M) with f = ri (mod mi) for i = 1, 2, 3."""
-    return garner3_parts(r1, r2, r3, triple)[0]
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -20,9 +20,6 @@ class OpCounter:
         if count:
             self.phases[phase] = self.phases.get(phase, 0) + int(count)
 
-    def get(self, phase: str) -> int:
-        return self.phases.get(phase, 0)
-
     def total(self) -> int:
         return sum(self.phases.values())
 

@@ -19,9 +19,10 @@ of the source, the view parameters and the candidate.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, each reconstruction, and one fresh verification view
 against nothing but the certificate and the signal.  It records no residue
-sets and no gate table: the fast path never enumerates pairs, and no replay
-reads either.  Older certificates that carry `residue_sets`, `gated_pairs`
-or `plan.alpha` still parse and replay; replay ignores those keys.
+sets and no gate table: the fast path never enumerates pairs.
+`parse_certificate` states every field replay reads (it ignores the rest,
+such as the gate trail of older certificates) and is the one check of a
+payload, run by both `Certificate.from_json` and `verify_certificate`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ import enum
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dft
-from .config import Config, _is_int, _is_number
+from .config import Config
 from .errors import (
     DenseRegimeError,
     NonFiniteError,
@@ -43,7 +45,7 @@ from .errors import (
     OracleCapExceededError,
     ParseError,
 )
-from .numtheory import ModTriple, garner3_parts
+from .numtheory import ModTriple
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
@@ -59,69 +61,18 @@ from .views import build_view_from_spectrum  # noqa: F401  looked up by the benc
 # The certificate's amplitude floor, relative to the largest recovered amplitude.
 AMPLITUDE_THRESHOLD_REL = 1e-6
 
+_FLOAT_MAX = sys.float_info.max
+_CRT_KEYS = ("r1", "r2", "r3", "u2", "u3")
+
 
 class RecoveryPath(enum.Enum):
     FAST = "fast"
     FALLBACK = "fallback"
 
 
-def _is_positive(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, list)
-
-
-def _optional(check):
-    return lambda value: value is None or check(value)
-
-
-def _in_range(stop: int):
-    return lambda value: _is_int(value) and 0 <= value < stop
-
-
-def _check_fields(record, where: str, **checks) -> None:
-    """Raise ParseError naming the first field of `record` that fails its check."""
-    if not isinstance(record, dict):
-        raise ParseError(f"certificate field {where.rstrip('.') or 'payload'} is not an object")
-    for key, check in checks.items():
-        if not check(record.get(key)):  # an absent key reads as None
-            raise ParseError(f"certificate field {where}{key} is missing or malformed")
-
-
-def _check_view(view, where: str, M: int) -> None:
-    """A view replay can build: m divides M, sigma in [1, M) is a unit mod M, b in [0, m)."""
-    _check_fields(view, where, m=lambda v: _is_positive(v) and M % v == 0,
-                  sigma=lambda v: _is_int(v) and 1 <= v < M and math.gcd(v, M) == 1,
-                  shifts=lambda v: _is_int(v) and v in (2, 3))
-    _check_fields(view, where, b=_in_range(view["m"]))
-
-
-def _check_replay_fields(p: dict) -> None:
-    """Raise ParseError unless every field replay reads is present, typed and in range."""
-    _check_fields(p, "", recovered=_is_list, grid_length=_is_positive,
-                  amplitude_threshold=_is_number, declared_n=_optional(_is_int),
-                  plan=_optional(lambda v: isinstance(v, dict)))
-    for i, entry in enumerate(p["recovered"]):
-        where = f"recovered[{i}]."
-        _check_fields(entry, where, f=_in_range(p["grid_length"]), re=_is_number, im=_is_number)
-        if entry.get("crt") is not None:
-            _check_fields(entry["crt"], where + "crt.", r1=_is_int, r2=_is_int, r3=_is_int,
-                          u2=_is_int, u3=_is_int)
-    plan = p.get("plan")
-    if plan is None:
-        return
-    _check_fields(plan, "plan.", m=_is_positive, gamma12=_is_int, gamma23=_is_int,
-                  moduli=lambda v: _is_list(v) and len(v) == 3 and all(map(_is_int, v)),
-                  verify_views=_optional(_is_list))
-    for i, view in enumerate(plan.get("verify_views") or []):
-        _check_view(view, f"plan.verify_views[{i}].", plan["m"])
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """Replayable audit record of one recovery run."""
+    """Replayable audit record of one recovery run; each replay parses it afresh."""
 
     payload: dict
 
@@ -134,9 +85,7 @@ class Certificate:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed certificate: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != "crtfft-certificate/1":
-            raise ParseError("not a crtfft certificate")
-        _check_replay_fields(payload)
+        parse_certificate(payload)
         return cls(payload=payload)
 
 
@@ -398,6 +347,151 @@ def build_certificate(
     return Certificate(payload=payload)
 
 
+def _malformed(path: str) -> ParseError:
+    return ParseError(f"certificate field {path} is missing or malformed")
+
+
+def _require(ok: bool, path: str) -> None:
+    if not ok:
+        raise _malformed(path)
+
+
+@dataclass(frozen=True)
+class ReplayFields:
+    """What replay reads of a certificate, typed (`parse_certificate`)."""
+
+    spectrum: SparseSpectrum
+    violations: list[str]  # the claims that fail without reading the signal
+    plan_grid: int | None
+    fresh_view: ViewParams | None  # the view replay rebuilds on plan_grid
+
+
+def parse_certificate(payload) -> ReplayFields:
+    """Check, in one pass, the fields of a `crtfft-certificate/1` payload
+    that replay reads; other keys are ignored.  Numbers are JSON ints or floats.
+
+      format               "crtfft-certificate/1"
+      grid_length          int >= 1
+      amplitude_threshold  finite number >= 0
+      declared_n           null or int (null and 0 declare no bound)
+      recovered[i]         f: int in [0, grid_length), one tone per f; re, im:
+                           finite numbers (both 0: no tone); crt: null or
+                           {r1, r2, r3, u2, u3: ints}
+      plan                 null or {m: int >= 1, moduli: three ints, gamma12,
+                           gamma23: ints, verify_views: null or list}
+      plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
+                           [1, plan.m), coprime to plan.m; b: int in [0, m);
+                           shifts: 2 or 3
+
+    A field that breaks its rule raises ParseError naming its path.  A
+    well-formed claim that fails is a violation, in this order:
+    amplitude-below-threshold and frequency-above-declared-n, each in
+    ascending f; then, with a plan, bad-moduli (no other plan claim is then
+    checked) or plan-product-mismatch, plan-grid-mismatch and
+    plan-inverse-mismatch, and in payload order each entry's
+    missing-crt-record, residue-mismatch or garner-replay-failed.
+    """
+    if type(payload) is not dict or payload.get("format") != "crtfft-certificate/1":
+        raise ParseError("not a crtfft certificate")
+    recovered, grid, tau, declared_n, plan = map(payload.get, (
+        "recovered", "grid_length", "amplitude_threshold", "declared_n", "plan"))
+    _require(type(recovered) is list, "recovered")
+    _require(type(grid) is int and grid >= 1, "grid_length")
+    _require(type(tau) in (float, int) and 0 <= tau <= _FLOAT_MAX, "amplitude_threshold")
+    _require(declared_n is None or type(declared_n) is int, "declared_n")
+    tau, limit = float(tau), declared_n or grid  # no f reaches the grid
+
+    triple = plan_grid = fresh_view = None
+    replayed = []  # the plan's claims, then each entry's CRT record
+    if plan is not None:
+        _require(type(plan) is dict, "plan")
+        plan_grid, moduli, views = map(plan.get, ("m", "moduli", "verify_views"))
+        _require(type(plan_grid) is int and plan_grid >= 1, "plan.m")
+        _require(type(plan.get("gamma12")) is int, "plan.gamma12")
+        _require(type(plan.get("gamma23")) is int, "plan.gamma23")
+        _require(type(moduli) is list and len(moduli) == 3
+                 and all(type(m) is int for m in moduli), "plan.moduli")
+        _require(views is None or type(views) is list, "plan.verify_views")
+        for j, view in enumerate(views or ()):
+            where = f"plan.verify_views[{j}]"
+            _require(type(view) is dict, where)
+            m, sigma, b, shifts = map(view.get, ("m", "sigma", "b", "shifts"))
+            _require(type(m) is int and m >= 1 and plan_grid % m == 0, where + ".m")
+            _require(type(sigma) is int and 1 <= sigma < plan_grid
+                     and math.gcd(sigma, plan_grid) == 1, where + ".sigma")
+            _require(type(b) is int and 0 <= b < m, where + ".b")
+            _require(type(shifts) is int and shifts in (2, 3), where + ".shifts")
+            fresh_view = fresh_view or ViewParams(m=m, sigma=sigma, b=b, shift_count=shifts)
+        try:
+            triple = ModTriple.create(*moduli)
+        except (ValueError, NotCoprimeError) as exc:
+            replayed.append(f"bad-moduli: {exc}")
+            fresh_view = None
+        else:
+            if triple.M != plan_grid:
+                replayed.append("plan-product-mismatch")
+            if plan_grid != grid:
+                replayed.append("plan-grid-mismatch")
+            if (triple.gamma12, triple.gamma23) != (plan["gamma12"], plan["gamma23"]):
+                replayed.append("plan-inverse-mismatch")
+            m1, m2, m3, g12, g23 = *triple.moduli, triple.gamma12, triple.gamma23
+            m12 = m1 * m2
+
+    pairs, low, above = [], [], []
+    ordered, last, lo, hi = True, -1, -_FLOAT_MAX, _FLOAT_MAX
+    for i, entry in enumerate(recovered):
+        if type(entry) is not dict:
+            raise _malformed(f"recovered[{i}]")
+        f, re, im, crt = entry.get("f"), entry.get("re"), entry.get("im"), entry.get("crt")
+        if type(f) is not int or not 0 <= f < grid:
+            raise _malformed(f"recovered[{i}].f")
+        if (type(re) is not float and type(re) is not int) or not lo <= re <= hi:
+            raise _malformed(f"recovered[{i}].re")
+        if (type(im) is not float and type(im) is not int) or not lo <= im <= hi:
+            raise _malformed(f"recovered[{i}].im")
+        if re or im:
+            c = complex(re, im)
+            if f <= last:
+                ordered = False
+            last = f
+            pairs.append((f, c))
+            if abs(c) < tau:
+                low.append((f, abs(c)))
+            if f >= limit:
+                above.append(f)
+        if crt is not None:
+            if type(crt) is not dict:
+                raise _malformed(f"recovered[{i}].crt")
+            r1, r2, r3 = crt.get("r1"), crt.get("r2"), crt.get("r3")
+            u2, u3 = crt.get("u2"), crt.get("u3")
+            if not type(r1) is type(r2) is type(r3) is type(u2) is type(u3) is int:
+                key = next(k for k in _CRT_KEYS if type(crt.get(k)) is not int)
+                raise _malformed(f"recovered[{i}].crt.{key}")
+        if triple is None:
+            continue
+        if crt is None:
+            replayed.append(f"missing-crt-record: f={f}")
+        elif r1 != f % m1 or r2 != f % m2 or r3 != f % m3:
+            replayed.append(f"residue-mismatch: f={f}")
+        else:
+            # the digits of numtheory.garner3_parts, written out for one pass
+            d2 = (r2 - r1) % m2 * g12 % m2
+            d3 = (r3 - r1 - d2 * m1) % m3 * g23 % m3
+            if r1 + d2 * m1 + d3 * m12 != f or d2 != u2 or d3 != u3:
+                replayed.append(f"garner-replay-failed: f={f}")
+
+    if not ordered:
+        if len({f for f, _ in pairs}) < len(pairs):
+            raise ParseError("certificate field recovered lists a frequency twice")
+        pairs.sort(key=lambda e: e[0])
+        low.sort()
+        above.sort()
+    violations = [f"amplitude-below-threshold: f={f} |a|={a:.3e} < {tau:.3e}" for f, a in low]
+    violations += [f"frequency-above-declared-n: f={f} >= {declared_n}" for f in above]
+    return ReplayFields(SparseSpectrum(tuple(pairs), grid), violations + replayed, plan_grid,
+                        fresh_view)
+
+
 def verify_certificate(
     cert: Certificate,
     source: SignalSource,
@@ -405,78 +499,24 @@ def verify_certificate(
 ) -> list[str]:
     """Re-derive every certificate claim from scratch; empty list means valid.
 
-    Checks: the signal's grid against the certificate's, moduli
-    consistency, Garner replay of every recovered frequency (digits and
-    reconstruction), range against the declared nominal length, amplitudes
-    against the recorded threshold, and one fresh two-part test (`check_view`)
-    of the recovered spectrum against the signal.  Keys that older
-    certificates carry and replay does not read (`residue_sets`,
-    `gated_pairs`, `plan.alpha`) are ignored.
+    `parse_certificate` checks the payload and the claims that need no
+    signal; this adds the signal's grid and one fresh two-part test
+    (`check_view`) of the recovered spectrum on the first verification view.
     """
     cfg = config or Config()
-    violations: list[str] = []
-    p = cert.payload
-    plan_info = p.get("plan")
-    try:
-        spectrum = SparseSpectrum.from_pairs(
-            [(e["f"], complex(e["re"], e["im"])) for e in p["recovered"]],
-            p["grid_length"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"certificate recovered list malformed: {exc}") from exc
+    fields = parse_certificate(cert.payload)
+    spectrum = fields.spectrum
+    violations = []
     if source.grid_length != spectrum.grid_length:
-        violations.append(
-            f"signal-grid-mismatch: signal grid {source.grid_length} "
-            f"!= certificate grid {spectrum.grid_length}"
-        )
-
-    tau = float(p.get("amplitude_threshold", 0.0))
-    for f, c in spectrum.entries:
-        if abs(c) < tau:
-            violations.append(f"amplitude-below-threshold: f={f} |a|={abs(c):.3e} < {tau:.3e}")
-
-    declared_n = p.get("declared_n")
-    if declared_n:
-        for f, _ in spectrum.entries:
-            if f >= declared_n:
-                violations.append(f"frequency-above-declared-n: f={f} >= {declared_n}")
-
-    if plan_info is not None:
-        try:
-            triple = ModTriple.create(*plan_info["moduli"])
-        except (ValueError, NotCoprimeError) as exc:
-            violations.append(f"bad-moduli: {exc}")
-            return violations
-        if triple.M != plan_info["m"]:
-            violations.append("plan-product-mismatch")
-        if plan_info["m"] != spectrum.grid_length:
-            violations.append("plan-grid-mismatch")
-        if triple.gamma12 != plan_info["gamma12"] or triple.gamma23 != plan_info["gamma23"]:
-            violations.append("plan-inverse-mismatch")
-        for entry in p["recovered"]:
-            f = entry["f"]
-            crt = entry.get("crt")
-            if crt is None:
-                violations.append(f"missing-crt-record: f={f}")
-                continue
-            expected = (f % triple.m1, f % triple.m2, f % triple.m3)
-            if (crt["r1"], crt["r2"], crt["r3"]) != expected:
-                violations.append(f"residue-mismatch: f={f}")
-                continue
-            g, u2, u3 = garner3_parts(crt["r1"], crt["r2"], crt["r3"], triple)
-            if g != f or u2 != crt["u2"] or u3 != crt["u3"]:
-                violations.append(f"garner-replay-failed: f={f}")
-        verify_views = plan_info.get("verify_views") or []
-        if verify_views and source.grid_length == plan_info["m"]:
-            # the one view replay rebuilds is checked here too, so a payload
-            # that did not come through from_json fails as a ParseError
-            v = verify_views[0]
-            _check_view(v, "plan.verify_views[0].", source.grid_length)
-            vp = ViewParams(m=v["m"], sigma=v["sigma"], b=v["b"], shift_count=v["shifts"])
-            check = check_view(build_view(source, vp, source.grid_length), spectrum,
-                               cfg.verify_eps_rel)
-            if check.parseval_gap > check.epsilon:
-                violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
-            if check.residual_energy > check.epsilon:
-                violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
+        violations.append(f"signal-grid-mismatch: signal grid {source.grid_length} "
+                          f"!= certificate grid {spectrum.grid_length}")
+    violations += fields.violations
+    vp = fields.fresh_view
+    if vp is not None and source.grid_length == fields.plan_grid:
+        check = check_view(build_view(source, vp, source.grid_length), spectrum,
+                           cfg.verify_eps_rel)
+        if check.parseval_gap > check.epsilon:
+            violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
+        if check.residual_energy > check.epsilon:
+            violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
     return violations

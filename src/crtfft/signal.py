@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dft
-from .config import _is_int, _is_number
+from .config import _is_int, _is_integer, _is_number
 from .errors import (
     DuplicateFrequencyError,
     NonFiniteError,
@@ -56,10 +56,13 @@ class SparseSpectrum:
 
     @classmethod
     def from_pairs(cls, pairs, grid_length: int) -> "SparseSpectrum":
+        """The nonzero pairs sorted by f, a Python or numpy integer in [0, grid_length)."""
         if grid_length < 1:
             raise ValueError(f"grid_length must be positive, got {grid_length}")
         cleaned = []
         for f, coeff in pairs:
+            if not _is_integer(f):
+                raise OutOfRangeError(f"frequency {f!r} is not an integer grid point")
             f = int(f)
             coeff = complex(coeff)
             if not (0 <= f < grid_length):

@@ -3,8 +3,8 @@ import pytest
 
 from crtfft.config import Config
 from crtfft.errors import OutOfRangeError
-from crtfft.gating import extract_residues, gate_pairs, gate_survivor_stats
-from crtfft.numtheory import ModTriple, garner2
+from crtfft.gating import extract_residues, garner2, gate_pairs, gate_survivor_stats
+from crtfft.numtheory import ModTriple
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import synthesize
 from crtfft.views import ViewSpectrum, build_views

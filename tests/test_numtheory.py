@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.errors import NotCoprimeError
+from crtfft.gating import garner2
 from crtfft.numtheory import (
     ModTriple,
     coprime_divisor_capacity,
     egcd,
     factorize,
-    garner2,
-    garner3,
     garner3_parts,
     mod_inverse,
 )
@@ -105,17 +104,17 @@ class TestGarner2:
 class TestGarner3:
     def test_published_value(self):
         t = ModTriple.create(7, 11, 13)
-        assert garner3(6, 8, 2, t) == 41
+        assert garner3_parts(6, 8, 2, t)[0] == 41
 
     def test_trivial_values(self):
         t = ModTriple.create(7, 11, 13)
-        assert garner3(0, 0, 0, t) == 0
-        assert garner3(5, 5, 5, t) == 5
+        assert garner3_parts(0, 0, 0, t)[0] == 0
+        assert garner3_parts(5, 5, 5, t)[0] == 5
 
     def test_full_sweep_1001(self):
         t = ModTriple.create(7, 11, 13)
         for f in range(1001):
-            assert garner3(f % 7, f % 11, f % 13, t) == f
+            assert garner3_parts(f % 7, f % 11, f % 13, t)[0] == f
 
     def test_random_small_triples_roundtrip(self):
         triples = [(3, 5, 7), (8, 9, 11), (16, 21, 25), (23, 29, 31), (32, 45, 49)]
@@ -123,7 +122,7 @@ class TestGarner3:
             t = ModTriple.create(m1, m2, m3)
             assert t.M <= 10**5
             for f in range(t.M):
-                assert garner3(f % m1, f % m2, f % m3, t) == f
+                assert garner3_parts(f % m1, f % m2, f % m3, t)[0] == f
 
     def test_parts_recompose(self):
         t = ModTriple.create(7, 11, 13)
@@ -136,7 +135,7 @@ class TestGarner3:
         for f in range(77):
             f12 = garner2(f % 7, f % 11, 7, 11)
             assert f12 == f
-            assert garner3(f % 7, f % 11, f12 % 13, t) == f
+            assert garner3_parts(f % 7, f % 11, f12 % 13, t)[0] == f
 
 
 class TestModTriple:

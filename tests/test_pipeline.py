@@ -69,6 +69,16 @@ def fast_certificate():
     return result.certificate.to_json(), src
 
 
+@functools.cache
+def fallback_certificate():
+    """(certificate JSON, source) of one dense-fallback run."""
+    rng = np.random.default_rng(11)
+    src = from_dense(rng.normal(size=64) + 1j * rng.normal(size=64))
+    result = sparse_fft(src, 3, seed=0)
+    assert result.path is RecoveryPath.FALLBACK
+    return result.certificate.to_json(), src
+
+
 class TestSparseFft:
     def test_worked_example_fast_path(self):
         spec, src = toy_instance()
@@ -649,8 +659,7 @@ class TestCertificates:
     @pytest.mark.parametrize("field, value", [("sigma", 2**70), ("b", "x")],
                              ids=["huge-sigma", "string-b"])
     def test_payload_verify_view_is_checked_on_replay(self, field, value):
-        # a Certificate built from a payload skips from_json's checks; replay
-        # still checks the one view it rebuilds
+        # a Certificate built from a payload skips from_json; replay parses it
         text, src = fast_certificate()
         payload = json.loads(text)
         payload["plan"]["verify_views"][0][field] = value
@@ -673,16 +682,47 @@ class TestCertificates:
             return
         assert violations == []
 
+    @pytest.mark.parametrize(
+        "make, path, value",
+        [
+            (fast_certificate, ("plan", "moduli"), "x"),
+            (fast_certificate, ("plan", "moduli", 2), 13.0),
+            (fast_certificate, ("recovered", 0, "crt"), "x"),
+            (fast_certificate, ("amplitude_threshold",), "x"),
+            (fast_certificate, ("recovered", 0, "f"), "x"),
+            (fast_certificate, ("declared_n",), "x"),
+            (fallback_certificate, ("recovered", 0, "f"), lambda p: p["recovered"][0]["f"] + 0.7),
+            (fallback_certificate, ("recovered", 1, "f"), lambda p: p["recovered"][0]["f"]),
+            (fast_certificate, ("recovered", 0, "re"), math.inf),
+        ],
+        ids=["string-moduli", "float-modulus", "string-crt", "string-threshold", "string-f",
+             "string-declared-n", "fractional-fallback-f", "duplicate-f", "infinite-re"],
+    )
+    def test_payload_replay_is_parse_error(self, make, path, value):
+        # a payload-built certificate is refused as its JSON text is: not
+        # with a raw TypeError or ValueError, not replayed on a truncated f
+        text, src = make()
+        payload = json.loads(text)
+        set_json_value(payload, path, value(payload) if callable(value) else value)
+        with pytest.raises(ParseError):
+            verify_certificate(Certificate(payload=payload), src)
+        with pytest.raises(ParseError):
+            Certificate.from_json(json.dumps(payload))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_mutated_certificate_replays_or_is_parse_error(self, data):
         # Deleting, retyping or (for an integer) moving out of range any one
-        # value gives a violation list or a ParseError, never a raw exception.
-        text, src = fast_certificate()
+        # value gives a violation list or a ParseError, never a raw exception,
+        # and the same outcome from the payload as from its JSON text.
+        text, src = data.draw(st.sampled_from((fast_certificate, fallback_certificate)))()
         payload = json.loads(text)
         mutate_one_value(payload, data)
         try:
-            cert = Certificate.from_json(json.dumps(payload))
+            violations = verify_certificate(Certificate(payload=payload), src)
         except ParseError:
+            with pytest.raises(ParseError):
+                Certificate.from_json(json.dumps(payload))
             return
-        assert isinstance(verify_certificate(cert, src), list)
+        assert isinstance(violations, list)
+        assert verify_certificate(Certificate.from_json(json.dumps(payload)), src) == violations

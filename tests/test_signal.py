@@ -49,6 +49,18 @@ class TestSparseSpectrum:
         with pytest.raises(OutOfRangeError):
             SparseSpectrum.from_pairs([(8, 1.0)], 8)
 
+    @pytest.mark.parametrize("f", [1.7, np.float64(2.9), True, "3"],
+                             ids=["float", "numpy-float", "bool", "string"])
+    def test_non_integer_frequency_rejected(self, f):
+        # nothing is rounded or parsed onto the grid
+        with pytest.raises(OutOfRangeError, match="not an integer"):
+            SparseSpectrum.from_pairs([(f, 1.0)], 8)
+
+    def test_numpy_integer_frequencies(self):
+        s = SparseSpectrum.from_pairs([(np.int64(5), 1j), (np.uint8(2), 1.0)], 8)
+        assert s.entries == ((2, 1.0), (5, 1j))
+        assert all(type(f) is int for f, _ in s.entries)
+
     def test_nonfinite_rejected(self):
         # in the real part and in the imaginary part alone
         for coeff in (complex("nan"), complex(1, float("nan")), complex("inf"),
