@@ -41,7 +41,7 @@ from .numtheory import (
     ModTriple,
     coprime_divisor_capacity,
     egcd,
-    garner3_parts,
+    garner_digits,
     mod_inverse,
 )
 from .dft import dft_direct, dft_forward, dft_inverse

@@ -256,17 +256,15 @@ def _mc_verify_miss(args, writer):
     for trial_seed, rng in trial_streams(args.seed, "verify-miss", args.trials):
         freqs = draw_support(rng, args.k, plan.N)
         coeffs = np.exp(2j * np.pi * rng.random(args.k))
-        truth = SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), plan.M)
+        truth = SparseSpectrum.from_pairs(zip(freqs, coeffs), plan.M)
         # Parseval-neutral corruption: swap one frequency, keep its coefficient
         victim = int(rng.integers(0, args.k))
         while True:
             wrong = int(rng.integers(0, plan.N))
             if wrong not in freqs:
                 break
-        corrupted_pairs = [
-            ((wrong if i == victim else f), c) for i, (f, c) in enumerate(zip(freqs, coeffs))
-        ]
-        corrupted = SparseSpectrum.from_pairs(corrupted_pairs, plan.M)
+        swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
+        corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
         views = tuple(
             draw_view_params(m, plan.M, trial_seed, "verify-miss", i, cfg.shift_count)
             for i, m in enumerate(plan.triple.moduli)

@@ -1,8 +1,9 @@
 """Exact integer and modular arithmetic.
 
-Everything here runs on Python integers, so intermediates never wrap; the
-checked bound on modulus products only guards against plans that would be
-unusably large downstream.  All functions are pure and deterministic.
+Everything but `garner_digits`, which only divides int64 frequencies, runs on
+Python integers, so intermediates never wrap; the checked bound on modulus
+products only guards against plans that would be unusably large downstream.
+All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotCoprimeError
 
@@ -87,15 +90,13 @@ class ModTriple:
         return (self.m1, self.m2, self.m3)
 
 
-def garner3_parts(r1: int, r2: int, r3: int, triple: ModTriple) -> tuple[int, int, int]:
-    """Mixed-radix reconstruction (f, u2, u3), f = r1 + u2*m1 + u3*m1*m2: the
-    certificate's Garner digits, which `pipeline` writes out inline."""
-    m1, m2, m3 = triple.m1, triple.m2, triple.m3
-    if not (0 <= r1 < m1 and 0 <= r2 < m2 and 0 <= r3 < m3):
-        raise ValueError(f"residues ({r1}, {r2}, {r3}) out of range for {triple.moduli}")
-    u2 = (r2 - r1) % m2 * triple.gamma12 % m2
-    u3 = (r3 - r1 - u2 * m1) % m3 * triple.gamma23 % m3
-    return r1 + u2 * m1 + u3 * m1 * m2, u2, u3
+def garner_digits(freqs, triple: ModTriple) -> tuple[np.ndarray, ...]:
+    """The residues (r1, r2, r3) and mixed-radix digits (u2, u3) of each f in
+    [0, M) as int64 arrays, f = r1 + u2*m1 + u3*m1*m2: the digits Garner's
+    algorithm computes from the residues, read here from f by division."""
+    f = np.asarray(freqs, dtype=np.int64)
+    m1, m2, m3 = triple.moduli
+    return f % m1, f % m2, f % m3, f // m1 % m2, f // (m1 * m2)
 
 
 def factorize(n: int) -> dict[int, int]:

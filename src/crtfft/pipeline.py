@@ -45,13 +45,13 @@ from .errors import (
     OracleCapExceededError,
     ParseError,
 )
-from .numtheory import ModTriple
+from .numtheory import ModTriple, garner_digits
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
 from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan
 from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
-from .signal import SignalSource, SparseSpectrum, from_dense
+from .signal import _INT64_MAX, SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
 from .views import build_view, build_views, top_k_order
 from .gating import extract_residues  # noqa: F401  looked up by the benchmark tracer
@@ -101,13 +101,7 @@ class RecoveryResult:
     def to_dict(self) -> dict:
         return {
             "path": self.path.value,
-            "spectrum": {
-                "grid_length": self.spectrum.grid_length,
-                "entries": [
-                    {"f": int(f), "re": float(c.real), "im": float(c.imag)}
-                    for f, c in self.spectrum.entries
-                ],
-            },
+            "spectrum": self.spectrum.to_dict(),
             "op_counts": self.op_counts,
             "certificate": self.certificate.payload,
         }
@@ -161,7 +155,7 @@ def dense_fallback(
     # The selection already gives distinct, sorted, in-range frequencies and
     # finite coefficients; only a bin that underflows to 0 on division is dropped.
     nonzero = coeffs != 0
-    return SparseSpectrum(tuple(zip(top[nonzero].tolist(), coeffs[nonzero].tolist())), M)
+    return SparseSpectrum(top[nonzero].astype(np.int64, copy=False), coeffs[nonzero], M)
 
 
 def sparse_fft(
@@ -233,7 +227,7 @@ def sparse_fft(
             if len(freqs) > k:
                 keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
-            candidate = SparseSpectrum(tuple(zip(freqs.tolist(), coeffs.tolist())), plan.M)
+            candidate = SparseSpectrum(freqs, coeffs, plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
             report = verify(verify_views, candidate, cfg, op)
@@ -301,24 +295,28 @@ def build_certificate(
     format; no run rehashes or draws extra verification views, so both are
     always 0.
     """
-    amplitudes = [abs(c) for _, c in spectrum.entries]
-    tau = AMPLITUDE_THRESHOLD_REL * max(amplitudes, default=0.0)
-    payload: dict = {
+    freqs, coeffs = spectrum.freqs.tolist(), spectrum.coeffs.tolist()
+    crts = [None] * len(freqs)
+    if plan is not None:
+        digits = (d.tolist() for d in garner_digits(spectrum.freqs, plan.triple))
+        crts = [{"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3}
+                for r1, r2, r3, u2, u3 in zip(*digits)]
+    return Certificate(payload={
         "format": "crtfft-certificate/1",
         "k": k,
         "seed": seed,
         "path": path.value,
         "fallback_reason": fallback_reason,
         "escalation": {"rehashes": 0, "extra_verify_views": 0},
-        "amplitude_threshold": tau,
+        # Python's abs of each complex: numpy's differs from it in the last
+        # ulp on some values
+        "amplitude_threshold": AMPLITUDE_THRESHOLD_REL * max(map(abs, coeffs), default=0.0),
         "declared_n": declared_n,
         "grid_length": spectrum.grid_length,
-        "recovered": [],
-        "plan": None,
-        "verification": report.to_dict() if report is not None else None,
-    }
-    if plan is not None:
-        payload["plan"] = {
+        # .tolist() gives Python ints and complexes, whose parts serialize as they are
+        "recovered": [{"f": f, "re": c.real, "im": c.imag, "crt": crt}
+                      for f, c, crt in zip(freqs, coeffs, crts)],
+        "plan": None if plan is None else {
             "n": plan.N,
             "k": plan.k,
             "m": plan.M,
@@ -327,24 +325,9 @@ def build_certificate(
             "gamma23": plan.triple.gamma23,
             "id_views": [_view_dict(v) for v in plan.id_views],
             "verify_views": [_view_dict(v) for v in plan.verify_views],
-        }
-        m1, m2, m3 = plan.triple.moduli
-        gamma12, gamma23 = plan.triple.gamma12, plan.triple.gamma23
-        recovered = payload["recovered"]
-        # entries hold Python ints and complexes; the digits are
-        # numtheory.garner3_parts's, written out for one pass per entry
-        for f, c in spectrum.entries:
-            r1, r2, r3 = f % m1, f % m2, f % m3
-            u2 = (r2 - r1) % m2 * gamma12 % m2
-            u3 = (r3 - r1 - u2 * m1) % m3 * gamma23 % m3
-            recovered.append({"f": f, "re": c.real, "im": c.imag,
-                              "crt": {"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3}})
-    else:
-        # entries hold Python ints and complexes, which serialize as they are
-        payload["recovered"] = [
-            {"f": f, "re": c.real, "im": c.imag, "crt": None} for f, c in spectrum.entries
-        ]
-    return Certificate(payload=payload)
+        },
+        "verification": report.to_dict() if report is not None else None,
+    })
 
 
 def _malformed(path: str) -> ParseError:
@@ -371,7 +354,7 @@ def parse_certificate(payload) -> ReplayFields:
     that replay reads; other keys are ignored.  Numbers are JSON ints or floats.
 
       format               "crtfft-certificate/1"
-      grid_length          int >= 1
+      grid_length          int in [1, 2^63)
       amplitude_threshold  finite number >= 0
       declared_n           null or int (null and 0 declare no bound)
       recovered[i]         f: int in [0, grid_length), one tone per f; re, im:
@@ -396,7 +379,7 @@ def parse_certificate(payload) -> ReplayFields:
     recovered, grid, tau, declared_n, plan = map(payload.get, (
         "recovered", "grid_length", "amplitude_threshold", "declared_n", "plan"))
     _require(type(recovered) is list, "recovered")
-    _require(type(grid) is int and grid >= 1, "grid_length")
+    _require(type(grid) is int and 1 <= grid <= _INT64_MAX, "grid_length")
     _require(type(tau) in (float, int) and 0 <= tau <= _FLOAT_MAX, "amplitude_threshold")
     _require(declared_n is None or type(declared_n) is int, "declared_n")
     tau, limit = float(tau), declared_n or grid  # no f reaches the grid
@@ -437,7 +420,7 @@ def parse_certificate(payload) -> ReplayFields:
             m1, m2, m3, g12, g23 = *triple.moduli, triple.gamma12, triple.gamma23
             m12 = m1 * m2
 
-    pairs, low, above = [], [], []
+    freqs, coeffs, low, above = [], [], [], []
     ordered, last, lo, hi = True, -1, -_FLOAT_MAX, _FLOAT_MAX
     for i, entry in enumerate(recovered):
         if type(entry) is not dict:
@@ -454,7 +437,8 @@ def parse_certificate(payload) -> ReplayFields:
             if f <= last:
                 ordered = False
             last = f
-            pairs.append((f, c))
+            freqs.append(f)
+            coeffs.append(c)
             if abs(c) < tau:
                 low.append((f, abs(c)))
             if f >= limit:
@@ -474,21 +458,26 @@ def parse_certificate(payload) -> ReplayFields:
         elif r1 != f % m1 or r2 != f % m2 or r3 != f % m3:
             replayed.append(f"residue-mismatch: f={f}")
         else:
-            # the digits of numtheory.garner3_parts, written out for one pass
+            # Garner's digits from the residues, not numtheory.garner_digits,
+            # which wrote them by division: replay checks build_certificate
+            # with a different computation
             d2 = (r2 - r1) % m2 * g12 % m2
             d3 = (r3 - r1 - d2 * m1) % m3 * g23 % m3
             if r1 + d2 * m1 + d3 * m12 != f or d2 != u2 or d3 != u3:
                 replayed.append(f"garner-replay-failed: f={f}")
 
+    freqs = np.fromiter(freqs, np.int64, len(freqs))
+    coeffs = np.fromiter(coeffs, np.complex128, len(coeffs))
     if not ordered:
-        if len({f for f, _ in pairs}) < len(pairs):
+        order = np.argsort(freqs, kind="stable")
+        freqs, coeffs = freqs[order], coeffs[order]
+        if (freqs[1:] == freqs[:-1]).any():
             raise ParseError("certificate field recovered lists a frequency twice")
-        pairs.sort(key=lambda e: e[0])
         low.sort()
         above.sort()
     violations = [f"amplitude-below-threshold: f={f} |a|={a:.3e} < {tau:.3e}" for f, a in low]
     violations += [f"frequency-above-declared-n: f={f} >= {declared_n}" for f in above]
-    return ReplayFields(SparseSpectrum(tuple(pairs), grid), violations + replayed, plan_grid,
+    return ReplayFields(SparseSpectrum(freqs, coeffs, grid), violations + replayed, plan_grid,
                         fresh_view)
 
 

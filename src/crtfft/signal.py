@@ -1,10 +1,11 @@
 """Exact k-sparse signal model on an integer grid.
 
-A :class:`SparseSpectrum` lists (frequency, coefficient) pairs on a grid of
-length M; the matching time-domain signal is x[n] = sum_i A_i e^{+2pi i f_i
-n/M}.  :class:`SignalSource` is the lazy sample oracle over that grid, and
-the fast path only ever touches O(m1 + m2 + m3) indices, so nothing is
-materialized unless the dense fallback runs.  An index block may have any
+A :class:`SparseSpectrum` holds the frequencies and coefficients of its tones
+as two arrays on a grid of length M; the matching time-domain signal is
+x[n] = sum_i A_i e^{+2pi i f_i n/M}.  :class:`SignalSource` is the lazy
+sample oracle over that grid, and the fast path only ever touches
+O(m1 + m2 + m3) indices, so nothing is materialized unless the dense
+fallback runs.  An index block may have any
 shape and its values come back in that shape.  A synthesized source reads n
 arbitrary indices in O(k*n) arithmetic; a stack of R rows that are each a
 full cyclic progression mod M, every row with its own step (the shifts of
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -45,51 +47,86 @@ from .errors import (
 
 # Batched index arithmetic uses int64 products of two grid positions.
 _MAX_GRID = 3_000_000_000
+_INT64_MAX = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSpectrum:
-    """Sorted, duplicate-free list of nonzero tones on a fixed grid."""
+    """Nonzero tones on a fixed grid as two read-only arrays: `freqs` (int64,
+    ascending, distinct, in [0, grid_length)) and `coeffs` (complex128, finite,
+    nonzero).  The constructor trusts the arrays it is given and makes them
+    read-only, so it takes them over; `from_pairs` checks pairs."""
 
-    entries: tuple[tuple[int, complex], ...]
+    freqs: np.ndarray
+    coeffs: np.ndarray
     grid_length: int
 
+    def __post_init__(self):
+        self.freqs.setflags(write=False)
+        self.coeffs.setflags(write=False)
+
     @classmethod
-    def from_pairs(cls, pairs, grid_length: int) -> "SparseSpectrum":
-        """The nonzero pairs sorted by f, a Python or numpy integer in [0, grid_length)."""
-        if grid_length < 1:
-            raise ValueError(f"grid_length must be positive, got {grid_length}")
-        cleaned = []
+    def from_pairs(cls, pairs, grid_length) -> "SparseSpectrum":
+        """The nonzero pairs sorted by f: grid_length a Python or numpy integer
+        in [1, 2^63), each f one in [0, grid_length) and each coefficient a
+        finite number (not a bool), or a CrtFftError."""
+        if not (_is_integer(grid_length) and grid_length >= 1):
+            raise OutOfRangeError(f"grid_length must be an integer >= 1, got {grid_length!r}")
+        if grid_length > _INT64_MAX:
+            raise OracleCapExceededError(
+                f"grid length {grid_length} above supported maximum {_INT64_MAX}")
+        grid_length = int(grid_length)
+        freqs, coeffs = [], []
         for f, coeff in pairs:
             if not _is_integer(f):
                 raise OutOfRangeError(f"frequency {f!r} is not an integer grid point")
+            if isinstance(coeff, bool) or not isinstance(coeff, numbers.Number):
+                raise OutOfRangeError(f"coefficient {coeff!r} at frequency {f} is not a number")
             f = int(f)
-            coeff = complex(coeff)
             if not (0 <= f < grid_length):
                 raise OutOfRangeError(f"frequency {f} outside [0, {grid_length})")
+            try:
+                coeff = complex(coeff)
+            except OverflowError as exc:  # an integer past the float range
+                raise NonFiniteError(f"coefficient at frequency {f} is not finite") from exc
             if coeff == 0:
                 continue
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise NonFiniteError(f"coefficient at frequency {f} is not finite")
-            cleaned.append((f, coeff))
-        cleaned.sort(key=lambda e: e[0])
-        for (fa, _), (fb, _) in zip(cleaned, cleaned[1:]):
-            if fa == fb:
-                raise DuplicateFrequencyError(f"frequency {fa} listed twice")
-        return cls(entries=tuple(cleaned), grid_length=grid_length)
+            freqs.append(f)
+            coeffs.append(coeff)
+        freqs = np.array(freqs, dtype=np.int64)
+        order = np.argsort(freqs, kind="stable")
+        freqs = freqs[order]
+        twice = np.flatnonzero(freqs[1:] == freqs[:-1])
+        if twice.size:
+            raise DuplicateFrequencyError(f"frequency {freqs[twice[0]]} listed twice")
+        return cls(freqs, np.array(coeffs, dtype=np.complex128)[order], grid_length)
+
+    @property
+    def entries(self) -> tuple[tuple[int, complex], ...]:
+        """The tones as (int, complex) pairs, ascending in f."""
+        return tuple(zip(self.freqs.tolist(), self.coeffs.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.freqs)
 
     def frequencies(self) -> np.ndarray:
-        return np.array([f for f, _ in self.entries], dtype=np.int64)
+        return self.freqs
 
     def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.entries], dtype=np.complex128)
+        return self.coeffs
 
     def energy(self) -> float:
         """Sum of squared coefficient magnitudes."""
-        return float(np.sum(np.abs(self.coefficients()) ** 2)) if self.entries else 0.0
+        return float(np.sum(np.abs(self.coeffs) ** 2))
+
+    def to_dict(self) -> dict:
+        """The spectrum file's JSON object: grid_length and one {f, re, im} per tone."""
+        return {
+            "grid_length": self.grid_length,
+            "entries": [{"f": f, "re": c.real, "im": c.imag} for f, c in self.entries],
+        }
 
 
 class SignalSource:
@@ -136,12 +173,10 @@ class _SynthesizedSource(SignalSource):
         self.spectrum = spectrum
         self.grid_length = spectrum.grid_length
         self.original_length = spectrum.grid_length
-        self._freqs = spectrum.frequencies()
-        self._coeffs = spectrum.coefficients()
 
     def sample_block(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
-        if self._freqs.size == 0:
+        if len(self.spectrum) == 0:
             return np.zeros(idx.shape, dtype=np.complex128)
         steps = _progression_step(idx, self.grid_length)
         if steps is not None:
@@ -151,12 +186,12 @@ class _SynthesizedSource(SignalSource):
         out = np.empty(flat.shape, dtype=np.complex128)
         # Chunk so the (k, block) phase matrix stays small; reduce f*n mod M
         # in exact int64 before the only float conversion.
-        step = max(1, (1 << 20) // max(1, self._freqs.size))
+        step = max(1, (1 << 20) // len(self.spectrum))
         for start in range(0, flat.size, step):
             part = flat[start : start + step]
-            rem = (self._freqs[:, None] * part[None, :]) % self.grid_length
+            rem = (self.spectrum.freqs[:, None] * part[None, :]) % self.grid_length
             phases = np.exp(2j * np.pi * rem / self.grid_length)
-            out[start : start + part.size] = self._coeffs @ phases
+            out[start : start + part.size] = self.spectrum.coeffs @ phases
         return out.reshape(idx.shape)
 
     def _read_grid(self) -> np.ndarray:
@@ -177,10 +212,11 @@ class _SynthesizedSource(SignalSource):
         """
         M = self.grid_length
         offsets = np.arange(0, starts.size * n, n, dtype=np.int64)
-        bins = (steps * n // M)[:, None] * self._freqs % n + offsets[:, None]
-        twists = np.exp(2j * np.pi * ((starts[:, None] * self._freqs) % M) / M)
+        freqs, coeffs = self.spectrum.freqs, self.spectrum.coeffs
+        bins = (steps * n // M)[:, None] * freqs % n + offsets[:, None]
+        twists = np.exp(2j * np.pi * ((starts[:, None] * freqs) % M) / M)
         scattered = np.zeros(starts.size * n, dtype=np.complex128)
-        np.add.at(scattered, bins.ravel(), (self._coeffs * twists).ravel())
+        np.add.at(scattered, bins.ravel(), (coeffs * twists).ravel())
         return n * dft.dft_inverse(scattered.reshape(starts.size, n))
 
 
@@ -261,15 +297,8 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
 
 
 def save_spectrum(spectrum: SparseSpectrum, path) -> None:
-    payload = {
-        "grid_length": spectrum.grid_length,
-        "entries": [
-            {"f": int(f), "re": float(c.real), "im": float(c.imag)}
-            for f, c in spectrum.entries
-        ],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(spectrum.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -103,13 +103,13 @@ def check_views(
     if any(v.time_energy is None for v in views):
         raise ValueError("check_views needs views built from samples")
     stack, layout = stack_views(views)
-    freqs, coeffs = candidate.frequencies(), candidate.coefficients()
-    predicted = alias_stack(freqs, coeffs, layout, stack.shape, views[0].M)
+    predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views[0].M)
     energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[3]).tolist()
     residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[3])
     if op is not None:
         # per view: energy part, then residual part
-        op.add("verify", stack.shape[1] + stack.size + (1 + stack.shape[0]) * len(views) * len(freqs))
+        op.add("verify", stack.shape[1] + stack.size
+               + (1 + stack.shape[0]) * len(views) * len(candidate))
     checks = []
     for view, energy, residual in zip(views, energies, residuals.tolist()):
         gap = abs(view.time_energy / view.m - energy)

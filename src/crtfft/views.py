@@ -146,7 +146,7 @@ def build_view_from_spectrum(
     if M % params.m != 0:
         raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
     layout = np.array([[params.a], [params.b], [params.m], [0]])
-    bins = alias_stack(spectrum.frequencies(), spectrum.coefficients(), layout,
+    bins = alias_stack(spectrum.freqs, spectrum.coeffs, layout,
                        (params.shift_count, params.m), M)
     return ViewSpectrum(params=params, M=M, bins=bins)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from crtfft.numtheory import (
     coprime_divisor_capacity,
     egcd,
     factorize,
-    garner3_parts,
+    garner_digits,
     mod_inverse,
 )
 
@@ -101,41 +102,58 @@ class TestGarner2:
         assert f % m1 == r1 and f % m2 == r2
 
 
+def _recompose(freqs, t):
+    r1, r2, r3, u2, u3 = garner_digits(freqs, t)
+    return r1 + u2 * t.m1 + u3 * t.m1 * t.m2
+
+
 class TestGarner3:
     def test_published_value(self):
         t = ModTriple.create(7, 11, 13)
-        assert garner3_parts(6, 8, 2, t)[0] == 41
+        r1, r2, r3, _, _ = garner_digits(np.array([41]), t)
+        assert (r1[0], r2[0], r3[0]) == (6, 8, 2)
+        assert _recompose(np.array([41]), t).tolist() == [41]
 
     def test_trivial_values(self):
         t = ModTriple.create(7, 11, 13)
-        assert garner3_parts(0, 0, 0, t)[0] == 0
-        assert garner3_parts(5, 5, 5, t)[0] == 5
+        assert [d.tolist() for d in garner_digits(np.array([0, 5]), t)] == [
+            [0, 5], [0, 5], [0, 5], [0, 0], [0, 0]]
 
     def test_full_sweep_1001(self):
         t = ModTriple.create(7, 11, 13)
-        for f in range(1001):
-            assert garner3_parts(f % 7, f % 11, f % 13, t)[0] == f
+        f = np.arange(1001)
+        r1, r2, r3, u2, u3 = garner_digits(f, t)
+        assert (r1 == f % 7).all() and (r2 == f % 11).all() and (r3 == f % 13).all()
+        assert (_recompose(f, t) == f).all()
+        # the digits Garner's algorithm computes from the residues alone
+        assert (u2 == (r2 - r1) % 11 * t.gamma12 % 11).all()
+        assert (u3 == (r3 - r1 - u2 * 7) % 13 * t.gamma23 % 13).all()
 
     def test_random_small_triples_roundtrip(self):
         triples = [(3, 5, 7), (8, 9, 11), (16, 21, 25), (23, 29, 31), (32, 45, 49)]
         for m1, m2, m3 in triples:
             t = ModTriple.create(m1, m2, m3)
             assert t.M <= 10**5
-            for f in range(t.M):
-                assert garner3_parts(f % m1, f % m2, f % m3, t)[0] == f
+            f = np.arange(t.M)
+            digits = garner_digits(f, t)
+            assert all(d.dtype == np.int64 for d in digits)
+            assert (0 <= digits[3]).all() and (digits[3] < m2).all()
+            assert (0 <= digits[4]).all() and (digits[4] < m3).all()
+            assert (_recompose(f, t) == f).all()
 
     def test_parts_recompose(self):
         t = ModTriple.create(7, 11, 13)
-        f, u2, u3 = garner3_parts(41 % 7, 41 % 11, 41 % 13, t)
-        assert f == 41
-        assert f == (41 % 7) + u2 * 7 + u3 * 77
+        r1, _, _, u2, u3 = (int(d[0]) for d in garner_digits(np.array([41]), t))
+        assert r1 + u2 * 7 + u3 * 77 == 41
 
     def test_agreement_with_garner2_below_product(self):
+        # below m1*m2 the top digit is 0 and the rest are garner2's
         t = ModTriple.create(7, 11, 13)
-        for f in range(77):
-            f12 = garner2(f % 7, f % 11, 7, 11)
-            assert f12 == f
-            assert garner3_parts(f % 7, f % 11, f12 % 13, t)[0] == f
+        f = np.arange(77)
+        r1, r2, _, u2, u3 = garner_digits(f, t)
+        assert (u3 == 0).all()
+        assert [garner2(a, b, 7, 11) for a, b in zip(r1.tolist(), r2.tolist())] == f.tolist()
+        assert (r1 + u2 * 7 == f).all()
 
 
 class TestModTriple:

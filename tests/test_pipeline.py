@@ -15,6 +15,7 @@ from crtfft.opcount import OpCounter
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
 from crtfft.pipeline import (
+    AMPLITUDE_THRESHOLD_REL,
     Certificate,
     RecoveryPath,
     dense_fallback,
@@ -284,6 +285,30 @@ class TestSparseFft:
         assert a.path is RecoveryPath.FAST
         assert a.certificate.to_json() == b.certificate.to_json()
         assert a.op_counts == b.op_counts
+
+    @pytest.mark.parametrize("path", [RecoveryPath.FAST, RecoveryPath.FALLBACK])
+    def test_certificate_floats_come_from_the_spectrum(self, rng, path):
+        # the threshold is Python's abs over the answer's complexes: numpy's
+        # abs differs from it in the last ulp on some unit-modulus values
+        if path is RecoveryPath.FAST:  # several peel rounds
+            cfg = Config(nominal_length=2**14)
+            plan = make_plan(2**14, 12, cfg.t, seed=4, config=cfg)
+            src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
+            result = sparse_fft(src, 12, cfg, seed=4)
+        else:  # dense, past the dense boundary
+            n, k = 30000, 100
+            bins = np.zeros(n, dtype=np.complex128)
+            bins[rng.choice(n, size=k, replace=False)] = np.exp(2j * np.pi * rng.random(k))
+            result = sparse_fft(from_dense(np.fft.ifft(bins) * n), k, Config(nominal_length=n))
+        assert result.path is path
+        payload = json.loads(result.certificate.to_json())
+        coeffs = result.spectrum.coefficients().tolist()
+        assert payload["amplitude_threshold"] == (
+            AMPLITUDE_THRESHOLD_REL * max(abs(c) for c in coeffs))
+        recovered = payload["recovered"]
+        assert [(e["re"].hex(), e["im"].hex()) for e in recovered] == [
+            (c.real.hex(), c.imag.hex()) for c in coeffs]
+        assert [e["f"] for e in recovered] == result.spectrum.frequencies().tolist()
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -628,11 +653,12 @@ class TestCertificates:
             (("recovered", 0, "crt", "r1"), DELETE),
             (("recovered", 0, "f"), "x"),
             (("grid_length",), 0),
+            (("grid_length",), 2**63),
             (("recovered", 0, "f"), -1),
             (("plan", "verify_views", 0, "m"), 2**40),
         ],
-        ids=["missing-plan-m", "missing-crt-r1", "string-f", "zero-grid", "negative-f",
-             "huge-verify-modulus"],
+        ids=["missing-plan-m", "missing-crt-r1", "string-f", "zero-grid", "int64-grid",
+             "negative-f", "huge-verify-modulus"],
     )
     def test_malformed_replay_field_is_parse_error(self, path, value):
         payload = json.loads(fast_certificate()[0])

@@ -15,6 +15,7 @@ from crtfft.errors import (
     OutOfRangeError,
     ParseError,
 )
+from crtfft.pipeline import sparse_fft
 from crtfft.planner import ViewParams
 from crtfft.signal import (
     _MAX_GRID,
@@ -55,6 +56,36 @@ class TestSparseSpectrum:
         # nothing is rounded or parsed onto the grid
         with pytest.raises(OutOfRangeError, match="not an integer"):
             SparseSpectrum.from_pairs([(f, 1.0)], 8)
+
+    @pytest.mark.parametrize("grid_length", [2.5, "8", True, 0, -3, None],
+                             ids=["float", "string", "bool", "zero", "negative", "none"])
+    def test_bad_grid_length_rejected(self, grid_length):
+        with pytest.raises(OutOfRangeError, match="grid_length"):
+            SparseSpectrum.from_pairs([(1, 1.0)], grid_length)
+
+    def test_grid_length_past_int64_refused(self):
+        with pytest.raises(OracleCapExceededError, match="above supported maximum"):
+            SparseSpectrum.from_pairs([(1, 1.0)], 1 << 63)
+
+    @pytest.mark.parametrize("coeff", ["1", None, [1], b"1", True],
+                             ids=["string", "none", "list", "bytes", "bool"])
+    def test_non_number_coefficient_rejected(self, coeff):
+        # nothing is parsed into a number
+        with pytest.raises(OutOfRangeError, match="not a number"):
+            SparseSpectrum.from_pairs([(1, coeff)], 8)
+
+    def test_numpy_grid_length_stored_as_int(self):
+        s = SparseSpectrum.from_pairs([(1, 1.0)], np.int64(8))
+        assert type(s.grid_length) is int
+        # the certificate of a run on it serializes
+        json.loads(sparse_fft(synthesize(s), 1).certificate.to_json())
+
+    def test_arrays_are_read_only(self):
+        s = SparseSpectrum.from_pairs([(5, 1j), (2, 1.0)], 8)
+        assert s.frequencies().dtype == np.int64 and s.coefficients().dtype == np.complex128
+        for arr in (s.frequencies(), s.coefficients()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_numpy_integer_frequencies(self):
         s = SparseSpectrum.from_pairs([(np.int64(5), 1j), (np.uint8(2), 1.0)], 8)
