@@ -1,8 +1,8 @@
 """crtfft: keyed three-view CRT sparse FFT.
 
 Recovers exactly k-sparse spectra from lazy time-domain access using three
-coprime decimated views, peeling, two-part verification on independently
-hashed views, and a certified dense-FFT fallback.  The keyed 2-of-3 CRT gate
+coprime decimated views, peeling, two-part verification on the same views
+as built (each sample is read once), and a certified dense-FFT fallback.  The keyed 2-of-3 CRT gate
 is the analyzable reference form; it lives in `gating`, and the pipeline
 never runs it.
 
@@ -22,7 +22,7 @@ unless a test is named) and what it reads today:
                          2^24 at k = 16
   bounded worst case     test_corrupted_candidate_     a failed run adds 2M + fft_op_count(M)
                          hook_forces_exact_fallback    + k ops: 4.07e6 at N = 2^14, k = 12,
-                                                       against 14,724 on the fast path
+                                                       against 7,959 on the fast path
 """
 
 from .config import Config, load_config, replace

@@ -22,7 +22,7 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Config:
     # planning
-    t: int = 3                          # verification view count
+    t: int = 3                          # verification checks: the first t identification views, t <= 3
     shift_count: int = 3                # time shifts per view (2 or 3)
     moduli_override: tuple[int, ...] | None = None
     identity_hash: bool = False         # force sigma=1, b=0 in every view
@@ -42,8 +42,8 @@ class Config:
             raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
         if not self.verify_eps_rel > 0:
             raise ValueError(f"verify_eps_rel must be > 0, got {self.verify_eps_rel}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not 0 <= self.t <= 3:
+            raise ValueError(f"t must be in [0, 3], got {self.t}")
         if self.nominal_length is not None and self.nominal_length < 1:
             raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
         if self.dense_budget < 1:

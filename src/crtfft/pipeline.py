@@ -3,23 +3,23 @@
 A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
-candidate.  The verification views are read with the identification views,
-before peeling (`build_views`: one sample read and one transform per
-modulus); they do not depend on the candidate, and a run that falls back
-after peeling has still read them and is charged for them under "verify".
-Any failure routes to the dense fallback, which materializes the grid,
-transforms it, and returns the top-k bins exactly.  The certificate names
-the failure in fallback_reason: "forced", "too-short", "dense-regime",
-"grid-ceiling" (no plan under the int64 grid ceiling), "grid-mismatch",
-"peeling-two-core", "peeling-stagnated", "candidate-overflow" or
-"verification-failed".
+candidate.  Each run builds its views once (`build_views`: one sample read
+and one transform per view, charged to "views") and verifies on the first t
+of them as built, since peeling empties its own stacked copy.  A view drawn
+afresh on one of the moduli would read the same samples and only relabel
+these bins.  Any failure routes to the dense fallback, which materializes
+the grid, transforms it, and returns the top-k bins exactly.  The
+certificate names the failure in fallback_reason: "forced", "too-short",
+"dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
+"grid-mismatch", "peeling-two-core", "peeling-stagnated",
+"candidate-overflow" or "verification-failed".
 A stuck peel and a failed verification are final: a fresh hash over the
 same moduli only relabels each view's bins, and a verdict is a pure function
 of the source, the view parameters and the candidate.
 Every run emits a self-contained certificate from which a third party can
-replay the moduli, each reconstruction, and one fresh verification view
-against nothing but the certificate and the signal.  It records no residue
-sets and no gate table: the fast path never enumerates pairs.
+replay the moduli, each reconstruction, and the first verification view,
+rebuilt from nothing but the certificate and the signal.  It records no
+residue sets and no gate table: the fast path never enumerates pairs.
 `parse_certificate` states every field replay reads (it ignores the rest,
 such as the gate trail of older certificates) and is the one check of a
 payload, run by both `Certificate.from_json` and `verify_certificate`.
@@ -210,9 +210,7 @@ def sparse_fft(
         plan = None
 
     if plan is not None and fallback_reason is None:
-        phases = ("views",) * len(plan.id_views) + ("verify",) * len(plan.verify_views)
-        built = build_views(source, plan.id_views + plan.verify_views, plan.M, op, phases)
-        views, verify_views = built[: len(plan.id_views)], built[len(plan.id_views) :]
+        views = build_views(source, plan.id_views, plan.M, op)
         outcome = run_peeling(PeelState.create(views, plan.M, op), plan)
         peel_status = outcome.status
 
@@ -230,7 +228,7 @@ def sparse_fft(
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
             if corrupt_candidate is not None:
                 candidate = corrupt_candidate(candidate)
-            report = verify(verify_views, candidate, cfg, op)
+            report = verify(views[: len(plan.verify_views)], candidate, cfg, op)
             if not report.overall:
                 fallback_reason = "verification-failed"
 

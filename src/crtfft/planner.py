@@ -1,12 +1,10 @@
 """Moduli and hash-parameter planning.
 
 A plan fixes everything the identification pipeline needs: three pairwise
-coprime view moduli whose product M >= N defines the working grid, per-view
-affine hash parameters (dilation sigma, offset b), and the verification view
-parameters.  Each view's (sigma, b) is a keyed counter hash: BLAKE2b of
-(seed, label, view index, attempt), with label "id-views" for the
-identification views and "verify-views" for the verification views, so the
-two sets of draws are disjoint, no draw depends on another, and every plan
+coprime view moduli whose product M >= N defines the working grid and
+per-view affine hash parameters (dilation sigma, offset b).  Each view's
+(sigma, b) is a keyed counter hash: BLAKE2b of (seed, label, view index,
+attempt) with label "id-views", so no draw depends on another and every plan
 is replayable from its seed (`draw_view_params`).
 
 The moduli are the pairwise coprime triple of 11-smooth lengths whose views
@@ -18,12 +16,14 @@ about max(N^(1/3), k/LAMBDA_THRESHOLD) bins, not sqrt(N).  No plan exceeds
 the int64 grid ceiling `signal._MAX_GRID`: where no triple fits under it
 the planner raises OracleCapExceededError instead.
 
-Verification views reuse the identification moduli with freshly drawn hash
-parameters.  Exact decimation requires the view modulus to divide the grid
-length, and a view modulus must be coprime to the other views' moduli for
-the CRT, so the triple offers no further exact moduli; independence rests on
-the fresh (sigma, b) draws and on the multi-shift phase structure of the
-residual test.
+The verification views are the first t identification views.  Exact
+decimation requires a view modulus to divide the grid length, and the CRT
+needs the moduli pairwise coprime, so the triple offers no further exact
+moduli.  A view (m, sigma', b') on one of them would add nothing: sigma' is
+a unit mod M, so j -> sigma'*j mod m permutes [0, m), the view reads the
+same samples {j*M/m + s} as the identification view on m, and its bins are
+that view's bins relabeled.  The verdict rests on the multi-shift residual
+test (`verification`), which holds on any view, not on fresh draws.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def make_plan(
     product of at least N, and a product past the grid ceiling raises
     OracleCapExceededError as an unpinned plan does).  A sparsity ratio
     k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
-    DenseRegimeError.
+    DenseRegimeError.  verify_views are the first t <= 3 id_views.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -230,6 +230,8 @@ def make_plan(
         raise ValueError(f"k must be >= 0, got {k}")
     cfg = config or Config()
     t = cfg.t if t is None else t
+    if not 0 <= t <= 3:
+        raise ValueError(f"t must be in [0, 3], got {t}")
     rho = k / math.sqrt(N)
     if rho >= RHO_DENSE:
         raise DenseRegimeError(
@@ -252,21 +254,14 @@ def make_plan(
     shifts = cfg.shift_count
     if cfg.identity_hash:
         id_views = tuple(ViewParams(m=m, sigma=1, b=0, shift_count=shifts) for m in moduli)
-        verify_views = tuple(
-            ViewParams(m=moduli[v % 3], sigma=1, b=0, shift_count=shifts) for v in range(t)
-        )
     else:
         id_views = tuple(
             draw_view_params(m, triple.M, seed, "id-views", i, shifts) for i, m in enumerate(moduli)
         )
-        verify_views = tuple(
-            draw_view_params(moduli[v % 3], triple.M, seed, "verify-views", v, shifts)
-            for v in range(t)
-        )
 
     return ModuliPlan(
         id_views=id_views,  # type: ignore[arg-type]
-        verify_views=verify_views,
+        verify_views=id_views[:t],
         triple=triple,
         M=triple.M,
         N=N,
@@ -303,7 +298,7 @@ def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
         draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i, view.shift_count)
         for i, view in enumerate(plan.id_views)
     )
-    return dc_replace(plan, id_views=new_views)
+    return dc_replace(plan, id_views=new_views, verify_views=new_views[: len(plan.verify_views)])
 
 
 def validate_plan(plan: ModuliPlan) -> list[str]:
@@ -321,16 +316,17 @@ def validate_plan(plan: ModuliPlan) -> list[str]:
         violations.append("BadInverse: gamma12")
     if (plan.triple.m1 * plan.triple.m2 * plan.triple.gamma23) % plan.triple.m3 != 1:
         violations.append("BadInverse: gamma23")
-    for label, views in (("id", plan.id_views), ("verify", plan.verify_views)):
-        for i, view in enumerate(views):
-            if plan.M % view.m != 0:
-                violations.append(f"StrideMismatch: {label} view {i} modulus {view.m}")
-            if math.gcd(view.sigma, plan.M) != 1:
-                violations.append(f"NonInvertibleDilation: {label} view {i}")
-            if not (0 <= view.b < view.m):
-                violations.append(f"OffsetOutOfRange: {label} view {i}")
-            if view.m > 1 and view.a == 0:
-                violations.append(f"DegenerateHash: {label} view {i}")
+    for i, view in enumerate(plan.id_views):
+        if plan.M % view.m != 0:
+            violations.append(f"StrideMismatch: id view {i} modulus {view.m}")
+        if math.gcd(view.sigma, plan.M) != 1:
+            violations.append(f"NonInvertibleDilation: id view {i}")
+        if not (0 <= view.b < view.m):
+            violations.append(f"OffsetOutOfRange: id view {i}")
+        if view.m > 1 and view.a == 0:
+            violations.append(f"DegenerateHash: id view {i}")
+    if plan.verify_views != plan.id_views[: len(plan.verify_views)]:
+        violations.append("VerifyViewsMismatch: verify views are not the first id views")
     ids = tuple(v.m for v in plan.id_views)
     if sorted(ids) != sorted((m1, m2, m3)):
         violations.append("ViewModuliMismatch: id views do not cover the triple")

@@ -9,7 +9,7 @@ fallback runs.  An index block may have any
 shape and its values come back in that shape.  A synthesized source reads n
 arbitrary indices in O(k*n) arithmetic; a stack of R rows that are each a
 full cyclic progression mod M, every row with its own step (the shifts of
-all views that share a modulus are such a stack), costs
+a view are such a stack), costs
 O(R*k + R*n log n), one scatter and one stacked inverse transform for all
 rows.  `materialize` returns the whole grid in a fresh
 buffer that the caller owns and may overwrite (the dense fallback transforms
@@ -282,7 +282,8 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
     `padded_length` when the caller asks for a longer grid.
 
     Recovery answers on the source's grid, so only a caller-padded source is
-    ever read on a grid longer than N.
+    ever read on a grid longer than N.  A `padded_length` that is not a
+    Python or numpy integer (a bool, a float, a string) raises OutOfRangeError.
     """
     arr = np.ascontiguousarray(samples, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
@@ -291,6 +292,8 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
         raise NonFiniteError("dense input contains NaN or Inf samples")
     if padded_length is None:
         padded_length = arr.size
+    if not _is_integer(padded_length):
+        raise OutOfRangeError(f"padded length must be an integer, got {padded_length!r}")
     if padded_length < arr.size:
         raise ValueError(f"padded length {padded_length} below signal length {arr.size}")
     return _DenseSource(arr, int(padded_length))

@@ -1,7 +1,9 @@
-"""Two-part verification of a candidate spectrum on independent views.
+"""Two-part verification of a candidate spectrum on the identification views.
 
-The verification views arrive already built from samples
-(`views.build_views`).  `check_views` copies them side by side into one
+The views are the first t identification views as `views.build_views`
+built them.  A view redrawn on one of the moduli would read the same
+samples and hold the same bins relabeled (`planner`); the guarantee below
+holds on any view.  `check_views` copies the views side by side into one
 stack, predicts the candidate's bins in all of them at once through the
 alias-sum model the views use (`views.alias_stack`) and runs both parts on
 each, over the rows each view holds; `check_view`, which replay uses, is its
@@ -18,12 +20,14 @@ zero over all bins and all shifts.
 Both parts compare against epsilon = verify_eps_rel * max(E_time, 1), with
 E_time the view's raw shift-0 energy.
 
-The residual part's guarantee holds at any modulus, also where the paper's
-slip bound (2k/m)^t is weak (0.16 at k = 12 on (44, 45, 49)) or, once
-2k >= m, vacuous.  The residual is linear in D = truth - candidate: at shift
-s, bin r holds the sum of D_f z_f^s over the tones of D in r, z_f =
-e^{2pi i f/M}.  Tones of one bin agree mod m, so their nodes are distinct,
-spaced by multiples of 2pi*m/M, and for r <= S = shift_count tones the
+The residual part's guarantee holds at any modulus and on the views that
+identified the candidate, also where the paper's slip bound (2k/m)^t, which
+assumes verification hashes independent of identification, is weak (0.16
+at k = 12 on (44, 45, 49)) or, once 2k >= m, vacuous.  The residual is
+linear in D = truth - candidate: at shift s, bin r holds the sum of
+D_f z_f^s over the tones of D in r, z_f = e^{2pi i f/M}.  Tones of one bin
+agree mod m, so their nodes are distinct, spaced by multiples of 2pi*m/M,
+and for r <= S = shift_count tones the
 S x r Vandermonde matrix has full column rank: the bin's residual energy is
 at least sigma_min^2 * sum |D_f|^2 > 0, with sigma_min^2 = S for one tone.
 So, in exact arithmetic, a wrong candidate passes a view only if every bin

@@ -60,45 +60,35 @@ def build_views(
     params: Sequence[ViewParams],
     M: int,
     op: OpCounter | None = None,
-    phases: Sequence[str] | None = None,
 ) -> list[ViewSpectrum]:
     """FFT-path construction of views from time samples, in the order given.
 
-    Views that share a modulus m are read with one `sample_block` call (row s
-    of a view's block is its shift-0 progression plus s, so every row wraps
-    the grid a whole number of times with its view's step) and transformed
-    and normalized once; each view then gets its own bins array.  Each view
-    keeps its shift-0 time energy for the Parseval check; its modulation is
-    a rotation of its bins by b, charged as a modulation under its phase
-    (`phases[i]`, "views" when not given).
+    Each view is read with one `sample_block` call (row s of its block is
+    its shift-0 progression plus s, so every row wraps the grid a whole
+    number of times with the view's step) and transformed and normalized
+    once.  Each view keeps its shift-0 time energy for the Parseval check;
+    its modulation is a rotation of its bins by b, charged as a modulation.
+    Every read is charged to the "views" phase.
     """
     if M > _MAX_GRID:
         raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
-    phases = phases or ("views",) * len(params)
-    groups = {}
-    for i, vp in enumerate(params):
-        if M % vp.m != 0:
-            raise StrideMismatchError(f"modulus {vp.m} does not divide grid length {M}")
-        groups.setdefault(vp.m, []).append(i)
-    views: list = [None] * len(params)
-    for m, members in groups.items():
-        rows = [(params[i].sigma, s) for i in members for s in range(params[i].shift_count)]
-        sigma, shift = np.array(rows, dtype=np.int64).T[:, :, None]
+    views = []
+    for vp in params:
+        m, b = vp.m, vp.b % vp.m
+        if M % m != 0:
+            raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
+        shift = np.arange(vp.shift_count, dtype=np.int64)[:, None]
         # sigma < M and j*d < M, so the product stays below 2^63 under the guard.
-        samples = source.sample_block((sigma * np.arange(0, M, M // m) + shift) % M)
-        energies = (np.abs(samples) ** 2).sum(axis=1).tolist()
+        samples = source.sample_block((vp.sigma * np.arange(0, M, M // m) + shift) % M)
+        energy = float((np.abs(samples[0]) ** 2).sum())
         spectra = dft.dft_forward(samples) / m
-        lo = 0
-        for i in members:
-            vp, b, hi = params[i], params[i].b % m, lo + params[i].shift_count
-            # the modulated bin r is the plain bin (r - b) mod m
-            bins = np.concatenate((spectra[lo:hi, m - b :], spectra[lo:hi, : m - b]), axis=1)
-            views[i] = ViewSpectrum(vp, M, bins, energies[lo])
-            lo = hi
-            if op is not None:
-                # per shift: sample accesses, modulation, transform, normalization
-                per_shift = m + (m if b else 0) + dft.fft_op_count(m) + m
-                op.add(phases[i], vp.shift_count * per_shift)
+        # the modulated bin r is the plain bin (r - b) mod m
+        bins = np.concatenate((spectra[:, m - b :], spectra[:, : m - b]), axis=1)
+        views.append(ViewSpectrum(vp, M, bins, energy))
+        if op is not None:
+            # per shift: sample accesses, modulation, transform, normalization
+            per_shift = m + (m if b else 0) + dft.fft_op_count(m) + m
+            op.add("views", vp.shift_count * per_shift)
     return views
 
 
@@ -107,10 +97,9 @@ def build_view(
     params: ViewParams,
     M: int,
     op: OpCounter | None = None,
-    phase: str = "views",
 ) -> ViewSpectrum:
     """One view built from time samples: `build_views` of a single view."""
-    return build_views(source, [params], M, op, [phase])[0]
+    return build_views(source, [params], M, op)[0]
 
 
 def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:

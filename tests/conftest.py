@@ -39,10 +39,9 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
 
 
 def verify_plan(source, plan, candidate, config=None, op=None):
-    """`verify` on the plan's verification views, built from `source` and
-    charged to the verify phase as the pipeline charges them."""
-    phases = ("verify",) * len(plan.verify_views)
-    views = build_views(source, plan.verify_views, plan.M, op, phases)
+    """`verify` on the plan's verification views, built from `source`: the
+    pipeline's verdict and "verify" charge, and the views' own read under "views"."""
+    views = build_views(source, plan.verify_views, plan.M, op)
     return verify(views, candidate, config, op)
 
 

@@ -75,6 +75,13 @@ def test_transform_synthesize_past_the_grid_ceiling_is_a_typed_error(capsys):
     assert err.startswith("error:") and "above supported maximum" in err
 
 
+def test_transform_t_above_three_exits_1(capsys):
+    # the plan has three views to check, so --t 4 is refused before any read
+    code, out, err = run(capsys, "transform", "--synthesize", "{7:1}", "-k", "1", "--t", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: t must be in [0, 3]")
+
+
 def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):
     # N = 3 has no three-view plan: exit 2, answered on the 3-point grid
     code, out, _ = run(capsys, "transform", "--synthesize", "{2:1}", "-k", "1")

@@ -102,6 +102,10 @@ REJECTED = {
     "float-shift-count": {"shift_count": 3.0},
     "fractional-nominal-length": {"nominal_length": 1000.5},
     "bool-t": {"t": True},
+    # three views exist to check, so a larger t is refused before any planning
+    "t-above-three": {"t": 4},
+    "huge-t": {"t": 10**9},
+    "negative-t": {"t": -1},
     "integer-flag": {"force_fallback": 1},
     "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
     "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},

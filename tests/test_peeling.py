@@ -56,17 +56,14 @@ def toy_state(spectrum, seed=0, t=0, nominal=None):
 
 class TestCreate:
     def test_leaves_the_built_views_unchanged(self, rng):
-        # the pipeline's views are built together; peeling empties its own
-        # stacked copy of the identification views and leaves every built view
-        # as it was read
+        # the pipeline verifies on the views it built; peeling empties its own
+        # stacked copy of them and leaves every built view as it was read
         N, k = 2**14, 12
         plan = make_plan(N, k, 3, seed=2)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        phases = ("views",) * 3 + ("verify",) * 3
-        built = build_views(synthesize(spec), plan.id_views + plan.verify_views, plan.M, None,
-                            phases)
+        built = build_views(synthesize(spec), plan.id_views, plan.M)
         before = [v.bins.copy() for v in built]
-        state = PeelState.create(built[:3], plan.M)
+        state = PeelState.create(built, plan.M)
         assert not any(np.shares_memory(v.bins, state.stack) for v in built)
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE

@@ -107,14 +107,14 @@ class TestSparseFft:
     def test_op_counts_pinned(self, rng):
         # The op model is a fixed cost model: any drift in these figures makes
         # op counts incomparable across commits.  With identity_hash every view
-        # has b = 0, so no modulation pass runs or is charged: the views and
-        # verify phases each cost 3 * (44 + 45 + 49) ops less.  The Parseval
-        # check reuses the energy of the samples its view already read, so it
-        # charges m + |candidate| per verification view.
+        # has b = 0, so no modulation pass runs or is charged: the views phase
+        # costs 3 * (44 + 45 + 49) ops less.  Verification checks the views
+        # already built and reads no sample: it charges the energy part,
+        # m + |candidate| per view, and the residual part.
         spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
         cases = (
-            (False, {"peel": 630, "verify": 7461, "views": 6765, "total": 14856}),
-            (True, {"peel": 630, "verify": 7047, "views": 6351, "total": 14028}),
+            (False, {"peel": 630, "verify": 696, "views": 6765, "total": 8091}),
+            (True, {"peel": 630, "verify": 696, "views": 6351, "total": 7677}),
         )
         for identity_hash, expected in cases:
             cfg = Config(nominal_length=2**14, identity_hash=identity_hash)
@@ -123,6 +123,29 @@ class TestSparseFft:
             assert result.path is RecoveryPath.FAST
             assert spectra_close(result.spectrum, spec)
             assert result.op_counts == expected, f"identity_hash={identity_hash}"
+
+    def test_fast_path_reads_each_sample_once(self, rng):
+        # verification checks the views peeling was given, so a fast run reads
+        # each view's samples once: shift_count rows per modulus, no row twice
+        class CountingSource(SignalSource):
+            def __init__(self, inner):
+                self.inner, self.rows = inner, []
+                self.grid_length, self.original_length = inner.grid_length, inner.original_length
+
+            def sample_block(self, indices):
+                self.rows += [tuple(row) for row in np.reshape(indices, (-1, indices.shape[-1]))]
+                return self.inner.sample_block(indices)
+
+        N, k = 2**14, 12
+        cfg = Config(nominal_length=N)
+        plan = make_plan(N, k, seed=1, config=cfg)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
+        src = CountingSource(synthesize(spec))
+        result = sparse_fft(src, k, cfg, seed=1)
+        assert result.path is RecoveryPath.FAST and spectra_close(result.spectrum, spec)
+        assert sum(map(len, src.rows)) == cfg.shift_count * sum(plan.triple.moduli) == 414
+        assert len(set(src.rows)) == len(src.rows) == cfg.shift_count * 3
+        assert all(len(set(row)) == len(row) for row in src.rows)
 
     def test_synthesized_scaling(self, rng):
         # k = 16 from N = 2^15 to 2^24: every plan stays under the int64 grid

@@ -75,16 +75,20 @@ class TestMakePlan:
         assert a.id_views != b.id_views
 
     def test_verification_independent_of_t(self):
-        # identification draws are hashed under their own label: changing t
-        # must not alter them
+        # t picks how many identification views verification checks; it
+        # never alters the draws, and past the three views it is refused
         a = make_plan(2**18, 10, 0, seed=7)
         b = make_plan(2**18, 10, 3, seed=7)
-        c = make_plan(2**18, 10, 5, seed=7)
+        c = make_plan(2**18, 10, 2, seed=7)
         assert a.id_views == b.id_views == c.id_views
-        assert b.verify_views == c.verify_views[:3]
+        assert (a.verify_views, b.verify_views, c.verify_views) == ((), b.id_views, b.id_views[:2])
+        for t in (4, 5, -1):
+            with pytest.raises(ValueError, match=r"t must be in \[0, 3\]"):
+                make_plan(2**18, 10, t, seed=7)
 
     def test_verify_views_reuse_triple_moduli(self):
-        plan = make_plan(2**18, 10, 4, seed=3)
+        plan = make_plan(2**18, 10, 3, seed=3)
+        assert plan.verify_views == plan.id_views
         for v in plan.verify_views:
             assert v.m in plan.triple.moduli
             assert plan.M % v.m == 0
@@ -137,6 +141,13 @@ class TestValidatePlan:
             if k / math.sqrt(2**a) < RHO_DENSE:
                 assert validate_plan(make_plan(2**a, k, seed=a)) == []
 
+    def test_verify_views_not_id_views_flagged(self):
+        plan = make_plan(2**16, 4, 2, seed=0)
+        import dataclasses
+
+        swapped = dataclasses.replace(plan, verify_views=plan.id_views[1:])
+        assert "VerifyViewsMismatch" in validate_plan(swapped)[0]
+
     def test_product_too_small_flagged(self):
         plan = make_plan(2**16, 4, 0, seed=0)
         import dataclasses
@@ -155,7 +166,7 @@ class TestRehash:
         new = rehash(plan, 123, 1)
         assert new.triple == plan.triple
         assert new.id_views != plan.id_views
-        assert new.verify_views == plan.verify_views
+        assert new.verify_views == new.id_views[:2] != plan.verify_views
 
 
 def chi_square_bound(df):
@@ -179,8 +190,7 @@ class TestDrawViewParams:
         assert plan.triple.moduli == (44, 45, 49)
         assert [(v.m, v.sigma, v.b) for v in plan.id_views] == [
             (44, 50951, 0), (45, 28367, 5), (49, 23543, 3)]
-        assert [(v.m, v.sigma, v.b) for v in plan.verify_views] == [
-            (44, 57889, 16), (45, 66727, 7), (49, 37087, 42)]
+        assert plan.verify_views == plan.id_views
 
     @pytest.mark.parametrize("m", [44, 45, 49])
     def test_near_uniform_over_seeds(self, m):

@@ -347,6 +347,19 @@ class TestFromDense:
         )
         assert padded.sample(999) == 0
 
+    @pytest.mark.parametrize("padded", [10.7, np.float64(9.5), 10.0, "10", True, 10 + 0j],
+                             ids=["float", "numpy-float", "integral-float", "string", "bool",
+                                  "complex"])
+    def test_non_integer_padded_length_is_refused(self, padded):
+        # a float was truncated (10.7 gave a 10-point grid) and a string
+        # raised a raw TypeError
+        with pytest.raises(OutOfRangeError, match="padded length must be an integer"):
+            from_dense(np.ones(8), padded)
+
+    def test_numpy_integer_padded_length(self):
+        src = from_dense(np.ones(8), np.int64(10))
+        assert src.grid_length == 10 and type(src.grid_length) is int
+
 
 class TestMaterialize:
     """materialize() hands out a fresh grid buffer the caller may overwrite;
