@@ -40,7 +40,6 @@ from .errors import (
 from .numtheory import (
     ModTriple,
     coprime_divisor_capacity,
-    egcd,
     garner_digits,
     mod_inverse,
 )

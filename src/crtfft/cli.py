@@ -103,8 +103,6 @@ def _config_from_args(args) -> Config:
     updates = {}
     if getattr(args, "moduli", None):
         updates["moduli_override"] = tuple(_parse_int_list(args.moduli))
-    if getattr(args, "identity_hash", False):
-        updates["identity_hash"] = True
     if getattr(args, "t", None) is not None:
         updates["t"] = args.t
     if getattr(args, "n", None) is not None:
@@ -266,7 +264,7 @@ def _mc_verify_miss(args, writer):
         swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
         views = tuple(
-            draw_view_params(m, plan.M, trial_seed, "verify-miss", i, cfg.shift_count)
+            draw_view_params(m, plan.M, trial_seed, "verify-miss", i)
             for i, m in enumerate(plan.triple.moduli)
         )
         built = build_views(synthesize(truth), views, plan.M)
@@ -381,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="sparsity budget")
     p.add_argument("--n", type=int, help="nominal signal length for planning")
     p.add_argument("--moduli", help="explicit comma-separated view moduli")
-    p.add_argument("--identity-hash", action="store_true", dest="identity_hash")
     p.add_argument("--t", type=int, help="verification view count")
     p.add_argument("--force-fallback", action="store_true", dest="force_fallback")
     p.add_argument("--seed", type=int, default=0)

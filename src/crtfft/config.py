@@ -2,10 +2,10 @@
 
 Every setting a caller can change lives in one frozen dataclass, so that a
 (source, k, config, seed) quadruple pins the entire run; the fixed numerical
-tolerances are constants of the modules that use them.  Every field's type
-is checked at construction, the same way for a Config built in Python and
-one read by `load_config`, which takes a JSON object with the same key names
-and rejects unknown keys rather than ignoring them.
+tolerances and the views' shift count are constants of the modules that use
+them.  Every field's type is checked at construction, the same way for a
+Config built in Python and one read by `load_config`, which takes a JSON
+object with the same key names and rejects unknown keys.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .errors import ParseError
 class Config:
     # planning
     t: int = 3                          # verification checks: the first t identification views, t <= 3
-    shift_count: int = 3                # time shifts per view (2 or 3)
     moduli_override: tuple[int, ...] | None = None
-    identity_hash: bool = False         # force sigma=1, b=0 in every view
     nominal_length: int | None = None   # planning length when it differs from the grid
 
     # verification
@@ -38,8 +36,6 @@ class Config:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
-        if self.shift_count not in (2, 3):
-            raise ValueError(f"shift_count must be 2 or 3, got {self.shift_count}")
         if not self.verify_eps_rel > 0:
             raise ValueError(f"verify_eps_rel must be > 0, got {self.verify_eps_rel}")
         if not 0 <= self.t <= 3:

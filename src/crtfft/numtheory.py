@@ -21,31 +21,14 @@ from .errors import NotCoprimeError
 _MAX_PRODUCT = 1 << 127
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    if a == 0 and b == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [1, m).  Requires gcd(a, m) = 1."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise NotCoprimeError(f"{a} has no inverse mod {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(int(a % m), -1, int(m))  # numpy integers too
+    except ValueError:
+        raise NotCoprimeError(f"{a} has no inverse mod {m} (gcd={math.gcd(a, m)})") from None
 
 
 @dataclass(frozen=True)

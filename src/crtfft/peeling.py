@@ -1,34 +1,32 @@
 """Peeling recovery: singleton detection and subtraction.
 
 A bin is a singleton when it holds exactly one tone.  For a tone (f, A) the
-shifted bin values form the geometric sequence A, A e^{2pi i f/M},
+S = 3 shifted bin values form the geometric sequence A, A e^{2pi i f/M},
 A e^{4pi i f/M}: constant magnitude across shifts, frequency readable from
-one adjacent-shift phase ratio, and (with three shifts) a second ratio that
-must agree with the first.  Multi-tone bins break at least one of those
-tests in exact arithmetic, and a reading whose decoded frequency does not
-hash back onto its own bin is discarded, so masquerading multi-bins fail
-closed.
+one adjacent-shift phase ratio, and a second ratio that must agree with the
+first.  Multi-tone bins break at least one of those tests in exact
+arithmetic, and a reading whose decoded frequency does not hash back onto
+its own bin is discarded, so masquerading multi-bins fail closed.
 
 `PeelState.create` copies the views side by side into one stacked
-(shifts, m1+m2+m3) buffer and peels that copy; each of its views is a
-column slice of it, and the caller's views are left as built.  It also
-builds the stack's column table once: view, a, b, m and bin for every
-column, so detection looks its candidates up with one fancy index.  A
-round is a fixed number of array operations whatever k is: detection tests
-every column of the stack at once, with both adjacent-shift ratios from one
-division, and returns its readings as one `SingletonReading` batch,
-duplicates across views are dropped by one sort, and `peel` subtracts the
-whole batch, as FFAST's decoder does.  The readings are appended to the
-ledger's frequency and coefficient arrays in order; their subtraction is
-`views.alias_stack` (the alias model verification uses, O(1) per reading
-and bin).  Detection reads only bins above the noise floor, so every
-reading's coefficient clears it and the ledger needs no conflict rule: a
-frequency read in several rounds sums its readings, and one whose sum
-falls to the floor is dropped from the outcome.  When at most one round
-peeled, the ledger is that round's readings, distinct and ascending
-already, and the sum is skipped.  Rounds repeat until the views are empty
-(Complete), no view offers a singleton (TwoCore), or the round cap is hit
-(Stagnated).
+(3, m1+m2+m3) buffer and peels that copy; the caller's views are left as
+built.  It also builds the stack's column table once: view, a, b, m and bin
+for every column, so detection looks its candidates up with one fancy
+index.  A round is a fixed number of array operations whatever k is:
+detection tests every column of the stack at once, with both adjacent-shift
+ratios from one division, and returns its readings as one
+`SingletonReading` batch, duplicates across views are dropped by one sort,
+and `peel` subtracts the whole batch, as FFAST's decoder does.  The
+readings are appended to the ledger's frequency and coefficient arrays in
+order; their subtraction is `views.alias_stack` (the alias model
+verification uses, O(1) per reading and bin).  Detection reads only bins
+above the noise floor, so every reading's coefficient clears it and the
+ledger needs no conflict rule: a frequency read in several rounds sums its
+readings, and one whose sum falls to the floor is dropped from the outcome.
+When at most one round peeled, the ledger is that round's readings,
+distinct and ascending already, and the sum is skipped.  Rounds repeat
+until the views are empty (Complete), no view offers a singleton (TwoCore),
+or the round cap is hit (Stagnated).
 """
 
 from __future__ import annotations
@@ -84,14 +82,13 @@ class SingletonReading:
 class PeelState:
     """Mutable peeling workspace: the views' stacked bins plus the recovery ledger.
 
-    `stack` holds the views' bins side by side and each of `views` holds a
-    column slice of it; `layout` is the stack's `views.stack_views` layout,
-    and `columns` the same per column: rows view, a, b, m and bin.  The
+    `stack` holds the views' bins side by side; `layout` is its
+    `views.stack_views` layout (view i's bins are columns first to first + m
+    of it), and `columns` the same per column: rows view, a, b, m and bin.  The
     ledger `freqs`, `coeffs` holds every accepted reading in order, and
     `round` counts the rounds peeled into it.
     """
 
-    views: list[ViewSpectrum]
     M: int
     stack: np.ndarray
     layout: np.ndarray
@@ -108,14 +105,12 @@ class PeelState:
     ) -> "PeelState":
         """Peel a stacked copy of the views; the views passed in are not modified."""
         stack, layout = stack_views(views)
-        views = [ViewSpectrum(v.params, v.M, stack[:, o : o + v.m], v.time_energy)
-                 for v, o in zip(views, layout[3].tolist())]
         # each view's (index, a, b, m, first column) repeated over its m columns,
         # then each column's offset from its view's first: its bin
         columns = np.repeat(np.vstack((np.arange(len(views)), layout)), layout[2], axis=1)
         columns[4] = np.arange(stack.shape[1]) - columns[4]
         peak = float(np.abs(stack[0]).max(initial=0.0))
-        return cls(views, M, stack, layout, columns, noise_floor=NOISE_FLOOR_REL * peak, op=op)
+        return cls(M, stack, layout, columns, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
     def max_bin_magnitude(self) -> float:
         return float(np.abs(self.stack).max(initial=0.0))
@@ -141,10 +136,9 @@ def detect_singletons(state: PeelState) -> SingletonReading:
         # (b) frequency from the adjacent-shift phase ratio
         angle = np.arctan2(ratio[0].imag, ratio[0].real)
         f_hat = np.rint(angle * M / (2 * np.pi)).astype(np.int64) % M
-        # (c) with a third shift, the second ratio must repeat the first;
-        # (a) and (c) are one test of the larger deviation
-        if stack.shape[0] >= 3:
-            err = np.maximum(err, np.abs(ratio[1] - ratio[0]) / np.abs(ratio[0]))
+        # (c) the second ratio must repeat the first; (a) and (c) are one
+        # test of the larger deviation
+        err = np.maximum(err, np.abs(ratio[1] - ratio[0]) / np.abs(ratio[0]))
     # (d) decoded frequency must hash back onto this bin
     ok = (err <= SINGLETON_TOL) & ((a * f_hat + b) % m == bin_index)
     (rows,) = ok.nonzero()

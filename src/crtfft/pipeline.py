@@ -341,7 +341,8 @@ def _require(ok: bool, path: str) -> None:
 class ReplayFields:
     """What replay reads of a certificate, typed (`parse_certificate`)."""
 
-    spectrum: SparseSpectrum
+    grid_length: int
+    spectrum: SparseSpectrum | None  # the answer, built only when a view is replayed
     violations: list[str]  # the claims that fail without reading the signal
     plan_grid: int | None
     fresh_view: ViewParams | None  # the view replay rebuilds on plan_grid
@@ -362,7 +363,7 @@ def parse_certificate(payload) -> ReplayFields:
                            gamma23: ints, verify_views: null or list}
       plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
                            [1, plan.m), coprime to plan.m; b: int in [0, m);
-                           shifts: 2 or 3
+                           shifts: 2 or 3 (plans now draw 3)
 
     A field that breaks its rule raises ParseError naming its path.  A
     well-formed claim that fails is a violation, in this order:
@@ -464,19 +465,22 @@ def parse_certificate(payload) -> ReplayFields:
             if r1 + d2 * m1 + d3 * m12 != f or d2 != u2 or d3 != u3:
                 replayed.append(f"garner-replay-failed: f={f}")
 
-    freqs = np.fromiter(freqs, np.int64, len(freqs))
-    coeffs = np.fromiter(coeffs, np.complex128, len(coeffs))
     if not ordered:
-        order = np.argsort(freqs, kind="stable")
-        freqs, coeffs = freqs[order], coeffs[order]
-        if (freqs[1:] == freqs[:-1]).any():
+        if len(set(freqs)) < len(freqs):
             raise ParseError("certificate field recovered lists a frequency twice")
         low.sort()
         above.sort()
+    spectrum = None
+    if fresh_view is not None:
+        freqs = np.fromiter(freqs, np.int64, len(freqs))
+        coeffs = np.fromiter(coeffs, np.complex128, len(coeffs))
+        if not ordered:
+            order = np.argsort(freqs)
+            freqs, coeffs = freqs[order], coeffs[order]
+        spectrum = SparseSpectrum(freqs, coeffs, grid)
     violations = [f"amplitude-below-threshold: f={f} |a|={a:.3e} < {tau:.3e}" for f, a in low]
     violations += [f"frequency-above-declared-n: f={f} >= {declared_n}" for f in above]
-    return ReplayFields(SparseSpectrum(freqs, coeffs, grid), violations + replayed, plan_grid,
-                        fresh_view)
+    return ReplayFields(grid, spectrum, violations + replayed, plan_grid, fresh_view)
 
 
 def verify_certificate(
@@ -492,15 +496,14 @@ def verify_certificate(
     """
     cfg = config or Config()
     fields = parse_certificate(cert.payload)
-    spectrum = fields.spectrum
     violations = []
-    if source.grid_length != spectrum.grid_length:
+    if source.grid_length != fields.grid_length:
         violations.append(f"signal-grid-mismatch: signal grid {source.grid_length} "
-                          f"!= certificate grid {spectrum.grid_length}")
+                          f"!= certificate grid {fields.grid_length}")
     violations += fields.violations
     vp = fields.fresh_view
     if vp is not None and source.grid_length == fields.plan_grid:
-        check = check_view(build_view(source, vp, source.grid_length), spectrum,
+        check = check_view(build_view(source, vp, source.grid_length), fields.spectrum,
                            cfg.verify_eps_rel)
         if check.parseval_gap > check.epsilon:
             violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")

@@ -2,10 +2,11 @@
 
 A plan fixes everything the identification pipeline needs: three pairwise
 coprime view moduli whose product M >= N defines the working grid and
-per-view affine hash parameters (dilation sigma, offset b).  Each view's
-(sigma, b) is a keyed counter hash: BLAKE2b of (seed, label, view index,
-attempt) with label "id-views", so no draw depends on another and every plan
-is replayable from its seed (`draw_view_params`).
+per-view affine hash parameters (dilation sigma, offset b), each view read
+at SHIFT_COUNT = 3 time shifts.  Each view's (sigma, b) is a keyed counter
+hash: BLAKE2b of (seed, label, view index, attempt) with label "id-views",
+so no draw depends on another and every plan is replayable from its seed
+(`draw_view_params`).
 
 The moduli are the pairwise coprime triple of 11-smooth lengths whose views
 are cheapest under the op model (`dft.fft_op_count`), found by one search,
@@ -52,6 +53,9 @@ MIN_PLAN_LENGTH = 4
 LAMBDA_THRESHOLD = 0.33
 # k/sqrt(N) at or above this has no fast-path plan.
 RHO_DENSE = 0.5
+# Time shifts per planned view: the singleton test compares two adjacent-shift
+# phase ratios, and the residual test separates up to this many tones per bin.
+SHIFT_COUNT = 3
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,9 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw_view_params(m: int, M: int, seed: int, label: str, index: int, shifts: int) -> ViewParams:
-    """View `index` of the (seed, label) domain: sigma in [1, M) coprime to M, b in [0, m).
+def draw_view_params(m: int, M: int, seed: int, label: str, index: int) -> ViewParams:
+    """View `index` of the (seed, label) domain: sigma in [1, M) coprime to M,
+    b in [0, m), SHIFT_COUNT shifts.
 
     Attempt 0, 1, ... hashes (seed, label, index, attempt) into eight 64-bit
     words: b = w0 mod m, and sigma is the first 1 + w_i mod (M - 1), i >= 1,
@@ -108,7 +113,7 @@ def draw_view_params(m: int, M: int, seed: int, label: str, index: int, shifts: 
         for w in words:
             sigma = 1 + w % (M - 1)
             if math.gcd(sigma, M) == 1:
-                return ViewParams(m=m, sigma=sigma, b=b % m, shift_count=shifts)
+                return ViewParams(m=m, sigma=sigma, b=b % m, shift_count=SHIFT_COUNT)
 
 
 def _view_cost(m: int) -> int:
@@ -222,7 +227,8 @@ def make_plan(
     product of at least N, and a product past the grid ceiling raises
     OracleCapExceededError as an unpinned plan does).  A sparsity ratio
     k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
-    DenseRegimeError.  verify_views are the first t <= 3 id_views.
+    DenseRegimeError.  Every view is a keyed draw with SHIFT_COUNT shifts;
+    verify_views are the first t <= 3 id_views.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -251,13 +257,9 @@ def make_plan(
             f"modulus product {triple.M} is above the grid ceiling {_MAX_GRID}"
         )
 
-    shifts = cfg.shift_count
-    if cfg.identity_hash:
-        id_views = tuple(ViewParams(m=m, sigma=1, b=0, shift_count=shifts) for m in moduli)
-    else:
-        id_views = tuple(
-            draw_view_params(m, triple.M, seed, "id-views", i, shifts) for i, m in enumerate(moduli)
-        )
+    id_views = tuple(
+        draw_view_params(m, triple.M, seed, "id-views", i) for i, m in enumerate(moduli)
+    )
 
     return ModuliPlan(
         id_views=id_views,  # type: ignore[arg-type]
@@ -295,7 +297,7 @@ def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
     only relabels the residue classes mod m, so it cannot split a collision.
     """
     new_views = tuple(
-        draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i, view.shift_count)
+        draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i)
         for i, view in enumerate(plan.id_views)
     )
     return dc_replace(plan, id_views=new_views, verify_views=new_views[: len(plan.verify_views)])

@@ -27,8 +27,8 @@ at k = 12 on (44, 45, 49)) or, once 2k >= m, vacuous.  The residual is
 linear in D = truth - candidate: at shift s, bin r holds the sum of
 D_f z_f^s over the tones of D in r, z_f = e^{2pi i f/M}.  Tones of one bin
 agree mod m, so their nodes are distinct, spaced by multiples of 2pi*m/M,
-and for r <= S = shift_count tones the
-S x r Vandermonde matrix has full column rank: the bin's residual energy is
+and for r <= S tones, S = 3 in every planned view (`planner.SHIFT_COUNT`),
+the S x r Vandermonde matrix has full column rank: the bin's residual energy is
 at least sigma_min^2 * sum |D_f|^2 > 0, with sigma_min^2 = S for one tone.
 So, in exact arithmetic, a wrong candidate passes a view only if every bin
 that D reaches holds at least S + 1 of its tones; a difference of at most S

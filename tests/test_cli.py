@@ -82,6 +82,14 @@ def test_transform_t_above_three_exits_1(capsys):
     assert err.startswith("error: t must be in [0, 3]")
 
 
+def test_transform_identity_hash_flag_exits_1(capsys):
+    # every plan draws keyed views, so the flag is gone and argparse refuses it
+    code, out, err = run(capsys, "transform", "--synthesize", "{7:1}", "-k", "1",
+                         "--identity-hash")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --identity-hash" in err
+
+
 def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):
     # N = 3 has no three-view plan: exit 2, answered on the 3-point grid
     code, out, _ = run(capsys, "transform", "--synthesize", "{2:1}", "-k", "1")

@@ -15,12 +15,11 @@ from conftest import mutate_one_value, random_spectrum
 
 VALID = {
     "t": 3,
-    "shift_count": 3,
     "moduli_override": [7, 11, 13],
-    "identity_hash": True,
     "nominal_length": 1001,
     "verify_eps_rel": 1e-6,
     "dense_budget": 1 << 20,
+    "force_fallback": True,
 }
 
 
@@ -33,7 +32,17 @@ def write(tmp_path, payload):
 def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
-    assert cfg.identity_hash is True and cfg.nominal_length == 1001
+    assert cfg.force_fallback is True and cfg.nominal_length == 1001
+    assert len(dataclasses.fields(Config)) == 6
+
+
+@pytest.mark.parametrize("key, value", [("shift_count", 3), ("identity_hash", False)])
+def test_removed_option_is_refused_by_name(tmp_path, key, value):
+    # every plan reads three shifts through the keyed hash: neither is an option
+    with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
+        load_config(write(tmp_path, {**VALID, key: value}))
+    with pytest.raises(TypeError):
+        Config(**{key: value})
 
 
 @pytest.mark.parametrize(
@@ -44,7 +53,7 @@ def test_valid_file_loads(tmp_path):
         {"moduli_override": [7.5, 11, 13]},
         {"t": "3"},
         {"alpha": None},
-        {"identity_hash": 1},
+        {"force_fallback": 1},
         {"nominal_length": 1001.0},
         {"shift_count": 4},
         {"lambda_threshold": 0.33},
@@ -99,7 +108,7 @@ def test_nonsensical_length_is_rejected(change):
 # One rule for Config(...) and load_config: each of these fails at construction.
 REJECTED = {
     "fractional-t": {"t": 2.5},
-    "float-shift-count": {"shift_count": 3.0},
+    "float-dense-budget": {"dense_budget": 1024.0},
     "fractional-nominal-length": {"nominal_length": 1000.5},
     "bool-t": {"t": True},
     # three views exist to check, so a larger t is refused before any planning

@@ -10,41 +10,10 @@ from crtfft.gating import garner2
 from crtfft.numtheory import (
     ModTriple,
     coprime_divisor_capacity,
-    egcd,
     factorize,
     garner_digits,
     mod_inverse,
 )
-
-
-class TestEgcd:
-    def test_bezout_7_11(self):
-        g, x, y = egcd(7, 11)
-        assert g == 1 and 7 * x + 11 * y == 1
-        # x must be the residue class 8 mod 11: exhaustive check of [0, 11)
-        witnesses = [c for c in range(11) if (7 * c) % 11 == 1]
-        assert witnesses == [8]
-        assert x % 11 == 8
-
-    def test_gcd_with_zero(self):
-        g, x, y = egcd(0, 5)
-        assert g == 5 and 0 * x + 5 * y == 5
-
-    def test_large_coprime_primes(self):
-        g, x, y = egcd(1009, 991)
-        assert g == 1 and 1009 * x + 991 * y == 1
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            egcd(0, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 class TestModInverse:
@@ -63,6 +32,11 @@ class TestModInverse:
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
             mod_inverse(6, 9)
+
+    def test_negative_and_numpy_integers(self):
+        assert mod_inverse(-4, 7) == 5
+        inverse = mod_inverse(np.int64(7), np.int32(11))
+        assert inverse == 8 and type(inverse) is int
 
     def test_exhaustive_up_to_1000(self):
         for m in range(2, 1001, 37):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.config import Config, replace
+from crtfft.config import Config
 from crtfft.numtheory import ModTriple
 from crtfft.peeling import (
     ROUND_CAP_C,
@@ -17,13 +17,13 @@ from crtfft.peeling import (
     peel,
     run_peeling,
 )
-from crtfft.planner import draw_view_params, make_plan, rehash, rng_stream
+from crtfft.planner import ViewParams, draw_view_params, make_plan, rehash, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
 from crtfft.views import build_view, build_view_from_spectrum, build_views
 from crtfft.gating import gate_pairs
 from conftest import random_spectrum, spectra_close
 
-TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True)
+TOY_CFG = Config(moduli_override=(7, 11, 13))
 
 # Four tones that pairwise collide in every view of the (7, 11, 13) system:
 # residues mod 7 are (0,0,5,5), mod 11 are (0,7,0,7), mod 13 are (0,7,7,0).
@@ -44,6 +44,12 @@ def ledger(state):
     for f, c in zip(state.freqs.tolist(), state.coeffs.tolist()):
         summed[f] = summed.get(f, 0) + c
     return summed
+
+
+def view_bins(state, i):
+    """View i's columns of the peeling stack, found through its layout."""
+    m, first = state.layout[2:, i].tolist()
+    return state.stack[:, first : first + m]
 
 
 def toy_state(spectrum, seed=0, t=0, nominal=None):
@@ -67,7 +73,7 @@ class TestCreate:
         assert not any(np.shares_memory(v.bins, state.stack) for v in built)
         out = run_peeling(state, plan)
         assert out.status is PeelStatus.COMPLETE
-        assert max(np.abs(v.bins).max() for v in state.views) <= state.noise_floor
+        assert np.abs(state.stack).max() <= state.noise_floor
         assert all(v.bins.tobytes() == b.tobytes() for v, b in zip(built, before))
 
     def test_copies_views_built_apart(self, rng):
@@ -128,8 +134,9 @@ def per_view_reference(state):
     """Singleton detection one view at a time, then the cleanest reading per
     frequency (least error, then lowest view): {(view, bin, f_hat, coeff)}."""
     best = {}
-    for vi, view in enumerate(state.views):
-        bins = view.bins
+    for vi in range(state.layout.shape[1]):
+        a, b, m, _ = state.layout[:, vi].tolist()
+        bins = view_bins(state, vi)
         mag0 = np.abs(bins[0])
         cand = np.flatnonzero(mag0 > state.noise_floor)
         y0, y1 = bins[0][cand], bins[1][cand]
@@ -140,12 +147,11 @@ def per_view_reference(state):
         ok &= err <= SINGLETON_TOL
         ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
         f_hat = np.round(np.angle(ratio1) * state.M / (2 * np.pi)).astype(np.int64) % state.M
-        ok &= view.params.hash_frequency(f_hat) == cand
-        if bins.shape[0] >= 3:
-            ratio2 = bins[2][cand] / np.where(y1 == 0, 1, y1)
-            dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
-            err = np.maximum(err, dev2)
-            ok &= dev2 <= SINGLETON_TOL
+        ok &= (a * f_hat + b) % m == cand
+        ratio2 = bins[2][cand] / np.where(y1 == 0, 1, y1)
+        dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
+        err = np.maximum(err, dev2)
+        ok &= dev2 <= SINGLETON_TOL
         for i in np.flatnonzero(ok):
             f, key = int(f_hat[i]), (float(err[i]), vi)
             if f not in best or key < best[f][0]:
@@ -170,11 +176,10 @@ def reference_detect(state):
     ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
     f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
     ok &= (a * f_hat + b) % m == bin_index
-    if stack.shape[0] >= 3:
-        ratio2 = y[2] / np.where(y1 == 0, 1, y1)
-        dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
-        err = np.maximum(err, dev2)
-        ok &= dev2 <= SINGLETON_TOL
+    ratio2 = y[2] / np.where(y1 == 0, 1, y1)
+    dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
+    err = np.maximum(err, dev2)
+    ok &= dev2 <= SINGLETON_TOL
     rows = np.flatnonzero(ok)
     return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y0[rows], err[rows])
 
@@ -196,18 +201,11 @@ def toy_spectra(draw):
 
 class TestBatchDetection:
     @settings(max_examples=80, deadline=None)
-    @given(
-        spec=toy_spectra(),
-        identity=st.booleans(),
-        shifts=st.sampled_from((2, 3)),
-        seed=st.integers(0, 2**16),
-        misplaced=st.booleans(),
-    )
-    def test_matches_per_view_reference(self, spec, identity, shifts, seed, misplaced):
+    @given(spec=toy_spectra(), seed=st.integers(0, 2**16), misplaced=st.booleans())
+    def test_matches_per_view_reference(self, spec, seed, misplaced):
         # the same (view, bin, f_hat, coeff) set as testing each view on its
         # own, on the first rounds of peeling as well as on the fresh views
-        cfg = replace(TOY_CFG, identity_hash=identity, shift_count=shifts)
-        plan = make_plan(1001, len(spec), 0, seed, cfg)
+        plan = make_plan(1001, len(spec), 0, seed, TOY_CFG)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         if misplaced:
@@ -248,8 +246,6 @@ class TestDetectorMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
         spec=toy_spectra(),
-        identity=st.booleans(),
-        shifts=st.sampled_from((2, 3)),
         seed=st.integers(0, 2**16),
         edits=st.lists(
             st.tuples(
@@ -261,13 +257,12 @@ class TestDetectorMatchesReference:
             max_size=8,
         ),
     )
-    def test_bit_for_bit(self, spec, identity, shifts, seed, edits):
+    def test_bit_for_bit(self, spec, seed, edits):
         # view, bin, f_hat, coeff and error equal the reference's bit for bit,
         # on stacks with colliding tones, zeroed shift-1 bins, bins exactly at
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
-        cfg = replace(TOY_CFG, identity_hash=identity, shift_count=shifts)
-        plan = make_plan(1001, len(spec), 0, seed, cfg)
+        plan = make_plan(1001, len(spec), 0, seed, TOY_CFG)
         views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
         state = PeelState.create(views, plan.M)
         stack, floor = state.stack, state.noise_floor
@@ -281,9 +276,9 @@ class TestDetectorMatchesReference:
                 stack[0, column] = np.nextafter(floor, np.inf)
             elif kind == "tone":
                 # a geometric sequence: a singleton if its phase hashes back
-                stack[:, column] = complex(re, im) * np.exp(1j * np.arange(shifts) * re)
+                stack[:, column] = complex(re, im) * np.exp(1j * np.arange(3) * re)
             else:
-                stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))[:shifts]
+                stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))
         for _ in range(3):
             got = detect_singletons(state)
             assert same_bits(got, reference_detect(state))
@@ -302,16 +297,17 @@ class TestPeel:
         assert state.max_bin_magnitude() < 1e-12
 
     def test_peel_clears_other_views(self):
-        # peeling tone 7 out of view 1 must also clear view-2 bin 7 and
-        # view-3 bin 7
+        # peeling tone 7 read in view 1 must clear its bin in every view, and
+        # leave tone 41, which shares no bin with it, in place
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], 1001)
         plan, state = toy_state(spec)
         readings = detect_singletons(state)
         reading = readings.take(np.flatnonzero(readings.f_hat == 7)[:1])
         peel(state, reading)
-        assert abs(state.views[1].bins[0, 7]) < 1e-12
-        assert abs(state.views[2].bins[0, 7]) < 1e-12
-        assert abs(state.views[0].bins[0, 6] - 1.0) < 1e-12  # 41 still present
+        for i, vp in enumerate(plan.id_views):
+            bins = view_bins(state, i)
+            assert abs(bins[0, vp.hash_frequency(7)]) < 1e-12
+            assert abs(bins[0, vp.hash_frequency(41)] - 1.0) < 1e-12
 
 
     def test_round_subtracts_colliding_readings(self):
@@ -324,9 +320,9 @@ class TestPeel:
         peel(state, readings.take([np.flatnonzero(readings.f_hat == f)[-1] for f in (3, 10)]))
         assert set(ledger(state)) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
-        for view in state.views:
-            want = build_view_from_spectrum(residual, view.params, 1001).bins
-            assert np.abs(view.bins - want).max() < 1e-9
+        for i, vp in enumerate(plan.id_views):
+            want = build_view_from_spectrum(residual, vp, 1001).bins
+            assert np.abs(view_bins(state, i) - want).max() < 1e-9
 
 
 class TestRunPeeling:
@@ -384,7 +380,7 @@ class TestRunPeeling:
         # instance stays stuck under fresh parameters
         coeffs = np.exp(2j * np.pi * rng.random(4))
         spec = SparseSpectrum.from_pairs(list(zip(STUCK_SUPPORT, coeffs)), 1001)
-        plan = make_plan(1001, 4, 0, 3, replace(TOY_CFG, identity_hash=False))
+        plan = make_plan(1001, 4, 0, 3, TOY_CFG)
         plan = rehash(plan, seed=99, round_index=1)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
@@ -393,16 +389,18 @@ class TestRunPeeling:
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
         # peel-path recovery equals the gate-path reconstruction on
-        # instances where both complete
+        # instances where both complete; on views with sigma = 1 and b = 0
+        # the occupied bins are the gate's residue sets
         triple = ModTriple.create(31, 37, 41)
-        cfg = Config(moduli_override=triple.moduli, identity_hash=True)
+        cfg = Config(moduli_override=triple.moduli)
+        identity = [ViewParams(m=m, sigma=1, b=0, shift_count=3) for m in triple.moduli]
         for trial in range(10):
             k = int(rng.integers(1, 6))
             spec = random_spectrum(rng, k, triple.m1 * triple.m2)
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
             plan = make_plan(triple.m1 * triple.m2, k, 0, trial, cfg)
             src = synthesize(spec)
-            views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+            views = [build_view(src, vp, plan.M) for vp in identity]
             floor = 1e-9 * max(np.abs(v.bins[0]).max() for v in views)
             sets = [
                 sorted(np.flatnonzero(np.abs(v.bins[0]) > floor).tolist())
@@ -436,9 +434,9 @@ class TestRunPeeling:
             residual = SparseSpectrum.from_pairs(
                 [(f, c) for f, c in residual_entries.items() if abs(c) > 1e-12], 1001
             )
-            for view in state.views:
-                want = build_view_from_spectrum(residual, view.params, 1001).bins
-                assert np.abs(view.bins - want).max() < 1e-6
+            for i, vp in enumerate(plan.id_views):
+                want = build_view_from_spectrum(residual, vp, 1001).bins
+                assert np.abs(view_bins(state, i) - want).max() < 1e-6
 
 
 class TestRoundBound:
@@ -485,7 +483,7 @@ def test_fresh_hash_only_relabels_bins(m, k, seed):
     rng = np.random.default_rng(seed)
     M = 1001
     spec = random_spectrum(rng, k, M)
-    first, second = (draw_view_params(m, M, seed, "relabel", i, 3) for i in range(2))
+    first, second = (draw_view_params(m, M, seed, "relabel", i) for i in range(2))
     rho = np.arange(m)
     a = build_view_from_spectrum(spec, first, M).bins
     b = build_view_from_spectrum(spec, second, M).bins

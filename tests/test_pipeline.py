@@ -23,14 +23,14 @@ from crtfft.pipeline import (
     sparse_fft_dense,
     verify_certificate,
 )
-from crtfft.planner import make_plan
+from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.views import build_view
 from conftest import (
     DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close, verify_plan,
 )
 
-TOY_CFG = Config(moduli_override=(7, 11, 13), identity_hash=True, nominal_length=64)
+TOY_CFG = Config(moduli_override=(7, 11, 13), nominal_length=64)
 
 
 def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
@@ -106,27 +106,20 @@ class TestSparseFft:
 
     def test_op_counts_pinned(self, rng):
         # The op model is a fixed cost model: any drift in these figures makes
-        # op counts incomparable across commits.  With identity_hash every view
-        # has b = 0, so no modulation pass runs or is charged: the views phase
-        # costs 3 * (44 + 45 + 49) ops less.  Verification checks the views
-        # already built and reads no sample: it charges the energy part,
+        # op counts incomparable across commits.  Verification checks the
+        # views already built and reads no sample: it charges the energy part,
         # m + |candidate| per view, and the residual part.
         spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
-        cases = (
-            (False, {"peel": 630, "verify": 696, "views": 6765, "total": 8091}),
-            (True, {"peel": 630, "verify": 696, "views": 6351, "total": 7677}),
-        )
-        for identity_hash, expected in cases:
-            cfg = Config(nominal_length=2**14, identity_hash=identity_hash)
-            assert make_plan(2**14, 12, seed=5, config=cfg).M == spec.grid_length
-            result = sparse_fft(synthesize(spec), 12, cfg, seed=5)
-            assert result.path is RecoveryPath.FAST
-            assert spectra_close(result.spectrum, spec)
-            assert result.op_counts == expected, f"identity_hash={identity_hash}"
+        cfg = Config(nominal_length=2**14)
+        assert make_plan(2**14, 12, seed=5, config=cfg).M == spec.grid_length
+        result = sparse_fft(synthesize(spec), 12, cfg, seed=5)
+        assert result.path is RecoveryPath.FAST
+        assert spectra_close(result.spectrum, spec)
+        assert result.op_counts == {"peel": 630, "verify": 696, "views": 6765, "total": 8091}
 
     def test_fast_path_reads_each_sample_once(self, rng):
         # verification checks the views peeling was given, so a fast run reads
-        # each view's samples once: shift_count rows per modulus, no row twice
+        # each view's samples once: SHIFT_COUNT rows per modulus, no row twice
         class CountingSource(SignalSource):
             def __init__(self, inner):
                 self.inner, self.rows = inner, []
@@ -143,8 +136,8 @@ class TestSparseFft:
         src = CountingSource(synthesize(spec))
         result = sparse_fft(src, k, cfg, seed=1)
         assert result.path is RecoveryPath.FAST and spectra_close(result.spectrum, spec)
-        assert sum(map(len, src.rows)) == cfg.shift_count * sum(plan.triple.moduli) == 414
-        assert len(set(src.rows)) == len(src.rows) == cfg.shift_count * 3
+        assert sum(map(len, src.rows)) == SHIFT_COUNT * sum(plan.triple.moduli) == 414
+        assert len(set(src.rows)) == len(src.rows) == SHIFT_COUNT * 3
         assert all(len(set(row)) == len(row) for row in src.rows)
 
     def test_synthesized_scaling(self, rng):
@@ -602,6 +595,25 @@ class TestCertificates:
         assert result.path is RecoveryPath.FAST
         assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
         assert spectra_close(result.spectrum, spec)
+
+    def test_replay_builds_the_answer_only_for_a_view(self):
+        # replay reads the answer's arrays only to check it on a view, so a
+        # certificate without a plan parses to none; entries listed out of
+        # order parse to the ordered answer and replay as before
+        for make, has_view in ((fast_certificate, True), (fallback_certificate, False)):
+            text, src = make()
+            payload = json.loads(text)
+            fields = pipeline.parse_certificate(payload)
+            assert fields.grid_length == payload["grid_length"]
+            payload["recovered"].reverse()
+            reordered = pipeline.parse_certificate(payload)
+            if not has_view:
+                assert fields.spectrum is None and reordered.spectrum is None
+            else:
+                assert reordered.spectrum.entries == fields.spectrum.entries
+                assert fields.spectrum.freqs.tolist() == sorted(
+                    e["f"] for e in json.loads(text)["recovered"])
+            assert verify_certificate(Certificate(payload=payload), src) == []
 
     def test_records_no_residue_sets_or_gate_table(self, rng):
         fast, _ = self.make_fast_result(rng)

@@ -11,6 +11,7 @@ from crtfft.numtheory import ModTriple
 from crtfft.planner import (
     LAMBDA_THRESHOLD,
     RHO_DENSE,
+    SHIFT_COUNT,
     choose_moduli,
     divisor_moduli,
     draw_view_params,
@@ -39,11 +40,15 @@ def test_dense_boundary(N, k, dense):
 
 class TestMakePlan:
     def test_toy_override(self):
-        cfg = Config(moduli_override=(7, 11, 13), identity_hash=True)
+        cfg = Config(moduli_override=(13, 7, 11))
         plan = make_plan(64, 2, 0, seed=0, config=cfg)
         assert plan.triple.moduli == (7, 11, 13)
         assert plan.M == 1001 >= 64
-        assert all(v.sigma == 1 and v.b == 0 for v in plan.id_views)
+        # pinned moduli get keyed views like any plan's, three shifts each
+        assert [v.m for v in plan.id_views] == [7, 11, 13]
+        assert plan.id_views == tuple(
+            draw_view_params(m, 1001, 0, "id-views", i) for i, m in enumerate((7, 11, 13)))
+        assert all(v.shift_count == SHIFT_COUNT == 3 for v in plan.id_views)
 
     def test_mega_plan_moduli(self):
         plan = make_plan(2**20, 20, 3, seed=5)
@@ -102,7 +107,7 @@ class TestMakePlan:
 
 class TestValidatePlan:
     def test_clean_plan(self):
-        cfg = Config(moduli_override=(7, 11, 13), identity_hash=True)
+        cfg = Config(moduli_override=(7, 11, 13))
         assert validate_plan(make_plan(64, 2, 0, seed=0, config=cfg)) == []
         assert validate_plan(make_plan(2**16, 4, 3, seed=0)) == []
 
@@ -197,7 +202,7 @@ class TestDrawViewParams:
         # b is uniform on [0, m); sigma is uniform on the units mod M, so
         # sigma mod m (the hash dilation a) is uniform on the units mod m
         M = 44 * 45 * 49
-        draws = [draw_view_params(m, M, seed, "id-views", 0, 3) for seed in range(3000)]
+        draws = [draw_view_params(m, M, seed, "id-views", 0) for seed in range(3000)]
         units = np.array([u for u in range(m) if math.gcd(u, m) == 1])
         assert all(math.gcd(v.sigma, M) == 1 and 1 <= v.sigma < M for v in draws)
         b = np.array([v.b for v in draws])
@@ -210,9 +215,9 @@ class TestDrawViewParams:
         M = 1001
         keys = [(seed, label, i) for seed in (0, 1) for label in ("id-views", "verify-views")
                 for i in range(3)]
-        draws = {key: draw_view_params(13, M, *key, 3) for key in keys}
+        draws = {key: draw_view_params(13, M, *key) for key in keys}
         assert len({(v.sigma, v.b) for v in draws.values()}) == len(keys)
-        assert draws[(0, "id-views", 0)] == draw_view_params(13, M, 0, "id-views", 0, 3)
+        assert draws[(0, "id-views", 0)] == draw_view_params(13, M, 0, "id-views", 0)
 
 
 class TestRngStream:

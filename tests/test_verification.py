@@ -285,19 +285,23 @@ class TestStackedChecks:
     """`verify` predicts all verification views from one scatter into their
     stack; each view's check must be the one it gets on its own."""
 
-    @pytest.mark.parametrize("identity_hash", [False, True], ids=["drawn", "identity"])
+    @pytest.mark.parametrize("identity", [False, True], ids=["drawn", "identity"])
     @pytest.mark.parametrize("t", range(6))
-    def test_matches_per_view_checks(self, rng, t, identity_hash):
+    def test_matches_per_view_checks(self, rng, t, identity):
         N, k = 2**14, 12
         if t > 3:
             # only the three identification views exist to check
             with pytest.raises(ValueError, match=r"t must be in \[0, 3\]"):
-                Config(nominal_length=N, t=t, identity_hash=identity_hash)
+                Config(nominal_length=N, t=t)
             return
-        cfg = Config(nominal_length=N, t=t, identity_hash=identity_hash)
+        cfg = Config(nominal_length=N, t=t)
         plan = make_plan(N, k, seed=t, config=cfg)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        views = build_views(synthesize(spec), plan.verify_views, plan.M)
+        params = plan.verify_views
+        if identity:
+            # sigma = 1, b = 0: unrotated bins, as the gate's views read them
+            params = tuple(dc_replace(vp, sigma=1, b=0) for vp in params)
+        views = build_views(synthesize(spec), params, plan.M)
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.config import Config
 from crtfft.errors import StrideMismatchError
 from crtfft.planner import ViewParams, make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
@@ -56,7 +56,8 @@ class TestBuildView:
     @pytest.mark.parametrize("shift_count", [2, 3])
     @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
     def test_fft_path_matches_alias_oracle(self, rng, kind, shift_count):
-        plan = make_plan(2**14, 8, 0, seed=3, config=Config(shift_count=shift_count))
+        # plans draw three shifts; a replayed certificate's view may record two
+        plan = make_plan(2**14, 8, 0, seed=3)
         M = plan.M
         spec = random_spectrum(rng, 8, M)
         src = synthesize(spec)
@@ -66,7 +67,8 @@ class TestBuildView:
         read = src.sample_block
         src.sample_block = lambda idx: blocks.append(np.shape(idx)) or read(idx)
         for vp in plan.id_views:
-            assert vp.shift_count == shift_count
+            assert vp.shift_count == 3
+            vp = dataclasses.replace(vp, shift_count=shift_count)
             blocks.clear()
             view = build_view(src, vp, M)
             want = alias_oracle(spec, vp, M)
