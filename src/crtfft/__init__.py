@@ -21,7 +21,7 @@ unless a test is named) and what it reads today:
                          ops.total against N = 2^15 to about N^(1/3) bins, not sqrt(N)
                          2^24 at k = 16
   bounded worst case     test_corrupted_candidate_     a failed run adds 2M + fft_op_count(M)
-                         hook_forces_exact_fallback    + k ops: 4.07e6 at N = 2^14, k = 12,
+                         forces_exact_fallback         + k ops: 4.07e6 at N = 2^14, k = 12,
                                                        against 7,959 on the fast path
 """
 
@@ -53,12 +53,7 @@ from .signal import (
     save_spectrum,
     synthesize,
 )
-from .planner import (
-    ModuliPlan,
-    ViewParams,
-    make_plan,
-    validate_plan,
-)
+from .planner import ModuliPlan, ViewParams, make_plan
 from .views import ViewSpectrum, build_view, build_view_from_spectrum, build_views
 from .gating import GatedCandidate, GateStats, extract_residues, gate_pairs, gate_survivor_stats
 from .peeling import (

@@ -133,7 +133,7 @@ def cmd_transform(args) -> int:
         grid = nominal
         if nominal >= MIN_PLAN_LENGTH:
             try:
-                grid = make_plan(nominal, args.k, cfg.t, args.seed, cfg).M
+                grid = make_plan(nominal, args.k, seed=args.seed, config=cfg).M
             except (DenseRegimeError, OracleCapExceededError):
                 pass
         source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
@@ -247,7 +247,7 @@ def _mc_singleton_fraction(args, writer):
 
 def _mc_verify_miss(args, writer):
     cfg = Config(nominal_length=args.n or 10**6, t=1)
-    plan = make_plan(cfg.nominal_length, args.k, 1, args.seed, cfg)
+    plan = make_plan(cfg.nominal_length, args.k, seed=args.seed, config=cfg)
     m_v = plan.verify_views[0].m
     # view-0 and all-view slips of the full test, then of the one-shift test
     slips = [0, 0, 0, 0]

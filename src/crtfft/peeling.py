@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcount import OpCounter
-from .planner import ModuliPlan
 from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_stack, build_view, stack_views
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
@@ -186,9 +185,9 @@ def _dedupe(readings: SingletonReading) -> SingletonReading:
     return readings.take(order[first])
 
 
-def run_peeling(state: PeelState, plan: ModuliPlan) -> PeelOutcome:
-    """Detect-and-peel rounds until done, stuck, or over the round cap."""
-    cap = max(1, math.ceil(ROUND_CAP_C * math.log2(plan.k + 2)))
+def run_peeling(state: PeelState, k: int) -> PeelOutcome:
+    """Detect-and-peel rounds until done, stuck, or over the round cap for sparsity k."""
+    cap = max(1, math.ceil(ROUND_CAP_C * math.log2(k + 2)))
     status = None
     while True:
         if state.max_bin_magnitude() <= state.noise_floor:

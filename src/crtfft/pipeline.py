@@ -7,9 +7,11 @@ candidate.  Each run builds its views once (`build_views`: one sample read
 and one transform per view, charged to "views") and verifies on the first t
 of them as built, since peeling empties its own stacked copy.  A view drawn
 afresh on one of the moduli would read the same samples and only relabel
-these bins.  Any failure routes to the dense fallback, which materializes
-the grid, transforms it, and returns the top-k bins exactly.  The
-certificate names the failure in fallback_reason: "forced", "too-short",
+these bins.  The entry points take the source, k, a `Config` and a seed and
+nothing else: t and every other setting come from the `Config`, and each
+run counts its own ops.  Any failure routes to the dense fallback, which
+materializes the grid, transforms it, and returns the top-k bins exactly.
+The certificate names the failure in fallback_reason: "forced", "too-short",
 "dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
 "grid-mismatch", "peeling-two-core", "peeling-stagnated",
 "candidate-overflow" or "verification-failed".
@@ -159,12 +161,7 @@ def dense_fallback(
 
 
 def sparse_fft(
-    source: SignalSource,
-    k: int,
-    config: Config | None = None,
-    seed: int = 0,
-    op: OpCounter | None = None,
-    corrupt_candidate=None,
+    source: SignalSource, k: int, config: Config | None = None, seed: int = 0
 ) -> RecoveryResult:
     """Recover the k-sparse spectrum of `source` with a certificate.
 
@@ -175,16 +172,12 @@ def sparse_fft(
     nominal length below MIN_PLAN_LENGTH has no plan and falls back with
     reason "too-short", and one with no plan under the int64 grid ceiling
     with reason "grid-ceiling".
-
-    `corrupt_candidate` is test instrumentation: it maps the candidate
-    spectrum to a corrupted one just before verification, to exercise the
-    fallback guarantee.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     k = int(k)
     cfg = config or Config()
-    op = op if op is not None else OpCounter()
+    op = OpCounter()
     N = cfg.nominal_length or source.original_length
 
     fallback_reason = None
@@ -199,7 +192,7 @@ def sparse_fft(
         fallback_reason = f"too-short: N = {N} < {MIN_PLAN_LENGTH} has no three-view plan"
     else:
         try:
-            plan = make_plan(N, k, cfg.t, seed, cfg)
+            plan = make_plan(N, k, seed=seed, config=cfg)
         except DenseRegimeError as exc:
             fallback_reason = f"dense-regime: {exc}"
         except OracleCapExceededError as exc:
@@ -211,7 +204,7 @@ def sparse_fft(
 
     if plan is not None and fallback_reason is None:
         views = build_views(source, plan.id_views, plan.M, op)
-        outcome = run_peeling(PeelState.create(views, plan.M, op), plan)
+        outcome = run_peeling(PeelState.create(views, plan.M, op), k)
         peel_status = outcome.status
 
         if outcome.status is not PeelStatus.COMPLETE:
@@ -226,9 +219,7 @@ def sparse_fft(
                 keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
-            if corrupt_candidate is not None:
-                candidate = corrupt_candidate(candidate)
-            report = verify(views[: len(plan.verify_views)], candidate, cfg, op)
+            report = verify(views[: plan.t], candidate, cfg, op)
             if not report.overall:
                 fallback_reason = "verification-failed"
 
@@ -259,9 +250,9 @@ def sparse_fft(
     )
 
 
-def sparse_fft_dense(samples, k: int, config: Config | None = None, seed: int = 0, **kw):
+def sparse_fft_dense(samples, k: int, config: Config | None = None, seed: int = 0):
     """Recover the spectrum of a raw buffer on its own length-N grid."""
-    return sparse_fft(from_dense(samples), k, config, seed, **kw)
+    return sparse_fft(from_dense(samples), k, config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +427,9 @@ def parse_certificate(payload) -> ReplayFields:
             if f <= last:
                 ordered = False
             last = f
-            freqs.append(f)
-            coeffs.append(c)
+            freqs.append(f)  # read for the repeated-frequency check
+            if fresh_view is not None:
+                coeffs.append(c)
             if abs(c) < tau:
                 low.append((f, abs(c)))
             if f >= limit:

@@ -6,7 +6,8 @@ per-view affine hash parameters (dilation sigma, offset b), each view read
 at SHIFT_COUNT = 3 time shifts.  Each view's (sigma, b) is a keyed counter
 hash: BLAKE2b of (seed, label, view index, attempt) with label "id-views",
 so no draw depends on another and every plan is replayable from its seed
-(`draw_view_params`).
+(`draw_view_params`).  `ModuliPlan` stores the views, t, the triple, N and
+k; M and the verification views are derived from them.
 
 The moduli are the pairwise coprime triple of 11-smooth lengths whose views
 are cheapest under the op model (`dft.fft_op_count`), found by one search,
@@ -17,7 +18,8 @@ about max(N^(1/3), k/LAMBDA_THRESHOLD) bins, not sqrt(N).  No plan exceeds
 the int64 grid ceiling `signal._MAX_GRID`: where no triple fits under it
 the planner raises OracleCapExceededError instead.
 
-The verification views are the first t identification views.  Exact
+The verification views are the first t identification views, with t
+taken from `Config.t`, which refuses any t outside [0, 3].  Exact
 decimation requires a view modulus to divide the grid length, and the CRT
 needs the moduli pairwise coprime, so the triple offers no further exact
 moduli.  A view (m, sigma', b') on one of them would add nothing: sigma' is
@@ -83,12 +85,23 @@ class ViewParams:
 
 @dataclass(frozen=True)
 class ModuliPlan:
+    """Three keyed identification views over `triple`, of which verification
+    checks the first t.  M and the verification views are read from these
+    fields, so they cannot disagree with them."""
+
     id_views: tuple[ViewParams, ViewParams, ViewParams]
-    verify_views: tuple[ViewParams, ...]
+    t: int
     triple: ModTriple
-    M: int
     N: int
     k: int
+
+    @property
+    def M(self) -> int:
+        return self.triple.M
+
+    @property
+    def verify_views(self) -> tuple[ViewParams, ...]:
+        return self.id_views[: self.t]
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -209,13 +222,7 @@ def choose_moduli(N: int, k: int) -> tuple[int, int, int]:
     return best[2]
 
 
-def make_plan(
-    N: int,
-    k: int,
-    t: int | None = None,
-    seed: int = 0,
-    config: Config | None = None,
-) -> ModuliPlan:
+def make_plan(N: int, k: int, *, seed: int = 0, config: Config | None = None) -> ModuliPlan:
     """Build a reproducible plan for an N-point, k-sparse problem.
 
     The moduli come from `choose_moduli`: the pairwise coprime triple whose
@@ -228,16 +235,13 @@ def make_plan(
     OracleCapExceededError as an unpinned plan does).  A sparsity ratio
     k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
     DenseRegimeError.  Every view is a keyed draw with SHIFT_COUNT shifts;
-    verify_views are the first t <= 3 id_views.
+    verification checks the first config.t of them.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     cfg = config or Config()
-    t = cfg.t if t is None else t
-    if not 0 <= t <= 3:
-        raise ValueError(f"t must be in [0, 3], got {t}")
     rho = k / math.sqrt(N)
     if rho >= RHO_DENSE:
         raise DenseRegimeError(
@@ -261,14 +265,7 @@ def make_plan(
         draw_view_params(m, triple.M, seed, "id-views", i) for i, m in enumerate(moduli)
     )
 
-    return ModuliPlan(
-        id_views=id_views,  # type: ignore[arg-type]
-        verify_views=id_views[:t],
-        triple=triple,
-        M=triple.M,
-        N=N,
-        k=k,
-    )
+    return ModuliPlan(id_views, cfg.t, triple, N, k)  # type: ignore[arg-type]
 
 
 def divisor_moduli(m: int) -> tuple[int, int, int] | None:
@@ -300,36 +297,5 @@ def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
         draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i)
         for i, view in enumerate(plan.id_views)
     )
-    return dc_replace(plan, id_views=new_views, verify_views=new_views[: len(plan.verify_views)])
+    return dc_replace(plan, id_views=new_views)
 
-
-def validate_plan(plan: ModuliPlan) -> list[str]:
-    """Empty list iff every plan invariant holds; entries name the failure."""
-    violations = []
-    m1, m2, m3 = plan.triple.moduli
-    for a, b in ((m1, m2), (m1, m3), (m2, m3)):
-        if math.gcd(a, b) != 1:
-            violations.append(f"NotCoprime: moduli {a} and {b}")
-    if plan.M != m1 * m2 * m3:
-        violations.append("ProductMismatch: M != m1*m2*m3")
-    if plan.M < plan.N:
-        violations.append(f"ProductTooSmall: M={plan.M} < N={plan.N}")
-    if (plan.triple.m1 * plan.triple.gamma12) % plan.triple.m2 != 1:
-        violations.append("BadInverse: gamma12")
-    if (plan.triple.m1 * plan.triple.m2 * plan.triple.gamma23) % plan.triple.m3 != 1:
-        violations.append("BadInverse: gamma23")
-    for i, view in enumerate(plan.id_views):
-        if plan.M % view.m != 0:
-            violations.append(f"StrideMismatch: id view {i} modulus {view.m}")
-        if math.gcd(view.sigma, plan.M) != 1:
-            violations.append(f"NonInvertibleDilation: id view {i}")
-        if not (0 <= view.b < view.m):
-            violations.append(f"OffsetOutOfRange: id view {i}")
-        if view.m > 1 and view.a == 0:
-            violations.append(f"DegenerateHash: id view {i}")
-    if plan.verify_views != plan.id_views[: len(plan.verify_views)]:
-        violations.append("VerifyViewsMismatch: verify views are not the first id views")
-    ids = tuple(v.m for v in plan.id_views)
-    if sorted(ids) != sorted((m1, m2, m3)):
-        violations.append("ViewModuliMismatch: id views do not cover the triple")
-    return violations

@@ -94,7 +94,7 @@ class VerificationReport:
 def check_views(
     views: Sequence[ViewSpectrum],
     candidate: SparseSpectrum,
-    eps_rel: float = 1e-6,
+    eps_rel: float,
     op: OpCounter | None = None,
 ) -> tuple[ViewCheck, ...]:
     """Both parts of the test on views built from samples with one shift count.
@@ -125,7 +125,7 @@ def check_views(
 def check_view(
     view: ViewSpectrum,
     candidate: SparseSpectrum,
-    eps_rel: float = 1e-6,
+    eps_rel: float,
     op: OpCounter | None = None,
 ) -> ViewCheck:
     """Both parts of the test on one view built from samples."""

@@ -52,9 +52,9 @@ def view_bins(state, i):
     return state.stack[:, first : first + m]
 
 
-def toy_state(spectrum, seed=0, t=0, nominal=None):
+def toy_state(spectrum, seed=0, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
-    plan = make_plan(n, len(spectrum), t, seed, TOY_CFG)
+    plan = make_plan(n, len(spectrum), seed=seed, config=TOY_CFG)
     src = synthesize(spectrum)
     views = [build_view(src, vp, plan.M) for vp in plan.id_views]
     return plan, PeelState.create(views, plan.M)
@@ -65,25 +65,25 @@ class TestCreate:
         # the pipeline verifies on the views it built; peeling empties its own
         # stacked copy of them and leaves every built view as it was read
         N, k = 2**14, 12
-        plan = make_plan(N, k, 3, seed=2)
+        plan = make_plan(N, k, seed=2)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         built = build_views(synthesize(spec), plan.id_views, plan.M)
         before = [v.bins.copy() for v in built]
         state = PeelState.create(built, plan.M)
         assert not any(np.shares_memory(v.bins, state.stack) for v in built)
-        out = run_peeling(state, plan)
+        out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.COMPLETE
         assert np.abs(state.stack).max() <= state.noise_floor
         assert all(v.bins.tobytes() == b.tobytes() for v, b in zip(built, before))
 
     def test_copies_views_built_apart(self, rng):
         spec = random_spectrum(rng, 3, 1001)
-        plan = make_plan(1001, 3, 0, seed=0, config=TOY_CFG)
+        plan = make_plan(1001, 3, seed=0, config=TOY_CFG)
         views = [build_view(synthesize(spec), vp, plan.M) for vp in plan.id_views]
         before = [v.bins.copy() for v in views]
         state = PeelState.create(views, plan.M)
         assert not any(np.shares_memory(v.bins, state.stack) for v in views)
-        run_peeling(state, plan)
+        run_peeling(state, plan.k)
         assert all(np.array_equal(v.bins, b) for v, b in zip(views, before))
 
 
@@ -115,7 +115,7 @@ class TestDetectSingletons:
         assert found == {7, 41}
 
     def test_nonidentity_hash_consistency(self, rng):
-        plan = make_plan(2**14, 6, 0, seed=21)
+        plan = make_plan(2**14, 6, seed=21)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
@@ -205,7 +205,7 @@ class TestBatchDetection:
     def test_matches_per_view_reference(self, spec, seed, misplaced):
         # the same (view, bin, f_hat, coeff) set as testing each view on its
         # own, on the first rounds of peeling as well as on the fresh views
-        plan = make_plan(1001, len(spec), 0, seed, TOY_CFG)
+        plan = make_plan(1001, len(spec), seed=seed, config=TOY_CFG)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         if misplaced:
@@ -262,7 +262,7 @@ class TestDetectorMatchesReference:
         # on stacks with colliding tones, zeroed shift-1 bins, bins exactly at
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
-        plan = make_plan(1001, len(spec), 0, seed, TOY_CFG)
+        plan = make_plan(1001, len(spec), seed=seed, config=TOY_CFG)
         views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
         state = PeelState.create(views, plan.M)
         stack, floor = state.stack, state.noise_floor
@@ -329,7 +329,7 @@ class TestRunPeeling:
     def test_worked_example_completes_quickly(self):
         spec = SparseSpectrum.from_pairs([(7, 1.5), (41, -2j)], 1001)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan)
+        out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.COMPLETE
         assert out.rounds <= 2
         assert spectra_close(recovered(out, spec.grid_length), spec)
@@ -337,7 +337,7 @@ class TestRunPeeling:
     def test_empty_spectrum(self):
         spec = SparseSpectrum.from_pairs([], 1001)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan)
+        out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.COMPLETE
         assert len(out.freqs) == len(out.coeffs) == 0
 
@@ -345,7 +345,7 @@ class TestRunPeeling:
         # one tone whose shift-0 bins read exactly 1 - 0j peels in one round;
         # the outcome skips the sum but is bit for bit what summing the
         # ledger into zeros gives, -0.0 turned into +0.0 included
-        plan = make_plan(1001, 1, 0, 0, TOY_CFG)
+        plan = make_plan(1001, 1, seed=0, config=TOY_CFG)
         views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), vp, 1001)
                  for vp in plan.id_views]
         f, coeff = 41, complex(1.0, -0.0)
@@ -354,7 +354,7 @@ class TestRunPeeling:
                 coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001))
             view.bins[0, view.params.hash_frequency(f)] = coeff
         state = PeelState.create(views, 1001)
-        out = run_peeling(state, plan)
+        out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.COMPLETE and out.rounds == 1
         freqs, where = np.unique(state.freqs, return_inverse=True)
         summed = np.zeros(freqs.size, dtype=np.complex128)
@@ -371,7 +371,7 @@ class TestRunPeeling:
             residues = [f % m for f in STUCK_SUPPORT]
             assert all(residues.count(r) >= 2 for r in residues)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan)
+        out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.TWO_CORE
         assert len(out.freqs) == len(out.coeffs) == 0
 
@@ -380,11 +380,11 @@ class TestRunPeeling:
         # instance stays stuck under fresh parameters
         coeffs = np.exp(2j * np.pi * rng.random(4))
         spec = SparseSpectrum.from_pairs(list(zip(STUCK_SUPPORT, coeffs)), 1001)
-        plan = make_plan(1001, 4, 0, 3, TOY_CFG)
+        plan = make_plan(1001, 4, seed=3, config=TOY_CFG)
         plan = rehash(plan, seed=99, round_index=1)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
-        out = run_peeling(PeelState.create(views, plan.M), plan)
+        out = run_peeling(PeelState.create(views, plan.M), plan.k)
         assert out.status is PeelStatus.TWO_CORE
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
@@ -398,7 +398,7 @@ class TestRunPeeling:
             k = int(rng.integers(1, 6))
             spec = random_spectrum(rng, k, triple.m1 * triple.m2)
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
-            plan = make_plan(triple.m1 * triple.m2, k, 0, trial, cfg)
+            plan = make_plan(triple.m1 * triple.m2, k, seed=trial, config=cfg)
             src = synthesize(spec)
             views = [build_view(src, vp, plan.M) for vp in identity]
             floor = 1e-9 * max(np.abs(v.bins[0]).max() for v in views)
@@ -406,7 +406,7 @@ class TestRunPeeling:
                 sorted(np.flatnonzero(np.abs(v.bins[0]) > floor).tolist())
                 for v in views
             ]
-            out = run_peeling(PeelState.create(views, plan.M), plan)
+            out = run_peeling(PeelState.create(views, plan.M), plan.k)
             if out.status is not PeelStatus.COMPLETE:
                 continue
             assert spectra_close(recovered(out, spec.grid_length), spec)
@@ -422,7 +422,7 @@ class TestRunPeeling:
         # at every step the view bins equal the alias sums of the
         # still-unrecovered residual, against direct evaluation
         spec = random_spectrum(rng, 5, 1001)
-        plan, state = toy_state(spec, t=0)
+        plan, state = toy_state(spec)
         for _ in range(6):
             readings = detect_singletons(state)
             if not readings:
@@ -441,11 +441,11 @@ class TestRunPeeling:
 
 class TestRoundBound:
     def test_round_cap_respected(self, rng):
-        plan = make_plan(2**16, 8, 0, seed=2)
+        plan = make_plan(2**16, 8, seed=2)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**16)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
-        out = run_peeling(PeelState.create(views, plan.M), plan)
+        out = run_peeling(PeelState.create(views, plan.M), plan.k)
         cap = math.ceil(ROUND_CAP_C * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE
@@ -462,9 +462,9 @@ class TestPeelMonteCarlo:
         for t in range(trials):
             child = np.random.Generator(np.random.Philox(int(master.integers(0, 2**62))))
             spec = random_spectrum(child, 10, triple.M, unit=True)
-            plan = make_plan(triple.M, 10, 0, t, cfg)
+            plan = make_plan(triple.M, 10, seed=t, config=cfg)
             views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
-            out = run_peeling(PeelState.create(views, plan.M), plan)
+            out = run_peeling(PeelState.create(views, plan.M), plan.k)
             if out.status is PeelStatus.COMPLETE and spectra_close(recovered(out, plan.M), spec):
                 completed += 1
         assert completed / trials >= 0.99

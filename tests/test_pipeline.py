@@ -91,7 +91,7 @@ class TestSparseFft:
     def test_medium_instance_exact_and_cheaper_than_dense(self, rng):
         # full-size cell (N=2^14, t=8) runs in the acceptance suite
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 8, 3, seed=3, config=cfg)
+        plan = make_plan(2**12, 8, seed=3, config=cfg)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**12)
         src = synthesize(spec)
         result = sparse_fft(src, 8, cfg, seed=3)
@@ -179,7 +179,7 @@ class TestSparseFft:
         # half the energy, verification must catch it, fallback returns the
         # dense oracle's top-k
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 4, 3, seed=4, config=cfg)
+        plan = make_plan(2**12, 4, seed=4, config=cfg)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**12)
         src = synthesize(spec)
         result = sparse_fft(src, 4, cfg, seed=4)
@@ -187,22 +187,24 @@ class TestSparseFft:
         dense = dense_fallback(src, 4, cfg)
         assert result.spectrum.entries == dense.entries
 
-    def test_corrupted_candidate_hook_forces_exact_fallback(self, rng):
+    def test_corrupted_candidate_forces_exact_fallback(self, rng, monkeypatch):
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 5, 3, seed=5, config=cfg)
+        plan = make_plan(2**12, 5, seed=5, config=cfg)
         spec = random_spectrum(rng, 5, plan.M, fmax=2**12)
         src = synthesize(spec)
 
         corrupted = []
+        real_verify = pipeline.verify
 
-        def corrupt(candidate):
+        def corrupt_then_verify(views, candidate, *rest):
             entries = list(candidate.entries)
             f, c = entries[0]
             entries[0] = ((f + 17) % candidate.grid_length, c)
             corrupted.append(SparseSpectrum.from_pairs(entries, candidate.grid_length))
-            return corrupted[-1]
+            return real_verify(views, corrupted[-1], *rest)
 
-        result = sparse_fft(src, 5, cfg, seed=5, corrupt_candidate=corrupt)
+        monkeypatch.setattr(pipeline, "verify", corrupt_then_verify)
+        result = sparse_fft(src, 5, cfg, seed=5)
         assert result.path is RecoveryPath.FALLBACK
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["fallback_reason"] == "verification-failed"
@@ -248,9 +250,9 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert verify_certificate(result.certificate, src, cfg) == []
-        plan = make_plan(M, k, 0, seed, cfg)
+        plan = make_plan(M, k, seed=seed, config=cfg)
         views = [build_view(src, vp, M) for vp in plan.id_views]
-        rounds = run_peeling(PeelState.create(views, M), plan).rounds
+        rounds = run_peeling(PeelState.create(views, M), k).rounds
         assert rounds > math.ceil(4 * math.log2(k + 2))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True, -1])
@@ -283,7 +285,7 @@ class TestSparseFft:
 
     def test_determinism_bytes(self, rng):
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 4, 3, seed=6, config=cfg)
+        plan = make_plan(2**12, 4, seed=6, config=cfg)
         spec = random_spectrum(rng, 4, plan.M, fmax=2**12)
         src = synthesize(spec)
         a = sparse_fft(src, 4, cfg, seed=6)
@@ -295,7 +297,7 @@ class TestSparseFft:
     def test_determinism_bytes_over_peeling_rounds(self, rng):
         # several peel rounds, each recovered entry with its CRT record
         cfg = Config(nominal_length=2**14)
-        plan = make_plan(2**14, 12, cfg.t, seed=4, config=cfg)
+        plan = make_plan(2**14, 12, seed=4, config=cfg)
         src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
         a, b = (sparse_fft(src, 12, cfg, seed=4) for _ in range(2))
         assert a.path is RecoveryPath.FAST
@@ -308,7 +310,7 @@ class TestSparseFft:
         # abs differs from it in the last ulp on some unit-modulus values
         if path is RecoveryPath.FAST:  # several peel rounds
             cfg = Config(nominal_length=2**14)
-            plan = make_plan(2**14, 12, cfg.t, seed=4, config=cfg)
+            plan = make_plan(2**14, 12, seed=4, config=cfg)
             src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
             result = sparse_fft(src, 12, cfg, seed=4)
         else:  # dense, past the dense boundary

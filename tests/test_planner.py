@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtfft.config import Config
 from crtfft.dft import fft_op_count
-from crtfft.errors import DenseRegimeError, OracleCapExceededError
+from crtfft.errors import DenseRegimeError, NotCoprimeError, OracleCapExceededError
 from crtfft.gating import gate_survivor_stats
 from crtfft.numtheory import ModTriple
 from crtfft.planner import (
@@ -18,8 +21,24 @@ from crtfft.planner import (
     make_plan,
     rehash,
     rng_stream,
-    validate_plan,
 )
+
+
+def assert_plan_invariants(plan, N, k, t):
+    """Every invariant a plan made for (N, k) with Config(t=t) keeps."""
+    m1, m2, m3 = plan.triple.moduli
+    assert math.gcd(m1, m2) == math.gcd(m1, m3) == math.gcd(m2, m3) == 1
+    assert plan.M == m1 * m2 * m3 >= N
+    assert m1 * plan.triple.gamma12 % m2 == 1
+    assert m1 * m2 * plan.triple.gamma23 % m3 == 1
+    assert sorted(v.m for v in plan.id_views) == [m1, m2, m3]
+    for v in plan.id_views:
+        assert math.gcd(v.sigma, plan.M) == 1
+        assert 0 <= v.b < v.m
+        assert v.a != 0
+    assert plan.verify_views == plan.id_views[:t]
+    assert m1 >= k / LAMBDA_THRESHOLD
+    assert (plan.N, plan.k, plan.t) == (N, k, t)
 
 
 @pytest.mark.parametrize(
@@ -35,13 +54,30 @@ def test_dense_boundary(N, k, dense):
         with pytest.raises(DenseRegimeError, match=r"rho = 0\.[56]00 >= 0\.5"):
             make_plan(N, k)
     else:
-        assert validate_plan(make_plan(N, k)) == []
+        assert_plan_invariants(make_plan(N, k), N, k, Config().t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(4, 2**30), k=st.integers(0, 500), seed=st.integers(0, 2**63 - 1),
+       t=st.integers(0, 3))
+def test_make_plan_invariants(N, k, seed, t):
+    """A plan keeps every invariant, or make_plan refuses with a typed error:
+    DenseRegimeError exactly when k/sqrt(N) >= RHO_DENSE."""
+    try:
+        plan = make_plan(N, k, seed=seed, config=Config(t=t))
+    except DenseRegimeError:
+        assert k / math.sqrt(N) >= RHO_DENSE
+    except OracleCapExceededError:
+        pass
+    else:
+        assert k / math.sqrt(N) < RHO_DENSE
+        assert_plan_invariants(plan, N, k, t)
 
 
 class TestMakePlan:
     def test_toy_override(self):
         cfg = Config(moduli_override=(13, 7, 11))
-        plan = make_plan(64, 2, 0, seed=0, config=cfg)
+        plan = make_plan(64, 2, seed=0, config=cfg)
         assert plan.triple.moduli == (7, 11, 13)
         assert plan.M == 1001 >= 64
         # pinned moduli get keyed views like any plan's, three shifts each
@@ -51,7 +87,7 @@ class TestMakePlan:
         assert all(v.shift_count == SHIFT_COUNT == 3 for v in plan.id_views)
 
     def test_mega_plan_moduli(self):
-        plan = make_plan(2**20, 20, 3, seed=5)
+        plan = make_plan(2**20, 20, seed=5)
         assert plan.triple.moduli == (81, 112, 125)  # 3^4, 2^4*7, 5^3
         assert plan.M >= 2**20
         assert len(plan.verify_views) == 3
@@ -59,115 +95,97 @@ class TestMakePlan:
     def test_adaptive_moduli_when_load_high(self):
         # rho = 0.2 stays under the sparse threshold, and k/lambda = 607 is
         # above N^(1/3) = 100, so the load floor, not M >= N, sizes the views
-        plan = make_plan(10**6, 200, 0, seed=1)
+        plan = make_plan(10**6, 200, seed=1)
         assert plan.triple.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
         assert min(plan.triple.moduli) >= 200 / LAMBDA_THRESHOLD
 
     def test_moderate_load_bound(self):
-        plan = make_plan(10**6, 200, 0, seed=1)
+        plan = make_plan(10**6, 200, seed=1)
         k = 200
         assert k / min(plan.triple.moduli) <= LAMBDA_THRESHOLD
 
     def test_determinism(self):
-        a = make_plan(2**18, 10, 3, seed=99)
-        b = make_plan(2**18, 10, 3, seed=99)
+        a = make_plan(2**18, 10, seed=99)
+        b = make_plan(2**18, 10, seed=99)
         assert a == b
 
     def test_seed_changes_draws(self):
-        a = make_plan(2**18, 10, 3, seed=1)
-        b = make_plan(2**18, 10, 3, seed=2)
+        a = make_plan(2**18, 10, seed=1)
+        b = make_plan(2**18, 10, seed=2)
         assert a.triple == b.triple
         assert a.id_views != b.id_views
 
     def test_verification_independent_of_t(self):
-        # t picks how many identification views verification checks; it
-        # never alters the draws, and past the three views it is refused
-        a = make_plan(2**18, 10, 0, seed=7)
-        b = make_plan(2**18, 10, 3, seed=7)
-        c = make_plan(2**18, 10, 2, seed=7)
+        # Config.t picks how many identification views verification checks;
+        # it never alters the draws
+        a = make_plan(2**18, 10, seed=7, config=Config(t=0))
+        b = make_plan(2**18, 10, seed=7)
+        c = make_plan(2**18, 10, seed=7, config=Config(t=2))
         assert a.id_views == b.id_views == c.id_views
         assert (a.verify_views, b.verify_views, c.verify_views) == ((), b.id_views, b.id_views[:2])
-        for t in (4, 5, -1):
-            with pytest.raises(ValueError, match=r"t must be in \[0, 3\]"):
-                make_plan(2**18, 10, t, seed=7)
+
+    def test_t_is_not_positional(self):
+        # t comes only from Config, and seed and config are keyword-only, so
+        # an old call that passed t third cannot bind it as the seed
+        with pytest.raises(TypeError):
+            make_plan(2**14, 12, 3)
+
+    def test_verify_views_are_derived(self):
+        # M and the verification views are read from the triple and the
+        # identification views, so no plan can hold copies that disagree
+        plan = make_plan(2**16, 4, seed=0, config=Config(t=2))
+        assert (plan.M, plan.verify_views) == (plan.triple.M, plan.id_views[:2])
+        for derived in ("M", "verify_views"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(plan, **{derived: getattr(plan, derived)})
+
+    def test_pinned_product_below_n_raises(self):
+        cfg = Config(moduli_override=(7, 11, 13))
+        with pytest.raises(ValueError, match=r"modulus product 1001 below N=1002"):
+            make_plan(1002, 2, config=cfg)
+        assert make_plan(1001, 2, config=cfg).M == 1001
+
+    def test_pinned_moduli_must_be_coprime(self):
+        with pytest.raises(NotCoprimeError, match="moduli 6 and 10"):
+            make_plan(64, 2, config=Config(moduli_override=(6, 7, 10)))
+
+    @pytest.mark.parametrize("k", [1, 3, 12, 64])
+    def test_planned_moduli_are_valid(self, k):
+        for a in range(6, 21):
+            if k / math.sqrt(2**a) < RHO_DENSE:
+                assert_plan_invariants(make_plan(2**a, k, seed=a), 2**a, k, Config().t)
 
     def test_verify_views_reuse_triple_moduli(self):
-        plan = make_plan(2**18, 10, 3, seed=3)
+        plan = make_plan(2**18, 10, seed=3)
         assert plan.verify_views == plan.id_views
         for v in plan.verify_views:
             assert v.m in plan.triple.moduli
             assert plan.M % v.m == 0
 
     def test_sigma_invertible(self):
-        plan = make_plan(2**16, 5, 3, seed=11)
+        plan = make_plan(2**16, 5, seed=11)
         for v in plan.id_views + plan.verify_views:
             assert math.gcd(v.sigma, plan.M) == 1
             assert 1 <= v.a < v.m
 
 
-class TestValidatePlan:
-    def test_clean_plan(self):
-        cfg = Config(moduli_override=(7, 11, 13))
-        assert validate_plan(make_plan(64, 2, 0, seed=0, config=cfg)) == []
-        assert validate_plan(make_plan(2**16, 4, 3, seed=0)) == []
-
-    def test_not_coprime_flagged(self):
-        plan = make_plan(2**16, 4, 0, seed=0)
-        broken = plan.__class__(
-            id_views=plan.id_views,
-            verify_views=plan.verify_views,
-            triple=plan.triple.__class__(
-                m1=plan.triple.m1,
-                m2=plan.triple.m1,  # duplicate modulus
-                m3=plan.triple.m3,
-                gamma12=plan.triple.gamma12,
-                gamma23=plan.triple.gamma23,
-                M=plan.M,
-            ),
-            M=plan.M,
-            N=plan.N,
-            k=plan.k,
-        )
-        assert any(v.startswith("NotCoprime") for v in validate_plan(broken))
-
-    def test_gate_wrap_flagged(self):
-        # 7*11 < 100: two-view reconstructions of frequencies in [77, 100)
-        # wrap.  Peeling needs only M >= N, so the plan is valid; the gate
-        # checks its own no-wrap precondition.
-        plan = make_plan(100, 1, config=Config(moduli_override=(7, 11, 13)))
-        assert plan.M >= plan.N
-        assert validate_plan(plan) == []
-        with pytest.raises(ValueError, match=r"N=100 exceeds m1\*m2=77"):
-            gate_survivor_stats(100, 1, 1.0, ModTriple.create(7, 11, 13), trials=1)
-
-    @pytest.mark.parametrize("k", [1, 3, 12, 64])
-    def test_planned_moduli_are_valid(self, k):
-        for a in range(6, 21):
-            if k / math.sqrt(2**a) < RHO_DENSE:
-                assert validate_plan(make_plan(2**a, k, seed=a)) == []
-
-    def test_verify_views_not_id_views_flagged(self):
-        plan = make_plan(2**16, 4, 2, seed=0)
-        import dataclasses
-
-        swapped = dataclasses.replace(plan, verify_views=plan.id_views[1:])
-        assert "VerifyViewsMismatch" in validate_plan(swapped)[0]
-
-    def test_product_too_small_flagged(self):
-        plan = make_plan(2**16, 4, 0, seed=0)
-        import dataclasses
-
-        shrunk = dataclasses.replace(plan, N=plan.M + 1)
-        assert any(v.startswith("ProductTooSmall") for v in validate_plan(shrunk))
+def test_gate_checks_its_own_no_wrap_condition():
+    # 7*11 < 100: two-view reconstructions of frequencies in [77, 100)
+    # wrap.  Peeling needs only M >= N, so the plan is valid; the gate
+    # checks its own no-wrap precondition.
+    plan = make_plan(100, 1, config=Config(moduli_override=(7, 11, 13)))
+    assert_plan_invariants(plan, 100, 1, Config().t)
+    with pytest.raises(ValueError, match=r"N=100 exceeds m1\*m2=77"):
+        gate_survivor_stats(100, 1, 1.0, ModTriple.create(7, 11, 13), trials=1)
 
 
 class TestRehash:
     def test_deterministic(self):
-        plan = make_plan(2**16, 5, 2, seed=4)
+        plan = make_plan(2**16, 5, seed=4, config=Config(t=2))
         assert rehash(plan, 123, 1) == rehash(plan, 123, 1)
 
     def test_fresh_params_same_moduli(self):
-        plan = make_plan(2**16, 5, 2, seed=4)
+        plan = make_plan(2**16, 5, seed=4, config=Config(t=2))
         new = rehash(plan, 123, 1)
         assert new.triple == plan.triple
         assert new.id_views != plan.id_views
@@ -191,7 +209,7 @@ class TestDrawViewParams:
     def test_golden_plan(self):
         # one seed's draws at N = 2^14, k = 12, pinned so that any change to
         # the keyed hash is deliberate (it changes every seed's certificate)
-        plan = make_plan(2**14, 12, None, seed=1)
+        plan = make_plan(2**14, 12, seed=1)
         assert plan.triple.moduli == (44, 45, 49)
         assert [(v.m, v.sigma, v.b) for v in plan.id_views] == [
             (44, 50951, 0), (45, 28367, 5), (49, 23543, 3)]
@@ -285,7 +303,7 @@ class TestChooseModuli:
         for N in range(2_900_000_000, 2_990_000_001, 15_000_000):
             plan = make_plan(N, 64)
             assert plan.M <= 3_000_000_000
-            assert validate_plan(plan) == []
+            assert_plan_invariants(plan, N, 64, Config().t)
 
     def test_int64_grid_ceiling_edges(self):
         # the last N that a triple no costlier than the witness covers under

@@ -3,6 +3,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+from crtfft import pipeline
 from crtfft.config import Config
 from crtfft.pipeline import RecoveryPath, sparse_fft
 from crtfft.planner import make_plan
@@ -10,6 +11,8 @@ from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.verification import check_view, check_views, verify
 from crtfft.views import build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, verify_plan
+
+EPS_REL = Config().verify_eps_rel
 
 
 def collision_free_instance(rng, k, plan):
@@ -31,20 +34,20 @@ class TestParsevalCheck:
     """The energy part of check_view: parseval_gap against epsilon."""
 
     def test_true_candidate_collision_free(self, rng):
-        plan = make_plan(2**14, 5, 3, seed=8)
+        plan = make_plan(2**14, 5, seed=8)
         spec = collision_free_instance(rng, 5, plan)
         src = synthesize(spec)
         for vp in plan.verify_views:
             view = build_view(src, vp, plan.M)
             e_time = view.time_energy
-            check = check_view(view, spec)
+            check = check_view(view, spec, EPS_REL)
             assert check.passed and check.parseval_gap <= 1e-9 * max(e_time, 1)
             assert check.epsilon == 1e-6 * max(e_time, 1)
             # collision-free: predicted view energy equals plain energy
             assert abs(e_time / vp.m - spec.energy()) <= 1e-9 * max(e_time, 1)
 
     def test_missing_unit_tone_fails(self, rng):
-        plan = make_plan(2**14, 5, 3, seed=8)
+        plan = make_plan(2**14, 5, seed=8)
         spec = collision_free_instance(rng, 5, plan)
         # normalize one tone to magnitude exactly 1, then drop it
         entries = list(spec.entries)
@@ -54,18 +57,18 @@ class TestParsevalCheck:
         short = SparseSpectrum.from_pairs(entries[1:], plan.M)
         src = synthesize(spec)
         vp = plan.verify_views[0]
-        check = check_view(build_view(src, vp, plan.M), short)
+        check = check_view(build_view(src, vp, plan.M), short, EPS_REL)
         assert check.parseval_gap > check.epsilon and not check.passed
         assert check.parseval_gap >= 1 - 1e-6
 
     def test_empty_candidate_gap_is_signal_energy(self, rng):
-        plan = make_plan(2**14, 3, 1, seed=9)
+        plan = make_plan(2**14, 3, seed=9, config=Config(t=1))
         spec = collision_free_instance(rng, 3, plan)
         src = synthesize(spec)
         vp = plan.verify_views[0]
         empty = SparseSpectrum.from_pairs([], plan.M)
         view = build_view(src, vp, plan.M)
-        check = check_view(view, empty)
+        check = check_view(view, empty, EPS_REL)
         assert check.parseval_gap > check.epsilon
         e_time = view.time_energy
         assert abs(check.parseval_gap - e_time / vp.m) < 1e-9 * max(e_time, 1)
@@ -73,38 +76,38 @@ class TestParsevalCheck:
     def test_true_candidate_with_collisions_still_passes(self):
         # two tones forced into the same verification bin: the prediction
         # includes the interference, so a correct candidate still passes
-        plan = make_plan(2**14, 2, 3, seed=11)
+        plan = make_plan(2**14, 2, seed=11)
         vp = plan.verify_views[0]
         f1 = 101
         f2 = f1 + vp.m * 3
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (f2, 1.0)], plan.M)
         assert int(vp.hash_frequency(f1)) == int(vp.hash_frequency(f2))
         src = synthesize(spec)
-        check = check_view(build_view(src, vp, plan.M), spec)
+        check = check_view(build_view(src, vp, plan.M), spec, EPS_REL)
         assert check.parseval_gap <= check.epsilon, check
 
     def test_predicted_view_is_refused(self):
-        plan = make_plan(2**14, 2, 1, seed=11)
+        plan = make_plan(2**14, 2, seed=11, config=Config(t=1))
         spec = SparseSpectrum.from_pairs([(5, 1.0)], plan.M)
         predicted = build_view_from_spectrum(spec, plan.verify_views[0], plan.M)
         with pytest.raises(ValueError):
-            check_view(predicted, spec)
+            check_view(predicted, spec, EPS_REL)
 
 
 class TestResidualCheck:
     """The residual part of check_view: residual_energy against epsilon."""
 
     def test_correct_candidate(self, rng):
-        plan = make_plan(2**14, 4, 2, seed=10)
+        plan = make_plan(2**14, 4, seed=10, config=Config(t=2))
         spec = random_spectrum(rng, 4, plan.M, fmax=plan.N)
         src = synthesize(spec)
         for vp in plan.verify_views:
-            check = check_view(build_view(src, vp, plan.M), spec)
+            check = check_view(build_view(src, vp, plan.M), spec, EPS_REL)
             assert check.residual_energy <= check.epsilon
             assert check.residual_energy < 1e-12 * max(spec.energy(), 1)
 
     def test_swapped_frequency_detected_without_bin_collision(self, rng):
-        plan = make_plan(2**14, 4, 1, seed=10)
+        plan = make_plan(2**14, 4, seed=10, config=Config(t=1))
         spec = random_spectrum(rng, 4, plan.M, fmax=plan.N, unit=True)
         src = synthesize(spec)
         vp = plan.verify_views[0]
@@ -114,7 +117,7 @@ class TestResidualCheck:
         if wrong in dict(entries):
             wrong = (f0 + 2) % plan.N
         corrupted = SparseSpectrum.from_pairs([(wrong, c0)] + entries[1:], plan.M)
-        check = check_view(build_view(src, vp, plan.M), corrupted)
+        check = check_view(build_view(src, vp, plan.M), corrupted, EPS_REL)
         if int(vp.hash_frequency(f0)) != int(vp.hash_frequency(wrong)):
             assert check.residual_energy > check.epsilon and not check.passed
             assert check.residual_energy >= (1 - 1e-6) * abs(c0) ** 2
@@ -122,14 +125,14 @@ class TestResidualCheck:
     def test_same_bin_swap_caught_by_shifted_phases(self):
         # equal-magnitude swap inside one bin: shift 0 cancels exactly, the
         # phase structure at shifts 1 and 2 still exposes it
-        plan = make_plan(2**14, 2, 1, seed=13)
+        plan = make_plan(2**14, 2, seed=13, config=Config(t=1))
         vp = plan.verify_views[0]
         f1 = 500
         f2 = f1 + vp.m * 40  # same bin, far apart on the grid
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (1, 0.5)], plan.M)
         corrupted = SparseSpectrum.from_pairs([(f2, 1.0), (1, 0.5)], plan.M)
         src = synthesize(spec)
-        check = check_view(build_view(src, vp, plan.M), corrupted)
+        check = check_view(build_view(src, vp, plan.M), corrupted, EPS_REL)
         # the energy part cannot see the swap; the residual part alone fails it
         assert check.parseval_gap <= check.epsilon
         assert check.residual_energy > check.epsilon and not check.passed
@@ -144,7 +147,7 @@ class TestResidualCheck:
 
 class TestVerify:
     def test_correct_candidate_passes_t3(self, rng):
-        plan = make_plan(2**14, 5, 3, seed=14)
+        plan = make_plan(2**14, 5, seed=14)
         spec = random_spectrum(rng, 5, plan.M, fmax=plan.N)
         src = synthesize(spec)
         report = verify_plan(src, plan, spec, Config(nominal_length=2**14))
@@ -156,7 +159,7 @@ class TestVerify:
         cfg = Config(nominal_length=2**14)
         for trial in range(40):
             k = int(rng.integers(1, 9))
-            plan = make_plan(2**14, k, 3, seed=trial)
+            plan = make_plan(2**14, k, seed=trial)
             spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
             report = verify_plan(synthesize(spec), plan, spec, cfg)
             assert report.overall
@@ -165,14 +168,14 @@ class TestVerify:
         cfg = Config(nominal_length=2**14)
         for trial in range(25):
             k = int(rng.integers(2, 8))
-            plan = make_plan(2**14, k, 3, seed=100 + trial)
+            plan = make_plan(2**14, k, seed=100 + trial)
             spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
             short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
             report = verify_plan(synthesize(spec), plan, short, cfg)
             assert not report.overall
 
     def test_t0_vacuous_pass_flagged(self, rng):
-        plan = make_plan(2**14, 3, 0, seed=15)
+        plan = make_plan(2**14, 3, seed=15, config=Config(t=0))
         spec = random_spectrum(rng, 3, plan.M, fmax=plan.N)
         report = verify_plan(synthesize(spec), plan, spec, Config())
         assert report.overall and report.unverified
@@ -186,7 +189,7 @@ class TestVerify:
         # nothing to a fresh draw
         N, k = 2**14, 12
         cfg = Config(nominal_length=N)
-        plan_a, plan_b = make_plan(N, k, 3, seed=16), make_plan(N, k, 3, seed=17)
+        plan_a, plan_b = make_plan(N, k, seed=16), make_plan(N, k, seed=17)
         spec = random_spectrum(rng, k, plan_a.M, fmax=N)
         candidate = spec
         if wrong:
@@ -214,7 +217,7 @@ class TestVerify:
         # a verdict is a pure function of (source, view parameters, candidate):
         # rechecking the same views cannot turn a failed verification around
         cfg = Config(moduli_override=(7, 11, 13), nominal_length=1001)
-        plan = make_plan(1001, 4, 3, seed=21, config=cfg)
+        plan = make_plan(1001, 4, seed=21, config=cfg)
         spec = random_spectrum(rng, 4, plan.M)
         src = synthesize(spec)
         if kind == "dense":
@@ -227,7 +230,7 @@ class TestVerify:
 
 
 def _corrupt(kind, rng, m1m2):
-    """A corrupt_candidate hook that applies one corruption of kind `kind`."""
+    """A map from a candidate to a copy with one corruption of kind `kind`."""
 
     def corrupt(candidate):
         entries = list(candidate.entries)
@@ -257,16 +260,19 @@ class TestSmallModuli:
     """Verification where the moduli are near k, so (2k/m)^t is a weak bound."""
 
     @pytest.mark.parametrize("kind", ["swap", "swap-m1m2", "drop", "amplitude"])
-    def test_corruptions_never_pass(self, rng, kind):
+    def test_corruptions_never_pass(self, rng, kind, monkeypatch):
         N, k = 2**14, 12
         cfg = Config(nominal_length=N)
         plan = make_plan(N, k, seed=0, config=cfg)
         # the paper's bound (2k/m1)^3 = 0.16 would allow one slip in six
         assert plan.triple.moduli == (44, 45, 49)
+        # the pipeline's own verify judges each candidate after corruption
+        real_verify, corrupt = pipeline.verify, _corrupt(kind, rng, 44 * 45)
+        monkeypatch.setattr(pipeline, "verify", lambda views, candidate, *rest: real_verify(
+            views, corrupt(candidate), *rest))
         for trial in range(25):
             spec = random_spectrum(rng, k, plan.M, fmax=N)
-            corrupt = _corrupt(kind, rng, 44 * 45)
-            result = sparse_fft(synthesize(spec), k, cfg, seed=trial, corrupt_candidate=corrupt)
+            result = sparse_fft(synthesize(spec), k, cfg, seed=trial)
             assert result.path is RecoveryPath.FALLBACK
             assert result.certificate.payload["fallback_reason"] == "verification-failed"
 
@@ -323,13 +329,14 @@ class TestStackedChecks:
         # views built together and cut to their shift-0 row are checked on that
         # row alone, exactly as copies of the row are, never on the rows cut off
         N, k = 2**14, 12
-        plan = make_plan(N, k, 3, seed=3)
+        plan = make_plan(N, k, seed=3)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         views = build_views(synthesize(spec), plan.verify_views, plan.M)
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
-        sliced = check_views([dc_replace(v, bins=v.bins[:1]) for v in views], wrong)
-        copied = check_views([dc_replace(v, bins=v.bins[:1].copy()) for v in views], wrong)
+        sliced = check_views([dc_replace(v, bins=v.bins[:1]) for v in views], wrong, EPS_REL)
+        copied = check_views([dc_replace(v, bins=v.bins[:1].copy()) for v in views], wrong,
+                             EPS_REL)
         assert sliced == copied
         assert all(c.residual_energy > c.epsilon for c in sliced)

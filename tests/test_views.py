@@ -57,7 +57,7 @@ class TestBuildView:
     @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
     def test_fft_path_matches_alias_oracle(self, rng, kind, shift_count):
         # plans draw three shifts; a replayed certificate's view may record two
-        plan = make_plan(2**14, 8, 0, seed=3)
+        plan = make_plan(2**14, 8, seed=3)
         M = plan.M
         spec = random_spectrum(rng, 8, M)
         src = synthesize(spec)
@@ -94,7 +94,7 @@ class TestBuildView:
             build_view(synthesize(spec), ViewParams(2**40, 1, 0, 3), 100)
 
     def test_predictor_equals_fft_path(self, rng):
-        plan = make_plan(2**12, 6, 0, seed=9)
+        plan = make_plan(2**12, 6, seed=9)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         for vp in plan.id_views:
@@ -103,7 +103,7 @@ class TestBuildView:
             assert np.abs(a - b).max() < 1e-9
 
     def test_sparsity_preserved(self, rng):
-        plan = make_plan(2**12, 6, 0, seed=9)
+        plan = make_plan(2**12, 6, seed=9)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         for vp in plan.id_views:
@@ -112,7 +112,7 @@ class TestBuildView:
             assert np.count_nonzero(np.abs(view.bins[0]) > floor) <= len(spec)
 
     def test_singleton_shift_magnitude_consistency(self, rng):
-        plan = make_plan(2**12, 4, 0, seed=13)
+        plan = make_plan(2**12, 4, seed=13)
         spec = random_spectrum(rng, 4, plan.M)
         src = synthesize(spec)
         vp = plan.id_views[0]
