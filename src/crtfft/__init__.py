@@ -1,10 +1,11 @@
-"""crtfft: keyed three-view CRT sparse FFT.
+"""crtfft: three-view CRT sparse FFT.
 
 Recovers exactly k-sparse spectra from lazy time-domain access using three
 coprime decimated views, peeling, two-part verification on the same views
-as built (each sample is read once), and a certified dense-FFT fallback.  The keyed 2-of-3 CRT gate
-is the analyzable reference form; it lives in `gating`, and the pipeline
-never runs it.
+as built (each sample is read once), and a certified dense-FFT fallback.
+The view on modulus m reads the samples j*M/m + s and puts tone f in bin
+f mod m.  The 2-of-3 CRT gate is the analyzable reference form; it lives in
+`gating`, and the pipeline never runs it.
 
 The abstract's claims, what checks each (`crtfft montecarlo --experiment`
 unless a test is named) and what it reads today:
@@ -22,7 +23,14 @@ unless a test is named) and what it reads today:
                          2^24 at k = 16
   bounded worst case     test_corrupted_candidate_     a failed run adds 2M + fft_op_count(M)
                          forces_exact_fallback         + k ops: 4.07e6 at N = 2^14, k = 12,
-                                                       against 7,959 on the fast path
+                                                       against 7,677 on the fast path
+  independent keyed      900 supports x 8 seeds on     no path, peel status or support moved
+  hashes across views    (16, 17, 19) at k = 12, 16    with the seed; keyed and plain views
+                         and (31, 32, 33) at k = 30;   gave the same paths and supports on
+                         test_seed_changes_nothing     4 x 200 benchmark ops.  Under exact
+                                                       decimation a key only relabels the
+                                                       bins f mod m, so views are plain;
+                                                       keyed bucketing needs sFFT's filters
 """
 
 from .config import Config, load_config, replace

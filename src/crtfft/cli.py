@@ -3,10 +3,11 @@
 Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
 verify-cert (replay a certificate).  The montecarlo experiments verify-miss
-and peel-completion measure the shipped pipeline: verify-miss reads each
-view's verdict from `verify`, and the paper's one-shift bin-wise test's from
-`check_views` on each view's shift-0 row; peel-completion runs `sparse_fft`
-and counts the trials whose peeling completes with the exact answer.
+and peel-completion measure the shipped pipeline: verify-miss checks a
+corrupted candidate on the plan's own views and reads each view's verdict
+from `verify`, and the paper's one-shift bin-wise test's from `check_views`
+on each view's shift-0 row; peel-completion runs `sparse_fft` and counts
+the trials whose peeling completes with the exact answer.
 Exit codes: 0 success / fast path, 2 correct-but-fallback recovery, 1 usage
 or validation error.  Given a fixed seed every subcommand writes
 byte-identical output.
@@ -30,7 +31,7 @@ from .gating import draw_support, gate_pairs, gate_survivor_stats, trial_streams
 from .numtheory import ModTriple
 from .peeling import PeelStatus
 from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
-from .planner import MIN_PLAN_LENGTH, draw_view_params, make_plan
+from .planner import MIN_PLAN_LENGTH, make_plan
 from .signal import (
     SparseSpectrum,
     from_dense,
@@ -133,7 +134,7 @@ def cmd_transform(args) -> int:
         grid = nominal
         if nominal >= MIN_PLAN_LENGTH:
             try:
-                grid = make_plan(nominal, args.k, seed=args.seed, config=cfg).M
+                grid = make_plan(nominal, args.k, config=cfg).M
             except (DenseRegimeError, OracleCapExceededError):
                 pass
         source = synthesize(SparseSpectrum.from_pairs(pairs, grid))
@@ -226,9 +227,7 @@ def _mc_singleton_fraction(args, writer):
         freqs = np.array(draw_support(rng, k, triple.M), dtype=np.int64)
         isolated_any = np.zeros(k, dtype=bool)
         for m in triple.moduli:
-            a = int(rng.integers(1, m))
-            b = int(rng.integers(0, m))
-            bins = (a * (freqs % m) + b) % m
+            bins = freqs % m
             counts = np.bincount(bins, minlength=m)
             singleton = counts[bins] == 1
             per_view.append(singleton.mean())
@@ -247,11 +246,11 @@ def _mc_singleton_fraction(args, writer):
 
 def _mc_verify_miss(args, writer):
     cfg = Config(nominal_length=args.n or 10**6, t=1)
-    plan = make_plan(cfg.nominal_length, args.k, seed=args.seed, config=cfg)
+    plan = make_plan(cfg.nominal_length, args.k, config=cfg)
     m_v = plan.verify_views[0].m
     # view-0 and all-view slips of the full test, then of the one-shift test
     slips = [0, 0, 0, 0]
-    for trial_seed, rng in trial_streams(args.seed, "verify-miss", args.trials):
+    for _, rng in trial_streams(args.seed, "verify-miss", args.trials):
         freqs = draw_support(rng, args.k, plan.N)
         coeffs = np.exp(2j * np.pi * rng.random(args.k))
         truth = SparseSpectrum.from_pairs(zip(freqs, coeffs), plan.M)
@@ -263,11 +262,7 @@ def _mc_verify_miss(args, writer):
                 break
         swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
-        views = tuple(
-            draw_view_params(m, plan.M, trial_seed, "verify-miss", i)
-            for i, m in enumerate(plan.triple.moduli)
-        )
-        built = build_views(synthesize(truth), views, plan.M)
+        built = build_views(synthesize(truth), plan.id_views, plan.M)
         full = verify(built, corrupted, cfg).views
         shift0 = check_views([dc_replace(v, bins=v.bins[:1]) for v in built], corrupted,
                              cfg.verify_eps_rel)
@@ -367,7 +362,7 @@ def cmd_verify_cert(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtfft",
-        description="Keyed three-view CRT sparse FFT: recovery, gate tables, "
+        description="Three-view CRT sparse FFT: recovery, gate tables, "
         "Monte Carlo experiments, certificate checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

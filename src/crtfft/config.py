@@ -1,11 +1,12 @@
 """Runtime configuration.
 
-Every setting a caller can change lives in one frozen dataclass, so that a
-(source, k, config, seed) quadruple pins the entire run; the fixed numerical
-tolerances and the views' shift count are constants of the modules that use
-them.  Every field's type is checked at construction, the same way for a
-Config built in Python and one read by `load_config`, which takes a JSON
-object with the same key names and rejects unknown keys.
+Every setting a caller can change lives in one frozen dataclass, so that
+the source, k and config pin the entire run (the seed is only recorded in
+the certificate); the fixed numerical tolerances and the views' shift count
+are constants of the modules that use them.  Every field's type is checked
+at construction, the same way for a Config built in Python and one read by
+`load_config`, which takes a JSON object with the same key names and
+rejects unknown keys.
 """
 
 from __future__ import annotations

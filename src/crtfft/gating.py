@@ -1,9 +1,10 @@
-"""The keyed 2-of-3 gate over the views' occupied bins.
+"""The 2-of-3 gate over the views' occupied bins.
 
-Given the occupied bins R1, R2, R3 of the three views (`extract_residues`),
-every (r1, r2) bin pair is un-hashed to frequency residues, reconstructed to
-the unique f12 in [0, m1*m2) by two-residue Garner, and retained only when
-the predicted third-view bin hash3(f12 mod m3) is occupied.
+Tone f lands in bin f mod m of the view on modulus m, so the occupied bins
+R1, R2, R3 of the three views (`extract_residues`) are frequency residues.
+Every (r1, r2) pair is reconstructed to the unique f12 in [0, m1*m2) by
+two-residue Garner and retained only when its third residue f12 mod m3 is
+an occupied bin of the third view.
 
 True pairs pass deterministically provided the true frequencies lie in
 [0, m1*m2): the two-view reconstruction is f mod m1*m2, so its predicted
@@ -27,12 +28,8 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .numtheory import ModTriple, mod_inverse
-from .planner import ViewParams, rng_stream
+from .planner import rng_stream
 from .views import NOISE_FLOOR_REL, ViewSpectrum, top_k_order
-
-
-def _identity_params(triple: ModTriple):
-    return tuple(ViewParams(m=m, sigma=1, b=0, shift_count=3) for m in triple.moduli)
 
 
 def extract_residues(view: ViewSpectrum, alpha_k: int) -> np.ndarray:
@@ -45,18 +42,13 @@ def extract_residues(view: ViewSpectrum, alpha_k: int) -> np.ndarray:
     return occupied[top_k_order(mag[occupied], occupied, alpha_k)].astype(np.int64, copy=False)
 
 
-def _unhash(bins: np.ndarray, params: ViewParams) -> np.ndarray:
-    """Frequency residues mod m that occupy `bins`: the inverse of the view's hash."""
-    return (bins - params.b) * mod_inverse(params.a, params.m) % params.m
-
-
 @dataclass(frozen=True)
 class GatedCandidate:
     """One (r1, r2) pair with its reconstruction and gate verdict.
 
-    r1, r2 are frequency residues (bins un-hashed through the view maps),
-    f12 is the two-view reconstruction in [0, m1*m2), and r3_hat is the
-    predicted view-3 bin that was looked up in R3.
+    r1, r2 are the view-1 and view-2 bins, which are frequency residues,
+    f12 is the two-view reconstruction in [0, m1*m2), and r3_hat = f12 mod m3
+    is the predicted view-3 bin that was looked up in R3.
     """
 
     r1: int
@@ -82,40 +74,25 @@ def garner2(r1: int, r2: int, m1: int, m2: int) -> int:
     return r1 + u * m1
 
 
-def _gate_kernel(
-    bins1: np.ndarray,
-    bins2: np.ndarray,
-    bins3: np.ndarray,
-    triple: ModTriple,
-    params: tuple[ViewParams, ViewParams, ViewParams],
-):
+def _gate_kernel(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, triple: ModTriple):
     """Vectorized verdicts for the full bin-pair grid.
 
-    Returns the residues r1 and r2 of the view-1 and view-2 bins, and the f12
-    grid, the predicted view-3 bins and the verdicts, each of shape
-    (len(bins1), len(bins2)).
+    Returns the f12 grid, the predicted view-3 bins and the verdicts, each of
+    shape (len(r1), len(r2)).
     """
     m1, m2, m3 = triple.moduli
-    r1, r2 = _unhash(bins1, params[0]), _unhash(bins2, params[1])
     u = (r2[None, :] - r1[:, None]) % m2 * triple.gamma12 % m2
     f12 = r1[:, None] + u * m1
-    bin3_hat = params[2].hash_frequency(f12 % m3)
+    bin3_hat = f12 % m3
     occupied = np.zeros(m3, dtype=bool)
-    occupied[bins3] = True
-    return r1, r2, f12, bin3_hat, occupied[bin3_hat]
+    occupied[r3] = True
+    return f12, bin3_hat, occupied[bin3_hat]
 
 
-def gate_pairs(
-    R1,
-    R2,
-    R3,
-    triple: ModTriple,
-    view_params: tuple[ViewParams, ViewParams, ViewParams] | None = None,
-) -> list[GatedCandidate]:
+def gate_pairs(R1, R2, R3, triple: ModTriple) -> list[GatedCandidate]:
     """Gate every (r1, r2) pair of bins, given as iterables of ints; output
     order follows R1-major iteration.  A bin outside [0, m) of its view
     raises OutOfRangeError."""
-    params = view_params or _identity_params(triple)
     bins = []
     for view, (R, m) in enumerate(zip((R1, R2, R3), triple.moduli), start=1):
         try:
@@ -126,7 +103,8 @@ def gate_pairs(
         if bad.size:
             raise OutOfRangeError(f"view-{view} bin {bad[0]} is outside [0, {m})")
         bins.append(b)
-    r1, r2, f12, bin3_hat, passed = (a.tolist() for a in _gate_kernel(*bins, triple, params))
+    f12, bin3_hat, passed = (a.tolist() for a in _gate_kernel(*bins, triple))
+    r1, r2 = bins[0].tolist(), bins[1].tolist()
     return [
         GatedCandidate(rho1, rho2, f12[i][j], bin3_hat[i][j], passed[i][j])
         for i, rho1 in enumerate(r1)
@@ -171,12 +149,12 @@ def gate_survivor_stats(
 ) -> GateStats:
     """Monte Carlo survivor counts for random k-sparse supports.
 
-    Each trial plants k distinct frequencies in [0, N), hashes them with the
-    identity hash (sigma = 1, b = 0) into the three views, fills every view's
-    occupied bins up to alpha*k with uniform fillers over the unoccupied
-    bins, and gates the full pair grid.  True survivors count planted pairs
-    that pass (always k, since true pairs gate deterministically); false
-    survivors count everything else that passed.  The prediction column is
+    Each trial plants k distinct frequencies in [0, N), puts each in bin
+    f mod m of the three views, fills every view's occupied bins up to
+    alpha*k with uniform fillers over the unoccupied bins, and gates the full
+    pair grid.  True survivors count planted pairs that pass (always k,
+    since true pairs gate deterministically); false survivors count
+    everything else that passed.  The prediction column is
     (alpha*k)^2 * (alpha*k) / m3 in its usual approximate form
     alpha^3 k^3 / m3.
     """
@@ -194,26 +172,25 @@ def gate_survivor_stats(
             "two-view reconstruction would wrap and true pairs could fail the gate"
         )
     prediction = (alpha**3) * (k**3) / m3 if k else 0.0
-    params = _identity_params(triple)
 
     true_counts = np.zeros(trials, dtype=np.int64)
     false_counts = np.zeros(trials, dtype=np.int64)
     for trial, (_, rng) in enumerate(trial_streams(seed, "gate-survivor-stats", trials)):
         freqs = np.array(draw_support(rng, k, N), dtype=np.int64)
         bin_lists = []
-        for p in params:
-            occupied = set(p.hash_frequency(freqs).tolist())
+        for m in triple.moduli:
+            occupied = set((freqs % m).tolist())
             while len(occupied) < cap:
-                occupied.add(int(rng.integers(0, p.m)))
+                occupied.add(int(rng.integers(0, m)))
             bin_lists.append(np.array(sorted(occupied), dtype=np.int64))
 
         if k == 0 or cap == 0:
             continue
-        *_, passed = _gate_kernel(*bin_lists, triple, params)
+        *_, passed = _gate_kernel(*bin_lists, triple)
         truth = np.zeros(passed.shape, dtype=bool)
         # the bin lists are sorted, so each planted bin's row is its rank
-        truth[np.searchsorted(bin_lists[0], params[0].hash_frequency(freqs)),
-              np.searchsorted(bin_lists[1], params[1].hash_frequency(freqs))] = True
+        truth[np.searchsorted(bin_lists[0], freqs % m1),
+              np.searchsorted(bin_lists[1], freqs % m2)] = True
         true_counts[trial] = int(np.count_nonzero(passed & truth))
         false_counts[trial] = int(np.count_nonzero(passed & ~truth))
 

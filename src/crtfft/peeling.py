@@ -5,16 +5,16 @@ S = 3 shifted bin values form the geometric sequence A, A e^{2pi i f/M},
 A e^{4pi i f/M}: constant magnitude across shifts, frequency readable from
 one adjacent-shift phase ratio, and a second ratio that must agree with the
 first.  Multi-tone bins break at least one of those tests in exact
-arithmetic, and a reading whose decoded frequency does not hash back onto
-its own bin is discarded, so masquerading multi-bins fail closed.
+arithmetic, and a reading whose decoded frequency f does not land back in
+its own bin, f mod m, is discarded, so masquerading multi-bins fail closed.
 
 `PeelState.create` copies the views side by side into one stacked
 (3, m1+m2+m3) buffer and peels that copy; the caller's views are left as
-built.  It also builds the stack's column table once: view, a, b, m and bin
-for every column, so detection looks its candidates up with one fancy
-index.  A round is a fixed number of array operations whatever k is:
-detection tests every column of the stack at once, with both adjacent-shift
-ratios from one division, and returns its readings as one
+built.  It also builds the stack's column table once: view, m and bin for
+every column, so detection looks its candidates up with one fancy index.
+A round is a fixed number of array operations whatever k is: detection
+tests every column of the stack at once, with both adjacent-shift ratios
+from one division, and returns its readings as one
 `SingletonReading` batch, duplicates across views are dropped by one sort,
 and `peel` subtracts the whole batch, as FFAST's decoder does.  The
 readings are appended to the ledger's frequency and coefficient arrays in
@@ -83,7 +83,7 @@ class PeelState:
 
     `stack` holds the views' bins side by side; `layout` is its
     `views.stack_views` layout (view i's bins are columns first to first + m
-    of it), and `columns` the same per column: rows view, a, b, m and bin.  The
+    of it), and `columns` the same per column: rows view, m and bin.  The
     ledger `freqs`, `coeffs` holds every accepted reading in order, and
     `round` counts the rounds peeled into it.
     """
@@ -104,10 +104,10 @@ class PeelState:
     ) -> "PeelState":
         """Peel a stacked copy of the views; the views passed in are not modified."""
         stack, layout = stack_views(views)
-        # each view's (index, a, b, m, first column) repeated over its m columns,
+        # each view's (index, m, first column) repeated over its m columns,
         # then each column's offset from its view's first: its bin
-        columns = np.repeat(np.vstack((np.arange(len(views)), layout)), layout[2], axis=1)
-        columns[4] = np.arange(stack.shape[1]) - columns[4]
+        columns = np.repeat(np.vstack((np.arange(len(views)), layout)), layout[0], axis=1)
+        columns[2] = np.arange(stack.shape[1]) - columns[2]
         peak = float(np.abs(stack[0]).max(initial=0.0))
         return cls(M, stack, layout, columns, noise_floor=NOISE_FLOOR_REL * peak, op=op)
 
@@ -122,7 +122,7 @@ def detect_singletons(state: PeelState) -> SingletonReading:
     (cand,) = (mag0 > state.noise_floor).nonzero()
     if state.op is not None:
         state.op.add("peel", 3 * stack.shape[1])
-    view, a, b, m, bin_index = state.columns[:, cand]
+    view, m, bin_index = state.columns[:, cand]
     y = stack[:, cand]
     mag = mag0[cand]
     # Every candidate's y0 clears the floor, so only a zero y1 can divide by
@@ -138,8 +138,8 @@ def detect_singletons(state: PeelState) -> SingletonReading:
         # (c) the second ratio must repeat the first; (a) and (c) are one
         # test of the larger deviation
         err = np.maximum(err, np.abs(ratio[1] - ratio[0]) / np.abs(ratio[0]))
-    # (d) decoded frequency must hash back onto this bin
-    ok = (err <= SINGLETON_TOL) & ((a * f_hat + b) % m == bin_index)
+    # (d) decoded frequency must land back in this bin
+    ok = (err <= SINGLETON_TOL) & (f_hat % m == bin_index)
     (rows,) = ok.nonzero()
     return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y[0, rows], err[rows])
 

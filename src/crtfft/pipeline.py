@@ -5,19 +5,19 @@ caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and every verification view confirms the
 candidate.  Each run builds its views once (`build_views`: one sample read
 and one transform per view, charged to "views") and verifies on the first t
-of them as built, since peeling empties its own stacked copy.  A view drawn
-afresh on one of the moduli would read the same samples and only relabel
-these bins.  The entry points take the source, k, a `Config` and a seed and
-nothing else: t and every other setting come from the `Config`, and each
-run counts its own ops.  Any failure routes to the dense fallback, which
-materializes the grid, transforms it, and returns the top-k bins exactly.
+of them as built, since peeling empties its own stacked copy.  The entry
+points take the source, k, a `Config` and a seed and nothing else: t and
+every other setting come from the `Config`, the seed is only recorded in
+the certificate, and each run counts its own ops.  Any failure routes to
+the dense fallback, which materializes the grid, transforms it, and
+returns the top-k bins exactly.
 The certificate names the failure in fallback_reason: "forced", "too-short",
 "dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
 "grid-mismatch", "peeling-two-core", "peeling-stagnated",
 "candidate-overflow" or "verification-failed".
-A stuck peel and a failed verification are final: a fresh hash over the
-same moduli only relabels each view's bins, and a verdict is a pure function
-of the source, the view parameters and the candidate.
+A stuck peel and a failed verification are final: the moduli alone decide
+which tones share a bin, and a verdict is a pure function of the source,
+the views and the candidate.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, each reconstruction, and the first verification view,
 rebuilt from nothing but the certificate and the signal.  It records no
@@ -171,7 +171,8 @@ def sparse_fft(
     grid, with reason "grid-mismatch" and no plan in the certificate.  A
     nominal length below MIN_PLAN_LENGTH has no plan and falls back with
     reason "too-short", and one with no plan under the int64 grid ceiling
-    with reason "grid-ceiling".
+    with reason "grid-ceiling".  The seed is recorded in the certificate and
+    changes nothing else.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
@@ -192,7 +193,7 @@ def sparse_fft(
         fallback_reason = f"too-short: N = {N} < {MIN_PLAN_LENGTH} has no three-view plan"
     else:
         try:
-            plan = make_plan(N, k, seed=seed, config=cfg)
+            plan = make_plan(N, k, config=cfg)
         except DenseRegimeError as exc:
             fallback_reason = f"dense-regime: {exc}"
         except OracleCapExceededError as exc:
@@ -260,7 +261,8 @@ def sparse_fft_dense(samples, k: int, config: Config | None = None, seed: int = 
 
 
 def _view_dict(vp: ViewParams) -> dict:
-    return {"m": vp.m, "sigma": vp.sigma, "b": vp.b, "shifts": vp.shift_count}
+    # every view reads j*M/m + s and puts f in bin f mod m: the format's identity (sigma, b)
+    return {"m": vp.m, "sigma": 1, "b": 0, "shifts": vp.shift_count}
 
 
 def build_certificate(
@@ -354,7 +356,13 @@ def parse_certificate(payload) -> ReplayFields:
                            gamma23: ints, verify_views: null or list}
       plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
                            [1, plan.m), coprime to plan.m; b: int in [0, m);
-                           shifts: 2 or 3 (plans now draw 3)
+                           shifts: 2 or 3 (plans now read 3)
+
+    Runs record sigma = 1 and b = 0; older ones recorded a keyed (sigma, b).
+    Both are range-checked and ignored on replay, which rebuilds the first
+    verification view on its m and shifts: a keyed view read the same
+    samples {j*plan.m/m + s} and held the same bins relabeled, so its energy
+    gap and residual are the plain view's up to roundoff.
 
     A field that breaks its rule raises ParseError naming its path.  A
     well-formed claim that fails is a violation, in this order:
@@ -394,7 +402,7 @@ def parse_certificate(payload) -> ReplayFields:
                      and math.gcd(sigma, plan_grid) == 1, where + ".sigma")
             _require(type(b) is int and 0 <= b < m, where + ".b")
             _require(type(shifts) is int and shifts in (2, 3), where + ".shifts")
-            fresh_view = fresh_view or ViewParams(m=m, sigma=sigma, b=b, shift_count=shifts)
+            fresh_view = fresh_view or ViewParams(m=m, shift_count=shifts)
         try:
             triple = ModTriple.create(*moduli)
         except (ValueError, NotCoprimeError) as exc:

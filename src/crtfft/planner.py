@@ -1,13 +1,11 @@
-"""Moduli and hash-parameter planning.
+"""Moduli planning.
 
 A plan fixes everything the identification pipeline needs: three pairwise
-coprime view moduli whose product M >= N defines the working grid and
-per-view affine hash parameters (dilation sigma, offset b), each view read
-at SHIFT_COUNT = 3 time shifts.  Each view's (sigma, b) is a keyed counter
-hash: BLAKE2b of (seed, label, view index, attempt) with label "id-views",
-so no draw depends on another and every plan is replayable from its seed
-(`draw_view_params`).  `ModuliPlan` stores the views, t, the triple, N and
-k; M and the verification views are derived from them.
+coprime view moduli whose product M >= N defines the working grid, each view
+read at SHIFT_COUNT = 3 time shifts.  A view on modulus m reads the samples
+j*M/m + s and puts tone f in bin f mod m, so the moduli alone decide which
+tones share a bin.  `ModuliPlan` stores the views, t, the triple, N and k;
+M and the verification views are derived from them.
 
 The moduli are the pairwise coprime triple of 11-smooth lengths whose views
 are cheapest under the op model (`dft.fft_op_count`), found by one search,
@@ -22,11 +20,9 @@ The verification views are the first t identification views, with t
 taken from `Config.t`, which refuses any t outside [0, 3].  Exact
 decimation requires a view modulus to divide the grid length, and the CRT
 needs the moduli pairwise coprime, so the triple offers no further exact
-moduli.  A view (m, sigma', b') on one of them would add nothing: sigma' is
-a unit mod M, so j -> sigma'*j mod m permutes [0, m), the view reads the
-same samples {j*M/m + s} as the identification view on m, and its bins are
-that view's bins relabeled.  The verdict rests on the multi-shift residual
-test (`verification`), which holds on any view, not on fresh draws.
+moduli, and a keyed affine map of a view's bins would only relabel the
+classes of f mod m.  The verdict rests on the multi-shift residual test
+(`verification`), which holds on any view.
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ import functools
 import hashlib
 import itertools
 import math
-import struct
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,30 +57,15 @@ SHIFT_COUNT = 3
 
 @dataclass(frozen=True)
 class ViewParams:
-    """One decimated view: modulus m, dilation sigma, bin offset b, shifts S.
-
-    The time-domain map j -> (sigma*j*d + s) mod M together with bin
-    modulation by b realizes the frequency hash f -> (a*f + b) mod m with
-    a = sigma mod m.
-    """
+    """One decimated view: modulus m, read at shift_count time shifts."""
 
     m: int
-    sigma: int
-    b: int
     shift_count: int
-
-    @property
-    def a(self) -> int:
-        return self.sigma % self.m
-
-    def hash_frequency(self, f):
-        """Bin index that frequency f lands in (works on arrays too)."""
-        return (self.a * f + self.b) % self.m
 
 
 @dataclass(frozen=True)
 class ModuliPlan:
-    """Three keyed identification views over `triple`, of which verification
+    """Three identification views over `triple`, of which verification
     checks the first t.  M and the verification views are read from these
     fields, so they cannot disagree with them."""
 
@@ -110,23 +90,6 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def draw_view_params(m: int, M: int, seed: int, label: str, index: int) -> ViewParams:
-    """View `index` of the (seed, label) domain: sigma in [1, M) coprime to M,
-    b in [0, m), SHIFT_COUNT shifts.
-
-    Attempt 0, 1, ... hashes (seed, label, index, attempt) into eight 64-bit
-    words: b = w0 mod m, and sigma is the first 1 + w_i mod (M - 1), i >= 1,
-    coprime to M.  Below M = 2^32 the reductions are uniform to within 2^-32.
-    """
-    for attempt in itertools.count():
-        digest = hashlib.blake2b(f"{int(seed)}:{label}:{index}:{attempt}".encode()).digest()
-        b, *words = struct.unpack("<8Q", digest)
-        for w in words:
-            sigma = 1 + w % (M - 1)
-            if math.gcd(sigma, M) == 1:
-                return ViewParams(m=m, sigma=sigma, b=b % m, shift_count=SHIFT_COUNT)
 
 
 def _view_cost(m: int) -> int:
@@ -222,7 +185,7 @@ def choose_moduli(N: int, k: int) -> tuple[int, int, int]:
     return best[2]
 
 
-def make_plan(N: int, k: int, *, seed: int = 0, config: Config | None = None) -> ModuliPlan:
+def make_plan(N: int, k: int, *, config: Config | None = None) -> ModuliPlan:
     """Build a reproducible plan for an N-point, k-sparse problem.
 
     The moduli come from `choose_moduli`: the pairwise coprime triple whose
@@ -234,8 +197,8 @@ def make_plan(N: int, k: int, *, seed: int = 0, config: Config | None = None) ->
     product of at least N, and a product past the grid ceiling raises
     OracleCapExceededError as an unpinned plan does).  A sparsity ratio
     k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
-    DenseRegimeError.  Every view is a keyed draw with SHIFT_COUNT shifts;
-    verification checks the first config.t of them.
+    DenseRegimeError.  Every view reads SHIFT_COUNT shifts; verification
+    checks the first config.t of them.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -261,10 +224,7 @@ def make_plan(N: int, k: int, *, seed: int = 0, config: Config | None = None) ->
             f"modulus product {triple.M} is above the grid ceiling {_MAX_GRID}"
         )
 
-    id_views = tuple(
-        draw_view_params(m, triple.M, seed, "id-views", i) for i, m in enumerate(moduli)
-    )
-
+    id_views = tuple(ViewParams(m=m, shift_count=SHIFT_COUNT) for m in moduli)
     return ModuliPlan(id_views, cfg.t, triple, N, k)  # type: ignore[arg-type]
 
 
@@ -287,15 +247,7 @@ def divisor_moduli(m: int) -> tuple[int, int, int] | None:
     return tuple(sorted(buckets))  # type: ignore[return-value]
 
 
-def rehash(plan: ModuliPlan, seed: int, round_index: int = 1) -> ModuliPlan:
-    """Fresh identification hash parameters over the same moduli.
-
-    The pipeline never calls this: with `a` invertible mod m, the new hash
-    only relabels the residue classes mod m, so it cannot split a collision.
-    """
-    new_views = tuple(
-        draw_view_params(view.m, plan.M, seed, f"rehash-{round_index}", i)
-        for i, view in enumerate(plan.id_views)
-    )
-    return dc_replace(plan, id_views=new_views)
-
+def rehash(plan: ModuliPlan, seed: int = 0, round_index: int = 1) -> ModuliPlan:
+    """The plan itself: views over the same moduli are the same views.  The
+    benchmark tracer (perfbench/tracer.py) looks this name up; nothing calls it."""
+    return plan

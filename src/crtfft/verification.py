@@ -1,18 +1,17 @@
 """Two-part verification of a candidate spectrum on the identification views.
 
 The views are the first t identification views as `views.build_views`
-built them.  A view redrawn on one of the moduli would read the same
-samples and hold the same bins relabeled (`planner`); the guarantee below
-holds on any view.  `check_views` copies the views side by side into one
-stack, predicts the candidate's bins in all of them at once through the
-alias-sum model the views use (`views.alias_stack`) and runs both parts on
-each, over the rows each view holds; `check_view`, which replay uses, is its
-one-view case:
+built them; the guarantee below holds on any view.  `check_views` copies
+the views side by side into one stack, predicts the candidate's bins in all
+of them at once through the alias-sum model the views use
+(`views.alias_stack`) and runs both parts on each, over the rows each view
+holds; `check_view`, which replay uses, is its one-view case:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins
 where several candidate tones collide are compared with their interference
-included; a candidate that misses signal energy fails regardless of hashing.
+included; a candidate that misses signal energy fails whichever tones share
+a bin.
 
 Part 2 (residual): the built bins minus the predicted bins must be near
 zero over all bins and all shifts.
@@ -28,19 +27,19 @@ linear in D = truth - candidate: at shift s, bin r holds the sum of
 D_f z_f^s over the tones of D in r, z_f = e^{2pi i f/M}.  Tones of one bin
 agree mod m, so their nodes are distinct, spaced by multiples of 2pi*m/M,
 and for r <= S tones, S = 3 in every planned view (`planner.SHIFT_COUNT`),
-the S x r Vandermonde matrix has full column rank: the bin's residual energy is
-at least sigma_min^2 * sum |D_f|^2 > 0, with sigma_min^2 = S for one tone.
-So, in exact arithmetic, a wrong candidate passes a view only if every bin
-that D reaches holds at least S + 1 of its tones; a difference of at most S
-tones (a dropped, added or moved tone, a swap, an amplitude error) fails
-every view.  Against epsilon a lone tone of D fails once S*|D_f|^2 >
-verify_eps_rel*E_time, with E_time about m*sum |A_f|^2, so small moduli
-tighten the test; tones of D sharing a bin weaken it as their spacing
-shrinks.  At N = 2^14, k = 12 on (44, 45, 49), 300 trials each of a random
-swap, a swap to f + m1*m2*j, a dropped tone and a 1% amplitude error all
-failed: the first three with a residual above 790*epsilon in some view,
-the amplitude errors (residual 0.08*epsilon) on an energy gap above
-5*epsilon.
+the S x r Vandermonde matrix has full column rank: the bin's residual energy
+is at least the matrix's smallest squared singular value (S for one tone)
+times sum |D_f|^2 > 0.  So, in exact arithmetic, a wrong candidate passes a
+view only if every bin that D reaches holds at least S + 1 of its tones; a
+difference of at most S tones (a dropped, added or moved tone, a swap, an
+amplitude error) fails every view.  Against epsilon a lone tone of D
+fails once S*|D_f|^2 > verify_eps_rel*E_time, with E_time about
+m*sum |A_f|^2, so small moduli tighten the test; tones of D sharing a bin
+weaken it as their spacing shrinks.  At N = 2^14, k = 12 on (44, 45, 49),
+300 trials each of a random swap, a swap to f + m1*m2*j, a dropped tone
+and a 1% amplitude error all failed: the first three with a residual
+above 790*epsilon in some view, the amplitude errors (residual
+0.08*epsilon) on an energy gap above 5*epsilon.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ def check_views(
         raise ValueError("check_views needs views built from samples")
     stack, layout = stack_views(views)
     predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views[0].M)
-    energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[3]).tolist()
-    residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[3])
+    energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[1]).tolist()
+    residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[1])
     if op is not None:
         # per view: energy part, then residual part
         op.add("verify", stack.shape[1] + stack.size

@@ -1,12 +1,11 @@
-"""Decimated, dilated, shifted observations of a signal.
+"""Decimated, shifted observations of a signal.
 
-For a view (m, sigma, b) over grid length M with stride d = M/m, shift s
-collects the samples y[j] = x((sigma*j*d + s) mod M), modulates them by
-e^{+2pi i b j/m}, and takes the length-m forward transform scaled by 1/m.
-The modulation only rotates the transform's bins by b (the DFT shift
-theorem).  The resulting bin values are plain coefficient sums,
+For a view of modulus m over grid length M with stride d = M/m, shift s
+collects the samples y[j] = x((j*d + s) mod M) and takes their length-m
+forward transform scaled by 1/m.  The resulting bin values are plain
+coefficient sums,
 
-    value(r, s) = sum over f with (sigma*f + b) mod m == r of A_f e^{2pi i f s/M},
+    value(r, s) = sum over f with f mod m == r of A_f e^{2pi i f s/M},
 
 which is the contract every consumer (peeling, gating, verification) is
 written against.  Each view owns its (shift_count, m) bins; a consumer
@@ -41,8 +40,8 @@ class ViewSpectrum:
     """Per-shift bin values of one view; bins has shape (shift_count, m).
 
     `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
-    built from, taken before modulation and transform; it is None for a view
-    predicted from a spectrum, which has no samples.
+    built from, taken before the transform; it is None for a view predicted
+    from a spectrum, which has no samples.
     """
 
     params: ViewParams
@@ -66,29 +65,23 @@ def build_views(
     Each view is read with one `sample_block` call (row s of its block is
     its shift-0 progression plus s, so every row wraps the grid a whole
     number of times with the view's step) and transformed and normalized
-    once.  Each view keeps its shift-0 time energy for the Parseval check;
-    its modulation is a rotation of its bins by b, charged as a modulation.
+    once.  Each view keeps its shift-0 time energy for the Parseval check.
     Every read is charged to the "views" phase.
     """
     if M > _MAX_GRID:
         raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     views = []
     for vp in params:
-        m, b = vp.m, vp.b % vp.m
+        m = vp.m
         if M % m != 0:
             raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
         shift = np.arange(vp.shift_count, dtype=np.int64)[:, None]
-        # sigma < M and j*d < M, so the product stays below 2^63 under the guard.
-        samples = source.sample_block((vp.sigma * np.arange(0, M, M // m) + shift) % M)
+        samples = source.sample_block((np.arange(0, M, M // m) + shift) % M)
         energy = float((np.abs(samples[0]) ** 2).sum())
-        spectra = dft.dft_forward(samples) / m
-        # the modulated bin r is the plain bin (r - b) mod m
-        bins = np.concatenate((spectra[:, m - b :], spectra[:, : m - b]), axis=1)
-        views.append(ViewSpectrum(vp, M, bins, energy))
+        views.append(ViewSpectrum(vp, M, dft.dft_forward(samples) / m, energy))
         if op is not None:
-            # per shift: sample accesses, modulation, transform, normalization
-            per_shift = m + (m if b else 0) + dft.fft_op_count(m) + m
-            op.add("views", vp.shift_count * per_shift)
+            # per shift: sample accesses, transform, normalization
+            op.add("views", vp.shift_count * (m + dft.fft_op_count(m) + m))
     return views
 
 
@@ -104,10 +97,10 @@ def build_view(
 
 def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:
     """A copy of the views side by side, a (shift_count, sum of m) stack, and
-    its layout, whose rows are each view's a, b, m and first column."""
+    its layout, whose rows are each view's m and first column."""
     layout, width = [], 0
     for v in views:
-        layout.append((v.params.a, v.params.b, v.m, width))
+        layout.append((v.m, width))
         width += v.m
     return np.concatenate([v.bins for v in views], axis=1), np.array(layout, dtype=np.int64).T
 
@@ -120,11 +113,11 @@ def alias_stack(
     tones and shifts, scattered into every view at once, tones that share a
     bin summed in the order given.  Costs O(k) per shift and view.
     """
-    a, b, m, first = layout[:, :, None]
+    m, first = layout[:, :, None]
     shifts = np.arange(shape[0], dtype=np.int64)[:, None, None]
     table = coeffs * np.exp((2j * np.pi / M) * ((shifts * freqs) % M))
     bins = np.zeros(shape, dtype=np.complex128)
-    np.add.at(bins, (slice(None), (a * freqs + b) % m + first), table)
+    np.add.at(bins, (slice(None), freqs % m + first), table)
     return bins
 
 
@@ -134,8 +127,7 @@ def build_view_from_spectrum(
     """The view of a known spectrum, evaluated by `alias_stack` without samples."""
     if M % params.m != 0:
         raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
-    layout = np.array([[params.a], [params.b], [params.m], [0]])
-    bins = alias_stack(spectrum.freqs, spectrum.coeffs, layout,
+    bins = alias_stack(spectrum.freqs, spectrum.coeffs, np.array([[params.m], [0]]),
                        (params.shift_count, params.m), M)
     return ViewSpectrum(params=params, M=M, bins=bins)
 

@@ -18,10 +18,10 @@ def spectra_close(got, want, tol=1e-9):
 
 
 def shift_indices(params, M, shift):
-    """Grid indices (sigma*j*d + shift) mod M, j < m, of one view's row: the
+    """Grid indices (j*d + shift) mod M, j < m, of one view's row: the
     time-domain map of the views module's docstring, d = M/m."""
     j = np.arange(params.m, dtype=np.int64)
-    return (params.sigma * (j * (M // params.m)) + shift) % M
+    return (j * (M // params.m) + shift) % M
 
 
 def random_spectrum(rng, k, grid, fmax=None, unit=False):

@@ -83,7 +83,7 @@ def test_transform_t_above_three_exits_1(capsys):
 
 
 def test_transform_identity_hash_flag_exits_1(capsys):
-    # every plan draws keyed views, so the flag is gone and argparse refuses it
+    # no plan draws keyed views any more, so the flag is gone and argparse refuses it
     code, out, err = run(capsys, "transform", "--synthesize", "{7:1}", "-k", "1",
                          "--identity-hash")
     assert code == 1 and out == ""

@@ -38,7 +38,7 @@ def test_valid_file_loads(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("shift_count", 3), ("identity_hash", False)])
 def test_removed_option_is_refused_by_name(tmp_path, key, value):
-    # every plan reads three shifts through the keyed hash: neither is an option
+    # every plan reads three shifts of plain views: neither is an option
     with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
         load_config(write(tmp_path, {**VALID, key: value}))
     with pytest.raises(TypeError):

@@ -44,19 +44,19 @@ def exhaustive_gate(r1_set, r2_set, r3_set, triple):
 class TestExtractResidues:
     def test_worked_example_sets_with_injected_noise(self):
         # true bins {0, 6} plus an injected bin 3, strongest first
-        vp = ViewParams(m=7, sigma=1, b=0, shift_count=1)
+        vp = ViewParams(m=7, shift_count=1)
         bins = np.zeros((1, 7), dtype=np.complex128)
         bins[0, [0, 6, 3]] = 1.0, 0.8, 0.05
         got = extract_residues(ViewSpectrum(vp, 1001, bins), alpha_k=30)
         assert got.dtype == np.int64 and got.tolist() == [0, 6, 3]
 
     def test_all_zero_view(self):
-        vp = ViewParams(m=5, sigma=1, b=0, shift_count=1)
+        vp = ViewParams(m=5, shift_count=1)
         got = extract_residues(ViewSpectrum(vp, 35, np.zeros((1, 5), complex)), 3)
         assert got.dtype == np.int64 and got.size == 0
 
     def test_capacity_and_tie_break(self):
-        vp = ViewParams(m=8, sigma=1, b=0, shift_count=1)
+        vp = ViewParams(m=8, shift_count=1)
         bins = np.zeros((1, 8), dtype=np.complex128)
         bins[0, [1, 4, 6]] = 2.0  # tied magnitudes
         bins[0, [2, 7]] = 1.0
@@ -69,7 +69,7 @@ class TestExtractResidues:
         assert got.tolist() == want
 
     def test_rejects_empty_capacity(self):
-        vp = ViewParams(m=5, sigma=1, b=0, shift_count=1)
+        vp = ViewParams(m=5, shift_count=1)
         with pytest.raises(ValueError, match="alpha_k"):
             extract_residues(ViewSpectrum(vp, 35, np.ones((1, 5), complex)), 0)
 
@@ -132,19 +132,6 @@ class TestGatePairs:
         with pytest.raises(OutOfRangeError, match=message):
             gate_pairs(*sets, TOY)
 
-    def test_nonidentity_hashing_unhash_then_rehash(self, rng):
-        triple = ModTriple.create(31, 37, 41)
-        params = tuple(
-            ViewParams(m=m, sigma=int(rng.integers(1, m)), b=int(rng.integers(0, m)), shift_count=3)
-            for m in triple.moduli
-        )
-        freqs = sorted(rng.choice(triple.m1 * triple.m2, size=6, replace=False).tolist())
-        bins = [sorted({int(p.hash_frequency(f)) for f in freqs}) for p in params]
-        table = gate_pairs(bins[0], bins[1], bins[2], triple, params)
-        passing = {(g.r1, g.r2) for g in table if g.passed}
-        for f in freqs:
-            assert (f % triple.m1, f % triple.m2) in passing
-
 
 class TestCompleteness:
     def test_true_pairs_always_pass(self, rng):
@@ -165,16 +152,16 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_true_pairs_pass_on_pipeline_views(self, seed):
-        # residue sets read off the hashed identification views that the
-        # pipeline builds, at the default capacity of 15k bins per view.  The
+        # residue sets read off the identification views that the pipeline
+        # builds, at the default capacity of 15k bins per view.  The
         # planner needs only M >= N, so the moduli are pinned to a triple that
         # meets the gate's no-wrap condition.
         N, k = 2**14, 12
-        plan = make_plan(N, k, seed=seed, config=Config(moduli_override=(997, 1009, 1013)))
+        plan = make_plan(N, k, config=Config(moduli_override=(997, 1009, 1013)))
         spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
         views = build_views(synthesize(spec), plan.id_views, plan.M)
         r1, r2, r3 = (extract_residues(v, 15 * k) for v in views)
-        table = gate_pairs(r1, r2, r3, plan.triple, plan.id_views)
+        table = gate_pairs(r1, r2, r3, plan.triple)
         passing = {(g.r1, g.r2) for g in table if g.passed}
         m1, m2, _ = plan.triple.moduli
         assert N <= m1 * m2

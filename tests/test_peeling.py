@@ -17,7 +17,7 @@ from crtfft.peeling import (
     peel,
     run_peeling,
 )
-from crtfft.planner import ViewParams, draw_view_params, make_plan, rehash, rng_stream
+from crtfft.planner import make_plan, rehash, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
 from crtfft.views import build_view, build_view_from_spectrum, build_views
 from crtfft.gating import gate_pairs
@@ -48,13 +48,13 @@ def ledger(state):
 
 def view_bins(state, i):
     """View i's columns of the peeling stack, found through its layout."""
-    m, first = state.layout[2:, i].tolist()
+    m, first = state.layout[:, i].tolist()
     return state.stack[:, first : first + m]
 
 
-def toy_state(spectrum, seed=0, nominal=None):
+def toy_state(spectrum, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
-    plan = make_plan(n, len(spectrum), seed=seed, config=TOY_CFG)
+    plan = make_plan(n, len(spectrum), config=TOY_CFG)
     src = synthesize(spectrum)
     views = [build_view(src, vp, plan.M) for vp in plan.id_views]
     return plan, PeelState.create(views, plan.M)
@@ -65,7 +65,7 @@ class TestCreate:
         # the pipeline verifies on the views it built; peeling empties its own
         # stacked copy of them and leaves every built view as it was read
         N, k = 2**14, 12
-        plan = make_plan(N, k, seed=2)
+        plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         built = build_views(synthesize(spec), plan.id_views, plan.M)
         before = [v.bins.copy() for v in built]
@@ -78,7 +78,7 @@ class TestCreate:
 
     def test_copies_views_built_apart(self, rng):
         spec = random_spectrum(rng, 3, 1001)
-        plan = make_plan(1001, 3, seed=0, config=TOY_CFG)
+        plan = make_plan(1001, 3, config=TOY_CFG)
         views = [build_view(synthesize(spec), vp, plan.M) for vp in plan.id_views]
         before = [v.bins.copy() for v in views]
         state = PeelState.create(views, plan.M)
@@ -115,7 +115,7 @@ class TestDetectSingletons:
         assert found == {7, 41}
 
     def test_nonidentity_hash_consistency(self, rng):
-        plan = make_plan(2**14, 6, seed=21)
+        plan = make_plan(2**14, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
@@ -126,8 +126,7 @@ class TestDetectSingletons:
         )
         for view, b, f in rows:
             assert f in dict(spec.entries)
-            vp = plan.id_views[view]
-            assert int(vp.hash_frequency(f)) == b
+            assert f % plan.id_views[view].m == b
 
 
 def per_view_reference(state):
@@ -135,7 +134,7 @@ def per_view_reference(state):
     frequency (least error, then lowest view): {(view, bin, f_hat, coeff)}."""
     best = {}
     for vi in range(state.layout.shape[1]):
-        a, b, m, _ = state.layout[:, vi].tolist()
+        m, _ = state.layout[:, vi].tolist()
         bins = view_bins(state, vi)
         mag0 = np.abs(bins[0])
         cand = np.flatnonzero(mag0 > state.noise_floor)
@@ -147,7 +146,7 @@ def per_view_reference(state):
         ok &= err <= SINGLETON_TOL
         ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
         f_hat = np.round(np.angle(ratio1) * state.M / (2 * np.pi)).astype(np.int64) % state.M
-        ok &= (a * f_hat + b) % m == cand
+        ok &= f_hat % m == cand
         ratio2 = bins[2][cand] / np.where(y1 == 0, 1, y1)
         dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
         err = np.maximum(err, dev2)
@@ -165,8 +164,8 @@ def reference_detect(state):
     stack, M = state.stack, state.M
     mag0 = np.abs(stack[0])
     cand = np.flatnonzero(mag0 > state.noise_floor)
-    view = np.searchsorted(state.layout[3], cand, side="right") - 1
-    a, b, m, offset = state.layout[:, view]
+    view = np.searchsorted(state.layout[1], cand, side="right") - 1
+    m, offset = state.layout[:, view]
     bin_index = cand - offset
     y = stack[:, cand]
     y0, y1, mag = y[0], y[1], mag0[cand]
@@ -175,7 +174,7 @@ def reference_detect(state):
     ok &= err <= SINGLETON_TOL
     ratio1 = np.where(ok, y1 / np.where(y0 == 0, 1, y0), 0)
     f_hat = np.round(np.angle(ratio1) * M / (2 * np.pi)).astype(np.int64) % M
-    ok &= (a * f_hat + b) % m == bin_index
+    ok &= f_hat % m == bin_index
     ratio2 = y[2] / np.where(y1 == 0, 1, y1)
     dev2 = np.abs(ratio2 - ratio1) / np.abs(np.where(ratio1 == 0, 1, ratio1))
     err = np.maximum(err, dev2)
@@ -201,15 +200,15 @@ def toy_spectra(draw):
 
 class TestBatchDetection:
     @settings(max_examples=80, deadline=None)
-    @given(spec=toy_spectra(), seed=st.integers(0, 2**16), misplaced=st.booleans())
-    def test_matches_per_view_reference(self, spec, seed, misplaced):
+    @given(spec=toy_spectra(), misplaced=st.booleans())
+    def test_matches_per_view_reference(self, spec, misplaced):
         # the same (view, bin, f_hat, coeff) set as testing each view on its
         # own, on the first rounds of peeling as well as on the fresh views
-        plan = make_plan(1001, len(spec), seed=seed, config=TOY_CFG)
+        plan = make_plan(1001, len(spec), config=TOY_CFG)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         if misplaced:
-            # every singleton of view 0 one bin off: each must fail the hash-back test
+            # every singleton of view 0 one bin off: each must fail the bin-back test
             views[0].bins = np.roll(views[0].bins, 1, axis=1)
         state = PeelState.create(views, plan.M)
         for _ in range(3):
@@ -246,7 +245,6 @@ class TestDetectorMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
         spec=toy_spectra(),
-        seed=st.integers(0, 2**16),
         edits=st.lists(
             st.tuples(
                 st.sampled_from(("zero-shift-1", "at-floor", "above-floor", "tone", "noise")),
@@ -257,12 +255,12 @@ class TestDetectorMatchesReference:
             max_size=8,
         ),
     )
-    def test_bit_for_bit(self, spec, seed, edits):
+    def test_bit_for_bit(self, spec, edits):
         # view, bin, f_hat, coeff and error equal the reference's bit for bit,
         # on stacks with colliding tones, zeroed shift-1 bins, bins exactly at
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
-        plan = make_plan(1001, len(spec), seed=seed, config=TOY_CFG)
+        plan = make_plan(1001, len(spec), config=TOY_CFG)
         views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
         state = PeelState.create(views, plan.M)
         stack, floor = state.stack, state.noise_floor
@@ -275,7 +273,7 @@ class TestDetectorMatchesReference:
             elif kind == "above-floor":
                 stack[0, column] = np.nextafter(floor, np.inf)
             elif kind == "tone":
-                # a geometric sequence: a singleton if its phase hashes back
+                # a geometric sequence: a singleton if its phase lands back in its bin
                 stack[:, column] = complex(re, im) * np.exp(1j * np.arange(3) * re)
             else:
                 stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))
@@ -306,8 +304,8 @@ class TestPeel:
         peel(state, reading)
         for i, vp in enumerate(plan.id_views):
             bins = view_bins(state, i)
-            assert abs(bins[0, vp.hash_frequency(7)]) < 1e-12
-            assert abs(bins[0, vp.hash_frequency(41)] - 1.0) < 1e-12
+            assert abs(bins[0, 7 % vp.m]) < 1e-12
+            assert abs(bins[0, 41 % vp.m] - 1.0) < 1e-12
 
 
     def test_round_subtracts_colliding_readings(self):
@@ -345,14 +343,13 @@ class TestRunPeeling:
         # one tone whose shift-0 bins read exactly 1 - 0j peels in one round;
         # the outcome skips the sum but is bit for bit what summing the
         # ledger into zeros gives, -0.0 turned into +0.0 included
-        plan = make_plan(1001, 1, seed=0, config=TOY_CFG)
+        plan = make_plan(1001, 1, config=TOY_CFG)
         views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), vp, 1001)
                  for vp in plan.id_views]
         f, coeff = 41, complex(1.0, -0.0)
         for view in views:
-            view.bins[:, view.params.hash_frequency(f)] = (
-                coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001))
-            view.bins[0, view.params.hash_frequency(f)] = coeff
+            view.bins[:, f % view.m] = coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001)
+            view.bins[0, f % view.m] = coeff
         state = PeelState.create(views, 1001)
         out = run_peeling(state, plan.k)
         assert out.status is PeelStatus.COMPLETE and out.rounds == 1
@@ -376,12 +373,12 @@ class TestRunPeeling:
         assert len(out.freqs) == len(out.coeffs) == 0
 
     def test_two_core_survives_rehash(self, rng):
-        # hashing permutes bins but cannot split collisions: the stuck
-        # instance stays stuck under fresh parameters
+        # the moduli alone decide which tones share a bin, so rehashing gives
+        # the same views and the stuck instance stays stuck
         coeffs = np.exp(2j * np.pi * rng.random(4))
         spec = SparseSpectrum.from_pairs(list(zip(STUCK_SUPPORT, coeffs)), 1001)
-        plan = make_plan(1001, 4, seed=3, config=TOY_CFG)
-        plan = rehash(plan, seed=99, round_index=1)
+        plan = make_plan(1001, 4, config=TOY_CFG)
+        assert rehash(plan, seed=99, round_index=1) is plan
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
         out = run_peeling(PeelState.create(views, plan.M), plan.k)
@@ -389,18 +386,17 @@ class TestRunPeeling:
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
         # peel-path recovery equals the gate-path reconstruction on
-        # instances where both complete; on views with sigma = 1 and b = 0
-        # the occupied bins are the gate's residue sets
+        # instances where both complete; the views' occupied bins are the
+        # gate's residue sets
         triple = ModTriple.create(31, 37, 41)
         cfg = Config(moduli_override=triple.moduli)
-        identity = [ViewParams(m=m, sigma=1, b=0, shift_count=3) for m in triple.moduli]
         for trial in range(10):
             k = int(rng.integers(1, 6))
             spec = random_spectrum(rng, k, triple.m1 * triple.m2)
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
-            plan = make_plan(triple.m1 * triple.m2, k, seed=trial, config=cfg)
+            plan = make_plan(triple.m1 * triple.m2, k, config=cfg)
             src = synthesize(spec)
-            views = [build_view(src, vp, plan.M) for vp in identity]
+            views = [build_view(src, vp, plan.M) for vp in plan.id_views]
             floor = 1e-9 * max(np.abs(v.bins[0]).max() for v in views)
             sets = [
                 sorted(np.flatnonzero(np.abs(v.bins[0]) > floor).tolist())
@@ -441,7 +437,7 @@ class TestRunPeeling:
 
 class TestRoundBound:
     def test_round_cap_respected(self, rng):
-        plan = make_plan(2**16, 8, seed=2)
+        plan = make_plan(2**16, 8)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**16)
         src = synthesize(spec)
         views = [build_view(src, vp, plan.M) for vp in plan.id_views]
@@ -462,29 +458,9 @@ class TestPeelMonteCarlo:
         for t in range(trials):
             child = np.random.Generator(np.random.Philox(int(master.integers(0, 2**62))))
             spec = random_spectrum(child, 10, triple.M, unit=True)
-            plan = make_plan(triple.M, 10, seed=t, config=cfg)
+            plan = make_plan(triple.M, 10, config=cfg)
             views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
             out = run_peeling(PeelState.create(views, plan.M), plan.k)
             if out.status is PeelStatus.COMPLETE and spectra_close(recovered(out, plan.M), spec):
                 completed += 1
         assert completed / trials >= 0.99
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.sampled_from([7, 11, 13]),
-    k=st.integers(0, 40),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fresh_hash_only_relabels_bins(m, k, seed):
-    # why the pipeline never rehashes: under either of two hashes over the
-    # same modulus, the bin that residue class rho hashes to holds the same
-    # tones, summed in the same order, so the views agree bit for bit
-    rng = np.random.default_rng(seed)
-    M = 1001
-    spec = random_spectrum(rng, k, M)
-    first, second = (draw_view_params(m, M, seed, "relabel", i) for i in range(2))
-    rho = np.arange(m)
-    a = build_view_from_spectrum(spec, first, M).bins
-    b = build_view_from_spectrum(spec, second, M).bins
-    assert np.array_equal(a[:, first.hash_frequency(rho)], b[:, second.hash_frequency(rho)])

@@ -91,7 +91,7 @@ class TestSparseFft:
     def test_medium_instance_exact_and_cheaper_than_dense(self, rng):
         # full-size cell (N=2^14, t=8) runs in the acceptance suite
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 8, seed=3, config=cfg)
+        plan = make_plan(2**12, 8, config=cfg)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**12)
         src = synthesize(spec)
         result = sparse_fft(src, 8, cfg, seed=3)
@@ -111,11 +111,11 @@ class TestSparseFft:
         # m + |candidate| per view, and the residual part.
         spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
         cfg = Config(nominal_length=2**14)
-        assert make_plan(2**14, 12, seed=5, config=cfg).M == spec.grid_length
+        assert make_plan(2**14, 12, config=cfg).M == spec.grid_length
         result = sparse_fft(synthesize(spec), 12, cfg, seed=5)
         assert result.path is RecoveryPath.FAST
         assert spectra_close(result.spectrum, spec)
-        assert result.op_counts == {"peel": 630, "verify": 696, "views": 6765, "total": 8091}
+        assert result.op_counts == {"peel": 630, "verify": 696, "views": 6351, "total": 7677}
 
     def test_fast_path_reads_each_sample_once(self, rng):
         # verification checks the views peeling was given, so a fast run reads
@@ -131,7 +131,7 @@ class TestSparseFft:
 
         N, k = 2**14, 12
         cfg = Config(nominal_length=N)
-        plan = make_plan(N, k, seed=1, config=cfg)
+        plan = make_plan(N, k, config=cfg)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         src = CountingSource(synthesize(spec))
         result = sparse_fft(src, k, cfg, seed=1)
@@ -163,7 +163,7 @@ class TestSparseFft:
         # 12 tones spaced by a modulus of the N = 2^14 plan, or by the power
         # of two inside its even modulus, share one bin of that view
         cfg = Config(nominal_length=2**14)
-        plan = make_plan(2**14, 12, seed=3, config=cfg)
+        plan = make_plan(2**14, 12, config=cfg)
         assert plan.triple.moduli == (44, 45, 49)
         coeffs = np.exp(2j * np.pi * rng.random(12))
         spec = SparseSpectrum.from_pairs(
@@ -179,7 +179,7 @@ class TestSparseFft:
         # half the energy, verification must catch it, fallback returns the
         # dense oracle's top-k
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 4, seed=4, config=cfg)
+        plan = make_plan(2**12, 4, config=cfg)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**12)
         src = synthesize(spec)
         result = sparse_fft(src, 4, cfg, seed=4)
@@ -189,7 +189,7 @@ class TestSparseFft:
 
     def test_corrupted_candidate_forces_exact_fallback(self, rng, monkeypatch):
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 5, seed=5, config=cfg)
+        plan = make_plan(2**12, 5, config=cfg)
         spec = random_spectrum(rng, 5, plan.M, fmax=2**12)
         src = synthesize(spec)
 
@@ -250,7 +250,7 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert verify_certificate(result.certificate, src, cfg) == []
-        plan = make_plan(M, k, seed=seed, config=cfg)
+        plan = make_plan(M, k, config=cfg)
         views = [build_view(src, vp, M) for vp in plan.id_views]
         rounds = run_peeling(PeelState.create(views, M), k).rounds
         assert rounds > math.ceil(4 * math.log2(k + 2))
@@ -285,7 +285,7 @@ class TestSparseFft:
 
     def test_determinism_bytes(self, rng):
         cfg = Config(nominal_length=2**12)
-        plan = make_plan(2**12, 4, seed=6, config=cfg)
+        plan = make_plan(2**12, 4, config=cfg)
         spec = random_spectrum(rng, 4, plan.M, fmax=2**12)
         src = synthesize(spec)
         a = sparse_fft(src, 4, cfg, seed=6)
@@ -294,10 +294,30 @@ class TestSparseFft:
         assert a.op_counts == b.op_counts
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
+    def test_seed_changes_nothing(self, rng):
+        # the seed is only recorded in the certificate: seeds 0-7 give the
+        # same answer bytes, op counts and certificate apart from its seed
+        N, k = 2**14, 12
+        cfg = Config(nominal_length=N)
+        src = synthesize(random_spectrum(rng, k, make_plan(N, k, config=cfg).M, fmax=N))
+        results = [sparse_fft(src, k, cfg, seed) for seed in range(8)]
+        assert results[0].path is RecoveryPath.FAST
+
+        def unseeded(result):
+            payload = json.loads(result.certificate.to_json())
+            return payload.pop("seed"), payload
+
+        for seed, result in enumerate(results):
+            for got, want in zip((result.spectrum.freqs, result.spectrum.coeffs),
+                                 (results[0].spectrum.freqs, results[0].spectrum.coeffs)):
+                assert got.tobytes() == want.tobytes()
+            assert result.op_counts == results[0].op_counts
+            assert unseeded(result) == (seed, unseeded(results[0])[1])
+
     def test_determinism_bytes_over_peeling_rounds(self, rng):
         # several peel rounds, each recovered entry with its CRT record
         cfg = Config(nominal_length=2**14)
-        plan = make_plan(2**14, 12, seed=4, config=cfg)
+        plan = make_plan(2**14, 12, config=cfg)
         src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
         a, b = (sparse_fft(src, 12, cfg, seed=4) for _ in range(2))
         assert a.path is RecoveryPath.FAST
@@ -310,7 +330,7 @@ class TestSparseFft:
         # abs differs from it in the last ulp on some unit-modulus values
         if path is RecoveryPath.FAST:  # several peel rounds
             cfg = Config(nominal_length=2**14)
-            plan = make_plan(2**14, 12, seed=4, config=cfg)
+            plan = make_plan(2**14, 12, config=cfg)
             src = synthesize(random_spectrum(rng, 12, plan.M, fmax=2**14))
             result = sparse_fft(src, 12, cfg, seed=4)
         else:  # dense, past the dense boundary
@@ -574,12 +594,15 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "case",
         json.loads((Path(__file__).parent / "fixtures" / "parent_certificates.json").read_text()),
-        ids=["n16384-k12", "toy-gate-trail"],
+        ids=["n16384-k12", "toy-gate-trail", "synth-narrow-keyed"],
     )
     def test_certificate_from_one_stream_per_view_planner_replays(self, case):
-        # Made when make_plan drew each view from its own labeled stream.  A
-        # certificate records its views, so it replays although the same seed
-        # now draws other hash parameters; the answer is the same to roundoff.
+        # Made by planners that drew a keyed (sigma, b) per view: the first two
+        # cases drew each view from its own labeled stream, the third is a
+        # synth_narrow op of the BLAKE2b-keyed planner.  A keyed view read the
+        # same samples as the plain view on its modulus and held its bins
+        # relabeled, so replay rebuilds the plain view and the certificate
+        # replays; a run today gives the same answer to roundoff.
         cfg = Config(**case["config"])
         entries = case["spectrum"]["entries"]
         spec = SparseSpectrum.from_pairs(
@@ -587,12 +610,11 @@ class TestCertificates:
         )
         cert = Certificate.from_json(case["certificate"])
         assert cert.payload["path"] == "fast"
+        views = cert.payload["plan"]["verify_views"]
+        assert all(v["shifts"] == 3 and (v["sigma"], v["b"]) != (1, 0) for v in views)
         assert verify_certificate(cert, synthesize(spec), cfg) == []
         # The planner has since picked smaller moduli; pin the recorded ones.
         cfg = replace(cfg, moduli_override=tuple(cert.payload["plan"]["moduli"]))
-        plan = make_plan(cfg.nominal_length, case["k"], seed=case["seed"], config=cfg)
-        recorded = [(v["m"], v["sigma"], v["b"]) for v in cert.payload["plan"]["verify_views"]]
-        assert recorded != [(v.m, v.sigma, v.b) for v in plan.verify_views]
         result = sparse_fft(synthesize(spec), case["k"], cfg, seed=case["seed"])
         assert result.path is RecoveryPath.FAST
         assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
@@ -735,7 +757,8 @@ class TestCertificates:
         b=st.one_of(st.integers(-3, 16), st.integers(-2**80, 2**80)),
     )
     def test_any_verify_view_hash_replays_or_is_typed(self, sigma, b):
-        # a view with any valid hash still confirms the exact answer
+        # a view with any valid recorded hash still confirms the exact answer,
+        # and still rejects an answer with one coefficient 1% off
         text, src = fast_certificate()
         payload = json.loads(text)
         payload["plan"]["verify_views"][0].update(sigma=sigma, b=b)
@@ -744,6 +767,10 @@ class TestCertificates:
         except CrtFftError:
             return
         assert violations == []
+        entry = payload["recovered"][0]
+        entry.update(re=1.01 * entry["re"], im=1.01 * entry["im"])
+        kinds = {v.split(":")[0] for v in verify_certificate(Certificate(payload=payload), src)}
+        assert kinds and kinds <= {"fresh-parseval-failed", "fresh-residual-failed"}
 
     @pytest.mark.parametrize(
         "make, path, value",

@@ -15,11 +15,10 @@ from crtfft.planner import (
     LAMBDA_THRESHOLD,
     RHO_DENSE,
     SHIFT_COUNT,
+    ViewParams,
     choose_moduli,
     divisor_moduli,
-    draw_view_params,
     make_plan,
-    rehash,
     rng_stream,
 )
 
@@ -31,11 +30,7 @@ def assert_plan_invariants(plan, N, k, t):
     assert plan.M == m1 * m2 * m3 >= N
     assert m1 * plan.triple.gamma12 % m2 == 1
     assert m1 * m2 * plan.triple.gamma23 % m3 == 1
-    assert sorted(v.m for v in plan.id_views) == [m1, m2, m3]
-    for v in plan.id_views:
-        assert math.gcd(v.sigma, plan.M) == 1
-        assert 0 <= v.b < v.m
-        assert v.a != 0
+    assert plan.id_views == tuple(ViewParams(m, SHIFT_COUNT) for m in (m1, m2, m3))
     assert plan.verify_views == plan.id_views[:t]
     assert m1 >= k / LAMBDA_THRESHOLD
     assert (plan.N, plan.k, plan.t) == (N, k, t)
@@ -58,13 +53,12 @@ def test_dense_boundary(N, k, dense):
 
 
 @settings(max_examples=200, deadline=None)
-@given(N=st.integers(4, 2**30), k=st.integers(0, 500), seed=st.integers(0, 2**63 - 1),
-       t=st.integers(0, 3))
-def test_make_plan_invariants(N, k, seed, t):
+@given(N=st.integers(4, 2**30), k=st.integers(0, 500), t=st.integers(0, 3))
+def test_make_plan_invariants(N, k, t):
     """A plan keeps every invariant, or make_plan refuses with a typed error:
     DenseRegimeError exactly when k/sqrt(N) >= RHO_DENSE."""
     try:
-        plan = make_plan(N, k, seed=seed, config=Config(t=t))
+        plan = make_plan(N, k, config=Config(t=t))
     except DenseRegimeError:
         assert k / math.sqrt(N) >= RHO_DENSE
     except OracleCapExceededError:
@@ -77,17 +71,15 @@ def test_make_plan_invariants(N, k, seed, t):
 class TestMakePlan:
     def test_toy_override(self):
         cfg = Config(moduli_override=(13, 7, 11))
-        plan = make_plan(64, 2, seed=0, config=cfg)
+        plan = make_plan(64, 2, config=cfg)
         assert plan.triple.moduli == (7, 11, 13)
         assert plan.M == 1001 >= 64
-        # pinned moduli get keyed views like any plan's, three shifts each
+        # pinned moduli get views like any plan's, three shifts each
         assert [v.m for v in plan.id_views] == [7, 11, 13]
-        assert plan.id_views == tuple(
-            draw_view_params(m, 1001, 0, "id-views", i) for i, m in enumerate((7, 11, 13)))
         assert all(v.shift_count == SHIFT_COUNT == 3 for v in plan.id_views)
 
     def test_mega_plan_moduli(self):
-        plan = make_plan(2**20, 20, seed=5)
+        plan = make_plan(2**20, 20)
         assert plan.triple.moduli == (81, 112, 125)  # 3^4, 2^4*7, 5^3
         assert plan.M >= 2**20
         assert len(plan.verify_views) == 3
@@ -95,45 +87,41 @@ class TestMakePlan:
     def test_adaptive_moduli_when_load_high(self):
         # rho = 0.2 stays under the sparse threshold, and k/lambda = 607 is
         # above N^(1/3) = 100, so the load floor, not M >= N, sizes the views
-        plan = make_plan(10**6, 200, seed=1)
+        plan = make_plan(10**6, 200)
         assert plan.triple.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
         assert min(plan.triple.moduli) >= 200 / LAMBDA_THRESHOLD
 
     def test_moderate_load_bound(self):
-        plan = make_plan(10**6, 200, seed=1)
+        plan = make_plan(10**6, 200)
         k = 200
         assert k / min(plan.triple.moduli) <= LAMBDA_THRESHOLD
 
     def test_determinism(self):
-        a = make_plan(2**18, 10, seed=99)
-        b = make_plan(2**18, 10, seed=99)
+        a = make_plan(2**18, 10)
+        b = make_plan(2**18, 10)
         assert a == b
-
-    def test_seed_changes_draws(self):
-        a = make_plan(2**18, 10, seed=1)
-        b = make_plan(2**18, 10, seed=2)
-        assert a.triple == b.triple
-        assert a.id_views != b.id_views
 
     def test_verification_independent_of_t(self):
         # Config.t picks how many identification views verification checks;
-        # it never alters the draws
-        a = make_plan(2**18, 10, seed=7, config=Config(t=0))
-        b = make_plan(2**18, 10, seed=7)
-        c = make_plan(2**18, 10, seed=7, config=Config(t=2))
+        # it never alters the views
+        a = make_plan(2**18, 10, config=Config(t=0))
+        b = make_plan(2**18, 10)
+        c = make_plan(2**18, 10, config=Config(t=2))
         assert a.id_views == b.id_views == c.id_views
         assert (a.verify_views, b.verify_views, c.verify_views) == ((), b.id_views, b.id_views[:2])
 
     def test_t_is_not_positional(self):
-        # t comes only from Config, and seed and config are keyword-only, so
-        # an old call that passed t third cannot bind it as the seed
+        # t comes only from Config, and config is keyword-only, so an old
+        # call that passed t third is refused; no seed reaches a plan
         with pytest.raises(TypeError):
             make_plan(2**14, 12, 3)
+        with pytest.raises(TypeError):
+            make_plan(2**14, 12, seed=1)
 
     def test_verify_views_are_derived(self):
         # M and the verification views are read from the triple and the
         # identification views, so no plan can hold copies that disagree
-        plan = make_plan(2**16, 4, seed=0, config=Config(t=2))
+        plan = make_plan(2**16, 4, config=Config(t=2))
         assert (plan.M, plan.verify_views) == (plan.triple.M, plan.id_views[:2])
         for derived in ("M", "verify_views"):
             with pytest.raises(TypeError):
@@ -153,20 +141,14 @@ class TestMakePlan:
     def test_planned_moduli_are_valid(self, k):
         for a in range(6, 21):
             if k / math.sqrt(2**a) < RHO_DENSE:
-                assert_plan_invariants(make_plan(2**a, k, seed=a), 2**a, k, Config().t)
+                assert_plan_invariants(make_plan(2**a, k), 2**a, k, Config().t)
 
     def test_verify_views_reuse_triple_moduli(self):
-        plan = make_plan(2**18, 10, seed=3)
+        plan = make_plan(2**18, 10)
         assert plan.verify_views == plan.id_views
         for v in plan.verify_views:
             assert v.m in plan.triple.moduli
             assert plan.M % v.m == 0
-
-    def test_sigma_invertible(self):
-        plan = make_plan(2**16, 5, seed=11)
-        for v in plan.id_views + plan.verify_views:
-            assert math.gcd(v.sigma, plan.M) == 1
-            assert 1 <= v.a < v.m
 
 
 def test_gate_checks_its_own_no_wrap_condition():
@@ -177,65 +159,6 @@ def test_gate_checks_its_own_no_wrap_condition():
     assert_plan_invariants(plan, 100, 1, Config().t)
     with pytest.raises(ValueError, match=r"N=100 exceeds m1\*m2=77"):
         gate_survivor_stats(100, 1, 1.0, ModTriple.create(7, 11, 13), trials=1)
-
-
-class TestRehash:
-    def test_deterministic(self):
-        plan = make_plan(2**16, 5, seed=4, config=Config(t=2))
-        assert rehash(plan, 123, 1) == rehash(plan, 123, 1)
-
-    def test_fresh_params_same_moduli(self):
-        plan = make_plan(2**16, 5, seed=4, config=Config(t=2))
-        new = rehash(plan, 123, 1)
-        assert new.triple == plan.triple
-        assert new.id_views != plan.id_views
-        assert new.verify_views == new.id_views[:2] != plan.verify_views
-
-
-def chi_square_bound(df):
-    """Wilson-Hilferty upper quantile of chi-square with df degrees of freedom
-    at z = 4.75 (one-sided p about 1e-6)."""
-    h = 2 / (9 * df)
-    return df * (1 - h + 4.75 * math.sqrt(h)) ** 3
-
-
-def chi_square(values, cells):
-    counts = np.bincount(np.searchsorted(cells, values), minlength=len(cells))
-    expected = len(values) / len(cells)
-    return float(np.sum((counts - expected) ** 2) / expected)
-
-
-class TestDrawViewParams:
-    def test_golden_plan(self):
-        # one seed's draws at N = 2^14, k = 12, pinned so that any change to
-        # the keyed hash is deliberate (it changes every seed's certificate)
-        plan = make_plan(2**14, 12, seed=1)
-        assert plan.triple.moduli == (44, 45, 49)
-        assert [(v.m, v.sigma, v.b) for v in plan.id_views] == [
-            (44, 50951, 0), (45, 28367, 5), (49, 23543, 3)]
-        assert plan.verify_views == plan.id_views
-
-    @pytest.mark.parametrize("m", [44, 45, 49])
-    def test_near_uniform_over_seeds(self, m):
-        # b is uniform on [0, m); sigma is uniform on the units mod M, so
-        # sigma mod m (the hash dilation a) is uniform on the units mod m
-        M = 44 * 45 * 49
-        draws = [draw_view_params(m, M, seed, "id-views", 0) for seed in range(3000)]
-        units = np.array([u for u in range(m) if math.gcd(u, m) == 1])
-        assert all(math.gcd(v.sigma, M) == 1 and 1 <= v.sigma < M for v in draws)
-        b = np.array([v.b for v in draws])
-        assert chi_square(b, np.arange(m)) <= chi_square_bound(m - 1)
-        a = np.array([v.a for v in draws])
-        assert np.isin(a, units).all()
-        assert chi_square(a, units) <= chi_square_bound(len(units) - 1)
-
-    def test_labels_and_indices_are_separate_domains(self):
-        M = 1001
-        keys = [(seed, label, i) for seed in (0, 1) for label in ("id-views", "verify-views")
-                for i in range(3)]
-        draws = {key: draw_view_params(13, M, *key) for key in keys}
-        assert len({(v.sigma, v.b) for v in draws.values()}) == len(keys)
-        assert draws[(0, "id-views", 0)] == draw_view_params(13, M, 0, "id-views", 0)
 
 
 class TestRngStream:
@@ -325,7 +248,7 @@ class TestChooseModuli:
     def test_cached(self):
         choose_moduli(2**20, 64)
         before = choose_moduli.cache_info()
-        make_plan(2**20, 64, seed=1)
-        make_plan(2**20, 64, seed=2)
+        make_plan(2**20, 64)
+        make_plan(2**20, 64)
         after = choose_moduli.cache_info()
         assert after.hits == before.hits + 2 and after.misses == before.misses

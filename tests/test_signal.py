@@ -16,7 +16,6 @@ from crtfft.errors import (
     ParseError,
 )
 from crtfft.pipeline import sparse_fft
-from crtfft.planner import ViewParams
 from crtfft.signal import (
     _MAX_GRID,
     SparseSpectrum,
@@ -30,7 +29,14 @@ from crtfft.signal import (
     save_spectrum,
     synthesize,
 )
-from conftest import mutate_bytes, mutate_one_value, random_spectrum, shift_indices
+from conftest import mutate_bytes, mutate_one_value, random_spectrum
+
+
+def progression(m, dilation, M, shift):
+    """Grid indices (dilation*j*d + shift) mod M, j < m, d = M/m: a row that
+    wraps the grid with step dilation*d."""
+    j = np.arange(m, dtype=np.int64)
+    return (dilation * (j * (M // m)) + shift) % M
 
 
 class TestSparseSpectrum:
@@ -126,7 +132,7 @@ class TestSynthesize:
     def test_repeat_access_bit_identical(self, rng):
         spec = random_spectrum(rng, 3, 1001)
         src = synthesize(spec)
-        view_block = shift_indices(ViewParams(11, 5, 0, 3), 1001, 2)
+        view_block = progression(11, 5, 1001, 2)
         for idx in (np.arange(50, dtype=np.int64), view_block):
             a = src.sample_block(idx)
             b = src.sample_block(idx)
@@ -196,9 +202,9 @@ class TestProgressionRead:
         while math.gcd(dilation, M) != 1:
             dilation = int(rng.integers(2, M))
         for m in moduli:
-            for sigma in (1, dilation):
+            for step in (1, dilation):
                 for shift in (0, 1, int(rng.integers(2, M))):
-                    idx = shift_indices(ViewParams(m, sigma, 0, 3), M, shift)
+                    idx = progression(m, step, M, shift)
                     self.assert_matches_generic(src, spec, idx, rng)
 
     def test_zero_step_repeats_one_sample(self, rng):
@@ -228,7 +234,7 @@ class TestProgressionRead:
         M = 1001
         spec = random_spectrum(rng, 6, M)
         src = synthesize(spec)
-        view = shift_indices(ViewParams(13, 3, 0, 3), M, 1)
+        view = progression(13, 3, M, 1)
         one_off = view.copy()
         one_off[4] = (one_off[4] + 1) % M
         # one index changed; a progression that stops before it wraps the grid
@@ -245,16 +251,17 @@ def per_index(src, idx):
 
 
 class TestRowsWithTheirOwnSteps:
-    """A stack whose rows each wrap the grid with their own step (the shifts
-    of all views of one modulus) is read as one aliased inverse DFT; near
-    misses take the generic path.  Both must agree with sample()."""
+    """A stack whose rows each wrap the grid with their own step (shifted
+    progressions of one length under several dilations) is read as one
+    aliased inverse DFT; near misses take the generic path.  Both must agree
+    with sample()."""
 
     M = 1001
 
     def stack(self):
-        """Rows of three views of modulus 13: sigma 1, 3 and 4, shifts 0-2."""
-        rows = [shift_indices(ViewParams(13, sigma, 0, 3), self.M, s)
-                for sigma in (1, 3, 4) for s in range(3)]
+        """Rows of three progressions of length 13: dilations 1, 3 and 4, shifts 0-2."""
+        rows = [progression(13, dilation, self.M, s)
+                for dilation in (1, 3, 4) for s in range(3)]
         return np.stack(rows)
 
     def check(self, rng, idx, progression):
@@ -295,8 +302,8 @@ def index_block(case, rng):
         return 16, np.arange(6, dtype=np.int64).reshape(2, 3)
     if case == "view-stack":
         M = 1423 * 1427 * 1429
-        vp = ViewParams(1427, int(rng.integers(1, M)), 0, 3)
-        return M, np.stack([shift_indices(vp, M, s) for s in range(3)])
+        dilation = int(rng.integers(1, M))
+        return M, np.stack([progression(1427, dilation, M, s) for s in range(3)])
     if case == "mixed-steps":
         # each row wraps 1001 exactly, but with steps 77 and 154
         j = np.arange(13, dtype=np.int64)
