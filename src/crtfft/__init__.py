@@ -17,7 +17,8 @@ unless a test is named) and what it reads today:
   peeling completes      peel-completion, 200 trials,  1.0 at k = 10 on (97, 101, 103) and at
                          --seed 5                      load 0.33 on (25, 27, 28)
   miss bound (2k/m)^t    verify-miss --k 10 --trials   one-shift test 0.0133 against 0.317
-                         300 --seed 1 (CI)             (m_v = 63); three-shift test 0.0
+                         300 --seed 1 (CI)             (m_v = 63); three-shift test 0.0;
+                                                       every run verifies on all three views
   O(sqrt(N) log k) time  test_synthesized_scaling:     exponent 0.31 (bound 0.4): views have
                          ops.total against N = 2^15 to about N^(1/3) bins, not sqrt(N)
                          2^24 at k = 16
@@ -61,7 +62,7 @@ from .signal import (
     save_spectrum,
     synthesize,
 )
-from .planner import ModuliPlan, ViewParams, make_plan
+from .planner import make_plan
 from .views import ViewSpectrum, build_view, build_view_from_spectrum, build_views
 from .gating import GatedCandidate, GateStats, extract_residues, gate_pairs, gate_survivor_stats
 from .peeling import (

@@ -4,10 +4,11 @@ Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
 verify-cert (replay a certificate).  The montecarlo experiments verify-miss
 and peel-completion measure the shipped pipeline: verify-miss checks a
-corrupted candidate on the plan's own views and reads each view's verdict
-from `verify`, and the paper's one-shift bin-wise test's from `check_views`
-on each view's shift-0 row; peel-completion runs `sparse_fft` and counts
-the trials whose peeling completes with the exact answer.
+corrupted candidate on the three views of the plan's triple and reads each
+view's verdict from `verify`, and the paper's one-shift bin-wise test's
+from `check_views` on each view's shift-0 row; peel-completion runs
+`sparse_fft` and counts the trials that take the fast path (peeling
+completed and all three views confirmed) with the exact answer.
 Exit codes: 0 success / fast path, 2 correct-but-fallback recovery, 1 usage
 or validation error.  Given a fixed seed every subcommand writes
 byte-identical output.
@@ -104,8 +105,6 @@ def _config_from_args(args) -> Config:
     updates = {}
     if getattr(args, "moduli", None):
         updates["moduli_override"] = tuple(_parse_int_list(args.moduli))
-    if getattr(args, "t", None) is not None:
-        updates["t"] = args.t
     if getattr(args, "n", None) is not None:
         updates["nominal_length"] = args.n
     if getattr(args, "force_fallback", False):
@@ -245,24 +244,25 @@ def _mc_singleton_fraction(args, writer):
 
 
 def _mc_verify_miss(args, writer):
-    cfg = Config(nominal_length=args.n or 10**6, t=1)
-    plan = make_plan(cfg.nominal_length, args.k, config=cfg)
-    m_v = plan.verify_views[0].m
+    cfg = Config(nominal_length=args.n or 10**6)
+    N = cfg.nominal_length
+    plan = make_plan(N, args.k, config=cfg)
+    m_v = plan.m1
     # view-0 and all-view slips of the full test, then of the one-shift test
     slips = [0, 0, 0, 0]
     for _, rng in trial_streams(args.seed, "verify-miss", args.trials):
-        freqs = draw_support(rng, args.k, plan.N)
+        freqs = draw_support(rng, args.k, N)
         coeffs = np.exp(2j * np.pi * rng.random(args.k))
         truth = SparseSpectrum.from_pairs(zip(freqs, coeffs), plan.M)
         # Parseval-neutral corruption: swap one frequency, keep its coefficient
         victim = int(rng.integers(0, args.k))
         while True:
-            wrong = int(rng.integers(0, plan.N))
+            wrong = int(rng.integers(0, N))
             if wrong not in freqs:
                 break
         swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
-        built = build_views(synthesize(truth), plan.id_views, plan.M)
+        built = build_views(synthesize(truth), plan.moduli, plan.M)
         full = verify(built, corrupted, cfg).views
         shift0 = check_views([dc_replace(v, bins=v.bins[:1]) for v in built], corrupted,
                              cfg.verify_eps_rel)
@@ -281,7 +281,7 @@ def _mc_peel_completion(args, writer):
     triple = ModTriple.create(*_parse_int_list(args.moduli or "97,101,103"))
     m_min = min(triple.moduli)
     k = args.k if args.k is not None else max(1, round(args.load * m_min))
-    cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli, t=0)
+    cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli)
     completed = 0
     for seed, rng in trial_streams(args.seed, "peel-completion", args.trials):
         freqs = draw_support(rng, k, triple.M)
@@ -290,7 +290,8 @@ def _mc_peel_completion(args, writer):
         result = sparse_fft(synthesize(truth), k, cfg, seed)
         got = result.spectrum
         completed += bool(
-            result.peel_status is PeelStatus.COMPLETE
+            result.path is RecoveryPath.FAST
+            and result.peel_status is PeelStatus.COMPLETE
             and np.array_equal(got.frequencies(), truth.frequencies())
             and np.allclose(got.coefficients(), truth.coefficients(), rtol=0, atol=1e-6)
         )
@@ -374,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="sparsity budget")
     p.add_argument("--n", type=int, help="nominal signal length for planning")
     p.add_argument("--moduli", help="explicit comma-separated view moduli")
-    p.add_argument("--t", type=int, help="verification view count")
     p.add_argument("--force-fallback", action="store_true", dest="force_fallback")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config file")

@@ -3,10 +3,11 @@
 Every setting a caller can change lives in one frozen dataclass, so that
 the source, k and config pin the entire run (the seed is only recorded in
 the certificate); the fixed numerical tolerances and the views' shift count
-are constants of the modules that use them.  Every field's type is checked
-at construction, the same way for a Config built in Python and one read by
-`load_config`, which takes a JSON object with the same key names and
-rejects unknown keys.
+are constants of the modules that use them.  There is no verification
+count: a plan is its triple of moduli, and every run verifies on the three
+views it built.  Every field's type is checked at construction, the same
+way for a Config built in Python and one read by `load_config`, which takes
+a JSON object with the same key names and rejects unknown keys.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class Config:
     # planning
-    t: int = 3                          # verification checks: the first t identification views, t <= 3
     moduli_override: tuple[int, ...] | None = None
     nominal_length: int | None = None   # planning length when it differs from the grid
 
@@ -39,8 +39,6 @@ class Config:
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if not self.verify_eps_rel > 0:
             raise ValueError(f"verify_eps_rel must be > 0, got {self.verify_eps_rel}")
-        if not 0 <= self.t <= 3:
-            raise ValueError(f"t must be in [0, 3], got {self.t}")
         if self.nominal_length is not None and self.nominal_length < 1:
             raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
         if self.dense_budget < 1:

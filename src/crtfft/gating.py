@@ -22,13 +22,13 @@ oracle for peeling, and the Monte Carlo harness (`trial_streams`,
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRangeError
 from .numtheory import ModTriple, mod_inverse
-from .planner import rng_stream
 from .views import NOISE_FLOOR_REL, ViewSpectrum, top_k_order
 
 
@@ -110,6 +110,14 @@ def gate_pairs(R1, R2, R3, triple: ModTriple) -> list[GatedCandidate]:
         for i, rho1 in enumerate(r1)
         for j, rho2 in enumerate(r2)
     ]
+
+
+def rng_stream(seed: int, label: str) -> np.random.Generator:
+    """Independent counter-based generator for one labeled domain."""
+    digest = hashlib.blake2s(label.encode("utf-8")).digest()[:16]
+    key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def trial_streams(

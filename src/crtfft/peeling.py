@@ -42,8 +42,8 @@ from .views import NOISE_FLOOR_REL, ViewSpectrum, alias_stack, build_view, stack
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
 SINGLETON_TOL = 1e-6
-# Peeling stops as stagnated after ceil(ROUND_CAP_C * log2(k + 2)) rounds:
-# three attempts' worth of 4 each, without rebuilding any view.
+# Peeling stops as stagnated after ceil(ROUND_CAP_C * log2(k + 2)) rounds,
+# without rebuilding any view.
 ROUND_CAP_C = 12.0
 
 

@@ -2,15 +2,15 @@
 
 A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
-source's grid, peeling completes and every verification view confirms the
-candidate.  Each run builds its views once (`build_views`: one sample read
-and one transform per view, charged to "views") and verifies on the first t
-of them as built, since peeling empties its own stacked copy.  The entry
-points take the source, k, a `Config` and a seed and nothing else: t and
-every other setting come from the `Config`, the seed is only recorded in
-the certificate, and each run counts its own ops.  Any failure routes to
-the dense fallback, which materializes the grid, transforms it, and
-returns the top-k bins exactly.
+source's grid, peeling completes and all three views confirm the
+candidate.  A plan is its triple of moduli (`make_plan`).  Each run builds
+one view per modulus once (`build_views`: one sample read and one transform
+per view, charged to "views") and verifies on those three views as built,
+since peeling empties its own stacked copy.  The entry points take the
+source, k, a `Config` and a seed and nothing else: every setting comes from
+the `Config`, the seed is only recorded in the certificate, and each run
+counts its own ops.  Any failure routes to the dense fallback, which
+materializes the grid, transforms it, and returns the top-k bins exactly.
 The certificate names the failure in fallback_reason: "forced", "too-short",
 "dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
 "grid-mismatch", "peeling-two-core", "peeling-stagnated",
@@ -51,7 +51,7 @@ from .numtheory import ModTriple, garner_digits
 from .opcount import OpCounter
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
-from .planner import MIN_PLAN_LENGTH, ModuliPlan, ViewParams, make_plan
+from .planner import MIN_PLAN_LENGTH, SHIFT_COUNT, make_plan
 from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import _INT64_MAX, SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
@@ -204,7 +204,7 @@ def sparse_fft(
         plan = None
 
     if plan is not None and fallback_reason is None:
-        views = build_views(source, plan.id_views, plan.M, op)
+        views = build_views(source, plan.moduli, plan.M, op)
         outcome = run_peeling(PeelState.create(views, plan.M, op), k)
         peel_status = outcome.status
 
@@ -220,7 +220,7 @@ def sparse_fft(
                 keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
-            report = verify(views[: plan.t], candidate, cfg, op)
+            report = verify(views, candidate, cfg, op)
             if not report.overall:
                 fallback_reason = "verification-failed"
 
@@ -239,6 +239,7 @@ def sparse_fft(
         path=path,
         fallback_reason=fallback_reason,
         declared_n=cfg.nominal_length,
+        n=N,
         k=k,
     )
     return RecoveryResult(
@@ -260,26 +261,28 @@ def sparse_fft_dense(samples, k: int, config: Config | None = None, seed: int = 
 # Certificates
 
 
-def _view_dict(vp: ViewParams) -> dict:
+def _view_dict(m: int) -> dict:
     # every view reads j*M/m + s and puts f in bin f mod m: the format's identity (sigma, b)
-    return {"m": vp.m, "sigma": 1, "b": 0, "shifts": vp.shift_count}
+    return {"m": m, "sigma": 1, "b": 0, "shifts": SHIFT_COUNT}
 
 
 def build_certificate(
-    plan: ModuliPlan | None,
+    plan: ModTriple | None,
     seed: int,
     spectrum: SparseSpectrum,
     report: VerificationReport | None,
     path: RecoveryPath,
     fallback_reason: str | None,
     declared_n: int | None,
+    n: int,
     k: int,
 ) -> Certificate:
-    """Assemble the audit record for one run.
+    """Assemble the audit record for one run on the planning length n.
 
     Every recovered frequency carries its residues and Garner digits so the
-    reconstruction can be replayed, and a fast-path plan records its views so
-    a verification view can be rebuilt from the signal.  Residue sets and
+    reconstruction can be replayed, and a fast-path plan records its views,
+    one per modulus, as both the identification and the verification views,
+    so a verification view can be rebuilt from the signal.  Residue sets and
     gate tables are not recorded: both are pure functions of the plan and
     the signal, and no replay reads them.  The escalation
     record keeps `rehashes` and `extra_verify_views` for readers of the
@@ -289,7 +292,7 @@ def build_certificate(
     freqs, coeffs = spectrum.freqs.tolist(), spectrum.coeffs.tolist()
     crts = [None] * len(freqs)
     if plan is not None:
-        digits = (d.tolist() for d in garner_digits(spectrum.freqs, plan.triple))
+        digits = (d.tolist() for d in garner_digits(spectrum.freqs, plan))
         crts = [{"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3}
                 for r1, r2, r3, u2, u3 in zip(*digits)]
     return Certificate(payload={
@@ -308,14 +311,14 @@ def build_certificate(
         "recovered": [{"f": f, "re": c.real, "im": c.imag, "crt": crt}
                       for f, c, crt in zip(freqs, coeffs, crts)],
         "plan": None if plan is None else {
-            "n": plan.N,
-            "k": plan.k,
+            "n": n,
+            "k": k,
             "m": plan.M,
-            "moduli": list(plan.triple.moduli),
-            "gamma12": plan.triple.gamma12,
-            "gamma23": plan.triple.gamma23,
-            "id_views": [_view_dict(v) for v in plan.id_views],
-            "verify_views": [_view_dict(v) for v in plan.verify_views],
+            "moduli": list(plan.moduli),
+            "gamma12": plan.gamma12,
+            "gamma23": plan.gamma23,
+            "id_views": [_view_dict(m) for m in plan.moduli],
+            "verify_views": [_view_dict(m) for m in plan.moduli],
         },
         "verification": report.to_dict() if report is not None else None,
     })
@@ -338,7 +341,7 @@ class ReplayFields:
     spectrum: SparseSpectrum | None  # the answer, built only when a view is replayed
     violations: list[str]  # the claims that fail without reading the signal
     plan_grid: int | None
-    fresh_view: ViewParams | None  # the view replay rebuilds on plan_grid
+    fresh_view: tuple[int, int] | None  # (m, shifts) of the view replay rebuilds on plan_grid
 
 
 def parse_certificate(payload) -> ReplayFields:
@@ -356,9 +359,11 @@ def parse_certificate(payload) -> ReplayFields:
                            gamma23: ints, verify_views: null or list}
       plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
                            [1, plan.m), coprime to plan.m; b: int in [0, m);
-                           shifts: 2 or 3 (plans now read 3)
+                           shifts: 2 or 3 (runs now read 3)
 
-    Runs record sigma = 1 and b = 0; older ones recorded a keyed (sigma, b).
+    Runs record the three views of their triple as both id_views and
+    verify_views, each with sigma = 1 and b = 0; older runs recorded a keyed
+    (sigma, b) and could record two shifts.
     Both are range-checked and ignored on replay, which rebuilds the first
     verification view on its m and shifts: a keyed view read the same
     samples {j*plan.m/m + s} and held the same bins relabeled, so its energy
@@ -402,7 +407,7 @@ def parse_certificate(payload) -> ReplayFields:
                      and math.gcd(sigma, plan_grid) == 1, where + ".sigma")
             _require(type(b) is int and 0 <= b < m, where + ".b")
             _require(type(shifts) is int and shifts in (2, 3), where + ".shifts")
-            fresh_view = fresh_view or ViewParams(m=m, shift_count=shifts)
+            fresh_view = fresh_view or (m, shifts)
         try:
             triple = ModTriple.create(*moduli)
         except (ValueError, NotCoprimeError) as exc:
@@ -501,10 +506,10 @@ def verify_certificate(
         violations.append(f"signal-grid-mismatch: signal grid {source.grid_length} "
                           f"!= certificate grid {fields.grid_length}")
     violations += fields.violations
-    vp = fields.fresh_view
-    if vp is not None and source.grid_length == fields.plan_grid:
-        check = check_view(build_view(source, vp, source.grid_length), fields.spectrum,
-                           cfg.verify_eps_rel)
+    if fields.fresh_view is not None and source.grid_length == fields.plan_grid:
+        m, shifts = fields.fresh_view
+        check = check_view(build_view(source, m, source.grid_length, shifts=shifts),
+                           fields.spectrum, cfg.verify_eps_rel)
         if check.parseval_gap > check.epsilon:
             violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
         if check.residual_energy > check.epsilon:

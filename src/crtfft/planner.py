@@ -1,11 +1,10 @@
 """Moduli planning.
 
-A plan fixes everything the identification pipeline needs: three pairwise
-coprime view moduli whose product M >= N defines the working grid, each view
-read at SHIFT_COUNT = 3 time shifts.  A view on modulus m reads the samples
-j*M/m + s and puts tone f in bin f mod m, so the moduli alone decide which
-tones share a bin.  `ModuliPlan` stores the views, t, the triple, N and k;
-M and the verification views are derived from them.
+A plan is its triple: three pairwise coprime view moduli whose product
+M >= N defines the working grid, each view read at SHIFT_COUNT = 3 time
+shifts.  A view on modulus m reads the samples j*M/m + s and puts tone f in
+bin f mod m, so the moduli alone decide which tones share a bin, and
+`make_plan` returns the `ModTriple` and nothing else.
 
 The moduli are the pairwise coprime triple of 11-smooth lengths whose views
 are cheapest under the op model (`dft.fft_op_count`), found by one search,
@@ -16,8 +15,7 @@ about max(N^(1/3), k/LAMBDA_THRESHOLD) bins, not sqrt(N).  No plan exceeds
 the int64 grid ceiling `signal._MAX_GRID`: where no triple fits under it
 the planner raises OracleCapExceededError instead.
 
-The verification views are the first t identification views, with t
-taken from `Config.t`, which refuses any t outside [0, 3].  Exact
+Verification checks the three views that were built for peeling.  Exact
 decimation requires a view modulus to divide the grid length, and the CRT
 needs the moduli pairwise coprime, so the triple offers no further exact
 moduli, and a keyed affine map of a view's bins would only relabel the
@@ -29,11 +27,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
 import itertools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dft
@@ -53,43 +48,6 @@ RHO_DENSE = 0.5
 # Time shifts per planned view: the singleton test compares two adjacent-shift
 # phase ratios, and the residual test separates up to this many tones per bin.
 SHIFT_COUNT = 3
-
-
-@dataclass(frozen=True)
-class ViewParams:
-    """One decimated view: modulus m, read at shift_count time shifts."""
-
-    m: int
-    shift_count: int
-
-
-@dataclass(frozen=True)
-class ModuliPlan:
-    """Three identification views over `triple`, of which verification
-    checks the first t.  M and the verification views are read from these
-    fields, so they cannot disagree with them."""
-
-    id_views: tuple[ViewParams, ViewParams, ViewParams]
-    t: int
-    triple: ModTriple
-    N: int
-    k: int
-
-    @property
-    def M(self) -> int:
-        return self.triple.M
-
-    @property
-    def verify_views(self) -> tuple[ViewParams, ...]:
-        return self.id_views[: self.t]
-
-
-def rng_stream(seed: int, label: str) -> np.random.Generator:
-    """Independent counter-based generator for one labeled domain."""
-    digest = hashlib.blake2s(label.encode("utf-8")).digest()[:16]
-    key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def _view_cost(m: int) -> int:
@@ -185,8 +143,8 @@ def choose_moduli(N: int, k: int) -> tuple[int, int, int]:
     return best[2]
 
 
-def make_plan(N: int, k: int, *, config: Config | None = None) -> ModuliPlan:
-    """Build a reproducible plan for an N-point, k-sparse problem.
+def make_plan(N: int, k: int, *, config: Config | None = None) -> ModTriple:
+    """The triple of view moduli for an N-point, k-sparse problem.
 
     The moduli come from `choose_moduli`: the pairwise coprime triple whose
     views cost least under the op model, which keeps M at or above N, the
@@ -197,8 +155,7 @@ def make_plan(N: int, k: int, *, config: Config | None = None) -> ModuliPlan:
     product of at least N, and a product past the grid ceiling raises
     OracleCapExceededError as an unpinned plan does).  A sparsity ratio
     k/sqrt(N) at or above RHO_DENSE has no fast-path plan and raises
-    DenseRegimeError.  Every view reads SHIFT_COUNT shifts; verification
-    checks the first config.t of them.
+    DenseRegimeError.
     """
     if N < MIN_PLAN_LENGTH:
         raise ValueError(f"N must be >= {MIN_PLAN_LENGTH}, got {N}")
@@ -223,9 +180,7 @@ def make_plan(N: int, k: int, *, config: Config | None = None) -> ModuliPlan:
         raise OracleCapExceededError(
             f"modulus product {triple.M} is above the grid ceiling {_MAX_GRID}"
         )
-
-    id_views = tuple(ViewParams(m=m, shift_count=SHIFT_COUNT) for m in moduli)
-    return ModuliPlan(id_views, cfg.t, triple, N, k)  # type: ignore[arg-type]
+    return triple
 
 
 def divisor_moduli(m: int) -> tuple[int, int, int] | None:
@@ -247,7 +202,7 @@ def divisor_moduli(m: int) -> tuple[int, int, int] | None:
     return tuple(sorted(buckets))  # type: ignore[return-value]
 
 
-def rehash(plan: ModuliPlan, seed: int = 0, round_index: int = 1) -> ModuliPlan:
+def rehash(plan: ModTriple, seed: int = 0, round_index: int = 1) -> ModTriple:
     """The plan itself: views over the same moduli are the same views.  The
     benchmark tracer (perfbench/tracer.py) looks this name up; nothing calls it."""
     return plan

@@ -1,11 +1,12 @@
 """Two-part verification of a candidate spectrum on the identification views.
 
-The views are the first t identification views as `views.build_views`
-built them; the guarantee below holds on any view.  `check_views` copies
-the views side by side into one stack, predicts the candidate's bins in all
-of them at once through the alias-sum model the views use
-(`views.alias_stack`) and runs both parts on each, over the rows each view
-holds; `check_view`, which replay uses, is its one-view case:
+The views are the three identification views as `views.build_views` built
+them, one on each modulus of the plan's triple; the guarantee below holds
+on any view.  `check_views` copies the views side by side into one stack,
+predicts the candidate's bins in all of them at once through the alias-sum
+model the views use (`views.alias_stack`) and runs both parts on each, over
+the rows each view holds; `check_view`, which replay uses, is its one-view
+case:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins
@@ -70,12 +71,12 @@ class VerificationReport:
     views: tuple[ViewCheck, ...]
     overall: bool
     epsilon_rel: float
-    unverified: bool
 
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
-            "unverified": self.unverified,
+            # every report checks its views; the format keeps the flag
+            "unverified": False,
             "epsilon_rel": self.epsilon_rel,
             "views": [
                 {
@@ -137,15 +138,13 @@ def verify(
     config: Config | None = None,
     op: OpCounter | None = None,
 ) -> VerificationReport:
-    """Run `check_views` on the built verification views and aggregate.
+    """Run `check_views` on the built views and aggregate.
 
     The verdict is a pure function of the views and the candidate, and each
-    view is a pure function of the source and its parameters, so checking
-    the same candidate again returns an equal report.  That is why a failed
-    verification is final and why certificate replay can recheck it.  With
-    no verification views the report passes vacuously and is flagged
-    unverified.
+    view is a pure function of the source and its modulus, so checking the
+    same candidate again returns an equal report.  That is why a failed
+    verification is final and why certificate replay can recheck it.
     """
     cfg = config or Config()
-    checks = check_views(views, candidate, cfg.verify_eps_rel, op) if views else ()
-    return VerificationReport(checks, all(c.passed for c in checks), cfg.verify_eps_rel, not views)
+    checks = check_views(views, candidate, cfg.verify_eps_rel, op)
+    return VerificationReport(checks, all(c.passed for c in checks), cfg.verify_eps_rel)

@@ -8,9 +8,10 @@ coefficient sums,
     value(r, s) = sum over f with f mod m == r of A_f e^{2pi i f s/M},
 
 which is the contract every consumer (peeling, gating, verification) is
-written against.  Each view owns its (shift_count, m) bins; a consumer
+written against.  A view is named by its modulus and read at
+`planner.SHIFT_COUNT` shifts; it owns its (shifts, m) bins, and a consumer
 that works on several views at once copies them side by side into one
-(shift_count, sum of m) stack (`stack_views`).  `alias_stack` is the one
+(shifts, sum of m) stack (`stack_views`).  `alias_stack` is the one
 evaluation of that sum from known tones, into every view of a stack at
 once: peeling subtracts its readings with it, verification predicts its
 views with it, and `build_view_from_spectrum` wraps it as the independent
@@ -27,7 +28,7 @@ import numpy as np
 from . import dft
 from .errors import OracleCapExceededError, StrideMismatchError
 from .opcount import OpCounter
-from .planner import ViewParams
+from .planner import SHIFT_COUNT
 from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
 # A bin is occupied when its shift-0 magnitude exceeds this fraction of the
@@ -37,66 +38,62 @@ NOISE_FLOOR_REL = 1e-9
 
 @dataclass
 class ViewSpectrum:
-    """Per-shift bin values of one view; bins has shape (shift_count, m).
+    """Per-shift bin values of the view on modulus m; bins has shape
+    (shift count, m).
 
     `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
     built from, taken before the transform; it is None for a view predicted
     from a spectrum, which has no samples.
     """
 
-    params: ViewParams
+    m: int
     M: int
     bins: np.ndarray
     time_energy: float | None = None
 
-    @property
-    def m(self) -> int:
-        return self.params.m
+
+def build_view(
+    source: SignalSource,
+    m: int,
+    M: int,
+    op: OpCounter | None = None,
+    shifts: int = SHIFT_COUNT,
+) -> ViewSpectrum:
+    """FFT-path construction of the view on modulus m from time samples.
+
+    The view is read with one `sample_block` call (row s of its block is its
+    shift-0 progression plus s, so every row wraps the grid a whole number
+    of times with the view's step) and transformed and normalized once.  It
+    keeps its shift-0 time energy for the Parseval check.  The read is
+    charged to the "views" phase.  Every run reads SHIFT_COUNT shifts; only
+    the replay of an older certificate that recorded another count passes
+    `shifts`.
+    """
+    if M > _MAX_GRID:
+        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
+    if M % m != 0:
+        raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
+    shift = np.arange(shifts, dtype=np.int64)[:, None]
+    samples = source.sample_block((np.arange(0, M, M // m) + shift) % M)
+    energy = float((np.abs(samples[0]) ** 2).sum())
+    if op is not None:
+        # per shift: sample accesses, transform, normalization
+        op.add("views", shifts * (m + dft.fft_op_count(m) + m))
+    return ViewSpectrum(m, M, dft.dft_forward(samples) / m, energy)
 
 
 def build_views(
     source: SignalSource,
-    params: Sequence[ViewParams],
+    moduli: Sequence[int],
     M: int,
     op: OpCounter | None = None,
 ) -> list[ViewSpectrum]:
-    """FFT-path construction of views from time samples, in the order given.
-
-    Each view is read with one `sample_block` call (row s of its block is
-    its shift-0 progression plus s, so every row wraps the grid a whole
-    number of times with the view's step) and transformed and normalized
-    once.  Each view keeps its shift-0 time energy for the Parseval check.
-    Every read is charged to the "views" phase.
-    """
-    if M > _MAX_GRID:
-        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
-    views = []
-    for vp in params:
-        m = vp.m
-        if M % m != 0:
-            raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-        shift = np.arange(vp.shift_count, dtype=np.int64)[:, None]
-        samples = source.sample_block((np.arange(0, M, M // m) + shift) % M)
-        energy = float((np.abs(samples[0]) ** 2).sum())
-        views.append(ViewSpectrum(vp, M, dft.dft_forward(samples) / m, energy))
-        if op is not None:
-            # per shift: sample accesses, transform, normalization
-            op.add("views", vp.shift_count * (m + dft.fft_op_count(m) + m))
-    return views
-
-
-def build_view(
-    source: SignalSource,
-    params: ViewParams,
-    M: int,
-    op: OpCounter | None = None,
-) -> ViewSpectrum:
-    """One view built from time samples: `build_views` of a single view."""
-    return build_views(source, [params], M, op)[0]
+    """`build_view` on each modulus, in the order given."""
+    return [build_view(source, m, M, op) for m in moduli]
 
 
 def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of the views side by side, a (shift_count, sum of m) stack, and
+    """A copy of the views side by side, a (shifts, sum of m) stack, and
     its layout, whose rows are each view's m and first column."""
     layout, width = [], 0
     for v in views:
@@ -121,15 +118,14 @@ def alias_stack(
     return bins
 
 
-def build_view_from_spectrum(
-    spectrum: SparseSpectrum, params: ViewParams, M: int
-) -> ViewSpectrum:
-    """The view of a known spectrum, evaluated by `alias_stack` without samples."""
-    if M % params.m != 0:
-        raise StrideMismatchError(f"modulus {params.m} does not divide grid length {M}")
-    bins = alias_stack(spectrum.freqs, spectrum.coeffs, np.array([[params.m], [0]]),
-                       (params.shift_count, params.m), M)
-    return ViewSpectrum(params=params, M=M, bins=bins)
+def build_view_from_spectrum(spectrum: SparseSpectrum, m: int, M: int) -> ViewSpectrum:
+    """The view on modulus m of a known spectrum, evaluated by `alias_stack`
+    without samples."""
+    if M % m != 0:
+        raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
+    bins = alias_stack(spectrum.freqs, spectrum.coeffs, np.array([[m], [0]]),
+                       (SHIFT_COUNT, m), M)
+    return ViewSpectrum(m, M, bins)
 
 
 def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray:

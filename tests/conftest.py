@@ -17,11 +17,11 @@ def spectra_close(got, want, tol=1e-9):
     )
 
 
-def shift_indices(params, M, shift):
-    """Grid indices (j*d + shift) mod M, j < m, of one view's row: the
-    time-domain map of the views module's docstring, d = M/m."""
-    j = np.arange(params.m, dtype=np.int64)
-    return (j * (M // params.m) + shift) % M
+def shift_indices(m, M, shift):
+    """Grid indices (j*d + shift) mod M, j < m, of one row of the view on
+    modulus m: the time-domain map of the views module's docstring, d = M/m."""
+    j = np.arange(m, dtype=np.int64)
+    return (j * (M // m) + shift) % M
 
 
 def random_spectrum(rng, k, grid, fmax=None, unit=False):
@@ -39,9 +39,9 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
 
 
 def verify_plan(source, plan, candidate, config=None, op=None):
-    """`verify` on the plan's verification views, built from `source`: the
-    pipeline's verdict and "verify" charge, and the views' own read under "views"."""
-    views = build_views(source, plan.verify_views, plan.M, op)
+    """`verify` on the three views of the plan's triple, built from `source`:
+    the pipeline's verdict and "verify" charge, and the views' own read under "views"."""
+    views = build_views(source, plan.moduli, plan.M, op)
     return verify(views, candidate, config, op)
 
 

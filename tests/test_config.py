@@ -14,7 +14,6 @@ from crtfft.errors import CrtFftError, ParseError
 from conftest import mutate_one_value, random_spectrum
 
 VALID = {
-    "t": 3,
     "moduli_override": [7, 11, 13],
     "nominal_length": 1001,
     "verify_eps_rel": 1e-6,
@@ -33,12 +32,14 @@ def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
     assert cfg.force_fallback is True and cfg.nominal_length == 1001
-    assert len(dataclasses.fields(Config)) == 6
+    assert len(dataclasses.fields(Config)) == 5
 
 
-@pytest.mark.parametrize("key, value", [("shift_count", 3), ("identity_hash", False)])
+@pytest.mark.parametrize("key, value",
+                         [("shift_count", 3), ("identity_hash", False), ("t", 3)])
 def test_removed_option_is_refused_by_name(tmp_path, key, value):
-    # every plan reads three shifts of plain views: neither is an option
+    # every plan reads three shifts of plain views and verifies on all three:
+    # none of these is an option
     with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
         load_config(write(tmp_path, {**VALID, key: value}))
     with pytest.raises(TypeError):
@@ -107,14 +108,8 @@ def test_nonsensical_length_is_rejected(change):
 
 # One rule for Config(...) and load_config: each of these fails at construction.
 REJECTED = {
-    "fractional-t": {"t": 2.5},
     "float-dense-budget": {"dense_budget": 1024.0},
     "fractional-nominal-length": {"nominal_length": 1000.5},
-    "bool-t": {"t": True},
-    # three views exist to check, so a larger t is refused before any planning
-    "t-above-three": {"t": 4},
-    "huge-t": {"t": 10**9},
-    "negative-t": {"t": -1},
     "integer-flag": {"force_fallback": 1},
     "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
     "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},
@@ -131,14 +126,14 @@ def test_rejected_by_config_and_load_config(tmp_path, change):
 
 
 def test_numpy_and_builtin_numbers_become_plain_values():
-    cfg = Config(t=np.int64(2), nominal_length=np.int32(1001),
+    cfg = Config(nominal_length=np.int32(1001), dense_budget=np.int64(4096),
                  verify_eps_rel=np.float32(0.5), moduli_override=[np.int64(13), 7, 11])
-    assert (cfg.t, cfg.nominal_length, cfg.verify_eps_rel) == (2, 1001, 0.5)
-    assert type(cfg.t) is int and type(cfg.nominal_length) is int
+    assert (cfg.nominal_length, cfg.dense_budget, cfg.verify_eps_rel) == (1001, 4096, 0.5)
+    assert type(cfg.nominal_length) is int and type(cfg.dense_budget) is int
     assert type(cfg.verify_eps_rel) is float
     assert type(Config(verify_eps_rel=1).verify_eps_rel) is float
     assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
-    assert hash(cfg) == hash(Config(t=2, nominal_length=1001, verify_eps_rel=0.5,
+    assert hash(cfg) == hash(Config(nominal_length=1001, dense_budget=4096, verify_eps_rel=0.5,
                                     moduli_override=(13, 7, 11)))
 
 

@@ -3,9 +3,9 @@ import pytest
 
 from crtfft.config import Config
 from crtfft.errors import OutOfRangeError
-from crtfft.gating import extract_residues, garner2, gate_pairs, gate_survivor_stats
+from crtfft.gating import extract_residues, garner2, gate_pairs, gate_survivor_stats, rng_stream
 from crtfft.numtheory import ModTriple
-from crtfft.planner import ViewParams, make_plan
+from crtfft.planner import make_plan
 from crtfft.signal import synthesize
 from crtfft.views import ViewSpectrum, build_views
 from conftest import random_spectrum
@@ -44,23 +44,20 @@ def exhaustive_gate(r1_set, r2_set, r3_set, triple):
 class TestExtractResidues:
     def test_worked_example_sets_with_injected_noise(self):
         # true bins {0, 6} plus an injected bin 3, strongest first
-        vp = ViewParams(m=7, shift_count=1)
         bins = np.zeros((1, 7), dtype=np.complex128)
         bins[0, [0, 6, 3]] = 1.0, 0.8, 0.05
-        got = extract_residues(ViewSpectrum(vp, 1001, bins), alpha_k=30)
+        got = extract_residues(ViewSpectrum(7, 1001, bins), alpha_k=30)
         assert got.dtype == np.int64 and got.tolist() == [0, 6, 3]
 
     def test_all_zero_view(self):
-        vp = ViewParams(m=5, shift_count=1)
-        got = extract_residues(ViewSpectrum(vp, 35, np.zeros((1, 5), complex)), 3)
+        got = extract_residues(ViewSpectrum(5, 35, np.zeros((1, 5), complex)), 3)
         assert got.dtype == np.int64 and got.size == 0
 
     def test_capacity_and_tie_break(self):
-        vp = ViewParams(m=8, shift_count=1)
         bins = np.zeros((1, 8), dtype=np.complex128)
         bins[0, [1, 4, 6]] = 2.0  # tied magnitudes
         bins[0, [2, 7]] = 1.0
-        got = extract_residues(ViewSpectrum(vp, 8, bins), alpha_k=4)
+        got = extract_residues(ViewSpectrum(8, 8, bins), alpha_k=4)
         # descending magnitude, ascending bin on ties; capacity 4
         assert got.tolist() == [1, 4, 6, 2]
         # independent oracle: python sort
@@ -69,9 +66,8 @@ class TestExtractResidues:
         assert got.tolist() == want
 
     def test_rejects_empty_capacity(self):
-        vp = ViewParams(m=5, shift_count=1)
         with pytest.raises(ValueError, match="alpha_k"):
-            extract_residues(ViewSpectrum(vp, 35, np.ones((1, 5), complex)), 0)
+            extract_residues(ViewSpectrum(5, 35, np.ones((1, 5), complex)), 0)
 
 
 class TestGatePairs:
@@ -159,11 +155,11 @@ class TestCompleteness:
         N, k = 2**14, 12
         plan = make_plan(N, k, config=Config(moduli_override=(997, 1009, 1013)))
         spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
-        views = build_views(synthesize(spec), plan.id_views, plan.M)
+        views = build_views(synthesize(spec), plan.moduli, plan.M)
         r1, r2, r3 = (extract_residues(v, 15 * k) for v in views)
-        table = gate_pairs(r1, r2, r3, plan.triple)
+        table = gate_pairs(r1, r2, r3, plan)
         passing = {(g.r1, g.r2) for g in table if g.passed}
-        m1, m2, _ = plan.triple.moduli
+        m1, m2, _ = plan.moduli
         assert N <= m1 * m2
         for f, _ in spec.entries:
             assert (f % m1, f % m2) in passing
@@ -222,3 +218,11 @@ class TestSurvivorStats:
         assert stats.prediction_false_survivors == pytest.approx(3375000 / 1013)
         assert abs(stats.mean_false_survivors - stats.prediction_false_survivors) \
             <= 0.25 * stats.prediction_false_survivors
+
+
+class TestRngStream:
+    def test_label_separation(self):
+        a = rng_stream(1, "id-view-0").integers(0, 1 << 30, 4).tolist()
+        b = rng_stream(1, "id-view-1").integers(0, 1 << 30, 4).tolist()
+        c = rng_stream(1, "id-view-0").integers(0, 1 << 30, 4).tolist()
+        assert a == c and a != b

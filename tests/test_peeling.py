@@ -17,10 +17,10 @@ from crtfft.peeling import (
     peel,
     run_peeling,
 )
-from crtfft.planner import make_plan, rehash, rng_stream
+from crtfft.planner import make_plan, rehash
+from crtfft.gating import gate_pairs, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
 from crtfft.views import build_view, build_view_from_spectrum, build_views
-from crtfft.gating import gate_pairs
 from conftest import random_spectrum, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13))
@@ -56,7 +56,7 @@ def toy_state(spectrum, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
     plan = make_plan(n, len(spectrum), config=TOY_CFG)
     src = synthesize(spectrum)
-    views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+    views = [build_view(src, m, plan.M) for m in plan.moduli]
     return plan, PeelState.create(views, plan.M)
 
 
@@ -67,11 +67,11 @@ class TestCreate:
         N, k = 2**14, 12
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        built = build_views(synthesize(spec), plan.id_views, plan.M)
+        built = build_views(synthesize(spec), plan.moduli, plan.M)
         before = [v.bins.copy() for v in built]
         state = PeelState.create(built, plan.M)
         assert not any(np.shares_memory(v.bins, state.stack) for v in built)
-        out = run_peeling(state, plan.k)
+        out = run_peeling(state, k)
         assert out.status is PeelStatus.COMPLETE
         assert np.abs(state.stack).max() <= state.noise_floor
         assert all(v.bins.tobytes() == b.tobytes() for v, b in zip(built, before))
@@ -79,11 +79,11 @@ class TestCreate:
     def test_copies_views_built_apart(self, rng):
         spec = random_spectrum(rng, 3, 1001)
         plan = make_plan(1001, 3, config=TOY_CFG)
-        views = [build_view(synthesize(spec), vp, plan.M) for vp in plan.id_views]
+        views = [build_view(synthesize(spec), m, plan.M) for m in plan.moduli]
         before = [v.bins.copy() for v in views]
         state = PeelState.create(views, plan.M)
         assert not any(np.shares_memory(v.bins, state.stack) for v in views)
-        run_peeling(state, plan.k)
+        run_peeling(state, 3)
         assert all(np.array_equal(v.bins, b) for v, b in zip(views, before))
 
 
@@ -118,7 +118,7 @@ class TestDetectSingletons:
         plan = make_plan(2**14, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
-        views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+        views = [build_view(src, m, plan.M) for m in plan.moduli]
         state = PeelState.create(views, plan.M)
         readings = detect_singletons(state)
         rows = zip(
@@ -126,7 +126,7 @@ class TestDetectSingletons:
         )
         for view, b, f in rows:
             assert f in dict(spec.entries)
-            assert f % plan.id_views[view].m == b
+            assert f % plan.moduli[view] == b
 
 
 def per_view_reference(state):
@@ -206,7 +206,7 @@ class TestBatchDetection:
         # own, on the first rounds of peeling as well as on the fresh views
         plan = make_plan(1001, len(spec), config=TOY_CFG)
         src = synthesize(spec)
-        views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+        views = [build_view(src, m, plan.M) for m in plan.moduli]
         if misplaced:
             # every singleton of view 0 one bin off: each must fail the bin-back test
             views[0].bins = np.roll(views[0].bins, 1, axis=1)
@@ -261,7 +261,7 @@ class TestDetectorMatchesReference:
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
         plan = make_plan(1001, len(spec), config=TOY_CFG)
-        views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
+        views = [build_view_from_spectrum(spec, m, plan.M) for m in plan.moduli]
         state = PeelState.create(views, plan.M)
         stack, floor = state.stack, state.noise_floor
         for kind, column, re, im in edits:
@@ -302,10 +302,10 @@ class TestPeel:
         readings = detect_singletons(state)
         reading = readings.take(np.flatnonzero(readings.f_hat == 7)[:1])
         peel(state, reading)
-        for i, vp in enumerate(plan.id_views):
+        for i, m in enumerate(plan.moduli):
             bins = view_bins(state, i)
-            assert abs(bins[0, 7 % vp.m]) < 1e-12
-            assert abs(bins[0, 41 % vp.m] - 1.0) < 1e-12
+            assert abs(bins[0, 7 % m]) < 1e-12
+            assert abs(bins[0, 41 % m] - 1.0) < 1e-12
 
 
     def test_round_subtracts_colliding_readings(self):
@@ -318,8 +318,8 @@ class TestPeel:
         peel(state, readings.take([np.flatnonzero(readings.f_hat == f)[-1] for f in (3, 10)]))
         assert set(ledger(state)) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
-        for i, vp in enumerate(plan.id_views):
-            want = build_view_from_spectrum(residual, vp, 1001).bins
+        for i, m in enumerate(plan.moduli):
+            want = build_view_from_spectrum(residual, m, 1001).bins
             assert np.abs(view_bins(state, i) - want).max() < 1e-9
 
 
@@ -327,7 +327,7 @@ class TestRunPeeling:
     def test_worked_example_completes_quickly(self):
         spec = SparseSpectrum.from_pairs([(7, 1.5), (41, -2j)], 1001)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan.k)
+        out = run_peeling(state, len(spec))
         assert out.status is PeelStatus.COMPLETE
         assert out.rounds <= 2
         assert spectra_close(recovered(out, spec.grid_length), spec)
@@ -335,7 +335,7 @@ class TestRunPeeling:
     def test_empty_spectrum(self):
         spec = SparseSpectrum.from_pairs([], 1001)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan.k)
+        out = run_peeling(state, len(spec))
         assert out.status is PeelStatus.COMPLETE
         assert len(out.freqs) == len(out.coeffs) == 0
 
@@ -344,14 +344,14 @@ class TestRunPeeling:
         # the outcome skips the sum but is bit for bit what summing the
         # ledger into zeros gives, -0.0 turned into +0.0 included
         plan = make_plan(1001, 1, config=TOY_CFG)
-        views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), vp, 1001)
-                 for vp in plan.id_views]
+        views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), m, 1001)
+                 for m in plan.moduli]
         f, coeff = 41, complex(1.0, -0.0)
         for view in views:
             view.bins[:, f % view.m] = coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001)
             view.bins[0, f % view.m] = coeff
         state = PeelState.create(views, 1001)
-        out = run_peeling(state, plan.k)
+        out = run_peeling(state, 1)
         assert out.status is PeelStatus.COMPLETE and out.rounds == 1
         freqs, where = np.unique(state.freqs, return_inverse=True)
         summed = np.zeros(freqs.size, dtype=np.complex128)
@@ -368,7 +368,7 @@ class TestRunPeeling:
             residues = [f % m for f in STUCK_SUPPORT]
             assert all(residues.count(r) >= 2 for r in residues)
         plan, state = toy_state(spec)
-        out = run_peeling(state, plan.k)
+        out = run_peeling(state, len(spec))
         assert out.status is PeelStatus.TWO_CORE
         assert len(out.freqs) == len(out.coeffs) == 0
 
@@ -380,8 +380,8 @@ class TestRunPeeling:
         plan = make_plan(1001, 4, config=TOY_CFG)
         assert rehash(plan, seed=99, round_index=1) is plan
         src = synthesize(spec)
-        views = [build_view(src, vp, plan.M) for vp in plan.id_views]
-        out = run_peeling(PeelState.create(views, plan.M), plan.k)
+        views = [build_view(src, m, plan.M) for m in plan.moduli]
+        out = run_peeling(PeelState.create(views, plan.M), 4)
         assert out.status is PeelStatus.TWO_CORE
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
@@ -396,19 +396,19 @@ class TestRunPeeling:
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
             plan = make_plan(triple.m1 * triple.m2, k, config=cfg)
             src = synthesize(spec)
-            views = [build_view(src, vp, plan.M) for vp in plan.id_views]
+            views = [build_view(src, m, plan.M) for m in plan.moduli]
             floor = 1e-9 * max(np.abs(v.bins[0]).max() for v in views)
             sets = [
                 sorted(np.flatnonzero(np.abs(v.bins[0]) > floor).tolist())
                 for v in views
             ]
-            out = run_peeling(PeelState.create(views, plan.M), plan.k)
+            out = run_peeling(PeelState.create(views, plan.M), k)
             if out.status is not PeelStatus.COMPLETE:
                 continue
             assert spectra_close(recovered(out, spec.grid_length), spec)
             gate_hits = {
                 g.f12
-                for g in gate_pairs(sets[0], sets[1], sets[2], plan.triple)
+                for g in gate_pairs(sets[0], sets[1], sets[2], plan)
                 if g.passed
             }
             for f, _ in spec.entries:
@@ -430,8 +430,8 @@ class TestRunPeeling:
             residual = SparseSpectrum.from_pairs(
                 [(f, c) for f, c in residual_entries.items() if abs(c) > 1e-12], 1001
             )
-            for i, vp in enumerate(plan.id_views):
-                want = build_view_from_spectrum(residual, vp, 1001).bins
+            for i, m in enumerate(plan.moduli):
+                want = build_view_from_spectrum(residual, m, 1001).bins
                 assert np.abs(view_bins(state, i) - want).max() < 1e-6
 
 
@@ -440,8 +440,8 @@ class TestRoundBound:
         plan = make_plan(2**16, 8)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**16)
         src = synthesize(spec)
-        views = [build_view(src, vp, plan.M) for vp in plan.id_views]
-        out = run_peeling(PeelState.create(views, plan.M), plan.k)
+        views = [build_view(src, m, plan.M) for m in plan.moduli]
+        out = run_peeling(PeelState.create(views, plan.M), 8)
         cap = math.ceil(ROUND_CAP_C * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE
@@ -459,8 +459,8 @@ class TestPeelMonteCarlo:
             child = np.random.Generator(np.random.Philox(int(master.integers(0, 2**62))))
             spec = random_spectrum(child, 10, triple.M, unit=True)
             plan = make_plan(triple.M, 10, config=cfg)
-            views = [build_view_from_spectrum(spec, vp, plan.M) for vp in plan.id_views]
-            out = run_peeling(PeelState.create(views, plan.M), plan.k)
+            views = [build_view_from_spectrum(spec, m, plan.M) for m in plan.moduli]
+            out = run_peeling(PeelState.create(views, plan.M), 10)
             if out.status is PeelStatus.COMPLETE and spectra_close(recovered(out, plan.M), spec):
                 completed += 1
         assert completed / trials >= 0.99

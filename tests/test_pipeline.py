@@ -32,6 +32,12 @@ from conftest import (
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), nominal_length=64)
 
+# Runs recorded by earlier commits: the first three by planners that drew a
+# keyed (sigma, b) per view, the fourth by one with plain views whose plans
+# stored their views and a verification count t (3 by default).
+PARENT_CASES = json.loads(
+    (Path(__file__).parent / "fixtures" / "parent_certificates.json").read_text())
+
 
 def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
     spec = SparseSpectrum.from_pairs(list(entries), 1001)
@@ -78,6 +84,24 @@ def fallback_certificate():
     result = sparse_fft(src, 3, seed=0)
     assert result.path is RecoveryPath.FALLBACK
     return result.certificate.to_json(), src
+
+
+def assert_json_agrees(got, want, path="$"):
+    """Decoded JSON trees with the same keys, ints, strings and bools, and
+    floats within 1e-12 relative."""
+    assert type(got) is type(want), path
+    if type(want) is dict:
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_json_agrees(got[key], want[key], f"{path}.{key}")
+    elif type(want) is list:
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_json_agrees(a, b, f"{path}[{i}]")
+    elif type(want) is float:
+        assert abs(got - want) <= 1e-12 * abs(want), (path, got, want)
+    else:
+        assert got == want, path
 
 
 class TestSparseFft:
@@ -136,7 +160,7 @@ class TestSparseFft:
         src = CountingSource(synthesize(spec))
         result = sparse_fft(src, k, cfg, seed=1)
         assert result.path is RecoveryPath.FAST and spectra_close(result.spectrum, spec)
-        assert sum(map(len, src.rows)) == SHIFT_COUNT * sum(plan.triple.moduli) == 414
+        assert sum(map(len, src.rows)) == SHIFT_COUNT * sum(plan.moduli) == 414
         assert len(set(src.rows)) == len(src.rows) == SHIFT_COUNT * 3
         assert all(len(set(row)) == len(row) for row in src.rows)
 
@@ -164,7 +188,7 @@ class TestSparseFft:
         # of two inside its even modulus, share one bin of that view
         cfg = Config(nominal_length=2**14)
         plan = make_plan(2**14, 12, config=cfg)
-        assert plan.triple.moduli == (44, 45, 49)
+        assert plan.moduli == (44, 45, 49)
         coeffs = np.exp(2j * np.pi * rng.random(12))
         spec = SparseSpectrum.from_pairs(
             [(17 + j * spacing, c) for j, c in enumerate(coeffs)], plan.M
@@ -209,10 +233,10 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["fallback_reason"] == "verification-failed"
         assert result.certificate.payload["escalation"]["extra_verify_views"] == 0
-        # one verification pass over the plan's t views, nothing redrawn after it fails
+        # one verification pass over the three built views, nothing redrawn after it fails
         one_pass = OpCounter()
         verify_plan(src, plan, corrupted[0], cfg, one_pass)
-        assert len(result.verification.views) == len(plan.verify_views)
+        assert [v.modulus for v in result.verification.views] == list(plan.moduli)
         assert result.op_counts["verify"] == one_pass.snapshot()["verify"]
 
     def test_force_fallback_config(self):
@@ -251,7 +275,7 @@ class TestSparseFft:
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert verify_certificate(result.certificate, src, cfg) == []
         plan = make_plan(M, k, config=cfg)
-        views = [build_view(src, vp, M) for vp in plan.id_views]
+        views = [build_view(src, m, M) for m in plan.moduli]
         rounds = run_peeling(PeelState.create(views, M), k).rounds
         assert rounds > math.ceil(4 * math.log2(k + 2))
 
@@ -415,7 +439,7 @@ class TestSparseFft:
     @pytest.mark.parametrize("n", [64, 2002, 2048])
     def test_dense_buffer_answers_on_its_own_grid(self, rng, n):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        result = sparse_fft_dense(x, 3, Config(t=2), seed=1)
+        result = sparse_fft_dense(x, 3, Config(), seed=1)
         assert result.path is RecoveryPath.FALLBACK
         assert result.certificate.payload["fallback_reason"].startswith("grid-mismatch")
         dense = np.fft.fft(x) / n
@@ -592,9 +616,7 @@ class TestCertificates:
             assert violations == [f"signal-grid-mismatch: signal grid 1000 != certificate grid {grid}"]
 
     @pytest.mark.parametrize(
-        "case",
-        json.loads((Path(__file__).parent / "fixtures" / "parent_certificates.json").read_text()),
-        ids=["n16384-k12", "toy-gate-trail", "synth-narrow-keyed"],
+        "case", PARENT_CASES[:3], ids=["n16384-k12", "toy-gate-trail", "synth-narrow-keyed"]
     )
     def test_certificate_from_one_stream_per_view_planner_replays(self, case):
         # Made by planners that drew a keyed (sigma, b) per view: the first two
@@ -619,6 +641,32 @@ class TestCertificates:
         assert result.path is RecoveryPath.FAST
         assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
         assert spectra_close(result.spectrum, spec)
+
+    @pytest.mark.parametrize("case", PARENT_CASES[3:], ids=["synth-narrow-plain"])
+    def test_run_writes_the_recorded_plain_certificate(self, case):
+        # A synth_narrow op (Generator seed 301, op 1) on the default config:
+        # a run today writes the certificate the earlier commit recorded, with
+        # every key, int and string equal and every float within 1e-12
+        # relative.  A view's parseval_gap and residual_energy are zero in
+        # exact arithmetic, so their roundoff, which another numpy may round
+        # differently, is compared at the view's energy scale instead.
+        spec = SparseSpectrum.from_pairs(
+            [(e["f"], complex(e["re"], e["im"])) for e in case["spectrum"]["entries"]],
+            case["spectrum"]["grid_length"])
+        cfg = Config(**case["config"])
+        assert (cfg, case["k"]) == (Config(nominal_length=2**14), 12)
+        result = sparse_fft(synthesize(spec), case["k"], cfg, seed=case["seed"])
+        assert result.path is RecoveryPath.FAST
+        got, want = json.loads(result.certificate.to_json()), json.loads(case["certificate"])
+        views = [{"m": m, "sigma": 1, "b": 0, "shifts": 3} for m in want["plan"]["moduli"]]
+        assert want["plan"]["id_views"] == want["plan"]["verify_views"] == views
+        scale = 1e-12 / want["verification"]["epsilon_rel"]
+        for g, w in zip(got["verification"]["views"], want["verification"]["views"]):
+            for key in ("parseval_gap", "residual_energy"):
+                assert abs(g.pop(key) - w.pop(key)) <= scale * w["epsilon"], key
+        assert_json_agrees(got, want)
+        for cert in (result.certificate, Certificate.from_json(case["certificate"])):
+            assert verify_certificate(cert, synthesize(spec), cfg) == []
 
     def test_replay_builds_the_answer_only_for_a_view(self):
         # replay reads the answer's arrays only to check it on a view, so a

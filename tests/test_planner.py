@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,26 +13,24 @@ from crtfft.numtheory import ModTriple
 from crtfft.planner import (
     LAMBDA_THRESHOLD,
     RHO_DENSE,
-    SHIFT_COUNT,
-    ViewParams,
     choose_moduli,
     divisor_moduli,
     make_plan,
-    rng_stream,
 )
 
 
-def assert_plan_invariants(plan, N, k, t):
-    """Every invariant a plan made for (N, k) with Config(t=t) keeps."""
-    m1, m2, m3 = plan.triple.moduli
+def assert_plan_invariants(plan, N, k):
+    """Every invariant a plan made for (N, k) keeps: it is the ModTriple of
+    its moduli, ascending, with M >= N and the per-bin load bound."""
+    assert type(plan) is ModTriple
+    m1, m2, m3 = plan.moduli
+    assert m1 < m2 < m3
     assert math.gcd(m1, m2) == math.gcd(m1, m3) == math.gcd(m2, m3) == 1
     assert plan.M == m1 * m2 * m3 >= N
-    assert m1 * plan.triple.gamma12 % m2 == 1
-    assert m1 * m2 * plan.triple.gamma23 % m3 == 1
-    assert plan.id_views == tuple(ViewParams(m, SHIFT_COUNT) for m in (m1, m2, m3))
-    assert plan.verify_views == plan.id_views[:t]
+    assert plan == ModTriple.create(m1, m2, m3)
+    assert m1 * plan.gamma12 % m2 == 1
+    assert m1 * m2 * plan.gamma23 % m3 == 1
     assert m1 >= k / LAMBDA_THRESHOLD
-    assert (plan.N, plan.k, plan.t) == (N, k, t)
 
 
 @pytest.mark.parametrize(
@@ -49,83 +46,62 @@ def test_dense_boundary(N, k, dense):
         with pytest.raises(DenseRegimeError, match=r"rho = 0\.[56]00 >= 0\.5"):
             make_plan(N, k)
     else:
-        assert_plan_invariants(make_plan(N, k), N, k, Config().t)
+        assert_plan_invariants(make_plan(N, k), N, k)
 
 
 @settings(max_examples=200, deadline=None)
-@given(N=st.integers(4, 2**30), k=st.integers(0, 500), t=st.integers(0, 3))
-def test_make_plan_invariants(N, k, t):
+@given(N=st.integers(4, 2**30), k=st.integers(0, 500))
+def test_make_plan_invariants(N, k):
     """A plan keeps every invariant, or make_plan refuses with a typed error:
     DenseRegimeError exactly when k/sqrt(N) >= RHO_DENSE."""
     try:
-        plan = make_plan(N, k, config=Config(t=t))
+        plan = make_plan(N, k)
     except DenseRegimeError:
         assert k / math.sqrt(N) >= RHO_DENSE
     except OracleCapExceededError:
         pass
     else:
         assert k / math.sqrt(N) < RHO_DENSE
-        assert_plan_invariants(plan, N, k, t)
+        assert_plan_invariants(plan, N, k)
 
 
 class TestMakePlan:
     def test_toy_override(self):
         cfg = Config(moduli_override=(13, 7, 11))
         plan = make_plan(64, 2, config=cfg)
-        assert plan.triple.moduli == (7, 11, 13)
+        # pinned moduli are sorted into a triple like any plan's
+        assert plan == ModTriple.create(7, 11, 13)
         assert plan.M == 1001 >= 64
-        # pinned moduli get views like any plan's, three shifts each
-        assert [v.m for v in plan.id_views] == [7, 11, 13]
-        assert all(v.shift_count == SHIFT_COUNT == 3 for v in plan.id_views)
 
     def test_mega_plan_moduli(self):
         plan = make_plan(2**20, 20)
-        assert plan.triple.moduli == (81, 112, 125)  # 3^4, 2^4*7, 5^3
+        assert plan.moduli == (81, 112, 125)  # 3^4, 2^4*7, 5^3
         assert plan.M >= 2**20
-        assert len(plan.verify_views) == 3
 
     def test_adaptive_moduli_when_load_high(self):
         # rho = 0.2 stays under the sparse threshold, and k/lambda = 607 is
         # above N^(1/3) = 100, so the load floor, not M >= N, sizes the views
         plan = make_plan(10**6, 200)
-        assert plan.triple.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
-        assert min(plan.triple.moduli) >= 200 / LAMBDA_THRESHOLD
+        assert plan.moduli == (616, 625, 729)  # 2^3*7*11, 5^4, 3^6
+        assert min(plan.moduli) >= 200 / LAMBDA_THRESHOLD
 
     def test_moderate_load_bound(self):
         plan = make_plan(10**6, 200)
         k = 200
-        assert k / min(plan.triple.moduli) <= LAMBDA_THRESHOLD
+        assert k / min(plan.moduli) <= LAMBDA_THRESHOLD
 
     def test_determinism(self):
         a = make_plan(2**18, 10)
         b = make_plan(2**18, 10)
         assert a == b
 
-    def test_verification_independent_of_t(self):
-        # Config.t picks how many identification views verification checks;
-        # it never alters the views
-        a = make_plan(2**18, 10, config=Config(t=0))
-        b = make_plan(2**18, 10)
-        c = make_plan(2**18, 10, config=Config(t=2))
-        assert a.id_views == b.id_views == c.id_views
-        assert (a.verify_views, b.verify_views, c.verify_views) == ((), b.id_views, b.id_views[:2])
-
     def test_t_is_not_positional(self):
-        # t comes only from Config, and config is keyword-only, so an old
-        # call that passed t third is refused; no seed reaches a plan
+        # config is keyword-only, so an old call that passed t third is
+        # refused; no t and no seed reaches a plan
         with pytest.raises(TypeError):
             make_plan(2**14, 12, 3)
         with pytest.raises(TypeError):
             make_plan(2**14, 12, seed=1)
-
-    def test_verify_views_are_derived(self):
-        # M and the verification views are read from the triple and the
-        # identification views, so no plan can hold copies that disagree
-        plan = make_plan(2**16, 4, config=Config(t=2))
-        assert (plan.M, plan.verify_views) == (plan.triple.M, plan.id_views[:2])
-        for derived in ("M", "verify_views"):
-            with pytest.raises(TypeError):
-                dataclasses.replace(plan, **{derived: getattr(plan, derived)})
 
     def test_pinned_product_below_n_raises(self):
         cfg = Config(moduli_override=(7, 11, 13))
@@ -141,14 +117,7 @@ class TestMakePlan:
     def test_planned_moduli_are_valid(self, k):
         for a in range(6, 21):
             if k / math.sqrt(2**a) < RHO_DENSE:
-                assert_plan_invariants(make_plan(2**a, k), 2**a, k, Config().t)
-
-    def test_verify_views_reuse_triple_moduli(self):
-        plan = make_plan(2**18, 10)
-        assert plan.verify_views == plan.id_views
-        for v in plan.verify_views:
-            assert v.m in plan.triple.moduli
-            assert plan.M % v.m == 0
+                assert_plan_invariants(make_plan(2**a, k), 2**a, k)
 
 
 def test_gate_checks_its_own_no_wrap_condition():
@@ -156,17 +125,9 @@ def test_gate_checks_its_own_no_wrap_condition():
     # wrap.  Peeling needs only M >= N, so the plan is valid; the gate
     # checks its own no-wrap precondition.
     plan = make_plan(100, 1, config=Config(moduli_override=(7, 11, 13)))
-    assert_plan_invariants(plan, 100, 1, Config().t)
+    assert_plan_invariants(plan, 100, 1)
     with pytest.raises(ValueError, match=r"N=100 exceeds m1\*m2=77"):
         gate_survivor_stats(100, 1, 1.0, ModTriple.create(7, 11, 13), trials=1)
-
-
-class TestRngStream:
-    def test_label_separation(self):
-        a = rng_stream(1, "id-view-0").integers(0, 1 << 30, 4).tolist()
-        b = rng_stream(1, "id-view-1").integers(0, 1 << 30, 4).tolist()
-        c = rng_stream(1, "id-view-0").integers(0, 1 << 30, 4).tolist()
-        assert a == c and a != b
 
 
 def test_divisor_moduli():
@@ -226,7 +187,7 @@ class TestChooseModuli:
         for N in range(2_900_000_000, 2_990_000_001, 15_000_000):
             plan = make_plan(N, 64)
             assert plan.M <= 3_000_000_000
-            assert_plan_invariants(plan, N, 64, Config().t)
+            assert_plan_invariants(plan, N, 64)
 
     def test_int64_grid_ceiling_edges(self):
         # the last N that a triple no costlier than the witness covers under

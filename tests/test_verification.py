@@ -6,7 +6,7 @@ import pytest
 from crtfft import pipeline
 from crtfft.config import Config
 from crtfft.pipeline import RecoveryPath, sparse_fft
-from crtfft.planner import SHIFT_COUNT, ViewParams, make_plan
+from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.verification import check_view, check_views, verify
 from crtfft.views import build_view, build_view_from_spectrum, build_views
@@ -15,14 +15,14 @@ from conftest import random_spectrum, verify_plan
 EPS_REL = Config().verify_eps_rel
 
 
-def collision_free_instance(rng, k, plan):
-    """Random spectrum whose tones collide in no identification view, and
-    so in no verification view (the textbook energy identity holds exactly)."""
+def collision_free_instance(rng, k, plan, N=2**14):
+    """Random spectrum on [0, N) whose tones collide in no view of the plan
+    (the textbook energy identity holds exactly)."""
     while True:
-        spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
         ok = True
-        for vp in plan.id_views:
-            bins = spec.frequencies() % vp.m
+        for m in plan.moduli:
+            bins = spec.frequencies() % m
             if len(set(bins.tolist())) != k:
                 ok = False
                 break
@@ -37,14 +37,14 @@ class TestParsevalCheck:
         plan = make_plan(2**14, 5)
         spec = collision_free_instance(rng, 5, plan)
         src = synthesize(spec)
-        for vp in plan.verify_views:
-            view = build_view(src, vp, plan.M)
+        for m in plan.moduli:
+            view = build_view(src, m, plan.M)
             e_time = view.time_energy
             check = check_view(view, spec, EPS_REL)
             assert check.passed and check.parseval_gap <= 1e-9 * max(e_time, 1)
             assert check.epsilon == 1e-6 * max(e_time, 1)
             # collision-free: predicted view energy equals plain energy
-            assert abs(e_time / vp.m - spec.energy()) <= 1e-9 * max(e_time, 1)
+            assert abs(e_time / m - spec.energy()) <= 1e-9 * max(e_time, 1)
 
     def test_missing_unit_tone_fails(self, rng):
         plan = make_plan(2**14, 5)
@@ -56,40 +56,38 @@ class TestParsevalCheck:
         spec = SparseSpectrum.from_pairs(entries, plan.M)
         short = SparseSpectrum.from_pairs(entries[1:], plan.M)
         src = synthesize(spec)
-        vp = plan.verify_views[0]
-        check = check_view(build_view(src, vp, plan.M), short, EPS_REL)
+        check = check_view(build_view(src, plan.m1, plan.M), short, EPS_REL)
         assert check.parseval_gap > check.epsilon and not check.passed
         assert check.parseval_gap >= 1 - 1e-6
 
     def test_empty_candidate_gap_is_signal_energy(self, rng):
-        plan = make_plan(2**14, 3, config=Config(t=1))
+        plan = make_plan(2**14, 3)
         spec = collision_free_instance(rng, 3, plan)
         src = synthesize(spec)
-        vp = plan.verify_views[0]
         empty = SparseSpectrum.from_pairs([], plan.M)
-        view = build_view(src, vp, plan.M)
+        view = build_view(src, plan.m1, plan.M)
         check = check_view(view, empty, EPS_REL)
         assert check.parseval_gap > check.epsilon
         e_time = view.time_energy
-        assert abs(check.parseval_gap - e_time / vp.m) < 1e-9 * max(e_time, 1)
+        assert abs(check.parseval_gap - e_time / plan.m1) < 1e-9 * max(e_time, 1)
 
     def test_true_candidate_with_collisions_still_passes(self):
         # two tones forced into the same verification bin: the prediction
         # includes the interference, so a correct candidate still passes
         plan = make_plan(2**14, 2)
-        vp = plan.verify_views[0]
+        m = plan.m1
         f1 = 101
-        f2 = f1 + vp.m * 3
+        f2 = f1 + m * 3
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (f2, 1.0)], plan.M)
-        assert f1 % vp.m == f2 % vp.m
+        assert f1 % m == f2 % m
         src = synthesize(spec)
-        check = check_view(build_view(src, vp, plan.M), spec, EPS_REL)
+        check = check_view(build_view(src, m, plan.M), spec, EPS_REL)
         assert check.parseval_gap <= check.epsilon, check
 
     def test_predicted_view_is_refused(self):
-        plan = make_plan(2**14, 2, config=Config(t=1))
+        plan = make_plan(2**14, 2)
         spec = SparseSpectrum.from_pairs([(5, 1.0)], plan.M)
-        predicted = build_view_from_spectrum(spec, plan.verify_views[0], plan.M)
+        predicted = build_view_from_spectrum(spec, plan.m1, plan.M)
         with pytest.raises(ValueError):
             check_view(predicted, spec, EPS_REL)
 
@@ -98,41 +96,42 @@ class TestResidualCheck:
     """The residual part of check_view: residual_energy against epsilon."""
 
     def test_correct_candidate(self, rng):
-        plan = make_plan(2**14, 4, config=Config(t=2))
-        spec = random_spectrum(rng, 4, plan.M, fmax=plan.N)
+        plan = make_plan(2**14, 4)
+        spec = random_spectrum(rng, 4, plan.M, fmax=2**14)
         src = synthesize(spec)
-        for vp in plan.verify_views:
-            check = check_view(build_view(src, vp, plan.M), spec, EPS_REL)
+        for m in plan.moduli:
+            check = check_view(build_view(src, m, plan.M), spec, EPS_REL)
             assert check.residual_energy <= check.epsilon
             assert check.residual_energy < 1e-12 * max(spec.energy(), 1)
 
     def test_swapped_frequency_detected_without_bin_collision(self, rng):
-        plan = make_plan(2**14, 4, config=Config(t=1))
-        spec = random_spectrum(rng, 4, plan.M, fmax=plan.N, unit=True)
+        N = 2**14
+        plan = make_plan(N, 4)
+        spec = random_spectrum(rng, 4, plan.M, fmax=N, unit=True)
         src = synthesize(spec)
-        vp = plan.verify_views[0]
+        m = plan.m1
         entries = list(spec.entries)
         f0, c0 = entries[0]
-        wrong = (f0 + 1) % plan.N
+        wrong = (f0 + 1) % N
         if wrong in dict(entries):
-            wrong = (f0 + 2) % plan.N
+            wrong = (f0 + 2) % N
         corrupted = SparseSpectrum.from_pairs([(wrong, c0)] + entries[1:], plan.M)
-        check = check_view(build_view(src, vp, plan.M), corrupted, EPS_REL)
-        if f0 % vp.m != wrong % vp.m:
+        check = check_view(build_view(src, m, plan.M), corrupted, EPS_REL)
+        if f0 % m != wrong % m:
             assert check.residual_energy > check.epsilon and not check.passed
             assert check.residual_energy >= (1 - 1e-6) * abs(c0) ** 2
 
     def test_same_bin_swap_caught_by_shifted_phases(self):
         # equal-magnitude swap inside one bin: shift 0 cancels exactly, the
         # phase structure at shifts 1 and 2 still exposes it
-        plan = make_plan(2**14, 2, config=Config(t=1))
-        vp = plan.verify_views[0]
+        plan = make_plan(2**14, 2)
+        m = plan.m1
         f1 = 500
-        f2 = f1 + vp.m * 40  # same bin, far apart on the grid
+        f2 = f1 + m * 40  # same bin, far apart on the grid
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (1, 0.5)], plan.M)
         corrupted = SparseSpectrum.from_pairs([(f2, 1.0), (1, 0.5)], plan.M)
         src = synthesize(spec)
-        check = check_view(build_view(src, vp, plan.M), corrupted, EPS_REL)
+        check = check_view(build_view(src, m, plan.M), corrupted, EPS_REL)
         # the energy part cannot see the swap; the residual part alone fails it
         assert check.parseval_gap <= check.epsilon
         assert check.residual_energy > check.epsilon and not check.passed
@@ -148,11 +147,12 @@ class TestResidualCheck:
 class TestVerify:
     def test_correct_candidate_passes_t3(self, rng):
         plan = make_plan(2**14, 5)
-        spec = random_spectrum(rng, 5, plan.M, fmax=plan.N)
+        spec = random_spectrum(rng, 5, plan.M, fmax=2**14)
         src = synthesize(spec)
         report = verify_plan(src, plan, spec, Config(nominal_length=2**14))
-        assert report.overall and not report.unverified
-        assert len(report.views) == 3
+        assert report.overall
+        assert [v.modulus for v in report.views] == list(plan.moduli)
+        assert report.to_dict()["unverified"] is False
 
     def test_no_false_alarms_over_random_instances(self, rng):
         # correct candidates must pass regardless of collisions
@@ -160,7 +160,7 @@ class TestVerify:
         for trial in range(40):
             k = int(rng.integers(1, 9))
             plan = make_plan(2**14, k)
-            spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
+            spec = random_spectrum(rng, k, plan.M, fmax=2**14)
             report = verify_plan(synthesize(spec), plan, spec, cfg)
             assert report.overall
 
@@ -169,17 +169,10 @@ class TestVerify:
         for trial in range(25):
             k = int(rng.integers(2, 8))
             plan = make_plan(2**14, k)
-            spec = random_spectrum(rng, k, plan.M, fmax=plan.N)
+            spec = random_spectrum(rng, k, plan.M, fmax=2**14)
             short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
             report = verify_plan(synthesize(spec), plan, short, cfg)
             assert not report.overall
-
-    def test_t0_vacuous_pass_flagged(self, rng):
-        plan = make_plan(2**14, 3, config=Config(t=0))
-        spec = random_spectrum(rng, 3, plan.M, fmax=plan.N)
-        report = verify_plan(synthesize(spec), plan, spec, Config())
-        assert report.overall and report.unverified
-        assert report.views == ()
 
     @pytest.mark.parametrize("kind", ["synthesized", "dense"])
     def test_repeat_call_gives_equal_report(self, rng, kind):
@@ -234,7 +227,7 @@ class TestSmallModuli:
         cfg = Config(nominal_length=N)
         plan = make_plan(N, k, config=cfg)
         # the paper's bound (2k/m1)^3 = 0.16 would allow one slip in six
-        assert plan.triple.moduli == (44, 45, 49)
+        assert plan.moduli == (44, 45, 49)
         # the pipeline's own verify judges each candidate after corruption
         real_verify, corrupt = pipeline.verify, _corrupt(kind, rng, 44 * 45)
         monkeypatch.setattr(pipeline, "verify", lambda views, candidate, *rest: real_verify(
@@ -249,7 +242,7 @@ class TestSmallModuli:
 def one_view_check(view, candidate, eps_rel):
     """(gap, residual, epsilon, passed) of one view, each part computed on
     its own from the alias-sum prediction of that view alone."""
-    predicted = build_view_from_spectrum(candidate, view.params, view.M).bins
+    predicted = build_view_from_spectrum(candidate, view.m, view.M).bins
     gap = abs(view.time_energy / view.m - float(np.sum(np.abs(predicted[0]) ** 2)))
     residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
     eps = eps_rel * max(view.time_energy, 1.0)
@@ -257,35 +250,38 @@ def one_view_check(view, candidate, eps_rel):
 
 
 class TestStackedChecks:
-    """`verify` predicts all verification views from one scatter into their
+    """`verify` predicts all the views it is given from one scatter into their
     stack; each view's check must be the one it gets on its own."""
 
     @pytest.mark.parametrize("identity", [False, True], ids=["drawn", "identity"])
     @pytest.mark.parametrize("t", range(6))
     def test_matches_per_view_checks(self, rng, t, identity):
+        # a stack of t views, the plan's three taken in turn (t > 3 stacks a
+        # view twice); an empty stack has no verdict, so it never passes
         N, k = 2**14, 12
-        if t > 3:
-            # only the three identification views exist to check
-            with pytest.raises(ValueError, match=r"t must be in \[0, 3\]"):
-                Config(nominal_length=N, t=t)
-            return
-        cfg = Config(nominal_length=N, t=t)
+        cfg = Config(nominal_length=N)
         plan = make_plan(N, k, config=cfg)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        params = plan.verify_views
+        src = synthesize(spec)
+        built = build_views(src, plan.moduli, plan.M)
         if identity:
-            # views built by hand on the triple's moduli, as the gate reads
-            # them, are the plan's views: no key enters a plan
-            params = tuple(ViewParams(m, SHIFT_COUNT) for m in plan.triple.moduli[:t])
-            assert params == plan.verify_views
-        views = build_views(synthesize(spec), params, plan.M)
+            # views built one at a time, as replay builds its view, are the
+            # views a run builds
+            by_hand = [build_view(src, m, plan.M) for m in plan.moduli]
+            assert all(a.m == b.m and np.array_equal(a.bins, b.bins)
+                       and a.time_energy == b.time_energy for a, b in zip(by_hand, built))
+            built = by_hand
+        views = [built[i % 3] for i in range(t)]
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
         for candidate, verdict in ((spec, True), (wrong, False)):
+            if t == 0:
+                with pytest.raises(ValueError):
+                    verify(views, candidate, cfg)
+                continue
             report = verify(views, candidate, cfg)
-            assert report.unverified is (t == 0)
-            assert report.overall is (verdict or t == 0)
+            assert report.overall is verdict
             assert len(report.views) == t
             for view, check in zip(views, report.views):
                 gap, residual, eps, passed = one_view_check(view, candidate, cfg.verify_eps_rel)
@@ -302,7 +298,7 @@ class TestStackedChecks:
         N, k = 2**14, 12
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        views = build_views(synthesize(spec), plan.verify_views, plan.M)
+        views = build_views(synthesize(spec), plan.moduli, plan.M)
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtfft.errors import StrideMismatchError
-from crtfft.planner import ViewParams, make_plan
+from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
 from crtfft.views import (
     build_view,
@@ -17,27 +15,27 @@ from crtfft.views import (
 from conftest import random_spectrum, shift_indices
 
 
-def alias_oracle(spectrum, params, M):
+def alias_oracle(spectrum, m, M, shifts):
     """Literal per-tone evaluation of the view contract."""
-    bins = np.zeros((params.shift_count, params.m), dtype=np.complex128)
+    bins = np.zeros((shifts, m), dtype=np.complex128)
     for f, c in spectrum.entries:
-        r = f % params.m
-        for s in range(params.shift_count):
+        r = f % m
+        for s in range(shifts):
             bins[s, r] += c * np.exp(2j * np.pi * f * s / M)
     return bins
 
 
-def raw_energy(source, params, M):
-    """Energy of the raw shift-0 samples of a view, read directly."""
-    return float(np.sum(np.abs(source.sample_block(shift_indices(params, M, 0))) ** 2))
+def raw_energy(source, m, M):
+    """Energy of the raw shift-0 samples of the view on modulus m, read directly."""
+    return float(np.sum(np.abs(source.sample_block(shift_indices(m, M, 0))) ** 2))
 
 
 class TestBuildView:
     def test_single_tone_alias(self):
         M = 1001
         spec = SparseSpectrum.from_pairs([(5, 1.0)], M)
-        vp = ViewParams(m=7, shift_count=3)
-        view = build_view(synthesize(spec), vp, M)
+        view = build_view(synthesize(spec), 7, M)
+        assert view.bins.shape == (SHIFT_COUNT, 7) == (3, 7)
         for s in range(3):
             expect = np.exp(2j * np.pi * 5 * s / M)
             assert abs(view.bins[s, 5] - expect) < 1e-9
@@ -47,15 +45,14 @@ class TestBuildView:
     def test_worked_example_occupied_bins(self):
         M = 1001
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], M)
-        vp = ViewParams(m=7, shift_count=3)
-        view = build_view(synthesize(spec), vp, M)
+        view = build_view(synthesize(spec), 7, M)
         occupied = sorted(np.flatnonzero(np.abs(view.bins[0]) > 1e-9).tolist())
         assert occupied == [0, 6]
 
     @pytest.mark.parametrize("shift_count", [2, 3])
     @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
     def test_fft_path_matches_alias_oracle(self, rng, kind, shift_count):
-        # plans draw three shifts; a replayed certificate's view may record two
+        # runs read three shifts; a replayed certificate's view may record two
         plan = make_plan(2**14, 8)
         M = plan.M
         spec = random_spectrum(rng, 8, M)
@@ -65,40 +62,38 @@ class TestBuildView:
         blocks = []
         read = src.sample_block
         src.sample_block = lambda idx: blocks.append(np.shape(idx)) or read(idx)
-        for vp in plan.id_views:
-            assert vp.shift_count == 3
-            vp = dataclasses.replace(vp, shift_count=shift_count)
+        for m in plan.moduli:
             blocks.clear()
-            view = build_view(src, vp, M)
-            want = alias_oracle(spec, vp, M)
+            view = build_view(src, m, M, shifts=shift_count)
+            want = alias_oracle(spec, m, M, shift_count)
             assert np.abs(view.bins - want).max() < 1e-9
             # every shift comes from one stacked read; row 0 gives the energy
-            assert blocks == [(shift_count, vp.m)]
-            assert view.time_energy == pytest.approx(raw_energy(src, vp, M), rel=1e-12)
+            assert blocks == [(shift_count, m)]
+            assert view.time_energy == pytest.approx(raw_energy(src, m, M), rel=1e-12)
 
     def test_stride_mismatch(self):
         spec = SparseSpectrum.from_pairs([(1, 1.0)], 100)
         with pytest.raises(StrideMismatchError):
-            build_view(synthesize(spec), ViewParams(7, 3), 100)
+            build_view(synthesize(spec), 7, 100)
         # refused before the (shifts, m) sample stack is allocated
         with pytest.raises(StrideMismatchError):
-            build_view(synthesize(spec), ViewParams(2**40, 3), 100)
+            build_view(synthesize(spec), 2**40, 100)
 
     def test_predictor_equals_fft_path(self, rng):
         plan = make_plan(2**12, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
-        for vp in plan.id_views:
-            a = build_view(src, vp, plan.M).bins
-            b = build_view_from_spectrum(spec, vp, plan.M).bins
+        for m in plan.moduli:
+            a = build_view(src, m, plan.M).bins
+            b = build_view_from_spectrum(spec, m, plan.M).bins
             assert np.abs(a - b).max() < 1e-9
 
     def test_sparsity_preserved(self, rng):
         plan = make_plan(2**12, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
-        for vp in plan.id_views:
-            view = build_view(src, vp, plan.M)
+        for m in plan.moduli:
+            view = build_view(src, m, plan.M)
             floor = 1e-9 * np.abs(view.bins[0]).max()
             assert np.count_nonzero(np.abs(view.bins[0]) > floor) <= len(spec)
 
@@ -106,11 +101,11 @@ class TestBuildView:
         plan = make_plan(2**12, 4)
         spec = random_spectrum(rng, 4, plan.M)
         src = synthesize(spec)
-        vp = plan.id_views[0]
-        view = build_view(src, vp, plan.M)
+        m = plan.m1
+        view = build_view(src, m, plan.M)
         bins = {}
         for f, _ in spec.entries:
-            bins.setdefault(f % vp.m, []).append(f)
+            bins.setdefault(f % m, []).append(f)
         for r, tones in bins.items():
             if len(tones) == 1:
                 mags = np.abs(view.bins[:, r])
@@ -151,7 +146,8 @@ class TestTopKOrder:
 
 
 class TestBuildViews:
-    """Each view is read with one `sample_block` call and transformed once."""
+    """Each view is read at SHIFT_COUNT shifts with one `sample_block` call
+    and transformed once."""
 
     def test_one_read_and_one_transform_per_view(self, monkeypatch, rng):
         from crtfft import dft
@@ -168,23 +164,23 @@ class TestBuildViews:
 
         monkeypatch.setattr(src, "sample_block", logged(reads, src.sample_block))
         monkeypatch.setattr(dft, "dft_forward", logged(transforms, dft.dft_forward))
-        params = [ViewParams(7, 3), ViewParams(11, 2), ViewParams(7, 2)]
-        build_views(src, params, M)
-        assert reads == transforms == [(3, 7), (2, 11), (2, 7)]
+        build_views(src, [7, 11, 7], M)
+        assert reads == transforms == [(3, 7), (3, 11), (3, 7)]
+        # only a replayed view passes another shift count
+        build_view(src, 13, M, shifts=2)
+        assert reads[-1] == transforms[-1] == (2, 13)
 
 
 class TestViewEnergy:
     def test_zero_signal(self):
         src = synthesize(SparseSpectrum.from_pairs([], 1001))
-        vp = ViewParams(7, 3)
-        assert build_view(src, vp, 1001).time_energy == raw_energy(src, vp, 1001) == 0
+        assert build_view(src, 7, 1001).time_energy == raw_energy(src, 7, 1001) == 0
 
     def test_single_tone(self):
         src = synthesize(SparseSpectrum.from_pairs([(41, 2.0 + 1j)], 1001))
-        vp = ViewParams(11, 3)
-        e = build_view(src, vp, 1001).time_energy
+        e = build_view(src, 11, 1001).time_energy
         assert abs(e - 11 * abs(2 + 1j) ** 2) < 1e-9
-        assert e == pytest.approx(raw_energy(src, vp, 1001), rel=1e-12)
+        assert e == pytest.approx(raw_energy(src, 11, 1001), rel=1e-12)
 
     def test_matches_bin_energy_identity(self, rng):
         # time energy equals m * sum_r |value(r, 0)|^2; both sides computed
@@ -192,9 +188,8 @@ class TestViewEnergy:
         M = 1001
         spec = random_spectrum(rng, 2, M)
         src = synthesize(spec)
-        vp = ViewParams(m=13, shift_count=2)
-        e_time = raw_energy(src, vp, M)
-        view = build_view(src, vp, M)
+        e_time = raw_energy(src, 13, M)
+        view = build_view(src, 13, M, shifts=2)
         e_bins = 13 * np.sum(np.abs(view.bins[0]) ** 2)
         assert abs(e_time - e_bins) <= 1e-9 * max(e_time, 1.0)
         # the view keeps the energy of the raw samples, before the transform
