@@ -107,19 +107,26 @@ def test_nonsensical_length_is_rejected(change):
 
 
 # One rule for Config(...) and load_config: each of these fails at construction.
+# t is no longer a field, so Config refuses it as an unknown keyword whatever
+# its value; the other entries are refused as bad values.
 REJECTED = {
-    "float-dense-budget": {"dense_budget": 1024.0},
-    "fractional-nominal-length": {"nominal_length": 1000.5},
-    "integer-flag": {"force_fallback": 1},
-    "two-moduli": {"moduli_override": [7, 11], "nominal_length": 1001},
-    "modulus-one": {"moduli_override": [1, 7, 143], "nominal_length": 1001},
-    "product-below-length": {"moduli_override": [2, 3, 5], "nominal_length": 1001},
+    "fractional-t": ({"t": 2.5}, TypeError),
+    "float-dense-budget": ({"dense_budget": 1024.0}, ValueError),
+    "fractional-nominal-length": ({"nominal_length": 1000.5}, ValueError),
+    "bool-t": ({"t": True}, TypeError),
+    "t-above-three": ({"t": 4}, TypeError),
+    "huge-t": ({"t": 10**9}, TypeError),
+    "negative-t": ({"t": -1}, TypeError),
+    "integer-flag": ({"force_fallback": 1}, ValueError),
+    "two-moduli": ({"moduli_override": [7, 11], "nominal_length": 1001}, ValueError),
+    "modulus-one": ({"moduli_override": [1, 7, 143], "nominal_length": 1001}, ValueError),
+    "product-below-length": ({"moduli_override": [2, 3, 5], "nominal_length": 1001}, ValueError),
 }
 
 
-@pytest.mark.parametrize("change", REJECTED.values(), ids=REJECTED.keys())
-def test_rejected_by_config_and_load_config(tmp_path, change):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("change, error", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_by_config_and_load_config(tmp_path, change, error):
+    with pytest.raises(error):
         Config(**change)
     with pytest.raises(ParseError):
         load_config(write(tmp_path, {**VALID, **change}))
