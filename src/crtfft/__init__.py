@@ -63,7 +63,7 @@ from .signal import (
     synthesize,
 )
 from .planner import make_plan
-from .views import ViewSpectrum, build_view, build_view_from_spectrum, build_views
+from .views import ViewStack, build_view, build_view_from_spectrum, build_views
 from .gating import GatedCandidate, GateStats, extract_residues, gate_pairs, gate_survivor_stats
 from .peeling import (
     PeelOutcome,

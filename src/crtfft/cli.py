@@ -264,7 +264,7 @@ def _mc_verify_miss(args, writer):
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
         built = build_views(synthesize(truth), plan.moduli, plan.M)
         full = verify(built, corrupted, cfg).views
-        shift0 = check_views([dc_replace(v, bins=v.bins[:1]) for v in built], corrupted,
+        shift0 = check_views(dc_replace(built, bins=built.bins[:1]), corrupted,
                              cfg.verify_eps_rel)
         for j, checks in enumerate((full, shift0)):
             slips[2 * j] += checks[0].passed

@@ -4,6 +4,8 @@ Conventions, fixed globally: the forward transform is the plain unnormalized
 sum X[r] = sum_n x[n] e^{-2pi i rn/N}; the inverse carries the 1/N factor.
 `numpy.fft` is the only engine: `dft_forward` checks its input and hands it
 to `np.fft.fft`, one transform per row of a 1-D buffer or a 2-D stack.
+`dft_inverse_sum` is the inverse without the 1/N factor, which a
+synthesized source reads its samples with.
 `dft_direct` is the quadratic-time literal evaluation of the definition,
 kept as the independent test oracle and never used by fast paths.
 """
@@ -49,6 +51,13 @@ def dft_forward(x, out: np.ndarray | None = None) -> np.ndarray:
 def dft_inverse(x) -> np.ndarray:
     """Inverse DFT with 1/N normalization; dft_inverse(dft_forward(x)) == x."""
     return np.fft.ifft(_as_buffer(x), axis=-1)
+
+
+def dft_inverse_sum(x: np.ndarray) -> np.ndarray:
+    """The unnormalized inverse DFT, x[n] = sum_r X[r] e^{+2pi i rn/N}, of
+    each row of a complex128 stack, with no input check: the caller owns
+    the finiteness of what it sums."""
+    return np.fft.ifft(x, axis=-1, norm="forward")
 
 
 def dft_direct(x, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:

@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .numtheory import ModTriple, mod_inverse
-from .views import NOISE_FLOOR_REL, ViewSpectrum, top_k_order
+from .views import NOISE_FLOOR_REL, ViewStack, top_k_order
 
 
-def extract_residues(view: ViewSpectrum, alpha_k: int) -> np.ndarray:
-    """The view's top-alpha_k bins above the noise floor by shift-0 magnitude,
-    strongest first, ties broken upward."""
+def extract_residues(view: ViewStack, alpha_k: int) -> np.ndarray:
+    """The top-alpha_k bins of a one-view stack above the noise floor by
+    shift-0 magnitude, strongest first, ties broken upward."""
     if alpha_k < 1:
         raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
     mag = np.abs(view.bins[0])

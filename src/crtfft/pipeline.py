@@ -4,9 +4,12 @@ A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and all three views confirm the
 candidate.  A plan is its triple of moduli (`make_plan`).  Each run builds
-one view per modulus once (`build_views`: one sample read and one transform
-per view, charged to "views") and verifies on those three views as built,
-since peeling empties its own stacked copy.  The entry points take the
+one view per modulus once, straight into one `views.ViewStack`
+(`build_views`: one sample read and one transform per view, charged to
+"views", with the plan's index blocks and stack tables cached per plan).
+That stack serves the run from the read to the verdict: peeling empties its
+own copy of the bins, and verification checks the stack as built.  The
+entry points take the
 source, k, a `Config` and a seed and nothing else: every setting comes from
 the `Config`, the seed is only recorded in the certificate, and each run
 counts its own ops.  Any failure routes to the dense fallback, which
@@ -205,7 +208,7 @@ def sparse_fft(
 
     if plan is not None and fallback_reason is None:
         views = build_views(source, plan.moduli, plan.M, op)
-        outcome = run_peeling(PeelState.create(views, plan.M, op), k)
+        outcome = run_peeling(PeelState.create(views, op), k)
         peel_status = outcome.status
 
         if outcome.status is not PeelStatus.COMPLETE:

@@ -5,17 +5,19 @@ as two arrays on a grid of length M; the matching time-domain signal is
 x[n] = sum_i A_i e^{+2pi i f_i n/M}.  :class:`SignalSource` is the lazy
 sample oracle over that grid, and the fast path only ever touches
 O(m1 + m2 + m3) indices, so nothing is materialized unless the dense
-fallback runs.  An index block may have any
-shape and its values come back in that shape.  A synthesized source reads n
-arbitrary indices in O(k*n) arithmetic; a stack of R rows that are each a
-full cyclic progression mod M, every row with its own step (the shifts of
-a view are such a stack), costs
-O(R*k + R*n log n), one scatter and one stacked inverse transform for all
-rows.  `materialize` returns the whole grid in a fresh
-buffer that the caller owns and may overwrite (the dense fallback transforms
-it in place): for a synthesized source it is the one-row, step-1 case of that
-read, O(k + M log M); a dense source fills it with one copy of its samples,
-zero-extended when the caller padded the source.
+fallback runs.  An index block may have any shape and its values come back
+in that shape.  A synthesized source reads n arbitrary indices in O(k*n)
+arithmetic; a stack of R rows that are each a full cyclic progression mod
+M, every row with its own step (the shifts of a view are such a stack),
+costs O(R*k + R*n log n): one comparison of the block's cyclic gaps finds
+the steps, then one scatter and one stacked, unnormalized inverse
+transform read all rows.  A tone sum past the float64 range reads as Inf
+or NaN without a numpy warning, and the transform that consumes the
+samples raises NonFiniteError.  `materialize` returns the whole grid in a
+fresh buffer that the caller owns and may overwrite (the dense fallback
+transforms it in place): for a synthesized source it is the one-row,
+step-1 case of that read, O(k + M log M); a dense source fills it with one
+copy of its samples, zero-extended when the caller padded the source.
 
 File formats (stable; `save_spectrum`/`load_spectrum`,
 `save_dense_binary`/`load_dense_binary` and `save_dense_csv`/`load_dense_csv`
@@ -205,19 +207,23 @@ class _SynthesizedSource(SignalSource):
 
         In row r, q = n*steps[r]/M is an integer, and tone f advances by
         (f*steps[r] mod M)/M = (f*q mod n)/n turns per sample; so each row is
-        the n-point inverse DFT of the tones scattered into bins f*q mod n,
-        each twisted by its phase at that row's start.  All rows are
-        scattered into one flat buffer at once.  Products stay below
-        M^2 < 2^63 under _MAX_GRID.
+        the n-point unnormalized inverse DFT of the tones scattered into bins
+        f*q mod n, each twisted by its phase at that row's start.  All rows
+        are scattered into one flat buffer at once.  Products stay below
+        M^2 < 2^63 under _MAX_GRID.  A sum past the float64 range reads as
+        Inf or NaN, with no warning; the transform of the samples or of the
+        grid refuses it with NonFiniteError.
         """
-        M = self.grid_length
-        offsets = np.arange(0, starts.size * n, n, dtype=np.int64)
+        M, rows = self.grid_length, starts.size
         freqs, coeffs = self.spectrum.freqs, self.spectrum.coeffs
-        bins = (steps * n // M)[:, None] * freqs % n + offsets[:, None]
-        twists = np.exp(2j * np.pi * ((starts[:, None] * freqs) % M) / M)
-        scattered = np.zeros(starts.size * n, dtype=np.complex128)
-        np.add.at(scattered, bins.ravel(), (coeffs * twists).ravel())
-        return n * dft.dft_inverse(scattered.reshape(starts.size, n))
+        bins = np.multiply.outer(steps * n // M, freqs)
+        bins %= n
+        bins += np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+        twists = np.exp((2j * np.pi / M) * (np.multiply.outer(starts, freqs) % M))
+        scattered = np.zeros(rows * n, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(scattered, bins.ravel(), (coeffs * twists).ravel())
+            return dft.dft_inverse_sum(scattered.reshape(rows, n))
 
 
 def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
@@ -227,21 +233,21 @@ def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
     `idx` is one row (1-D) or a stack of rows (2-D) of n >= 2 indices in
     [0, M).  Returns the steps, one per row, when every row satisfies
     row[j] == (row[0] + j*step) mod M and n*step == 0 (mod M) with its own
-    step; otherwise None.
+    step; otherwise None.  Both hold exactly when every cyclic gap of the
+    row, row[0] - row[n-1] included, is its first gap mod M, so the block
+    is tested with one comparison of its gaps.
     """
     if idx.ndim not in (1, 2) or idx.size == 0:
         return None
     rows = idx.reshape(-1, idx.shape[-1])
-    n = rows.shape[1]
-    if n < 2:
+    if rows.shape[1] < 2:
         return None
-    gaps = rows[:, 1:] - rows[:, :-1]
-    steps = gaps[:, 0] % M
-    if ((n * steps) % M).any():
-        return None
-    # two indices in [0, M) are step apart mod M iff they differ by step or step - M
-    col = steps[:, None]
-    if not ((gaps == col) | (gaps == col - M)).all():
+    gaps = np.empty_like(rows)
+    np.subtract(rows[:, 1:], rows[:, :-1], out=gaps[:, :-1])
+    np.subtract(rows[:, 0], rows[:, -1], out=gaps[:, -1])
+    gaps %= M
+    steps = gaps[:, 0]
+    if np.count_nonzero(gaps != steps[:, None]):
         return None
     return steps
 

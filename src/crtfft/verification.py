@@ -1,12 +1,13 @@
 """Two-part verification of a candidate spectrum on the identification views.
 
-The views are the three identification views as `views.build_views` built
-them, one on each modulus of the plan's triple; the guarantee below holds
-on any view.  `check_views` copies the views side by side into one stack,
-predicts the candidate's bins in all of them at once through the alias-sum
-model the views use (`views.alias_stack`) and runs both parts on each, over
-the rows each view holds; `check_view`, which replay uses, is its one-view
-case:
+The views are the three identification views, one on each modulus of the
+plan's triple, in the `views.ViewStack` that `views.build_views` built and
+peeling left unchanged; the guarantee below holds on any view.
+`check_views` reads that stack as built, with no copy: it predicts the
+candidate's bins in all of its views at once through the alias-sum model
+the views use (`views.alias_stack`) and runs both parts on each, over the
+rows the stack holds.  A stack with no view has no verdict and raises
+ValueError.  `check_view`, which replay uses, is its one-view case:
 
 Part 1 (energy): the raw time-domain energy of the view, divided by the
 view length, must match the energy of the predicted shift-0 bins.  Bins
@@ -45,7 +46,6 @@ above 790*epsilon in some view, the amplitude errors (residual
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,7 @@ import numpy as np
 from .config import Config
 from .opcount import OpCounter
 from .signal import SparseSpectrum
-from .views import ViewSpectrum, alias_stack, stack_views
+from .views import ViewStack, alias_stack
 from .views import build_view, build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 
@@ -92,48 +92,52 @@ class VerificationReport:
 
 
 def check_views(
-    views: Sequence[ViewSpectrum],
+    views: ViewStack,
     candidate: SparseSpectrum,
     eps_rel: float,
     op: OpCounter | None = None,
 ) -> tuple[ViewCheck, ...]:
-    """Both parts of the test on views built from samples with one shift count.
+    """Both parts of the test on each view of a stack built from samples.
 
     Each view's predicted shift-0 energy and residual energy are its segment
     of one `np.add.reduceat` over the stack's columns.  E_time is the view's
     `time_energy`, summed over its stride-indexed raw shift-0 samples;
-    nothing recovered enters it.
+    nothing recovered enters it.  The stack is read as built, over the rows
+    it holds.
     """
-    if any(v.time_energy is None for v in views):
+    if views.time_energy is None:
         raise ValueError("check_views needs views built from samples")
-    stack, layout = stack_views(views)
-    predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views[0].M)
+    if not views.moduli:
+        raise ValueError("check_views needs at least one view: the view set is empty")
+    stack, layout = views.bins, views.layout
+    predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views.M)
     energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[1]).tolist()
     residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[1])
     if op is not None:
         # per view: energy part, then residual part
         op.add("verify", stack.shape[1] + stack.size
-               + (1 + stack.shape[0]) * len(views) * len(candidate))
+               + (1 + stack.shape[0]) * len(views.moduli) * len(candidate))
     checks = []
-    for view, energy, residual in zip(views, energies, residuals.tolist()):
-        gap = abs(view.time_energy / view.m - energy)
-        eps = eps_rel * max(view.time_energy, 1.0)
-        checks.append(ViewCheck(view.m, gap, residual, eps, gap <= eps and residual <= eps))
+    for m, e_time, energy, residual in zip(
+            views.moduli, views.time_energy.tolist(), energies, residuals.tolist()):
+        gap = abs(e_time / m - energy)
+        eps = eps_rel * max(e_time, 1.0)
+        checks.append(ViewCheck(m, gap, residual, eps, gap <= eps and residual <= eps))
     return tuple(checks)
 
 
 def check_view(
-    view: ViewSpectrum,
+    view: ViewStack,
     candidate: SparseSpectrum,
     eps_rel: float,
     op: OpCounter | None = None,
 ) -> ViewCheck:
-    """Both parts of the test on one view built from samples."""
-    return check_views([view], candidate, eps_rel, op)[0]
+    """Both parts of the test on a one-view stack built from samples."""
+    return check_views(view, candidate, eps_rel, op)[0]
 
 
 def verify(
-    views: Sequence[ViewSpectrum],
+    views: ViewStack,
     candidate: SparseSpectrum,
     config: Config | None = None,
     op: OpCounter | None = None,

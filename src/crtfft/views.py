@@ -9,17 +9,25 @@ coefficient sums,
 
 which is the contract every consumer (peeling, gating, verification) is
 written against.  A view is named by its modulus and read at
-`planner.SHIFT_COUNT` shifts; it owns its (shifts, m) bins, and a consumer
-that works on several views at once copies them side by side into one
-(shifts, sum of m) stack (`stack_views`).  `alias_stack` is the one
-evaluation of that sum from known tones, into every view of a stack at
-once: peeling subtracts its readings with it, verification predicts its
-views with it, and `build_view_from_spectrum` wraps it as the independent
-oracle for the FFT path.
+`planner.SHIFT_COUNT` shifts.  Views live in one explicit `ViewStack`:
+`build_views` reads each view's samples with one `sample_block` call,
+transforms them straight into the view's columns of one (shifts, sum of m)
+array, and normalizes the whole stack once.  That one stack serves a run
+from the sample read to the verdict: peeling peels a copy of it and
+verification checks it as built.  `build_view` is its one-modulus case,
+which replay uses.  The tables a stack needs depend only on the plan, so
+they are computed once per plan and cached read-only: each view's index
+block (`_view_indices`, keyed by m, M and the shift count), and the stack's
+layout (`stack_layout`) and per-column divisor, keyed by the moduli.
+`alias_stack` is the one evaluation of the sum from known tones, into
+every view of a stack at once: peeling subtracts its readings with it,
+verification predicts its views with it, and `build_view_from_spectrum`
+wraps it as the independent oracle for the FFT path.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,20 +44,93 @@ from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 NOISE_FLOOR_REL = 1e-9
 
 
-@dataclass
-class ViewSpectrum:
-    """Per-shift bin values of the view on modulus m; bins has shape
-    (shift count, m).
+@functools.lru_cache(maxsize=256)
+def _view_indices(m: int, M: int, shifts: int) -> np.ndarray:
+    """The read-only (shifts, m) index block of the view on m: row s is
+    (j*M/m + s) mod M, so every row wraps the grid once with step M/m."""
+    block = (np.arange(0, M, M // m) + np.arange(shifts, dtype=np.int64)[:, None]) % M
+    block.setflags(write=False)
+    return block
 
-    `time_energy` is sum |y_0[j]|^2 over the raw shift-0 samples the view was
-    built from, taken before the transform; it is None for a view predicted
-    from a spectrum, which has no samples.
+
+@functools.lru_cache(maxsize=64)
+def stack_layout(moduli: tuple[int, ...]) -> np.ndarray:
+    """The read-only (2, views) layout of a stack of views on `moduli`, in
+    order: row 0 each view's m, row 1 its first column."""
+    m = np.array(moduli, dtype=np.int64)
+    layout = np.vstack((m, np.cumsum(m) - m))
+    layout.setflags(write=False)
+    return layout
+
+
+@functools.lru_cache(maxsize=64)
+def _column_divisor(moduli: tuple[int, ...]) -> np.ndarray:
+    """Each column's view length m as complex128: numpy divides a complex
+    array by an int m as by complex(m), so each column gets the bits of
+    dividing its view alone by m."""
+    divisor = np.repeat(np.array(moduli, dtype=np.complex128), moduli)
+    divisor.setflags(write=False)
+    return divisor
+
+
+@dataclass(frozen=True, eq=False)
+class ViewStack:
+    """Views on `moduli` side by side: `bins` has shape (shift count, sum of
+    m), and the view on moduli[i] owns columns first to first + m of it
+    (`layout`, from `stack_layout`).
+
+    `time_energy[i]` is sum |y_0[j]|^2 over the raw shift-0 samples view i
+    was built from, taken before the transform; it is None for views
+    predicted from a spectrum, which have no samples.
     """
 
-    m: int
     M: int
+    moduli: tuple[int, ...]
     bins: np.ndarray
-    time_energy: float | None = None
+    time_energy: np.ndarray | None = None
+
+    @property
+    def layout(self) -> np.ndarray:
+        return stack_layout(self.moduli)
+
+
+def build_views(
+    source: SignalSource,
+    moduli: Sequence[int],
+    M: int,
+    op: OpCounter | None = None,
+    shifts: int = SHIFT_COUNT,
+) -> ViewStack:
+    """FFT-path construction of the views on `moduli`, in the order given,
+    straight into one stack.
+
+    Each view is read with one `sample_block` call (row s of its block is
+    its shift-0 progression plus s, so every row wraps the grid a whole
+    number of times with the view's step) and transformed once into its
+    columns of the stack; the stack is then normalized once, each column by
+    its view's m.  Each view keeps its shift-0 time energy for the Parseval
+    check.  The reads are charged to the "views" phase.  Every run reads
+    SHIFT_COUNT shifts; only the replay of an older certificate that
+    recorded another count passes `shifts`.
+    """
+    moduli = tuple(map(int, moduli))
+    if M > _MAX_GRID:
+        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
+    for m in moduli:
+        if M % m != 0:
+            raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
+    layout = stack_layout(moduli)
+    bins = np.empty((shifts, sum(moduli)), dtype=np.complex128)
+    energy = np.empty(len(moduli))
+    for i, (m, first) in enumerate(layout.T.tolist()):
+        samples = source.sample_block(_view_indices(m, M, shifts))
+        dft.dft_forward(samples, out=bins[:, first : first + m])
+        energy[i] = (np.abs(samples[0]) ** 2).sum()
+        if op is not None:
+            # per shift: sample accesses, transform, normalization
+            op.add("views", shifts * (m + dft.fft_op_count(m) + m))
+    bins /= _column_divisor(moduli)
+    return ViewStack(M, moduli, bins, energy)
 
 
 def build_view(
@@ -58,55 +139,16 @@ def build_view(
     M: int,
     op: OpCounter | None = None,
     shifts: int = SHIFT_COUNT,
-) -> ViewSpectrum:
-    """FFT-path construction of the view on modulus m from time samples.
-
-    The view is read with one `sample_block` call (row s of its block is its
-    shift-0 progression plus s, so every row wraps the grid a whole number
-    of times with the view's step) and transformed and normalized once.  It
-    keeps its shift-0 time energy for the Parseval check.  The read is
-    charged to the "views" phase.  Every run reads SHIFT_COUNT shifts; only
-    the replay of an older certificate that recorded another count passes
-    `shifts`.
-    """
-    if M > _MAX_GRID:
-        raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
-    if M % m != 0:
-        raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-    shift = np.arange(shifts, dtype=np.int64)[:, None]
-    samples = source.sample_block((np.arange(0, M, M // m) + shift) % M)
-    energy = float((np.abs(samples[0]) ** 2).sum())
-    if op is not None:
-        # per shift: sample accesses, transform, normalization
-        op.add("views", shifts * (m + dft.fft_op_count(m) + m))
-    return ViewSpectrum(m, M, dft.dft_forward(samples) / m, energy)
-
-
-def build_views(
-    source: SignalSource,
-    moduli: Sequence[int],
-    M: int,
-    op: OpCounter | None = None,
-) -> list[ViewSpectrum]:
-    """`build_view` on each modulus, in the order given."""
-    return [build_view(source, m, M, op) for m in moduli]
-
-
-def stack_views(views: Sequence[ViewSpectrum]) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of the views side by side, a (shifts, sum of m) stack, and
-    its layout, whose rows are each view's m and first column."""
-    layout, width = [], 0
-    for v in views:
-        layout.append((v.m, width))
-        width += v.m
-    return np.concatenate([v.bins for v in views], axis=1), np.array(layout, dtype=np.int64).T
+) -> ViewStack:
+    """`build_views` on the one modulus m; replay builds its view with it."""
+    return build_views(source, (m,), M, op, shifts)
 
 
 def alias_stack(
     freqs: np.ndarray, coeffs: np.ndarray, layout: np.ndarray, shape: tuple[int, int], M: int
 ) -> np.ndarray:
     """The `shape` stack of bins that the tones (freqs, coeffs) put in the
-    views of a `stack_views` layout: one table of A_f e^{2pi i f s/M} over
+    views of a `stack_layout` layout: one table of A_f e^{2pi i f s/M} over
     tones and shifts, scattered into every view at once, tones that share a
     bin summed in the order given.  Costs O(k) per shift and view.
     """
@@ -118,14 +160,13 @@ def alias_stack(
     return bins
 
 
-def build_view_from_spectrum(spectrum: SparseSpectrum, m: int, M: int) -> ViewSpectrum:
+def build_view_from_spectrum(spectrum: SparseSpectrum, m: int, M: int) -> ViewStack:
     """The view on modulus m of a known spectrum, evaluated by `alias_stack`
     without samples."""
     if M % m != 0:
         raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
-    bins = alias_stack(spectrum.freqs, spectrum.coeffs, np.array([[m], [0]]),
-                       (SHIFT_COUNT, m), M)
-    return ViewSpectrum(m, M, bins)
+    bins = alias_stack(spectrum.freqs, spectrum.coeffs, stack_layout((m,)), (SHIFT_COUNT, m), M)
+    return ViewStack(M, (m,), bins)
 
 
 def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray:

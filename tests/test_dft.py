@@ -5,6 +5,7 @@ from crtfft.dft import (
     dft_direct,
     dft_forward,
     dft_inverse,
+    dft_inverse_sum,
     fft_op_count,
 )
 from crtfft.errors import NonFiniteError, OracleCapExceededError
@@ -52,6 +53,14 @@ def test_engines_match_direct_oracle(rng, n):
     direct = dft_direct(x)
     scale = np.abs(direct).max()
     assert np.abs(fast - direct).max() <= 1e-9 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("n", [12, 13, 64, 101, 1001])
+def test_inverse_sum_is_the_unscaled_inverse(rng, n):
+    # the conjugate of the forward sum of the conjugate, row by row
+    x = np.stack([random_buffer(rng, n) for _ in range(3)])
+    want = np.conj(dft_direct(np.conj(x)))
+    assert np.abs(dft_inverse_sum(x) - want).max() <= 1e-9 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [12, 13, 64, 101, 1001])

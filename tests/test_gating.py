@@ -7,7 +7,7 @@ from crtfft.gating import extract_residues, garner2, gate_pairs, gate_survivor_s
 from crtfft.numtheory import ModTriple
 from crtfft.planner import make_plan
 from crtfft.signal import synthesize
-from crtfft.views import ViewSpectrum, build_views
+from crtfft.views import ViewStack, build_view
 from conftest import random_spectrum
 
 TOY = ModTriple.create(7, 11, 13)
@@ -46,18 +46,18 @@ class TestExtractResidues:
         # true bins {0, 6} plus an injected bin 3, strongest first
         bins = np.zeros((1, 7), dtype=np.complex128)
         bins[0, [0, 6, 3]] = 1.0, 0.8, 0.05
-        got = extract_residues(ViewSpectrum(7, 1001, bins), alpha_k=30)
+        got = extract_residues(ViewStack(1001, (7,), bins), alpha_k=30)
         assert got.dtype == np.int64 and got.tolist() == [0, 6, 3]
 
     def test_all_zero_view(self):
-        got = extract_residues(ViewSpectrum(5, 35, np.zeros((1, 5), complex)), 3)
+        got = extract_residues(ViewStack(35, (5,), np.zeros((1, 5), complex)), 3)
         assert got.dtype == np.int64 and got.size == 0
 
     def test_capacity_and_tie_break(self):
         bins = np.zeros((1, 8), dtype=np.complex128)
         bins[0, [1, 4, 6]] = 2.0  # tied magnitudes
         bins[0, [2, 7]] = 1.0
-        got = extract_residues(ViewSpectrum(8, 8, bins), alpha_k=4)
+        got = extract_residues(ViewStack(8, (8,), bins), alpha_k=4)
         # descending magnitude, ascending bin on ties; capacity 4
         assert got.tolist() == [1, 4, 6, 2]
         # independent oracle: python sort
@@ -67,7 +67,7 @@ class TestExtractResidues:
 
     def test_rejects_empty_capacity(self):
         with pytest.raises(ValueError, match="alpha_k"):
-            extract_residues(ViewSpectrum(5, 35, np.ones((1, 5), complex)), 0)
+            extract_residues(ViewStack(35, (5,), np.ones((1, 5), complex)), 0)
 
 
 class TestGatePairs:
@@ -155,8 +155,8 @@ class TestCompleteness:
         N, k = 2**14, 12
         plan = make_plan(N, k, config=Config(moduli_override=(997, 1009, 1013)))
         spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
-        views = build_views(synthesize(spec), plan.moduli, plan.M)
-        r1, r2, r3 = (extract_residues(v, 15 * k) for v in views)
+        src = synthesize(spec)
+        r1, r2, r3 = (extract_residues(build_view(src, m, plan.M), 15 * k) for m in plan.moduli)
         table = gate_pairs(r1, r2, r3, plan)
         passing = {(g.r1, g.r2) for g in table if g.passed}
         m1, m2, _ = plan.moduli

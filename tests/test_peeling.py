@@ -20,7 +20,7 @@ from crtfft.peeling import (
 from crtfft.planner import make_plan, rehash
 from crtfft.gating import gate_pairs, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
-from crtfft.views import build_view, build_view_from_spectrum, build_views
+from crtfft.views import ViewStack, build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13))
@@ -52,12 +52,17 @@ def view_bins(state, i):
     return state.stack[:, first : first + m]
 
 
+def predicted_stack(spectrum, moduli, M):
+    """The views on `moduli` of a known spectrum as one stack: each view's
+    `build_view_from_spectrum` bins, side by side."""
+    bins = np.hstack([build_view_from_spectrum(spectrum, m, M).bins for m in moduli])
+    return ViewStack(M, tuple(moduli), bins)
+
+
 def toy_state(spectrum, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
     plan = make_plan(n, len(spectrum), config=TOY_CFG)
-    src = synthesize(spectrum)
-    views = [build_view(src, m, plan.M) for m in plan.moduli]
-    return plan, PeelState.create(views, plan.M)
+    return plan, PeelState.create(build_views(synthesize(spectrum), plan.moduli, plan.M))
 
 
 class TestCreate:
@@ -68,23 +73,26 @@ class TestCreate:
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         built = build_views(synthesize(spec), plan.moduli, plan.M)
-        before = [v.bins.copy() for v in built]
-        state = PeelState.create(built, plan.M)
-        assert not any(np.shares_memory(v.bins, state.stack) for v in built)
+        before = built.bins.copy()
+        state = PeelState.create(built)
+        assert not np.shares_memory(built.bins, state.stack)
         out = run_peeling(state, k)
         assert out.status is PeelStatus.COMPLETE
         assert np.abs(state.stack).max() <= state.noise_floor
-        assert all(v.bins.tobytes() == b.tobytes() for v, b in zip(built, before))
+        assert built.bins.tobytes() == before.tobytes()
 
     def test_copies_views_built_apart(self, rng):
+        # peeling starts from the bins of each view built on its own, bit for
+        # bit, and leaves the one-view stacks as they were read
         spec = random_spectrum(rng, 3, 1001)
         plan = make_plan(1001, 3, config=TOY_CFG)
-        views = [build_view(synthesize(spec), m, plan.M) for m in plan.moduli]
-        before = [v.bins.copy() for v in views]
-        state = PeelState.create(views, plan.M)
-        assert not any(np.shares_memory(v.bins, state.stack) for v in views)
+        src = synthesize(spec)
+        apart = [build_view(src, m, plan.M) for m in plan.moduli]
+        before = [v.bins.copy() for v in apart]
+        state = PeelState.create(build_views(src, plan.moduli, plan.M))
+        assert state.stack.tobytes() == np.hstack(before).tobytes()
         run_peeling(state, 3)
-        assert all(np.array_equal(v.bins, b) for v, b in zip(views, before))
+        assert all(np.array_equal(v.bins, b) for v, b in zip(apart, before))
 
 
 class TestDetectSingletons:
@@ -118,8 +126,7 @@ class TestDetectSingletons:
         plan = make_plan(2**14, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
-        views = [build_view(src, m, plan.M) for m in plan.moduli]
-        state = PeelState.create(views, plan.M)
+        state = PeelState.create(build_views(src, plan.moduli, plan.M))
         readings = detect_singletons(state)
         rows = zip(
             readings.view_index.tolist(), readings.bin_index.tolist(), readings.f_hat.tolist()
@@ -206,11 +213,12 @@ class TestBatchDetection:
         # own, on the first rounds of peeling as well as on the fresh views
         plan = make_plan(1001, len(spec), config=TOY_CFG)
         src = synthesize(spec)
-        views = [build_view(src, m, plan.M) for m in plan.moduli]
+        views = build_views(src, plan.moduli, plan.M)
         if misplaced:
             # every singleton of view 0 one bin off: each must fail the bin-back test
-            views[0].bins = np.roll(views[0].bins, 1, axis=1)
-        state = PeelState.create(views, plan.M)
+            m, first = views.layout[:, 0].tolist()
+            views.bins[:, first : first + m] = np.roll(views.bins[:, first : first + m], 1, axis=1)
+        state = PeelState.create(views)
         for _ in range(3):
             readings = _dedupe(detect_singletons(state))
             got = set(
@@ -261,8 +269,7 @@ class TestDetectorMatchesReference:
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
         plan = make_plan(1001, len(spec), config=TOY_CFG)
-        views = [build_view_from_spectrum(spec, m, plan.M) for m in plan.moduli]
-        state = PeelState.create(views, plan.M)
+        state = PeelState.create(predicted_stack(spec, plan.moduli, plan.M))
         stack, floor = state.stack, state.noise_floor
         for kind, column, re, im in edits:
             column %= stack.shape[1]
@@ -344,13 +351,12 @@ class TestRunPeeling:
         # the outcome skips the sum but is bit for bit what summing the
         # ledger into zeros gives, -0.0 turned into +0.0 included
         plan = make_plan(1001, 1, config=TOY_CFG)
-        views = [build_view_from_spectrum(SparseSpectrum.from_pairs([], 1001), m, 1001)
-                 for m in plan.moduli]
+        views = predicted_stack(SparseSpectrum.from_pairs([], 1001), plan.moduli, 1001)
         f, coeff = 41, complex(1.0, -0.0)
-        for view in views:
-            view.bins[:, f % view.m] = coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001)
-            view.bins[0, f % view.m] = coeff
-        state = PeelState.create(views, 1001)
+        for m, first in views.layout.T.tolist():
+            views.bins[:, first + f % m] = coeff * np.exp(2j * np.pi * f * np.arange(3) / 1001)
+            views.bins[0, first + f % m] = coeff
+        state = PeelState.create(views)
         out = run_peeling(state, 1)
         assert out.status is PeelStatus.COMPLETE and out.rounds == 1
         freqs, where = np.unique(state.freqs, return_inverse=True)
@@ -380,8 +386,7 @@ class TestRunPeeling:
         plan = make_plan(1001, 4, config=TOY_CFG)
         assert rehash(plan, seed=99, round_index=1) is plan
         src = synthesize(spec)
-        views = [build_view(src, m, plan.M) for m in plan.moduli]
-        out = run_peeling(PeelState.create(views, plan.M), 4)
+        out = run_peeling(PeelState.create(build_views(src, plan.moduli, plan.M)), 4)
         assert out.status is PeelStatus.TWO_CORE
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
@@ -396,13 +401,13 @@ class TestRunPeeling:
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
             plan = make_plan(triple.m1 * triple.m2, k, config=cfg)
             src = synthesize(spec)
-            views = [build_view(src, m, plan.M) for m in plan.moduli]
-            floor = 1e-9 * max(np.abs(v.bins[0]).max() for v in views)
+            views = build_views(src, plan.moduli, plan.M)
+            floor = 1e-9 * np.abs(views.bins[0]).max()
             sets = [
-                sorted(np.flatnonzero(np.abs(v.bins[0]) > floor).tolist())
-                for v in views
+                sorted(np.flatnonzero(np.abs(views.bins[0, first : first + m]) > floor).tolist())
+                for m, first in views.layout.T.tolist()
             ]
-            out = run_peeling(PeelState.create(views, plan.M), k)
+            out = run_peeling(PeelState.create(views), k)
             if out.status is not PeelStatus.COMPLETE:
                 continue
             assert spectra_close(recovered(out, spec.grid_length), spec)
@@ -440,8 +445,7 @@ class TestRoundBound:
         plan = make_plan(2**16, 8)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**16)
         src = synthesize(spec)
-        views = [build_view(src, m, plan.M) for m in plan.moduli]
-        out = run_peeling(PeelState.create(views, plan.M), 8)
+        out = run_peeling(PeelState.create(build_views(src, plan.moduli, plan.M)), 8)
         cap = math.ceil(ROUND_CAP_C * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE
@@ -459,8 +463,7 @@ class TestPeelMonteCarlo:
             child = np.random.Generator(np.random.Philox(int(master.integers(0, 2**62))))
             spec = random_spectrum(child, 10, triple.M, unit=True)
             plan = make_plan(triple.M, 10, config=cfg)
-            views = [build_view_from_spectrum(spec, m, plan.M) for m in plan.moduli]
-            out = run_peeling(PeelState.create(views, plan.M), 10)
+            out = run_peeling(PeelState.create(predicted_stack(spec, plan.moduli, plan.M)), 10)
             if out.status is PeelStatus.COMPLETE and spectra_close(recovered(out, plan.M), spec):
                 completed += 1
         assert completed / trials >= 0.99

@@ -25,7 +25,7 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
-from crtfft.views import build_view
+from crtfft.views import build_views
 from conftest import (
     DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close, verify_plan,
 )
@@ -275,8 +275,7 @@ class TestSparseFft:
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert verify_certificate(result.certificate, src, cfg) == []
         plan = make_plan(M, k, config=cfg)
-        views = [build_view(src, m, M) for m in plan.moduli]
-        rounds = run_peeling(PeelState.create(views, M), k).rounds
+        rounds = run_peeling(PeelState.create(build_views(src, plan.moduli, M)), k).rounds
         assert rounds > math.ceil(4 * math.log2(k + 2))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True, -1])
@@ -584,6 +583,18 @@ class TestDenseFallback:
             dense_fallback(from_dense(x), 3)
         with pytest.raises(NonFiniteError):
             sparse_fft(from_dense(x), 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_tone_sum_is_non_finite_error(self):
+        # three finite tones whose sum x[0] = 3e308 overflows: the views' read
+        # and the fallback's grid read give Inf or NaN samples, and the
+        # transform of the samples refuses them, with no numpy warning
+        plan = make_plan(2**14, 3)
+        src = synthesize(SparseSpectrum.from_pairs([(f, 1e308) for f in range(3)], plan.M))
+        assert not np.isfinite(src.sample_block(np.arange(plan.M))).all()
+        for cfg in (Config(), Config(force_fallback=True)):
+            with pytest.raises(NonFiniteError):
+                sparse_fft(src, 3, cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_magnitude_past_float64_still_answers(self):

@@ -250,6 +250,65 @@ def per_index(src, idx):
     return np.vectorize(src.sample, otypes=[np.complex128])(idx)
 
 
+def wrapping_steps(rows, M):
+    """The literal test of each row: its step is its first gap mod M, every
+    index follows from the first by that step, and n steps return to it.
+    The steps when every row passes, else None."""
+    steps = []
+    for row in rows.reshape(-1, rows.shape[-1]).tolist():
+        step = (row[1] - row[0]) % M
+        if any(x != (row[0] + j * step) % M for j, x in enumerate(row)) or len(row) * step % M:
+            return None
+        steps.append(step)
+    return steps
+
+
+@st.composite
+def progression_blocks(draw):
+    """(M, block, moved): a 1-D or 2-D block of rows of n indices, each an
+    exact cyclic progression mod M with its own step (zero steps included)
+    that wraps the grid a whole number of times, and the same block with
+    one index moved."""
+    M = draw(st.integers(2, 3000))
+    n = draw(st.integers(2, 48))
+    unit = M // math.gcd(n, M)  # every step with n*step == 0 (mod M) is a multiple of it
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, M - 1))
+        step = unit * draw(st.integers(0, M)) % M
+        rows.append([(start + j * step) % M for j in range(n)])
+    block = np.array(rows, dtype=np.int64)
+    if block.shape[0] == 1 and draw(st.booleans()):
+        block = block[0]
+    moved = block.copy()
+    at = draw(st.integers(0, moved.size - 1))
+    moved.flat[at] = (moved.flat[at] + draw(st.integers(1, M - 1))) % M
+    return M, block, moved
+
+
+class TestProgressionProperty:
+    """Random exact progressions and the same blocks with one index moved:
+    `_progression_step` accepts exactly the blocks whose every row wraps the
+    grid with its own step, and `sample_block` agrees with reading each
+    index on its own either way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=progression_blocks(), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_index_reads(self, case, k, seed):
+        M, block, moved = case
+        spec = random_spectrum(np.random.default_rng(seed), min(k, M), M)
+        src = synthesize(spec)
+        tol = TestProgressionRead.TOL * np.abs(spec.coefficients()).sum()
+        assert wrapping_steps(block, M) is not None
+        for idx in (block, moved):
+            steps = _progression_step(idx, M)
+            want = wrapping_steps(idx, M)
+            assert (steps is None and want is None) or steps.tolist() == want
+            got = src.sample_block(idx)
+            assert got.shape == idx.shape
+            assert np.abs(got - per_index(src, idx)).max() <= tol
+
+
 class TestRowsWithTheirOwnSteps:
     """A stack whose rows each wrap the grid with their own step (shifted
     progressions of one length under several dilations) is read as one

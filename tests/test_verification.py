@@ -39,7 +39,7 @@ class TestParsevalCheck:
         src = synthesize(spec)
         for m in plan.moduli:
             view = build_view(src, m, plan.M)
-            e_time = view.time_energy
+            e_time = view.time_energy[0]
             check = check_view(view, spec, EPS_REL)
             assert check.passed and check.parseval_gap <= 1e-9 * max(e_time, 1)
             assert check.epsilon == 1e-6 * max(e_time, 1)
@@ -68,7 +68,7 @@ class TestParsevalCheck:
         view = build_view(src, plan.m1, plan.M)
         check = check_view(view, empty, EPS_REL)
         assert check.parseval_gap > check.epsilon
-        e_time = view.time_energy
+        e_time = view.time_energy[0]
         assert abs(check.parseval_gap - e_time / plan.m1) < 1e-9 * max(e_time, 1)
 
     def test_true_candidate_with_collisions_still_passes(self):
@@ -240,61 +240,63 @@ class TestSmallModuli:
 
 
 def one_view_check(view, candidate, eps_rel):
-    """(gap, residual, epsilon, passed) of one view, each part computed on
-    its own from the alias-sum prediction of that view alone."""
-    predicted = build_view_from_spectrum(candidate, view.m, view.M).bins
-    gap = abs(view.time_energy / view.m - float(np.sum(np.abs(predicted[0]) ** 2)))
+    """(gap, residual, epsilon, passed) of a one-view stack, each part
+    computed on its own from the alias-sum prediction of that view alone."""
+    (m,), (e_time,) = view.moduli, view.time_energy.tolist()
+    predicted = build_view_from_spectrum(candidate, m, view.M).bins
+    gap = abs(e_time / m - float(np.sum(np.abs(predicted[0]) ** 2)))
     residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
-    eps = eps_rel * max(view.time_energy, 1.0)
+    eps = eps_rel * max(e_time, 1.0)
     return gap, residual, eps, gap <= eps and residual <= eps
 
 
 class TestStackedChecks:
-    """`verify` predicts all the views it is given from one scatter into their
-    stack; each view's check must be the one it gets on its own."""
+    """`verify` predicts all the views of a stack from one scatter; each
+    view's check must be the one it gets on its own."""
 
     @pytest.mark.parametrize("identity", [False, True], ids=["drawn", "identity"])
     @pytest.mark.parametrize("t", range(6))
     def test_matches_per_view_checks(self, rng, t, identity):
-        # a stack of t views, the plan's three taken in turn (t > 3 stacks a
-        # view twice); an empty stack has no verdict, so it never passes
+        # a stack of t views, the plan's three moduli taken in turn (t > 3
+        # stacks a modulus twice); an empty stack has no verdict, so it never
+        # passes
         N, k = 2**14, 12
         cfg = Config(nominal_length=N)
         plan = make_plan(N, k, config=cfg)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         src = synthesize(spec)
-        built = build_views(src, plan.moduli, plan.M)
+        moduli = [plan.moduli[i % 3] for i in range(t)]
+        views = build_views(src, moduli, plan.M)
+        apart = [build_view(src, m, plan.M) for m in moduli]
         if identity:
-            # views built one at a time, as replay builds its view, are the
-            # views a run builds
-            by_hand = [build_view(src, m, plan.M) for m in plan.moduli]
-            assert all(a.m == b.m and np.array_equal(a.bins, b.bins)
-                       and a.time_energy == b.time_energy for a, b in zip(by_hand, built))
-            built = by_hand
-        views = [built[i % 3] for i in range(t)]
+            # the stack holds, bit for bit, the views built one at a time, as
+            # replay builds its view
+            for (m, first), view in zip(views.layout.T.tolist(), apart):
+                assert views.bins[:, first : first + m].tobytes() == view.bins.tobytes()
+            assert views.time_energy.tobytes() == b"".join(v.time_energy.tobytes() for v in apart)
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
         for candidate, verdict in ((spec, True), (wrong, False)):
             if t == 0:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="the view set is empty"):
                     verify(views, candidate, cfg)
                 continue
             report = verify(views, candidate, cfg)
             assert report.overall is verdict
             assert len(report.views) == t
-            for view, check in zip(views, report.views):
+            for view, check in zip(apart, report.views):
                 gap, residual, eps, passed = one_view_check(view, candidate, cfg.verify_eps_rel)
                 # roundoff of sums over one view's bins, at the view's energy scale
-                scale = view.time_energy / view.m
+                scale = view.time_energy[0] / view.moduli[0]
                 assert abs(check.parseval_gap - gap) <= 1e-12 * max(gap, scale)
                 assert abs(check.residual_energy - residual) <= 1e-12 * max(residual, scale)
                 assert check.epsilon == eps and check.passed is passed
                 assert check == check_view(view, candidate, cfg.verify_eps_rel)
 
     def test_row_sliced_views_are_checked_on_their_rows(self, rng):
-        # views built together and cut to their shift-0 row are checked on that
-        # row alone, exactly as copies of the row are, never on the rows cut off
+        # a stack cut to its shift-0 row is checked on that row alone, exactly
+        # as a copy of the row is, never on the rows cut off
         N, k = 2**14, 12
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
@@ -302,8 +304,33 @@ class TestStackedChecks:
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
-        sliced = check_views([dc_replace(v, bins=v.bins[:1]) for v in views], wrong, EPS_REL)
-        copied = check_views([dc_replace(v, bins=v.bins[:1].copy()) for v in views], wrong,
-                             EPS_REL)
+        sliced = check_views(dc_replace(views, bins=views.bins[:1]), wrong, EPS_REL)
+        copied = check_views(dc_replace(views, bins=views.bins[:1].copy()), wrong, EPS_REL)
         assert sliced == copied
         assert all(c.residual_energy > c.epsilon for c in sliced)
+
+    def test_verify_reads_the_stack_as_built(self, rng, monkeypatch):
+        # peeling empties its own copy: the stack a run verifies on is the
+        # stack it built, unchanged bit for bit after run_peeling
+        N, k = 2**14, 12
+        plan = make_plan(N, k)
+        built, checked = [], []
+
+        def build(*args, **kwargs):
+            views = real_build(*args, **kwargs)
+            built.append((views, views.bins.tobytes(), views.time_energy.tobytes()))
+            return views
+
+        def check(views, *rest):
+            checked.append(views)
+            return real_verify(views, *rest)
+
+        real_build, real_verify = pipeline.build_views, pipeline.verify
+        monkeypatch.setattr(pipeline, "build_views", build)
+        monkeypatch.setattr(pipeline, "verify", check)
+        spec = random_spectrum(rng, k, plan.M, fmax=N)
+        result = sparse_fft(synthesize(spec), k, Config(nominal_length=N))
+        assert result.path is RecoveryPath.FAST and result.verification.overall
+        ((views, bins, energy),) = built
+        assert checked == [views]
+        assert views.bins.tobytes() == bins and views.time_energy.tobytes() == energy

@@ -69,7 +69,7 @@ class TestBuildView:
             assert np.abs(view.bins - want).max() < 1e-9
             # every shift comes from one stacked read; row 0 gives the energy
             assert blocks == [(shift_count, m)]
-            assert view.time_energy == pytest.approx(raw_energy(src, m, M), rel=1e-12)
+            assert view.time_energy[0] == pytest.approx(raw_energy(src, m, M), rel=1e-12)
 
     def test_stride_mismatch(self):
         spec = SparseSpectrum.from_pairs([(1, 1.0)], 100)
@@ -157,9 +157,9 @@ class TestBuildViews:
         reads, transforms = [], []
 
         def logged(shapes, fn):
-            def call(x):
+            def call(x, **kwargs):
                 shapes.append(x.shape)
-                return fn(x)
+                return fn(x, **kwargs)
             return call
 
         monkeypatch.setattr(src, "sample_block", logged(reads, src.sample_block))
@@ -174,11 +174,11 @@ class TestBuildViews:
 class TestViewEnergy:
     def test_zero_signal(self):
         src = synthesize(SparseSpectrum.from_pairs([], 1001))
-        assert build_view(src, 7, 1001).time_energy == raw_energy(src, 7, 1001) == 0
+        assert build_view(src, 7, 1001).time_energy[0] == raw_energy(src, 7, 1001) == 0
 
     def test_single_tone(self):
         src = synthesize(SparseSpectrum.from_pairs([(41, 2.0 + 1j)], 1001))
-        e = build_view(src, 11, 1001).time_energy
+        e = build_view(src, 11, 1001).time_energy[0]
         assert abs(e - 11 * abs(2 + 1j) ** 2) < 1e-9
         assert e == pytest.approx(raw_energy(src, 11, 1001), rel=1e-12)
 
@@ -193,4 +193,4 @@ class TestViewEnergy:
         e_bins = 13 * np.sum(np.abs(view.bins[0]) ** 2)
         assert abs(e_time - e_bins) <= 1e-9 * max(e_time, 1.0)
         # the view keeps the energy of the raw samples, before the transform
-        assert view.time_energy == e_time
+        assert view.time_energy[0] == e_time
