@@ -128,18 +128,67 @@ class TestSparseFft:
         assert spectra_close(dense, spec)
         assert result.op_counts["total"] < dense_ops.total()
 
-    def test_op_counts_pinned(self, rng):
+    @pytest.mark.parametrize("case, reason, want", [
+        ("fast", None, {"peel": 630, "verify": 696, "views": 6351, "total": 7677}),
+        ("two-core", "peeling-two-core",
+         {"fallback": 142225, "peel": 93, "views": 3789, "total": 146107}),
+        ("forced", "forced", {"fallback": 142223, "total": 142223}),
+        ("empty", None, {"verify": 124, "views": 3789, "total": 3913}),
+        ("candidate-overflow", "candidate-overflow",
+         {"fallback": 4074852, "peel": 1548, "views": 6351, "total": 4082751}),
+        ("verification-failed", "verification-failed",
+         {"fallback": 4074852, "peel": 630, "verify": 696, "views": 6351, "total": 4082529}),
+        ("many-rounds", None,
+         {"peel": 41253, "verify": 4024, "views": 117411, "total": 162688}),
+    ], ids=["fast", "two-core", "forced", "empty", "candidate-overflow", "verification-failed",
+            "many-rounds"])
+    def test_op_counts_pinned(self, rng, monkeypatch, case, reason, want):
         # The op model is a fixed cost model: any drift in these figures makes
-        # op counts incomparable across commits.  Verification checks the
-        # views already built and reads no sample: it charges the energy part,
-        # m + |candidate| per view, and the residual part.
-        spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
-        cfg = Config(nominal_length=2**14)
-        assert make_plan(2**14, 12, config=cfg).M == spec.grid_length
-        result = sparse_fft(synthesize(spec), 12, cfg, seed=5)
-        assert result.path is RecoveryPath.FAST
-        assert spectra_close(result.spectrum, spec)
-        assert result.op_counts == {"peel": 630, "verify": 696, "views": 6351, "total": 7677}
+        # op counts incomparable across commits.  One run down each path:
+        # peeling's detection passes and readings, verification on the views
+        # already built (it reads no sample), and the fallback's grid read,
+        # transform and selection.
+        cfg, k = Config(nominal_length=2**14), 12
+        if case in ("fast", "verification-failed"):
+            spec = random_spectrum(rng, 12, 44 * 45 * 49, fmax=2**14)
+        elif case == "candidate-overflow":
+            spec = random_spectrum(rng, 40, 44 * 45 * 49, fmax=2**14)
+        elif case == "two-core":
+            coeffs = np.exp(2j * np.pi * rng.random(4))
+            spec = SparseSpectrum.from_pairs(list(zip((0, 7, 33, 117), coeffs)), 1001)
+            cfg, k = replace(TOY_CFG, nominal_length=1001), 4
+        elif case == "forced":
+            spec, _ = toy_instance()
+            cfg, k = replace(TOY_CFG, force_fallback=True), 2
+        elif case == "empty":
+            spec, cfg, k = SparseSpectrum.from_pairs([], 1001), TOY_CFG, 0
+        else:  # many peel rounds, as in test_peeling_past_four_rounds_per_log_k_completes
+            moduli, k = (97, 101, 103), 235
+            M = math.prod(moduli)
+            rng = np.random.default_rng(1000 + 32)
+            support = np.sort(rng.choice(M, size=k, replace=False))
+            spec = SparseSpectrum.from_pairs(
+                zip(support, np.exp(2j * np.pi * rng.random(k))), M)
+            cfg = Config(moduli_override=moduli, nominal_length=M)
+        if case == "verification-failed":
+            real_verify = pipeline.verify
+
+            def corrupt_then_verify(views, candidate, *rest):
+                entries = list(candidate.entries)
+                entries[0] = ((entries[0][0] + 17) % candidate.grid_length, entries[0][1])
+                return real_verify(views, SparseSpectrum.from_pairs(entries, spec.grid_length),
+                                   *rest)
+
+            monkeypatch.setattr(pipeline, "verify", corrupt_then_verify)
+        result = sparse_fft(synthesize(spec), k, cfg, seed=5)
+        got_reason = result.certificate.payload["fallback_reason"]
+        assert (got_reason and got_reason.split(":")[0]) == reason
+        if k >= len(spec):
+            assert spectra_close(result.spectrum, spec)
+        else:  # the fallback's top k
+            assert len(result.spectrum) == k
+        # the phases with a nonzero count in name order, then their total
+        assert list(result.op_counts.items()) == list(want.items())
 
     def test_fast_path_reads_each_sample_once(self, rng):
         # verification checks the views peeling was given, so a fast run reads
