@@ -52,8 +52,7 @@ from .numtheory import (
     garner_digits,
     mod_inverse,
 )
-from .dft import dft_direct, dft_forward, dft_inverse
-from .opcount import OpCounter
+from .dft import dft_direct, dft_forward
 from .signal import (
     SignalSource,
     SparseSpectrum,

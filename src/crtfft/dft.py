@@ -1,10 +1,10 @@
 """Complex DFT for arbitrary lengths.
 
 Conventions, fixed globally: the forward transform is the plain unnormalized
-sum X[r] = sum_n x[n] e^{-2pi i rn/N}; the inverse carries the 1/N factor.
-`numpy.fft` is the only engine: `dft_forward` checks its input and hands it
-to `np.fft.fft`, one transform per row of a 1-D buffer or a 2-D stack.
-`dft_inverse_sum` is the inverse without the 1/N factor, which a
+sum X[r] = sum_n x[n] e^{-2pi i rn/N}, and x = (1/N) sum_r X[r] e^{+2pi i rn/N}
+inverts it.  `numpy.fft` is the only engine: `dft_forward` checks its input
+and hands it to `np.fft.fft`, one transform per row of a 1-D buffer or a 2-D
+stack.  `dft_inverse_sum` is that inverse without the 1/N factor, which a
 synthesized source reads its samples with.
 `dft_direct` is the quadratic-time literal evaluation of the definition,
 kept as the independent test oracle and never used by fast paths.
@@ -46,11 +46,6 @@ def dft_forward(x, out: np.ndarray | None = None) -> np.ndarray:
     transforms it in place, with the same bits as a fresh output.
     """
     return np.fft.fft(_as_buffer(x), axis=-1, out=out)
-
-
-def dft_inverse(x) -> np.ndarray:
-    """Inverse DFT with 1/N normalization; dft_inverse(dft_forward(x)) == x."""
-    return np.fft.ifft(_as_buffer(x), axis=-1)
 
 
 def dft_inverse_sum(x: np.ndarray) -> np.ndarray:

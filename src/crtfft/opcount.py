@@ -1,33 +1,48 @@
-"""Phase-tagged operation accounting.
-
-Counts are a deterministic cost model (complex multiply-adds plus sample
-accesses, one unit each), not hardware flops.  They exist so that scaling
-behaviour can be checked without wall-clock noise: transform kernels report
-their model cost through :func:`crtfft.dft.fft_op_count` and friends, and the
-pipeline attributes every unit to a named phase.
-"""
+"""The op-cost model of a run, stated once: `run_op_counts`.  No layer counts
+its own work; `sparse_fft` calls it once, after the run, on what each phase
+returned."""
 
 from __future__ import annotations
 
+from .dft import fft_op_count
+from .numtheory import ModTriple
+from .peeling import PeelOutcome, PeelStatus
+from .planner import SHIFT_COUNT
+from .signal import SparseSpectrum
 
-class OpCounter:
-    """Accumulates model operation counts under named phases."""
 
-    def __init__(self):
-        self.phases: dict[str, int] = {}
+def run_op_counts(plan: ModTriple | None, outcome: PeelOutcome | None,
+                  candidate: SparseSpectrum | None, fallback: tuple[int, int] | None) -> dict:
+    """A run's op counts: the phases with a nonzero count in name order,
+    then their `total`.  Ops are a fixed cost model (complex multiply-adds
+    and sample reads, one unit each), not hardware flops, so that scaling
+    can be checked without wall-clock noise.
 
-    def add(self, phase: str, count: int) -> None:
-        if count:
-            self.phases[phase] = self.phases.get(phase, 0) + int(count)
+    Each argument is None when its phase did not run: the `plan` the views
+    were built on, peeling's `outcome`, the `candidate` verification checked
+    and the fallback's (grid length M, bins selected).  With S =
+    `planner.SHIFT_COUNT` shifts per view and sum m over the three moduli:
 
-    def total(self) -> int:
-        return sum(self.phases.values())
-
-    def snapshot(self) -> dict:
-        """Phase counts plus their total, suitable for JSON output."""
-        out = dict(sorted(self.phases.items()))
-        out["total"] = self.total()
-        return out
-
-    def __repr__(self):
-        return f"OpCounter({self.snapshot()})"
+      views     S * sum(2m + fft_op_count(m)): per shift of a view, m sample
+                reads, its transform and m divisions
+      peel      3 * sum m per detection pass (one per round, and one more
+                when peeling ends two-core) + 2 * S * 3 per reading peeled
+      verify    (1 + S) * (sum m + 3 * |candidate|): the shift-0 energies and
+                the residual over S shifts, each over every bin and every
+                candidate tone in every view
+      fallback  2M + fft_op_count(M) + the bins selected, a bin whose
+                division by M underflows to 0 and is dropped included
+    """
+    counts = {}
+    if plan is not None:
+        views, bins = len(plan.moduli), sum(plan.moduli)
+        counts["views"] = SHIFT_COUNT * sum(2 * m + fft_op_count(m) for m in plan.moduli)
+        passes = outcome.rounds + (outcome.status is PeelStatus.TWO_CORE)
+        counts["peel"] = 3 * bins * passes + 2 * SHIFT_COUNT * views * outcome.readings
+        if candidate is not None:
+            counts["verify"] = (1 + SHIFT_COUNT) * (bins + views * len(candidate))
+    if fallback is not None:
+        M, selected = fallback
+        counts["fallback"] = 2 * M + fft_op_count(M) + selected
+    counts = {phase: n for phase, n in sorted(counts.items()) if n}
+    return {**counts, "total": sum(counts.values())}

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcount import OpCounter
 from .views import NOISE_FLOOR_REL, ViewStack, alias_stack, build_view, stack_layout
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
@@ -112,15 +111,14 @@ class PeelState:
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
     round: int = 0
     noise_floor: float = 0.0
-    op: OpCounter | None = None
 
     @classmethod
-    def create(cls, views: ViewStack, op: OpCounter | None = None) -> "PeelState":
+    def create(cls, views: ViewStack) -> "PeelState":
         """Peel a copy of the stack's bins; the stack passed in is not modified."""
         stack = views.bins.copy()
         peak = float(np.abs(stack[0]).max(initial=0.0))
         return cls(views.M, stack, views.layout, _column_table(views.moduli),
-                   noise_floor=NOISE_FLOOR_REL * peak, op=op)
+                   noise_floor=NOISE_FLOOR_REL * peak)
 
     def max_bin_magnitude(self) -> float:
         return float(np.abs(self.stack).max(initial=0.0))
@@ -131,8 +129,6 @@ def detect_singletons(state: PeelState) -> SingletonReading:
     stack, M = state.stack, state.M
     mag0 = np.abs(stack[0])
     (cand,) = (mag0 > state.noise_floor).nonzero()
-    if state.op is not None:
-        state.op.add("peel", 3 * stack.shape[1])
     view, m, bin_index = state.columns[:, cand]
     y = stack[:, cand]
     mag = mag0[cand]
@@ -168,21 +164,20 @@ def peel(state: PeelState, readings: SingletonReading) -> PeelState:
     # alias_stack sums readings that share a column, in reading order, into
     # zeros; subtracting that sum keeps the bins equal to the alias sums
     state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
-    if state.op is not None:
-        shifts, views = state.stack.shape[0], state.layout.shape[1]
-        state.op.add("peel", 2 * shifts * len(fs) * views)
     return state
 
 
 @dataclass(frozen=True, eq=False)
 class PeelOutcome:
     """The ledger's frequencies, ascending, whose summed coefficients clear the
-    noise floor, with those coefficients, and how peeling ended."""
+    noise floor, with those coefficients, how peeling ended, after how many
+    rounds, and how many readings those rounds peeled."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
     status: PeelStatus
     rounds: int
+    readings: int
 
 
 def _dedupe(readings: SingletonReading) -> SingletonReading:
@@ -212,17 +207,18 @@ def run_peeling(state: PeelState, k: int) -> PeelOutcome:
             status = PeelStatus.TWO_CORE
             break
         peel(state, readings)
+    peeled = state.freqs.size  # the ledger holds every reading peeled
     if state.round <= 1:
         # one round's readings are distinct, ascending and above the floor
         # already; adding them to zero, as the sum below does, turns a -0.0
         # part into +0.0
-        return PeelOutcome(state.freqs, state.coeffs + 0.0, status, state.round)
+        return PeelOutcome(state.freqs, state.coeffs + 0.0, status, state.round, peeled)
     # a frequency read in several rounds sums its readings in ledger order
     freqs, where = np.unique(state.freqs, return_inverse=True)
     coeffs = np.zeros(freqs.size, dtype=np.complex128)
     np.add.at(coeffs, where, state.coeffs)
     keep = np.abs(coeffs) > state.noise_floor
-    return PeelOutcome(freqs[keep], coeffs[keep], status, state.round)
+    return PeelOutcome(freqs[keep], coeffs[keep], status, state.round, peeled)
 
 
 # The benchmark tracer (perfbench/tracer.py) looks this name up; nothing calls it.

@@ -5,15 +5,17 @@ caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and all three views confirm the
 candidate.  A plan is its triple of moduli (`make_plan`).  Each run builds
 one view per modulus once, straight into one `views.ViewStack`
-(`build_views`: one sample read and one transform per view, charged to
-"views", with the plan's index blocks and stack tables cached per plan).
+(`build_views`: one sample read and one transform per view, with the plan's
+index blocks and stack tables cached per plan).
 That stack serves the run from the read to the verdict: peeling empties its
 own copy of the bins, and verification checks the stack as built.  The
 entry points take the
 source, k, a `Config` and a seed and nothing else: every setting comes from
-the `Config`, the seed is only recorded in the certificate, and each run
-counts its own ops.  Any failure routes to the dense fallback, which
-materializes the grid, transforms it, and returns the top-k bins exactly.
+the `Config`, and the seed is only recorded in the certificate.  Any failure
+routes to the dense fallback, which materializes the grid, transforms it,
+and returns the top-k bins exactly.  No phase counts its own ops: after the
+run, `sparse_fft` computes its `op_counts` once from what each phase
+returned, by the model that `opcount.run_op_counts` states.
 The certificate names the failure in fallback_reason: "forced", "too-short",
 "dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
 "grid-mismatch", "peeling-two-core", "peeling-stagnated",
@@ -51,7 +53,7 @@ from .errors import (
     ParseError,
 )
 from .numtheory import ModTriple, garner_digits
-from .opcount import OpCounter
+from .opcount import run_op_counts
 from .peeling import PeelState, PeelStatus, run_peeling
 from .peeling import build_view_recursive  # noqa: F401  looked up by the benchmark tracer
 from .planner import MIN_PLAN_LENGTH, SHIFT_COUNT, make_plan
@@ -113,12 +115,10 @@ class RecoveryResult:
 
 
 def dense_fallback(
-    source: SignalSource,
-    k: int,
-    config: Config | None = None,
-    op: OpCounter | None = None,
-) -> SparseSpectrum:
-    """Exact dense transform of the grid, reduced to its top-k bins.
+    source: SignalSource, k: int, config: Config | None = None
+) -> tuple[SparseSpectrum, int]:
+    """Exact dense transform of the grid, reduced to its top-k bins, and
+    the number of bins selected.
 
     The grid is read once into a buffer this call owns (`materialize`) and
     transformed in place.  Selection runs on the raw transform's magnitudes:
@@ -127,7 +127,9 @@ def dense_fallback(
     Bins at roundoff level (1e-12 of the peak) are not reported, so asking
     for more tones than the signal holds returns only the occupied bins.
     A transform that overflows float64 (an infinite or NaN bin) raises
-    NonFiniteError instead of answering with nothing.
+    NonFiniteError instead of answering with nothing.  A selected bin whose
+    division by M underflows to 0 is not reported, but it counts as
+    selected: the op model charges its division.
     """
     cfg = config or Config()
     M = source.grid_length
@@ -155,12 +157,10 @@ def dense_fallback(
         # every one of the k largest bins clears the floor
         top = np.sort(top_k_order(mags, None, k))
     coeffs = spectrum[top] / M
-    if op is not None:
-        op.add("fallback", M + dft.fft_op_count(M) + M + top.size)
     # The selection already gives distinct, sorted, in-range frequencies and
     # finite coefficients; only a bin that underflows to 0 on division is dropped.
     nonzero = coeffs != 0
-    return SparseSpectrum(top[nonzero].astype(np.int64, copy=False), coeffs[nonzero], M)
+    return SparseSpectrum(top[nonzero].astype(np.int64, copy=False), coeffs[nonzero], M), top.size
 
 
 def sparse_fft(
@@ -181,14 +181,14 @@ def sparse_fft(
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     k = int(k)
     cfg = config or Config()
-    op = OpCounter()
     N = cfg.nominal_length or source.original_length
 
     fallback_reason = None
     plan = None
-    peel_status = None
+    outcome = None
     report = None
     candidate = None
+    fallback = None
 
     if cfg.force_fallback:
         fallback_reason = "forced"
@@ -207,9 +207,8 @@ def sparse_fft(
         plan = None
 
     if plan is not None and fallback_reason is None:
-        views = build_views(source, plan.moduli, plan.M, op)
-        outcome = run_peeling(PeelState.create(views, op), k)
-        peel_status = outcome.status
+        views = build_views(source, plan.moduli, plan.M)
+        outcome = run_peeling(PeelState.create(views), k)
 
         if outcome.status is not PeelStatus.COMPLETE:
             fallback_reason = f"peeling-{outcome.status.value}"
@@ -223,7 +222,7 @@ def sparse_fft(
                 keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
-            report = verify(views, candidate, cfg, op)
+            report = verify(views, candidate, cfg)
             if not report.overall:
                 fallback_reason = "verification-failed"
 
@@ -231,7 +230,8 @@ def sparse_fft(
         result_spectrum = candidate
         path = RecoveryPath.FAST
     else:
-        result_spectrum = dense_fallback(source, k, cfg, op)
+        result_spectrum, selected = dense_fallback(source, k, cfg)
+        fallback = (source.grid_length, selected)
         path = RecoveryPath.FALLBACK
 
     cert = build_certificate(
@@ -249,8 +249,8 @@ def sparse_fft(
         spectrum=result_spectrum,
         path=path,
         certificate=cert,
-        op_counts=op.snapshot(),
-        peel_status=peel_status,
+        op_counts=run_op_counts(plan, outcome, candidate, fallback),
+        peel_status=None if outcome is None else outcome.status,
         verification=report,
     )
 

@@ -289,7 +289,9 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
 
     Recovery answers on the source's grid, so only a caller-padded source is
     ever read on a grid longer than N.  A `padded_length` that is not a
-    Python or numpy integer (a bool, a float, a string) raises OutOfRangeError.
+    Python or numpy integer (a bool, a float, a string) raises OutOfRangeError,
+    and one past int64 OracleCapExceededError, as `SparseSpectrum.from_pairs`
+    refuses that grid.
     """
     arr = np.ascontiguousarray(samples, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
@@ -300,6 +302,9 @@ def from_dense(samples, padded_length: int | None = None) -> SignalSource:
         padded_length = arr.size
     if not _is_integer(padded_length):
         raise OutOfRangeError(f"padded length must be an integer, got {padded_length!r}")
+    if padded_length > _INT64_MAX:
+        raise OracleCapExceededError(
+            f"grid length {padded_length} above supported maximum {_INT64_MAX}")
     if padded_length < arr.size:
         raise ValueError(f"padded length {padded_length} below signal length {arr.size}")
     return _DenseSource(arr, int(padded_length))

@@ -38,11 +38,10 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
     return SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), grid)
 
 
-def verify_plan(source, plan, candidate, config=None, op=None):
+def verify_plan(source, plan, candidate, config=None):
     """`verify` on the three views of the plan's triple, built from `source`:
-    the pipeline's verdict and "verify" charge, and the views' own read under "views"."""
-    views = build_views(source, plan.moduli, plan.M, op)
-    return verify(views, candidate, config, op)
+    the pipeline's verdict on that candidate."""
+    return verify(build_views(source, plan.moduli, plan.M), candidate, config)
 
 
 def json_paths(node, prefix=()):

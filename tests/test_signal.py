@@ -422,6 +422,13 @@ class TestFromDense:
         with pytest.raises(OutOfRangeError, match="padded length must be an integer"):
             from_dense(np.ones(8), padded)
 
+    @pytest.mark.parametrize("padded", [2**63, np.uint64(2**63), 2**64])
+    def test_padded_length_past_int64_is_refused(self, padded):
+        # such a source was built, and its first read raised a raw OverflowError
+        with pytest.raises(OracleCapExceededError, match="above supported maximum"):
+            from_dense(np.ones(8), padded)
+        assert from_dense(np.ones(8), 2**63 - 1).grid_length == 2**63 - 1
+
     def test_numpy_integer_padded_length(self):
         src = from_dense(np.ones(8), np.int64(10))
         assert src.grid_length == 10 and type(src.grid_length) is int
