@@ -686,7 +686,7 @@ class TestDenseFallback:
     def test_bin_that_underflows_is_dropped_but_charged(self):
         # X[r] = 1e-323 at every r, and 1e-323 / 4 rounds to 0: the four
         # selected bins are not reported, yet each division is charged
-        # (2M + fft_op_count(M) + 4 = 28, as before the op model was one function)
+        # (2M + fft_op_count(M) + 4 = 28)
         x = np.array([1e-323, 0, 0, 0], dtype=np.complex128)
         got, selected = dense_fallback(from_dense(x), 4)
         assert len(got) == 0 and selected == 4
