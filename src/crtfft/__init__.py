@@ -34,7 +34,7 @@ unless a test is named) and what it reads today:
                                                        keyed bucketing needs sFFT's filters
 """
 
-from .config import Config, load_config, replace
+from .config import Config, load_config
 from .errors import (
     CrtFftError,
     DenseRegimeError,

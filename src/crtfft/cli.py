@@ -22,11 +22,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, load_config, replace
+from .config import Config, load_config
 from .errors import CrtFftError, DenseRegimeError, OracleCapExceededError, ParseError
 from .gating import draw_support, gate_pairs, gate_survivor_stats, trial_streams
 from .numtheory import ModTriple
@@ -141,7 +141,8 @@ def cmd_transform(args) -> int:
         source = _load_dense(args.dense)
 
     result = sparse_fft(source, args.k, cfg, args.seed)
-    _write_output(json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", args.output)
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    _write_output(text + "\n", args.output)
     return 0 if result.path is RecoveryPath.FAST else 2
 
 
@@ -262,10 +263,9 @@ def _mc_verify_miss(args, writer):
                 break
         swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
-        built = build_views(synthesize(truth), plan.moduli, plan.M)
-        full = verify(built, corrupted, cfg).views
-        shift0 = check_views(dc_replace(built, bins=built.bins[:1]), corrupted,
-                             cfg.verify_eps_rel)
+        built = build_views(synthesize(truth), plan.moduli)
+        full = verify(built, corrupted).views
+        shift0 = check_views(replace(built, bins=built.bins[:1]), corrupted)
         for j, checks in enumerate((full, shift0)):
             slips[2 * j] += checks[0].passed
             slips[2 * j + 1] += all(c.passed for c in checks)

@@ -2,12 +2,14 @@
 
 Every setting a caller can change lives in one frozen dataclass, so that
 the source, k and config pin the entire run (the seed is only recorded in
-the certificate); the fixed numerical tolerances and the views' shift count
-are constants of the modules that use them.  There is no verification
-count: a plan is its triple of moduli, and every run verifies on the three
-views it built.  Every field's type is checked at construction, the same
-way for a Config built in Python and one read by `load_config`, which takes
-a JSON object with the same key names and rejects unknown keys.
+the certificate).  The fixed numerical tolerances (`peeling.SINGLETON_TOL`,
+`verification.VERIFY_EPS_REL`) and the views' shift count
+(`planner.SHIFT_COUNT`) are constants of the modules that use them.  There
+is no verification count: a plan is its triple of moduli, and every run
+verifies on the three views it built.  Every field's type is checked at
+construction, the same way for a Config built in Python and one read by
+`load_config`, which takes a JSON object with the same key names and
+rejects unknown keys, `t` and `verify_eps_rel` among them.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ class Config:
     moduli_override: tuple[int, ...] | None = None
     nominal_length: int | None = None   # planning length when it differs from the grid
 
-    # verification
-    verify_eps_rel: float = 1e-6        # verification tolerance, relative to view energy
-
     # control
     dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     force_fallback: bool = False        # skip the fast path entirely
@@ -37,8 +36,6 @@ class Config:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
-        if not self.verify_eps_rel > 0:
-            raise ValueError(f"verify_eps_rel must be > 0, got {self.verify_eps_rel}")
         if self.nominal_length is not None and self.nominal_length < 1:
             raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
         if self.dense_budget < 1:
@@ -69,9 +66,9 @@ def _checked(field: dataclasses.Field, value):
     """`value` as the type of Config field `field`, or ValueError.
 
     Integer fields take integers (numpy integers too, not bools), flags take
-    bools, float fields take finite real numbers, and moduli_override takes
-    three integers >= 2 as a list or a tuple.  The same rule serves Config(...)
-    and load_config, and the value comes back as a plain int, float or tuple.
+    bools, and moduli_override takes three integers >= 2 as a list or a
+    tuple.  The same rule serves Config(...) and load_config, and the value
+    comes back as a plain int, bool or tuple.
     """
     name = field.name
     if value is None and name in ("moduli_override", "nominal_length"):
@@ -85,23 +82,9 @@ def _checked(field: dataclasses.Field, value):
         if not isinstance(value, bool):
             raise ValueError(f"{name} must be a bool, got {value!r}")
         return value
-    if name == "nominal_length" or isinstance(field.default, int):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def replace(config: Config, **changes) -> Config:
-    return dataclasses.replace(config, **changes)
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config(path) -> Config:

@@ -84,7 +84,7 @@ class Certificate:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -206,8 +206,8 @@ def sparse_fft(
         fallback_reason = f"grid-mismatch: source grid {source.grid_length} != plan grid {plan.M}"
         plan = None
 
-    if plan is not None and fallback_reason is None:
-        views = build_views(source, plan.moduli, plan.M)
+    if plan is not None:  # only a run with no fallback reason keeps its plan
+        views = build_views(source, plan.moduli)
         outcome = run_peeling(PeelState.create(views), k)
 
         if outcome.status is not PeelStatus.COMPLETE:
@@ -222,13 +222,13 @@ def sparse_fft(
                 keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
-            report = verify(views, candidate, cfg)
+            report = verify(views, candidate)
             if not report.overall:
                 fallback_reason = "verification-failed"
 
-    if fallback_reason is None and plan is not None and candidate is not None:
-        result_spectrum = candidate
-        path = RecoveryPath.FAST
+    # every outcome but a verified candidate names its reason
+    if fallback_reason is None:
+        result_spectrum, path = candidate, RecoveryPath.FAST
     else:
         result_spectrum, selected = dense_fallback(source, k, cfg)
         fallback = (source.grid_length, selected)
@@ -239,7 +239,6 @@ def sparse_fft(
         seed=seed,
         spectrum=result_spectrum,
         report=report,
-        path=path,
         fallback_reason=fallback_reason,
         declared_n=cfg.nominal_length,
         n=N,
@@ -274,7 +273,6 @@ def build_certificate(
     seed: int,
     spectrum: SparseSpectrum,
     report: VerificationReport | None,
-    path: RecoveryPath,
     fallback_reason: str | None,
     declared_n: int | None,
     n: int,
@@ -282,6 +280,7 @@ def build_certificate(
 ) -> Certificate:
     """Assemble the audit record for one run on the planning length n.
 
+    The path is "fast" exactly when no fallback reason is given.
     Every recovered frequency carries its residues and Garner digits so the
     reconstruction can be replayed, and a fast-path plan records its views,
     one per modulus, as both the identification and the verification views,
@@ -302,7 +301,7 @@ def build_certificate(
         "format": "crtfft-certificate/1",
         "k": k,
         "seed": seed,
-        "path": path.value,
+        "path": "fast" if fallback_reason is None else "fallback",
         "fallback_reason": fallback_reason,
         "escalation": {"rehashes": 0, "extra_verify_views": 0},
         # Python's abs of each complex: numpy's differs from it in the last
@@ -363,6 +362,9 @@ def parse_certificate(payload) -> ReplayFields:
       plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
                            [1, plan.m), coprime to plan.m; b: int in [0, m);
                            shifts: 2 or 3 (runs now read 3)
+
+    The `verification` record (null where a figure passed float64) is not
+    read: replay rechecks a view itself.
 
     Runs record the three views of their triple as both id_views and
     verify_views, each with sigma = 1 and b = 0; older runs recorded a keyed
@@ -500,9 +502,10 @@ def verify_certificate(
 
     `parse_certificate` checks the payload and the claims that need no
     signal; this adds the signal's grid and one fresh two-part test
-    (`check_view`) of the recovered spectrum on the first verification view.
+    (`check_view`) of the recovered spectrum on the first verification view,
+    at the tolerance every run records.  `config` is not read; it stays for
+    callers that pass the run's config.
     """
-    cfg = config or Config()
     fields = parse_certificate(cert.payload)
     violations = []
     if source.grid_length != fields.grid_length:
@@ -511,8 +514,7 @@ def verify_certificate(
     violations += fields.violations
     if fields.fresh_view is not None and source.grid_length == fields.plan_grid:
         m, shifts = fields.fresh_view
-        check = check_view(build_view(source, m, source.grid_length, shifts=shifts),
-                           fields.spectrum, cfg.verify_eps_rel)
+        check = check_view(build_view(source, m, shifts=shifts), fields.spectrum)
         if check.parseval_gap > check.epsilon:
             violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
         if check.residual_energy > check.epsilon:

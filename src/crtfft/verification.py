@@ -18,8 +18,10 @@ a bin.
 Part 2 (residual): the built bins minus the predicted bins must be near
 zero over all bins and all shifts.
 
-Both parts compare against epsilon = verify_eps_rel * max(E_time, 1), with
-E_time the view's raw shift-0 energy.
+Both parts compare against epsilon = VERIFY_EPS_REL * max(E_time, 1), with
+E_time the view's raw shift-0 energy.  VERIFY_EPS_REL is a constant, not a
+setting: every report records it as `epsilon_rel`, replay checks at it,
+and a report's dict writes a figure past float64 as None (JSON null).
 
 The residual part's guarantee holds at any modulus and on the views that
 identified the candidate, also where the paper's slip bound (2k/m)^t, which
@@ -35,7 +37,7 @@ times sum |D_f|^2 > 0.  So, in exact arithmetic, a wrong candidate passes a
 view only if every bin that D reaches holds at least S + 1 of its tones; a
 difference of at most S tones (a dropped, added or moved tone, a swap, an
 amplitude error) fails every view.  Against epsilon a lone tone of D
-fails once S*|D_f|^2 > verify_eps_rel*E_time, with E_time about
+fails once S*|D_f|^2 > VERIFY_EPS_REL*E_time, with E_time about
 m*sum |A_f|^2, so small moduli tighten the test; tones of D sharing a bin
 weaken it as their spacing shrinks.  At N = 2^14, k = 12 on (44, 45, 49),
 300 trials each of a random swap, a swap to f + m1*m2*j, a dropped tone
@@ -51,10 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
 from .signal import SparseSpectrum
 from .views import ViewStack, alias_stack
 from .views import build_view, build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
+
+# Both parts' tolerance, relative to a view's raw shift-0 energy.
+VERIFY_EPS_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,10 @@ class ViewCheck:
     residual_energy: float
     epsilon: float
     passed: bool
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,9 @@ class VerificationReport:
             "views": [
                 {
                     "modulus": v.modulus,
-                    "parseval_gap": v.parseval_gap,
-                    "residual_energy": v.residual_energy,
-                    "epsilon": v.epsilon,
+                    "parseval_gap": _finite_or_none(v.parseval_gap),
+                    "residual_energy": _finite_or_none(v.residual_energy),
+                    "epsilon": _finite_or_none(v.epsilon),
                     "passed": v.passed,
                 }
                 for v in self.views
@@ -91,9 +99,7 @@ class VerificationReport:
         }
 
 
-def check_views(
-    views: ViewStack, candidate: SparseSpectrum, eps_rel: float
-) -> tuple[ViewCheck, ...]:
+def check_views(views: ViewStack, candidate: SparseSpectrum) -> tuple[ViewCheck, ...]:
     """Both parts of the test on each view of a stack built from samples.
 
     Each view's predicted shift-0 energy and residual energy are its segment
@@ -117,20 +123,18 @@ def check_views(
     for m, e_time, energy, residual in zip(
             views.moduli, views.time_energy.tolist(), energies, residuals.tolist()):
         gap = abs(e_time / m - energy)
-        eps = eps_rel * max(e_time, 1.0)
+        eps = VERIFY_EPS_REL * max(e_time, 1.0)
         finite = math.isfinite(e_time) and math.isfinite(energy) and math.isfinite(residual)
         checks.append(ViewCheck(m, gap, residual, eps, finite and gap <= eps and residual <= eps))
     return tuple(checks)
 
 
-def check_view(view: ViewStack, candidate: SparseSpectrum, eps_rel: float) -> ViewCheck:
+def check_view(view: ViewStack, candidate: SparseSpectrum) -> ViewCheck:
     """Both parts of the test on a one-view stack built from samples."""
-    return check_views(view, candidate, eps_rel)[0]
+    return check_views(view, candidate)[0]
 
 
-def verify(
-    views: ViewStack, candidate: SparseSpectrum, config: Config | None = None
-) -> VerificationReport:
+def verify(views: ViewStack, candidate: SparseSpectrum) -> VerificationReport:
     """Run `check_views` on the built views and aggregate.
 
     The verdict is a pure function of the views and the candidate, and each
@@ -138,6 +142,5 @@ def verify(
     same candidate again returns an equal report.  That is why a failed
     verification is final and why certificate replay can recheck it.
     """
-    cfg = config or Config()
-    checks = check_views(views, candidate, cfg.verify_eps_rel)
-    return VerificationReport(checks, all(c.passed for c in checks), cfg.verify_eps_rel)
+    checks = check_views(views, candidate)
+    return VerificationReport(checks, all(c.passed for c in checks), VERIFY_EPS_REL)

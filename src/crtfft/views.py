@@ -9,10 +9,12 @@ coefficient sums,
 
 which is the contract every consumer (peeling, gating, verification) is
 written against.  A view is named by its modulus and read at
-`planner.SHIFT_COUNT` shifts.  Views live in one explicit `ViewStack`:
-`build_views` reads each view's samples with one `sample_block` call,
-transforms them straight into the view's columns of one (shifts, sum of m)
-array, and normalizes the whole stack once.  That one stack serves a run
+`planner.SHIFT_COUNT` shifts, on the grid M its source or spectrum is on:
+no builder takes M, so none builds a view of a grid its signal is not on.
+Views live in one explicit `ViewStack`: `build_views` reads each view's
+samples with one `sample_block` call, transforms them straight into the
+view's columns of one (shifts, sum of m) array, and normalizes the whole
+stack once.  That one stack serves a run
 from the sample read to the verdict: peeling peels a copy of it and
 verification checks it as built.  `build_view` is its one-modulus case,
 which replay uses.  The tables a stack needs depend only on the plan, so
@@ -94,21 +96,24 @@ class ViewStack:
 
 
 def build_views(
-    source: SignalSource, moduli: Sequence[int], M: int, shifts: int = SHIFT_COUNT
+    source: SignalSource, moduli: Sequence[int], shifts: int = SHIFT_COUNT
 ) -> ViewStack:
     """FFT-path construction of the views on `moduli`, in the order given,
-    straight into one stack.
+    on the source's grid M, straight into one stack.
 
     Each view is read with one `sample_block` call (row s of its block is
     its shift-0 progression plus s, so every row wraps the grid a whole
     number of times with the view's step) and transformed once into its
     columns of the stack; the stack is then normalized once, each column by
     its view's m.  Each view keeps its shift-0 time energy for the Parseval
-    check; an energy past float64 is inf, with no numpy warning, and fails
-    verification.  Every run reads SHIFT_COUNT shifts; only the replay of an
-    older certificate that recorded another count passes `shifts`.
+    check.  A bin or an energy past float64 is inf or NaN, with no numpy
+    warning, and fails verification, so the fallback answers or raises
+    NonFiniteError.  A modulus that does not divide M raises
+    StrideMismatchError.  Every run reads SHIFT_COUNT shifts; only the
+    replay of an older certificate that recorded another count passes
+    `shifts`.
     """
-    moduli = tuple(map(int, moduli))
+    moduli, M = tuple(map(int, moduli)), source.grid_length
     if M > _MAX_GRID:
         raise OracleCapExceededError(f"grid length {M} exceeds exact int64 index arithmetic")
     for m in moduli:
@@ -117,19 +122,19 @@ def build_views(
     layout = stack_layout(moduli)
     bins = np.empty((shifts, sum(moduli)), dtype=np.complex128)
     rows = []  # each view's shift-0 samples
-    for m, first in layout.T.tolist():
-        samples = source.sample_block(_view_indices(m, M, shifts))
-        dft.dft_forward(samples, out=bins[:, first : first + m])
-        rows.append(samples[0])
-    bins /= _column_divisor(moduli)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, first in layout.T.tolist():
+            samples = source.sample_block(_view_indices(m, M, shifts))
+            dft.dft_forward(samples, out=bins[:, first : first + m])
+            rows.append(samples[0])
+        bins /= _column_divisor(moduli)
         energy = np.array([(np.abs(row) ** 2).sum() for row in rows])
     return ViewStack(M, moduli, bins, energy)
 
 
-def build_view(source: SignalSource, m: int, M: int, shifts: int = SHIFT_COUNT) -> ViewStack:
+def build_view(source: SignalSource, m: int, shifts: int = SHIFT_COUNT) -> ViewStack:
     """`build_views` on the one modulus m; replay builds its view with it."""
-    return build_views(source, (m,), M, shifts)
+    return build_views(source, (m,), shifts)
 
 
 def alias_stack(
@@ -148,9 +153,10 @@ def alias_stack(
     return bins
 
 
-def build_view_from_spectrum(spectrum: SparseSpectrum, m: int, M: int) -> ViewStack:
-    """The view on modulus m of a known spectrum, evaluated by `alias_stack`
-    without samples."""
+def build_view_from_spectrum(spectrum: SparseSpectrum, m: int) -> ViewStack:
+    """The view on modulus m of a known spectrum, on its grid M, evaluated by
+    `alias_stack` without samples."""
+    M = spectrum.grid_length
     if M % m != 0:
         raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
     bins = alias_stack(spectrum.freqs, spectrum.coeffs, stack_layout((m,)), (SHIFT_COUNT, m), M)

@@ -38,10 +38,16 @@ def random_spectrum(rng, k, grid, fmax=None, unit=False):
     return SparseSpectrum.from_pairs(list(zip(sorted(support), coeffs)), grid)
 
 
-def verify_plan(source, plan, candidate, config=None):
+def verify_plan(source, plan, candidate):
     """`verify` on the three views of the plan's triple, built from `source`:
     the pipeline's verdict on that candidate."""
-    return verify(build_views(source, plan.moduli, plan.M), candidate, config)
+    return verify(build_views(source, plan.moduli), candidate)
+
+
+def refuse_constant(name):
+    """A `json.loads` parse_constant that refuses NaN, Infinity and -Infinity,
+    which strict JSON (RFC 8259) does not have."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def json_paths(node, prefix=()):

@@ -13,7 +13,7 @@ from crtfft.signal import (
     save_spectrum,
     synthesize,
 )
-from conftest import random_spectrum, spectra_close
+from conftest import random_spectrum, refuse_constant, spectra_close
 
 
 def run(capsys, *argv):
@@ -89,6 +89,18 @@ def test_transform_identity_hash_flag_exits_1(capsys):
                          "--identity-hash")
     assert code == 1 and out == ""
     assert "unrecognized arguments: --identity-hash" in err
+
+
+def test_transform_output_is_strict_json(capsys):
+    # three tones of 1e160 overflow every view's energy: the run falls back,
+    # and its verification record writes each figure past float64 as null
+    code, out, _ = run(capsys, "transform", "--synthesize", "{5:1e160,700:1e160,9000:1e160}",
+                       "-k", "12", "--n", "16384")
+    assert code == 2
+    result = json.loads(out, parse_constant=refuse_constant)
+    assert result["certificate"]["fallback_reason"] == "verification-failed"
+    assert [e["f"] for e in result["spectrum"]["entries"]] == [5, 700, 9000]
+    assert all(v["epsilon"] is None for v in result["certificate"]["verification"]["views"])
 
 
 def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):

@@ -16,7 +16,6 @@ from conftest import mutate_one_value, random_spectrum
 VALID = {
     "moduli_override": [7, 11, 13],
     "nominal_length": 1001,
-    "verify_eps_rel": 1e-6,
     "dense_budget": 1 << 20,
     "force_fallback": True,
 }
@@ -32,14 +31,14 @@ def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
     assert cfg.force_fallback is True and cfg.nominal_length == 1001
-    assert len(dataclasses.fields(Config)) == 5
+    assert len(dataclasses.fields(Config)) == 4
 
 
-@pytest.mark.parametrize("key, value",
-                         [("shift_count", 3), ("identity_hash", False), ("t", 3)])
+@pytest.mark.parametrize("key, value", [
+    ("shift_count", 3), ("identity_hash", False), ("t", 3), ("verify_eps_rel", 1e-6)])
 def test_removed_option_is_refused_by_name(tmp_path, key, value):
-    # every plan reads three shifts of plain views and verifies on all three:
-    # none of these is an option
+    # every plan reads three shifts of plain views and verifies on all three,
+    # at the tolerance verification.VERIFY_EPS_REL: none of these is an option
     with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
         load_config(write(tmp_path, {**VALID, key: value}))
     with pytest.raises(TypeError):
@@ -78,6 +77,7 @@ def test_removed_option_is_refused_by_name(tmp_path, key, value):
         {"dense_budget": -1},
         {"alpha": float("nan")},
         {"alpha": float("inf")},
+        # verify_eps_rel is no longer a field either: refused whatever the value
         {"verify_eps_rel": float("nan")},
         {"verify_eps_rel": -1.0},
         {"alpha": -5.0},
@@ -134,13 +134,11 @@ def test_rejected_by_config_and_load_config(tmp_path, change, error):
 
 def test_numpy_and_builtin_numbers_become_plain_values():
     cfg = Config(nominal_length=np.int32(1001), dense_budget=np.int64(4096),
-                 verify_eps_rel=np.float32(0.5), moduli_override=[np.int64(13), 7, 11])
-    assert (cfg.nominal_length, cfg.dense_budget, cfg.verify_eps_rel) == (1001, 4096, 0.5)
+                 moduli_override=[np.int64(13), 7, 11])
+    assert (cfg.nominal_length, cfg.dense_budget) == (1001, 4096)
     assert type(cfg.nominal_length) is int and type(cfg.dense_budget) is int
-    assert type(cfg.verify_eps_rel) is float
-    assert type(Config(verify_eps_rel=1).verify_eps_rel) is float
     assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
-    assert hash(cfg) == hash(Config(nominal_length=1001, dense_budget=4096, verify_eps_rel=0.5,
+    assert hash(cfg) == hash(Config(nominal_length=1001, dense_budget=4096,
                                     moduli_override=(13, 7, 11)))
 
 

@@ -156,7 +156,7 @@ class TestCompleteness:
         plan = make_plan(N, k, config=Config(moduli_override=(997, 1009, 1013)))
         spec = random_spectrum(np.random.default_rng(seed), k, plan.M, fmax=N)
         src = synthesize(spec)
-        r1, r2, r3 = (extract_residues(build_view(src, m, plan.M), 15 * k) for m in plan.moduli)
+        r1, r2, r3 = (extract_residues(build_view(src, m), 15 * k) for m in plan.moduli)
         table = gate_pairs(r1, r2, r3, plan)
         passing = {(g.r1, g.r2) for g in table if g.passed}
         m1, m2, _ = plan.moduli

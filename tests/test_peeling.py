@@ -55,14 +55,14 @@ def view_bins(state, i):
 def predicted_stack(spectrum, moduli, M):
     """The views on `moduli` of a known spectrum as one stack: each view's
     `build_view_from_spectrum` bins, side by side."""
-    bins = np.hstack([build_view_from_spectrum(spectrum, m, M).bins for m in moduli])
+    bins = np.hstack([build_view_from_spectrum(spectrum, m).bins for m in moduli])
     return ViewStack(M, tuple(moduli), bins)
 
 
 def toy_state(spectrum, nominal=None):
     n = nominal if nominal is not None else (64 if len(spectrum) <= 2 else 1001)
     plan = make_plan(n, len(spectrum), config=TOY_CFG)
-    return plan, PeelState.create(build_views(synthesize(spectrum), plan.moduli, plan.M))
+    return plan, PeelState.create(build_views(synthesize(spectrum), plan.moduli))
 
 
 class TestCreate:
@@ -72,7 +72,7 @@ class TestCreate:
         N, k = 2**14, 12
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        built = build_views(synthesize(spec), plan.moduli, plan.M)
+        built = build_views(synthesize(spec), plan.moduli)
         before = built.bins.copy()
         state = PeelState.create(built)
         assert not np.shares_memory(built.bins, state.stack)
@@ -87,9 +87,9 @@ class TestCreate:
         spec = random_spectrum(rng, 3, 1001)
         plan = make_plan(1001, 3, config=TOY_CFG)
         src = synthesize(spec)
-        apart = [build_view(src, m, plan.M) for m in plan.moduli]
+        apart = [build_view(src, m) for m in plan.moduli]
         before = [v.bins.copy() for v in apart]
-        state = PeelState.create(build_views(src, plan.moduli, plan.M))
+        state = PeelState.create(build_views(src, plan.moduli))
         assert state.stack.tobytes() == np.hstack(before).tobytes()
         run_peeling(state, 3)
         assert all(np.array_equal(v.bins, b) for v, b in zip(apart, before))
@@ -126,7 +126,7 @@ class TestDetectSingletons:
         plan = make_plan(2**14, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
-        state = PeelState.create(build_views(src, plan.moduli, plan.M))
+        state = PeelState.create(build_views(src, plan.moduli))
         readings = detect_singletons(state)
         rows = zip(
             readings.view_index.tolist(), readings.bin_index.tolist(), readings.f_hat.tolist()
@@ -213,7 +213,7 @@ class TestBatchDetection:
         # own, on the first rounds of peeling as well as on the fresh views
         plan = make_plan(1001, len(spec), config=TOY_CFG)
         src = synthesize(spec)
-        views = build_views(src, plan.moduli, plan.M)
+        views = build_views(src, plan.moduli)
         if misplaced:
             # every singleton of view 0 one bin off: each must fail the bin-back test
             m, first = views.layout[:, 0].tolist()
@@ -326,7 +326,7 @@ class TestPeel:
         assert set(ledger(state)) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
         for i, m in enumerate(plan.moduli):
-            want = build_view_from_spectrum(residual, m, 1001).bins
+            want = build_view_from_spectrum(residual, m).bins
             assert np.abs(view_bins(state, i) - want).max() < 1e-9
 
 
@@ -386,7 +386,7 @@ class TestRunPeeling:
         plan = make_plan(1001, 4, config=TOY_CFG)
         assert rehash(plan, seed=99, round_index=1) is plan
         src = synthesize(spec)
-        out = run_peeling(PeelState.create(build_views(src, plan.moduli, plan.M)), 4)
+        out = run_peeling(PeelState.create(build_views(src, plan.moduli)), 4)
         assert out.status is PeelStatus.TWO_CORE
 
     def test_matches_gate_oracle_on_random_instances(self, rng):
@@ -401,7 +401,7 @@ class TestRunPeeling:
             spec = SparseSpectrum.from_pairs(spec.entries, triple.M)
             plan = make_plan(triple.m1 * triple.m2, k, config=cfg)
             src = synthesize(spec)
-            views = build_views(src, plan.moduli, plan.M)
+            views = build_views(src, plan.moduli)
             floor = 1e-9 * np.abs(views.bins[0]).max()
             sets = [
                 sorted(np.flatnonzero(np.abs(views.bins[0, first : first + m]) > floor).tolist())
@@ -436,7 +436,7 @@ class TestRunPeeling:
                 [(f, c) for f, c in residual_entries.items() if abs(c) > 1e-12], 1001
             )
             for i, m in enumerate(plan.moduli):
-                want = build_view_from_spectrum(residual, m, 1001).bins
+                want = build_view_from_spectrum(residual, m).bins
                 assert np.abs(view_bins(state, i) - want).max() < 1e-6
 
 
@@ -445,7 +445,7 @@ class TestRoundBound:
         plan = make_plan(2**16, 8)
         spec = random_spectrum(rng, 8, plan.M, fmax=2**16)
         src = synthesize(spec)
-        out = run_peeling(PeelState.create(build_views(src, plan.moduli, plan.M)), 8)
+        out = run_peeling(PeelState.create(build_views(src, plan.moduli)), 8)
         cap = math.ceil(ROUND_CAP_C * math.log2(8 + 2))
         assert out.rounds <= cap
         assert out.status is PeelStatus.COMPLETE

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.config import Config, replace
+from crtfft.config import Config
 from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, ParseError
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
@@ -24,9 +25,10 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
+from crtfft.verification import VERIFY_EPS_REL
 from crtfft.views import build_views
 from conftest import (
-    DELETE, mutate_one_value, random_spectrum, set_json_value, spectra_close,
+    DELETE, mutate_one_value, random_spectrum, refuse_constant, set_json_value, spectra_close,
 )
 
 TOY_CFG = Config(moduli_override=(7, 11, 13), nominal_length=64)
@@ -185,6 +187,10 @@ class TestSparseFft:
             assert len(result.spectrum) == k
         # the phases with a nonzero count in name order, then their total
         assert list(result.op_counts.items()) == list(want.items())
+        # a fast run is verified, at the one tolerance no setting changes
+        report = result.certificate.payload["verification"]
+        assert (result.path is RecoveryPath.FALLBACK
+                or report["epsilon_rel"] == VERIFY_EPS_REL), report
 
     def test_fast_path_reads_each_sample_once(self, rng):
         # verification checks the views peeling was given, so a fast run reads
@@ -323,7 +329,7 @@ class TestSparseFft:
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert verify_certificate(result.certificate, src, cfg) == []
         plan = make_plan(M, k, config=cfg)
-        rounds = run_peeling(PeelState.create(build_views(src, plan.moduli, M)), k).rounds
+        rounds = run_peeling(PeelState.create(build_views(src, plan.moduli)), k).rounds
         assert rounds > math.ceil(4 * math.log2(k + 2))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True, -1])
@@ -646,6 +652,21 @@ class TestDenseFallback:
                 sparse_fft(src, 3, cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude", [1e306, 1e307, 1.7e308])
+    def test_view_sum_past_float64_is_non_finite_error(self, amplitude):
+        # one tone whose samples are finite: its view energies m*|A|^2 pass
+        # float64 at every amplitude here, and its view sums m*A from about
+        # 3.7e306 (Inf or NaN bins, with no numpy warning), so every view
+        # fails and the fallback's grid transform, which overflows, raises
+        # the typed error
+        cfg = Config(nominal_length=2**14)
+        plan = make_plan(2**14, 12, config=cfg)
+        src = synthesize(SparseSpectrum.from_pairs([(700, amplitude)], plan.M))
+        assert np.isfinite(src.sample_block(np.arange(plan.M))).all()
+        with pytest.raises(NonFiniteError):
+            sparse_fft(src, 12, cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("amplitude, freqs", [(1e160, (5, 700, 9000)), (5e153, (700,))])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_view_energy_past_float64_fails_verification(
@@ -675,6 +696,9 @@ class TestDenseFallback:
         assert result.spectrum.frequencies().tolist() == list(freqs)
         assert np.abs(result.spectrum.coefficients() - amplitude).max() <= 1e-12 * amplitude
         assert verify_certificate(result.certificate, src) == []
+        # the certificate is strict JSON: a figure past float64 is null
+        payload = json.loads(result.certificate.to_json(), parse_constant=refuse_constant)
+        assert all(v["epsilon"] is None for v in payload["verification"]["views"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_magnitude_past_float64_still_answers(self):

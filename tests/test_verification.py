@@ -8,11 +8,9 @@ from crtfft.config import Config
 from crtfft.pipeline import RecoveryPath, sparse_fft
 from crtfft.planner import make_plan
 from crtfft.signal import SparseSpectrum, from_dense, synthesize
-from crtfft.verification import check_view, check_views, verify
+from crtfft.verification import VERIFY_EPS_REL, check_view, check_views, verify
 from crtfft.views import build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, verify_plan
-
-EPS_REL = Config().verify_eps_rel
 
 
 def collision_free_instance(rng, k, plan, N=2**14):
@@ -38,9 +36,9 @@ class TestParsevalCheck:
         spec = collision_free_instance(rng, 5, plan)
         src = synthesize(spec)
         for m in plan.moduli:
-            view = build_view(src, m, plan.M)
+            view = build_view(src, m)
             e_time = view.time_energy[0]
-            check = check_view(view, spec, EPS_REL)
+            check = check_view(view, spec)
             assert check.passed and check.parseval_gap <= 1e-9 * max(e_time, 1)
             assert check.epsilon == 1e-6 * max(e_time, 1)
             # collision-free: predicted view energy equals plain energy
@@ -56,7 +54,7 @@ class TestParsevalCheck:
         spec = SparseSpectrum.from_pairs(entries, plan.M)
         short = SparseSpectrum.from_pairs(entries[1:], plan.M)
         src = synthesize(spec)
-        check = check_view(build_view(src, plan.m1, plan.M), short, EPS_REL)
+        check = check_view(build_view(src, plan.m1), short)
         assert check.parseval_gap > check.epsilon and not check.passed
         assert check.parseval_gap >= 1 - 1e-6
 
@@ -65,8 +63,8 @@ class TestParsevalCheck:
         spec = collision_free_instance(rng, 3, plan)
         src = synthesize(spec)
         empty = SparseSpectrum.from_pairs([], plan.M)
-        view = build_view(src, plan.m1, plan.M)
-        check = check_view(view, empty, EPS_REL)
+        view = build_view(src, plan.m1)
+        check = check_view(view, empty)
         assert check.parseval_gap > check.epsilon
         e_time = view.time_energy[0]
         assert abs(check.parseval_gap - e_time / plan.m1) < 1e-9 * max(e_time, 1)
@@ -81,15 +79,15 @@ class TestParsevalCheck:
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (f2, 1.0)], plan.M)
         assert f1 % m == f2 % m
         src = synthesize(spec)
-        check = check_view(build_view(src, m, plan.M), spec, EPS_REL)
+        check = check_view(build_view(src, m), spec)
         assert check.parseval_gap <= check.epsilon, check
 
     def test_predicted_view_is_refused(self):
         plan = make_plan(2**14, 2)
         spec = SparseSpectrum.from_pairs([(5, 1.0)], plan.M)
-        predicted = build_view_from_spectrum(spec, plan.m1, plan.M)
+        predicted = build_view_from_spectrum(spec, plan.m1)
         with pytest.raises(ValueError):
-            check_view(predicted, spec, EPS_REL)
+            check_view(predicted, spec)
 
 
 class TestResidualCheck:
@@ -100,7 +98,7 @@ class TestResidualCheck:
         spec = random_spectrum(rng, 4, plan.M, fmax=2**14)
         src = synthesize(spec)
         for m in plan.moduli:
-            check = check_view(build_view(src, m, plan.M), spec, EPS_REL)
+            check = check_view(build_view(src, m), spec)
             assert check.residual_energy <= check.epsilon
             assert check.residual_energy < 1e-12 * max(spec.energy(), 1)
 
@@ -116,7 +114,7 @@ class TestResidualCheck:
         if wrong in dict(entries):
             wrong = (f0 + 2) % N
         corrupted = SparseSpectrum.from_pairs([(wrong, c0)] + entries[1:], plan.M)
-        check = check_view(build_view(src, m, plan.M), corrupted, EPS_REL)
+        check = check_view(build_view(src, m), corrupted)
         if f0 % m != wrong % m:
             assert check.residual_energy > check.epsilon and not check.passed
             assert check.residual_energy >= (1 - 1e-6) * abs(c0) ** 2
@@ -131,7 +129,7 @@ class TestResidualCheck:
         spec = SparseSpectrum.from_pairs([(f1, 1.0), (1, 0.5)], plan.M)
         corrupted = SparseSpectrum.from_pairs([(f2, 1.0), (1, 0.5)], plan.M)
         src = synthesize(spec)
-        check = check_view(build_view(src, m, plan.M), corrupted, EPS_REL)
+        check = check_view(build_view(src, m), corrupted)
         # the energy part cannot see the swap; the residual part alone fails it
         assert check.parseval_gap <= check.epsilon
         assert check.residual_energy > check.epsilon and not check.passed
@@ -149,29 +147,27 @@ class TestVerify:
         plan = make_plan(2**14, 5)
         spec = random_spectrum(rng, 5, plan.M, fmax=2**14)
         src = synthesize(spec)
-        report = verify_plan(src, plan, spec, Config(nominal_length=2**14))
+        report = verify_plan(src, plan, spec)
         assert report.overall
         assert [v.modulus for v in report.views] == list(plan.moduli)
         assert report.to_dict()["unverified"] is False
 
     def test_no_false_alarms_over_random_instances(self, rng):
         # correct candidates must pass regardless of collisions
-        cfg = Config(nominal_length=2**14)
         for trial in range(40):
             k = int(rng.integers(1, 9))
             plan = make_plan(2**14, k)
             spec = random_spectrum(rng, k, plan.M, fmax=2**14)
-            report = verify_plan(synthesize(spec), plan, spec, cfg)
+            report = verify_plan(synthesize(spec), plan, spec)
             assert report.overall
 
     def test_missing_tone_rejected_always(self, rng):
-        cfg = Config(nominal_length=2**14)
         for trial in range(25):
             k = int(rng.integers(2, 8))
             plan = make_plan(2**14, k)
             spec = random_spectrum(rng, k, plan.M, fmax=2**14)
             short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
-            report = verify_plan(synthesize(spec), plan, short, cfg)
+            report = verify_plan(synthesize(spec), plan, short)
             assert not report.overall
 
     @pytest.mark.parametrize("kind", ["synthesized", "dense"])
@@ -186,9 +182,9 @@ class TestVerify:
             src = from_dense(src.materialize())
         short = SparseSpectrum.from_pairs(spec.entries[1:], plan.M)
         for candidate, verdict in ((spec, True), (short, False)):
-            first = verify_plan(src, plan, candidate, cfg)
+            first = verify_plan(src, plan, candidate)
             assert first.overall is verdict
-            assert verify_plan(src, plan, candidate, cfg) == first
+            assert verify_plan(src, plan, candidate) == first
 
 
 def _corrupt(kind, rng, m1m2):
@@ -239,14 +235,14 @@ class TestSmallModuli:
             assert result.certificate.payload["fallback_reason"] == "verification-failed"
 
 
-def one_view_check(view, candidate, eps_rel):
+def one_view_check(view, candidate):
     """(gap, residual, epsilon, passed) of a one-view stack, each part
     computed on its own from the alias-sum prediction of that view alone."""
     (m,), (e_time,) = view.moduli, view.time_energy.tolist()
-    predicted = build_view_from_spectrum(candidate, m, view.M).bins
+    predicted = build_view_from_spectrum(candidate, m).bins
     gap = abs(e_time / m - float(np.sum(np.abs(predicted[0]) ** 2)))
     residual = float(np.sum(np.abs(view.bins - predicted) ** 2))
-    eps = eps_rel * max(e_time, 1.0)
+    eps = VERIFY_EPS_REL * max(e_time, 1.0)
     return gap, residual, eps, gap <= eps and residual <= eps
 
 
@@ -266,8 +262,8 @@ class TestStackedChecks:
         spec = random_spectrum(rng, k, plan.M, fmax=N)
         src = synthesize(spec)
         moduli = [plan.moduli[i % 3] for i in range(t)]
-        views = build_views(src, moduli, plan.M)
-        apart = [build_view(src, m, plan.M) for m in moduli]
+        views = build_views(src, moduli)
+        apart = [build_view(src, m) for m in moduli]
         if identity:
             # the stack holds, bit for bit, the views built one at a time, as
             # replay builds its view
@@ -280,19 +276,19 @@ class TestStackedChecks:
         for candidate, verdict in ((spec, True), (wrong, False)):
             if t == 0:
                 with pytest.raises(ValueError, match="the view set is empty"):
-                    verify(views, candidate, cfg)
+                    verify(views, candidate)
                 continue
-            report = verify(views, candidate, cfg)
+            report = verify(views, candidate)
             assert report.overall is verdict
             assert len(report.views) == t
             for view, check in zip(apart, report.views):
-                gap, residual, eps, passed = one_view_check(view, candidate, cfg.verify_eps_rel)
+                gap, residual, eps, passed = one_view_check(view, candidate)
                 # roundoff of sums over one view's bins, at the view's energy scale
                 scale = view.time_energy[0] / view.moduli[0]
                 assert abs(check.parseval_gap - gap) <= 1e-12 * max(gap, scale)
                 assert abs(check.residual_energy - residual) <= 1e-12 * max(residual, scale)
                 assert check.epsilon == eps and check.passed is passed
-                assert check == check_view(view, candidate, cfg.verify_eps_rel)
+                assert check == check_view(view, candidate)
 
     def test_row_sliced_views_are_checked_on_their_rows(self, rng):
         # a stack cut to its shift-0 row is checked on that row alone, exactly
@@ -300,12 +296,12 @@ class TestStackedChecks:
         N, k = 2**14, 12
         plan = make_plan(N, k)
         spec = random_spectrum(rng, k, plan.M, fmax=N)
-        views = build_views(synthesize(spec), plan.moduli, plan.M)
+        views = build_views(synthesize(spec), plan.moduli)
         moved = dict(spec.entries)
         moved[(spec.entries[0][0] + 1) % plan.M] = moved.pop(spec.entries[0][0])
         wrong = SparseSpectrum.from_pairs(moved.items(), plan.M)
-        sliced = check_views(dc_replace(views, bins=views.bins[:1]), wrong, EPS_REL)
-        copied = check_views(dc_replace(views, bins=views.bins[:1].copy()), wrong, EPS_REL)
+        sliced = check_views(dc_replace(views, bins=views.bins[:1]), wrong)
+        copied = check_views(dc_replace(views, bins=views.bins[:1].copy()), wrong)
         assert sliced == copied
         assert all(c.residual_energy > c.epsilon for c in sliced)
 

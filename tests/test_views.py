@@ -34,7 +34,7 @@ class TestBuildView:
     def test_single_tone_alias(self):
         M = 1001
         spec = SparseSpectrum.from_pairs([(5, 1.0)], M)
-        view = build_view(synthesize(spec), 7, M)
+        view = build_view(synthesize(spec), 7)
         assert view.bins.shape == (SHIFT_COUNT, 7) == (3, 7)
         for s in range(3):
             expect = np.exp(2j * np.pi * 5 * s / M)
@@ -45,7 +45,7 @@ class TestBuildView:
     def test_worked_example_occupied_bins(self):
         M = 1001
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], M)
-        view = build_view(synthesize(spec), 7, M)
+        view = build_view(synthesize(spec), 7)
         occupied = sorted(np.flatnonzero(np.abs(view.bins[0]) > 1e-9).tolist())
         assert occupied == [0, 6]
 
@@ -64,7 +64,7 @@ class TestBuildView:
         src.sample_block = lambda idx: blocks.append(np.shape(idx)) or read(idx)
         for m in plan.moduli:
             blocks.clear()
-            view = build_view(src, m, M, shifts=shift_count)
+            view = build_view(src, m, shifts=shift_count)
             want = alias_oracle(spec, m, M, shift_count)
             assert np.abs(view.bins - want).max() < 1e-9
             # every shift comes from one stacked read; row 0 gives the energy
@@ -74,18 +74,18 @@ class TestBuildView:
     def test_stride_mismatch(self):
         spec = SparseSpectrum.from_pairs([(1, 1.0)], 100)
         with pytest.raises(StrideMismatchError):
-            build_view(synthesize(spec), 7, 100)
+            build_view(synthesize(spec), 7)
         # refused before the (shifts, m) sample stack is allocated
         with pytest.raises(StrideMismatchError):
-            build_view(synthesize(spec), 2**40, 100)
+            build_view(synthesize(spec), 2**40)
 
     def test_predictor_equals_fft_path(self, rng):
         plan = make_plan(2**12, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         for m in plan.moduli:
-            a = build_view(src, m, plan.M).bins
-            b = build_view_from_spectrum(spec, m, plan.M).bins
+            a = build_view(src, m).bins
+            b = build_view_from_spectrum(spec, m).bins
             assert np.abs(a - b).max() < 1e-9
 
     def test_sparsity_preserved(self, rng):
@@ -93,7 +93,7 @@ class TestBuildView:
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         for m in plan.moduli:
-            view = build_view(src, m, plan.M)
+            view = build_view(src, m)
             floor = 1e-9 * np.abs(view.bins[0]).max()
             assert np.count_nonzero(np.abs(view.bins[0]) > floor) <= len(spec)
 
@@ -102,7 +102,7 @@ class TestBuildView:
         spec = random_spectrum(rng, 4, plan.M)
         src = synthesize(spec)
         m = plan.m1
-        view = build_view(src, m, plan.M)
+        view = build_view(src, m)
         bins = {}
         for f, _ in spec.entries:
             bins.setdefault(f % m, []).append(f)
@@ -164,21 +164,35 @@ class TestBuildViews:
 
         monkeypatch.setattr(src, "sample_block", logged(reads, src.sample_block))
         monkeypatch.setattr(dft, "dft_forward", logged(transforms, dft.dft_forward))
-        build_views(src, [7, 11, 7], M)
+        build_views(src, [7, 11, 7])
         assert reads == transforms == [(3, 7), (3, 11), (3, 7)]
         # only a replayed view passes another shift count
-        build_view(src, 13, M, shifts=2)
+        build_view(src, 13, shifts=2)
         assert reads[-1] == transforms[-1] == (2, 13)
+
+    def test_modulus_that_does_not_divide_the_source_grid_is_refused(self, rng):
+        # views are built on the source's own grid, M = 44*45*49 = 97020 here:
+        # a modulus that does not divide it (8, 27, or twice the grid) is
+        # refused, never read on a grid the source is not on
+        plan = make_plan(2**14, 12)
+        spec = random_spectrum(rng, 12, plan.M, fmax=2**14)
+        src = synthesize(spec)
+        assert build_views(src, plan.moduli).M == plan.M
+        for m in (8, 27, 2 * plan.M):
+            with pytest.raises(StrideMismatchError):
+                build_views(src, (*plan.moduli[:2], m))
+            with pytest.raises(StrideMismatchError):
+                build_view_from_spectrum(spec, m)
 
 
 class TestViewEnergy:
     def test_zero_signal(self):
         src = synthesize(SparseSpectrum.from_pairs([], 1001))
-        assert build_view(src, 7, 1001).time_energy[0] == raw_energy(src, 7, 1001) == 0
+        assert build_view(src, 7).time_energy[0] == raw_energy(src, 7, 1001) == 0
 
     def test_single_tone(self):
         src = synthesize(SparseSpectrum.from_pairs([(41, 2.0 + 1j)], 1001))
-        e = build_view(src, 11, 1001).time_energy[0]
+        e = build_view(src, 11).time_energy[0]
         assert abs(e - 11 * abs(2 + 1j) ** 2) < 1e-9
         assert e == pytest.approx(raw_energy(src, 11, 1001), rel=1e-12)
 
@@ -189,7 +203,7 @@ class TestViewEnergy:
         spec = random_spectrum(rng, 2, M)
         src = synthesize(spec)
         e_time = raw_energy(src, 13, M)
-        view = build_view(src, 13, M, shifts=2)
+        view = build_view(src, 13, shifts=2)
         e_bins = 13 * np.sum(np.abs(view.bins[0]) ** 2)
         assert abs(e_time - e_bins) <= 1e-9 * max(e_time, 1.0)
         # the view keeps the energy of the raw samples, before the transform
