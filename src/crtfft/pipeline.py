@@ -3,19 +3,13 @@
 A run always answers on the source's own grid; nothing is padded behind the
 caller's back.  The fast path is accepted only when the plan's grid is the
 source's grid, peeling completes and all three views confirm the
-candidate.  A plan is its triple of moduli (`make_plan`).  Each run builds
-one view per modulus once, straight into one `views.ViewStack`
-(`build_views`: one sample read and one transform per view, with the plan's
-index blocks and stack tables cached per plan).
-That stack serves the run from the read to the verdict: peeling empties its
-own copy of the bins, and verification checks the stack as built.  The
-entry points take the
-source, k, a `Config` and a seed and nothing else: every setting comes from
-the `Config`, and the seed is only recorded in the certificate.  Any failure
-routes to the dense fallback, which materializes the grid, transforms it,
-and returns the top-k bins exactly.  No phase counts its own ops: after the
-run, `sparse_fft` computes its `op_counts` once from what each phase
-returned, by the model that `opcount.run_op_counts` states.
+candidate.  Each run builds its views once into one `views.ViewStack`
+(`build_views`), which serves it from the read to the verdict: peeling
+empties its own copy of the bins, and verification checks the stack as
+built.  Any failure routes to the dense fallback, which materializes the
+grid, transforms it, and returns the top-k bins exactly.  No phase counts
+its own ops: after the run, `sparse_fft` computes its `op_counts` once
+from what each phase returned (`opcount.run_op_counts`).
 The certificate names the failure in fallback_reason: "forced", "too-short",
 "dense-regime", "grid-ceiling" (no plan under the int64 grid ceiling),
 "grid-mismatch", "peeling-two-core", "peeling-stagnated",
@@ -23,13 +17,15 @@ The certificate names the failure in fallback_reason: "forced", "too-short",
 A stuck peel and a failed verification are final: the moduli alone decide
 which tones share a bin, and a verdict is a pure function of the source,
 the views and the candidate.
+One amplitude floor, `views.NOISE_FLOOR_REL` of the peak, serves the run:
+peeling, the fallback's selection, and the certificate's recorded
+`amplitude_threshold`, which replay checks every tone against.
 Every run emits a self-contained certificate from which a third party can
 replay the moduli, each reconstruction, and the first verification view,
 rebuilt from nothing but the certificate and the signal.  It records no
 residue sets and no gate table: the fast path never enumerates pairs.
-`parse_certificate` states every field replay reads (it ignores the rest,
-such as the gate trail of older certificates) and is the one check of a
-payload, run by both `Certificate.from_json` and `verify_certificate`.
+`parse_certificate` states every field replay reads and is the one check
+of a payload, run by both `Certificate.from_json` and `verify_certificate`.
 """
 
 from __future__ import annotations
@@ -60,13 +56,9 @@ from .planner import MIN_PLAN_LENGTH, SHIFT_COUNT, make_plan
 from .planner import rehash  # noqa: F401  looked up by the benchmark tracer
 from .signal import _INT64_MAX, SignalSource, SparseSpectrum, from_dense
 from .verification import VerificationReport, check_view, verify
-from .views import build_view, build_views, top_k_order
+from .views import NOISE_FLOOR_REL, build_view, build_views, top_k_order
 from .gating import extract_residues  # noqa: F401  looked up by the benchmark tracer
 from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
-
-
-# The certificate's amplitude floor, relative to the largest recovered amplitude.
-AMPLITUDE_THRESHOLD_REL = 1e-6
 
 _FLOAT_MAX = sys.float_info.max
 _CRT_KEYS = ("r1", "r2", "r3", "u2", "u3")
@@ -124,8 +116,8 @@ def dense_fallback(
     transformed in place.  Selection runs on the raw transform's magnitudes:
     magnitude descending, then frequency ascending.  Only the reported bins
     are divided by M; the grid itself is never normalized.
-    Bins at roundoff level (1e-12 of the peak) are not reported, so asking
-    for more tones than the signal holds returns only the occupied bins.
+    Bins at or below `NOISE_FLOOR_REL` of the peak are not reported, so
+    asking for more tones than the signal holds returns only the occupied bins.
     A transform that overflows float64 (an infinite or NaN bin) raises
     NonFiniteError instead of answering with nothing.  A selected bin whose
     division by M underflows to 0 is not reported, but it counts as
@@ -150,7 +142,7 @@ def dense_fallback(
         peak = float(mags.max())
     if not math.isfinite(peak):
         raise NonFiniteError(f"the length-{M} transform of the grid overflows float64")
-    occupied = mags > 1e-12 * peak
+    occupied = mags > NOISE_FLOOR_REL * peak
     if np.count_nonzero(occupied) <= k:
         top = np.flatnonzero(occupied)
     else:
@@ -297,6 +289,10 @@ def build_certificate(
         digits = (d.tolist() for d in garner_digits(spectrum.freqs, plan))
         crts = [{"r1": r1, "r2": r2, "r3": r3, "u2": u2, "u3": u3}
                 for r1, r2, r3, u2, u3 in zip(*digits)]
+    try:  # Python's abs: numpy's differs from it in the last ulp on some values
+        tau = NOISE_FLOOR_REL * max(map(abs, coeffs), default=0.0)
+    except OverflowError:  # a magnitude past float64, exact when halved
+        tau = 2 * NOISE_FLOOR_REL * max(abs(c * 0.5) for c in coeffs)
     return Certificate(payload={
         "format": "crtfft-certificate/1",
         "k": k,
@@ -304,9 +300,7 @@ def build_certificate(
         "path": "fast" if fallback_reason is None else "fallback",
         "fallback_reason": fallback_reason,
         "escalation": {"rehashes": 0, "extra_verify_views": 0},
-        # Python's abs of each complex: numpy's differs from it in the last
-        # ulp on some values
-        "amplitude_threshold": AMPLITUDE_THRESHOLD_REL * max(map(abs, coeffs), default=0.0),
+        "amplitude_threshold": tau,
         "declared_n": declared_n,
         "grid_length": spectrum.grid_length,
         # .tolist() gives Python ints and complexes, whose parts serialize as they are
@@ -364,7 +358,8 @@ def parse_certificate(payload) -> ReplayFields:
                            shifts: 2 or 3 (runs now read 3)
 
     The `verification` record (null where a figure passed float64) is not
-    read: replay rechecks a view itself.
+    read: replay rechecks a view itself.  Runs record amplitude_threshold as
+    `NOISE_FLOOR_REL` (older runs 1e-6) times the largest |a|; replay checks at it.
 
     Runs record the three views of their triple as both id_views and
     verify_views, each with sigma = 1 and b = 0; older runs recorded a keyed
@@ -448,8 +443,11 @@ def parse_certificate(payload) -> ReplayFields:
             freqs.append(f)  # read for the repeated-frequency check
             if fresh_view is not None:
                 coeffs.append(c)
-            if abs(c) < tau:
-                low.append((f, abs(c)))
+            try:
+                if abs(c) < tau:
+                    low.append((f, abs(c)))
+            except OverflowError:  # a magnitude past float64 clears any threshold
+                pass
             if f >= limit:
                 above.append(f)
         if crt is not None:

@@ -106,17 +106,17 @@ def check_views(views: ViewStack, candidate: SparseSpectrum) -> tuple[ViewCheck,
     of one `np.add.reduceat` over the stack's columns.  E_time is the view's
     `time_energy`, summed over its stride-indexed raw shift-0 samples;
     nothing recovered enters it.  The stack is read as built, over the rows
-    it holds.  A view whose energy, predicted energy or residual is past
-    float64 (inf, with no numpy warning) fails: an inf E_time makes epsilon
-    inf, which any candidate would pass.
+    it holds.  A view whose energy, prediction, predicted energy or residual
+    is past float64 (inf or NaN, with no numpy warning) fails: an inf E_time
+    makes epsilon inf, which any candidate would pass.
     """
     if views.time_energy is None:
         raise ValueError("check_views needs views built from samples")
     if not views.moduli:
         raise ValueError("check_views needs at least one view: the view set is empty")
     stack, layout = views.bins, views.layout
-    predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views.M)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = alias_stack(candidate.freqs, candidate.coeffs, layout, stack.shape, views.M)
         energies = np.add.reduceat(np.abs(predicted[0]) ** 2, layout[1]).tolist()
         residuals = np.add.reduceat((np.abs(stack - predicted) ** 2).sum(axis=0), layout[1])
     checks = []

@@ -40,8 +40,9 @@ from .errors import OracleCapExceededError, StrideMismatchError
 from .planner import SHIFT_COUNT
 from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
-# A bin is occupied when its shift-0 magnitude exceeds this fraction of the
-# largest one: across all views for peeling, within its view for the gate.
+# The one amplitude floor, a fraction of the peak: peeling's (all views' largest
+# shift-0 bin), `gating.extract_residues`' (each view's), `pipeline.dense_fallback`'s
+# (the grid's) and `pipeline.build_certificate`'s (the largest recovered tone).
 NOISE_FLOOR_REL = 1e-9
 
 

@@ -207,6 +207,32 @@ def test_verify_cert_replays_transform_certificate(capsys, tmp_path):
     assert code == 0 and out == "certificate valid\n"
 
 
+@pytest.mark.parametrize("force, want", [
+    ((), (1, "fresh-parseval-failed: inf\nfresh-residual-failed: inf\n")),
+    (("--force-fallback",), (0, "certificate valid\n")),
+], ids=["fast", "fallback"])
+def test_verify_cert_magnitude_past_float64_exits_with_a_verdict(capsys, tmp_path, force, want):
+    # an entry with re = im = 1.7e308 is well formed though |c| passes
+    # float64: verify-cert replays it to a verdict, with no traceback.  Only
+    # the fast certificate's fresh view reads the changed tone.
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(capsys, "transform", "--synthesize", "{7:1,41:1-2j}", "-k", "2",
+                     *force, "--output", str(result_path))
+    assert code == (2 if force else 0)
+    certificate = json.loads(result_path.read_text())["certificate"]
+    certificate["recovered"][0].update(re=1.7e308, im=1.7e308)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(certificate))
+    signal = tmp_path / "signal.json"
+    save_spectrum(
+        SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], certificate["grid_length"]), signal
+    )
+    code, out, err = run(
+        capsys, "verify-cert", "--certificate", str(cert_path), "--signal", str(signal)
+    )
+    assert (code, out) == want and err == ""
+
+
 @pytest.mark.parametrize("n, save", [(50, save_dense_csv), (80, save_dense_binary)])
 def test_verify_cert_dense_file_of_another_length(capsys, tmp_path, n, save):
     # the certificate is for a 64-sample buffer; a shorter or longer file is

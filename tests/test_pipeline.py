@@ -15,7 +15,6 @@ from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, P
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
 from crtfft.pipeline import (
-    AMPLITUDE_THRESHOLD_REL,
     Certificate,
     RecoveryPath,
     dense_fallback,
@@ -26,7 +25,7 @@ from crtfft.pipeline import (
 from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.verification import VERIFY_EPS_REL
-from crtfft.views import build_views
+from crtfft.views import NOISE_FLOOR_REL, build_views
 from conftest import (
     DELETE, mutate_one_value, random_spectrum, refuse_constant, set_json_value, spectra_close,
 )
@@ -47,10 +46,11 @@ def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
 
 @st.composite
 def fallback_buffers(draw):
-    """Dense buffers whose spectra are exact, noisy, tied, or real-valued."""
+    """Dense buffers whose spectra are exact, noisy, tied, faint (bins
+    between 1e-12 and 1e-9 of the peak), or real-valued."""
     n = draw(st.integers(1, 96))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("exact", "noisy", "ties")))
+    kind = draw(st.sampled_from(("exact", "noisy", "ties", "faint")))
     if kind == "ties":  # few distinct sample values: tied bin magnitudes
         values = st.sampled_from((0j, 1.0, -1.0, 1j, 0.5 - 0.5j))
         x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.complex128)
@@ -59,6 +59,8 @@ def fallback_buffers(draw):
         spectrum = np.zeros(n, dtype=np.complex128)
         bins = rng.choice(n, tones, replace=False)
         spectrum[bins] = rng.normal(size=tones) + 1j * rng.normal(size=tones)
+        if kind == "faint":  # every tone but the first scaled far below it
+            spectrum[bins[1:]] *= 10.0 ** rng.uniform(-11.5, -9.5, size=max(tones - 1, 0))
         x = np.fft.ifft(spectrum) * n
         if kind == "noisy":
             x += 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -419,7 +421,7 @@ class TestSparseFft:
         payload = json.loads(result.certificate.to_json())
         coeffs = result.spectrum.coefficients().tolist()
         assert payload["amplitude_threshold"] == (
-            AMPLITUDE_THRESHOLD_REL * max(abs(c) for c in coeffs))
+            NOISE_FLOOR_REL * max(abs(c) for c in coeffs))
         recovered = payload["recovered"]
         assert [(e["re"].hex(), e["im"].hex()) for e in recovered] == [
             (c.real.hex(), c.imag.hex()) for c in coeffs]
@@ -617,11 +619,11 @@ class TestDenseFallback:
     @settings(max_examples=150, deadline=None)
     @given(x=fallback_buffers(), k=st.integers(0, 40))
     def test_matches_the_fft_reference(self, x, k):
-        # every bin of np.fft.fft above 1e-12 of the peak, magnitude
+        # every bin of np.fft.fft above the floor of the peak, magnitude
         # descending then frequency ascending, first k kept, divided by N
         spectrum = np.fft.fft(x)
         mags = np.abs(spectrum)
-        occupied = np.flatnonzero(mags > 1e-12 * mags.max())
+        occupied = np.flatnonzero(mags > NOISE_FLOOR_REL * mags.max())
         top = np.sort(occupied[np.lexsort((occupied, -mags[occupied]))][:k])
         got, selected = dense_fallback(from_dense(x), k)
         assert selected == top.size
@@ -707,6 +709,21 @@ class TestDenseFallback:
         got, _ = dense_fallback(from_dense(x), 3)
         assert got.entries == ((0, 8.5e307 * (1 + 1j)), (1, 8.5e307 * (1 + 1j)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_length_one_magnitude_past_float64_answers_and_replays(self):
+        # the one bin of a length-1 grid is its sample, whose |c| passes
+        # float64: the certificate takes its threshold from the halved
+        # magnitude, is strict JSON and replays
+        x = np.array([1.7e308 * (1 + 1j)])
+        result = sparse_fft_dense(x, 1)
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.spectrum.entries == ((0, 1.7e308 * (1 + 1j)),)
+        text = result.certificate.to_json()
+        payload = json.loads(text, parse_constant=refuse_constant)
+        assert payload["amplitude_threshold"] == 2 * NOISE_FLOOR_REL * abs(0.85e308 * (1 + 1j))
+        for cert in (result.certificate, Certificate.from_json(text)):
+            assert verify_certificate(cert, from_dense(x)) == []
+
     def test_bin_that_underflows_is_dropped_but_charged(self):
         # X[r] = 1e-323 at every r, and 1e-323 / 4 rounds to 0: the four
         # selected bins are not reported, yet each division is charged
@@ -773,7 +790,9 @@ class TestCertificates:
         # every key, int and string equal and every float within 1e-12
         # relative.  A view's parseval_gap and residual_energy are zero in
         # exact arithmetic, so their roundoff, which another numpy may round
-        # differently, is compared at the view's energy scale instead.
+        # differently, is compared at the view's energy scale instead.  The
+        # recorded amplitude_threshold is 1e-6 of the largest tone; a run
+        # today records the amplitude floor's.
         spec = SparseSpectrum.from_pairs(
             [(e["f"], complex(e["re"], e["im"])) for e in case["spectrum"]["entries"]],
             case["spectrum"]["grid_length"])
@@ -788,6 +807,9 @@ class TestCertificates:
         for g, w in zip(got["verification"]["views"], want["verification"]["views"]):
             for key in ("parseval_gap", "residual_energy"):
                 assert abs(g.pop(key) - w.pop(key)) <= scale * w["epsilon"], key
+        coeffs = result.spectrum.coefficients().tolist()
+        assert got.pop("amplitude_threshold") == NOISE_FLOOR_REL * max(abs(c) for c in coeffs)
+        assert want.pop("amplitude_threshold") == pytest.approx(1e-6 * max(abs(c) for c in coeffs))
         assert_json_agrees(got, want)
         for cert in (result.certificate, Certificate.from_json(case["certificate"])):
             assert verify_certificate(cert, synthesize(spec), cfg) == []
@@ -863,6 +885,52 @@ class TestCertificates:
         cert = Certificate(payload=payload)
         violations = verify_certificate(cert, src)
         assert any(v.startswith("amplitude-below-threshold") for v in violations)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [fast_certificate, fallback_certificate])
+    def test_magnitude_past_float64_parses_and_replays(self, make):
+        # re = im = 1.7e308 is well formed though |c| passes float64: such a
+        # tone clears any threshold, and replay answers with a list
+        text, src = make()
+        payload = json.loads(text)
+        payload["recovered"][0].update(re=1.7e308, im=1.7e308)
+        cert = Certificate.from_json(json.dumps(payload))
+        violations = verify_certificate(cert, src)
+        assert not any(v.startswith("amplitude-below-threshold") for v in violations)
+        if make is fast_certificate:  # the fresh view sees the changed tone
+            assert [v.split(":")[0] for v in violations] == [
+                "fresh-parseval-failed", "fresh-residual-failed"]
+        else:
+            assert violations == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from((2**10, 2**12, 2**14)), k=st.integers(1, 12),
+           log_r=st.floats(-14, 0), seed=st.integers(0, 2**32 - 1))
+    def test_weak_tone_certificates_replay_on_both_paths(self, n, k, log_r, seed):
+        # unit tones but one scaled by r: on the default path and on the
+        # forced fallback, every certificate replays as [], and the answer
+        # holds every tone of at least twice the floor of the peak its path
+        # reads, and no other tone.  The fallback's peak is the largest tone;
+        # peeling's is the largest view bin, which colliding tones can lift
+        # to a few times it.  Nearer the floor a tone may go either way.
+        cfg = Config(nominal_length=n)
+        plan = make_plan(n, k, config=cfg)
+        rng = np.random.default_rng(seed)
+        freqs = rng.choice(n, k, replace=False)
+        coeffs = np.exp(2j * np.pi * rng.random(k))
+        coeffs[0] *= 10.0 ** log_r
+        src = synthesize(SparseSpectrum.from_pairs(list(zip(freqs, coeffs)), plan.M))
+        largest = float(np.abs(coeffs).max())
+        view_peak = float(np.abs(build_views(src, plan.moduli).bins[0]).max())
+        for run_cfg, peak in ((cfg, max(largest, view_peak)),
+                              (replace(cfg, force_fallback=True), largest)):
+            result = sparse_fft(src, k, run_cfg)
+            assert verify_certificate(result.certificate, src) == []
+            got = dict(result.spectrum.entries)
+            assert set(got) <= set(freqs.tolist())
+            for f, c in zip(freqs.tolist(), coeffs.tolist()):
+                if abs(c) >= 2 * NOISE_FLOOR_REL * peak:
+                    assert abs(got[f] - c) <= NOISE_FLOOR_REL * largest, (f, c, result.path)
 
     def test_declared_n_range_check(self, rng):
         cfg = replace(TOY_CFG, nominal_length=40)
