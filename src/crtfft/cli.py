@@ -69,6 +69,14 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.replace(" ", "").split(",") if part != ""]
 
 
+def _parse_triple(text: str, command: str) -> ModTriple:
+    """The comma-separated moduli of `command` as a triple, or a CrtFftError."""
+    moduli = _parse_int_list(text)
+    if len(moduli) != 3:
+        raise CrtFftError(f"{command} needs exactly 3 moduli, got {len(moduli)}")
+    return ModTriple.create(*moduli)
+
+
 def _parse_tone_map(text: str) -> list[tuple[int, complex]]:
     """Parse '{7:1,41:1-2j}' into (frequency, coefficient) pairs."""
     body = text.strip()
@@ -147,17 +155,14 @@ def cmd_transform(args) -> int:
 
 
 def _gate_rows(args):
-    moduli = _parse_int_list(args.moduli)
-    if len(moduli) != 3:
-        raise CrtFftError("gate-table needs exactly 3 moduli")
-    triple = ModTriple.create(*moduli)
+    triple = _parse_triple(args.moduli, "gate-table")
     r1 = _parse_int_list(args.r1) if args.r1 else []
     r2 = _parse_int_list(args.r2) if args.r2 else []
     r3 = _parse_int_list(args.r3) if args.r3 else []
     table = gate_pairs(r1, r2, r3, triple)
     reference = None
     if args.diff_published and (
-        tuple(moduli), tuple(r1), tuple(r2), tuple(r3)
+        triple.moduli, tuple(r1), tuple(r2), tuple(r3)
     ) == _REFERENCE_INPUTS:
         reference = _REFERENCE_ROWS
     rows = []
@@ -198,7 +203,7 @@ def cmd_gate_table(args) -> int:
 
 
 def _mc_gate_survivors(args, writer):
-    triple = ModTriple.create(*_parse_int_list(args.moduli or "997,1009,1013"))
+    triple = _parse_triple(args.moduli or "997,1009,1013", "gate-survivors")
     stats = gate_survivor_stats(
         N=args.n or 10**6,
         k=args.k,
@@ -217,7 +222,7 @@ def _mc_gate_survivors(args, writer):
 
 
 def _mc_singleton_fraction(args, writer):
-    triple = ModTriple.create(*_parse_int_list(args.moduli or "997,1009,1013"))
+    triple = _parse_triple(args.moduli or "997,1009,1013", "singleton-fraction")
     m_min = min(triple.moduli)
     k = args.k if args.k is not None else max(1, round(args.load * m_min))
     lam = k / m_min
@@ -278,7 +283,7 @@ def _mc_verify_miss(args, writer):
 
 
 def _mc_peel_completion(args, writer):
-    triple = ModTriple.create(*_parse_int_list(args.moduli or "97,101,103"))
+    triple = _parse_triple(args.moduli or "97,101,103", "peel-completion")
     m_min = min(triple.moduli)
     k = args.k if args.k is not None else max(1, round(args.load * m_min))
     cfg = Config(nominal_length=triple.M, moduli_override=triple.moduli)
@@ -326,6 +331,8 @@ _MC_HEADERS = {
 def cmd_montecarlo(args) -> int:
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if args.k is None and args.experiment in ("gate-survivors", "verify-miss"):
         args.k = 10
     buf = io.StringIO()

@@ -3,13 +3,15 @@
 Every setting a caller can change lives in one frozen dataclass, so that
 the source, k and config pin the entire run (the seed is only recorded in
 the certificate).  The fixed numerical tolerances (`peeling.SINGLETON_TOL`,
-`verification.VERIFY_EPS_REL`) and the views' shift count
-(`planner.SHIFT_COUNT`) are constants of the modules that use them.  There
-is no verification count: a plan is its triple of moduli, and every run
-verifies on the three views it built.  Every field's type is checked at
-construction, the same way for a Config built in Python and one read by
+`verification.VERIFY_EPS_REL`), the views' shift count
+(`planner.SHIFT_COUNT`) and the largest grid the dense fallback reads
+(`pipeline.DENSE_BUDGET`) are constants of the modules that use them.
+There is no verification count: a plan is its triple of moduli, and every
+run verifies on the three views it built.  Every field's type is checked
+at construction, the same way for a Config built in Python and one read by
 `load_config`, which takes a JSON object with the same key names and
-rejects unknown keys, `t` and `verify_eps_rel` among them.
+rejects unknown keys, among them those of deleted fields such as `t` and
+`verify_eps_rel`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class Config:
     nominal_length: int | None = None   # planning length when it differs from the grid
 
     # control
-    dense_budget: int = 1 << 26         # largest grid the dense fallback materializes
     force_fallback: bool = False        # skip the fast path entirely
 
     def __post_init__(self):
@@ -38,8 +39,6 @@ class Config:
             object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if self.nominal_length is not None and self.nominal_length < 1:
             raise ValueError(f"nominal_length must be >= 1 when set, got {self.nominal_length}")
-        if self.dense_budget < 1:
-            raise ValueError(f"dense_budget must be >= 1, got {self.dense_budget}")
         if (self.moduli_override is not None and self.nominal_length is not None
                 and math.prod(self.moduli_override) < self.nominal_length):
             raise ValueError(

@@ -129,7 +129,9 @@ def trial_streams(
 
 
 def draw_support(rng: np.random.Generator, k: int, n: int) -> list[int]:
-    """k distinct frequencies below n, ascending."""
+    """k distinct frequencies below n, ascending; ValueError when k > n."""
+    if k > n:
+        raise ValueError(f"cannot draw {k} distinct frequencies below {n}")
     support = set()
     while len(support) < k:
         support.add(int(rng.integers(0, n)))

@@ -61,6 +61,7 @@ from .gating import extract_residues  # noqa: F401  looked up by the benchmark t
 from .views import build_view_from_spectrum  # noqa: F401  looked up by the benchmark tracer
 
 _FLOAT_MAX = sys.float_info.max
+DENSE_BUDGET = 1 << 26  # largest grid the dense fallback materializes
 _CRT_KEYS = ("r1", "r2", "r3", "u2", "u3")
 
 
@@ -106,16 +107,16 @@ class RecoveryResult:
         }
 
 
-def dense_fallback(
-    source: SignalSource, k: int, config: Config | None = None
-) -> tuple[SparseSpectrum, int]:
+def dense_fallback(source: SignalSource, k: int) -> tuple[SparseSpectrum, int]:
     """Exact dense transform of the grid, reduced to its top-k bins, and
     the number of bins selected.
 
-    The grid is read once into a buffer this call owns (`materialize`) and
-    transformed in place.  Selection runs on the raw transform's magnitudes:
-    magnitude descending, then frequency ascending.  Only the reported bins
-    are divided by M; the grid itself is never normalized.
+    A grid past `DENSE_BUDGET` raises OracleCapExceededError before any
+    sample is read.  The grid is read once into a buffer this call owns
+    (`materialize`) and transformed in place.  Selection runs on the raw
+    transform's magnitudes: magnitude descending, then frequency ascending.
+    Only the reported bins are divided by M; the grid itself is never
+    normalized.
     Bins at or below `NOISE_FLOOR_REL` of the peak are not reported, so
     asking for more tones than the signal holds returns only the occupied bins.
     A transform that overflows float64 (an infinite or NaN bin) raises
@@ -123,12 +124,9 @@ def dense_fallback(
     division by M underflows to 0 is not reported, but it counts as
     selected: the op model charges its division.
     """
-    cfg = config or Config()
     M = source.grid_length
-    if M > cfg.dense_budget:
-        raise OracleCapExceededError(
-            f"grid length {M} exceeds the dense budget {cfg.dense_budget}"
-        )
+    if M > DENSE_BUDGET:
+        raise OracleCapExceededError(f"grid length {M} exceeds the dense budget {DENSE_BUDGET}")
     spectrum = source.materialize()
     with np.errstate(over="ignore", invalid="ignore"):
         dft.dft_forward(spectrum, out=spectrum)
@@ -160,20 +158,22 @@ def sparse_fft(
 ) -> RecoveryResult:
     """Recover the k-sparse spectrum of `source` with a certificate.
 
-    The answer is on source.grid_length.  The fast path runs only when the
-    plan's modulus product equals that grid (synthesize on make_plan(...).M
-    to get it); any other grid takes the dense fallback on the source's own
-    grid, with reason "grid-mismatch" and no plan in the certificate.  A
-    nominal length below MIN_PLAN_LENGTH has no plan and falls back with
-    reason "too-short", and one with no plan under the int64 grid ceiling
-    with reason "grid-ceiling".  The seed is recorded in the certificate and
-    changes nothing else.
+    The answer is on source.grid_length.  The run plans on the nominal
+    length N: `config.nominal_length` when set, else the source's grid.  The
+    fast path runs only when the plan's modulus product equals the source's
+    grid (synthesize on make_plan(...).M to get it); any other grid takes
+    the dense fallback on the source's own grid, with reason
+    "grid-mismatch" and no plan in the certificate.  A nominal length below
+    MIN_PLAN_LENGTH has no plan and falls back with reason "too-short", and
+    one with no plan under the int64 grid ceiling with reason
+    "grid-ceiling".  The seed is recorded in the certificate and changes
+    nothing else.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     k = int(k)
     cfg = config or Config()
-    N = cfg.nominal_length or source.original_length
+    N = cfg.nominal_length or source.grid_length
 
     fallback_reason = None
     plan = None
@@ -222,7 +222,7 @@ def sparse_fft(
     if fallback_reason is None:
         result_spectrum, path = candidate, RecoveryPath.FAST
     else:
-        result_spectrum, selected = dense_fallback(source, k, cfg)
+        result_spectrum, selected = dense_fallback(source, k)
         fallback = (source.grid_length, selected)
         path = RecoveryPath.FALLBACK
 

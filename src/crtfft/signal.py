@@ -13,11 +13,12 @@ costs O(R*k + R*n log n): one comparison of the block's cyclic gaps finds
 the steps, then one scatter and one stacked, unnormalized inverse
 transform read all rows.  A tone sum past the float64 range reads as Inf
 or NaN without a numpy warning, and the transform that consumes the
-samples raises NonFiniteError.  `materialize` returns the whole grid in a
-fresh buffer that the caller owns and may overwrite (the dense fallback
-transforms it in place): for a synthesized source it is the one-row,
-step-1 case of that read, O(k + M log M); a dense source fills it with one
-copy of its samples, zero-extended when the caller padded the source.
+samples raises NonFiniteError.  A dense source holds its buffer on the
+buffer's own grid, so its length is its grid length.  `materialize`
+returns the whole grid in a fresh buffer that the caller owns and may
+overwrite (the dense fallback transforms it in place): for a synthesized
+source it is the one-row, step-1 case of that read, O(k + M log M); a
+dense source fills it with one copy of its samples.
 
 File formats (stable; `save_spectrum`/`load_spectrum`,
 `save_dense_binary`/`load_dense_binary` and `save_dense_csv`/`load_dense_csv`
@@ -134,8 +135,9 @@ class SparseSpectrum:
 class SignalSource:
     """Read-only sample oracle over a grid of `grid_length` points.
 
-    Subclasses implement `sample_block`, which takes an index array of any
-    shape and returns the samples in the same shape, and may override
+    A source is its `grid_length` and its `sample_block`, which takes an
+    index array of any shape and returns the samples in the same shape.
+    Subclasses set the one and implement the other, and may override
     `_read_grid`, which backs `materialize`, with a cheaper whole-grid read.
     Rereading the same block gives bit-identical values; the same index read
     inside different blocks agrees to roundoff.  Concurrent reads are safe
@@ -145,7 +147,6 @@ class SignalSource:
     """
 
     grid_length: int
-    original_length: int
 
     def sample(self, n: int) -> complex:
         return complex(self.sample_block(np.array([n], dtype=np.int64))[0])
@@ -174,7 +175,6 @@ class _SynthesizedSource(SignalSource):
     def __init__(self, spectrum: SparseSpectrum):
         self.spectrum = spectrum
         self.grid_length = spectrum.grid_length
-        self.original_length = spectrum.grid_length
 
     def sample_block(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
@@ -253,25 +253,16 @@ def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
 
 
 class _DenseSource(SignalSource):
-    def __init__(self, samples: np.ndarray, padded_length: int):
+    def __init__(self, samples: np.ndarray):
         self._samples = samples
-        self.grid_length = padded_length
-        self.original_length = samples.size
+        self.grid_length = samples.size
 
     def sample_block(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64) % self.grid_length
-        out = np.zeros(idx.shape, dtype=np.complex128)
-        inside = idx < self._samples.size
-        out[inside] = self._samples[idx[inside]]
-        return out
+        return self._samples[np.asarray(indices, dtype=np.int64) % self.grid_length]
 
     def _read_grid(self) -> np.ndarray:
-        """One slice copy of the samples, then zeros up to the grid."""
-        n = self._samples.size
-        out = np.empty(self.grid_length, dtype=np.complex128)
-        out[:n] = self._samples
-        out[n:] = 0
-        return out
+        """One copy of the samples."""
+        return self._samples.copy()
 
 
 def synthesize(spectrum: SparseSpectrum) -> SignalSource:
@@ -283,31 +274,23 @@ def synthesize(spectrum: SparseSpectrum) -> SignalSource:
     return _SynthesizedSource(spectrum)
 
 
-def from_dense(samples, padded_length: int | None = None) -> SignalSource:
-    """Wrap a dense buffer on its own length-N grid, or zero-extended to
-    `padded_length` when the caller asks for a longer grid.
+def from_dense(samples, grid_length: int | None = None) -> SignalSource:
+    """Wrap a dense buffer on its own length-N grid.
 
-    Recovery answers on the source's grid, so only a caller-padded source is
-    ever read on a grid longer than N.  A `padded_length` that is not a
-    Python or numpy integer (a bool, a float, a string) raises OutOfRangeError,
-    and one past int64 OracleCapExceededError, as `SparseSpectrum.from_pairs`
-    refuses that grid.
+    Recovery answers on the source's grid, which is N.  A `grid_length`
+    given beside the buffer (a replay passes the certificate's grid) must
+    be an integer (Python or numpy, not a bool) equal to N; any other value
+    raises OutOfRangeError.
     """
     arr = np.ascontiguousarray(samples, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D sample buffer")
     if not np.isfinite(arr.view(np.float64)).all():
         raise NonFiniteError("dense input contains NaN or Inf samples")
-    if padded_length is None:
-        padded_length = arr.size
-    if not _is_integer(padded_length):
-        raise OutOfRangeError(f"padded length must be an integer, got {padded_length!r}")
-    if padded_length > _INT64_MAX:
-        raise OracleCapExceededError(
-            f"grid length {padded_length} above supported maximum {_INT64_MAX}")
-    if padded_length < arr.size:
-        raise ValueError(f"padded length {padded_length} below signal length {arr.size}")
-    return _DenseSource(arr, int(padded_length))
+    if grid_length is not None and not (_is_integer(grid_length) and grid_length == arr.size):
+        raise OutOfRangeError(
+            f"grid length {grid_length!r} is not the buffer's length {arr.size}")
+    return _DenseSource(arr)
 
 
 def save_spectrum(spectrum: SparseSpectrum, path) -> None:

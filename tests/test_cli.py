@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crtfft
 from crtfft.cli import main
 from crtfft.signal import (
     SparseSpectrum,
@@ -185,6 +190,39 @@ def test_montecarlo_rejects_k_below_one(capsys, experiment):
     code, out, err = run(capsys, "montecarlo", "--experiment", experiment, "--trials", "1",
                          "--k", "0")
     assert code == 1 and out == "" and err.startswith("error: --k must be >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("peel-completion", "--moduli", "2,3,5", "--k", "40"),
+    ("singleton-fraction", "--moduli", "2,3,5", "--k", "40"),
+    ("gate-survivors", "--moduli", "7,11,13", "--k", "5", "--alpha", "1", "--n", "3"),
+], ids=["peel-completion", "singleton-fraction", "gate-survivors"])
+def test_montecarlo_k_past_its_range_exits_1(argv):
+    # k distinct frequencies cannot be drawn below n < k; a draw that never
+    # ends would stall the suite, so the command runs in a child process
+    env = {**os.environ, "PYTHONPATH": str(Path(crtfft.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "crtfft.cli", "montecarlo", "--experiment", *argv,
+         "--trials", "2"], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: cannot draw")
+
+
+@pytest.mark.parametrize("experiment", ["gate-survivors", "singleton-fraction",
+                                        "peel-completion"])
+@pytest.mark.parametrize("moduli", ["7,11", "7,11,13,17"])
+def test_montecarlo_needs_three_moduli(capsys, experiment, moduli):
+    code, out, err = run(capsys, "montecarlo", "--experiment", experiment, "--trials", "1",
+                         "--moduli", moduli)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {experiment} needs exactly 3 moduli")
+
+
+def test_montecarlo_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "montecarlo", "--experiment", "verify-miss", "--trials", "-1")
+    assert code == 1 and out == "" and err.startswith("error: --trials must be >= 0")
+    code, out, _ = run(capsys, "montecarlo", "--experiment", "verify-miss", "--trials", "0")
+    assert code == 0 and out.count("\n") == 1 and out.startswith("experiment,")
 
 
 def test_verify_cert_replays_transform_certificate(capsys, tmp_path):

@@ -16,7 +16,6 @@ from conftest import mutate_one_value, random_spectrum
 VALID = {
     "moduli_override": [7, 11, 13],
     "nominal_length": 1001,
-    "dense_budget": 1 << 20,
     "force_fallback": True,
 }
 
@@ -31,14 +30,16 @@ def test_valid_file_loads(tmp_path):
     cfg = load_config(write(tmp_path, VALID))
     assert cfg.moduli_override == (7, 11, 13)
     assert cfg.force_fallback is True and cfg.nominal_length == 1001
-    assert len(dataclasses.fields(Config)) == 4
+    assert len(dataclasses.fields(Config)) == 3
 
 
 @pytest.mark.parametrize("key, value", [
-    ("shift_count", 3), ("identity_hash", False), ("t", 3), ("verify_eps_rel", 1e-6)])
+    ("shift_count", 3), ("identity_hash", False), ("t", 3), ("verify_eps_rel", 1e-6),
+    ("dense_budget", 1 << 20)])
 def test_removed_option_is_refused_by_name(tmp_path, key, value):
     # every plan reads three shifts of plain views and verifies on all three,
-    # at the tolerance verification.VERIFY_EPS_REL: none of these is an option
+    # at the tolerance verification.VERIFY_EPS_REL, and the fallback reads at
+    # most pipeline.DENSE_BUDGET samples: none of these is an option
     with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
         load_config(write(tmp_path, {**VALID, key: value}))
     with pytest.raises(TypeError):
@@ -73,6 +74,7 @@ def test_removed_option_is_refused_by_name(tmp_path, key, value):
         {"gate_trail": True},
         {"nominal_length": 0},
         {"nominal_length": -5},
+        # dense_budget is no longer a field either: refused whatever the value
         {"dense_budget": 0},
         {"dense_budget": -1},
         {"alpha": float("nan")},
@@ -98,20 +100,18 @@ def test_malformed_value_is_parse_error(tmp_path, change):
         load_config(write(tmp_path, {**VALID, **change}))
 
 
-@pytest.mark.parametrize(
-    "change", [{"nominal_length": 0}, {"nominal_length": -5}, {"dense_budget": 0}]
-)
+@pytest.mark.parametrize("change", [{"nominal_length": 0}, {"nominal_length": -5}])
 def test_nonsensical_length_is_rejected(change):
     with pytest.raises(ValueError):
         Config(**change)
 
 
 # One rule for Config(...) and load_config: each of these fails at construction.
-# t is no longer a field, so Config refuses it as an unknown keyword whatever
-# its value; the other entries are refused as bad values.
+# t and dense_budget are no longer fields, so Config refuses them as unknown
+# keywords whatever their values; the other entries are refused as bad values.
 REJECTED = {
     "fractional-t": ({"t": 2.5}, TypeError),
-    "float-dense-budget": ({"dense_budget": 1024.0}, ValueError),
+    "float-dense-budget": ({"dense_budget": 1024.0}, TypeError),
     "fractional-nominal-length": ({"nominal_length": 1000.5}, ValueError),
     "bool-t": ({"t": True}, TypeError),
     "t-above-three": ({"t": 4}, TypeError),
@@ -133,13 +133,10 @@ def test_rejected_by_config_and_load_config(tmp_path, change, error):
 
 
 def test_numpy_and_builtin_numbers_become_plain_values():
-    cfg = Config(nominal_length=np.int32(1001), dense_budget=np.int64(4096),
-                 moduli_override=[np.int64(13), 7, 11])
-    assert (cfg.nominal_length, cfg.dense_budget) == (1001, 4096)
-    assert type(cfg.nominal_length) is int and type(cfg.dense_budget) is int
+    cfg = Config(nominal_length=np.int32(1001), moduli_override=[np.int64(13), 7, 11])
+    assert cfg.nominal_length == 1001 and type(cfg.nominal_length) is int
     assert cfg.moduli_override == (13, 7, 11) and all(type(m) is int for m in cfg.moduli_override)
-    assert hash(cfg) == hash(Config(nominal_length=1001, dense_budget=4096,
-                                    moduli_override=(13, 7, 11)))
+    assert hash(cfg) == hash(Config(nominal_length=1001, moduli_override=(13, 7, 11)))
 
 
 def test_numpy_nominal_length_gives_a_json_certificate(rng):

@@ -15,6 +15,7 @@ from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, P
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
 from crtfft import pipeline
 from crtfft.pipeline import (
+    DENSE_BUDGET,
     Certificate,
     RecoveryPath,
     dense_fallback,
@@ -37,6 +38,16 @@ TOY_CFG = Config(moduli_override=(7, 11, 13), nominal_length=64)
 # stored their views and a verification count t (3 by default).
 PARENT_CASES = json.loads(
     (Path(__file__).parent / "fixtures" / "parent_certificates.json").read_text())
+
+
+class Unreadable(SignalSource):
+    """A source on `grid_length` points that fails the test on any read."""
+
+    def __init__(self, grid_length):
+        self.grid_length = grid_length
+
+    def sample_block(self, indices):
+        pytest.fail("a sample was read")
 
 
 def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
@@ -200,7 +211,7 @@ class TestSparseFft:
         class CountingSource(SignalSource):
             def __init__(self, inner):
                 self.inner, self.rows = inner, []
-                self.grid_length, self.original_length = inner.grid_length, inner.original_length
+                self.grid_length = inner.grid_length
 
             def sample_block(self, indices):
                 self.rows += [tuple(row) for row in np.reshape(indices, (-1, indices.shape[-1]))]
@@ -261,7 +272,7 @@ class TestSparseFft:
         src = synthesize(spec)
         result = sparse_fft(src, 4, cfg, seed=4)
         assert result.path is RecoveryPath.FALLBACK
-        dense, _ = dense_fallback(src, 4, cfg)
+        dense, _ = dense_fallback(src, 4)
         assert result.spectrum.entries == dense.entries
 
     def test_corrupted_candidate_forces_exact_fallback(self, rng, monkeypatch):
@@ -336,18 +347,12 @@ class TestSparseFft:
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True, -1])
     def test_k_that_is_not_a_count_is_rejected_before_any_read(self, monkeypatch, k):
-        class Unread(SignalSource):
-            grid_length = original_length = 1001
-
-            def sample_block(self, indices):
-                raise AssertionError("read a sample")
-
         def no_plan(*args, **kwargs):
             raise AssertionError("made a plan")
 
         monkeypatch.setattr(pipeline, "make_plan", no_plan)
         with pytest.raises(ValueError, match="k must be an integer >= 0"):
-            sparse_fft(Unread(), k, TOY_CFG, seed=1)
+            sparse_fft(Unreadable(1001), k, TOY_CFG, seed=1)
 
     def test_numpy_integer_k(self, rng):
         spec, src = toy_instance()
@@ -474,15 +479,9 @@ class TestSparseFft:
         assert verify_certificate(result.certificate, src) == []
 
     def test_grid_mismatch_above_budget_reads_no_sample(self):
-        class Unreadable(SignalSource):
-            grid_length = Config().dense_budget + 1
-            original_length = 4096
-
-            def sample_block(self, indices):
-                pytest.fail("sample_block called on a grid above the dense budget")
-
-        with pytest.raises(OracleCapExceededError):
-            sparse_fft(Unreadable(), 4, Config(), seed=0)
+        # planned on N = 4096, whose plan grid is not the source's
+        with pytest.raises(OracleCapExceededError, match="dense budget"):
+            sparse_fft(Unreadable(DENSE_BUDGET + 1), 4, Config(nominal_length=4096), seed=0)
 
     def test_dense_regime_falls_back(self, rng):
         spec = random_spectrum(rng, 6, 100)
@@ -511,7 +510,7 @@ class TestSparseFft:
         assert result.spectrum.grid_length == n
         assert spectra_close(result.spectrum, spec)
 
-    def test_index_guard_is_typed(self, monkeypatch):
+    def test_index_guard_is_typed(self):
         # pinned moduli whose grid M ~ 1.4e10 is past exact int64 view indices
         # have no plan; the fallback on that grid is past the dense budget and
         # is refused before any sample is read
@@ -521,11 +520,8 @@ class TestSparseFft:
         assert M > _MAX_GRID
         with pytest.raises(OracleCapExceededError, match="grid ceiling"):
             make_plan(2**22, 64, config=cfg)
-        src = from_dense(np.ones(16), M)
-        for name in ("sample_block", "materialize"):
-            monkeypatch.setattr(src, name, lambda *_: pytest.fail("a sample was read"))
         with pytest.raises(OracleCapExceededError, match="dense budget"):
-            sparse_fft(src, 64, cfg, seed=0)
+            sparse_fft(Unreadable(M), 64, cfg, seed=0)
 
     def test_pinned_moduli_past_the_grid_ceiling_fall_back(self, rng):
         # the pinned plan is refused like an unpinned one past the ceiling:
@@ -554,10 +550,9 @@ class TestDenseFallback:
         dense, _ = dense_fallback(src, 2)
         assert [f for f, _ in dense.entries] == [7, 41]
 
-    def test_budget_respected(self, rng):
-        spec = random_spectrum(rng, 2, 1001)
-        with pytest.raises(OracleCapExceededError):
-            dense_fallback(synthesize(spec), 2, Config(dense_budget=100))
+    def test_budget_respected(self):
+        with pytest.raises(OracleCapExceededError, match="dense budget"):
+            dense_fallback(Unreadable(DENSE_BUDGET + 1), 2)
 
     def test_tie_break_ascending_frequency(self):
         spec = SparseSpectrum.from_pairs([(3, 1.0), (900, 1.0), (41, 2.0)], 1001)
@@ -581,7 +576,7 @@ class TestDenseFallback:
         kept = grid.copy()
 
         class Indexed(SignalSource):
-            grid_length = original_length = grid.size
+            grid_length = grid.size
 
             def sample_block(self, indices):
                 return grid[np.asarray(indices, dtype=np.int64) % grid.size]

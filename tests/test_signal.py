@@ -383,19 +383,26 @@ class TestBlockShapes:
             spec = random_spectrum(rng, 4 if M == 16 else 50, M)
             src, tol = synthesize(spec), TestProgressionRead.TOL * np.abs(spec.coefficients()).sum()
         else:
-            # dense reads are exact; most of the view stack falls in the zero padding
-            head = min(M, 1 << 12)
-            src, tol = from_dense(rng.normal(size=head) + 1j * rng.normal(size=head), M), 0.0
+            # dense reads are exact; the view stack's indices wrap the buffer
+            n = min(M, 1 << 12)
+            src, tol = from_dense(rng.normal(size=n) + 1j * rng.normal(size=n)), 0.0
         got = src.sample_block(idx)
         assert got.shape == idx.shape
         assert np.abs(got - per_index(src, idx)).max() <= tol
 
 
 class TestFromDense:
+    """A dense source holds its buffer on the buffer's own grid: a grid
+    length given beside the buffer must be an integer equal to its length."""
+
     def test_zero_padding(self):
-        src = from_dense(np.array([1, 2, 3, 4], dtype=complex), 6)
-        assert src.sample(3) == 4 and src.sample(5) == 0
-        assert src.original_length == 4 and src.grid_length == 6
+        # nothing is padded or cut: a grid other than the buffer's length is refused
+        x = np.array([1, 2, 3, 4], dtype=complex)
+        for grid in (3, 5, 6):
+            with pytest.raises(OutOfRangeError, match=f"{grid} is not the buffer's length 4"):
+                from_dense(x, grid)
+        src = from_dense(x, 4)
+        assert src.grid_length == 4 and src.sample(5) == 2
 
     def test_identity_wrapper(self, rng):
         x = rng.normal(size=5) + 0j
@@ -403,60 +410,57 @@ class TestFromDense:
         assert np.allclose(src.materialize(), x)
 
     def test_padding_consistency_with_synthesize(self, rng):
-        # a 64-sample synthesis padded to 1001 equals the truncated samples
+        # a dense copy of a synthesized grid reads what the synthesized
+        # source reads, and cannot be padded past that grid
         spec = random_spectrum(rng, 2, 1001, fmax=64)
         src = synthesize(spec)
-        head = src.sample_block(np.arange(64, dtype=np.int64))
-        padded = from_dense(head, 1001)
-        assert np.allclose(
-            padded.sample_block(np.arange(64, dtype=np.int64)), head
-        )
-        assert padded.sample(999) == 0
+        dense = from_dense(src.materialize())
+        idx = rng.integers(0, 3000, size=(4, 5))
+        assert np.allclose(dense.sample_block(idx), src.sample_block(idx), rtol=0, atol=1e-12)
+        with pytest.raises(OutOfRangeError):
+            from_dense(src.sample_block(np.arange(64, dtype=np.int64)), 1001)
 
     @pytest.mark.parametrize("padded", [10.7, np.float64(9.5), 10.0, "10", True, 10 + 0j],
                              ids=["float", "numpy-float", "integral-float", "string", "bool",
                                   "complex"])
     def test_non_integer_padded_length_is_refused(self, padded):
-        # a float was truncated (10.7 gave a 10-point grid) and a string
-        # raised a raw TypeError
-        with pytest.raises(OutOfRangeError, match="padded length must be an integer"):
-            from_dense(np.ones(8), padded)
+        # a non-integer is refused even where it equals the length (10.0, 10+0j)
+        with pytest.raises(OutOfRangeError, match="is not the buffer's length 10"):
+            from_dense(np.ones(10), padded)
 
     @pytest.mark.parametrize("padded", [2**63, np.uint64(2**63), 2**64])
     def test_padded_length_past_int64_is_refused(self, padded):
-        # such a source was built, and its first read raised a raw OverflowError
-        with pytest.raises(OracleCapExceededError, match="above supported maximum"):
+        with pytest.raises(OutOfRangeError, match="is not the buffer's length 8"):
             from_dense(np.ones(8), padded)
-        assert from_dense(np.ones(8), 2**63 - 1).grid_length == 2**63 - 1
 
     def test_numpy_integer_padded_length(self):
-        src = from_dense(np.ones(8), np.int64(10))
-        assert src.grid_length == 10 and type(src.grid_length) is int
+        src = from_dense(np.ones(8), np.int64(8))
+        assert src.grid_length == 8 and type(src.grid_length) is int
 
 
 class TestMaterialize:
     """materialize() hands out a fresh grid buffer the caller may overwrite;
     the dense fallback transforms it in place."""
 
-    @pytest.mark.parametrize("kind", ["dense", "padded-dense", "synthesize"])
+    @pytest.mark.parametrize("kind", ["dense", "synthesize"])
     def test_overwriting_the_buffer_leaves_the_source(self, rng, kind):
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         if kind == "synthesize":
             src = synthesize(random_spectrum(rng, 4, 100))
         else:
-            src = from_dense(x, 100 if kind == "padded-dense" else None)
+            src = from_dense(x)
         idx = np.arange(src.grid_length, dtype=np.int64)
         before = src.sample_block(idx)
         src.materialize()[:] = 7
         assert (src.sample_block(idx) == before).all()
 
-    @pytest.mark.parametrize("padded", [None, 100])
-    def test_dense_grid_equals_index_reads(self, rng, padded):
-        x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        src = from_dense(x, padded)
-        grid = src.materialize()
-        assert grid.shape == (src.grid_length,)
-        assert (grid == src.sample_block(np.arange(src.grid_length, dtype=np.int64))).all()
+    @pytest.mark.parametrize("grid", [None, 100])
+    def test_dense_grid_equals_index_reads(self, rng, grid):
+        x = rng.normal(size=100) + 1j * rng.normal(size=100)
+        src = from_dense(x, grid)
+        got = src.materialize()
+        assert got.shape == (100,) and (got == x).all()
+        assert (got == src.sample_block(np.arange(src.grid_length, dtype=np.int64))).all()
 
 
 class TestSpectrumFiles:
