@@ -4,9 +4,10 @@ Subcommands: transform (run a recovery), gate-table (reference 2-of-3 gate
 over explicit residue sets), montecarlo (statistical experiments as CSV),
 verify-cert (replay a certificate).  The montecarlo experiments verify-miss
 and peel-completion measure the shipped pipeline: verify-miss checks a
-corrupted candidate on the three views of the plan's triple and reads each
-view's verdict from `verify`, and the paper's one-shift bin-wise test's
-from `check_views` on each view's shift-0 row; peel-completion runs
+corrupted candidate on the three views of the plan's triple or of
+`--moduli`, smallest modulus m_v first, and reads each view's verdict from
+`verify`, and the paper's one-shift bin-wise test's from `check_views` on
+each view's shift-0 row; peel-completion runs
 `sparse_fft` and counts the trials that take the fast path (peeling
 completed and all three views confirmed) with the exact answer.
 Exit codes: 0 success / fast path, 2 correct-but-fallback recovery, 1 usage
@@ -250,10 +251,16 @@ def _mc_singleton_fraction(args, writer):
 
 
 def _mc_verify_miss(args, writer):
-    cfg = Config(nominal_length=args.n or 10**6)
-    N = cfg.nominal_length
-    plan = make_plan(N, args.k, config=cfg)
-    m_v = plan.m1
+    if args.moduli:
+        plan = _parse_triple(args.moduli, "verify-miss")
+        N = args.n or plan.M
+    else:
+        N = args.n or 10**6
+        plan = make_plan(N, args.k)
+    if not args.k < N <= plan.M:  # k tones and a wrong one are drawn below N
+        raise ValueError(f"--n {N} must be above --k {args.k} and at most the grid {plan.M}")
+    moduli = sorted(plan.moduli)  # view 0 is the smallest, m_v
+    m_v = moduli[0]
     # view-0 and all-view slips of the full test, then of the one-shift test
     slips = [0, 0, 0, 0]
     for _, rng in trial_streams(args.seed, "verify-miss", args.trials):
@@ -268,7 +275,7 @@ def _mc_verify_miss(args, writer):
                 break
         swapped = freqs[:victim] + [wrong] + freqs[victim + 1 :]
         corrupted = SparseSpectrum.from_pairs(zip(swapped, coeffs), plan.M)
-        built = build_views(synthesize(truth), plan.moduli)
+        built = build_views(synthesize(truth), moduli)
         full = verify(built, corrupted).views
         shift0 = check_views(replace(built, bins=built.bins[:1]), corrupted)
         for j, checks in enumerate((full, shift0)):
@@ -333,6 +340,11 @@ def cmd_montecarlo(args) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    for flag, value in (("--alpha", args.alpha), ("--load", args.load)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
     if args.k is None and args.experiment in ("gate-survivors", "verify-miss"):
         args.k = 10
     buf = io.StringIO()

@@ -10,9 +10,9 @@ its own bin, f mod m, is discarded, so masquerading multi-bins fail closed.
 
 `PeelState.create` copies the bins of the (3, m1+m2+m3) `views.ViewStack`
 once and peels that copy; the stack it was given is left as built, for
-verification.  The stack's column table (view, m and bin for every column,
-so detection looks its candidates up with one fancy index) depends only on
-the moduli, and is built once per plan and cached read-only.
+verification.  Detection looks its candidates' view, m and bin up with one
+fancy index into the stack's column table, `views.stack_columns`, the
+cached table `build_views` normalizes the stack with.
 A round is a fixed number of array operations whatever k is: detection
 tests every column of the stack at once, with both adjacent-shift ratios
 from one division, and returns its readings as one
@@ -33,13 +33,12 @@ or the round cap is hit (Stagnated).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .views import NOISE_FLOOR_REL, ViewStack, alias_stack, build_view, stack_layout
+from .views import NOISE_FLOOR_REL, ViewStack, alias_stack, build_view, stack_columns
 
 # Relative agreement a singleton's shift magnitudes and phase ratios must meet.
 SINGLETON_TOL = 1e-6
@@ -78,19 +77,6 @@ class SingletonReading:
                                 self.coeff[rows], self.shift_ratio_error[rows])
 
 
-@functools.lru_cache(maxsize=64)
-def _column_table(moduli: tuple[int, ...]) -> np.ndarray:
-    """The read-only (3, sum of m) table of a stack of views on `moduli`:
-    each column's view, m and bin."""
-    layout = stack_layout(moduli)
-    # each view's (index, m, first column) repeated over its m columns,
-    # then each column's offset from its view's first: its bin
-    columns = np.repeat(np.vstack((np.arange(len(moduli)), layout)), layout[0], axis=1)
-    columns[2] = np.arange(columns.shape[1]) - columns[2]
-    columns.setflags(write=False)
-    return columns
-
-
 @dataclass
 class PeelState:
     """Mutable peeling workspace: a copy of the views' stacked bins plus the
@@ -98,7 +84,7 @@ class PeelState:
 
     `stack` holds the views' bins side by side; `layout` is its
     `views.stack_layout` (view i's bins are columns first to first + m of
-    it), and `columns` the same per column: rows view, m and bin.  The
+    it), and `columns` its `views.stack_columns`: rows view, m and bin.  The
     ledger `freqs`, `coeffs` holds every accepted reading in order, and
     `round` counts the rounds peeled into it.
     """
@@ -117,7 +103,7 @@ class PeelState:
         """Peel a copy of the stack's bins; the stack passed in is not modified."""
         stack = views.bins.copy()
         peak = float(np.abs(stack[0]).max(initial=0.0))
-        return cls(views.M, stack, views.layout, _column_table(views.moduli),
+        return cls(views.M, stack, views.layout, stack_columns(views.moduli),
                    noise_floor=NOISE_FLOOR_REL * peak)
 
     def max_bin_magnitude(self) -> float:

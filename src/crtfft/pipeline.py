@@ -337,7 +337,7 @@ class ReplayFields:
     spectrum: SparseSpectrum | None  # the answer, built only when a view is replayed
     violations: list[str]  # the claims that fail without reading the signal
     plan_grid: int | None
-    fresh_view: tuple[int, int] | None  # (m, shifts) of the view replay rebuilds on plan_grid
+    fresh_view: int | None  # the modulus of the view replay rebuilds on plan_grid
 
 
 def parse_certificate(payload) -> ReplayFields:
@@ -355,7 +355,7 @@ def parse_certificate(payload) -> ReplayFields:
                            gamma23: ints, verify_views: null or list}
       plan.verify_views[j] m: int >= 1 dividing plan.m; sigma: int in
                            [1, plan.m), coprime to plan.m; b: int in [0, m);
-                           shifts: 2 or 3 (runs now read 3)
+                           shifts: 2 or 3 (runs record 3)
 
     The `verification` record (null where a figure passed float64) is not
     read: replay rechecks a view itself.  Runs record amplitude_threshold as
@@ -363,11 +363,12 @@ def parse_certificate(payload) -> ReplayFields:
 
     Runs record the three views of their triple as both id_views and
     verify_views, each with sigma = 1 and b = 0; older runs recorded a keyed
-    (sigma, b) and could record two shifts.
-    Both are range-checked and ignored on replay, which rebuilds the first
-    verification view on its m and shifts: a keyed view read the same
-    samples {j*plan.m/m + s} and held the same bins relabeled, so its energy
-    gap and residual are the plain view's up to roundoff.
+    (sigma, b) and could record two shifts.  Replay range-checks and ignores
+    both, and rebuilds the first verification view on its m at
+    `planner.SHIFT_COUNT` shifts: a keyed view read the same samples
+    {j*plan.m/m + s} and held the same bins relabeled, so its energy gap and
+    residual are the plain view's up to roundoff, and a two-shift residual
+    sums only the first two of those three rows, so replay is no weaker.
 
     A field that breaks its rule raises ParseError naming its path.  A
     well-formed claim that fails is a violation, in this order:
@@ -407,7 +408,7 @@ def parse_certificate(payload) -> ReplayFields:
                      and math.gcd(sigma, plan_grid) == 1, where + ".sigma")
             _require(type(b) is int and 0 <= b < m, where + ".b")
             _require(type(shifts) is int and shifts in (2, 3), where + ".shifts")
-            fresh_view = fresh_view or (m, shifts)
+            fresh_view = fresh_view or m
         try:
             triple = ModTriple.create(*moduli)
         except (ValueError, NotCoprimeError) as exc:
@@ -511,8 +512,7 @@ def verify_certificate(
                           f"!= certificate grid {fields.grid_length}")
     violations += fields.violations
     if fields.fresh_view is not None and source.grid_length == fields.plan_grid:
-        m, shifts = fields.fresh_view
-        check = check_view(build_view(source, m, shifts=shifts), fields.spectrum)
+        check = check_view(build_view(source, fields.fresh_view), fields.spectrum)
         if check.parseval_gap > check.epsilon:
             violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
         if check.residual_energy > check.epsilon:

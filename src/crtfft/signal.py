@@ -8,17 +8,18 @@ O(m1 + m2 + m3) indices, so nothing is materialized unless the dense
 fallback runs.  An index block may have any shape and its values come back
 in that shape.  A synthesized source reads n arbitrary indices in O(k*n)
 arithmetic; a stack of R rows that are each a full cyclic progression mod
-M, every row with its own step (the shifts of a view are such a stack),
-costs O(R*k + R*n log n): one comparison of the block's cyclic gaps finds
-the steps, then one scatter and one stacked, unnormalized inverse
-transform read all rows.  A tone sum past the float64 range reads as Inf
-or NaN without a numpy warning, and the transform that consumes the
-samples raises NonFiniteError.  A dense source holds its buffer on the
-buffer's own grid, so its length is its grid length.  `materialize`
-returns the whole grid in a fresh buffer that the caller owns and may
-overwrite (the dense fallback transforms it in place): for a synthesized
-source it is the one-row, step-1 case of that read, O(k + M log M); a
-dense source fills it with one copy of its samples.
+M with one common step (the shifts of a view are such a stack) costs
+O(R*k + R*n log n): one comparison of the block's cyclic gaps finds the
+step, then one scatter and one stacked, unnormalized inverse transform
+read all rows; rows of differing steps take the O(k*n) sum.  A tone sum
+past the float64 range reads as Inf or NaN without a numpy warning, and
+the transform that consumes the samples raises NonFiniteError.  A dense
+source reads the caller's buffer, uncopied, on the buffer's own grid, so
+its length is its grid length.  `materialize` returns the whole grid in a
+fresh buffer that the caller owns and may overwrite (the dense fallback
+transforms it in place): for a synthesized source it is the one-row,
+step-1 case of that read, O(k + M log M); a dense source fills it with one
+copy of its samples.
 
 File formats (stable; `save_spectrum`/`load_spectrum`,
 `save_dense_binary`/`load_dense_binary` and `save_dense_csv`/`load_dense_csv`
@@ -139,9 +140,10 @@ class SignalSource:
     index array of any shape and returns the samples in the same shape.
     Subclasses set the one and implement the other, and may override
     `_read_grid`, which backs `materialize`, with a cheaper whole-grid read.
-    Rereading the same block gives bit-identical values; the same index read
-    inside different blocks agrees to roundoff.  Concurrent reads are safe
-    (no mutable state).  A subclass that overrides `materialize` itself must
+    Rereading the same block gives bit-identical values (for a dense
+    source, while the caller leaves its buffer unwritten); the same index
+    read inside different blocks agrees to roundoff.  Concurrent reads are
+    safe (no mutable state).  A subclass that overrides `materialize` itself must
     still return a buffer the caller owns: the dense fallback transforms it
     in place.
     """
@@ -180,10 +182,10 @@ class _SynthesizedSource(SignalSource):
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
         if len(self.spectrum) == 0:
             return np.zeros(idx.shape, dtype=np.complex128)
-        steps = _progression_step(idx, self.grid_length)
-        if steps is not None:
+        step = _progression_step(idx, self.grid_length)
+        if step is not None:
             rows = idx.reshape(-1, idx.shape[-1])
-            return self._aliased_read(rows[:, 0], steps, rows.shape[1]).reshape(idx.shape)
+            return self._aliased_read(rows[:, 0], step, rows.shape[1]).reshape(idx.shape)
         flat = idx.ravel()
         out = np.empty(flat.shape, dtype=np.complex128)
         # Chunk so the (k, block) phase matrix stays small; reduce f*n mod M
@@ -198,15 +200,14 @@ class _SynthesizedSource(SignalSource):
 
     def _read_grid(self) -> np.ndarray:
         """All grid samples as one length-M inverse transform of the tones."""
-        starts, steps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-        return self._aliased_read(starts, steps, self.grid_length)[0]
+        return self._aliased_read(np.zeros(1, dtype=np.int64), 1, self.grid_length)[0]
 
-    def _aliased_read(self, starts: np.ndarray, steps: np.ndarray, n: int) -> np.ndarray:
-        """x[(starts[r] + j*steps[r]) mod M] for every row r and j < n, given
-        n*steps[r] == 0 (mod M).
+    def _aliased_read(self, starts: np.ndarray, step: int, n: int) -> np.ndarray:
+        """x[(starts[r] + j*step) mod M] for every row r and j < n, given
+        n*step == 0 (mod M).
 
-        In row r, q = n*steps[r]/M is an integer, and tone f advances by
-        (f*steps[r] mod M)/M = (f*q mod n)/n turns per sample; so each row is
+        q = n*step/M is an integer, and tone f advances by
+        (f*step mod M)/M = (f*q mod n)/n turns per sample; so each row is
         the n-point unnormalized inverse DFT of the tones scattered into bins
         f*q mod n, each twisted by its phase at that row's start.  All rows
         are scattered into one flat buffer at once.  Products stay below
@@ -216,9 +217,7 @@ class _SynthesizedSource(SignalSource):
         """
         M, rows = self.grid_length, starts.size
         freqs, coeffs = self.spectrum.freqs, self.spectrum.coeffs
-        bins = np.multiply.outer(steps * n // M, freqs)
-        bins %= n
-        bins += np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+        bins = (step * n // M) * freqs % n + np.arange(0, rows * n, n, dtype=np.int64)[:, None]
         twists = np.exp((2j * np.pi / M) * (np.multiply.outer(starts, freqs) % M))
         scattered = np.zeros(rows * n, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -226,16 +225,15 @@ class _SynthesizedSource(SignalSource):
             return dft.dft_inverse_sum(scattered.reshape(rows, n))
 
 
-def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
-    """The per-row steps of a block whose rows each wrap the grid a whole
-    number of times.
+def _progression_step(idx: np.ndarray, M: int) -> int | None:
+    """The one step of a block whose rows all wrap the grid with it.
 
     `idx` is one row (1-D) or a stack of rows (2-D) of n >= 2 indices in
-    [0, M).  Returns the steps, one per row, when every row satisfies
-    row[j] == (row[0] + j*step) mod M and n*step == 0 (mod M) with its own
-    step; otherwise None.  Both hold exactly when every cyclic gap of the
-    row, row[0] - row[n-1] included, is its first gap mod M, so the block
-    is tested with one comparison of its gaps.
+    [0, M).  Returns the step when every row satisfies
+    row[j] == (row[0] + j*step) mod M and n*step == 0 (mod M) with the same
+    step; otherwise None.  Both hold exactly when every cyclic gap of every
+    row, row[0] - row[n-1] included, is the block's first gap mod M, so the
+    block is tested with one comparison of its gaps.
     """
     if idx.ndim not in (1, 2) or idx.size == 0:
         return None
@@ -246,10 +244,10 @@ def _progression_step(idx: np.ndarray, M: int) -> np.ndarray | None:
     np.subtract(rows[:, 1:], rows[:, :-1], out=gaps[:, :-1])
     np.subtract(rows[:, 0], rows[:, -1], out=gaps[:, -1])
     gaps %= M
-    steps = gaps[:, 0]
-    if np.count_nonzero(gaps != steps[:, None]):
+    step = int(gaps[0, 0])
+    if np.count_nonzero(gaps != step):
         return None
-    return steps
+    return step
 
 
 class _DenseSource(SignalSource):
@@ -277,7 +275,9 @@ def synthesize(spectrum: SparseSpectrum) -> SignalSource:
 def from_dense(samples, grid_length: int | None = None) -> SignalSource:
     """Wrap a dense buffer on its own length-N grid.
 
-    Recovery answers on the source's grid, which is N.  A `grid_length`
+    Recovery answers on the source's grid, which is N.  A contiguous
+    complex128 buffer is read in place, not copied, so rereads are
+    bit-identical only while the caller leaves it unwritten.  A `grid_length`
     given beside the buffer (a replay passes the certificate's grid) must
     be an integer (Python or numpy, not a bool) equal to N; any other value
     raises OutOfRangeError.

@@ -10,7 +10,8 @@ coefficient sums,
 which is the contract every consumer (peeling, gating, verification) is
 written against.  A view is named by its modulus and read at
 `planner.SHIFT_COUNT` shifts, on the grid M its source or spectrum is on:
-no builder takes M, so none builds a view of a grid its signal is not on.
+no builder takes M or a shift count, so a view is SHIFT_COUNT rows of step
+M/m on its signal's own grid.
 Views live in one explicit `ViewStack`: `build_views` reads each view's
 samples with one `sample_block` call, transforms them straight into the
 view's columns of one (shifts, sum of m) array, and normalizes the whole
@@ -19,8 +20,9 @@ from the sample read to the verdict: peeling peels a copy of it and
 verification checks it as built.  `build_view` is its one-modulus case,
 which replay uses.  The tables a stack needs depend only on the plan, so
 they are computed once per plan and cached read-only: each view's index
-block (`_view_indices`, keyed by m, M and the shift count), and the stack's
-layout (`stack_layout`) and per-column divisor, keyed by the moduli.
+block (`_view_indices`, keyed by m and M), and the stack's layout
+(`stack_layout`) and column table (`stack_columns`: each column's view, m
+and bin), keyed by the moduli.
 `alias_stack` is the one evaluation of the sum from known tones, into
 every view of a stack at once: peeling subtracts its readings with it,
 verification predicts its views with it, and `build_view_from_spectrum`
@@ -47,10 +49,10 @@ NOISE_FLOOR_REL = 1e-9
 
 
 @functools.lru_cache(maxsize=256)
-def _view_indices(m: int, M: int, shifts: int) -> np.ndarray:
-    """The read-only (shifts, m) index block of the view on m: row s is
+def _view_indices(m: int, M: int) -> np.ndarray:
+    """The read-only (SHIFT_COUNT, m) index block of the view on m: row s is
     (j*M/m + s) mod M, so every row wraps the grid once with step M/m."""
-    block = (np.arange(0, M, M // m) + np.arange(shifts, dtype=np.int64)[:, None]) % M
+    block = (np.arange(0, M, M // m) + np.arange(SHIFT_COUNT, dtype=np.int64)[:, None]) % M
     block.setflags(write=False)
     return block
 
@@ -66,13 +68,16 @@ def stack_layout(moduli: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _column_divisor(moduli: tuple[int, ...]) -> np.ndarray:
-    """Each column's view length m as complex128: numpy divides a complex
-    array by an int m as by complex(m), so each column gets the bits of
-    dividing its view alone by m."""
-    divisor = np.repeat(np.array(moduli, dtype=np.complex128), moduli)
-    divisor.setflags(write=False)
-    return divisor
+def stack_columns(moduli: tuple[int, ...]) -> np.ndarray:
+    """The read-only (3, sum of m) column table of a stack of views on
+    `moduli`: each column's view, m and bin."""
+    layout = stack_layout(moduli)
+    # each view's (index, m, first column) repeated over its m columns,
+    # then each column's offset from its view's first: its bin
+    columns = np.repeat(np.vstack((np.arange(len(moduli)), layout)), layout[0], axis=1)
+    columns[2] = np.arange(columns.shape[1]) - columns[2]
+    columns.setflags(write=False)
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,23 +101,19 @@ class ViewStack:
         return stack_layout(self.moduli)
 
 
-def build_views(
-    source: SignalSource, moduli: Sequence[int], shifts: int = SHIFT_COUNT
-) -> ViewStack:
+def build_views(source: SignalSource, moduli: Sequence[int]) -> ViewStack:
     """FFT-path construction of the views on `moduli`, in the order given,
-    on the source's grid M, straight into one stack.
+    on the source's grid M, straight into one stack of SHIFT_COUNT rows.
 
     Each view is read with one `sample_block` call (row s of its block is
-    its shift-0 progression plus s, so every row wraps the grid a whole
-    number of times with the view's step) and transformed once into its
-    columns of the stack; the stack is then normalized once, each column by
-    its view's m.  Each view keeps its shift-0 time energy for the Parseval
-    check.  A bin or an energy past float64 is inf or NaN, with no numpy
+    its shift-0 progression plus s, so every row wraps the grid once with
+    step M/m) and transformed once into its columns of the stack; the stack
+    is then divided once by the m row of `stack_columns` (the bits of
+    dividing each view by its m).  Each view keeps its shift-0 time energy
+    for the Parseval check.  A bin or an energy past float64 is inf or NaN, with no numpy
     warning, and fails verification, so the fallback answers or raises
     NonFiniteError.  A modulus that does not divide M raises
-    StrideMismatchError.  Every run reads SHIFT_COUNT shifts; only the
-    replay of an older certificate that recorded another count passes
-    `shifts`.
+    StrideMismatchError.
     """
     moduli, M = tuple(map(int, moduli)), source.grid_length
     if M > _MAX_GRID:
@@ -121,21 +122,21 @@ def build_views(
         if M % m != 0:
             raise StrideMismatchError(f"modulus {m} does not divide grid length {M}")
     layout = stack_layout(moduli)
-    bins = np.empty((shifts, sum(moduli)), dtype=np.complex128)
+    bins = np.empty((SHIFT_COUNT, sum(moduli)), dtype=np.complex128)
     rows = []  # each view's shift-0 samples
     with np.errstate(over="ignore", invalid="ignore"):
         for m, first in layout.T.tolist():
-            samples = source.sample_block(_view_indices(m, M, shifts))
+            samples = source.sample_block(_view_indices(m, M))
             dft.dft_forward(samples, out=bins[:, first : first + m])
             rows.append(samples[0])
-        bins /= _column_divisor(moduli)
+        bins /= stack_columns(moduli)[1]
         energy = np.array([(np.abs(row) ** 2).sum() for row in rows])
     return ViewStack(M, moduli, bins, energy)
 
 
-def build_view(source: SignalSource, m: int, shifts: int = SHIFT_COUNT) -> ViewStack:
+def build_view(source: SignalSource, m: int) -> ViewStack:
     """`build_views` on the one modulus m; replay builds its view with it."""
-    return build_views(source, (m,), shifts)
+    return build_views(source, (m,))
 
 
 def alias_stack(

@@ -208,8 +208,38 @@ def test_montecarlo_k_past_its_range_exits_1(argv):
     assert done.stderr.startswith("error: cannot draw")
 
 
+def test_montecarlo_verify_miss_reads_moduli(capsys):
+    # view 0 is the smallest modulus, whatever order the moduli are given in
+    for moduli in ("11,13,16", "16,13,11"):
+        code, out, err = run(capsys, "montecarlo", "--experiment", "verify-miss", "--moduli",
+                             moduli, "--k", "4", "--trials", "20", "--seed", "1")
+        assert code == 0, err
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert int(row["m_v"]) == 11 and float(row["bound_one_view"]) == 8 / 11
+    # supports are drawn below --n, which cannot pass the moduli's grid 11*13*16
+    code, out, err = run(capsys, "montecarlo", "--experiment", "verify-miss", "--moduli",
+                         "11,13,16", "--n", "2289", "--trials", "1")
+    assert code == 1 and out == "" and err.startswith("error: --n 2289 must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate-survivors", "--alpha", "inf"),
+    ("gate-survivors", "--alpha", "-1"),
+    ("gate-survivors", "--alpha", "nan"),
+    ("singleton-fraction", "--load", "inf"),
+    ("peel-completion", "--load", "inf"),
+    ("singleton-fraction", "--load", "-5"),
+    ("gate-survivors", "--n", "0"),
+], ids=["alpha-inf", "alpha-negative", "alpha-nan", "load-inf-singleton", "load-inf-peel",
+        "load-negative", "n-zero"])
+def test_montecarlo_refuses_impossible_flag(capsys, argv):
+    code, out, err = run(capsys, "montecarlo", "--experiment", *argv, "--trials", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {argv[1]} must be") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("experiment", ["gate-survivors", "singleton-fraction",
-                                        "peel-completion"])
+                                        "verify-miss", "peel-completion"])
 @pytest.mark.parametrize("moduli", ["7,11", "7,11,13,17"])
 def test_montecarlo_needs_three_moduli(capsys, experiment, moduli):
     code, out, err = run(capsys, "montecarlo", "--experiment", experiment, "--trials", "1",

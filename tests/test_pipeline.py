@@ -778,6 +778,25 @@ class TestCertificates:
         assert [e["f"] for e in cert.payload["recovered"]] == spec.frequencies().tolist()
         assert spectra_close(result.spectrum, spec)
 
+    def test_recorded_two_shift_views_replay_at_three_shifts(self):
+        # Replay reads SHIFT_COUNT rows whatever a view's `shifts` records: a
+        # two-shift residual sums the first two rows of the three-shift one,
+        # so an exact answer still replays and a wrong one is still flagged.
+        for i, case in enumerate(PARENT_CASES):
+            payload = json.loads(case["certificate"])
+            for view in payload["plan"]["id_views"] + payload["plan"]["verify_views"]:
+                view["shifts"] = 2
+            entries = case["spectrum"]["entries"]
+            src = synthesize(SparseSpectrum.from_pairs(
+                [(e["f"], complex(e["re"], e["im"])) for e in entries],
+                case["spectrum"]["grid_length"]))
+            assert verify_certificate(Certificate.from_json(json.dumps(payload)), src) == []
+            if i == 0:
+                tone = payload["recovered"][0]
+                tone["re"], tone["im"] = 1.01 * tone["re"], 1.01 * tone["im"]
+                violations = verify_certificate(Certificate.from_json(json.dumps(payload)), src)
+                assert violations and all(v.startswith("fresh-") for v in violations)
+
     @pytest.mark.parametrize("case", PARENT_CASES[3:], ids=["synth-narrow-plain"])
     def test_run_writes_the_recorded_plain_certificate(self, case):
         # A synth_narrow op (Generator seed 301, op 1) on the default config:

@@ -15,12 +15,12 @@ from crtfft.views import (
 from conftest import random_spectrum, shift_indices
 
 
-def alias_oracle(spectrum, m, M, shifts):
+def alias_oracle(spectrum, m, M):
     """Literal per-tone evaluation of the view contract."""
-    bins = np.zeros((shifts, m), dtype=np.complex128)
+    bins = np.zeros((SHIFT_COUNT, m), dtype=np.complex128)
     for f, c in spectrum.entries:
         r = f % m
-        for s in range(shifts):
+        for s in range(SHIFT_COUNT):
             bins[s, r] += c * np.exp(2j * np.pi * f * s / M)
     return bins
 
@@ -49,10 +49,8 @@ class TestBuildView:
         occupied = sorted(np.flatnonzero(np.abs(view.bins[0]) > 1e-9).tolist())
         assert occupied == [0, 6]
 
-    @pytest.mark.parametrize("shift_count", [2, 3])
     @pytest.mark.parametrize("kind", ["synthesize", "from_dense"])
-    def test_fft_path_matches_alias_oracle(self, rng, kind, shift_count):
-        # runs read three shifts; a replayed certificate's view may record two
+    def test_fft_path_matches_alias_oracle(self, rng, kind):
         plan = make_plan(2**14, 8)
         M = plan.M
         spec = random_spectrum(rng, 8, M)
@@ -64,11 +62,11 @@ class TestBuildView:
         src.sample_block = lambda idx: blocks.append(np.shape(idx)) or read(idx)
         for m in plan.moduli:
             blocks.clear()
-            view = build_view(src, m, shifts=shift_count)
-            want = alias_oracle(spec, m, M, shift_count)
+            view = build_view(src, m)
+            want = alias_oracle(spec, m, M)
             assert np.abs(view.bins - want).max() < 1e-9
             # every shift comes from one stacked read; row 0 gives the energy
-            assert blocks == [(shift_count, m)]
+            assert blocks == [(SHIFT_COUNT, m)]
             assert view.time_energy[0] == pytest.approx(raw_energy(src, m, M), rel=1e-12)
 
     def test_stride_mismatch(self):
@@ -166,9 +164,6 @@ class TestBuildViews:
         monkeypatch.setattr(dft, "dft_forward", logged(transforms, dft.dft_forward))
         build_views(src, [7, 11, 7])
         assert reads == transforms == [(3, 7), (3, 11), (3, 7)]
-        # only a replayed view passes another shift count
-        build_view(src, 13, shifts=2)
-        assert reads[-1] == transforms[-1] == (2, 13)
 
     def test_modulus_that_does_not_divide_the_source_grid_is_refused(self, rng):
         # views are built on the source's own grid, M = 44*45*49 = 97020 here:
@@ -203,7 +198,7 @@ class TestViewEnergy:
         spec = random_spectrum(rng, 2, M)
         src = synthesize(spec)
         e_time = raw_energy(src, 13, M)
-        view = build_view(src, 13, shifts=2)
+        view = build_view(src, 13)
         e_bins = 13 * np.sum(np.abs(view.bins[0]) ** 2)
         assert abs(e_time - e_bins) <= 1e-9 * max(e_time, 1.0)
         # the view keeps the energy of the raw samples, before the transform
