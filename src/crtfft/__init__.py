@@ -68,7 +68,6 @@ from .peeling import (
     PeelOutcome,
     PeelState,
     PeelStatus,
-    SingletonReading,
     detect_singletons,
     peel,
     run_peeling,

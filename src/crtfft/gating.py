@@ -39,7 +39,7 @@ def extract_residues(view: ViewStack, alpha_k: int) -> np.ndarray:
         raise ValueError(f"alpha_k must be >= 1, got {alpha_k}")
     mag = np.abs(view.bins[0])
     occupied = np.flatnonzero(mag > NOISE_FLOOR_REL * float(mag.max(initial=0.0)))
-    return occupied[top_k_order(mag[occupied], occupied, alpha_k)].astype(np.int64, copy=False)
+    return occupied[top_k_order(mag[occupied], alpha_k)].astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,18 @@ its own bin, f mod m, is discarded, so masquerading multi-bins fail closed.
 
 `PeelState.create` copies the bins of the (3, m1+m2+m3) `views.ViewStack`
 once and peels that copy; the stack it was given is left as built, for
-verification.  Detection looks its candidates' view, m and bin up with one
+verification.  Detection looks its candidates' m and bin up with one
 fancy index into the stack's column table, `views.stack_columns`, the
 cached table `build_views` normalizes the stack with.
 A round is a fixed number of array operations whatever k is: detection
 tests every column of the stack at once, with both adjacent-shift ratios
-from one division, and returns its readings as one
-`SingletonReading` batch, duplicates across views are dropped by one sort,
-and `peel` subtracts the whole batch, as FFAST's decoder does.  The
-readings are appended to the ledger's frequency and coefficient arrays in
-order; their subtraction is `views.alias_stack` (the alias model
-verification uses, O(1) per reading and bin).  Detection reads only bins
+from one division, and the same sort that orders its readings by
+frequency keeps one per frequency, so a round is two arrays, frequencies
+and coefficients.  `peel` subtracts the whole round, as FFAST's decoder
+does.  The readings are appended to the ledger's frequency and
+coefficient arrays in order; their subtraction is `views.alias_stack`
+(the alias model verification uses, O(1) per reading and bin).
+Detection reads only bins
 above the noise floor, so every reading's coefficient clears it and the
 ledger needs no conflict rule: a frequency read in several rounds sums its
 readings, and one whose sum falls to the floor is dropped from the outcome.
@@ -53,30 +54,6 @@ class PeelStatus(enum.Enum):
     STAGNATED = "stagnated"
 
 
-@dataclass(frozen=True, eq=False)
-class SingletonReading:
-    """A batch of singleton readings as parallel arrays, one row per reading.
-
-    Row i reads tone (f_hat[i], coeff[i]) from bin bin_index[i] of view
-    view_index[i]; shift_ratio_error[i] is the larger of its magnitude and
-    phase-ratio deviations across shifts.
-    """
-
-    view_index: np.ndarray
-    bin_index: np.ndarray
-    f_hat: np.ndarray
-    coeff: np.ndarray
-    shift_ratio_error: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.f_hat)
-
-    def take(self, rows) -> "SingletonReading":
-        """The readings at `rows` (an index array or a slice), in that order."""
-        return SingletonReading(self.view_index[rows], self.bin_index[rows], self.f_hat[rows],
-                                self.coeff[rows], self.shift_ratio_error[rows])
-
-
 @dataclass
 class PeelState:
     """Mutable peeling workspace: a copy of the views' stacked bins plus the
@@ -84,7 +61,7 @@ class PeelState:
 
     `stack` holds the views' bins side by side; `layout` is its
     `views.stack_layout` (view i's bins are columns first to first + m of
-    it), and `columns` its `views.stack_columns`: rows view, m and bin.  The
+    it), and `columns` its `views.stack_columns`: rows m and bin.  The
     ledger `freqs`, `coeffs` holds every accepted reading in order, and
     `round` counts the rounds peeled into it.
     """
@@ -106,16 +83,15 @@ class PeelState:
         return cls(views.M, stack, views.layout, stack_columns(views.moduli),
                    noise_floor=NOISE_FLOOR_REL * peak)
 
-    def max_bin_magnitude(self) -> float:
-        return float(np.abs(self.stack).max(initial=0.0))
 
-
-def detect_singletons(state: PeelState) -> SingletonReading:
-    """All bins currently passing the singleton tests, in (view, bin) order."""
+def detect_singletons(state: PeelState) -> tuple[np.ndarray, np.ndarray]:
+    """The round's readings as (frequencies ascending, coefficients): one per
+    frequency whose bins pass the singleton tests, from its cleanest bin
+    (least error, then lowest view)."""
     stack, M = state.stack, state.M
     mag0 = np.abs(stack[0])
     (cand,) = (mag0 > state.noise_floor).nonzero()
-    view, m, bin_index = state.columns[:, cand]
+    m, bin_index = state.columns[:, cand]
     y = stack[:, cand]
     mag = mag0[cand]
     # Every candidate's y0 clears the floor, so only a zero y1 can divide by
@@ -134,16 +110,23 @@ def detect_singletons(state: PeelState) -> SingletonReading:
     # (d) decoded frequency must land back in this bin
     ok = (err <= SINGLETON_TOL) & (f_hat % m == bin_index)
     (rows,) = ok.nonzero()
-    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y[0, rows], err[rows])
+    # A tone may be isolated in several views at once.  Candidates run in
+    # view order, so the stable sort leaves the lowest view first among
+    # readings of one frequency and error.
+    rows = rows[np.lexsort((err[rows], f_hat[rows]))]
+    f = f_hat[rows]
+    first = np.ones(f.size, dtype=bool)
+    first[1:] = f[1:] != f[:-1]
+    return f[first], y[0, rows[first]]
 
 
-def peel(state: PeelState, readings: SingletonReading) -> PeelState:
-    """Record one round's readings in the ledger and subtract them from every view.
+def peel(state: PeelState, fs: np.ndarray, coeffs: np.ndarray) -> PeelState:
+    """Record one round's readings (fs, coeffs) in the ledger and subtract them
+    from every view.
 
-    A round's readings have distinct frequencies, ascending, as `_dedupe`
-    leaves them.
+    A round's readings have distinct frequencies, ascending, as
+    `detect_singletons` returns them.
     """
-    fs, coeffs = readings.f_hat, readings.coeff
     state.freqs = np.concatenate((state.freqs, fs))
     state.coeffs = np.concatenate((state.coeffs, coeffs))
     state.round += 1
@@ -166,33 +149,22 @@ class PeelOutcome:
     readings: int
 
 
-def _dedupe(readings: SingletonReading) -> SingletonReading:
-    # The same tone may be isolated in several views at once; keep the
-    # cleanest reading per frequency (least error, then lowest view),
-    # frequencies ascending.
-    order = np.lexsort((readings.view_index, readings.shift_ratio_error, readings.f_hat))
-    f = readings.f_hat[order]
-    first = np.ones(f.size, dtype=bool)
-    first[1:] = f[1:] != f[:-1]
-    return readings.take(order[first])
-
-
 def run_peeling(state: PeelState, k: int) -> PeelOutcome:
     """Detect-and-peel rounds until done, stuck, or over the round cap for sparsity k."""
     cap = max(1, math.ceil(ROUND_CAP_C * math.log2(k + 2)))
     status = None
     while True:
-        if state.max_bin_magnitude() <= state.noise_floor:
+        if float(np.abs(state.stack).max(initial=0.0)) <= state.noise_floor:
             status = PeelStatus.COMPLETE
             break
         if state.round >= cap:
             status = PeelStatus.STAGNATED
             break
-        readings = _dedupe(detect_singletons(state))
-        if len(readings) == 0:
+        fs, coeffs = detect_singletons(state)
+        if fs.size == 0:
             status = PeelStatus.TWO_CORE
             break
-        peel(state, readings)
+        peel(state, fs, coeffs)
     peeled = state.freqs.size  # the ledger holds every reading peeled
     if state.round <= 1:
         # one round's readings are distinct, ascending and above the floor

@@ -145,7 +145,7 @@ def dense_fallback(source: SignalSource, k: int) -> tuple[SparseSpectrum, int]:
         top = np.flatnonzero(occupied)
     else:
         # every one of the k largest bins clears the floor
-        top = np.sort(top_k_order(mags, None, k))
+        top = np.sort(top_k_order(mags, k))
     coeffs = spectrum[top] / M
     # The selection already gives distinct, sorted, in-range frequencies and
     # finite coefficients; only a bin that underflows to 0 on division is dropped.
@@ -208,10 +208,11 @@ def sparse_fft(
             fallback_reason = f"candidate-overflow: {len(outcome.freqs)} > 2k"
         else:
             # the outcome's frequencies are distinct, ascending and on the grid,
-            # and its coefficients clear the noise floor
+            # and its coefficients clear the noise floor; the trim's ties go
+            # to the lower frequency
             freqs, coeffs = outcome.freqs, outcome.coeffs
             if len(freqs) > k:
-                keep = np.sort(top_k_order(np.abs(coeffs), freqs, k))
+                keep = np.sort(top_k_order(np.abs(coeffs), k))
                 freqs, coeffs = freqs[keep], coeffs[keep]
             candidate = SparseSpectrum(freqs, coeffs, plan.M)
             report = verify(views, candidate)

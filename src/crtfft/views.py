@@ -21,8 +21,8 @@ verification checks it as built.  `build_view` is its one-modulus case,
 which replay uses.  The tables a stack needs depend only on the plan, so
 they are computed once per plan and cached read-only: each view's index
 block (`_view_indices`, keyed by m and M), and the stack's layout
-(`stack_layout`) and column table (`stack_columns`: each column's view, m
-and bin), keyed by the moduli.
+(`stack_layout`) and column table (`stack_columns`: each column's m and
+bin), keyed by the moduli.
 `alias_stack` is the one evaluation of the sum from known tones, into
 every view of a stack at once: peeling subtracts its readings with it,
 verification predicts its views with it, and `build_view_from_spectrum`
@@ -69,13 +69,13 @@ def stack_layout(moduli: tuple[int, ...]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def stack_columns(moduli: tuple[int, ...]) -> np.ndarray:
-    """The read-only (3, sum of m) column table of a stack of views on
-    `moduli`: each column's view, m and bin."""
+    """The read-only (2, sum of m) column table of a stack of views on
+    `moduli`: each column's m and bin."""
     layout = stack_layout(moduli)
-    # each view's (index, m, first column) repeated over its m columns,
-    # then each column's offset from its view's first: its bin
-    columns = np.repeat(np.vstack((np.arange(len(moduli)), layout)), layout[0], axis=1)
-    columns[2] = np.arange(columns.shape[1]) - columns[2]
+    # each view's (m, first column) repeated over its m columns, then each
+    # column's offset from its view's first: its bin
+    columns = np.repeat(layout, layout[0], axis=1)
+    columns[1] = np.arange(columns.shape[1]) - columns[1]
     columns.setflags(write=False)
     return columns
 
@@ -129,7 +129,7 @@ def build_views(source: SignalSource, moduli: Sequence[int]) -> ViewStack:
             samples = source.sample_block(_view_indices(m, M))
             dft.dft_forward(samples, out=bins[:, first : first + m])
             rows.append(samples[0])
-        bins /= stack_columns(moduli)[1]
+        bins /= stack_columns(moduli)[0]
         energy = np.array([(np.abs(row) ** 2).sum() for row in rows])
     return ViewStack(M, moduli, bins, energy)
 
@@ -165,13 +165,12 @@ def build_view_from_spectrum(spectrum: SparseSpectrum, m: int) -> ViewStack:
     return ViewStack(M, (m,), bins)
 
 
-def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray:
-    """Positions of the k largest `mags`: magnitude descending, then `keys` ascending.
+def top_k_order(mags: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest `mags`: magnitude descending, then position ascending.
 
-    The first k rows of a full lexsort.  `keys` None breaks ties by position,
-    with no key array built.  With more than k entries, a partition finds the
-    k-th largest magnitude and only the entries at or above it, ties at the
-    boundary included, are sorted.
+    The first k rows of a full lexsort.  With more than k entries, a
+    partition finds the k-th largest magnitude and only the entries at or
+    above it, ties at the boundary included, are sorted.
     """
     if k <= 0:
         return np.zeros(0, dtype=np.intp)
@@ -180,5 +179,5 @@ def top_k_order(mags: np.ndarray, keys: np.ndarray | None, k: int) -> np.ndarray
         cand = np.flatnonzero(mags >= kth)
     else:
         cand = np.arange(mags.size)
-    tie = cand if keys is None else keys[cand]
-    return cand[np.lexsort((tie, -mags[cand]))][:k]
+    # cand ascends, so a stable sort breaks ties by position
+    return cand[np.argsort(-mags[cand], kind="stable")][:k]

@@ -121,6 +121,66 @@ def test_transform_synthesize_too_short_falls_back_on_nominal_grid(capsys):
     assert spectra_close(got, SparseSpectrum.from_pairs([(2, 1)], 3))
 
 
+def test_transform_input_plans_on_the_file_grid(capsys, tmp_path):
+    # the file's grid_length is N: planned on, recorded as declared_n, and
+    # the answer is on the plan's grid
+    spectrum = tmp_path / "spectrum.json"
+    save_spectrum(SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], 4096), spectrum)
+    code, out, _ = run(capsys, "transform", "--input", str(spectrum), "-k", "2")
+    assert code == 0
+    result = json.loads(out)
+    grid = crtfft.make_plan(4096, 2).M
+    assert result["certificate"]["declared_n"] == 4096
+    assert result["certificate"]["grid_length"] == result["spectrum"]["grid_length"] == grid
+    got = SparseSpectrum.from_pairs(
+        [(e["f"], complex(e["re"], e["im"])) for e in result["spectrum"]["entries"]], grid
+    )
+    assert spectra_close(got, SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], grid))
+
+
+def test_transform_moduli_pins_the_plan(capsys):
+    code, out, _ = run(
+        capsys, "transform", "--synthesize", "{7:1,41:1-2j}", "-k", "2", "--moduli", "11,13,16"
+    )
+    assert code == 0
+    certificate = json.loads(out)["certificate"]
+    assert certificate["plan"]["moduli"] == [11, 13, 16]
+    assert certificate["grid_length"] == 11 * 13 * 16
+    assert [e["f"] for e in certificate["recovered"]] == [7, 41]
+
+
+def test_transform_two_inputs_exit_1(capsys, tmp_path):
+    signal = tmp_path / "sig.bin"
+    save_dense_binary(np.ones(64, dtype=np.complex128), signal)
+    code, out, err = run(
+        capsys, "transform", "--synthesize", "{7:1}", "--dense", str(signal), "-k", "1"
+    )
+    assert code == 1 and out == ""
+    assert "exactly one of" in err
+
+
+def test_gate_table_formats_give_the_csv_rows(capsys):
+    # the table and JSON formats print the rows the CSV format prints
+    argv = ("gate-table", "--moduli", "7,11,13", "--r1", "0,3,6", "--r2", "1,7,8,10",
+            "--r3", "2,5,7,11", "--diff-published", "--format")
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    want = [tuple(row.values()) for row in csv.DictReader(io.StringIO(out))]
+    assert len(want) == 12
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    assert [tuple(str(v) for v in (r["r1"], r["r2"], r["crt"], r["r3_hat"], r["verdict"],
+                                   r["note"])) for r in json.loads(out)] == want
+    code, out, _ = run(capsys, *argv, "table")
+    assert code == 0
+    got = []
+    for line in out.splitlines()[2:]:
+        pair, crt, r3_hat, rest = (part.strip() for part in line.split(" | "))
+        verdict, _, note = rest.partition("  ")
+        got.append((*pair.strip("()").split(", "), crt, r3_hat, verdict, note))
+    assert got == want
+
+
 def test_gate_table_diff_published(capsys):
     code, out, _ = run(
         capsys, "gate-table", "--moduli", "7,11,13", "--r1", "0,3,6",

@@ -11,8 +11,6 @@ from crtfft.peeling import (
     SINGLETON_TOL,
     PeelState,
     PeelStatus,
-    SingletonReading,
-    _dedupe,
     detect_singletons,
     peel,
     run_peeling,
@@ -99,46 +97,40 @@ class TestDetectSingletons:
     def test_single_tone(self):
         spec = SparseSpectrum.from_pairs([(5, 2 + 1j)], 1001)
         plan, state = toy_state(spec)
-        readings = detect_singletons(state)
-        assert len(readings) == 3  # isolated in every view
-        assert (readings.f_hat == 5).all()
-        assert np.abs(readings.coeff - (2 + 1j)).max() < 1e-9
+        # isolated in every view, and read once
+        fs, coeffs = detect_singletons(state)
+        assert fs.tolist() == [5]
+        assert np.abs(coeffs - (2 + 1j)).max() < 1e-9
 
     def test_collision_rejected_in_colliding_view_only(self):
-        # 3 and 10 collide mod 7 but separate mod 11 and mod 13
-        spec = SparseSpectrum.from_pairs([(3, 1.0), (10, 1.0)], 1001)
-        plan, state = toy_state(spec)
-        readings = detect_singletons(state)
-        by_view = {}
-        for view, f in zip(readings.view_index.tolist(), readings.f_hat.tolist()):
-            by_view.setdefault(view, []).append(f)
-        assert 0 not in by_view  # the view-1 bin holds both tones
-        assert sorted(by_view[1]) == [3, 10]
-        assert sorted(by_view[2]) == [3, 10]
+        # 3 and 10 collide mod 7 but separate mod 11 and mod 13: a one-view
+        # stack on 7 offers no reading, one on 11 or on 13 reads both
+        src = synthesize(SparseSpectrum.from_pairs([(3, 1.0), (10, 1.0)], 1001))
+        for m, want in ((7, []), (11, [3, 10]), (13, [3, 10])):
+            fs, coeffs = detect_singletons(PeelState.create(build_views(src, (m,))))
+            assert fs.tolist() == want and coeffs.size == len(want)
 
     def test_worked_example_first_round(self):
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 0.5 - 1j)], 1001)
         plan, state = toy_state(spec)
-        found = set(detect_singletons(state).f_hat.tolist())
-        assert found == {7, 41}
+        fs, _ = detect_singletons(state)
+        assert fs.tolist() == [7, 41]
 
     def test_nonidentity_hash_consistency(self, rng):
         plan = make_plan(2**14, 6)
         spec = random_spectrum(rng, 6, plan.M)
         src = synthesize(spec)
         state = PeelState.create(build_views(src, plan.moduli))
-        readings = detect_singletons(state)
-        rows = zip(
-            readings.view_index.tolist(), readings.bin_index.tolist(), readings.f_hat.tolist()
-        )
-        for view, b, f in rows:
-            assert f in dict(spec.entries)
-            assert f % plan.moduli[view] == b
+        fs, coeffs = detect_singletons(state)
+        want = dict(spec.entries)
+        assert fs.tolist() == sorted(set(fs.tolist()))
+        for f, c in zip(fs.tolist(), coeffs.tolist()):
+            assert abs(c - want[f]) < 1e-9
 
 
 def per_view_reference(state):
     """Singleton detection one view at a time, then the cleanest reading per
-    frequency (least error, then lowest view): {(view, bin, f_hat, coeff)}."""
+    frequency (least error, then lowest view): {(f_hat, coeff)}."""
     best = {}
     for vi in range(state.layout.shape[1]):
         m, _ = state.layout[:, vi].tolist()
@@ -161,13 +153,15 @@ def per_view_reference(state):
         for i in np.flatnonzero(ok):
             f, key = int(f_hat[i]), (float(err[i]), vi)
             if f not in best or key < best[f][0]:
-                best[f] = (key, (vi, int(cand[i]), f, complex(y0[i])))
+                best[f] = (key, (f, complex(y0[i])))
     return {row for _, row in best.values()}
 
 
 def reference_detect(state):
     """Singleton detection as written before the column table: the view of
-    each candidate by `searchsorted` on the layout, and guarded divisions."""
+    each candidate by `searchsorted` on the layout, and guarded divisions;
+    then the cleanest reading per frequency (least error, then lowest view)
+    by one lexsort, frequencies ascending: (fs, coeffs)."""
     stack, M = state.stack, state.M
     mag0 = np.abs(stack[0])
     cand = np.flatnonzero(mag0 > state.noise_floor)
@@ -187,7 +181,12 @@ def reference_detect(state):
     err = np.maximum(err, dev2)
     ok &= dev2 <= SINGLETON_TOL
     rows = np.flatnonzero(ok)
-    return SingletonReading(view[rows], bin_index[rows], f_hat[rows], y0[rows], err[rows])
+    view, f_hat, coeff, err = view[rows], f_hat[rows], y0[rows], err[rows]
+    order = np.lexsort((view, err, f_hat))
+    f = f_hat[order]
+    first = np.ones(f.size, dtype=bool)
+    first[1:] = f[1:] != f[:-1]
+    return f[first], coeff[order[first]]
 
 
 @st.composite
@@ -209,8 +208,8 @@ class TestBatchDetection:
     @settings(max_examples=80, deadline=None)
     @given(spec=toy_spectra(), misplaced=st.booleans())
     def test_matches_per_view_reference(self, spec, misplaced):
-        # the same (view, bin, f_hat, coeff) set as testing each view on its
-        # own, on the first rounds of peeling as well as on the fresh views
+        # the same (f_hat, coeff) set as testing each view on its own, on
+        # the first rounds of peeling as well as on the fresh views
         plan = make_plan(1001, len(spec), config=TOY_CFG)
         src = synthesize(spec)
         views = build_views(src, plan.moduli)
@@ -220,33 +219,19 @@ class TestBatchDetection:
             views.bins[:, first : first + m] = np.roll(views.bins[:, first : first + m], 1, axis=1)
         state = PeelState.create(views)
         for _ in range(3):
-            readings = _dedupe(detect_singletons(state))
-            got = set(
-                zip(
-                    readings.view_index.tolist(),
-                    readings.bin_index.tolist(),
-                    readings.f_hat.tolist(),
-                    readings.coeff.tolist(),
-                )
-            )
-            assert got == per_view_reference(state)
-            assert readings.f_hat.tolist() == sorted(set(readings.f_hat.tolist()))
+            fs, coeffs = detect_singletons(state)
+            assert set(zip(fs.tolist(), coeffs.tolist())) == per_view_reference(state)
+            assert fs.tolist() == sorted(set(fs.tolist()))
             # every reading clears the noise floor, so no reading can re-detect
             # a recovered tone at a vanishing residual
-            assert (np.abs(readings.coeff) > state.noise_floor).all()
-            if not len(readings):
+            assert (np.abs(coeffs) > state.noise_floor).all()
+            if not fs.size:
                 break
-            peel(state, readings)
+            peel(state, fs, coeffs)
 
 
 def same_bits(got, want):
-    return all(
-        g.dtype == w.dtype and g.tobytes() == w.tobytes()
-        for g, w in zip(
-            (got.view_index, got.bin_index, got.f_hat, got.coeff, got.shift_ratio_error),
-            (want.view_index, want.bin_index, want.f_hat, want.coeff, want.shift_ratio_error),
-        )
-    )
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestDetectorMatchesReference:
@@ -264,7 +249,7 @@ class TestDetectorMatchesReference:
         ),
     )
     def test_bit_for_bit(self, spec, edits):
-        # view, bin, f_hat, coeff and error equal the reference's bit for bit,
+        # frequencies and coefficients equal the reference's bit for bit,
         # on stacks with colliding tones, zeroed shift-1 bins, bins exactly at
         # and just above the noise floor, tone-like and noise bins, over
         # several rounds
@@ -285,30 +270,29 @@ class TestDetectorMatchesReference:
             else:
                 stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))
         for _ in range(3):
-            got = detect_singletons(state)
-            assert same_bits(got, reference_detect(state))
-            readings = _dedupe(got)
-            if not len(readings):
+            fs, coeffs = detect_singletons(state)
+            assert same_bits((fs, coeffs), reference_detect(state))
+            if not fs.size:
                 break
-            peel(state, readings)
+            peel(state, fs, coeffs)
 
 
 class TestPeel:
     def test_complete_cancellation(self):
         spec = SparseSpectrum.from_pairs([(5, 2 + 1j)], 1001)
         plan, state = toy_state(spec)
-        reading = detect_singletons(state).take([0])
-        peel(state, reading)
-        assert state.max_bin_magnitude() < 1e-12
+        fs, coeffs = detect_singletons(state)
+        peel(state, fs[:1], coeffs[:1])
+        assert np.abs(state.stack).max() < 1e-12
 
     def test_peel_clears_other_views(self):
-        # peeling tone 7 read in view 1 must clear its bin in every view, and
-        # leave tone 41, which shares no bin with it, in place
+        # peeling tone 7 must clear its bin in every view, and leave tone 41,
+        # which shares no bin with it, in place
         spec = SparseSpectrum.from_pairs([(7, 1.0), (41, 1.0)], 1001)
         plan, state = toy_state(spec)
-        readings = detect_singletons(state)
-        reading = readings.take(np.flatnonzero(readings.f_hat == 7)[:1])
-        peel(state, reading)
+        fs, coeffs = detect_singletons(state)
+        seven = fs == 7
+        peel(state, fs[seven], coeffs[seven])
         for i, m in enumerate(plan.moduli):
             bins = view_bins(state, i)
             assert abs(bins[0, 7 % m]) < 1e-12
@@ -321,8 +305,9 @@ class TestPeel:
         # the alias sums of the unrecovered tone 41 in every view
         spec = SparseSpectrum.from_pairs([(3, 1.0), (10, 0.5 - 1j), (41, 2j)], 1001)
         plan, state = toy_state(spec)
-        readings = detect_singletons(state)
-        peel(state, readings.take([np.flatnonzero(readings.f_hat == f)[-1] for f in (3, 10)]))
+        fs, coeffs = detect_singletons(state)
+        pair = np.isin(fs, (3, 10))
+        peel(state, fs[pair], coeffs[pair])
         assert set(ledger(state)) == {3, 10}
         residual = SparseSpectrum.from_pairs([(41, 2j)], 1001)
         for i, m in enumerate(plan.moduli):
@@ -425,10 +410,10 @@ class TestRunPeeling:
         spec = random_spectrum(rng, 5, 1001)
         plan, state = toy_state(spec)
         for _ in range(6):
-            readings = detect_singletons(state)
-            if not readings:
+            fs, coeffs = detect_singletons(state)
+            if not fs.size:
                 break
-            peel(state, readings.take([0]))
+            peel(state, fs[:1], coeffs[:1])
             residual_entries = dict(spec.entries)
             for f, c in ledger(state).items():
                 residual_entries[f] = residual_entries.get(f, 0) - c

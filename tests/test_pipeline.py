@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from crtfft.config import Config
 from crtfft.errors import CrtFftError, NonFiniteError, OracleCapExceededError, ParseError
+from crtfft.gating import draw_support, trial_streams
 from crtfft.peeling import PeelState, PeelStatus, run_peeling
-from crtfft import pipeline
+from crtfft import peeling, pipeline
 from crtfft.pipeline import (
     DENSE_BUDGET,
     Certificate,
@@ -25,8 +26,8 @@ from crtfft.pipeline import (
 )
 from crtfft.planner import SHIFT_COUNT, make_plan
 from crtfft.signal import _MAX_GRID, SignalSource, SparseSpectrum, from_dense, synthesize
-from crtfft.verification import VERIFY_EPS_REL
-from crtfft.views import NOISE_FLOOR_REL, build_views
+from crtfft.verification import VERIFY_EPS_REL, check_view
+from crtfft.views import NOISE_FLOOR_REL, build_view, build_views
 from conftest import (
     DELETE, mutate_one_value, random_spectrum, refuse_constant, set_json_value, spectra_close,
 )
@@ -53,6 +54,17 @@ class Unreadable(SignalSource):
 def toy_instance(rng=None, entries=((7, 1.0), (41, 1.0))):
     spec = SparseSpectrum.from_pairs(list(entries), 1001)
     return spec, synthesize(spec)
+
+
+def multi_round_instance():
+    """(spectrum, config, k) of the first `peel-completion` trial at seed 1 on
+    (25, 27, 28) with k = 37, which peels in more than one round."""
+    moduli, k = (25, 27, 28), 37
+    M = math.prod(moduli)
+    ((_, rng),) = trial_streams(1, "peel-completion", 1)
+    freqs = draw_support(rng, k, M)
+    spec = SparseSpectrum.from_pairs(list(zip(freqs, np.exp(2j * np.pi * rng.random(k)))), M)
+    return spec, Config(moduli_override=moduli, nominal_length=M), k
 
 
 @st.composite
@@ -98,6 +110,16 @@ def fallback_certificate():
     result = sparse_fft(src, 3, seed=0)
     assert result.path is RecoveryPath.FALLBACK
     return result.certificate.to_json(), src
+
+
+@functools.cache
+def two_tone_certificate(n):
+    """(certificate payload, source) of the fast run on {7: 1, 41: 1-2j} at N = n, k = 2."""
+    plan = make_plan(n, 2)
+    src = synthesize(SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], plan.M))
+    result = sparse_fft(src, 2, Config(nominal_length=n))
+    assert result.path is RecoveryPath.FAST
+    return result.certificate.payload, src
 
 
 def assert_json_agrees(got, want, path="$"):
@@ -151,8 +173,10 @@ class TestSparseFft:
          {"fallback": 4074852, "peel": 630, "verify": 696, "views": 6351, "total": 4082529}),
         ("many-rounds", None,
          {"peel": 41253, "verify": 4024, "views": 117411, "total": 162688}),
+        ("stagnated", "peeling-stagnated",
+         {"fallback": 604837, "peel": 690, "views": 2883, "total": 608410}),
     ], ids=["fast", "two-core", "forced", "empty", "candidate-overflow", "verification-failed",
-            "many-rounds"])
+            "many-rounds", "stagnated"])
     def test_op_counts_pinned(self, rng, monkeypatch, case, reason, want):
         # The op model is a fixed cost model: any drift in these figures makes
         # op counts incomparable across commits.  One run down each path:
@@ -173,6 +197,9 @@ class TestSparseFft:
             cfg, k = replace(TOY_CFG, force_fallback=True), 2
         elif case == "empty":
             spec, cfg, k = SparseSpectrum.from_pairs([], 1001), TOY_CFG, 0
+        elif case == "stagnated":  # a round cap of one round on a multi-round instance
+            spec, cfg, k = multi_round_instance()
+            monkeypatch.setattr(peeling, "ROUND_CAP_C", 1e-3)
         else:  # many peel rounds, as in test_peeling_past_four_rounds_per_log_k_completes
             moduli, k = (97, 101, 103), 235
             M = math.prod(moduli)
@@ -322,6 +349,21 @@ class TestSparseFft:
         assert result.peel_status is PeelStatus.TWO_CORE
         assert result.certificate.payload["escalation"]["rehashes"] == 0
         assert spectra_close(result.spectrum, spec)
+
+    def test_round_cap_hit_falls_back_to_exact(self, monkeypatch):
+        # a cap of one round stops peeling of an instance that needs more:
+        # the run falls back as stagnated, answers exactly and replays
+        spec, cfg, k = multi_round_instance()
+        src = synthesize(spec)
+        plan = make_plan(spec.grid_length, k, config=cfg)
+        assert run_peeling(PeelState.create(build_views(src, plan.moduli)), k).rounds >= 2
+        monkeypatch.setattr(peeling, "ROUND_CAP_C", 1e-3)
+        result = sparse_fft(src, k, cfg)
+        assert result.path is RecoveryPath.FALLBACK
+        assert result.peel_status is PeelStatus.STAGNATED
+        assert result.certificate.payload["fallback_reason"] == "peeling-stagnated"
+        assert spectra_close(result.spectrum, spec)
+        assert verify_certificate(result.certificate, src, cfg) == []
 
     @pytest.mark.parametrize("k, seed", [(235, 32), (245, 17), (245, 40)])
     def test_peeling_past_four_rounds_per_log_k_completes(self, k, seed):
@@ -873,6 +915,43 @@ class TestCertificates:
         cert = Certificate(payload=payload)
         violations = verify_certificate(cert, src)
         assert violations  # residue replay and fresh residual both break
+
+    @pytest.mark.parametrize("path, edit, want", [
+        (("recovered", 1, "crt"), lambda _: None, ["missing-crt-record: f=41"]),
+        (("recovered", 1, "crt", "r2"), lambda r2: r2 + 1, ["residue-mismatch: f=41"]),
+        (("recovered", 1, "crt", "u2"), lambda u2: u2 + 1, ["garner-replay-failed: f=41"]),
+        (("plan", "moduli"), lambda _: [4, 6, 9], ["bad-moduli: moduli 4 and 6 are not coprime"]),
+        (("plan", "gamma12"), lambda g: g + 1, ["plan-inverse-mismatch"]),
+        (("plan", "m"), lambda m: 2 * m, ["plan-product-mismatch", "plan-grid-mismatch"]),
+        (("plan", "moduli", 2), lambda _: 101,
+         ["plan-product-mismatch", "plan-inverse-mismatch", "residue-mismatch: f=41"]),
+    ], ids=["crt-null", "r2", "u2", "moduli-not-coprime", "gamma12", "m-doubled", "m3-101"])
+    def test_edited_claim_is_its_violation(self, path, edit, want):
+        # one edit to the fast-path certificate on moduli (11, 14, 27) gives
+        # exactly its violations, from the parser and from a full replay
+        payload, src = two_tone_certificate(4096)
+        assert payload["plan"]["moduli"] == [11, 14, 27]
+        assert [e["f"] for e in payload["recovered"]] == [7, 41]
+        edited = json.loads(json.dumps(payload))
+        owner = edited
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = edit(owner[path[-1]])
+        assert pipeline.parse_certificate(edited).violations == want
+        assert verify_certificate(Certificate(payload=edited), src) == want
+
+    @pytest.mark.xfail(strict=True, reason="replay misses a fresh view whose energy passes "
+                       "float64: its gap, residual and epsilon are all inf")
+    def test_replay_flags_a_view_whose_energy_passes_float64(self):
+        payload, _ = two_tone_certificate(2**14)
+        M, m = payload["grid_length"], payload["plan"]["moduli"][0]
+        cert = Certificate(payload=payload)
+        candidate = SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], M)
+        for a in (1e150, 1e154):
+            other = synthesize(SparseSpectrum.from_pairs([(9, a), (41, a)], M))
+            assert not check_view(build_view(other, m), candidate).passed
+            kinds = [v.split(":")[0] for v in verify_certificate(cert, other)]
+            assert kinds == ["fresh-parseval-failed", "fresh-residual-failed"], a
 
     def test_fresh_replay_runs_both_parts(self, rng):
         result, src = self.make_fast_result(rng)
