@@ -46,12 +46,7 @@ from .errors import (
     ParseError,
     StrideMismatchError,
 )
-from .numtheory import (
-    ModTriple,
-    coprime_divisor_capacity,
-    garner_digits,
-    mod_inverse,
-)
+from .numtheory import ModTriple, coprime_divisor_capacity, mod_inverse
 from .dft import dft_direct, dft_forward
 from .signal import (
     SignalSource,
@@ -78,11 +73,10 @@ from .verification import (
     check_view,
     verify,
 )
+from .certificate import Certificate, build_certificate
 from .pipeline import (
-    Certificate,
     RecoveryPath,
     RecoveryResult,
-    build_certificate,
     dense_fallback,
     sparse_fft,
     sparse_fft_dense,

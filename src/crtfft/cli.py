@@ -32,7 +32,8 @@ from .errors import CrtFftError, DenseRegimeError, OracleCapExceededError, Parse
 from .gating import draw_support, gate_pairs, gate_survivor_stats, trial_streams
 from .numtheory import ModTriple
 from .peeling import PeelStatus
-from .pipeline import Certificate, RecoveryPath, sparse_fft, verify_certificate
+from .certificate import Certificate
+from .pipeline import RecoveryPath, sparse_fft, verify_certificate
 from .planner import MIN_PLAN_LENGTH, make_plan
 from .signal import (
     SparseSpectrum,

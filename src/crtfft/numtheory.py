@@ -1,9 +1,8 @@
 """Exact integer and modular arithmetic.
 
-Everything but `garner_digits`, which only divides int64 frequencies, runs on
-Python integers, so intermediates never wrap; the checked bound on modulus
-products only guards against plans that would be unusably large downstream.
-All functions are pure and deterministic.
+Everything runs on Python integers, so intermediates never wrap; the
+checked bound on modulus products only guards against plans that would be
+unusably large downstream.  All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NotCoprimeError
 
@@ -71,15 +68,6 @@ class ModTriple:
     @property
     def moduli(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
-
-
-def garner_digits(freqs, triple: ModTriple) -> tuple[np.ndarray, ...]:
-    """The residues (r1, r2, r3) and mixed-radix digits (u2, u3) of each f in
-    [0, M) as int64 arrays, f = r1 + u2*m1 + u3*m1*m2: the digits Garner's
-    algorithm computes from the residues, read here from f by division."""
-    f = np.asarray(freqs, dtype=np.int64)
-    m1, m2, m3 = triple.moduli
-    return f % m1, f % m2, f % m3, f // m1 % m2, f // (m1 * m2)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -197,8 +197,6 @@ def divisor_moduli(m: int) -> tuple[int, int, int] | None:
     buckets = [1, 1, 1]
     for q in powers:
         buckets[int(np.argmin(buckets))] *= q
-    if min(buckets) < 2:
-        return None
     return tuple(sorted(buckets))  # type: ignore[return-value]
 
 

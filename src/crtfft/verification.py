@@ -20,8 +20,8 @@ zero over all bins and all shifts.
 
 Both parts compare against epsilon = VERIFY_EPS_REL * max(E_time, 1), with
 E_time the view's raw shift-0 energy.  VERIFY_EPS_REL is a constant, not a
-setting: every report records it as `epsilon_rel`, replay checks at it,
-and a report's dict writes a figure past float64 as None (JSON null).
+setting: every certificate records it as `epsilon_rel` and replay checks
+at it.
 
 The residual part's guarantee holds at any modulus and on the views that
 identified the candidate, also where the paper's slip bound (2k/m)^t, which
@@ -70,33 +70,10 @@ class ViewCheck:
     passed: bool
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     views: tuple[ViewCheck, ...]
     overall: bool
-    epsilon_rel: float
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            # every report checks its views; the format keeps the flag
-            "unverified": False,
-            "epsilon_rel": self.epsilon_rel,
-            "views": [
-                {
-                    "modulus": v.modulus,
-                    "parseval_gap": _finite_or_none(v.parseval_gap),
-                    "residual_energy": _finite_or_none(v.residual_energy),
-                    "epsilon": _finite_or_none(v.epsilon),
-                    "passed": v.passed,
-                }
-                for v in self.views
-            ],
-        }
 
 
 def check_views(views: ViewStack, candidate: SparseSpectrum) -> tuple[ViewCheck, ...]:
@@ -143,4 +120,4 @@ def verify(views: ViewStack, candidate: SparseSpectrum) -> VerificationReport:
     verification is final and why certificate replay can recheck it.
     """
     checks = check_views(views, candidate)
-    return VerificationReport(checks, all(c.passed for c in checks), VERIFY_EPS_REL)
+    return VerificationReport(checks, all(c.passed for c in checks))

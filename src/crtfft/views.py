@@ -44,7 +44,7 @@ from .signal import _MAX_GRID, SignalSource, SparseSpectrum
 
 # The one amplitude floor, a fraction of the peak: peeling's (all views' largest
 # shift-0 bin), `gating.extract_residues`' (each view's), `pipeline.dense_fallback`'s
-# (the grid's) and `pipeline.build_certificate`'s (the largest recovered tone).
+# (the grid's) and `certificate.build_certificate`'s (the largest recovered tone).
 NOISE_FLOOR_REL = 1e-9
 
 

@@ -40,6 +40,18 @@ def test_transform_synthesize_fast_path(capsys):
     assert spectra_close(got, SparseSpectrum.from_pairs([(7, 1), (41, 1 - 2j)], grid))
 
 
+def test_transform_synthesize_bad_tone_exits_1(capsys):
+    code, out, err = run(capsys, "transform", "--synthesize", "{7:x}", "-k", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad tone '7:x'")
+
+
+def test_transform_synthesize_skips_an_empty_chunk(capsys):
+    code, out, _ = run(capsys, "transform", "--synthesize", "{7:1,,41:2}", "-k", "2")
+    assert code == 0
+    assert [e["f"] for e in json.loads(out)["spectrum"]["entries"]] == [7, 41]
+
+
 def test_transform_dense_regime_buffer_answers_on_its_own_grid(capsys, rng, tmp_path):
     # k / sqrt(N) = 0.6 is past the dense boundary: exit 2, answered on N
     n, k = 400, 12

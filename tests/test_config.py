@@ -100,6 +100,16 @@ def test_malformed_value_is_parse_error(tmp_path, change):
         load_config(write(tmp_path, {**VALID, **change}))
 
 
+@pytest.mark.parametrize("text", [None, "[1001]", "{"],
+                         ids=["missing", "not-an-object", "bad-json"])
+def test_unreadable_or_non_object_file_is_parse_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ParseError):
+        load_config(path)
+
+
 @pytest.mark.parametrize("change", [{"nominal_length": 0}, {"nominal_length": -5}])
 def test_nonsensical_length_is_rejected(change):
     with pytest.raises(ValueError):

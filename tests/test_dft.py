@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crtfft import dft
 from crtfft.dft import (
     dft_direct,
     dft_forward,
@@ -113,6 +114,20 @@ def test_stack_contract_rejects_bad_input(rng):
     stack[2, 4] = np.nan
     with pytest.raises(NonFiniteError):
         dft_forward(stack)
+
+
+def test_empty_buffer_rejected():
+    with pytest.raises(ValueError, match="empty buffer"):
+        dft_forward(np.zeros(0, dtype=complex))
+
+
+def test_length_cap(monkeypatch):
+    # the cap is 2^31 points; lowered to 8, a row of 8 is refused before any transform
+    monkeypatch.setattr(dft, "_MAX_LENGTH", 8)
+    assert dft_forward(np.ones(7)).shape == (7,)
+    for x in (np.ones(8), np.ones((2, 8))):
+        with pytest.raises(OracleCapExceededError, match="length 8 above supported maximum"):
+            dft_forward(x)
 
 
 def test_oracle_cap():

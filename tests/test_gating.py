@@ -3,7 +3,9 @@ import pytest
 
 from crtfft.config import Config
 from crtfft.errors import OutOfRangeError
-from crtfft.gating import extract_residues, garner2, gate_pairs, gate_survivor_stats, rng_stream
+from crtfft.gating import (
+    GateStats, draw_support, extract_residues, garner2, gate_pairs, gate_survivor_stats, rng_stream,
+)
 from crtfft.numtheory import ModTriple
 from crtfft.planner import make_plan
 from crtfft.signal import synthesize
@@ -178,6 +180,26 @@ class TestSurvivorStats:
         stats = gate_survivor_stats(9000, 0, 5.0, triple, trials=10, seed=1)
         assert stats.mean_true_survivors == 0
         assert stats.mean_false_survivors == 0
+
+    def test_zero_trials(self):
+        # no trial: zero counts, and the prediction alpha^3 k^3 / m3 alone
+        stats = gate_survivor_stats(9000, 4, 5.0, ModTriple.create(97, 101, 103), trials=0)
+        assert stats == GateStats(0, 0.0, 0.0, 0.0, 0, 0, 125 * 64 / 103)
+
+    @pytest.mark.parametrize("k, alpha, trials, message", [
+        (4, 5.0, -1, "trials must be >= 0"),
+        (-1, 5.0, 1, "k must be >= 0"),
+        (20, 5.0, 1, "alpha\\*k = 100 exceeds the smallest modulus"),
+    ], ids=["negative-trials", "negative-k", "cap-past-m1"])
+    def test_refusals(self, k, alpha, trials, message):
+        with pytest.raises(ValueError, match=message):
+            gate_survivor_stats(9000, k, alpha, ModTriple.create(97, 101, 103), trials=trials)
+
+    def test_draw_support_refuses_more_tones_than_frequencies(self):
+        rng = np.random.default_rng(0)
+        assert draw_support(rng, 5, 5) == [0, 1, 2, 3, 4]
+        with pytest.raises(ValueError, match="cannot draw 6 distinct frequencies below 5"):
+            draw_support(rng, 6, 5)
 
     def test_no_fillers_reduces_false_survivors(self):
         triple = ModTriple.create(97, 101, 103)

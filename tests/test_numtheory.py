@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtfft.certificate import build_certificate, parse_certificate
 from crtfft.errors import NotCoprimeError
 from crtfft.gating import garner2
-from crtfft.numtheory import (
-    ModTriple,
-    coprime_divisor_capacity,
-    factorize,
-    garner_digits,
-    mod_inverse,
-)
+from crtfft.numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
+from crtfft.signal import SparseSpectrum
 
 
 class TestModInverse:
@@ -32,6 +28,11 @@ class TestModInverse:
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
             mod_inverse(6, 9)
+
+    @pytest.mark.parametrize("m", [1, 0, -7])
+    def test_modulus_below_2(self, m):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {m}"):
+            mod_inverse(1, m)
 
     def test_negative_and_numpy_integers(self):
         assert mod_inverse(-4, 7) == 5
@@ -62,6 +63,11 @@ class TestGarner2:
         with pytest.raises(NotCoprimeError):
             garner2(1, 2, 6, 9)
 
+    @pytest.mark.parametrize("r1, r2", [(7, 0), (0, 11), (-1, 0), (0, -1)])
+    def test_residues_out_of_range(self, r1, r2):
+        with pytest.raises(ValueError, match="out of range for \\(7, 11\\)"):
+            garner2(r1, r2, 7, 11)
+
     @given(st.data())
     @settings(max_examples=200)
     def test_congruences_hold(self, data):
@@ -76,58 +82,62 @@ class TestGarner2:
         assert f % m1 == r1 and f % m2 == r2
 
 
-def _recompose(freqs, t):
-    r1, r2, r3, u2, u3 = garner_digits(freqs, t)
-    return r1 + u2 * t.m1 + u3 * t.m1 * t.m2
+def _records(freqs, t):
+    """The payload `build_certificate` writes for tones at `freqs` on t's grid,
+    and each tone's CRT record as (r1, r2, r3, u2, u3)."""
+    spec = SparseSpectrum.from_pairs([(f, 1.0) for f in freqs], t.M)
+    payload = build_certificate(t, 0, spec, None, None, None, len(spec)).payload
+    return payload, [tuple(e["crt"][key] for key in ("r1", "r2", "r3", "u2", "u3"))
+                     for e in payload["recovered"]]
 
 
 class TestGarner3:
+    # the mixed-radix digits f = r1 + u2*m1 + u3*m1*m2 that certificates record
     def test_published_value(self):
         t = ModTriple.create(7, 11, 13)
-        r1, r2, r3, _, _ = garner_digits(np.array([41]), t)
-        assert (r1[0], r2[0], r3[0]) == (6, 8, 2)
-        assert _recompose(np.array([41]), t).tolist() == [41]
+        _, [(r1, r2, r3, u2, u3)] = _records([41], t)
+        assert (r1, r2, r3) == (6, 8, 2)
+        assert r1 + u2 * 7 + u3 * 77 == 41
 
     def test_trivial_values(self):
         t = ModTriple.create(7, 11, 13)
-        assert [d.tolist() for d in garner_digits(np.array([0, 5]), t)] == [
-            [0, 5], [0, 5], [0, 5], [0, 0], [0, 0]]
+        assert _records([0, 5], t)[1] == [(0, 0, 0, 0, 0), (5, 5, 5, 0, 0)]
 
     def test_full_sweep_1001(self):
         t = ModTriple.create(7, 11, 13)
-        f = np.arange(1001)
-        r1, r2, r3, u2, u3 = garner_digits(f, t)
-        assert (r1 == f % 7).all() and (r2 == f % 11).all() and (r3 == f % 13).all()
-        assert (_recompose(f, t) == f).all()
-        # the digits Garner's algorithm computes from the residues alone
-        assert (u2 == (r2 - r1) % 11 * t.gamma12 % 11).all()
-        assert (u3 == (r3 - r1 - u2 * 7) % 13 * t.gamma23 % 13).all()
+        payload, records = _records(range(1001), t)
+        for f, (r1, r2, r3, u2, u3) in enumerate(records):
+            assert (r1, r2, r3) == (f % 7, f % 11, f % 13)
+            assert r1 + u2 * 7 + u3 * 77 == f
+            # the digits Garner's algorithm computes from the residues alone
+            assert u2 == (r2 - r1) % 11 * t.gamma12 % 11
+            assert u3 == (r3 - r1 - u2 * 7) % 13 * t.gamma23 % 13
+        assert parse_certificate(payload).violations == []
 
     def test_random_small_triples_roundtrip(self):
         triples = [(3, 5, 7), (8, 9, 11), (16, 21, 25), (23, 29, 31), (32, 45, 49)]
         for m1, m2, m3 in triples:
             t = ModTriple.create(m1, m2, m3)
             assert t.M <= 10**5
-            f = np.arange(t.M)
-            digits = garner_digits(f, t)
-            assert all(d.dtype == np.int64 for d in digits)
-            assert (0 <= digits[3]).all() and (digits[3] < m2).all()
-            assert (0 <= digits[4]).all() and (digits[4] < m3).all()
-            assert (_recompose(f, t) == f).all()
+            payload, records = _records(range(t.M), t)
+            for f, (r1, r2, r3, u2, u3) in enumerate(records):
+                assert type(r1) is type(r2) is type(r3) is type(u2) is type(u3) is int
+                assert 0 <= u2 < m2 and 0 <= u3 < m3
+                assert r1 + u2 * m1 + u3 * m1 * m2 == f
+            assert parse_certificate(payload).violations == []
 
     def test_parts_recompose(self):
         t = ModTriple.create(7, 11, 13)
-        r1, _, _, u2, u3 = (int(d[0]) for d in garner_digits(np.array([41]), t))
+        _, [(r1, _, _, u2, u3)] = _records([41], t)
         assert r1 + u2 * 7 + u3 * 77 == 41
 
     def test_agreement_with_garner2_below_product(self):
         # below m1*m2 the top digit is 0 and the rest are garner2's
         t = ModTriple.create(7, 11, 13)
-        f = np.arange(77)
-        r1, r2, _, u2, u3 = garner_digits(f, t)
-        assert (u3 == 0).all()
-        assert [garner2(a, b, 7, 11) for a, b in zip(r1.tolist(), r2.tolist())] == f.tolist()
-        assert (r1 + u2 * 7 == f).all()
+        _, records = _records(range(77), t)
+        assert all(u3 == 0 for *_, u3 in records)
+        assert [garner2(r1, r2, 7, 11) for r1, r2, *_ in records] == list(range(77))
+        assert [r1 + u2 * 7 for r1, _, _, u2, _ in records] == list(range(77))
 
 
 class TestModTriple:
@@ -136,6 +146,11 @@ class TestModTriple:
         assert (t.m1 * t.gamma12) % t.m2 == 1
         assert (t.m1 * t.m2 * t.gamma23) % t.m3 == 1
         assert t.M == 1001
+
+    @pytest.mark.parametrize("moduli", [(1, 11, 13), (7, 0, 13), (7, 11, -13)])
+    def test_rejects_modulus_below_2(self, moduli):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            ModTriple.create(*moduli)
 
     def test_rejects_shared_factor(self):
         with pytest.raises(NotCoprimeError):
@@ -156,6 +171,16 @@ class TestCapacity:
 
     def test_three_prime_product(self):
         assert coprime_divisor_capacity(1001) == 3
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_factorize_refuses_below_1(self, n):
+        with pytest.raises(ValueError, match=f"cannot factorize {n}"):
+            factorize(n)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_capacity_refuses_below_2(self, n):
+        with pytest.raises(ValueError, match=f"capacity undefined for {n}"):
+            coprime_divisor_capacity(n)
 
     def test_factorize_consistency(self):
         for n in (2, 12, 360, 1001, 2**10 * 3**4):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -402,6 +403,21 @@ class TestSparseFft:
         assert result.path is RecoveryPath.FAST
         assert spectra_close(result.spectrum, spec)
         assert json.loads(result.certificate.to_json())["k"] == 2
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, None, np.float64(5.0), True])
+    def test_seed_that_is_not_an_integer_is_rejected_before_any_read(self, monkeypatch, seed):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("made a plan")
+
+        monkeypatch.setattr(pipeline, "make_plan", no_plan)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            sparse_fft(Unreadable(1001), 2, TOY_CFG, seed=seed)
+
+    def test_numpy_integer_seed_is_recorded_as_an_int(self):
+        _, src = toy_instance()
+        cfg = replace(TOY_CFG, nominal_length=1001)
+        texts = [sparse_fft(src, 2, cfg, seed=s).certificate.to_json() for s in (np.int64(5), 5)]
+        assert texts[0] == texts[1] and json.loads(texts[0])["seed"] == 5
 
     def test_empty_spectrum(self):
         spec = SparseSpectrum.from_pairs([], 1001)

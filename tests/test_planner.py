@@ -103,6 +103,14 @@ class TestMakePlan:
         with pytest.raises(TypeError):
             make_plan(2**14, 12, seed=1)
 
+    @pytest.mark.parametrize("N, k, message", [
+        (3, 1, "N must be >= 4, got 3"), (0, 0, "N must be >= 4, got 0"),
+        (2**14, -1, "k must be >= 0, got -1"),
+    ], ids=["n-3", "n-0", "negative-k"])
+    def test_no_plan_below_min_length_or_for_negative_k(self, N, k, message):
+        with pytest.raises(ValueError, match=message):
+            make_plan(N, k)
+
     def test_pinned_product_below_n_raises(self):
         cfg = Config(moduli_override=(7, 11, 13))
         with pytest.raises(ValueError, match=r"modulus product 1001 below N=1002"):

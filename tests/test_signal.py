@@ -99,9 +99,10 @@ class TestSparseSpectrum:
         assert all(type(f) is int for f, _ in s.entries)
 
     def test_nonfinite_rejected(self):
-        # in the real part and in the imaginary part alone
+        # in the real part and in the imaginary part alone, and an integer
+        # past the float range
         for coeff in (complex("nan"), complex(1, float("nan")), complex("inf"),
-                      complex(1, float("-inf"))):
+                      complex(1, float("-inf")), 10**400):
             with pytest.raises(NonFiniteError):
                 SparseSpectrum.from_pairs([(1, coeff)], 8)
 
@@ -403,6 +404,13 @@ class TestFromDense:
         src = from_dense(x, 4)
         assert src.grid_length == 4 and src.sample(5) == 2
 
+    def test_nonfinite_or_misshapen_buffer_is_refused(self):
+        with pytest.raises(NonFiniteError):
+            from_dense(np.array([1.0, np.nan, 0.0]))
+        for x in (np.ones((2, 4)), np.ones(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D sample buffer"):
+                from_dense(x)
+
     def test_identity_wrapper(self, rng):
         x = rng.normal(size=5) + 0j
         src = from_dense(x)
@@ -507,9 +515,10 @@ class TestSpectrumFiles:
             '{"grid_length": 16, "entries": [{"f": 1.7, "re": 1.0, "im": 0.0}]}',
             '{"grid_length": 16, "entries": [{"f": 1, "re": true, "im": 0.0}]}',
             '{"grid_length": 16, "entries": [{"f": 1, "re": 1%s, "im": 0.0}]}' % ("0" * 400),
+            '[16, []]',
         ],
         ids=["zero-grid", "string-grid", "entries-object", "string-f",
-             "fractional-f", "boolean-re", "huge-re"],
+             "fractional-f", "boolean-re", "huge-re", "not-an-object"],
     )
     def test_malformed_value_rejected(self, tmp_path, text):
         path = tmp_path / "broken.json"
@@ -563,8 +572,9 @@ class TestDenseFiles:
 
     @pytest.mark.parametrize(
         "raw",
-        [b"index,re,im\n0,1.0,\xff\n", b"index,re,im\n0,1.0," + b"0" * 200_000 + b"\n"],
-        ids=["undecodable-byte", "field-above-csv-limit"],
+        [b"index,re,im\n0,1.0,\xff\n", b"index,re,im\n0,1.0," + b"0" * 200_000 + b"\n",
+         b"index,re,im\n0,1.0,0.0\n2,1.0,0.0\n"],
+        ids=["undecodable-byte", "field-above-csv-limit", "index-gap"],
     )
     def test_unreadable_csv_rejected(self, tmp_path, raw):
         path = tmp_path / "sig.csv"

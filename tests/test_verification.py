@@ -150,7 +150,10 @@ class TestVerify:
         report = verify_plan(src, plan, spec)
         assert report.overall
         assert [v.modulus for v in report.views] == list(plan.moduli)
-        assert report.to_dict()["unverified"] is False
+        # the run's certificate records the same verdict, and that it verified
+        result = sparse_fft(src, 5, Config(nominal_length=2**14))
+        record = result.certificate.payload["verification"]
+        assert record["overall"] is True and record["unverified"] is False
 
     def test_no_false_alarms_over_random_instances(self, rng):
         # correct candidates must pass regardless of collisions

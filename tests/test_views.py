@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.errors import StrideMismatchError
+from crtfft.errors import OracleCapExceededError, StrideMismatchError
 from crtfft.planner import SHIFT_COUNT, make_plan
-from crtfft.signal import SparseSpectrum, from_dense, synthesize
+from crtfft.signal import SignalSource, SparseSpectrum, from_dense, synthesize
 from crtfft.views import (
     build_view,
     build_view_from_spectrum,
@@ -173,6 +173,17 @@ class TestBuildViews:
                 build_views(src, (*plan.moduli[:2], m))
             with pytest.raises(StrideMismatchError):
                 build_view_from_spectrum(spec, m)
+
+
+    def test_grid_past_exact_int64_indexing_is_refused_before_any_read(self):
+        class Huge(SignalSource):
+            grid_length = 2**32
+
+            def sample_block(self, indices):
+                pytest.fail("a sample was read")
+
+        with pytest.raises(OracleCapExceededError, match="exact int64 index arithmetic"):
+            build_views(Huge(), (2**10, 2**11, 2**12))
 
 
 class TestViewEnergy:
