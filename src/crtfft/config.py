@@ -94,7 +94,7 @@ def load_config(path) -> Config:
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ParseError("config file must hold a JSON object")
+        raise ParseError(f"config file {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(Config)}
     unknown = sorted(set(payload) - known)
     if unknown:

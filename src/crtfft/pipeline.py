@@ -229,8 +229,10 @@ def verify_certificate(
 
     `parse_certificate` checks the payload and the claims that need no
     signal; this adds the signal's grid and one fresh two-part test
-    (`check_view`) of the recovered spectrum on the first verification view,
-    at the tolerance every run records.  `config` is not read; it stays for
+    (`check_view`) of the recovered spectrum on the view the certificate
+    names, at the tolerance every run records.  A view whose gap, residual
+    or epsilon is not finite fails both parts: past float64 neither
+    comparison can pass or fail.  `config` is not read; it stays for
     callers that pass the run's config.
     """
     fields = parse_certificate(cert.payload)
@@ -241,8 +243,10 @@ def verify_certificate(
     violations += fields.violations
     if fields.fresh_view is not None and source.grid_length == fields.plan_grid:
         check = check_view(build_view(source, fields.fresh_view), fields.spectrum)
-        if check.parseval_gap > check.epsilon:
-            violations.append(f"fresh-parseval-failed: {check.parseval_gap:.3e}")
-        if check.residual_energy > check.epsilon:
-            violations.append(f"fresh-residual-failed: {check.residual_energy:.3e}")
+        gap, residual, eps = check.parseval_gap, check.residual_energy, check.epsilon
+        finite = math.isfinite(gap) and math.isfinite(residual) and math.isfinite(eps)
+        if not finite or gap > eps:
+            violations.append(f"fresh-parseval-failed: {gap:.3e}")
+        if not finite or residual > eps:
+            violations.append(f"fresh-residual-failed: {residual:.3e}")
     return violations

@@ -306,7 +306,7 @@ def load_spectrum(path) -> SparseSpectrum:
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ParseError(f"cannot read spectrum file {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ParseError("spectrum file must hold a JSON object")
+        raise ParseError(f"spectrum file {path} must hold a JSON object")
     grid_length, entries = payload.get("grid_length"), payload.get("entries")
     if not (_is_int(grid_length) and grid_length >= 1):
         raise ParseError(f"{path}: grid_length must be a positive integer")

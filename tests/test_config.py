@@ -100,13 +100,14 @@ def test_malformed_value_is_parse_error(tmp_path, change):
         load_config(write(tmp_path, {**VALID, **change}))
 
 
-@pytest.mark.parametrize("text", [None, "[1001]", "{"],
-                         ids=["missing", "not-an-object", "bad-json"])
+@pytest.mark.parametrize("text", [None, "[1001]", "{", "null"],
+                         ids=["missing", "not-an-object", "bad-json", "null"])
 def test_unreadable_or_non_object_file_is_parse_error(tmp_path, text):
+    # the error names the file
     path = tmp_path / "config.json"
     if text is not None:
         path.write_text(text)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(str(path))):
         load_config(path)
 
 

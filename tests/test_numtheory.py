@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtfft.certificate import build_certificate, parse_certificate
+from crtfft.certificate import parse_certificate
 from crtfft.errors import NotCoprimeError
 from crtfft.gating import garner2
 from crtfft.numtheory import ModTriple, coprime_divisor_capacity, factorize, mod_inverse
-from crtfft.signal import SparseSpectrum
 
 
 class TestModInverse:
@@ -83,16 +82,28 @@ class TestGarner2:
 
 
 def _records(freqs, t):
-    """The payload `build_certificate` writes for tones at `freqs` on t's grid,
-    and each tone's CRT record as (r1, r2, r3, u2, u3)."""
-    spec = SparseSpectrum.from_pairs([(f, 1.0) for f in freqs], t.M)
-    payload = build_certificate(t, 0, spec, None, None, None, len(spec)).payload
-    return payload, [tuple(e["crt"][key] for key in ("r1", "r2", "r3", "u2", "u3"))
-                     for e in payload["recovered"]]
+    """A format-1 certificate payload for unit tones at `freqs` on t's grid,
+    each with the CRT record format-1 writers gave it (residues and
+    mixed-radix digits read from f by division), and those records as
+    (r1, r2, r3, u2, u3)."""
+    m1, m2, m3 = t.moduli
+    records = [(f % m1, f % m2, f % m3, f // m1 % m2, f // (m1 * m2)) for f in freqs]
+    keys = ("r1", "r2", "r3", "u2", "u3")
+    payload = {
+        "format": "crtfft-certificate/1", "grid_length": t.M, "amplitude_threshold": 0.0,
+        "declared_n": None,
+        "recovered": [{"f": f, "re": 1.0, "im": 0.0, "crt": dict(zip(keys, r))}
+                      for f, r in zip(freqs, records)],
+        "plan": {"m": t.M, "moduli": list(t.moduli), "gamma12": t.gamma12,
+                 "gamma23": t.gamma23, "verify_views": None},
+    }
+    return payload, records
 
 
 class TestGarner3:
-    # the mixed-radix digits f = r1 + u2*m1 + u3*m1*m2 that certificates record
+    # the mixed-radix digits f = r1 + u2*m1 + u3*m1*m2 that format-1
+    # certificates recorded, and that format-1 replay recomputes from the
+    # residues by Garner's formula
     def test_published_value(self):
         t = ModTriple.create(7, 11, 13)
         _, [(r1, r2, r3, u2, u3)] = _records([41], t)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -516,14 +517,16 @@ class TestSpectrumFiles:
             '{"grid_length": 16, "entries": [{"f": 1, "re": true, "im": 0.0}]}',
             '{"grid_length": 16, "entries": [{"f": 1, "re": 1%s, "im": 0.0}]}' % ("0" * 400),
             '[16, []]',
+            'null',
         ],
         ids=["zero-grid", "string-grid", "entries-object", "string-f",
-             "fractional-f", "boolean-re", "huge-re", "not-an-object"],
+             "fractional-f", "boolean-re", "huge-re", "not-an-object", "null"],
     )
     def test_malformed_value_rejected(self, tmp_path, text):
+        # the error names the file
         path = tmp_path / "broken.json"
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             load_spectrum(path)
 
     def test_undecodable_bytes_rejected(self, tmp_path):
