@@ -13,11 +13,13 @@ once and peels that copy; the stack it was given is left as built, for
 verification.  Detection looks its candidates' m and bin up with one
 fancy index into the stack's column table, `views.stack_columns`, the
 cached table `build_views` normalizes the stack with.
-A round is a fixed number of array operations whatever k is: detection
-tests every column of the stack at once, with both adjacent-shift ratios
-from one division, and the same sort that orders its readings by
-frequency keeps one per frequency, so a round is two arrays, frequencies
-and coefficients.  `peel` subtracts the whole round, as FFAST's decoder
+A round is a fixed number of array operations whatever k is.  It takes
+the magnitudes of the whole stack in one pass, and that pass serves both
+`run_peeling`'s completion test and detection.  Detection tests every
+column of the stack at once, with both adjacent-shift ratios from one
+division, and the same sort that orders its readings by frequency keeps
+one per frequency, so a round is two arrays, frequencies and
+coefficients.  `peel` subtracts the whole round, as FFAST's decoder
 does.  The readings are appended to the ledger's frequency and
 coefficient arrays in order; their subtraction is `views.alias_stack`
 (the alias model verification uses, O(1) per reading and bin).
@@ -88,19 +90,24 @@ def detect_singletons(state: PeelState) -> tuple[np.ndarray, np.ndarray]:
     """The round's readings as (frequencies ascending, coefficients): one per
     frequency whose bins pass the singleton tests, from its cleanest bin
     (least error, then lowest view)."""
-    stack, M = state.stack, state.M
-    mag0 = np.abs(stack[0])
-    (cand,) = (mag0 > state.noise_floor).nonzero()
+    return _readings(state, np.abs(state.stack))
+
+
+def _readings(state: PeelState, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`detect_singletons` given the stack's magnitudes, `mags`."""
+    M = state.M
+    (cand,) = (mags[0] > state.noise_floor).nonzero()
     m, bin_index = state.columns[:, cand]
-    y = stack[:, cand]
-    mag = mag0[cand]
+    y = state.stack[:, cand]
+    mag0, mag1, mag2 = mags[:, cand]
     # Every candidate's y0 clears the floor, so only a zero y1 can divide by
     # zero, and such a column already fails (a) with error 1; a non-finite
     # ratio or error fails every test below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = y[1:] / y[:-1]
-        # (a) magnitudes agree across shifts
-        err = (np.abs(np.abs(y[1:]) - mag) / mag).max(axis=0, initial=0.0)
+        # (a) magnitudes agree across shifts: the larger deviation, divided
+        # once (division is monotone, so this is the larger relative one)
+        err = np.maximum(np.abs(mag1 - mag0), np.abs(mag2 - mag0)) / mag0
         # (b) frequency from the adjacent-shift phase ratio
         angle = np.arctan2(ratio[0].imag, ratio[0].real)
         f_hat = np.rint(angle * M / (2 * np.pi)).astype(np.int64) % M
@@ -154,13 +161,14 @@ def run_peeling(state: PeelState, k: int) -> PeelOutcome:
     cap = max(1, math.ceil(ROUND_CAP_C * math.log2(k + 2)))
     status = None
     while True:
-        if float(np.abs(state.stack).max(initial=0.0)) <= state.noise_floor:
+        mags = np.abs(state.stack)  # the round's one magnitude pass, for both tests
+        if float(mags.max(initial=0.0)) <= state.noise_floor:
             status = PeelStatus.COMPLETE
             break
         if state.round >= cap:
             status = PeelStatus.STAGNATED
             break
-        fs, coeffs = detect_singletons(state)
+        fs, coeffs = _readings(state, mags)
         if fs.size == 0:
             status = PeelStatus.TWO_CORE
             break

@@ -11,7 +11,13 @@ arithmetic; a stack of R rows that are each a full cyclic progression mod
 M with one common step (the shifts of a view are such a stack) costs
 O(R*k + R*n log n): one comparison of the block's cyclic gaps finds the
 step, then one scatter and one stacked, unnormalized inverse transform
-read all rows; rows of differing steps take the O(k*n) sum.  A tone sum
+read all rows; rows of differing steps take the O(k*n) sum.  The O(R*k)
+twist table of such a read depends only on the rows' starts, and every
+view block starts its rows at 0, 1 and 2, so a synthesized source keeps
+the table of its last starts: a run's views and its replay build it
+once.  That memo is one read-only table of at most _MEMO_ROWS rows, gives
+every read the bits a fresh source would, and is safe for threads that
+share the source.  A tone sum
 past the float64 range reads as Inf or NaN without a numpy warning, and
 the transform that consumes the samples raises NonFiniteError.  A dense
 source reads the caller's buffer, uncopied, on the buffer's own grid, so
@@ -143,7 +149,10 @@ class SignalSource:
     Rereading the same block gives bit-identical values (for a dense
     source, while the caller leaves its buffer unwritten); the same index
     read inside different blocks agrees to roundoff.  Concurrent reads are
-    safe (no mutable state).  A subclass that overrides `materialize` itself must
+    safe: a source's only mutable state is a synthesized source's memo of
+    one twist table, whose values are a pure function of the source and
+    the rows read, so a read never depends on what was read before it or
+    by another thread.  A subclass that overrides `materialize` itself must
     still return a buffer the caller owns: the dense fallback transforms it
     in place.
     """
@@ -174,9 +183,14 @@ class SignalSource:
 
 
 class _SynthesizedSource(SignalSource):
+    # The twist memo keeps one table of at most _MEMO_ROWS rows of k
+    # twists, however large the blocks a caller reads.
+    _MEMO_ROWS = 4
+
     def __init__(self, spectrum: SparseSpectrum):
         self.spectrum = spectrum
         self.grid_length = spectrum.grid_length
+        self._last: tuple[bytes, np.ndarray] | None = None  # (row starts, read-only twist table)
 
     def sample_block(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64) % self.grid_length
@@ -215,14 +229,33 @@ class _SynthesizedSource(SignalSource):
         Inf or NaN, with no warning; the transform of the samples or of the
         grid refuses it with NonFiniteError.
         """
-        M, rows = self.grid_length, starts.size
-        freqs, coeffs = self.spectrum.freqs, self.spectrum.coeffs
+        M, rows, freqs = self.grid_length, starts.size, self.spectrum.freqs
         bins = (step * n // M) * freqs % n + np.arange(0, rows * n, n, dtype=np.int64)[:, None]
-        twists = np.exp((2j * np.pi / M) * (np.multiply.outer(starts, freqs) % M))
         scattered = np.zeros(rows * n, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(scattered, bins.ravel(), (coeffs * twists).ravel())
+            np.add.at(scattered, bins.ravel(), self._twisted(starts).ravel())
             return dft.dft_inverse_sum(scattered.reshape(rows, n))
+
+    def _twisted(self, starts: np.ndarray) -> np.ndarray:
+        """The (rows, k) table coeffs * e^{2pi i (start*f mod M)/M} of every
+        row start and tone, memoized by the starts.
+
+        A hit returns what the same expression computed, so a read's bits
+        do not depend on what was read before it.  A miss of at most
+        _MEMO_ROWS rows replaces the one kept table with its own, read-only;
+        that is one attribute assignment, so threads sharing the source at
+        worst compute a table twice.
+        """
+        key, last = starts.tobytes(), self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        M = self.grid_length
+        twisted = self.spectrum.coeffs * np.exp(
+            (2j * np.pi / M) * (np.multiply.outer(starts, self.spectrum.freqs) % M))
+        if starts.size <= self._MEMO_ROWS:
+            twisted.setflags(write=False)
+            self._last = (key, twisted)
+        return twisted
 
 
 def _progression_step(idx: np.ndarray, M: int) -> int | None:
@@ -339,12 +372,14 @@ def load_dense_binary(path) -> np.ndarray:
         with open(path, "rb") as fh:
             raw = fh.read()
         (n,) = struct.unpack_from("<Q", raw, 0)
-        body = np.frombuffer(raw, dtype="<f8", offset=8)
-        if body.size != 2 * n:
-            raise ValueError(f"header says {n} samples, body holds {body.size // 2}")
+        # a body of partial samples raises ValueError here
+        body = np.frombuffer(raw, dtype="<c16", offset=8)
+        if body.size != n:
+            raise ValueError(f"header says {n} samples, body holds {body.size}")
     except (OSError, struct.error, ValueError) as exc:
         raise ParseError(f"cannot read dense signal {path}: {exc}") from exc
-    return (body[0::2] + 1j * body[1::2]).astype(np.complex128)
+    # each (re, im) pair read as it was written, signed zeros included
+    return body.astype(np.complex128)
 
 
 def save_dense_csv(samples, path) -> None:
@@ -370,4 +405,4 @@ def load_dense_csv(path) -> np.ndarray:
         raise ParseError(f"{path}: malformed row: {exc}") from exc
     if [i for i, _, _ in data] != list(range(len(data))):
         raise ParseError(f"{path}: indices must cover 0..n-1 exactly once")
-    return np.array([re + 1j * im for _, re, im in data], dtype=np.complex128)
+    return np.array([complex(re, im) for _, re, im in data], dtype=np.complex128)

@@ -1,7 +1,8 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crtfft.config import Config
@@ -9,6 +10,7 @@ from crtfft.numtheory import ModTriple
 from crtfft.peeling import (
     ROUND_CAP_C,
     SINGLETON_TOL,
+    PeelOutcome,
     PeelState,
     PeelStatus,
     detect_singletons,
@@ -18,7 +20,7 @@ from crtfft.peeling import (
 from crtfft.planner import make_plan, rehash
 from crtfft.gating import gate_pairs, rng_stream
 from crtfft.signal import SparseSpectrum, synthesize
-from crtfft.views import ViewStack, build_view, build_view_from_spectrum, build_views
+from crtfft.views import ViewStack, alias_stack, build_view, build_view_from_spectrum, build_views
 from conftest import random_spectrum, spectra_close
 
 TOY_CFG = Config(moduli_override=(7, 11, 13))
@@ -275,6 +277,93 @@ class TestDetectorMatchesReference:
             if not fs.size:
                 break
             peel(state, fs, coeffs)
+
+
+def reference_run_peeling(state, k):
+    """Peeling as written before one magnitude pass served a round: each
+    round tests completion on its own |stack| pass, detects with
+    `reference_detect`, and appends the readings to the ledger, the first
+    round's onto its two empty arrays."""
+    cap = max(1, math.ceil(ROUND_CAP_C * math.log2(k + 2)))
+    while True:
+        if float(np.abs(state.stack).max(initial=0.0)) <= state.noise_floor:
+            status = PeelStatus.COMPLETE
+            break
+        if state.round >= cap:
+            status = PeelStatus.STAGNATED
+            break
+        fs, coeffs = reference_detect(state)
+        if fs.size == 0:
+            status = PeelStatus.TWO_CORE
+            break
+        state.freqs = np.concatenate((state.freqs, fs))
+        state.coeffs = np.concatenate((state.coeffs, coeffs))
+        state.round += 1
+        state.stack -= alias_stack(fs, coeffs, state.layout, state.stack.shape, state.M)
+    peeled = state.freqs.size
+    if state.round <= 1:
+        return PeelOutcome(state.freqs, state.coeffs + 0.0, status, state.round, peeled)
+    freqs, where = np.unique(state.freqs, return_inverse=True)
+    coeffs = np.zeros(freqs.size, dtype=np.complex128)
+    np.add.at(coeffs, where, state.coeffs)
+    keep = np.abs(coeffs) > state.noise_floor
+    return PeelOutcome(freqs[keep], coeffs[keep], status, state.round, peeled)
+
+
+# Five unit tones on (7, 11, 13) that peel in three rounds.
+THREE_ROUNDS = (24, 121, 563, 726, 912)
+
+
+class TestRunPeelingMatchesReference:
+    """`run_peeling` gives the reference loop's outcome bit for bit."""
+
+    @staticmethod
+    def assert_same_run(spec, edits, k):
+        plan = make_plan(1001, len(spec), config=TOY_CFG)
+        views = build_views(synthesize(spec), plan.moduli)
+        got, want = PeelState.create(views), PeelState.create(views)
+        for state in (got, want):
+            stack = state.stack
+            for kind, column, re, im in edits:
+                column %= stack.shape[1]
+                if kind == "tone":
+                    stack[:, column] = complex(re, im) * np.exp(1j * np.arange(3) * re)
+                else:
+                    stack[:, column] = (complex(re, im), complex(im, re), complex(re * im, 1))
+        out, ref = run_peeling(got, k), reference_run_peeling(want, k)
+        assert same_bits((out.freqs, out.coeffs), (ref.freqs, ref.coeffs))
+        assert (out.status, out.rounds, out.readings) == (ref.status, ref.rounds, ref.readings)
+        assert same_bits((got.freqs, got.coeffs, got.stack), (want.freqs, want.coeffs, want.stack))
+        return out
+
+    @pytest.mark.parametrize(
+        "support, k, status, rounds",
+        [(THREE_ROUNDS, 5, PeelStatus.COMPLETE, 3), (STUCK_SUPPORT, 4, PeelStatus.TWO_CORE, 0),
+         # k = -1 gives the smallest round cap, one round
+         (THREE_ROUNDS, -1, PeelStatus.STAGNATED, 1)],
+        ids=["multi-round", "two-core", "capped"],
+    )
+    def test_each_ending(self, support, k, status, rounds):
+        spec = SparseSpectrum.from_pairs([(f, 1.0) for f in support], 1001)
+        out = self.assert_same_run(spec, [], k)
+        assert (out.status, out.rounds) == (status, rounds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=toy_spectra(),
+        edits=st.lists(
+            st.tuples(st.sampled_from(("tone", "noise")), st.integers(0, 30),
+                      st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+            max_size=4,
+        ),
+        capped=st.booleans(),
+    )
+    @example(spec=SparseSpectrum.from_pairs([(f, 1.0) for f in THREE_ROUNDS], 1001),
+             edits=[], capped=True)
+    def test_bit_for_bit(self, spec, edits, capped):
+        # drawn stacks peel in one or several rounds, stick two-core on
+        # colliding tones or planted bins, or stop at a one-round cap
+        self.assert_same_run(spec, edits, -1 if capped else len(spec))
 
 
 class TestPeel:

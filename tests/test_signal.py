@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from crtfft.errors import (
     ParseError,
 )
 from crtfft.pipeline import sparse_fft
+from crtfft.planner import make_plan
 from crtfft.signal import (
     _MAX_GRID,
     SparseSpectrum,
@@ -30,6 +32,7 @@ from crtfft.signal import (
     save_spectrum,
     synthesize,
 )
+from crtfft.views import _view_indices
 from conftest import mutate_bytes, mutate_one_value, random_spectrum
 
 
@@ -392,6 +395,67 @@ class TestBlockShapes:
         assert np.abs(got - per_index(src, idx)).max() <= tol
 
 
+class TestTwistMemo:
+    """A synthesized source keeps the twist table of its last progression
+    read, keyed by the row starts.  The memo must never change a value:
+    every read gives the bits a fresh source gives, whatever was read
+    before."""
+
+    def setup_method(self):
+        plan = make_plan(2**14, 12)
+        self.M, self.moduli = plan.M, plan.moduli
+        self.spec = random_spectrum(np.random.default_rng(7), 12, self.M)
+
+    def cold(self, idx):
+        """The block read by a source that has read nothing else."""
+        return synthesize(self.spec).sample_block(idx).tobytes()
+
+    def test_view_blocks_in_any_order(self):
+        blocks = {m: _view_indices(m, self.M) for m in self.moduli}
+        want = {m: self.cold(idx) for m, idx in blocks.items()}
+        shared = synthesize(self.spec)
+        for order in itertools.permutations(self.moduli):
+            for src in (shared, synthesize(self.spec)):
+                for m in order:
+                    for _ in range(2):
+                        assert src.sample_block(blocks[m]).tobytes() == want[m]
+
+    def test_more_row_starts_than_the_memo_holds(self, rng):
+        src = synthesize(self.spec)
+        m = self.moduli[0]
+        # ten views' worth of distinct row starts, each evicted before it is
+        # read again, and a block of more rows than the memo keeps
+        blocks = [(_view_indices(m, self.M) + s) % self.M for s in range(0, 30, 3)]
+        blocks.append(np.stack([progression(m, 1, self.M, s) for s in range(2 * src._MEMO_ROWS)]))
+        want = [self.cold(idx) for idx in blocks]
+        tol = TestProgressionRead.TOL * np.abs(self.spec.coefficients()).sum()
+        for _ in range(2):
+            for idx, bits in zip(blocks, want):
+                got = src.sample_block(idx)
+                assert got.tobytes() == bits
+                assert np.abs(got - generic_read(src, idx.ravel(), rng).reshape(idx.shape)).max() <= tol
+                assert src._last is None or src._last[1].shape[0] <= src._MEMO_ROWS
+
+    def test_tables_are_read_only(self):
+        src = synthesize(self.spec)
+        for m in self.moduli:
+            src.sample_block(_view_indices(m, self.M))
+        starts, table = src._last  # every view's rows start at 0, 1 and 2
+        assert starts == np.arange(3, dtype=np.int64).tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_materialize_matches_the_grid_read(self):
+        src = synthesize(self.spec)
+        grid = np.arange(self.M, dtype=np.int64)
+        want = synthesize(self.spec).sample_block(grid).tobytes()
+        assert src.materialize().tobytes() == want
+        for m in self.moduli:
+            src.sample_block(_view_indices(m, self.M))
+        assert src.materialize().tobytes() == src.sample_block(grid).tobytes() == want
+
+
 class TestFromDense:
     """A dense source holds its buffer on the buffer's own grid: a grid
     length given beside the buffer must be an integer equal to its length."""
@@ -565,11 +629,33 @@ class TestDenseFiles:
         save_dense_csv(x, path)
         assert np.array_equal(load_dense_csv(path), x)
 
+    @pytest.mark.parametrize(
+        "save, load",
+        [(save_dense_csv, load_dense_csv), (save_dense_binary, load_dense_binary)],
+        ids=["csv", "binary"],
+    )
+    def test_roundtrip_keeps_signed_zeros(self, tmp_path, save, load):
+        x = np.array([complex(-0.0, 0.0), complex(1.5, -0.0), complex(-0.0, -0.0)])
+        path = tmp_path / "sig.dat"
+        save(x, path)
+        got = load(path)
+        assert got.dtype == np.complex128 and got.tobytes() == x.tobytes()
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "trunc.bin"
         save_dense_binary(np.ones(4, dtype=complex), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
+        with pytest.raises(ParseError):
+            load_dense_binary(path)
+
+    @pytest.mark.parametrize("cut", [lambda raw: raw[:-1], lambda raw: raw + bytes(8)],
+                             ids=["one-byte-short", "half-sample-long"])
+    def test_body_of_partial_samples_rejected(self, tmp_path, cut):
+        # a body that is not a whole number of 16-byte samples
+        path = tmp_path / "partial.bin"
+        save_dense_binary(np.ones(4, dtype=complex), path)
+        path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ParseError):
             load_dense_binary(path)
 
